@@ -21,6 +21,14 @@ class NonPositiveParameter(ConfigError):
         super().__init__(f"parameter {field!r} must be > 0")
 
 
+class NonFiniteParameter(ConfigError):
+    """A parameter is not a finite real number (bool, string, NaN or infinity)."""
+
+    def __init__(self, field: str, value):
+        self.field = field
+        super().__init__(f"parameter {field!r} must be a finite number, got {value!r}")
+
+
 class NegativeSurfaceTension(ConfigError):
     """Surface tension coefficient is negative."""
 
@@ -73,12 +81,8 @@ class MonotonicityViolation(SolverError):
     """
 
 
-class BracketFailureLow(SolverError):
-    """No lower bracket with alpha(s) > s**2 was found."""
-
-
-class BracketFailureHigh(SolverError):
-    """No upper bracket with alpha(s) < s**2 was found."""
+class BranchMismatch(SolverError):
+    """A positive alpha attributed to the transverse branch, which is always negative."""
 
 
 class DegenerateExponents(SolverError):

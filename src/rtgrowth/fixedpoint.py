@@ -1,18 +1,14 @@
-"""Fixed-point solve Lambda = sqrt(alpha(Lambda)) by monotone bracketing.
+"""Growth rate Lambda = sqrt(alpha(Lambda)) as the largest per-mode fixed point.
 
-f(s) = alpha(s) - s^2 is strictly decreasing (alpha strictly decreases in s
-while s^2 increases), so the growth rate is the unique zero of f. Each alpha
-evaluation is expensive but safe, f is only locally Lipschitz, and a bracket
-invariant is easy to maintain, so bisection is used rather than Newton or
-secant steps. The upper bracket is seeded just above the closed-form bound m
-(the true growth rate can never exceed it; doubling remains as a fallback for
-discrete-alpha mismatch), the lower bracket walks down by halving until
-f > 0. One mode set is frozen across the entire solve so that the discrete
-f inherits exact strict monotonicity, which is asserted at every step.
-
-Bisection refines past the requested bracket width until the fixed-point
-residual |Lambda^2 - alpha(Lambda)| <= tol_fp * max(1, Lambda^2) actually
-holds; the width rule alone cannot guarantee that when |f'| > 1.
+f(s) = alpha(s) - s^2 is strictly decreasing, so the growth rate is its
+unique zero. Since alpha(s) is the maximum over lattice modes of alpha_k(s),
+f(s) > 0 exactly when some alpha_k(s) > s^2, that is when s < Lambda_k for
+the per-mode fixed point Lambda_k^2 = alpha_k(Lambda_k). So
+Lambda = max_k Lambda_k, and every Lambda_k is the root of one scalar secular
+equation over the cached spectral rows of the mode (rank_one_fixed_point),
+solved for all modes at once. The eigenprofile at Lambda then costs one
+linear solve. The cutoff of an owned mode set is certified at the answer
+and doubled, with a re-solve, until the certificate holds.
 """
 
 from __future__ import annotations
@@ -22,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketFailureHigh,
-    BracketFailureLow,
-    MonotonicityViolation,
-    NoConvergence,
-    SolverError,
-    StableRegime,
-)
+from .errors import SolverError, StableRegime
 from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
 from .pencil import (
@@ -37,12 +26,13 @@ from .pencil import (
     PencilForms,
     assemble,
     coeffs_to_profile,
-    largest_eigenpair,
     mode_spectral_data,
     profile_to_coeffs,
     prolong_coeffs,
+    rank_one_fixed_point,
     rank_one_largest,
     residual_dual_norm,
+    secular_eigenpair,
 )
 from .spectrum import (
     AlphaValue,
@@ -50,9 +40,6 @@ from .spectrum import (
     escalate_mode_set,
     initial_cutoff,
 )
-
-MAX_BRACKET_STEPS = 60
-MAX_BISECTIONS = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +50,6 @@ class GrowthResult:
     argmax_k: float
     eigenprofile: VerticalProfile
     fixed_point_residual: float
-    bracket_history: list[tuple[float, float]]
     alpha_at_lambda: AlphaValue
     bound_m: float
     theta: float
@@ -101,39 +87,8 @@ class GrowthResult:
             "bound_m": self.bound_m,
             "theta": self.theta,
             "resolution": self.resolution,
-            "bracket_steps": len(self.bracket_history),
             "branch": self.branch,
         }
-
-
-def bisect_fixed_point(f, s_lo, s_hi, f_lo, f_hi, tol_fp):
-    """Bisection core over a strictly decreasing f with sign-bracketed ends.
-
-    Returns (lam, history, f_mid_last). Unit-testable against injected alpha
-    mocks; asserts the strict decrease f(lo) > f(mid) > f(hi) at every step.
-    """
-    if not (f_lo > 0.0 > f_hi):
-        raise ValueError("bisect_fixed_point requires f(s_lo) > 0 > f(s_hi)")
-    history = [(s_lo, s_hi)]
-    f_mid = f_lo
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (s_lo + s_hi)
-        f_mid = f(mid)
-        if not (f_lo > f_mid > f_hi):
-            raise MonotonicityViolation(
-                f"f not strictly decreasing across ({s_lo!r}, {mid!r}, {s_hi!r}): "
-                f"({f_lo!r}, {f_mid!r}, {f_hi!r})"
-            )
-        if f_mid > 0.0:
-            s_lo, f_lo = mid, f_mid
-        else:
-            s_hi, f_hi = mid, f_mid
-        history.append((s_lo, s_hi))
-        if s_hi - s_lo <= tol_fp:
-            lam = 0.5 * (s_lo + s_hi)
-            if abs(f(lam)) <= tol_fp * max(1.0, lam * lam):
-                return lam, history, f_mid
-    raise NoConvergence("fixed-point bisection stalled", MAX_BISECTIONS)
 
 
 def solve_lambda(
@@ -154,57 +109,19 @@ def solve_lambda(
     theta = cfg.theta
 
     if frozen is not None:
+        # shared (possibly locked) set: guard the answer, never extend
         fm = frozen
-        owns_set = False
+        lam = float(fm.mode_lambdas(theta).max())
+        fm.require_interior(lam, theta)
     else:
+        # A failed certificate widens the set until it holds at lam; the wider
+        # set can raise max_k Lambda_k, so re-solve and re-certify. Runaway
+        # escalation raises, which bounds the loop.
         fm = FrozenModeSet.freeze(cfg, disc, initial_cutoff(cfg), jobs=jobs)
-        owns_set = True
-
-    # Bracket and bisect on one frozen set; certify the cutoff at the answer.
-    # Positive-sign decisions are conservative under truncation (adding modes
-    # only raises alpha), and the certificate at Lambda guards the negative
-    # side; a failed certificate doubles the cutoff and redoes the solve.
-    lam = history = None
-    for _ in range(12):
-
-        def f(s: float) -> float:
-            return fm.alpha_max(s, theta) - s * s
-
-        s_lo = min(1.0, m) / 16.0
-        f_lo = f(s_lo)
-        steps = 0
-        while f_lo <= 0.0 and steps < MAX_BRACKET_STEPS:
-            s_lo *= 0.5
-            f_lo = f(s_lo)
-            steps += 1
-        if f_lo <= 0.0:
-            raise BracketFailureLow(
-                f"alpha(s) - s^2 <= 0 down to s = {s_lo!r}; alpha should be positive "
-                "near 0 for theta < theta_c, so the discretization is inconsistent"
-            )
-
-        s_hi = 1.01 * m
-        f_hi = f(s_hi)
-        steps = 0
-        while f_hi >= 0.0 and steps < MAX_BRACKET_STEPS:
-            s_hi *= 2.0
-            f_hi = f(s_hi)
-            steps += 1
-        if f_hi >= 0.0:
-            raise BracketFailureHigh(
-                f"alpha(s) - s^2 >= 0 up to s = {s_hi!r}, far beyond the bound m = {m!r}"
-            )
-
-        lam, history, _ = bisect_fixed_point(f, s_lo, s_hi, f_lo, f_hi, tol_fp)
-        if not owns_set:
-            # shared (possibly locked) set: guard the answer, never extend
-            fm.require_interior(lam, theta)
-            break
-        if fm.certificate(lam, theta):
-            break
-        escalate_mode_set(fm, lam, theta)
-    else:
-        raise NoConvergence("mode cutoff never certified at the fixed point", 12)
+        lam = float(fm.mode_lambdas(theta).max())
+        while not fm.certificate(lam, theta):
+            escalate_mode_set(fm, lam, theta)
+            lam = float(fm.mode_lambdas(theta).max())
 
     alpha_val = fm.alpha_value(lam, theta, want_profile=True)
     result = GrowthResult(
@@ -212,7 +129,6 @@ def solve_lambda(
         argmax_k=alpha_val.argmax_k,
         eigenprofile=alpha_val.eigenprofile,
         fixed_point_residual=abs(lam * lam - alpha_val.alpha),
-        bracket_history=history,
         alpha_at_lambda=alpha_val,
         bound_m=m,
         theta=theta,
@@ -242,49 +158,24 @@ def solve_mode_lambda(
     cfg: FluidConfig,
     k: float,
     disc: Discretization,
-    tol_fp: float = 1e-12,
 ) -> ModeGrowth | None:
     """Fixed point of the single-mode branch; None when the mode is stable."""
     validate_config(cfg)
     theta_c = theta_critical(cfg)
     if cfg.theta >= theta_c:
         raise StableRegime(cfg.theta, theta_c)
-    m = upper_bound_m(cfg)
     forms = assemble(k, cfg, disc)
     if forms.c_k <= 0.0:
         return None
     lam_rows, z2 = mode_spectral_data(forms)
     c = np.asarray([forms.c_k])
-
-    def f(s: float) -> float:
-        return float(rank_one_largest(lam_rows, z2, c, s)[0]) - s * s
-
-    s_lo = min(1.0, m) / 16.0
-    f_lo = f(s_lo)
-    steps = 0
-    while f_lo <= 0.0 and steps < MAX_BRACKET_STEPS:
-        s_lo *= 0.5
-        f_lo = f(s_lo)
-        steps += 1
-    if f_lo <= 0.0:
-        return None
-    s_hi = 1.01 * m
-    f_hi = f(s_hi)
-    steps = 0
-    while f_hi >= 0.0 and steps < MAX_BRACKET_STEPS:
-        s_hi *= 2.0
-        f_hi = f(s_hi)
-        steps += 1
-    if f_hi >= 0.0:
-        raise BracketFailureHigh(f"per-mode f positive beyond s = {s_hi!r} at k = {k!r}")
-
-    lam, _, _ = bisect_fixed_point(f, s_lo, s_hi, f_lo, f_hi, tol_fp)
-    sol = largest_eigenpair(forms, lam)
+    lam = float(rank_one_fixed_point(lam_rows, z2, c)[0])
+    alpha = float(rank_one_largest(lam_rows, z2, c, lam)[0])
     return ModeGrowth(
         k=k,
         lam=lam,
-        fixed_point_residual=abs(lam * lam - (f(lam) + lam * lam)),
-        vector=sol.vector,
+        fixed_point_residual=abs(lam * lam - alpha),
+        vector=secular_eigenpair(forms, lam, alpha).vector,
         forms=forms,
     )
 

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from .errors import (
     DensityOrderViolation,
     NegativeSurfaceTension,
+    NonFiniteParameter,
     NonPositiveParameter,
     StableRegime,
     ZeroWaveNumber,
@@ -75,7 +76,18 @@ class FluidConfig:
         missing = names - set(data)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return cls(**{k: _finite_number(k, v) for k, v in data.items()})
+
+
+def _finite_number(name: str, value) -> float:
+    """A JSON number as a finite float; bool, str, NaN and +-Infinity raise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise NonFiniteParameter(name, value)
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,10 @@ def validate_config(cfg: FluidConfig) -> FluidConfig:
         value = getattr(cfg, name)
         if not value > 0:
             raise NonPositiveParameter(name)
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not math.isfinite(value):
+            raise NonFiniteParameter(f.name, value)
     if cfg.theta < 0:
         raise NegativeSurfaceTension(f"theta = {cfg.theta!r} < 0")
     if not cfg.rho_plus > cfg.rho_minus:

@@ -343,7 +343,6 @@ def compare_modes(
     ks,
     disc: Discretization,
     scan_margin: float = 1.05,
-    tol_fp: float = 1e-12,
 ) -> list[ModeComparison]:
     """Per-mode growth rates from both methods, with relative differences.
 
@@ -354,7 +353,7 @@ def compare_modes(
     scan_max = scan_margin * upper_bound_m(cfg)
     rows = []
     for k in ks:
-        growth = solve_mode_lambda(cfg, k, disc, tol_fp=tol_fp)
+        growth = solve_mode_lambda(cfg, k, disc)
         root = dispersion_root(k, cfg, scan_max)
         lam_v = growth.lam if growth is not None else None
         rel = None

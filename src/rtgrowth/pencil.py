@@ -254,57 +254,91 @@ def _finish_eigenpair(forms: PencilForms, s: float, alpha: float, x: np.ndarray)
     return EigenSolution(alpha=float(alpha), vector=x, residual=residual)
 
 
-def largest_eigenpair(forms: PencilForms, s: float, method: str = "direct") -> EigenSolution:
-    """Largest generalized eigenvalue and eigenvector of one mode's pencil.
+def largest_eigenpair(forms: PencilForms, s: float) -> EigenSolution:
+    """Largest generalized eigenpair of one mode's pencil by a dense solve.
 
-    method="direct" solves the dense symmetric-definite problem for the top
-    eigenpair; method="secular" diagonalizes (A_diss, B) once and places the
-    surface rank-one update through its secular equation. Both agree to
-    ~1e-10; the secular route is what the mode-set cache uses internally.
+    The reference the cached secular route is tested against, and the profile
+    route of secular_eigenpair when alpha <= 0.
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
     n = forms.dim
-    if method == "direct":
-        try:
-            w, v = sla.eigh(forms.numerator(s), forms.B, subset_by_index=[n - 1, n - 1])
-        except sla.LinAlgError as exc:
-            raise FactorizationFailure(f"symmetric-definite solve failed: {exc}") from exc
-        return _finish_eigenpair(forms, s, w[0], v[:, 0])
-    if method == "secular":
-        lam, z2, V = mode_spectral_data(forms, want_basis=True)
-        alpha = rank_one_largest(lam[None, :], z2[None, :], np.array([forms.c_k]), s)[0]
-        denom = alpha + s * lam
-        if np.any(denom == 0.0):
-            y = np.zeros(n)
-            y[np.argmin(np.abs(denom))] = 1.0
-        else:
-            y = (V[forms.e0_index] / denom) * forms.c_k
-            norm = np.linalg.norm(y)
-            if norm == 0.0 or not np.isfinite(norm):
-                y = np.zeros(n)
-                y[0] = 1.0
-            else:
-                y /= norm
-        return _finish_eigenpair(forms, s, alpha, V @ y)
-    raise ValueError(f"unknown method {method!r}")
+    try:
+        w, v = sla.eigh(forms.numerator(s), forms.B, subset_by_index=[n - 1, n - 1])
+    except sla.LinAlgError as exc:
+        raise FactorizationFailure(f"symmetric-definite solve failed: {exc}") from exc
+    return _finish_eigenpair(forms, s, w[0], v[:, 0])
 
 
-def mode_spectral_data(forms: PencilForms, want_basis: bool = False):
+def secular_eigenpair(forms: PencilForms, s: float, alpha: float) -> EigenSolution:
+    """Eigenvector for the largest eigenvalue alpha, known from the secular rows.
+
+    (c_k e0 e0^T - s A) x = alpha B x gives (s A + alpha B) x = c_k x[e0] e0,
+    so x is proportional to (s A + alpha B)^(-1) e0: one linear solve. For
+    alpha > 0, which includes every fixed point (alpha = Lambda^2), s A +
+    alpha B is positive definite. For alpha <= 0 it is indefinite when
+    c_k <= 0 and numerically singular when c_k is a tiny positive number
+    (alpha then sits within rounding of -s lam_0), so the dense solve is
+    used instead.
+    """
+    if alpha <= 0.0:
+        return largest_eigenpair(forms, s)
+    e0 = np.zeros(forms.dim)
+    e0[forms.e0_index] = 1.0
+    try:
+        x = sla.cho_solve(sla.cho_factor(s * forms.A_diss + alpha * forms.B), e0)
+    except sla.LinAlgError as exc:
+        raise FactorizationFailure(f"energy matrix not SPD at alpha {alpha!r}: {exc}") from exc
+    return _finish_eigenpair(forms, s, alpha, x)
+
+
+def mode_spectral_data(forms: PencilForms):
     """Eigenvalues of (A_diss, B) and interface weights in that eigenbasis.
 
     Returns (lam, z2) with lam ascending and z2 the squared e0-components of
-    the B-orthonormal eigenvectors; every alpha(s) of the mode follows from
-    these through the rank-one secular equation at O(dim) cost.
+    the B-orthonormal eigenvectors; every alpha(s) and the fixed point of the
+    mode follow from these through a rank-one secular equation at O(dim) cost.
     """
     try:
         lam, V = sla.eigh(forms.A_diss, forms.B, driver="gvd")
     except sla.LinAlgError as exc:
         raise FactorizationFailure(f"symmetric-definite solve failed: {exc}") from exc
-    z2 = V[forms.e0_index, :] ** 2
-    if want_basis:
-        return lam, z2, V
-    return lam, z2
+    return lam, V[forms.e0_index, :] ** 2
+
+
+def _secular_roots(w: np.ndarray, denoms, span: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Per row, the root x in (0, span] of sum_j w_j / d_j(x) = 1.
+
+    The sum must strictly decrease in x on (0, span), exceed 1 near 0 and be
+    at most 1 at span; denoms(x) returns (d, dd/dx) for a column x. Rows not
+    `live` return 0. Safeguarded Newton, batched over rows: a step that
+    leaves the current sign bracket is replaced by bisection.
+    """
+    x = np.where(live, 0.5 * span, 0.0)
+    lo = np.zeros(x.size)
+    hi = span.copy()
+    live = live.copy()
+    for _ in range(60):
+        if not live.any():
+            break
+        d, dd = denoms(x[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(live[:, None], w / d, 0.0)
+            G = q.sum(axis=1)
+            slope = -(q * dd / d).sum(axis=1)
+        R = G - 1.0
+        above = R > 0.0
+        lo = np.where(live & above, x, lo)
+        hi = np.where(live & ~above, x, hi)
+        done = live & (
+            (np.abs(R) <= 1e-13 * (1.0 + np.abs(G))) | (hi - lo <= 1e-15 * span)
+        )
+        live = live & ~done
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_newton = x - R / slope
+        inside = np.isfinite(x_newton) & (x_newton > lo) & (x_newton < hi)
+        x = np.where(live, np.where(inside, x_newton, 0.5 * (lo + hi)), x)
+    return x
 
 
 def rank_one_largest(lam: np.ndarray, z2: np.ndarray, c: np.ndarray, s: float) -> np.ndarray:
@@ -315,8 +349,7 @@ def rank_one_largest(lam: np.ndarray, z2: np.ndarray, c: np.ndarray, s: float) -
     diag(-s lam) plus the rank-one term c z z^T, whose extreme eigenvalue is
     the unique root of a monotone secular function on a bracketed parameter
     t: for c > 0 the root sits in (0, c sum(z^2)] above the top diagonal
-    entry, for c < 0 inside the top spectral gap below it. Safeguarded Newton
-    (bisection fallback keeps the bracket) solves it; when the interface
+    entry, for c < 0 inside the top spectral gap below it. When the interface
     weight of the top entry deflates to zero the iteration collapses onto
     that entry, so no explicit deflation cases are needed.
     """
@@ -324,42 +357,38 @@ def rank_one_largest(lam: np.ndarray, z2: np.ndarray, c: np.ndarray, s: float) -
     z2 = np.atleast_2d(z2)
     c = np.atleast_1d(c).astype(float)
     m, nn = lam.shape
-    d1 = -s * lam[:, 0]
     delta = s * (lam - lam[:, :1])
     gap = s * (lam[:, 1] - lam[:, 0]) if nn > 1 else np.zeros(m)
-
     sign = np.where(c > 0.0, 1.0, -1.0)
     span = np.where(c > 0.0, c * z2.sum(axis=1), gap)
     active = (c != 0.0) & (span > 0.0) & np.isfinite(span)
-
-    t = np.where(active, 0.5 * span, 0.0)
-    lo = np.zeros(m)
-    hi = span.copy()
-    cz2 = c[:, None] * z2
     sgn = sign[:, None]
-    live = active.copy()
-    for _ in range(60):
-        if not live.any():
-            break
-        denom = delta + sgn * t[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(live[:, None], cz2 / denom, 0.0)
-            G = q.sum(axis=1)
-            slope = -sign * (q / denom).sum(axis=1)
-        R = G - 1.0
-        above = R > 0.0
-        lo = np.where(live & above, t, lo)
-        hi = np.where(live & ~above, t, hi)
-        done = live & (
-            (np.abs(R) <= 1e-13 * (1.0 + np.abs(G))) | (hi - lo <= 1e-15 * span)
-        )
-        live = live & ~done
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_newton = t - R / slope
-        inside = np.isfinite(t_newton) & (t_newton > lo) & (t_newton < hi)
-        t_next = np.where(inside, t_newton, 0.5 * (lo + hi))
-        t = np.where(live, t_next, t)
-    return d1 + sign * t
+    t = _secular_roots(
+        c[:, None] * z2, lambda t: (delta + sgn * t, sgn), np.where(active, span, 0.0), active
+    )
+    return -s * lam[:, 0] + sign * t
+
+
+def rank_one_fixed_point(lam: np.ndarray, z2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-mode growth rate Lambda_k with Lambda_k^2 = alpha_k(Lambda_k), batched.
+
+    At s = Lambda and alpha = Lambda^2 the secular equation of rank_one_largest
+    reads phi(Lambda) = c sum_j z_j^2 / (Lambda (Lambda + lam_j)) = 1, which is
+    c e0^T (Lambda A + Lambda^2 B)^(-1) e0 = 1 in the (A, B) eigenbasis. For
+    c > 0, phi strictly decreases from +inf at 0+ to 0, and phi <= c sum(z^2)
+    / Lambda^2 (lam_j >= 0) puts the root in (0, sqrt(c sum(z^2))]. Since
+    Lambda^2 > 0 > -Lambda lam_0, the root is the largest eigenvalue at
+    s = Lambda, so alpha_k(s) > s^2 exactly when s < Lambda_k. Rows with
+    c <= 0 have alpha_k < 0 for every s and return 0.
+    """
+    lam = np.atleast_2d(lam)
+    z2 = np.atleast_2d(z2)
+    c = np.atleast_1d(c).astype(float)
+    span = np.sqrt(np.where(c > 0.0, c * z2.sum(axis=1), 0.0))
+    active = (span > 0.0) & np.isfinite(span)
+    return _secular_roots(
+        c[:, None] * z2, lambda x: (x * (x + lam), 2.0 * x + lam), span, active
+    )
 
 
 def transverse_min_eigenvalue(k: float, cfg: FluidConfig, disc: Discretization) -> float:

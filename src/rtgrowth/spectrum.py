@@ -4,10 +4,10 @@ The admissible wavenumbers are xi = (n1/L1, n2/L2) over nonzero integer
 pairs; every per-mode quantity depends on xi only through k = |xi|, so the
 search collapses to the sorted list of distinct magnitudes. A FrozenModeSet
 caches, per magnitude, the eigendecomposition of the (dissipation, kinetic)
-pair and the transverse minimum; alpha(s, theta) for any s and theta then
-costs one vectorized secular solve, which is what makes curve sampling and
-fixed-point bisection cheap. The cached data does not depend on theta, so a
-theta sweep reuses one set.
+pair and the transverse minimum. From these rows one vectorized secular solve
+gives alpha(s, theta) at any s and theta, and another gives every per-mode
+growth rate Lambda_k at any theta; the global rate is max_k Lambda_k. The
+cached data does not depend on theta, so a theta sweep reuses one set.
 
 The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
@@ -29,16 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffRunaway, EmptyModeSet, MonotonicityViolation
+from .errors import BranchMismatch, CutoffRunaway, EmptyModeSet, MonotonicityViolation
 from .model import FluidConfig
 from .modeforms import TransverseProfile, VerticalProfile
 from .pencil import (
     Discretization,
     assemble,
     coeffs_to_profile,
-    largest_eigenpair,
     mode_spectral_data,
+    rank_one_fixed_point,
     rank_one_largest,
+    secular_eigenpair,
     transverse_min_eigenvalue,
     transverse_min_pair,
 )
@@ -167,7 +168,10 @@ class AlphaValue:
 
     def __post_init__(self):
         if self.alpha > 0.0 and self.branch != "longitudinal":
-            raise AssertionError("positive alpha must come from the coupled branch")
+            raise BranchMismatch(
+                f"positive alpha {self.alpha!r} at k = {self.argmax_k!r} attributed to "
+                f"the {self.branch} branch; only the coupled branch can be positive"
+            )
 
 
 class FrozenModeSet:
@@ -175,10 +179,10 @@ class FrozenModeSet:
 
     All expensive objects here (eigendecompositions of the per-mode pairs and
     the transverse minima) are independent of both s and theta; evaluations
-    for any (s, theta) reduce to the rank-one secular equation over the
-    cached rows. `locked` marks sets deliberately frozen across a multi-point
-    computation: escalation is then forbidden and a non-interior maximizer
-    raises instead of extending.
+    for any (s, theta), and the per-mode fixed points for any theta, reduce
+    to rank-one secular equations over the cached rows. `locked` marks sets
+    deliberately frozen across a multi-point computation: escalation is then
+    forbidden and a non-interior maximizer raises instead of extending.
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet, jobs: int = 1):
@@ -191,6 +195,7 @@ class FrozenModeSet:
         self._lam = lam
         self._z2 = z2
         self._lam_tau = lam_tau
+        self._last = None  # ((s, theta), alpha arrays) of the latest evaluation
 
     def _compute_rows(self, ks: np.ndarray):
         def one(k: float):
@@ -210,14 +215,6 @@ class FrozenModeSet:
         z2 = np.stack([r[1] for r in rows])
         lam_tau = np.asarray([r[2] for r in rows])
         return lam, z2, lam_tau
-
-    @property
-    def _z2_sum(self) -> np.ndarray:
-        cached = getattr(self, "_z2_sum_cache", None)
-        if cached is None or cached.size != self._z2.shape[0]:
-            cached = self._z2.sum(axis=1)
-            self._z2_sum_cache = cached
-        return cached
 
     @classmethod
     def freeze(
@@ -240,51 +237,36 @@ class FrozenModeSet:
         self._z2 = np.vstack([self._z2, z2])
         self._lam_tau = np.concatenate([self._lam_tau, lam_tau])
         self.modes = wider
+        self._last = None
+
+    def _surface(self, theta: float) -> np.ndarray:
+        """Per-mode surface coefficients c_k = g [rho] - theta k^2."""
+        return self.cfg.g * self.cfg.density_jump - theta * self.modes.magnitudes**2
 
     def alpha_arrays(self, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(alpha_longitudinal, alpha_transverse) over the mode set."""
-        if s <= 0.0:
-            raise ValueError(f"modification parameter must be > 0, got {s!r}")
-        ks = self.modes.magnitudes
-        c = self.cfg.g * self.cfg.density_jump - theta * ks**2
-        alpha_long = rank_one_largest(self._lam, self._z2, c, s)
-        alpha_tau = -s * self._lam_tau
-        return alpha_long, alpha_tau
+        """(alpha_longitudinal, alpha_transverse) over the mode set.
 
-    def max_with_argmax(self, s: float, theta: float) -> tuple[float, int]:
-        """Exact (max alpha, argmax index) without solving every mode.
-
-        Per-mode upper bound: alpha <= -s lam_0 + max(c, 0) sum(z^2). Modes
-        are visited in decreasing bound order; exact secular solves stop once
-        the next bound cannot beat the best exact value. The transverse
-        branch is already exact (alpha_tau = -s lam_tau). Ties resolve to the
-        smallest magnitude for determinism.
+        The latest evaluation is kept, so alpha_value, certificate and
+        require_interior at one (s, theta) share one secular solve.
         """
         if s <= 0.0:
             raise ValueError(f"modification parameter must be > 0, got {s!r}")
-        ks = self.modes.magnitudes
-        c = self.cfg.g * self.cfg.density_jump - theta * ks**2
-        bound = -s * self._lam[:, 0] + np.where(c > 0.0, c * self._z2_sum, 0.0)
-        order = np.argsort(-bound, kind="stable")
+        if self._last is None or self._last[0] != (s, theta):
+            alpha_long = rank_one_largest(self._lam, self._z2, self._surface(theta), s)
+            alpha_tau = -s * self._lam_tau
+            alpha_long.flags.writeable = False
+            alpha_tau.flags.writeable = False
+            self._last = ((s, theta), (alpha_long, alpha_tau))
+        return self._last[1]
 
-        per_mode = -s * self._lam_tau  # transverse branch is exact already
-        best = float(per_mode.max())
-        chunk = 64
-        for start in range(0, order.size, chunk):
-            sel = order[start : start + chunk]
-            if bound[sel[0]] <= best:
-                break
-            sel = sel[bound[sel] > best]
-            if sel.size == 0:
-                continue
-            vals = rank_one_largest(self._lam[sel], self._z2[sel], c[sel], s)
-            per_mode[sel] = np.maximum(per_mode[sel], vals)
-            best = max(best, float(vals.max()))
-        idx = int(np.argmax(per_mode))
-        return float(per_mode[idx]), idx
+    def mode_lambdas(self, theta: float) -> np.ndarray:
+        """Per-mode growth rates Lambda_k, 0 where c_k <= 0 (no growth).
 
-    def alpha_max(self, s: float, theta: float) -> float:
-        return self.max_with_argmax(s, theta)[0]
+        alpha(s) > s^2 exactly when some alpha_k(s) > s^2, which holds
+        exactly when s < Lambda_k (see rank_one_fixed_point); the transverse
+        branch is never positive. So the global rate is max_k Lambda_k.
+        """
+        return rank_one_fixed_point(self._lam, self._z2, self._surface(theta))
 
     def alpha_value(self, s: float, theta: float, want_profile: bool = True) -> AlphaValue:
         al, at = self.alpha_arrays(s, theta)
@@ -299,11 +281,7 @@ class FrozenModeSet:
         if want_profile:
             if branch == "longitudinal":
                 forms = assemble(k_star, self.cfg.with_theta(theta), self.disc)
-                sol = largest_eigenpair(forms, s)
-                if abs(sol.alpha - alpha) > 1e-8 * max(1.0, abs(alpha)):
-                    raise AssertionError(
-                        f"secular/direct mismatch at k={k_star}: {alpha} vs {sol.alpha}"
-                    )
+                sol = secular_eigenpair(forms, s, alpha)
                 profile = coeffs_to_profile(sol.vector, forms)
                 diag = ProfileDiagnostics(
                     kinetic=1.0,
@@ -352,7 +330,7 @@ class FrozenModeSet:
         return bool(np.all(per_mode[-3:] <= a_max - margin))
 
     def require_interior(self, s: float, theta: float) -> None:
-        _, idx = self.max_with_argmax(s, theta)
+        idx = int(np.argmax(np.maximum(*self.alpha_arrays(s, theta))))
         if not self.modes.magnitudes[idx] < 0.5 * self.modes.k_max:
             raise CutoffRunaway(
                 f"maximizer k = {self.modes.magnitudes[idx]!r} is not interior to "

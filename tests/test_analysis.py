@@ -113,3 +113,30 @@ def test_verify_stable_configuration(cheap_config):
                         trace_samples=20)
     assert report.all_pass
     assert any(c.name == "stable_regime" for c in report.checks)
+
+
+def test_locked_sweep_at_n128_solves_and_matches_the_oracle():
+    # At N = 128 with mu = 1 the dense and secular values of alpha differ by
+    # up to ~6e-7 relative (the dense one is the less accurate), so no point
+    # of this sweep may depend on the two agreeing.
+    from rtgrowth.fixedpoint import solve_lambda
+    from rtgrowth.model import FluidConfig, upper_bound_m
+    from rtgrowth.oracle import dispersion_root
+
+    cfg = FluidConfig(
+        rho_plus=2.0, rho_minus=1.0, mu_plus=1.0, mu_minus=1.0,
+        g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
+    )
+    disc = Discretization(128)
+    fm, _ = _sized_mode_set(cfg, disc, 1e-8, jobs=1)
+    theta_c = theta_critical(cfg)
+    lambdas = []
+    for fraction in (0.14, 0.28, 0.35, 0.42, 0.56):
+        point = cfg.with_theta(fraction * theta_c)
+        res = solve_lambda(point, disc, frozen=fm)
+        m = upper_bound_m(point)
+        assert 0.0 < res.lam <= m
+        root = dispersion_root(res.argmax_k, point, 1.05 * m)
+        assert abs(res.lam - root) <= 5e-5 * root
+        lambdas.append(res.lam)
+    assert np.all(np.diff(lambdas) < 0.0)

@@ -32,7 +32,7 @@ def test_growth_json(config_path, tmp_path, cheap_config):
     payload = json.loads(out.read_text())
     assert set(payload) == {
         "lambda", "argmax_k", "fixed_point_residual", "bound_m",
-        "theta", "resolution", "bracket_steps", "branch",
+        "theta", "resolution", "branch",
     }
     assert 0.0 < payload["lambda"] <= payload["bound_m"] * (1.0 + 1e-6)
     assert payload["branch"] == "longitudinal"
@@ -56,6 +56,24 @@ def test_validation_error_exit_2(tmp_path):
     data["rho_plus"] = data["rho_minus"]
     equal.write_text(json.dumps(data))
     assert run_cli(["growth", "--config", str(equal)]) == 2
+
+
+@pytest.mark.parametrize(
+    "field,raw",
+    [("theta", '"1.5"'), ("theta", "true"), ("theta", "NaN"), ("rho_plus", "Infinity")],
+)
+def test_non_numeric_config_values_exit_2(tmp_path, field, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CHEAP, field: "SENTINEL"}).replace('"SENTINEL"', raw))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtgrowth.cli", "growth", "--config", str(path),
+         "--resolution", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert repr(field) in proc.stderr
 
 
 def test_small_resolution_exit_2(config_path):
@@ -102,6 +120,14 @@ def test_sweep_outputs(config_path, tmp_path):
     assert len(lines) == 4
     report = json.loads((tmp_path / "sweep.csv.report.json").read_text())
     assert report["strictly_decreasing"] and report["bounded_by_m"]
+
+
+def test_sweep_at_default_resolution(config_path, tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(["sweep-theta", "--config", config_path,
+                    "--theta-grid", "0,0.14,0.28", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().strip().split("\n")) == 4
 
 
 def test_oracle_compare(config_path, tmp_path):

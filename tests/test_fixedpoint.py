@@ -3,57 +3,82 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtgrowth.errors import MonotonicityViolation, StableRegime
+from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import (
-    bisect_fixed_point,
     bvp_residual,
     richardson_lambda,
     solve_lambda,
     solve_mode_lambda,
 )
-from rtgrowth.model import theta_critical, upper_bound_m
-from rtgrowth.pencil import Discretization
+from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
+from rtgrowth.pencil import Discretization, rank_one_fixed_point
+from rtgrowth.spectrum import FrozenModeSet, smallest_magnitude
 
 DISC = Discretization(8)
 
 
-def run_bisection(alpha_fn, s_lo, s_hi, tol=1e-10):
-    f = lambda s: alpha_fn(s) - s * s
-    return bisect_fixed_point(f, s_lo, s_hi, f(s_lo), f(s_hi), tol)
+def one_row_fixed_point(lam, z2, c):
+    return rank_one_fixed_point(np.array([[lam]]), np.array([[z2]]), np.array([c]))[0]
 
 
 def test_constant_alpha_mock():
-    # alpha(s) = c^2 identically: the fixed point is exactly c
-    c = 1.7
-    lam, history, _ = run_bisection(lambda s: c * c, 0.3, 8.0)
-    assert lam == pytest.approx(c, abs=1e-9)
-    assert len(history) >= 2
+    # a one-row pencil with lam = 0 has alpha(s) = c z^2 for every s:
+    # the fixed point is exactly sqrt(c z^2)
+    assert one_row_fixed_point(0.0, 0.5, 2.0 * 1.7**2) == pytest.approx(1.7, rel=1e-13)
 
 
 def test_affine_alpha_mock():
-    # alpha(s) = a - b s: Lambda = (-b + sqrt(b^2 + 4a)) / 2
-    a, b = 5.0, 0.8
-    expected = (-b + math.sqrt(b * b + 4.0 * a)) / 2.0
-    lam, _, _ = run_bisection(lambda s: a - b * s, 0.05, 40.0)
-    assert lam == pytest.approx(expected, abs=1e-9)
+    # a one-row pencil has alpha(s) = c z^2 - lam s, so
+    # Lambda = (-lam + sqrt(lam^2 + 4 c z^2)) / 2
+    for lam, z2, c in ((0.8, 1.0, 5.0), (300.0, 0.02, 9.8), (1e-3, 4.0, 0.25)):
+        expected = (-lam + math.sqrt(lam * lam + 4.0 * c * z2)) / 2.0
+        assert one_row_fixed_point(lam, z2, c) == pytest.approx(expected, rel=1e-12)
+    # no positive fixed point without a positive surface coefficient
+    assert one_row_fixed_point(0.8, 1.0, -5.0) == 0.0
+    assert one_row_fixed_point(0.8, 1.0, 0.0) == 0.0
 
 
-def test_bisection_monotonicity_guard():
-    # f spikes at the first midpoint: the strict-decrease assertion must
-    # abort rather than keep bisecting a non-monotone function
-    def spiky(s):
-        if abs(s - 2.25) < 1e-9:
-            return 5.0
-        return 3.0 if s < 2.25 else -3.0
-
-    with pytest.raises(MonotonicityViolation):
-        bisect_fixed_point(spiky, 0.5, 4.0, 3.0, -3.0, 1e-10)
+positive = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 
 
-def test_bisection_requires_sign_bracket():
-    with pytest.raises(ValueError):
-        bisect_fixed_point(lambda s: 1.0 - s, 2.0, 3.0, -1.0, -2.0, 1e-8)
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(positive, positive, positive, positive, positive),
+    st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    st.floats(min_value=0.0, max_value=0.95),
+)
+def test_max_mode_lambda_is_the_root_of_alpha_minus_s2(physics, geometry, fraction):
+    # Reference: a bisection of alpha(s) - s^2 over the full alpha arrays of
+    # one frozen set.
+    rho_minus, jump, mu_plus, mu_minus, g = physics
+    L1, L2, h_plus, h_minus = geometry
+    cfg = FluidConfig(
+        rho_plus=rho_minus + jump, rho_minus=rho_minus, mu_plus=mu_plus,
+        mu_minus=mu_minus, g=g, theta=0.0, L1=L1, L2=L2, h_plus=h_plus, h_minus=h_minus,
+    )
+    theta = fraction * theta_critical(cfg)
+    fm = FrozenModeSet.freeze(cfg, DISC, 4.0 * smallest_magnitude(cfg))
+
+    def f(s):
+        al, at = fm.alpha_arrays(s, theta)
+        return max(al.max(), at.max()) - s * s
+
+    m = upper_bound_m(cfg.with_theta(theta))
+    lo, hi = m, 2.0 * m
+    assert f(hi) < 0.0
+    while f(lo) <= 0.0:
+        lo *= 0.5
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    lam = fm.mode_lambdas(theta).max()
+    assert abs(lam - lo) <= 1e-8 * max(1.0, lam)
 
 
 def test_solve_lambda_contract(cheap_config):
@@ -66,7 +91,6 @@ def test_solve_lambda_contract(cheap_config):
     assert result.eigenprofile.interface_value > 0.0
     assert np.max(np.abs(result.eigenprofile.psi_derivs)) > 0.0
     assert result.bound_m == pytest.approx(m)
-    assert result.bracket_history[0][0] < result.lam < result.bracket_history[0][1]
 
 
 def test_solve_lambda_deterministic(cheap_config):
@@ -89,7 +113,7 @@ def test_solve_lambda_json_fields(cheap_config):
     payload = json.loads(json.dumps(result.to_json_dict()))
     assert set(payload) == {
         "lambda", "argmax_k", "fixed_point_residual", "bound_m",
-        "theta", "resolution", "bracket_steps", "branch",
+        "theta", "resolution", "branch",
     }
     assert payload["lambda"] == result.lam
     assert payload["resolution"] == 8

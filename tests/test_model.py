@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from rtgrowth.errors import (
     DensityOrderViolation,
+    ConfigError,
     NegativeSurfaceTension,
+    NonFiniteParameter,
     NonPositiveParameter,
     StableRegime,
     ZeroWaveNumber,
@@ -173,6 +175,21 @@ def test_json_rejects_unknown_and_missing_fields(reference_config):
     del data["extra"], data["g"]
     with pytest.raises(ValueError, match="missing"):
         FluidConfig.from_json(json.dumps(data))
+
+
+def test_json_accepts_only_finite_numbers(reference_config):
+    text = reference_config.to_json()
+    assert FluidConfig.from_json(text.replace("0.0", "0")).theta == 0.0
+    for raw in ('"1.5"', "true", "null", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+        with pytest.raises(NonFiniteParameter, match="theta"):
+            FluidConfig.from_json(text.replace('"theta": 0.0', f'"theta": {raw}'))
+    assert issubclass(NonFiniteParameter, ConfigError)
+
+
+def test_non_finite_parameter_rejected(reference_config):
+    for name, value in (("rho_plus", math.inf), ("theta", math.nan), ("theta", math.inf)):
+        with pytest.raises(NonFiniteParameter, match=name):
+            validate_config(dataclasses.replace(reference_config, **{name: value}))
 
 
 def test_mode_index():

@@ -9,10 +9,12 @@ from rtgrowth.pencil import (
     assemble,
     coeffs_to_profile,
     largest_eigenpair,
+    mode_spectral_data,
     profile_to_coeffs,
     prolong_coeffs,
     rank_one_largest,
     residual_dual_norm,
+    secular_eigenpair,
     transverse_largest,
     transverse_min_eigenvalue,
 )
@@ -86,10 +88,17 @@ def hand_pencil():
     )
 
 
+def secular_alpha(forms, s):
+    """Largest eigenvalue from the cached spectral rows, as the mode cache does."""
+    lam, z2 = mode_spectral_data(forms)
+    return float(rank_one_largest(lam, z2, np.array([forms.c_k]), s)[0])
+
+
 def test_hand_pencil_largest():
     forms = hand_pencil()
-    for method in ("direct", "secular"):
-        sol = largest_eigenpair(forms, 1.0, method=method)
+    alpha = secular_alpha(forms, 1.0)
+    assert alpha == pytest.approx(1.0, abs=5e-12)
+    for sol in (largest_eigenpair(forms, 1.0), secular_eigenpair(forms, 1.0, alpha)):
         assert sol.alpha == pytest.approx(1.0, abs=5e-12)
         assert np.abs(sol.vector) == pytest.approx([1.0, 0.0], abs=1e-10)
         assert sol.residual <= 1e-10
@@ -130,12 +139,35 @@ def test_eigen_solution_contract(reference_config):
 
 
 def test_secular_matches_direct(reference_config):
+    # alpha > 0 (k = 0.5 and 1 at small s) takes the one-solve eigenvector,
+    # alpha <= 0 the dense one; k = 3 has c_k < 0
     for k in (0.5, 1.0, 3.0):
         forms = assemble(k, reference_config.with_theta(4.9), Discretization(16))
         for s in (0.1, 1.0, 10.0):
-            d = largest_eigenpair(forms, s, method="direct")
-            sec = largest_eigenpair(forms, s, method="secular")
-            assert abs(d.alpha - sec.alpha) <= 1e-10 * max(1.0, abs(d.alpha))
+            d = largest_eigenpair(forms, s)
+            alpha = secular_alpha(forms, s)
+            assert abs(d.alpha - alpha) <= 1e-10 * max(1.0, abs(d.alpha))
+            sec = secular_eigenpair(forms, s, alpha)
+            assert sec.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
+            assert abs(sec.vector @ forms.B @ d.vector) == pytest.approx(1.0, abs=1e-9)
+            assert sec.vector[forms.e0_index] >= 0.0
+
+
+def test_secular_eigenpair_near_zero_surface_coefficient(reference_config):
+    # alpha within rounding of -s lam_0 makes s A + alpha B singular; the
+    # eigenvector must still come back, from the dense solve
+    base = assemble(1.0, reference_config, Discretization(32))
+    for c_k in (1e-3, 1e-12, 0.0, -1e-12):
+        forms = PencilForms(
+            k=base.k, c_k=c_k, B=base.B, A_diss=base.A_diss, e0_index=base.e0_index,
+            grid=base.grid, elements_per_layer=base.elements_per_layer,
+        )
+        for s in (0.01, 10.0):
+            alpha = secular_alpha(forms, s)
+            sol = secular_eigenpair(forms, s, alpha)
+            dense = largest_eigenpair(forms, s)
+            assert sol.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
+            assert abs(sol.vector @ forms.B @ dense.vector) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rank_one_largest_against_dense(rng):

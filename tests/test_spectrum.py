@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rtgrowth.errors import CutoffRunaway, EmptyModeSet, MonotonicityViolation
+from rtgrowth.errors import (
+    BranchMismatch,
+    CutoffRunaway,
+    EmptyModeSet,
+    MonotonicityViolation,
+    SolverError,
+)
 from rtgrowth.pencil import Discretization, assemble, largest_eigenpair, transverse_largest
 from rtgrowth.spectrum import (
     AlphaValue,
@@ -126,15 +132,14 @@ def test_alpha_determinism_across_jobs(cheap_config):
     assert np.array_equal(a1.table.alpha_longitudinal, a2.table.alpha_longitudinal)
 
 
-def test_pruned_max_equals_full(cheap_config):
-    fm = FrozenModeSet.freeze(cheap_config, DISC, initial_cutoff(cheap_config))
-    for s in (0.05, 0.4, 2.0, 11.0):
-        for theta in (0.0, 4.0, 9.0):
-            al, at = fm.alpha_arrays(s, theta)
-            full = float(np.maximum(al, at).max())
-            pruned, idx = fm.max_with_argmax(s, theta)
-            assert pruned == pytest.approx(full, rel=1e-12, abs=1e-12)
-            assert np.maximum(al, at)[idx] == pytest.approx(pruned, rel=0.0)
+def test_positive_transverse_alpha_is_a_solver_error(cheap_config):
+    table = global_alpha(cheap_config, 1.0, DISC, k_max=3.0).table
+    with pytest.raises(BranchMismatch):
+        AlphaValue(
+            alpha=1.0, argmax_k=1.0, branch="transverse", s=1.0, theta=0.0,
+            eigenprofile=None, diagnostics=None, table=table,
+        )
+    assert issubclass(BranchMismatch, SolverError)
 
 
 def test_alpha_monotone_in_theta(cheap_config):
