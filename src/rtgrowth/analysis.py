@@ -1,8 +1,9 @@
 """Surface-tension sweeps: bound, monotonicity, continuity, vanishing limit.
 
 Each sweep solves every point against one shared frozen mode set sized at
-theta = 0 (the superset: larger theta only shrinks the unstable band), so the
-cross-theta comparisons inherit exact monotonicity at the discrete level.
+theta = 0, so the cross-theta comparisons inherit exact monotonicity at the
+discrete level; every point checks its own certified cutoff against that set
+and raises instead of extending it.
 Continuity is certified empirically, through the proven ordering
 Lambda(theta - delta) > Lambda(theta) > Lambda(theta + delta) plus a recorded
 modulus; asserting a universal Lipschitz constant would claim more than the
@@ -32,15 +33,16 @@ from .modeforms import (
 )
 from .oracle import compare_modes
 from .pencil import Discretization
-from .spectrum import FrozenModeSet, alpha_curve, global_alpha, initial_cutoff
+from .spectrum import FrozenModeSet, alpha_curve, global_alpha, size_mode_set, smallest_magnitude
 
 
 def _sized_mode_set(
     cfg: FluidConfig, disc: Discretization, tol_fp: float, jobs: int
 ) -> tuple[FrozenModeSet, GrowthResult]:
-    """Solve at theta = 0 with escalation, then lock the resulting set."""
+    """Size a mode set for Lambda at theta = 0, solve there, then lock the set."""
     cfg0 = cfg.with_theta(0.0)
-    fm = FrozenModeSet.freeze(cfg0, disc, initial_cutoff(cfg0), jobs=jobs)
+    fm = FrozenModeSet.freeze(cfg0, disc, smallest_magnitude(cfg0), jobs=jobs)
+    size_mode_set(fm, 0.0)
     res0 = solve_lambda(cfg0, disc, tol_fp=tol_fp, frozen=fm)
     fm.locked = True
     return fm, res0
@@ -207,7 +209,7 @@ def continuity_probe(
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Lambda <= m certificates approaching theta_c, with m -> 0."""
+    """Lambda <= m checks approaching theta_c, with m -> 0."""
 
     fractions: np.ndarray
     lambdas: np.ndarray

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 failed verification, 2 configuration or validation
 error, 3 stable regime (theta at or above the computed threshold), 4
-numerical failure. Output files are byte-stable across runs and --jobs
+numerical failure, including any unexpected exception (reported in one line,
+never as a traceback). Output files are byte-stable across runs and --jobs
 settings: floats are serialized with shortest round-trip repr, field order is
 fixed, newlines are '\n'.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +40,14 @@ COMMANDS = (
 DEFAULT_THETA_GRID = "0,0.25,0.5,0.75,0.9,0.99"
 
 
+def positive_number(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rtgrowth",
@@ -48,14 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to FluidConfig JSON")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
     p.add_argument("--resolution", type=int, default=128, help="elements per layer")
-    p.add_argument("--tol", type=float, default=1e-8, help="fixed-point tolerance")
+    p.add_argument("--tol", type=positive_number, default=1e-8, help="fixed-point tolerance")
     p.add_argument(
         "--theta-grid",
         default=DEFAULT_THETA_GRID,
         help="comma-separated fractions of theta_c for sweep-theta",
     )
     p.add_argument("--s-grid", default=None, help="comma-separated s values for alpha-curve")
-    p.add_argument("--kmax", type=float, default=None, help="mode cutoff override")
+    p.add_argument("--kmax", type=positive_number, default=None, help="mode cutoff override")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers per stage")
     p.add_argument(
@@ -73,6 +83,8 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"unparseable {name}: {exc}") from exc
     if values.size == 0:
         raise ConfigError(f"{name} is empty")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} must hold finite numbers, got {text!r}")
     return values
 
 
@@ -234,6 +246,13 @@ def main(argv=None) -> int:
         return EXIT_STABLE
     except SolverError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
+    except ValueError as exc:  # an argument outside its documented domain
+        sys.stderr.write(f"invalid argument: {exc}\n")
+        return EXIT_CONFIG
+    except Exception as exc:  # includes MemoryError from an oversized mode set
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"numerical failure: {type(exc).__name__}: {message}\n")
         return EXIT_NUMERICAL
 
 

@@ -57,20 +57,12 @@ class FactorizationFailure(SolverError):
     """Kinetic matrix is not numerically positive definite (assembly bug)."""
 
 
-class NoConvergence(SolverError):
-    """An iterative solve exhausted its iteration budget."""
-
-    def __init__(self, message: str, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"{message} (after {iterations} iterations)")
-
-
 class EmptyModeSet(SolverError):
     """Cutoff below the smallest lattice wavenumber magnitude."""
 
 
 class CutoffRunaway(SolverError):
-    """Mode cutoff escalation failed to stabilize."""
+    """A frozen mode set ends below the certified cutoff of its answer."""
 
 
 class MonotonicityViolation(SolverError):

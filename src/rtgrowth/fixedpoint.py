@@ -7,8 +7,8 @@ the per-mode fixed point Lambda_k^2 = alpha_k(Lambda_k). So
 Lambda = max_k Lambda_k, and every Lambda_k is the root of one scalar secular
 equation over the cached spectral rows of the mode (rank_one_fixed_point),
 solved for all modes at once. The eigenprofile at Lambda then costs one
-linear solve. The cutoff of an owned mode set is certified at the answer
-and doubled, with a re-solve, until the certificate holds.
+linear solve. An owned mode set is grown until the certified cutoff at the
+answer lies inside it; a set handed in is checked against that cutoff once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, StableRegime
+from .errors import CutoffRunaway, SolverError, StableRegime
 from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
 from .pencil import (
@@ -37,8 +37,9 @@ from .pencil import (
 from .spectrum import (
     AlphaValue,
     FrozenModeSet,
-    escalate_mode_set,
-    initial_cutoff,
+    certified_cutoff,
+    size_mode_set,
+    smallest_magnitude,
 )
 
 
@@ -108,20 +109,18 @@ def solve_lambda(
     m = upper_bound_m(cfg)
     theta = cfg.theta
 
-    if frozen is not None:
-        # shared (possibly locked) set: guard the answer, never extend
-        fm = frozen
-        lam = float(fm.mode_lambdas(theta).max())
-        fm.require_interior(lam, theta)
-    else:
-        # A failed certificate widens the set until it holds at lam; the wider
-        # set can raise max_k Lambda_k, so re-solve and re-certify. Runaway
-        # escalation raises, which bounds the loop.
-        fm = FrozenModeSet.freeze(cfg, disc, initial_cutoff(cfg), jobs=jobs)
-        lam = float(fm.mode_lambdas(theta).max())
-        while not fm.certificate(lam, theta):
-            escalate_mode_set(fm, lam, theta)
-            lam = float(fm.mode_lambdas(theta).max())
+    fm = frozen
+    if fm is None:
+        # at the smallest magnitude c_k > 0, since theta < theta_c
+        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg), jobs=jobs)
+        size_mode_set(fm, theta)
+    lam = float(fm.mode_lambdas(theta).max())
+    cutoff = certified_cutoff(cfg, theta, lam, lam * lam)
+    if cutoff > fm.modes.k_max:
+        raise CutoffRunaway(
+            f"a mode up to k = {cutoff!r} may grow faster than lambda = {lam!r}, "
+            f"but the frozen mode set ends at k_max = {fm.modes.k_max!r}"
+        )
 
     alpha_val = fm.alpha_value(lam, theta, want_profile=True)
     result = GrowthResult(

@@ -158,15 +158,6 @@ class TransverseProfile:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
-class FormEvaluation:
-    """Kinetic, dissipation, and surface values of one profile at one mode."""
-
-    kinetic: float
-    dissipation: float
-    surface: float
-
-
 def require_admissible(profile: VerticalProfile) -> None:
     if not profile.is_admissible():
         raise InadmissibleProfile(
@@ -266,14 +257,6 @@ def transverse_kinetic_form(
 def surface_coefficient(k: float, cfg: FluidConfig) -> float:
     """c_k = g [rho] - theta k^2, the coefficient of psi(0)^2 in -E."""
     return cfg.g * cfg.density_jump - cfg.theta * k * k
-
-
-def evaluate_forms(k: float, profile: VerticalProfile, cfg: FluidConfig) -> FormEvaluation:
-    return FormEvaluation(
-        kinetic=kinetic_form(k, profile, cfg),
-        dissipation=dissipation_form(k, profile, cfg),
-        surface=profile.interface_value ** 2,
-    )
 
 
 def uniform_layered_grid(h_minus: float, h_plus: float, n_per_layer: int) -> np.ndarray:

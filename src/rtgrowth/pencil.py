@@ -200,12 +200,6 @@ class PencilForms:
         P[self.e0_index, self.e0_index] += self.c_k
         return P
 
-    def require_spd(self) -> None:
-        try:
-            sla.cho_factor(self.B)
-        except sla.LinAlgError as exc:
-            raise FactorizationFailure(f"kinetic matrix not SPD: {exc}") from exc
-
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     """Assemble kinetic/dissipation matrices and the surface coefficient."""
@@ -426,13 +420,6 @@ def transverse_min_pair(k: float, cfg: FluidConfig, disc: Discretization):
     if values[peak] < 0.0:
         values = -values
     return float(w[0]), values
-
-
-def transverse_largest(k: float, cfg: FluidConfig, disc: Discretization, s: float) -> float:
-    """alpha_tau(k, s) = -s * lam_min(k): the transverse branch value, always < 0."""
-    if s <= 0.0:
-        raise ValueError(f"modification parameter must be > 0, got {s!r}")
-    return -s * transverse_min_eigenvalue(k, cfg, disc)
 
 
 def coeffs_to_profile(x: np.ndarray, forms: PencilForms) -> VerticalProfile:

@@ -13,12 +13,13 @@ The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
 never competes for the supremum near the fixed point.
 
-Cutoff policy: start from the larger of the surface-tension cutoff
-sqrt(g [rho] / theta) and a viscous-damping scale, then keep doubling until
-the maximizer is interior (argmax < k_max / 2) and the three largest
-magnitudes trail the maximum by a safety margin. Doubling that fails to
-stabilize within a factor 1e6 of the smallest magnitude is an error, never a
-silent truncation.
+Cutoff policy: every per-mode value obeys alpha_k(s) <= U(k, s), a bound
+that falls below any floor beyond a computable wavenumber (certified_cutoff).
+An owned mode set starts at the smallest lattice magnitude and grows, at most
+doubling per step, until the certified cutoff for the quantity it serves
+(alpha(s), or the growth rate Lambda) lies inside it (size_mode_set); every
+mode left out then provably cannot reach the value computed on the set. A set
+handed in by the caller is evaluated as it is and never extended.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchMismatch, CutoffRunaway, EmptyModeSet, MonotonicityViolation
+from .errors import BranchMismatch, EmptyModeSet, MonotonicityViolation
 from .model import FluidConfig
 from .modeforms import TransverseProfile, VerticalProfile
 from .pencil import (
@@ -44,8 +45,6 @@ from .pencil import (
     transverse_min_pair,
 )
 
-CUTOFF_SAFETY = 2.0
-RUNAWAY_FACTOR = 1e6
 _DEDUP_RTOL = 1e-12
 
 
@@ -97,21 +96,6 @@ def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
             mags.append(k)
             mult.append(1)
     return ModeSet(np.asarray(mags), np.asarray(mult), k_max)
-
-
-def initial_cutoff(cfg: FluidConfig, theta: float | None = None) -> float:
-    """Starting k_max: surface-tension cutoff, viscous scale, lattice floor."""
-    theta = cfg.theta if theta is None else theta
-    g_rho = cfg.g * cfg.density_jump
-    candidates = [
-        CUTOFF_SAFETY
-        * math.sqrt(g_rho * max(cfg.rho_plus, cfg.rho_minus) * max(cfg.h_plus, cfg.h_minus))
-        / min(cfg.mu_plus, cfg.mu_minus),
-        smallest_magnitude(cfg),
-    ]
-    if theta > 0.0:
-        candidates.append(math.sqrt(g_rho / theta))
-    return max(candidates)
 
 
 @dataclass(frozen=True)
@@ -181,8 +165,8 @@ class FrozenModeSet:
     the transverse minima) are independent of both s and theta; evaluations
     for any (s, theta), and the per-mode fixed points for any theta, reduce
     to rank-one secular equations over the cached rows. `locked` marks sets
-    deliberately frozen across a multi-point computation: escalation is then
-    forbidden and a non-interior maximizer raises instead of extending.
+    deliberately frozen across a multi-point computation: extending one
+    raises, since it would change earlier samples.
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet, jobs: int = 1):
@@ -246,8 +230,8 @@ class FrozenModeSet:
     def alpha_arrays(self, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """(alpha_longitudinal, alpha_transverse) over the mode set.
 
-        The latest evaluation is kept, so alpha_value, certificate and
-        require_interior at one (s, theta) share one secular solve.
+        The latest evaluation is kept, so size_mode_set and alpha_value at one
+        (s, theta) share one secular solve.
         """
         if s <= 0.0:
             raise ValueError(f"modification parameter must be > 0, got {s!r}")
@@ -316,41 +300,78 @@ class FrozenModeSet:
             table=table,
         )
 
-    def certificate(self, s: float, theta: float) -> bool:
-        """Interiority + tail-domination check for the current cutoff."""
-        al, at = self.alpha_arrays(s, theta)
-        per_mode = np.maximum(al, at)
-        if per_mode.size < 4:
-            return False
-        idx = int(np.argmax(per_mode))
-        if not self.modes.magnitudes[idx] < 0.5 * self.modes.k_max:
-            return False
-        a_max = per_mode[idx]
-        margin = max(1.0, abs(a_max))
-        return bool(np.all(per_mode[-3:] <= a_max - margin))
 
-    def require_interior(self, s: float, theta: float) -> None:
-        idx = int(np.argmax(np.maximum(*self.alpha_arrays(s, theta))))
-        if not self.modes.magnitudes[idx] < 0.5 * self.modes.k_max:
-            raise CutoffRunaway(
-                f"maximizer k = {self.modes.magnitudes[idx]!r} is not interior to "
-                f"the frozen cutoff {self.modes.k_max!r}"
-            )
+def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> float:
+    """Largest k > 0 with U(k, s) >= floor, or 0 when no k reaches floor.
+
+    U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max bounds
+    both branches of every mode: alpha_k(s) <= U(k, s). Proof, for a clamped
+    C^1 profile psi with kinetic form K = sum_layers rho int(psi^2 + psi'^2/k^2):
+
+    - Trace: psi vanishes at each wall, so on each layer psi(0)^2 =
+      |int (psi^2)'| <= int k psi^2 + psi'^2/k; weighting the layers by rho+
+      and rho- and adding gives (rho+ + rho-) psi(0)^2 <= k K.
+    - Dissipation: D = sum_layers mu int (k psi + psi''/k)^2 + 4 psi'^2 is at
+      least mu_min times the same integral over the whole column, where
+      int psi psi'' = -int psi'^2 by parts (psi, psi' continuous at the
+      interface, psi = 0 at the walls), so D >= mu_min int k^2 psi^2 +
+      2 psi'^2 + psi''^2/k^2 >= mu_min k^2 K / rho_max.
+    - Coupled branch: alpha_k(s) = max over K = 1 of c_k psi(0)^2 - s D <= U.
+    - Transverse branch: lambda_tau = min sum mu int(tau'^2 + k^2 tau^2) /
+      sum rho int tau^2 >= mu_min k^2 / rho_max, so -s lambda_tau <= U.
+
+    The discrete spaces are subspaces (the Hermite space is H^2-conforming)
+    and the Gauss rule is exact on them, so this holds for the computed
+    alpha_k(s) too. U is concave where c_k > 0 and decreasing beyond, so
+    every mode above the returned k has alpha_k(s) < floor. Since
+    alpha_k(s) - s^2 decreases through zero at Lambda_k, Lambda_k >= Lambda*
+    exactly when alpha_k(Lambda*) >= Lambda*^2: the growth-rate cutoff is
+    s = Lambda*, floor = Lambda*^2.
+    """
+    if s <= 0.0:
+        raise ValueError(f"modification parameter must be > 0, got {s!r}")
+    rho_sum = cfg.rho_plus + cfg.rho_minus
+    g_rho = cfg.g * cfg.density_jump
+    a = g_rho / rho_sum
+    b = s * min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
+
+    def bound(k: float) -> float:
+        return max(g_rho - theta * k * k, 0.0) * k / rho_sum - b * k * k
+
+    # U' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak
+    lo = a / (b + math.sqrt(b * b + 3.0 * a * theta / rho_sum))
+    if bound(lo) < floor:
+        return 0.0
+    # U(k) <= a k - b k^2, which is below floor past its larger root
+    hi = (a + math.sqrt(max(a * a - 4.0 * b * floor, 0.0))) / (2.0 * b)
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if bound(mid) >= floor:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
-def escalate_mode_set(
-    fm: FrozenModeSet, s: float, theta: float
-) -> None:
-    """Double the cutoff until the certificate holds."""
-    floor = smallest_magnitude(fm.cfg)
-    while not fm.certificate(s, theta):
-        new_k_max = 2.0 * fm.modes.k_max
-        if new_k_max > RUNAWAY_FACTOR * floor:
-            raise CutoffRunaway(
-                f"cutoff escalation exceeded {RUNAWAY_FACTOR:g} x smallest "
-                f"magnitude without an interior maximizer (k_max = {fm.modes.k_max!r})"
-            )
-        fm.extend_to(new_k_max)
+def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None) -> None:
+    """Extend fm until no mode above its cutoff can change the computed value.
+
+    With s the value is alpha(s), the floor alpha(s) on the current set;
+    without, it is Lambda = max_k Lambda_k, at s = Lambda and floor Lambda^2.
+    Each pass extends toward the certified cutoff, at most doubling k_max.
+    The floor (and the growth-rate s) only rises as the set grows, so the
+    cutoff only falls and the loop ends.
+    """
+    while True:
+        if s is None:
+            lam = float(fm.mode_lambdas(theta).max())
+            cutoff = certified_cutoff(fm.cfg, theta, lam, lam * lam)
+        else:
+            alpha = float(np.max(np.maximum(*fm.alpha_arrays(s, theta))))
+            cutoff = certified_cutoff(fm.cfg, theta, s, alpha)
+        if cutoff <= fm.modes.k_max:
+            return
+        fm.extend_to(min(cutoff, 2.0 * fm.modes.k_max))
 
 
 def global_alpha(
@@ -365,21 +386,17 @@ def global_alpha(
 ) -> AlphaValue:
     """alpha(s, theta) = sup over modes of the larger branch value.
 
-    With `frozen` the evaluation uses exactly that mode set (raising if the
-    maximizer is not interior to its cutoff when the set is locked). With an
-    explicit `k_max` the cutoff is fixed, no escalation. Otherwise the cutoff
-    starts at initial_cutoff and escalates until certified.
+    With `frozen` or an explicit `k_max` the evaluation uses exactly that mode
+    set. Otherwise the set is sized by size_mode_set at s.
     """
     theta = cfg.theta if theta is None else theta
     if frozen is not None:
-        if frozen.locked:
-            frozen.require_interior(s, theta)
-        return frozen.alpha_value(s, theta, want_profile=want_profile)
-    if k_max is not None:
+        fm = frozen
+    elif k_max is not None:
         fm = FrozenModeSet.freeze(cfg, disc, k_max, jobs=jobs)
-        return fm.alpha_value(s, theta, want_profile=want_profile)
-    fm = FrozenModeSet.freeze(cfg, disc, initial_cutoff(cfg, theta), jobs=jobs)
-    escalate_mode_set(fm, s, theta)
+    else:
+        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg), jobs=jobs)
+        size_mode_set(fm, theta, s)
     return fm.alpha_value(s, theta, want_profile=want_profile)
 
 
@@ -410,7 +427,11 @@ def alpha_curve(
     frozen: FrozenModeSet | None = None,
     jobs: int = 1,
 ) -> AlphaCurve:
-    """Sample alpha on s_grid over one frozen mode set; verify strict decrease."""
+    """Sample alpha on s_grid over one mode set; verify strict decrease.
+
+    Without `frozen` the set is sized by size_mode_set at every sample; it only
+    grows, so the values at earlier samples stay certified.
+    """
     theta = cfg.theta if theta is None else theta
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or s_grid.size < 2:
@@ -420,15 +441,9 @@ def alpha_curve(
 
     fm = frozen
     if fm is None:
-        fm = FrozenModeSet.freeze(cfg, disc, initial_cutoff(cfg, theta), jobs=jobs)
-        # size the set at the most demanding sample, then re-certify the rest
-        for _ in range(64):
-            escalate_mode_set(fm, float(s_grid[0]), theta)
-            if all(fm.certificate(float(s), theta) for s in s_grid):
-                break
-            fm.extend_to(2.0 * fm.modes.k_max)
-        else:
-            raise CutoffRunaway("alpha_curve failed to certify a common cutoff")
+        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg), jobs=jobs)
+        for s in s_grid:
+            size_mode_set(fm, theta, float(s))
     values = [fm.alpha_value(float(s), theta) for s in s_grid]
 
     alphas = np.asarray([v.alpha for v in values])

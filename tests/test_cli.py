@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtgrowth.cli import main
+from rtgrowth.cli import COMMANDS, main
 from rtgrowth.model import theta_critical
 
 CHEAP = {
@@ -172,3 +178,89 @@ def test_subprocess_entry(config_path, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["lambda"] > 0.0
+
+
+def exit_code(args):
+    """main's return code, or argparse's exit code for a rejected flag."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("growth", "--tol", "-1"),
+        ("growth", "--tol", "nan"),
+        ("growth", "--tol", "inf"),
+        ("alpha-curve", "--s-grid", "0,1"),
+        ("alpha-curve", "--s-grid", "2,1"),
+        ("alpha-curve", "--s-grid", "nan,1"),
+        ("sweep-theta", "--theta-grid", "0.5,0.2"),
+        ("sweep-theta", "--theta-grid", "nan"),
+        ("oracle-compare", "--kmax", "nan"),
+        ("oracle-compare", "--kmax", "-1"),
+        ("alpha-curve", "--kmax", "nan"),
+    ],
+)
+def test_malformed_flags_exit_2(config_path, capsys, command, flag, value):
+    args = [command, "--config", config_path, "--resolution", "8", flag, value]
+    if command == "alpha-curve" and flag != "--s-grid":
+        args += ["--s-grid", "0.5,1"]
+    assert exit_code(args) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), MemoryError("no room\nfor the lattice")])
+def test_unexpected_exception_exit_4(config_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("rtgrowth.cli.solve_lambda", fail)
+    assert run_cli(["growth", "--config", config_path, "--resolution", "8"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert type(error).__name__ in err and "Traceback" not in err
+
+
+# Only malformed or cheaply rejected config values: a valid but extreme one
+# (tiny viscosity, huge g) is a legitimate, arbitrarily large lattice.
+BAD_VALUES = st.sampled_from(
+    [None, True, "1.5", [], {}, float("nan"), float("inf"), -float("inf"),
+     -1.0, 0.0, -1e-300, 10**400]
+)
+FLAG_VALUES = {
+    "--tol": ["-1", "nan", "inf", "0", "abc", "", "1e-8"],
+    "--kmax": ["nan", "-1", "0", "inf", "x", "0.5", "2.5"],
+    "--s-grid": ["0,1", "2,1", "nan,1", "", ",", "a", "1", "0.5,1"],
+    "--theta-grid": ["0.5,0.2", "nan", "1", "-0.1,0.5", "inf", "0,0.5"],
+    "--resolution": ["8", "4", "x", "-3", "8.5"],
+    "--jobs": ["1", "0", "2", "x"],
+    "--format": ["csv", "json", "xml"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from([c for c in COMMANDS if c != "verify"]),
+    corrupt=st.one_of(
+        st.just({}), st.dictionaries(st.sampled_from(sorted(CHEAP)), BAD_VALUES, max_size=2)
+    ),
+    flags=st.fixed_dictionaries(
+        {}, optional={flag: st.sampled_from(values) for flag, values in FLAG_VALUES.items()}
+    ),
+)
+def test_fuzzed_front_door_never_crashes(command, corrupt, flags):
+    # N = 8 unless the fuzzed --resolution is itself rejected
+    chosen = {"--resolution": "8", **flags}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**CHEAP, **corrupt}))
+        args = [command, "--config", str(path)]
+        args += [f"{flag}={value}" for flag, value in chosen.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = exit_code(args)
+    assert code in (0, 2, 3, 4), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()

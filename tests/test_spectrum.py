@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtgrowth.errors import (
     BranchMismatch,
@@ -10,18 +12,27 @@ from rtgrowth.errors import (
     MonotonicityViolation,
     SolverError,
 )
-from rtgrowth.pencil import Discretization, assemble, largest_eigenpair, transverse_largest
+from rtgrowth.fixedpoint import solve_lambda
+from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.pencil import (
+    Discretization,
+    assemble,
+    largest_eigenpair,
+    transverse_min_eigenvalue,
+)
 from rtgrowth.spectrum import (
     AlphaValue,
     FrozenModeSet,
     alpha_curve,
+    certified_cutoff,
     enumerate_modes,
     global_alpha,
-    initial_cutoff,
+    size_mode_set,
     smallest_magnitude,
 )
 
 DISC = Discretization(8)
+K_MAX = 6.0  # an explicit cutoff for tests that evaluate one fixed mode set
 
 
 def brute_magnitudes(L1, L2, k_max):
@@ -83,13 +94,6 @@ def test_enumerate_against_brute_scan(L1, L2, k_max):
     assert modes.magnitudes[0] == pytest.approx(smallest_magnitude(cfg))
 
 
-def test_initial_cutoff_terms(cheap_config):
-    base = initial_cutoff(cheap_config)
-    assert base == pytest.approx(2.0 * math.sqrt(9.8 * 1.0 * 2.0 * 1.0) / 1.0)
-    with_theta = initial_cutoff(cheap_config, theta=1e-4)
-    assert with_theta >= math.sqrt(9.8 / 1e-4)
-
-
 def test_global_alpha_matches_brute_scan(cheap_config):
     s = 1.0
     k_max = 6.0
@@ -98,7 +102,7 @@ def test_global_alpha_matches_brute_scan(cheap_config):
     for k in brute_magnitudes(1.0, 1.0, k_max):
         forms = assemble(k, cheap_config, DISC)
         best = max(best, largest_eigenpair(forms, s).alpha)
-        best = max(best, transverse_largest(k, cheap_config, DISC, s))
+        best = max(best, -s * transverse_min_eigenvalue(k, cheap_config, DISC))
     assert value.alpha == pytest.approx(best, rel=1e-10)
     assert value.table.k.size == len(brute_magnitudes(1.0, 1.0, k_max))
 
@@ -145,7 +149,7 @@ def test_positive_transverse_alpha_is_a_solver_error(cheap_config):
 def test_alpha_monotone_in_theta(cheap_config):
     # strict decrease in theta holds while the maximizer keeps psi(0) != 0;
     # once the transverse branch (theta-independent) takes over, alpha stalls
-    fm = FrozenModeSet.freeze(cheap_config, DISC, initial_cutoff(cheap_config))
+    fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
     s = 0.5
     values = [fm.alpha_value(s, th) for th in (0.0, 2.0, 5.0, 9.0)]
     for a, b in zip(values, values[1:]):
@@ -157,7 +161,7 @@ def test_alpha_monotone_in_theta(cheap_config):
 
 
 def test_alpha_lipschitz_bound(cheap_config):
-    fm = FrozenModeSet.freeze(cheap_config, DISC, initial_cutoff(cheap_config))
+    fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
     s1, s2 = 0.6, 0.9
     v1 = fm.alpha_value(s1, 0.0)
     v2 = fm.alpha_value(s2, 0.0)
@@ -188,7 +192,7 @@ def test_alpha_curve_rejects_bad_grid(cheap_config):
 
 
 def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
-    fm = FrozenModeSet.freeze(cheap_config, DISC, initial_cutoff(cheap_config))
+    fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
     real = fm.alpha_value
 
     def doctored(s, theta, want_profile=True):
@@ -212,18 +216,20 @@ def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
 
 
 def test_locked_set_refuses_extension(cheap_config):
-    fm = FrozenModeSet.freeze(cheap_config, DISC, initial_cutoff(cheap_config))
+    fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
     fm.locked = True
     with pytest.raises(MonotonicityViolation):
         fm.extend_to(2.0 * fm.modes.k_max)
 
 
 def test_locked_set_interiority_guard(cheap_config):
-    # a deliberately tiny cutoff puts the maximizer on the boundary
+    # a deliberately tiny cutoff ends below the certified cutoff at Lambda
     fm = FrozenModeSet.freeze(cheap_config, DISC, 2.2)
     fm.locked = True
     with pytest.raises(CutoffRunaway):
-        global_alpha(cheap_config, 0.5, DISC, frozen=fm)
+        solve_lambda(cheap_config, DISC, frozen=fm)
+    # a fixed set is still evaluated as it is
+    assert global_alpha(cheap_config, 0.5, DISC, frozen=fm).table.k[-1] <= 2.2
 
 
 def test_mode_table_csv(cheap_config):
@@ -234,3 +240,82 @@ def test_mode_table_csv(cheap_config):
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(1.0)
     assert first[3] in ("longitudinal", "transverse")
+
+
+def per_mode_bound(cfg, theta, k, s):
+    """U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max."""
+    c = cfg.g * cfg.density_jump - theta * k**2
+    return np.maximum(c, 0.0) * k / (cfg.rho_plus + cfg.rho_minus) - s * min(
+        cfg.mu_plus, cfg.mu_minus
+    ) * k**2 / max(cfg.rho_plus, cfg.rho_minus)
+
+
+def span(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False)
+
+
+@st.composite
+def configs(draw):
+    # The bound uses mu_min and rho_max, so strong viscosity or density
+    # contrasts give large certified cutoffs; this box keeps the lattices
+    # of the property test below a few thousand modes at N = 8.
+    rho_minus = draw(span(0.5, 2.0))
+    return FluidConfig(
+        rho_plus=rho_minus + draw(span(0.1, 1.5)), rho_minus=rho_minus,
+        mu_plus=draw(span(0.5, 2.0)), mu_minus=draw(span(0.5, 2.0)), g=draw(span(1.0, 20.0)),
+        theta=0.0, L1=draw(span(0.3, 1.0)), L2=draw(span(0.3, 1.0)),
+        h_plus=draw(span(0.5, 2.0)), h_minus=draw(span(0.5, 2.0)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs(), span(0.0, 0.95), span(1e-2, 30.0))
+def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
+    theta = fraction * theta_critical(cfg)
+    fm = FrozenModeSet.freeze(cfg, DISC, 6.0 * smallest_magnitude(cfg))
+    k = fm.modes.magnitudes
+    u = per_mode_bound(cfg, theta, k, s)
+    al, at = fm.alpha_arrays(s, theta)
+    slack = 1e-12 * np.abs(u)  # rounding only
+    assert np.all(al <= u + slack) and np.all(at <= u + slack)
+
+    # Lambda_k^2 = alpha_k(Lambda_k) <= U(k, Lambda_k): below the positive root
+    # of Lambda^2 + Lambda mu_min k^2 / rho_max = max(c_k, 0) k / (rho+ + rho-)
+    b = min(cfg.mu_plus, cfg.mu_minus) * k**2 / max(cfg.rho_plus, cfg.rho_minus)
+    q = per_mode_bound(cfg, theta, k, 0.0)
+    root = 0.5 * (-b + np.sqrt(b * b + 4.0 * q))
+    assert np.all(fm.mode_lambdas(theta) <= root * (1.0 + 1e-12))
+
+    # no mode beyond the certified set changes Lambda, to the last bit
+    certified = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
+    size_mode_set(certified, theta)
+    lam = certified.mode_lambdas(theta).max()
+    cutoff = certified_cutoff(cfg, theta, lam, lam * lam)
+    assert cutoff <= certified.modes.k_max
+    beyond = np.linspace(cutoff, 4.0 * cutoff, 400)[1:]
+    assert np.all(per_mode_bound(cfg, theta, beyond, lam) < lam * lam)
+    doubled = FrozenModeSet.freeze(cfg, DISC, 2.0 * cutoff)
+    assert doubled.mode_lambdas(theta).max() == lam
+
+
+def test_certified_cutoff_closed_form_without_surface_tension(cheap_config):
+    # at theta = 0, U(k, s) = a k - b k^2 and the cutoff is its larger root
+    a, b, floor = 9.8 / 3.0, 1.5 / 2.0, 2.0
+    expected = (a + math.sqrt(a * a - 4.0 * b * floor)) / (2.0 * b)
+    assert certified_cutoff(cheap_config, 0.0, 1.5, floor) == pytest.approx(expected, rel=1e-11)
+    # a floor above the peak a^2 / (4 b) is reached by no mode
+    assert certified_cutoff(cheap_config, 0.0, 1.5, 1.01 * a * a / (4.0 * b)) == 0.0
+    # surface tension only lowers the bound, so only lowers the cutoff
+    assert certified_cutoff(cheap_config, 1.0, 1.5, floor) < expected
+
+
+def test_sizing_grows_an_owned_set_to_the_certified_cutoff(cheap_config):
+    fm = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
+    size_mode_set(fm, 0.0)
+    lam = fm.mode_lambdas(0.0).max()
+    assert certified_cutoff(cheap_config, 0.0, lam, lam * lam) <= fm.modes.k_max
+    assert solve_lambda(cheap_config, DISC).lam == lam
+    # alpha(s) is sized with floor alpha(s): the same value on a wider set
+    value = global_alpha(cheap_config, 0.2, DISC)
+    wider = global_alpha(cheap_config, 0.2, DISC, k_max=2.0 * value.table.k[-1])
+    assert wider.alpha == value.alpha and wider.argmax_k == value.argmax_k
