@@ -26,7 +26,6 @@ REFERENCE = FluidConfig(
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=128)
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
 
     print("per-mode alpha at k = 1, s = 1:")
@@ -50,7 +49,7 @@ def main() -> None:
     print("\nglobal solve and boundary-value residual:")
     n = 16
     while n <= args.max_n:
-        res = solve_lambda(REFERENCE, Discretization(n), jobs=args.jobs)
+        res = solve_lambda(REFERENCE, Discretization(n))
         print(f"  N={n:<4d} lambda={res.lam:.10f} argmax_k={res.argmax_k} "
               f"bvp_residual={bvp_residual(res, REFERENCE):.3e}")
         n *= 2

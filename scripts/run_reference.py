@@ -23,12 +23,11 @@ def main() -> None:
     parser.add_argument("--resolution", type=int, default=64)
     parser.add_argument("--theta-fraction", type=float, default=0.0,
                         help="surface tension as a fraction of theta_c")
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
 
     cfg = REFERENCE.with_theta(args.theta_fraction * theta_critical(REFERENCE))
     disc = Discretization(args.resolution)
-    result = solve_lambda(cfg, disc, jobs=args.jobs)
+    result = solve_lambda(cfg, disc)
     print(json.dumps(result.to_json_dict(), indent=2))
     print(f"boundary-value residual at 2N: {bvp_residual(result, cfg):.3e}")
 

@@ -1,13 +1,13 @@
-"""Surface-tension sweeps: bound, monotonicity, continuity, vanishing limit.
+"""Surface-tension sweeps and the self-contained verification suite.
 
-Each sweep solves every point against one shared frozen mode set sized at
-theta = 0, so the cross-theta comparisons inherit exact monotonicity at the
-discrete level; every point checks its own certified cutoff against that set
-and raises instead of extending it.
-Continuity is certified empirically, through the proven ordering
-Lambda(theta - delta) > Lambda(theta) > Lambda(theta + delta) plus a recorded
-modulus; asserting a universal Lipschitz constant would claim more than the
-theory provides.
+A sweep solves every point of a strictly increasing theta grid against one
+shared frozen mode set sized at theta = 0, so the cross-theta comparisons
+inherit exact monotonicity at the discrete level; every point checks its own
+certified cutoff against that set and raises instead of extending it. The
+sweep raises unless Lambda decreases strictly along the whole grid and
+reports Lambda <= m at every point, so a grid that closes in on theta_c
+checks the vanishing limit, and one that brackets a point checks the ordering
+Lambda(theta - delta) > Lambda(theta) > Lambda(theta + delta).
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ from .spectrum import FrozenModeSet, alpha_curve, global_alpha, size_mode_set, s
 
 
 def _sized_mode_set(
-    cfg: FluidConfig, disc: Discretization, tol_fp: float, jobs: int
+    cfg: FluidConfig, disc: Discretization, tol_fp: float, _jobs=None
 ) -> tuple[FrozenModeSet, GrowthResult]:
     """Size a mode set for Lambda at theta = 0, solve there, then lock the set."""
+    # _jobs is ignored. It exists only because the frozen
+    # perfbench/workloads.py calls _sized_mode_set(cfg, disc, TOL_FP, 1).
     cfg0 = cfg.with_theta(0.0)
-    fm = FrozenModeSet.freeze(cfg0, disc, smallest_magnitude(cfg0), jobs=jobs)
+    fm = FrozenModeSet.freeze(cfg0, disc, smallest_magnitude(cfg0))
     size_mode_set(fm, 0.0)
     res0 = solve_lambda(cfg0, disc, tol_fp=tol_fp, frozen=fm)
     fm.locked = True
@@ -92,7 +94,6 @@ def sweep_theta(
     fractions,
     disc: Discretization,
     tol_fp: float = 1e-8,
-    jobs: int = 1,
     frozen: FrozenModeSet | None = None,
 ) -> ThetaSweep:
     """Solve Lambda over theta = fractions * theta_c on one frozen mode set."""
@@ -107,7 +108,7 @@ def sweep_theta(
     theta_c = theta_critical(cfg)
 
     if frozen is None:
-        fm, res0 = _sized_mode_set(cfg, disc, tol_fp, jobs)
+        fm, res0 = _sized_mode_set(cfg, disc, tol_fp)
     else:
         fm, res0 = frozen, None
 
@@ -135,126 +136,6 @@ def sweep_theta(
         argmax_ks=np.asarray([r.argmax_k for r in results]),
         residuals=np.asarray([r.fixed_point_residual for r in results]),
         results=results,
-    )
-
-
-@dataclass(frozen=True)
-class ContinuityProbe:
-    """Two-sided growth-rate gaps around theta0 for a shrinking delta sequence."""
-
-    theta0: float
-    lambda0: float
-    deltas: np.ndarray
-    gaps_below: np.ndarray  # Lambda(theta0 - delta) - Lambda(theta0), > 0
-    gaps_above: np.ndarray  # Lambda(theta0) - Lambda(theta0 + delta), > 0
-    moduli: np.ndarray  # recorded empirical modulus max(gap)/delta, not asserted
-
-    @property
-    def ordering_holds(self) -> bool:
-        nonzero = self.deltas > 0.0
-        return bool(
-            np.all(self.gaps_below[nonzero] > 0.0)
-            and np.all(self.gaps_above[nonzero] > 0.0)
-        )
-
-
-def continuity_probe(
-    cfg: FluidConfig,
-    theta0: float,
-    delta_seq,
-    disc: Discretization,
-    tol_fp: float = 1e-8,
-    jobs: int = 1,
-    frozen: FrozenModeSet | None = None,
-) -> ContinuityProbe:
-    """Gap report |Lambda(theta0 +- delta) - Lambda(theta0)| with ordering check."""
-    validate_config(cfg)
-    theta_c = theta_critical(cfg)
-    if not 0.0 < theta0 < theta_c:
-        raise ValueError(f"theta0 must lie in (0, theta_c), got {theta0!r}")
-    deltas = np.asarray(delta_seq, dtype=float)
-    if np.any(deltas < 0.0):
-        raise ValueError("deltas must be nonnegative")
-    if np.any(theta0 + deltas >= theta_c) or np.any(theta0 - deltas < 0.0):
-        raise ValueError("theta0 +- delta must stay inside [0, theta_c)")
-
-    if frozen is None:
-        fm, _ = _sized_mode_set(cfg, disc, tol_fp, jobs)
-    else:
-        fm = frozen
-    lam0 = solve_lambda(cfg.with_theta(theta0), disc, tol_fp=tol_fp, frozen=fm).lam
-
-    below = np.empty(deltas.size)
-    above = np.empty(deltas.size)
-    for i, d in enumerate(deltas):
-        if d == 0.0:
-            below[i] = 0.0
-            above[i] = 0.0
-            continue
-        lam_lo = solve_lambda(cfg.with_theta(theta0 - d), disc, tol_fp=tol_fp, frozen=fm).lam
-        lam_hi = solve_lambda(cfg.with_theta(theta0 + d), disc, tol_fp=tol_fp, frozen=fm).lam
-        below[i] = lam_lo - lam0
-        above[i] = lam0 - lam_hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        moduli = np.where(deltas > 0.0, np.maximum(below, above) / deltas, 0.0)
-    return ContinuityProbe(
-        theta0=theta0,
-        lambda0=lam0,
-        deltas=deltas,
-        gaps_below=below,
-        gaps_above=above,
-        moduli=moduli,
-    )
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    """Lambda <= m checks approaching theta_c, with m -> 0."""
-
-    fractions: np.ndarray
-    lambdas: np.ndarray
-    bounds_m: np.ndarray
-
-    @property
-    def all_bounded(self) -> bool:
-        return bool(np.all(self.lambdas <= self.bounds_m * (1.0 + 1e-6)))
-
-    @property
-    def all_positive(self) -> bool:
-        return bool(np.all(self.lambdas > 0.0))
-
-    @property
-    def bounds_decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.bounds_m) < 0.0))
-
-
-def limit_check(
-    cfg: FluidConfig,
-    disc: Discretization,
-    fractions=(0.9, 0.99, 0.999),
-    tol_fp: float = 1e-8,
-    jobs: int = 1,
-    frozen: FrozenModeSet | None = None,
-) -> LimitReport:
-    """Evaluate Lambda near theta_c; the analytic bound m certifies the limit."""
-    validate_config(cfg)
-    theta_c = theta_critical(cfg)
-    fractions = np.asarray(fractions, dtype=float)
-    if frozen is None:
-        fm, _ = _sized_mode_set(cfg, disc, tol_fp, jobs)
-    else:
-        fm = frozen
-    lambdas = []
-    bounds = []
-    for f in fractions:
-        c = cfg.with_theta(f * theta_c)
-        res = solve_lambda(c, disc, tol_fp=tol_fp, frozen=fm)
-        lambdas.append(res.lam)
-        bounds.append(res.bound_m)
-    return LimitReport(
-        fractions=fractions,
-        lambdas=np.asarray(lambdas),
-        bounds_m=np.asarray(bounds),
     )
 
 
@@ -287,7 +168,6 @@ def verify_all(
     cfg: FluidConfig,
     disc: Discretization,
     tol_fp: float = 1e-8,
-    jobs: int = 1,
     trace_samples: int = 300,
     seed: int = 20240831,
 ) -> VerifyReport:
@@ -340,7 +220,7 @@ def verify_all(
         return VerifyReport(checks)
 
     m = upper_bound_m(cfg)
-    fm, _ = _sized_mode_set(cfg, disc, tol_fp, jobs)
+    fm, _ = _sized_mode_set(cfg, disc, tol_fp)
 
     s_grid = np.geomspace(m / 20.0, 1.2 * m, 8)
     try:
@@ -404,7 +284,7 @@ def verify_all(
 
     for factor in (1.01, 2.0):
         try:
-            solve_lambda(cfg.with_theta(factor * theta_c), disc, tol_fp=tol_fp, jobs=jobs)
+            solve_lambda(cfg.with_theta(factor * theta_c), disc, tol_fp=tol_fp)
             checks.append(
                 VerifyCheck("threshold_stability", False, f"no StableRegime at {factor} theta_c")
             )

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 failed verification, 2 configuration or validation
 error, 3 stable regime (theta at or above the computed threshold), 4
 numerical failure, including any unexpected exception (reported in one line,
-never as a traceback). Output files are byte-stable across runs and --jobs
-settings: floats are serialized with shortest round-trip repr, field order is
-fixed, newlines are '\n'.
+never as a traceback). Output files are byte-stable across runs: floats are
+serialized with shortest round-trip repr, field order is fixed, newlines are
+'\n'. Only alpha-curve, dispersion-curve and oracle-compare read --kmax; it
+must reach the smallest lattice magnitude.
 """
 
 from __future__ import annotations
@@ -65,9 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated fractions of theta_c for sweep-theta",
     )
     p.add_argument("--s-grid", default=None, help="comma-separated s values for alpha-curve")
-    p.add_argument("--kmax", type=positive_number, default=None, help="mode cutoff override")
+    p.add_argument(
+        "--kmax",
+        type=positive_number,
+        default=None,
+        help="alpha-curve: evaluate exactly the modes up to this magnitude; "
+        "oracle-compare and dispersion-curve: compare every mode up to it; "
+        "ignored by the other commands",
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers per stage")
     p.add_argument(
         "--mode-table",
         default=None,
@@ -100,6 +107,14 @@ def _load_config(path: str) -> FluidConfig:
     return validate_config(cfg)
 
 
+def _kmax(cfg, args) -> float | None:
+    """--kmax, rejected when it lies below the smallest lattice magnitude."""
+    k0 = spectrum.smallest_magnitude(cfg)
+    if args.kmax is not None and args.kmax < k0:
+        raise ConfigError(f"--kmax {args.kmax!r} is below the smallest lattice magnitude {k0!r}")
+    return args.kmax
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -114,7 +129,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_growth(cfg, args) -> int:
     disc = Discretization(args.resolution)
-    result = solve_lambda(cfg, disc, tol_fp=args.tol, jobs=args.jobs)
+    result = solve_lambda(cfg, disc, tol_fp=args.tol)
     _emit(json.dumps(result.to_json_dict()), args.out)
     if args.mode_table:
         _emit("\n".join(result.alpha_at_lambda.table.csv_lines()), args.mode_table)
@@ -126,10 +141,9 @@ def _cmd_alpha_curve(cfg, args) -> int:
         raise ConfigError("alpha-curve requires --s-grid")
     s_grid = _parse_grid(args.s_grid, "--s-grid")
     disc = Discretization(args.resolution)
-    frozen = None
-    if args.kmax is not None:
-        frozen = spectrum.FrozenModeSet.freeze(cfg, disc, args.kmax, jobs=args.jobs)
-    curve = spectrum.alpha_curve(cfg, s_grid, disc, frozen=frozen, jobs=args.jobs)
+    k_max = _kmax(cfg, args)
+    frozen = None if k_max is None else spectrum.FrozenModeSet.freeze(cfg, disc, k_max)
+    curve = spectrum.alpha_curve(cfg, s_grid, disc, frozen=frozen)
     if args.format == "json":
         payload = {
             "s": list(map(float, curve.s)),
@@ -145,11 +159,9 @@ def _cmd_alpha_curve(cfg, args) -> int:
 
 
 def _comparison_ks(cfg, args) -> np.ndarray:
-    k_max = args.kmax
-    modes = None
+    k_max = _kmax(cfg, args)
     if k_max is not None:
-        modes = spectrum.enumerate_modes(cfg, k_max)
-        return modes.magnitudes
+        return spectrum.enumerate_modes(cfg, k_max).magnitudes
     # default: the twelve smallest lattice magnitudes
     k_try = 4.0 * spectrum.smallest_magnitude(cfg)
     while True:
@@ -184,7 +196,7 @@ def _cmd_sweep(cfg, args) -> int:
     if np.any(fractions < 0.0) or np.any(fractions >= 1.0):
         raise ConfigError("--theta-grid fractions must lie in [0, 1)")
     disc = Discretization(args.resolution)
-    sweep = analysis.sweep_theta(cfg, fractions, disc, tol_fp=args.tol, jobs=args.jobs)
+    sweep = analysis.sweep_theta(cfg, fractions, disc, tol_fp=args.tol)
     if args.format == "json":
         payload = {
             "rows": [
@@ -210,7 +222,7 @@ def _cmd_sweep(cfg, args) -> int:
 
 def _cmd_verify(cfg, args) -> int:
     disc = Discretization(args.resolution)
-    report = analysis.verify_all(cfg, disc, tol_fp=args.tol, jobs=args.jobs)
+    report = analysis.verify_all(cfg, disc, tol_fp=args.tol)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         sys.stdout.write(f"{status} {check.name}: {check.detail}\n")
@@ -224,8 +236,6 @@ def main(argv=None) -> int:
     try:
         if args.resolution < 8:
             raise ConfigError(f"--resolution must be >= 8, got {args.resolution}")
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = _load_config(args.config)
         if args.command == "growth":
             return _cmd_growth(cfg, args)

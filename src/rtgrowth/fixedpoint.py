@@ -97,7 +97,6 @@ def solve_lambda(
     disc: Discretization,
     tol_fp: float = 1e-8,
     frozen: FrozenModeSet | None = None,
-    jobs: int = 1,
 ) -> GrowthResult:
     """Largest growth rate Lambda with Lambda^2 = alpha(Lambda)."""
     validate_config(cfg)
@@ -112,7 +111,7 @@ def solve_lambda(
     fm = frozen
     if fm is None:
         # at the smallest magnitude c_k > 0, since theta < theta_c
-        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg), jobs=jobs)
+        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
         size_mode_set(fm, theta)
     lam = float(fm.mode_lambdas(theta).max())
     cutoff = certified_cutoff(cfg, theta, lam, lam * lam)

@@ -18,7 +18,6 @@ from .errors import (
     NonFiniteParameter,
     NonPositiveParameter,
     StableRegime,
-    ZeroWaveNumber,
 )
 
 _POSITIVE_FIELDS = (
@@ -88,28 +87,6 @@ def _finite_number(name: str, value) -> float:
         except OverflowError:  # an integer beyond the float range
             pass
     raise NonFiniteParameter(name, value)
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """One lattice wavenumber xi = (n1/L1, n2/L2), the unit of decomposition."""
-
-    n1: int
-    n2: int
-    L1: float
-    L2: float
-
-    def __post_init__(self):
-        if self.n1 == 0 and self.n2 == 0:
-            raise ZeroWaveNumber("lattice mode (0, 0) carries no interface motion")
-
-    @property
-    def xi(self) -> tuple[float, float]:
-        return (self.n1 / self.L1, self.n2 / self.L2)
-
-    @property
-    def k(self) -> float:
-        return math.hypot(self.n1 / self.L1, self.n2 / self.L2)
 
 
 @dataclass(frozen=True)

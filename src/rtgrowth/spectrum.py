@@ -25,7 +25,6 @@ handed in by the caller is evaluated as it is and never extended.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,12 +168,11 @@ class FrozenModeSet:
     raises, since it would change earlier samples.
     """
 
-    def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet, jobs: int = 1):
+    def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet):
         self.cfg = cfg
         self.disc = disc
         self.modes = modes
         self.locked = False
-        self._jobs = max(1, int(jobs))
         lam, z2, lam_tau = self._compute_rows(modes.magnitudes)
         self._lam = lam
         self._z2 = z2
@@ -183,15 +181,10 @@ class FrozenModeSet:
 
     def _compute_rows(self, ks: np.ndarray):
         def one(k: float):
-            forms = assemble(k, self.cfg, self.disc)
-            lam, z2 = mode_spectral_data(forms)
+            lam, z2 = mode_spectral_data(assemble(k, self.cfg, self.disc))
             return lam, z2, transverse_min_eigenvalue(k, self.cfg, self.disc)
 
-        if self._jobs > 1 and ks.size > 1:
-            with ThreadPoolExecutor(self._jobs) as ex:
-                rows = list(ex.map(one, ks))
-        else:
-            rows = [one(k) for k in ks]
+        rows = [one(k) for k in ks]
         if not rows:
             dim = self.disc.n_dofs
             return np.zeros((0, dim)), np.zeros((0, dim)), np.zeros(0)
@@ -201,10 +194,8 @@ class FrozenModeSet:
         return lam, z2, lam_tau
 
     @classmethod
-    def freeze(
-        cls, cfg: FluidConfig, disc: Discretization, k_max: float, jobs: int = 1
-    ) -> "FrozenModeSet":
-        return cls(cfg, disc, enumerate_modes(cfg, k_max), jobs=jobs)
+    def freeze(cls, cfg: FluidConfig, disc: Discretization, k_max: float) -> "FrozenModeSet":
+        return cls(cfg, disc, enumerate_modes(cfg, k_max))
 
     def extend_to(self, k_max: float) -> None:
         if self.locked:
@@ -379,25 +370,19 @@ def global_alpha(
     s: float,
     disc: Discretization,
     theta: float | None = None,
-    k_max: float | None = None,
     frozen: FrozenModeSet | None = None,
-    jobs: int = 1,
-    want_profile: bool = True,
 ) -> AlphaValue:
     """alpha(s, theta) = sup over modes of the larger branch value.
 
-    With `frozen` or an explicit `k_max` the evaluation uses exactly that mode
-    set. Otherwise the set is sized by size_mode_set at s.
+    With `frozen` the evaluation uses exactly that mode set. Otherwise the set
+    is sized by size_mode_set at s.
     """
     theta = cfg.theta if theta is None else theta
-    if frozen is not None:
-        fm = frozen
-    elif k_max is not None:
-        fm = FrozenModeSet.freeze(cfg, disc, k_max, jobs=jobs)
-    else:
-        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg), jobs=jobs)
+    fm = frozen
+    if fm is None:
+        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
         size_mode_set(fm, theta, s)
-    return fm.alpha_value(s, theta, want_profile=want_profile)
+    return fm.alpha_value(s, theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,12 +410,13 @@ def alpha_curve(
     disc: Discretization,
     theta: float | None = None,
     frozen: FrozenModeSet | None = None,
-    jobs: int = 1,
 ) -> AlphaCurve:
     """Sample alpha on s_grid over one mode set; verify strict decrease.
 
     Without `frozen` the set is sized by size_mode_set at every sample; it only
-    grows, so the values at earlier samples stay certified.
+    grows, so the values at earlier samples stay certified. The samples carry
+    no eigenprofile: nothing reads one, and each would cost an assembly and a
+    solve.
     """
     theta = cfg.theta if theta is None else theta
     s_grid = np.asarray(s_grid, dtype=float)
@@ -441,10 +427,10 @@ def alpha_curve(
 
     fm = frozen
     if fm is None:
-        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg), jobs=jobs)
+        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
         for s in s_grid:
             size_mode_set(fm, theta, float(s))
-    values = [fm.alpha_value(float(s), theta) for s in s_grid]
+    values = [fm.alpha_value(float(s), theta, want_profile=False) for s in s_grid]
 
     alphas = np.asarray([v.alpha for v in values])
     if not np.all(np.diff(alphas) < 0.0):

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from rtgrowth.analysis import (
-    continuity_probe,
-    limit_check,
-    sweep_theta,
-    verify_all,
-    _sized_mode_set,
-)
+from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.model import theta_critical, wang_tice_bound
 from rtgrowth.pencil import Discretization
 
@@ -23,7 +17,7 @@ def cheap_mode_set():
         rho_plus=2.0, rho_minus=1.0, mu_plus=1.0, mu_minus=1.0,
         g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
     )
-    fm, res0 = _sized_mode_set(cfg, DISC, 1e-8, jobs=1)
+    fm, res0 = _sized_mode_set(cfg, DISC, 1e-8)
     return cfg, fm
 
 
@@ -64,34 +58,30 @@ def test_sweep_rejects_bad_fractions(cheap_config):
 
 
 def test_continuity_probe(cheap_mode_set):
+    # A strictly increasing grid bracketing theta0 = theta_c / 2 checks the
+    # ordering Lambda(theta0 - delta) > Lambda(theta0) > Lambda(theta0 + delta).
     cfg, fm = cheap_mode_set
-    theta_c = theta_critical(cfg)
-    probe = continuity_probe(
-        cfg, 0.5 * theta_c, [1e-2 * theta_c, 1e-3 * theta_c, 0.0], DISC, frozen=fm
-    )
-    assert probe.ordering_holds
-    assert probe.gaps_below[0] > probe.gaps_below[1] > 0.0
-    assert probe.gaps_above[0] > probe.gaps_above[1] > 0.0
-    assert probe.gaps_below[2] == 0.0 and probe.gaps_above[2] == 0.0
-    # empirical modulus is recorded, roughly stable as delta shrinks
-    assert probe.moduli[0] == pytest.approx(probe.moduli[1], rel=0.5)
-
-
-def test_continuity_probe_validation(cheap_config):
-    theta_c = theta_critical(cheap_config)
-    with pytest.raises(ValueError):
-        continuity_probe(cheap_config, 0.0, [1e-3], DISC)
-    with pytest.raises(ValueError):
-        continuity_probe(cheap_config, 0.5 * theta_c, [0.6 * theta_c], DISC)
+    sweep = sweep_theta(cfg, 0.5 + np.array([-1e-2, -1e-3, 0.0, 1e-3, 1e-2]), DISC, frozen=fm)
+    lam = sweep.lambdas
+    gaps_below = lam[:2] - lam[2]
+    gaps_above = lam[2] - lam[:2:-1]
+    assert gaps_below[0] > gaps_below[1] > 0.0
+    assert gaps_above[0] > gaps_above[1] > 0.0
+    # the empirical modulus max(gap) / delta is roughly stable as delta shrinks
+    moduli = np.maximum(gaps_below, gaps_above) / np.array([1e-2, 1e-3])
+    assert moduli[0] == pytest.approx(moduli[1], rel=0.5)
+    assert sweep.report()["bounded_by_m"]
 
 
 def test_limit_check(cheap_mode_set):
+    # Lambda <= m, with m -> 0, on a grid closing in on theta_c.
     cfg, fm = cheap_mode_set
-    report = limit_check(cfg, DISC, frozen=fm)
-    assert report.all_bounded
-    assert report.all_positive
-    assert report.bounds_decreasing
-    assert report.lambdas[-1] < 0.05 * report.lambdas[0]
+    sweep = sweep_theta(cfg, [0.9, 0.99, 0.999], DISC, frozen=fm)
+    report = sweep.report()
+    assert report["bounded_by_m"]
+    assert report["all_positive"]
+    assert np.all(np.diff(sweep.bounds_m) < 0.0)
+    assert sweep.lambdas[-1] < 0.05 * sweep.lambdas[0]
 
 
 def test_verify_all_passes(cheap_config):
@@ -128,7 +118,7 @@ def test_locked_sweep_at_n128_solves_and_matches_the_oracle():
         g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
     )
     disc = Discretization(128)
-    fm, _ = _sized_mode_set(cfg, disc, 1e-8, jobs=1)
+    fm, _ = _sized_mode_set(cfg, disc, 1e-8)
     theta_c = theta_critical(cfg)
     lambdas = []
     for fraction in (0.14, 0.28, 0.35, 0.42, 0.56):

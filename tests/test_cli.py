@@ -156,15 +156,14 @@ def test_verify_passes(config_path, tmp_path):
     assert payload["all_pass"] is True
 
 
-def test_jobs_determinism_in_process(config_path, tmp_path):
+def test_sweep_determinism_in_process(config_path, tmp_path):
     outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"sweep{jobs}.csv"
+    for run in ("1", "2"):
+        out = tmp_path / f"sweep{run}.csv"
         code = run_cli(["sweep-theta", "--config", config_path, "--resolution", "8",
-                        "--theta-grid", "0,0.5,0.9", "--jobs", jobs,
-                        "--out", str(out)])
+                        "--theta-grid", "0,0.5,0.9", "--out", str(out)])
         assert code == 0
-        outs.append(out.read_bytes() + (tmp_path / f"sweep{jobs}.csv.report.json").read_bytes())
+        outs.append(out.read_bytes() + (tmp_path / f"sweep{run}.csv.report.json").read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -202,6 +201,9 @@ def exit_code(args):
         ("oracle-compare", "--kmax", "nan"),
         ("oracle-compare", "--kmax", "-1"),
         ("alpha-curve", "--kmax", "nan"),
+        ("alpha-curve", "--kmax", "0.5"),
+        ("oracle-compare", "--kmax", "0.5"),
+        ("growth", "--jobs", "2"),
     ],
 )
 def test_malformed_flags_exit_2(config_path, capsys, command, flag, value):
@@ -236,7 +238,6 @@ FLAG_VALUES = {
     "--s-grid": ["0,1", "2,1", "nan,1", "", ",", "a", "1", "0.5,1"],
     "--theta-grid": ["0.5,0.2", "nan", "1", "-0.1,0.5", "inf", "0,0.5"],
     "--resolution": ["8", "4", "x", "-3", "8.5"],
-    "--jobs": ["1", "0", "2", "x"],
     "--format": ["csv", "json", "xml"],
 }
 

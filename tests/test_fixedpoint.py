@@ -94,8 +94,8 @@ def test_solve_lambda_contract(cheap_config):
 
 
 def test_solve_lambda_deterministic(cheap_config):
-    r1 = solve_lambda(cheap_config, DISC, jobs=1)
-    r2 = solve_lambda(cheap_config, DISC, jobs=2)
+    r1 = solve_lambda(cheap_config, DISC)
+    r2 = solve_lambda(cheap_config, DISC)
     assert r1.lam == r2.lam
     assert r1.argmax_k == r2.argmax_k
     assert np.array_equal(r1.eigenprofile.psi_values, r2.eigenprofile.psi_values)

@@ -13,11 +13,9 @@ from rtgrowth.errors import (
     NonFiniteParameter,
     NonPositiveParameter,
     StableRegime,
-    ZeroWaveNumber,
 )
 from rtgrowth.model import (
     FluidConfig,
-    ModeIndex,
     theta_critical,
     thresholds,
     upper_bound_m,
@@ -191,10 +189,3 @@ def test_non_finite_parameter_rejected(reference_config):
         with pytest.raises(NonFiniteParameter, match=name):
             validate_config(dataclasses.replace(reference_config, **{name: value}))
 
-
-def test_mode_index():
-    mode = ModeIndex(n1=3, n2=-4, L1=1.0, L2=2.0)
-    assert mode.k == pytest.approx(math.hypot(3.0, 2.0))
-    assert mode.xi == (3.0, -2.0)
-    with pytest.raises(ZeroWaveNumber):
-        ModeIndex(n1=0, n2=0, L1=1.0, L2=1.0)

@@ -21,6 +21,7 @@ from rtgrowth.pencil import (
     transverse_min_eigenvalue,
 )
 from rtgrowth.spectrum import (
+    AlphaCurve,
     AlphaValue,
     FrozenModeSet,
     alpha_curve,
@@ -97,7 +98,8 @@ def test_enumerate_against_brute_scan(L1, L2, k_max):
 def test_global_alpha_matches_brute_scan(cheap_config):
     s = 1.0
     k_max = 6.0
-    value = global_alpha(cheap_config, s, DISC, k_max=k_max)
+    fm = FrozenModeSet.freeze(cheap_config, DISC, k_max)
+    value = global_alpha(cheap_config, s, DISC, frozen=fm)
     best = -np.inf
     for k in brute_magnitudes(1.0, 1.0, k_max):
         forms = assemble(k, cheap_config, DISC)
@@ -128,16 +130,17 @@ def test_global_alpha_negative_for_large_s(cheap_config):
     assert np.all(value.table.alpha_transverse < 0.0)
 
 
-def test_alpha_determinism_across_jobs(cheap_config):
-    a1 = global_alpha(cheap_config, 1.0, DISC, jobs=1)
-    a2 = global_alpha(cheap_config, 1.0, DISC, jobs=2)
+def test_alpha_determinism_across_runs(cheap_config):
+    a1 = global_alpha(cheap_config, 1.0, DISC)
+    a2 = global_alpha(cheap_config, 1.0, DISC)
     assert a1.alpha == a2.alpha
     assert a1.argmax_k == a2.argmax_k
     assert np.array_equal(a1.table.alpha_longitudinal, a2.table.alpha_longitudinal)
 
 
 def test_positive_transverse_alpha_is_a_solver_error(cheap_config):
-    table = global_alpha(cheap_config, 1.0, DISC, k_max=3.0).table
+    fm = FrozenModeSet.freeze(cheap_config, DISC, 3.0)
+    table = global_alpha(cheap_config, 1.0, DISC, frozen=fm).table
     with pytest.raises(BranchMismatch):
         AlphaValue(
             alpha=1.0, argmax_k=1.0, branch="transverse", s=1.0, theta=0.0,
@@ -191,6 +194,21 @@ def test_alpha_curve_rejects_bad_grid(cheap_config):
         alpha_curve(cheap_config, [-1.0, 1.0], DISC)
 
 
+def test_alpha_curve_carries_no_profile(cheap_config):
+    fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
+    s_grid = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+    curve = alpha_curve(cheap_config, s_grid, DISC, frozen=fm)
+    assert all(v.eigenprofile is None and v.diagnostics is None for v in curve.values)
+    # the CSV is the one the samples with profiles give
+    profiled = AlphaCurve(
+        s=curve.s,
+        values=[fm.alpha_value(s, 0.0, want_profile=True) for s in s_grid],
+        zero_bracket=curve.zero_bracket,
+    )
+    assert any(v.eigenprofile is not None for v in profiled.values)
+    assert curve.csv_lines() == profiled.csv_lines()
+
+
 def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
     fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
     real = fm.alpha_value
@@ -233,7 +251,8 @@ def test_locked_set_interiority_guard(cheap_config):
 
 
 def test_mode_table_csv(cheap_config):
-    value = global_alpha(cheap_config, 1.0, DISC, k_max=3.0)
+    fm = FrozenModeSet.freeze(cheap_config, DISC, 3.0)
+    value = global_alpha(cheap_config, 1.0, DISC, frozen=fm)
     lines = value.table.csv_lines()
     assert lines[0] == "k,alpha_longitudinal,alpha_transverse,branch"
     assert len(lines) == value.table.k.size + 1
@@ -317,5 +336,6 @@ def test_sizing_grows_an_owned_set_to_the_certified_cutoff(cheap_config):
     assert solve_lambda(cheap_config, DISC).lam == lam
     # alpha(s) is sized with floor alpha(s): the same value on a wider set
     value = global_alpha(cheap_config, 0.2, DISC)
-    wider = global_alpha(cheap_config, 0.2, DISC, k_max=2.0 * value.table.k[-1])
+    wider_set = FrozenModeSet.freeze(cheap_config, DISC, 2.0 * value.table.k[-1])
+    wider = global_alpha(cheap_config, 0.2, DISC, frozen=wider_set)
     assert wider.alpha == value.alpha and wider.argmax_k == value.argmax_k
