@@ -5,8 +5,8 @@ error, 3 stable regime (theta at or above the computed threshold), 4
 numerical failure, including any unexpected exception (reported in one line,
 never as a traceback). Output files are byte-stable across runs: floats are
 serialized with shortest round-trip repr, field order is fixed, newlines are
-'\n'. Only alpha-curve, dispersion-curve and oracle-compare read --kmax; it
-must reach the smallest lattice magnitude.
+'\n'. Only alpha-curve and oracle-compare read --kmax; it must reach the
+smallest lattice magnitude.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ EXIT_NUMERICAL = 4
 COMMANDS = (
     "growth",
     "alpha-curve",
-    "dispersion-curve",
     "sweep-theta",
     "verify",
     "oracle-compare",
@@ -59,7 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to FluidConfig JSON")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
     p.add_argument("--resolution", type=int, default=128, help="elements per layer")
-    p.add_argument("--tol", type=positive_number, default=1e-8, help="fixed-point tolerance")
+    p.add_argument(
+        "--tol",
+        type=positive_number,
+        default=1e-8,
+        help="bound that |lambda^2 - alpha(lambda)| must meet, relative to max(1, lambda^2)",
+    )
     p.add_argument(
         "--theta-grid",
         default=DEFAULT_THETA_GRID,
@@ -71,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_number,
         default=None,
         help="alpha-curve: evaluate exactly the modes up to this magnitude; "
-        "oracle-compare and dispersion-curve: compare every mode up to it; "
+        "oracle-compare: compare every mode up to it; "
         "ignored by the other commands",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -241,7 +245,7 @@ def main(argv=None) -> int:
             return _cmd_growth(cfg, args)
         if args.command == "alpha-curve":
             return _cmd_alpha_curve(cfg, args)
-        if args.command in ("dispersion-curve", "oracle-compare"):
+        if args.command == "oracle-compare":
             return _cmd_compare(cfg, args)
         if args.command == "sweep-theta":
             return _cmd_sweep(cfg, args)

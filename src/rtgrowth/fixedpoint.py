@@ -6,9 +6,10 @@ f(s) > 0 exactly when some alpha_k(s) > s^2, that is when s < Lambda_k for
 the per-mode fixed point Lambda_k^2 = alpha_k(Lambda_k). So
 Lambda = max_k Lambda_k, and every Lambda_k is the root of one scalar secular
 equation over the cached spectral rows of the mode (rank_one_fixed_point),
-solved for all modes at once. The eigenprofile at Lambda then costs one
-linear solve. An owned mode set is grown until the certified cutoff at the
-answer lies inside it; a set handed in is checked against that cutoff once.
+solved for all modes at once. The eigenprofile is built here and only here:
+at Lambda it costs one assembly of the maximizing mode and one linear solve.
+An owned mode set is grown until the certified cutoff at the answer lies
+inside it; a set handed in is checked against that cutoff once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
 from .pencil import (
     Discretization,
-    PencilForms,
     assemble,
     coeffs_to_profile,
     mode_spectral_data,
@@ -121,11 +121,13 @@ def solve_lambda(
             f"but the frozen mode set ends at k_max = {fm.modes.k_max!r}"
         )
 
-    alpha_val = fm.alpha_value(lam, theta, want_profile=True)
+    alpha_val = fm.alpha_value(lam, theta)
+    forms = assemble(alpha_val.argmax_k, fm.cfg.with_theta(theta), fm.disc)
+    vector = secular_eigenpair(forms, lam, alpha_val.alpha).vector
     result = GrowthResult(
         lam=lam,
         argmax_k=alpha_val.argmax_k,
-        eigenprofile=alpha_val.eigenprofile,
+        eigenprofile=coeffs_to_profile(vector, forms),
         fixed_point_residual=abs(lam * lam - alpha_val.alpha),
         alpha_at_lambda=alpha_val,
         bound_m=m,
@@ -144,12 +146,7 @@ class ModeGrowth:
     k: float
     lam: float
     fixed_point_residual: float
-    vector: np.ndarray
-    forms: PencilForms
-
-    @property
-    def profile(self) -> VerticalProfile:
-        return coeffs_to_profile(self.vector, self.forms)
+    profile: VerticalProfile
 
 
 def solve_mode_lambda(
@@ -173,8 +170,7 @@ def solve_mode_lambda(
         k=k,
         lam=lam,
         fixed_point_residual=abs(lam * lam - alpha),
-        vector=secular_eigenpair(forms, lam, alpha).vector,
-        forms=forms,
+        profile=coeffs_to_profile(secular_eigenpair(forms, lam, alpha).vector, forms),
     )
 
 

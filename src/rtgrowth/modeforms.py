@@ -15,8 +15,10 @@ Profiles are piecewise-cubic Hermite interpolants of nodal (value, derivative)
 data; psi'' is the exact elementwise second derivative of that representation,
 so the algebraic identities among the dissipation forms hold exactly at the
 discrete level. The component of the horizontal amplitude orthogonal to the
-wavenumber decouples completely and is kept as the separate transverse branch
-(value-only profiles tau, piecewise linear).
+wavenumber decouples completely into the transverse branch. That branch is
+never positive, so it cannot carry the growth rate, and the solver needs only
+its minimum eigenvalue (pencil.transverse_min_eigenvalue); no transverse
+profile or form is built.
 """
 
 from __future__ import annotations
@@ -136,28 +138,6 @@ class VerticalProfile:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class TransverseProfile:
-    """Piecewise-linear transverse amplitude tau, zero at both walls."""
-
-    grid: np.ndarray
-    tau_values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        vals = np.asarray(self.tau_values, dtype=float)
-        if grid.ndim != 1 or grid.size < 3:
-            raise ValueError("grid must be 1-d with at least 3 nodes")
-        if vals.shape != grid.shape:
-            raise ValueError("tau_values must match the grid")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        for name, arr in (("grid", grid), ("tau_values", vals)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
 def require_admissible(profile: VerticalProfile) -> None:
     if not profile.is_admissible():
         raise InadmissibleProfile(
@@ -217,41 +197,6 @@ def dissipation_form(k: float, profile: VerticalProfile, cfg: FluidConfig) -> fl
     mu = _layer_weights(profile, cfg.mu_minus, cfg.mu_plus)
     integrand = 4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2
     return float((mu[:, None] * w * integrand).sum())
-
-
-def transverse_dissipation_form(
-    k: float, profile: TransverseProfile, cfg: FluidConfig
-) -> float:
-    """sum_layers mu * integral( tau'^2 + k^2 tau^2 ) on the linear interpolant."""
-    if k <= 0.0:
-        raise ZeroWaveNumber(f"transverse form needs k > 0, got {k!r}")
-    grid = profile.grid
-    h = np.diff(grid)
-    v0 = profile.tau_values[:-1]
-    v1 = profile.tau_values[1:]
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    mu = np.where(mid < 0.0, cfg.mu_minus, cfg.mu_plus)
-    tau = v0[:, None] * (1.0 - GAUSS_NODES) + v1[:, None] * GAUSS_NODES
-    dtau = (v1 - v0)[:, None] / h[:, None]
-    w = h[:, None] * GAUSS_WEIGHTS[None, :]
-    return float((mu[:, None] * w * (dtau**2 + k**2 * tau**2)).sum())
-
-
-def transverse_kinetic_form(
-    k: float, profile: TransverseProfile, cfg: FluidConfig
-) -> float:
-    """sum_layers rho * integral( tau^2 ), the kinetic pairing of the branch."""
-    if k <= 0.0:
-        raise ZeroWaveNumber(f"transverse form needs k > 0, got {k!r}")
-    grid = profile.grid
-    h = np.diff(grid)
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    rho = np.where(mid < 0.0, cfg.rho_minus, cfg.rho_plus)
-    v0 = profile.tau_values[:-1]
-    v1 = profile.tau_values[1:]
-    tau = v0[:, None] * (1.0 - GAUSS_NODES) + v1[:, None] * GAUSS_NODES
-    w = h[:, None] * GAUSS_WEIGHTS[None, :]
-    return float((rho[:, None] * w * tau**2).sum())
 
 
 def surface_coefficient(k: float, cfg: FluidConfig) -> float:

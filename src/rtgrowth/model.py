@@ -68,6 +68,8 @@ class FluidConfig:
     @classmethod
     def from_json(cls, text: str) -> "FluidConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         names = {f.name for f in fields(cls)}
         unknown = set(data) - names
         if unknown:

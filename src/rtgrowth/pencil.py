@@ -154,13 +154,11 @@ def _tables(
         tmats["M_rho_t"][idx] += rho * mass[sub]
         tmats["M_mu_t"][idx] += mu * mass[sub]
         tmats["D_mu_t"][idx] += mu * grad[sub]
-    tau_val_idx = val_idx
 
     return {
         "grid": grid,
         "gmap": gmap,
         "e0_index": e0_index,
-        "tau_val_idx": tau_val_idx,
         **mats,
         **tmats,
     }
@@ -251,8 +249,8 @@ def _finish_eigenpair(forms: PencilForms, s: float, alpha: float, x: np.ndarray)
 def largest_eigenpair(forms: PencilForms, s: float) -> EigenSolution:
     """Largest generalized eigenpair of one mode's pencil by a dense solve.
 
-    The reference the cached secular route is tested against, and the profile
-    route of secular_eigenpair when alpha <= 0.
+    No solver path uses it: it is the reference that the cached secular
+    values and secular_eigenpair are tested against.
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
@@ -268,15 +266,14 @@ def secular_eigenpair(forms: PencilForms, s: float, alpha: float) -> EigenSoluti
     """Eigenvector for the largest eigenvalue alpha, known from the secular rows.
 
     (c_k e0 e0^T - s A) x = alpha B x gives (s A + alpha B) x = c_k x[e0] e0,
-    so x is proportional to (s A + alpha B)^(-1) e0: one linear solve. For
-    alpha > 0, which includes every fixed point (alpha = Lambda^2), s A +
-    alpha B is positive definite. For alpha <= 0 it is indefinite when
-    c_k <= 0 and numerically singular when c_k is a tiny positive number
-    (alpha then sits within rounding of -s lam_0), so the dense solve is
-    used instead.
+    so x is proportional to (s A + alpha B)^(-1) e0: one linear solve. It is
+    called at fixed points only, where alpha = Lambda^2 > 0 and s A + alpha B
+    is positive definite. Requires alpha > 0: below that the matrix is
+    indefinite when c_k <= 0 and numerically singular when c_k is a tiny
+    positive number (alpha then sits within rounding of -s lam_0).
     """
     if alpha <= 0.0:
-        return largest_eigenpair(forms, s)
+        raise ValueError(f"secular eigenpair needs alpha > 0, got {alpha!r}")
     e0 = np.zeros(forms.dim)
     e0[forms.e0_index] = 1.0
     try:
@@ -400,26 +397,6 @@ def transverse_min_eigenvalue(k: float, cfg: FluidConfig, disc: Discretization) 
     except sla.LinAlgError as exc:
         raise FactorizationFailure(f"transverse solve failed: {exc}") from exc
     return float(w[0])
-
-
-def transverse_min_pair(k: float, cfg: FluidConfig, disc: Discretization):
-    """(lam_min, nodal tau values) of the transverse quotient minimizer."""
-    if k <= 0.0:
-        raise ZeroWaveNumber(f"transverse solve needs k > 0, got {k!r}")
-    t = _cfg_tables(cfg, disc)
-    K = t["D_mu_t"] + k**2 * t["M_mu_t"]
-    try:
-        w, v = sla.eigh(K, t["M_rho_t"], subset_by_index=[0, 0])
-    except sla.LinAlgError as exc:
-        raise FactorizationFailure(f"transverse solve failed: {exc}") from exc
-    x = v[:, 0]
-    values = np.zeros(t["grid"].size)
-    interior = t["tau_val_idx"] >= 0
-    values[interior] = x[t["tau_val_idx"][interior]]
-    peak = np.argmax(np.abs(values))
-    if values[peak] < 0.0:
-        values = -values
-    return float(w[0]), values
 
 
 def coeffs_to_profile(x: np.ndarray, forms: PencilForms) -> VerticalProfile:

@@ -8,6 +8,9 @@ pair and the transverse minimum. From these rows one vectorized secular solve
 gives alpha(s, theta) at any s and theta, and another gives every per-mode
 growth rate Lambda_k at any theta; the global rate is max_k Lambda_k. The
 cached data does not depend on theta, so a theta sweep reuses one set.
+alpha(s) only locates Lambda, so an evaluation returns values and the
+maximizing mode, never a profile; eigenprofiles are built only at fixed
+points, in fixedpoint.
 
 The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
@@ -31,17 +34,13 @@ import numpy as np
 
 from .errors import BranchMismatch, EmptyModeSet, MonotonicityViolation
 from .model import FluidConfig
-from .modeforms import TransverseProfile, VerticalProfile
 from .pencil import (
     Discretization,
     assemble,
-    coeffs_to_profile,
     mode_spectral_data,
     rank_one_fixed_point,
     rank_one_largest,
-    secular_eigenpair,
     transverse_min_eigenvalue,
-    transverse_min_pair,
 )
 
 _DEDUP_RTOL = 1e-12
@@ -97,16 +96,6 @@ def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
     return ModeSet(np.asarray(mags), np.asarray(mult), k_max)
 
 
-@dataclass(frozen=True)
-class ProfileDiagnostics:
-    """Quadratic-form values of the returned maximizer (kinetic normalized)."""
-
-    kinetic: float
-    dissipation: float
-    surface: float
-    eigen_residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class ModeTable:
     """Per-mode branch values underlying one alpha evaluation."""
@@ -145,8 +134,6 @@ class AlphaValue:
     branch: str
     s: float
     theta: float
-    eigenprofile: VerticalProfile | TransverseProfile | None
-    diagnostics: ProfileDiagnostics | None
     table: ModeTable
 
     def __post_init__(self):
@@ -163,7 +150,8 @@ class FrozenModeSet:
     All expensive objects here (eigendecompositions of the per-mode pairs and
     the transverse minima) are independent of both s and theta; evaluations
     for any (s, theta), and the per-mode fixed points for any theta, reduce
-    to rank-one secular equations over the cached rows. `locked` marks sets
+    to rank-one secular equations over the cached rows, so an evaluation
+    assembles no pencil and builds no profile. `locked` marks sets
     deliberately frozen across a multi-point computation: extending one
     raises, since it would change earlier samples.
     """
@@ -243,52 +231,17 @@ class FrozenModeSet:
         """
         return rank_one_fixed_point(self._lam, self._z2, self._surface(theta))
 
-    def alpha_value(self, s: float, theta: float, want_profile: bool = True) -> AlphaValue:
+    def alpha_value(self, s: float, theta: float) -> AlphaValue:
         al, at = self.alpha_arrays(s, theta)
         per_mode = np.maximum(al, at)
         idx = int(np.argmax(per_mode))
-        k_star = float(self.modes.magnitudes[idx])
-        branch = "longitudinal" if al[idx] >= at[idx] else "transverse"
-        alpha = float(per_mode[idx])
-
-        profile = None
-        diag = None
-        if want_profile:
-            if branch == "longitudinal":
-                forms = assemble(k_star, self.cfg.with_theta(theta), self.disc)
-                sol = secular_eigenpair(forms, s, alpha)
-                profile = coeffs_to_profile(sol.vector, forms)
-                diag = ProfileDiagnostics(
-                    kinetic=1.0,
-                    dissipation=float(sol.vector @ forms.A_diss @ sol.vector),
-                    surface=float(sol.vector[forms.e0_index] ** 2),
-                    eigen_residual=sol.residual,
-                )
-            else:
-                lam_min, values = transverse_min_pair(k_star, self.cfg, self.disc)
-                grid = assemble(k_star, self.cfg, self.disc).grid
-                profile = TransverseProfile(grid, values)
-                diag = ProfileDiagnostics(
-                    kinetic=1.0,
-                    dissipation=lam_min,
-                    surface=0.0,
-                    eigen_residual=0.0,
-                )
-        table = ModeTable(
-            k=self.modes.magnitudes,
-            multiplicity=self.modes.multiplicities,
-            alpha_longitudinal=al,
-            alpha_transverse=at,
-        )
         return AlphaValue(
-            alpha=alpha,
-            argmax_k=k_star,
-            branch=branch,
+            alpha=float(per_mode[idx]),
+            argmax_k=float(self.modes.magnitudes[idx]),
+            branch="longitudinal" if al[idx] >= at[idx] else "transverse",
             s=s,
             theta=theta,
-            eigenprofile=profile,
-            diagnostics=diag,
-            table=table,
+            table=ModeTable(self.modes.magnitudes, self.modes.multiplicities, al, at),
         )
 
 
@@ -414,9 +367,7 @@ def alpha_curve(
     """Sample alpha on s_grid over one mode set; verify strict decrease.
 
     Without `frozen` the set is sized by size_mode_set at every sample; it only
-    grows, so the values at earlier samples stay certified. The samples carry
-    no eigenprofile: nothing reads one, and each would cost an assembly and a
-    solve.
+    grows, so the values at earlier samples stay certified.
     """
     theta = cfg.theta if theta is None else theta
     s_grid = np.asarray(s_grid, dtype=float)
@@ -430,7 +381,7 @@ def alpha_curve(
         fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
         for s in s_grid:
             size_mode_set(fm, theta, float(s))
-    values = [fm.alpha_value(float(s), theta, want_profile=False) for s in s_grid]
+    values = [fm.alpha_value(float(s), theta) for s in s_grid]
 
     alphas = np.asarray([v.alpha for v in values])
     if not np.all(np.diff(alphas) < 0.0):

@@ -53,6 +53,10 @@ def test_malformed_config_exit_2(tmp_path):
     del data["g"]
     missing.write_text(json.dumps(data))
     assert run_cli(["growth", "--config", str(missing)]) == 2
+    # the ten field names as a list pass the unknown/missing-field checks
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(list(CHEAP)))
+    assert run_cli(["growth", "--config", str(listed)]) == 2
     assert run_cli(["growth", "--config", str(tmp_path / "nope.json")]) == 2
 
 
@@ -204,6 +208,7 @@ def exit_code(args):
         ("alpha-curve", "--kmax", "0.5"),
         ("oracle-compare", "--kmax", "0.5"),
         ("growth", "--jobs", "2"),
+        ("dispersion-curve", "--kmax", "6"),
     ],
 )
 def test_malformed_flags_exit_2(config_path, capsys, command, flag, value):

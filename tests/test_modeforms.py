@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rtgrowth.errors import InadmissibleProfile, ZeroWaveNumber
 from rtgrowth.modeforms import (
-    TransverseProfile,
     VerticalProfile,
     check_trace_inequalities,
     dissipation_form,
@@ -14,8 +13,6 @@ from rtgrowth.modeforms import (
     random_admissible_profile,
     smooth_bump_profile,
     surface_coefficient,
-    transverse_dissipation_form,
-    transverse_kinetic_form,
     uniform_layered_grid,
 )
 from rtgrowth.model import FluidConfig
@@ -137,38 +134,6 @@ def test_dissipation_integrand_identity(rng):
             + ddpsi**2 / k**2 + 3.0 * dpsi**2
         )
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
-
-
-def test_transverse_matches_simpson():
-    cfg = unit_cfg()
-    grid = np.array([-1.0, -0.25, 0.0, 1.0])
-    hat = TransverseProfile(grid, np.array([0.0, 1.0, 0.4, 0.0]))
-    value = transverse_dissipation_form(1.0, hat, cfg)
-
-    def tau(y, e):
-        v0, v1 = hat.tau_values[e], hat.tau_values[e + 1]
-        u = (y - grid[e]) / (grid[e + 1] - grid[e])
-        return v0 * (1.0 - u) + v1 * u
-
-    def dtau(e):
-        return (hat.tau_values[e + 1] - hat.tau_values[e]) / (grid[e + 1] - grid[e])
-
-    oracle = simpson_per_element(lambda y, e: dtau(e) ** 2 + tau(y, e) ** 2, grid)
-    assert value == pytest.approx(oracle, rel=1e-9)
-    kin = transverse_kinetic_form(1.0, hat, cfg)
-    assert kin == pytest.approx(simpson_per_element(lambda y, e: tau(y, e) ** 2, grid), rel=1e-9)
-
-
-def test_transverse_homogeneity():
-    cfg = unit_cfg()
-    grid = uniform_layered_grid(1.0, 1.0, 4)
-    vals = np.sin(np.pi * (grid + 1.0) / 2.0)
-    vals[0] = vals[-1] = 0.0
-    base = TransverseProfile(grid, vals)
-    scaled = TransverseProfile(grid, 3.0 * vals)
-    assert transverse_dissipation_form(2.0, scaled, cfg) == pytest.approx(
-        9.0 * transverse_dissipation_form(2.0, base, cfg), rel=1e-14
-    )
 
 
 def test_surface_coefficient(reference_config):

@@ -139,35 +139,50 @@ def test_eigen_solution_contract(reference_config):
 
 
 def test_secular_matches_direct(reference_config):
-    # alpha > 0 (k = 0.5 and 1 at small s) takes the one-solve eigenvector,
-    # alpha <= 0 the dense one; k = 3 has c_k < 0
+    # alpha > 0 (k = 0.5 and 1 at small s) takes the one-solve eigenvector;
+    # alpha <= 0 is refused, since no fixed point has it; k = 3 has c_k < 0
+    positive = 0
     for k in (0.5, 1.0, 3.0):
         forms = assemble(k, reference_config.with_theta(4.9), Discretization(16))
         for s in (0.1, 1.0, 10.0):
             d = largest_eigenpair(forms, s)
             alpha = secular_alpha(forms, s)
             assert abs(d.alpha - alpha) <= 1e-10 * max(1.0, abs(d.alpha))
+            if alpha <= 0.0:
+                with pytest.raises(ValueError):
+                    secular_eigenpair(forms, s, alpha)
+                continue
+            positive += 1
             sec = secular_eigenpair(forms, s, alpha)
             assert sec.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
             assert abs(sec.vector @ forms.B @ d.vector) == pytest.approx(1.0, abs=1e-9)
             assert sec.vector[forms.e0_index] >= 0.0
+    assert 0 < positive < 9
 
 
 def test_secular_eigenpair_near_zero_surface_coefficient(reference_config):
-    # alpha within rounding of -s lam_0 makes s A + alpha B singular; the
-    # eigenvector must still come back, from the dense solve
+    # alpha within rounding of -s lam_0 makes s A + alpha B singular: such an
+    # alpha <= 0 is refused, and a small positive one still matches the dense
+    # eigenvector
     base = assemble(1.0, reference_config, Discretization(32))
+    positive = 0
     for c_k in (1e-3, 1e-12, 0.0, -1e-12):
         forms = PencilForms(
             k=base.k, c_k=c_k, B=base.B, A_diss=base.A_diss, e0_index=base.e0_index,
             grid=base.grid, elements_per_layer=base.elements_per_layer,
         )
-        for s in (0.01, 10.0):
+        for s in (1e-5, 0.01, 10.0):  # only c_k = 1e-3 at s = 1e-5 gives alpha > 0
             alpha = secular_alpha(forms, s)
+            if alpha <= 0.0:
+                with pytest.raises(ValueError):
+                    secular_eigenpair(forms, s, alpha)
+                continue
+            positive += 1
             sol = secular_eigenpair(forms, s, alpha)
             dense = largest_eigenpair(forms, s)
             assert sol.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
             assert abs(sol.vector @ forms.B @ dense.vector) == pytest.approx(1.0, abs=1e-9)
+    assert positive == 1
 
 
 def test_rank_one_largest_against_dense(rng):

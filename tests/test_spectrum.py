@@ -21,7 +21,6 @@ from rtgrowth.pencil import (
     transverse_min_eigenvalue,
 )
 from rtgrowth.spectrum import (
-    AlphaCurve,
     AlphaValue,
     FrozenModeSet,
     alpha_curve,
@@ -109,17 +108,27 @@ def test_global_alpha_matches_brute_scan(cheap_config):
     assert value.table.k.size == len(brute_magnitudes(1.0, 1.0, k_max))
 
 
+def reference_maximizer(value, cfg):
+    """(psi(0)^2, D) of the dense reference maximizer of value's argmax mode.
+
+    The vector is kinetic-normalized (x^T B x = 1), so alpha = c_k psi(0)^2 - s D.
+    """
+    forms = assemble(value.argmax_k, cfg.with_theta(value.theta), DISC)
+    x = largest_eigenpair(forms, value.s).vector
+    return float(x[forms.e0_index] ** 2), float(x @ forms.A_diss @ x)
+
+
 def test_global_alpha_value_contract(cheap_config):
     value = global_alpha(cheap_config, 0.5, DISC)
     assert value.branch == "longitudinal"
     assert value.alpha > 0.0
     assert value.alpha == pytest.approx(np.max(value.table.alpha), rel=0.0)
-    assert value.eigenprofile.interface_value > 0.0
-    assert value.diagnostics.kinetic == 1.0
-    assert value.diagnostics.dissipation > 0.0
+    surface, dissipation = reference_maximizer(value, cheap_config)
+    assert surface > 0.0
+    assert dissipation > 0.0
     # alpha = c_k psi(0)^2 - s * dissipation at the kinetic-normalized maximizer
     c_k = 9.8 * 1.0 - 0.0
-    recon = c_k * value.diagnostics.surface - 0.5 * value.diagnostics.dissipation
+    recon = c_k * surface - 0.5 * dissipation
     assert recon == pytest.approx(value.alpha, rel=1e-8)
 
 
@@ -143,8 +152,7 @@ def test_positive_transverse_alpha_is_a_solver_error(cheap_config):
     table = global_alpha(cheap_config, 1.0, DISC, frozen=fm).table
     with pytest.raises(BranchMismatch):
         AlphaValue(
-            alpha=1.0, argmax_k=1.0, branch="transverse", s=1.0, theta=0.0,
-            eigenprofile=None, diagnostics=None, table=table,
+            alpha=1.0, argmax_k=1.0, branch="transverse", s=1.0, theta=0.0, table=table,
         )
     assert issubclass(BranchMismatch, SolverError)
 
@@ -155,8 +163,14 @@ def test_alpha_monotone_in_theta(cheap_config):
     fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
     s = 0.5
     values = [fm.alpha_value(s, th) for th in (0.0, 2.0, 5.0, 9.0)]
+
+    def surface(v):
+        if v.branch == "transverse":
+            return 0.0
+        return reference_maximizer(v, cheap_config)[0]
+
     for a, b in zip(values, values[1:]):
-        if a.diagnostics.surface > 0.0 and b.diagnostics.surface > 0.0:
+        if surface(a) > 0.0 and surface(b) > 0.0:
             assert b.alpha < a.alpha
         else:
             assert b.alpha <= a.alpha
@@ -168,7 +182,9 @@ def test_alpha_lipschitz_bound(cheap_config):
     s1, s2 = 0.6, 0.9
     v1 = fm.alpha_value(s1, 0.0)
     v2 = fm.alpha_value(s2, 0.0)
-    bound = max(v1.diagnostics.dissipation, v2.diagnostics.dissipation) * (s2 - s1)
+    assert v1.branch == v2.branch == "longitudinal"
+    dissipation = max(reference_maximizer(v, cheap_config)[1] for v in (v1, v2))
+    bound = dissipation * (s2 - s1)
     assert 0.0 < v1.alpha - v2.alpha <= bound * (1.0 + 1e-9)
 
 
@@ -194,27 +210,25 @@ def test_alpha_curve_rejects_bad_grid(cheap_config):
         alpha_curve(cheap_config, [-1.0, 1.0], DISC)
 
 
-def test_alpha_curve_carries_no_profile(cheap_config):
+def test_alpha_builds_no_pencil(cheap_config, monkeypatch):
+    # alpha(s) only locates Lambda: on a frozen set it reads the cached rows
     fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
-    s_grid = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-    curve = alpha_curve(cheap_config, s_grid, DISC, frozen=fm)
-    assert all(v.eigenprofile is None and v.diagnostics is None for v in curve.values)
-    # the CSV is the one the samples with profiles give
-    profiled = AlphaCurve(
-        s=curve.s,
-        values=[fm.alpha_value(s, 0.0, want_profile=True) for s in s_grid],
-        zero_bracket=curve.zero_bracket,
-    )
-    assert any(v.eigenprofile is not None for v in profiled.values)
-    assert curve.csv_lines() == profiled.csv_lines()
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("alpha(s) assembled a pencil")
+
+    monkeypatch.setattr("rtgrowth.spectrum.assemble", no_assembly)
+    value = global_alpha(cheap_config, 0.5, DISC, frozen=fm)
+    curve = alpha_curve(cheap_config, [0.5, 1.0, 2.0], DISC, frozen=fm)
+    assert curve.values[0].alpha == value.alpha
 
 
 def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
     fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
     real = fm.alpha_value
 
-    def doctored(s, theta, want_profile=True):
-        value = real(s, theta, want_profile=want_profile)
+    def doctored(s, theta):
+        value = real(s, theta)
         if s > 1.0:  # fake an increase, as if the mode set changed mid-curve
             return AlphaValue(
                 alpha=value.alpha + 100.0,
@@ -222,8 +236,6 @@ def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
                 branch="longitudinal",
                 s=value.s,
                 theta=value.theta,
-                eigenprofile=value.eigenprofile,
-                diagnostics=value.diagnostics,
                 table=value.table,
             )
         return value
