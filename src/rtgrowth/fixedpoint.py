@@ -24,6 +24,7 @@ from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
 from .pencil import (
     Discretization,
+    PencilForms,
     assemble,
     coeffs_to_profile,
     mode_spectral_data,
@@ -149,6 +150,14 @@ class ModeGrowth:
     profile: VerticalProfile
 
 
+def _mode_fixed_point(forms: PencilForms):
+    """(Lambda_k, secular rows) of one assembled mode; None when c_k <= 0 (stable)."""
+    if forms.c_k <= 0.0:
+        return None
+    rows = mode_spectral_data(forms)
+    return float(rank_one_fixed_point(*rows, np.asarray([forms.c_k]))[0]), rows
+
+
 def solve_mode_lambda(
     cfg: FluidConfig,
     k: float,
@@ -160,12 +169,11 @@ def solve_mode_lambda(
     if cfg.theta >= theta_c:
         raise StableRegime(cfg.theta, theta_c)
     forms = assemble(k, cfg, disc)
-    if forms.c_k <= 0.0:
+    solved = _mode_fixed_point(forms)
+    if solved is None:
         return None
-    lam_rows, z2 = mode_spectral_data(forms)
-    c = np.asarray([forms.c_k])
-    lam = float(rank_one_fixed_point(lam_rows, z2, c)[0])
-    alpha = float(rank_one_largest(lam_rows, z2, c, lam)[0])
+    lam, rows = solved
+    alpha = float(rank_one_largest(*rows, np.asarray([forms.c_k]), lam)[0])
     return ModeGrowth(
         k=k,
         lam=lam,

@@ -23,161 +23,161 @@ Basis per layer: cosh/sinh of k t centered at the layer's far wall, plus the
 regularized combinations (cosh qt - cosh kt)/(q^2 - k^2) and the sinh
 analogue, written through product identities so they stay finite and
 cancellation-free as q -> k (small n). Growth rates are the positive roots of
-the 8x8 condition determinant, located by a log-spaced sign scan plus
-bisection.
+the 8x8 condition determinant. The matrices for an array of P trial rates are
+built as one (P, 8, 8) stack, so the log-spaced sign scan is a single
+determinant call. The last sign-change cell, which holds the largest root, is
+then refined by Illinois (modified regula falsi) steps that always keep a sign
+bracket, with a bisection step whenever three steps in a row have not halved
+the bracket, until the bracket is at most 1e-12 of its upper end wide.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateExponents, ZeroWaveNumber
-from .fixedpoint import ModeGrowth, solve_mode_lambda
+from .fixedpoint import ModeGrowth, _mode_fixed_point, solve_mode_lambda
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
-from .pencil import Discretization
+from .pencil import Discretization, assemble
 
 _ARG_LIMIT = 700.0  # cosh overflows just above this
 _DEFAULT_SCAN_POINTS = 240
 _SCAN_FLOOR = 1e-9
+_ROOT_RTOL = 1e-12
 
 
-def _layer_basis(k: float, q: float, t: float):
-    """Values and derivatives 0..3 of the four basis functions at offset t.
+def _layer_basis(k: float, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Values and derivatives 0..3 of the four basis functions at offsets t.
 
-    Returns a (4, 4) array: rows are derivative orders, columns the basis
-    (cosh kt, sinh kt, u, w) with u = (cosh qt - cosh kt)/(q^2 - k^2) and
-    w = (sinh qt - sinh kt)/(q^2 - k^2).
+    t broadcasts against q, of shape S. Returns an (*S, 4, 4) array: rows are
+    derivative orders, columns the basis (cosh kt, sinh kt, u, w) with
+    u = (cosh qt - cosh kt)/(q^2 - k^2) and w = (sinh qt - sinh kt)/(q^2 - k^2).
     """
     sigma = q + k
     delta = q - k
-    if max(abs(k * t), abs(q * t)) > _ARG_LIMIT:
+    if max(np.max(np.abs(k * t)), np.max(np.abs(q * t))) > _ARG_LIMIT:
         raise DegenerateExponents(
-            f"hyperbolic basis overflow at k={k!r}, q={q!r}, t={t!r}"
+            f"hyperbolic basis overflow at k={k!r}, q up to {np.max(q)!r}, "
+            f"|t| up to {np.max(np.abs(t))!r}"
         )
-    ck, sk = math.cosh(k * t), math.sinh(k * t)
+    ck, sk = np.cosh(k * t), np.sinh(k * t)
     half_sum = 0.5 * sigma * t
     half_diff = 0.5 * delta * t
-    dc = 2.0 * math.sinh(half_sum) * math.sinh(half_diff)
-    ds = 2.0 * math.cosh(half_sum) * math.sinh(half_diff)
+    dc = 2.0 * np.sinh(half_sum) * np.sinh(half_diff)
+    ds = 2.0 * np.cosh(half_sum) * np.sinh(half_diff)
     dsq = delta * sigma  # q^2 - k^2 = n rho / mu, exact and cancellation-free
     u = dc / dsq
     w = ds / dsq
     q2 = q * q
     cubic = q2 + q * k + k * k
-    out = np.empty((4, 4))
-    out[0] = (ck, sk, u, w)
-    out[1] = (k * sk, k * ck, q * w + sk / sigma, q * u + ck / sigma)
-    out[2] = (k * k * ck, k * k * sk, q2 * u + ck, q2 * w + sk)
-    out[3] = (k**3 * sk, k**3 * ck, q2 * (q * w) + cubic * sk / sigma,
-              q2 * (q * u) + cubic * ck / sigma)
+    out = np.empty(q.shape + (4, 4))
+    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2], out[..., 0, 3] = ck, sk, u, w
+    out[..., 1, 0], out[..., 1, 1] = k * sk, k * ck
+    out[..., 1, 2], out[..., 1, 3] = q * w + sk / sigma, q * u + ck / sigma
+    out[..., 2, 0], out[..., 2, 1] = k * k * ck, k * k * sk
+    out[..., 2, 2], out[..., 2, 3] = q2 * u + ck, q2 * w + sk
+    out[..., 3, 0], out[..., 3, 1] = k**3 * sk, k**3 * ck
+    out[..., 3, 2] = q2 * (q * w) + cubic * sk / sigma
+    out[..., 3, 3] = q2 * (q * u) + cubic * ck / sigma
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class DispersionSystem:
-    """Condition matrix of one (k, n) pair, before column normalization."""
-
-    k: float
-    n: float
-    q_plus: float
-    q_minus: float
-    matrix: np.ndarray
-
-
-def build_system(k: float, n: float, cfg: FluidConfig) -> DispersionSystem:
+def _condition_matrices(k: float, n, cfg: FluidConfig) -> np.ndarray:
+    """(P, 8, 8) condition matrices at the P trial rates n, before column scaling."""
     if k <= 0.0:
         raise ZeroWaveNumber(f"dispersion system needs k > 0, got {k!r}")
-    if n <= 0.0:
-        raise ValueError(f"trial growth rate must be > 0, got {n!r}")
-    q_plus = math.sqrt(k * k + n * cfg.rho_plus / cfg.mu_plus)
-    q_minus = math.sqrt(k * k + n * cfg.rho_minus / cfg.mu_minus)
-
+    n = np.atleast_1d(np.asarray(n, dtype=float))
+    if np.any(n <= 0.0):
+        raise ValueError(f"trial growth rates must be > 0, got {n.min()!r}")
+    rho = np.array([[cfg.rho_plus], [cfg.rho_plus], [cfg.rho_minus], [cfg.rho_minus]])
+    mu = np.array([[cfg.mu_plus], [cfg.mu_plus], [cfg.mu_minus], [cfg.mu_minus]])
+    q = np.sqrt(k * k + n * rho / mu)
     # Upper-layer basis centered at t = y - h_plus, interface at t = -h_plus;
     # lower-layer centered at t = y + h_minus, interface at t = +h_minus.
-    up_wall = _layer_basis(k, q_plus, 0.0)
-    up_int = _layer_basis(k, q_plus, -cfg.h_plus)
-    lo_wall = _layer_basis(k, q_minus, 0.0)
-    lo_int = _layer_basis(k, q_minus, cfg.h_minus)
+    t = np.array([[0.0], [-cfg.h_plus], [0.0], [cfg.h_minus]])
+    up_wall, up_int, lo_wall, lo_int = _layer_basis(k, q, t)
 
     mu_ref = max(cfg.mu_plus, cfg.mu_minus)
-    q_ref = max(q_plus, q_minus)
-    surface = (k * k / n) * (cfg.g * cfg.density_jump - cfg.theta * k * k)
+    scale8 = (mu_ref * np.maximum(q[0], q[2]) ** 3)[:, None]
+    surface = ((k * k / n) * (cfg.g * cfg.density_jump - cfg.theta * k * k))[:, None]
 
-    M = np.zeros((8, 8))
+    M = np.zeros((n.size, 8, 8))
     up, lo = slice(0, 4), slice(4, 8)
-    M[0, up] = up_wall[0]
-    M[1, up] = up_wall[1] / k
-    M[2, lo] = lo_wall[0]
-    M[3, lo] = lo_wall[1] / k
-    M[4, up] = up_int[0]
-    M[4, lo] = -lo_int[0]
-    M[5, up] = up_int[1] / k
-    M[5, lo] = -lo_int[1] / k
-    M[6, up] = cfg.mu_plus * (up_int[2] + k * k * up_int[0]) / (mu_ref * k * k)
-    M[6, lo] = -cfg.mu_minus * (lo_int[2] + k * k * lo_int[0]) / (mu_ref * k * k)
-    scale8 = mu_ref * q_ref**3
-    M[7, up] = (
-        cfg.mu_plus * (up_int[3] - 3.0 * k * k * up_int[1])
-        - n * cfg.rho_plus * up_int[1]
-        - surface * up_int[0]
+    M[:, 0, up] = up_wall[:, 0]
+    M[:, 1, up] = up_wall[:, 1] / k
+    M[:, 2, lo] = lo_wall[:, 0]
+    M[:, 3, lo] = lo_wall[:, 1] / k
+    M[:, 4, up] = up_int[:, 0]
+    M[:, 4, lo] = -lo_int[:, 0]
+    M[:, 5, up] = up_int[:, 1] / k
+    M[:, 5, lo] = -lo_int[:, 1] / k
+    M[:, 6, up] = cfg.mu_plus * (up_int[:, 2] + k * k * up_int[:, 0]) / (mu_ref * k * k)
+    M[:, 6, lo] = -cfg.mu_minus * (lo_int[:, 2] + k * k * lo_int[:, 0]) / (mu_ref * k * k)
+    M[:, 7, up] = (
+        cfg.mu_plus * (up_int[:, 3] - 3.0 * k * k * up_int[:, 1])
+        - (n * cfg.rho_plus)[:, None] * up_int[:, 1]
+        - surface * up_int[:, 0]
     ) / scale8
-    M[7, lo] = -(
-        cfg.mu_minus * (lo_int[3] - 3.0 * k * k * lo_int[1])
-        - n * cfg.rho_minus * lo_int[1]
+    M[:, 7, lo] = -(
+        cfg.mu_minus * (lo_int[:, 3] - 3.0 * k * k * lo_int[:, 1])
+        - (n * cfg.rho_minus)[:, None] * lo_int[:, 1]
     ) / scale8
     if not np.all(np.isfinite(M)):
-        raise DegenerateExponents(
-            f"non-finite dispersion matrix at k={k!r}, n={n!r}"
-        )
-    return DispersionSystem(k=k, n=n, q_plus=q_plus, q_minus=q_minus, matrix=M)
+        raise DegenerateExponents(f"non-finite dispersion matrix at k={k!r}")
+    return M
 
 
-def _column_scales(M: np.ndarray, normalization: str) -> np.ndarray:
-    if normalization == "colmax":
-        scales = np.abs(M).max(axis=0)
-        return np.where(scales > 0.0, scales, 1.0)
-    if normalization == "plain":
-        return np.ones(M.shape[1])
-    raise ValueError(f"unknown normalization {normalization!r}")
+def determinant(k: float, n, cfg: FluidConfig):
+    """Determinant of the column-normalized condition matrix at n.
 
-
-def determinant(k: float, n: float, cfg: FluidConfig, normalization: str = "colmax") -> float:
-    """Determinant of the column-normalized condition matrix.
-
-    Column scales are positive, so sign changes in n locate exactly the roots
-    of the underlying dispersion relation.
+    n is one rate (returns a float) or a 1-d array of rates (returns the
+    array of determinants, from one np.linalg.det over the stack). Each
+    column is divided by its largest magnitude; the scales are positive, so
+    sign changes in n locate exactly the roots of the dispersion relation.
     """
-    system = build_system(k, n, cfg)
-    scales = _column_scales(system.matrix, normalization)
-    return float(np.linalg.det(system.matrix / scales))
+    M = _condition_matrices(k, n, cfg)
+    scales = np.abs(M).max(axis=1, keepdims=True)
+    det = np.linalg.det(M / np.where(scales > 0.0, scales, 1.0))
+    return det if np.ndim(n) else float(det[0])
 
 
-def determinant_slogdet(
-    k: float, n: float, cfg: FluidConfig, normalization: str = "colmax"
-) -> tuple[float, float]:
-    """(sign, log|det|) of the raw condition matrix, normalization-independent.
+def _refine_root(k, cfg, lo, hi, f_lo, f_hi) -> float:
+    """Root in the sign bracket [lo, hi] to 1e-12 relative, returned as its midpoint.
 
-    Computed through the requested normalization and corrected by its scale
-    product: distinct normalizations must agree to rounding, which is the
-    scaling-invariance check of the oracle.
+    Illinois steps: the regula falsi point replaces the bracket end of its
+    own sign, and an end kept twice in a row has its value halved for the
+    next step, which stops regula falsi from stalling on one side. The point
+    stays at least half the final width away from both ends, so a point
+    that lands within that distance of the root closes the bracket. Every
+    step keeps a sign change in [lo, hi]. When the bracket has not halved
+    over a regula falsi step and the two Illinois steps after it, the next
+    step bisects, so the bracket at least halves every four evaluations.
     """
-    system = build_system(k, n, cfg)
-    scales = _column_scales(system.matrix, normalization)
-    sign, logabs = np.linalg.slogdet(system.matrix / scales)
-    return float(sign), float(logabs + np.log(scales).sum())
-
-
-def scan_sign_changes(
-    k: float, cfg: FluidConfig, scan_max: float, n_points: int = _DEFAULT_SCAN_POINTS
-) -> int:
-    """Number of sign changes on the log-spaced scan grid (parity guard)."""
-    grid = np.geomspace(scan_max * _SCAN_FLOOR, scan_max, n_points)
-    values = np.asarray([determinant(k, n, cfg) for n in grid])
-    return int(np.count_nonzero(np.sign(values[:-1]) != np.sign(values[1:])))
+    width, stalled, kept = hi - lo, 0, 0
+    while hi - lo > _ROOT_RTOL * hi:
+        x = 0.5 * (lo + hi)
+        if stalled < 3:
+            gap = 0.5 * _ROOT_RTOL * hi
+            x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + gap), hi - gap)
+        fx = determinant(k, x, cfg)
+        if fx == 0.0:
+            return x
+        if np.sign(fx) == np.sign(f_lo):
+            lo, f_lo = x, fx
+            f_hi = 0.5 * f_hi if kept == 1 else f_hi
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            f_lo = 0.5 * f_lo if kept == -1 else f_lo
+            kept = -1
+        if hi - lo <= 0.5 * width:
+            width, stalled = hi - lo, 0
+        else:
+            stalled += 1
+    return 0.5 * (lo + hi)
 
 
 def dispersion_root(
@@ -188,9 +188,12 @@ def dispersion_root(
 ) -> float | None:
     """Largest positive root of the dispersion determinant, None if stable.
 
-    Scans n over a log-spaced grid in (0, scan_max] (growth rates can sit
-    orders of magnitude below the bound near the threshold), brackets every
-    sign change, and bisects each to 1e-12 relative.
+    Evaluates the determinant on a log-spaced grid in (0, scan_max] in one
+    batched call (growth rates can sit orders of magnitude below the bound
+    near the threshold). The largest root lies in the last cell with a sign
+    change, or on a grid node where the determinant is exactly zero; only
+    that cell is refined (_refine_root), to a bracket [lo, hi] with
+    hi - lo <= 1e-12 hi whose midpoint is returned.
     """
     if n_points < 200:
         raise ValueError("scan needs at least 200 points")
@@ -199,32 +202,15 @@ def dispersion_root(
             f"scan_max = {scan_max!r} below the growth-rate bound; roots could escape"
         )
     grid = np.geomspace(scan_max * _SCAN_FLOOR, scan_max, n_points)
-    values = np.asarray([determinant(k, n, cfg) for n in grid])
-
-    roots = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if np.sign(fa) == np.sign(fb):
-            continue
-        lo, hi, f_lo = a, b, fa
-        while (hi - lo) > 1e-12 * hi:
-            mid = 0.5 * (lo + hi)
-            f_mid = determinant(k, mid, cfg)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if np.sign(f_mid) == np.sign(f_lo):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
+    values = determinant(k, grid, cfg)
     if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
-        return None
-    return float(max(roots))
+        return float(grid[-1])
+    for i in range(n_points - 2, -1, -1):
+        if values[i] == 0.0:
+            return float(grid[i])
+        if np.sign(values[i]) != np.sign(values[i + 1]):
+            return float(_refine_root(k, cfg, grid[i], grid[i + 1], values[i], values[i + 1]))
+    return None
 
 
 def _side_jet(profile: VerticalProfile, direction: int):
@@ -347,15 +333,17 @@ def compare_modes(
     """Per-mode growth rates from both methods, with relative differences.
 
     Disagreement is reported, never resolved silently: callers decide what to
-    flag against which tolerance.
+    flag against which tolerance. Only Lambda_k is solved on the Galerkin
+    side, with no eigenprofile. Raises StableRegime at theta >= theta_c
+    (from the bound m), like solve_mode_lambda.
     """
     validate_config(cfg)
     scan_max = scan_margin * upper_bound_m(cfg)
     rows = []
     for k in ks:
-        growth = solve_mode_lambda(cfg, k, disc)
+        solved = _mode_fixed_point(assemble(k, cfg, disc))
         root = dispersion_root(k, cfg, scan_max)
-        lam_v = growth.lam if growth is not None else None
+        lam_v = solved[0] if solved is not None else None
         rel = None
         if lam_v is not None and root is not None:
             rel = abs(lam_v - root) / root

@@ -99,6 +99,7 @@ def test_stable_regime_exit_3(tmp_path, capsys, cheap_config):
     assert run_cli(["growth", "--config", str(stable), "--resolution", "8"]) == 3
     err = capsys.readouterr().err
     assert repr(theta_c) in err
+    assert run_cli(["oracle-compare", "--config", str(stable), "--resolution", "8"]) == 3
 
 
 def test_alpha_curve(config_path, tmp_path):
@@ -181,6 +182,18 @@ def test_subprocess_entry(config_path, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["lambda"] > 0.0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize alone takes about a quarter second to import, and every
+    # command would pay it at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rtgrowth.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def exit_code(args):

@@ -5,32 +5,78 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from rtgrowth import fixedpoint, oracle, pencil, spectrum
 from rtgrowth.errors import DegenerateExponents
 from rtgrowth.fixedpoint import solve_mode_lambda
-from rtgrowth.model import theta_critical, upper_bound_m
+from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
 from rtgrowth.modeforms import random_admissible_profile, uniform_layered_grid, VerticalProfile
 from rtgrowth.oracle import (
-    build_system,
+    _SCAN_FLOOR,
+    _condition_matrices,
     compare_modes,
     comparison_csv_lines,
     determinant,
-    determinant_slogdet,
     dispersion_root,
     evaluate_jump_rows,
-    scan_sign_changes,
     validate_jump_rows,
 )
 from rtgrowth.pencil import Discretization
 
+# Strong density and viscosity contrast with thin layers.
+CONTRAST = FluidConfig(
+    rho_plus=5.2, rho_minus=0.2, mu_plus=0.1, mu_minus=5.0, g=20.0,
+    theta=0.0, L1=2.0, L2=2.0, h_plus=0.3, h_minus=0.3,
+)
+REFERENCE_KS = (1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 5.0, math.sqrt(50.0), 13.0, 20.0)
+CONTRAST_KS = (0.5, 1.0, 3.0, 7.0)
+
+
+def _scan_grid(scan_max, n_points=240):
+    return np.geomspace(scan_max * _SCAN_FLOOR, scan_max, n_points)
+
+
+def _root_cases(reference_config):
+    return [(reference_config, k) for k in REFERENCE_KS] + [(CONTRAST, k) for k in CONTRAST_KS]
+
+
+def _bisection_root(k, cfg, scan_max):
+    """Largest root by bisecting every sign change of the scan to 1e-12 relative."""
+    grid = _scan_grid(scan_max)
+    values = [determinant(k, n, cfg) for n in grid]
+    roots = []
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+        if fa == 0.0:
+            roots.append(a)
+        elif np.sign(fa) != np.sign(fb):
+            lo, hi, f_lo = a, b, fa
+            while hi - lo > 1e-12 * hi:
+                mid = 0.5 * (lo + hi)
+                f_mid = determinant(k, mid, cfg)
+                if f_mid == 0.0:
+                    lo = hi = mid
+                elif np.sign(f_mid) == np.sign(f_lo):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    if values[-1] == 0.0:
+        roots.append(grid[-1])
+    return max(roots) if roots else None
+
 
 def test_system_structure(reference_config):
-    sys8 = build_system(1.0, 1.0, reference_config)
-    assert sys8.matrix.shape == (8, 8)
-    assert sys8.q_plus > 1.0 and sys8.q_minus > 1.0
+    stack = _condition_matrices(1.0, 1.0, reference_config)
+    assert stack.shape == (1, 8, 8)
+    M = stack[0]
     # wall rows act on a single layer's columns
-    assert np.array_equal(np.nonzero(sys8.matrix[0])[0], [0])
-    assert np.all(sys8.matrix[1, 4:] == 0.0)
-    assert np.all(sys8.matrix[2, :4] == 0.0)
+    assert np.array_equal(np.nonzero(M[0])[0], [0])
+    assert np.all(M[1, 4:] == 0.0)
+    assert np.all(M[2, :4] == 0.0)
+    # a stack over several rates holds the single-rate matrices
+    rates = np.array([0.3, 1.0, 2.4])
+    batch = _condition_matrices(1.0, rates, reference_config)
+    for n, Mn in zip(rates, batch):
+        assert np.array_equal(Mn, _condition_matrices(1.0, n, reference_config)[0])
 
 
 def test_regularized_basis_small_n(reference_config):
@@ -92,8 +138,7 @@ def test_dimensional_homogeneity(reference_config):
 def test_determinant_cofactor_identity(reference_config, rng):
     # the cofactor vector of rows 1..7 spans their nullspace, so for any
     # candidate last row u: det([rows; u]) / (u . v) is one fixed constant
-    system = build_system(1.3, 0.8, reference_config)
-    M = system.matrix
+    M = _condition_matrices(1.3, 0.8, reference_config)[0]
     v = null_space(M[:7], rcond=1e-12)
     assert v.shape[1] == 1
     v = v[:, 0]
@@ -107,17 +152,89 @@ def test_determinant_cofactor_identity(reference_config, rng):
 
 def test_scan_parity_stable_under_density(reference_config):
     scan_max = 1.05 * upper_bound_m(reference_config)
-    n1 = scan_sign_changes(1.0, reference_config, scan_max, 240)
-    n2 = scan_sign_changes(1.0, reference_config, scan_max, 480)
+
+    def sign_changes(n_points):
+        values = determinant(1.0, _scan_grid(scan_max, n_points), reference_config)
+        return int(np.count_nonzero(np.sign(values[:-1]) != np.sign(values[1:])))
+
+    n1 = sign_changes(240)
+    n2 = sign_changes(480)
     assert n1 == n2 >= 1
 
 
 def test_slogdet_normalization_invariance(reference_config):
+    # (sign, log|det|) of the raw matrix through column-max and through no
+    # scaling agree to rounding, and the sign is the one determinant reports
+    def slogdet(M, scales):
+        sign, logabs = np.linalg.slogdet(M / scales)
+        return sign, logabs + np.log(scales).sum()
+
     for n in (0.3, 1.0, 2.4):
-        s1, l1 = determinant_slogdet(1.0, n, reference_config, "colmax")
-        s2, l2 = determinant_slogdet(1.0, n, reference_config, "plain")
-        assert s1 == s2
+        M = _condition_matrices(1.0, n, reference_config)[0]
+        s1, l1 = slogdet(M, np.abs(M).max(axis=0))
+        s2, l2 = slogdet(M, np.ones(8))
+        assert s1 == s2 == np.sign(determinant(1.0, n, reference_config))
         assert l1 == pytest.approx(l2, rel=1e-12)
+
+
+def test_batched_determinant_matches_pointwise(reference_config):
+    for cfg, ks in ((reference_config, (1.0, 5.0, 20.0)), (CONTRAST, CONTRAST_KS)):
+        grid = _scan_grid(1.05 * upper_bound_m(cfg))
+        for k in ks:
+            batched = determinant(k, grid, cfg)
+            pointwise = np.array([determinant(k, n, cfg) for n in grid])
+            assert batched.shape == grid.shape
+            assert np.array_equal(np.sign(batched), np.sign(pointwise))
+            np.testing.assert_allclose(batched, pointwise, rtol=1e-12, atol=0.0)
+    assert isinstance(determinant(1.0, 0.7, reference_config), float)
+
+
+def test_root_matches_reference_bisection(reference_config):
+    for cfg, k in _root_cases(reference_config):
+        scan_max = 1.05 * upper_bound_m(cfg)
+        expected = _bisection_root(k, cfg, scan_max)
+        assert expected is not None
+        assert dispersion_root(k, cfg, scan_max) == pytest.approx(expected, rel=2e-12, abs=0.0)
+
+
+def test_root_determinant_calls(reference_config, monkeypatch):
+    # one batched scan plus the refinement of the largest sign change
+    calls = []
+
+    def counting(k, n, cfg):
+        calls.append(np.ndim(n))
+        return determinant(k, n, cfg)
+
+    monkeypatch.setattr(oracle, "determinant", counting)
+    for cfg, k in _root_cases(reference_config):
+        calls.clear()
+        assert dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg)) is not None
+        assert calls[0] == 1 and calls[1:].count(1) == 0
+        assert len(calls) <= 16
+
+
+def test_scan_overflow_raises(reference_config):
+    m = upper_bound_m(reference_config)
+    with pytest.raises(DegenerateExponents):
+        dispersion_root(800.0, reference_config, 1.05 * m)
+    # only the top of this scan overflows (q h > 700 needs n > 24500)
+    with pytest.raises(DegenerateExponents):
+        dispersion_root(1.0, reference_config, 1e6)
+
+
+@pytest.mark.parametrize("node_index", [150, 239])
+def test_root_on_grid_node(reference_config, monkeypatch, node_index):
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    node = _scan_grid(scan_max)[node_index]
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - node)
+    assert dispersion_root(1.0, reference_config, scan_max) == node
+
+
+def test_largest_of_several_roots(reference_config, monkeypatch):
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    r1, r2 = 1e-4 * math.pi, 0.3 * math.pi
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: (n - r1) * (n - r2))
+    assert dispersion_root(1.0, reference_config, scan_max) == pytest.approx(r2, rel=1e-12)
 
 
 def test_scan_max_precondition(reference_config):
@@ -167,6 +284,23 @@ def test_compare_modes_table(reference_config):
     cells = lines[1].split(",")
     assert float(cells[0]) == 1.0
     assert float(cells[3]) < 1e-4
+
+
+def test_compare_modes_builds_no_profile(reference_config, monkeypatch):
+    disc = Discretization(16)
+    ks = [1.0, math.sqrt(2.0)]
+    expected = [solve_mode_lambda(reference_config, k, disc).lam for k in ks]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("compare_modes reads only Lambda_k")
+
+    for module in (pencil, fixedpoint, spectrum, oracle):
+        for name in ("secular_eigenpair", "rank_one_largest"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unused)
+    rows = compare_modes(reference_config, ks, disc)
+    assert [r.lambda_variational for r in rows] == expected
+    assert all(r.rel_diff < 1e-3 for r in rows)
 
 
 def test_compare_modes_stable_entry(reference_config):
