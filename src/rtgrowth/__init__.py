@@ -8,7 +8,7 @@ an exact dispersion-relation oracle cross-checks every growth rate.
 """
 
 from .fixedpoint import GrowthResult, solve_lambda, solve_mode_lambda
-from .model import FluidConfig, Thresholds, theta_critical, thresholds, upper_bound_m, validate_config
+from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .pencil import Discretization
 from .spectrum import AlphaValue, alpha_curve, global_alpha
 
@@ -17,13 +17,11 @@ __all__ = [
     "Discretization",
     "FluidConfig",
     "GrowthResult",
-    "Thresholds",
     "alpha_curve",
     "global_alpha",
     "solve_lambda",
     "solve_mode_lambda",
     "theta_critical",
-    "thresholds",
     "upper_bound_m",
     "validate_config",
 ]

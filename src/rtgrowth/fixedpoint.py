@@ -182,12 +182,6 @@ def solve_mode_lambda(
     )
 
 
-def richardson_lambda(lam_coarse: float, lam_fine: float, order: int = 4) -> float:
-    """Richardson extrapolation over N and 2N. Derived value, not a solve."""
-    weight = 2.0**order
-    return (weight * lam_fine - lam_coarse) / (weight - 1.0)
-
-
 def bvp_residual(result: GrowthResult, cfg: FluidConfig) -> float:
     """Strong-form consistency of the solved eigenpair, tested at mesh 2N.
 

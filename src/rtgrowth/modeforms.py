@@ -17,8 +17,8 @@ so the algebraic identities among the dissipation forms hold exactly at the
 discrete level. The component of the horizontal amplitude orthogonal to the
 wavenumber decouples completely into the transverse branch. That branch is
 never positive, so it cannot carry the growth rate, and the solver needs only
-its minimum eigenvalue (pencil.transverse_min_eigenvalue); no transverse
-profile or form is built.
+its minimum eigenvalue, the exact smallest root of a two-layer equation
+(pencil.transverse_min_eigenvalue); no transverse profile or form is built.
 """
 
 from __future__ import annotations
@@ -123,11 +123,6 @@ class VerticalProfile:
         """-1 for elements below the interface, +1 above."""
         mid = 0.5 * (self.grid[:-1] + self.grid[1:])
         return np.where(mid < 0.0, -1, 1)
-
-    def scaled(self, factor: float) -> "VerticalProfile":
-        return VerticalProfile(
-            self.grid, factor * self.psi_values, factor * self.psi_derivs
-        )
 
     def is_admissible(self) -> bool:
         return (

@@ -91,15 +91,6 @@ def _finite_number(name: str, value) -> float:
     raise NonFiniteParameter(name, value)
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Closed-form stability threshold and growth-rate bounds."""
-
-    theta_c: float
-    m: float
-    wang_tice: float
-
-
 def validate_config(cfg: FluidConfig) -> FluidConfig:
     """Return cfg unchanged if all invariants hold, else raise.
 
@@ -153,11 +144,3 @@ def upper_bound_m(cfg: FluidConfig) -> float:
         1.0 / 3.0
     )
     return min(branch1, branch2)
-
-
-def thresholds(cfg: FluidConfig) -> Thresholds:
-    return Thresholds(
-        theta_c=theta_critical(cfg),
-        m=upper_bound_m(cfg),
-        wang_tice=wang_tice_bound(cfg),
-    )

@@ -12,14 +12,13 @@ interface value dof. The trial space is H^2-conforming, which the psi''
 term of the dissipation requires, and it is nested under uniform refinement,
 so the discrete supremum is a monotone lower bound of the continuous one.
 
-The transverse branch is a first-order Sturm-Liouville minimum and only needs
-H^1 continuity, so its space keeps two independent slope dofs at the
-interface (the minimizer has a slope kink there when the viscosity jumps) and
-leaves wall slopes free.
+The transverse branch is not discretized: its minimum eigenvalue is the
+smallest root of the exact two-layer equation (transverse_min_eigenvalue).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,56 +111,7 @@ def _tables(
         mats["H_mu"][idx] += mu * bend[sub]
         mats["X_mu"][idx] += mu * 0.5 * (cross[sub] + cross[sub].T)
     e0_index = int(gmap[2 * n])
-
-    # Transverse (H^1) dof map: values at interior nodes, slopes everywhere,
-    # two independent slopes at the interface node.
-    tdim = 4 * n + 1
-    val_idx = np.full(n_nodes, -1, dtype=int)
-    val_idx[1:-1] = np.arange(n_nodes - 2)
-    base = n_nodes - 2
-    slope_idx = np.zeros(n_nodes, dtype=int)
-    counter = base
-    slope_lower_at_interface = None
-    slope_upper_at_interface = None
-    for j in range(n_nodes):
-        if j == n:
-            slope_lower_at_interface = counter
-            slope_upper_at_interface = counter + 1
-            counter += 2
-        else:
-            slope_idx[j] = counter
-            counter += 1
-    assert counter == tdim
-
-    tmats = {name: np.zeros((tdim, tdim)) for name in ("M_rho_t", "M_mu_t", "D_mu_t")}
-    for e in range(2 * n):
-        lower = e < n
-        mass, grad, _, _ = elem_lower if lower else elem_upper
-        rho = rho_minus if lower else rho_plus
-        mu = mu_minus if lower else mu_plus
-        nodes = (e, e + 1)
-        dofs = []
-        for node in nodes:
-            dofs.append(val_idx[node])
-            if node == n:
-                dofs.append(slope_lower_at_interface if lower else slope_upper_at_interface)
-            else:
-                dofs.append(slope_idx[node])
-        dofs = np.asarray([dofs[0], dofs[1], dofs[2], dofs[3]])
-        keep = dofs >= 0
-        idx = np.ix_(dofs[keep], dofs[keep])
-        sub = np.ix_(keep, keep)
-        tmats["M_rho_t"][idx] += rho * mass[sub]
-        tmats["M_mu_t"][idx] += mu * mass[sub]
-        tmats["D_mu_t"][idx] += mu * grad[sub]
-
-    return {
-        "grid": grid,
-        "gmap": gmap,
-        "e0_index": e0_index,
-        **mats,
-        **tmats,
-    }
+    return {"grid": grid, "e0_index": e0_index, **mats}
 
 
 def _cfg_tables(cfg: FluidConfig, disc: Discretization):
@@ -382,21 +332,44 @@ def rank_one_fixed_point(lam: np.ndarray, z2: np.ndarray, c: np.ndarray) -> np.n
     )
 
 
-def transverse_min_eigenvalue(k: float, cfg: FluidConfig, disc: Discretization) -> float:
-    """Smallest eigenvalue of the transverse Sturm-Liouville quotient.
+def _b_cot_bh(b2: float, h: float) -> float:
+    """b cot(b h) for b = sqrt(b2), continued to 1/h at b2 = 0 and to
+    |b| coth(|b| h) at b2 < 0; tanh, unlike cosh and sinh, cannot overflow."""
+    if b2 > 0.0:
+        b = math.sqrt(b2)
+        return b / math.tan(b * h)
+    if b2 < 0.0:
+        b = math.sqrt(-b2)
+        return b / math.tanh(b * h)
+    return 1.0 / h
+
+
+def transverse_min_eigenvalue(k: float, cfg: FluidConfig) -> float:
+    """Smallest eigenvalue of the transverse Sturm-Liouville quotient, exactly.
 
     lam_min(k) = min over tau in H^1_0 of
         sum mu * integral(tau'^2 + k^2 tau^2) / sum rho * integral(tau^2).
+    Each layer's eigenfunction is sin(b (h - |y|)) with b^2 = lam rho / mu - k^2;
+    continuity of tau and of mu tau' at the interface gives
+        F(lam) = sum_layers mu b cot(b h) = 0
+    (Chandrasekhar 1961, ch. X). F is positive at min (mu/rho) k^2, where
+    every b^2 <= 0 and so every term is positive, strictly decreases in lam, and
+    tends to -inf at the first pole min (mu/rho) (pi^2/h^2 + k^2); so the root
+    between, found by bisection, is the smallest eigenvalue.
     """
     if k <= 0.0:
         raise ZeroWaveNumber(f"transverse solve needs k > 0, got {k!r}")
-    t = _cfg_tables(cfg, disc)
-    K = t["D_mu_t"] + k**2 * t["M_mu_t"]
-    try:
-        w = sla.eigh(K, t["M_rho_t"], subset_by_index=[0, 0], eigvals_only=True)
-    except sla.LinAlgError as exc:
-        raise FactorizationFailure(f"transverse solve failed: {exc}") from exc
-    return float(w[0])
+    layers = ((cfg.rho_plus, cfg.mu_plus, cfg.h_plus), (cfg.rho_minus, cfg.mu_minus, cfg.h_minus))
+    k2 = k * k
+    lo = min(mu / rho * k2 for rho, mu, _ in layers)
+    hi = min(mu / rho * (math.pi**2 / (h * h) + k2) for rho, mu, h in layers)
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if sum(mu * _b_cot_bh(mid * rho / mu - k2, h) for rho, mu, h in layers) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def coeffs_to_profile(x: np.ndarray, forms: PencilForms) -> VerticalProfile:

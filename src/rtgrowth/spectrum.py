@@ -4,13 +4,13 @@ The admissible wavenumbers are xi = (n1/L1, n2/L2) over nonzero integer
 pairs; every per-mode quantity depends on xi only through k = |xi|, so the
 search collapses to the sorted list of distinct magnitudes. A FrozenModeSet
 caches, per magnitude, the eigendecomposition of the (dissipation, kinetic)
-pair and the transverse minimum. From these rows one vectorized secular solve
-gives alpha(s, theta) at any s and theta, and another gives every per-mode
-growth rate Lambda_k at any theta; the global rate is max_k Lambda_k. The
-cached data does not depend on theta, so a theta sweep reuses one set.
-alpha(s) only locates Lambda, so an evaluation returns values and the
-maximizing mode, never a profile; eigenprofiles are built only at fixed
-points, in fixedpoint.
+pair and the exact transverse minimum, one scalar root. From these rows one
+vectorized secular solve gives alpha(s, theta) at any s and theta, and
+another gives every per-mode growth rate Lambda_k at any theta; the global
+rate is max_k Lambda_k. The cached data does not depend on theta, so a
+theta sweep reuses one set. alpha(s) only locates Lambda, so an evaluation
+returns values and the maximizing mode, never a profile; eigenprofiles are
+built only at fixed points, in fixedpoint.
 
 The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
@@ -147,8 +147,8 @@ class AlphaValue:
 class FrozenModeSet:
     """Per-mode spectral cache over one lattice mode set.
 
-    All expensive objects here (eigendecompositions of the per-mode pairs and
-    the transverse minima) are independent of both s and theta; evaluations
+    The cached rows (eigendecompositions of the per-mode pairs and the exact
+    transverse minima) are independent of both s and theta; evaluations
     for any (s, theta), and the per-mode fixed points for any theta, reduce
     to rank-one secular equations over the cached rows, so an evaluation
     assembles no pencil and builds no profile. `locked` marks sets
@@ -170,7 +170,7 @@ class FrozenModeSet:
     def _compute_rows(self, ks: np.ndarray):
         def one(k: float):
             lam, z2 = mode_spectral_data(assemble(k, self.cfg, self.disc))
-            return lam, z2, transverse_min_eigenvalue(k, self.cfg, self.disc)
+            return lam, z2, transverse_min_eigenvalue(k, self.cfg)
 
         rows = [one(k) for k in ks]
         if not rows:
@@ -262,11 +262,13 @@ def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> 
       2 psi'^2 + psi''^2/k^2 >= mu_min k^2 K / rho_max.
     - Coupled branch: alpha_k(s) = max over K = 1 of c_k psi(0)^2 - s D <= U.
     - Transverse branch: lambda_tau = min sum mu int(tau'^2 + k^2 tau^2) /
-      sum rho int tau^2 >= mu_min k^2 / rho_max, so -s lambda_tau <= U.
+      sum rho int tau^2 >= mu_min k^2 / rho_max, so -s lambda_tau <= U. The
+      computed lambda_tau is this exact minimum, so the bound holds for it
+      directly.
 
-    The discrete spaces are subspaces (the Hermite space is H^2-conforming)
-    and the Gauss rule is exact on them, so this holds for the computed
-    alpha_k(s) too. U is concave where c_k > 0 and decreasing beyond, so
+    The Hermite space is a subspace (it is H^2-conforming) and the Gauss rule
+    is exact on it, so the coupled bound holds for the computed alpha_k(s)
+    too. U is concave where c_k > 0 and decreasing beyond, so
     every mode above the returned k has alpha_k(s) < floor. Since
     alpha_k(s) - s^2 decreases through zero at Lambda_k, Lambda_k >= Lambda*
     exactly when alpha_k(Lambda*) >= Lambda*^2: the growth-rate cutoff is

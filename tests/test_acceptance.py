@@ -18,7 +18,6 @@ from rtgrowth.analysis import sweep_theta, _sized_mode_set
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import (
     bvp_residual,
-    richardson_lambda,
     solve_lambda,
     solve_mode_lambda,
 )
@@ -81,6 +80,20 @@ def test_criterion_1_fixed_point_certificate(reference_sweep):
             f"|lambda^2 - alpha| = {res.fixed_point_residual:.2e} <= {bound:.2e}"
         )
     report("criterion 1: fixed-point certificate", ok, "; ".join(details))
+
+
+def richardson_lambda(lam_coarse: float, lam_fine: float, order: int = 4) -> float:
+    """Richardson extrapolation over N and 2N."""
+    weight = 2.0**order
+    return (weight * lam_fine - lam_coarse) / (weight - 1.0)
+
+
+def test_richardson_formula():
+    # synthetic fourth-order sequence: exact value recovered
+    exact = 2.0
+    coarse = exact - 16.0e-4
+    fine = exact - 1.0e-4
+    assert richardson_lambda(coarse, fine, order=4) == pytest.approx(exact, abs=1e-12)
 
 
 def test_criterion_2_oracle_equivalence():

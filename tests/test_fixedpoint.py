@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import (
     bvp_residual,
-    richardson_lambda,
     solve_lambda,
     solve_mode_lambda,
 )
@@ -143,12 +143,19 @@ def test_bvp_residual_decreases(cheap_config):
     assert r16 < 0.25 * r8 * 1.5  # roughly second-order decrease
 
 
-def test_richardson_formula():
-    # synthetic fourth-order sequence: exact value recovered
-    exact = 2.0
-    coarse = exact - 16.0e-4
-    fine = exact - 1.0e-4
-    assert richardson_lambda(coarse, fine, order=4) == pytest.approx(exact, abs=1e-12)
+def test_one_dense_eigensolve_per_mode(cheap_config, monkeypatch):
+    # each mode's (A_diss, B) pair is decomposed once; the transverse branch is
+    # a scalar root and needs no eigensolve
+    calls = []
+    eigh = sla.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", spy)
+    result = solve_lambda(cheap_config, DISC)
+    assert len(calls) == result.alpha_at_lambda.table.k.size
 
 
 def test_invalid_tolerance(cheap_config):

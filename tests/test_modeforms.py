@@ -116,8 +116,11 @@ def test_dissipation_matches_simpson(lower_bump):
 
 def test_quadratic_homogeneity(lower_bump):
     cfg = unit_cfg()
+    doubled = VerticalProfile(
+        lower_bump.grid, 2.0 * lower_bump.psi_values, 2.0 * lower_bump.psi_derivs
+    )
     for form in (kinetic_form, dissipation_form):
-        assert form(1.0, lower_bump.scaled(2.0), cfg) == pytest.approx(
+        assert form(1.0, doubled, cfg) == pytest.approx(
             4.0 * form(1.0, lower_bump, cfg), rel=1e-14
         )
 

@@ -17,7 +17,6 @@ from rtgrowth.errors import (
 from rtgrowth.model import (
     FluidConfig,
     theta_critical,
-    thresholds,
     upper_bound_m,
     validate_config,
     wang_tice_bound,
@@ -146,13 +145,6 @@ def test_stable_regime_raised(reference_config):
     for theta in (theta_c, 1.5 * theta_c):
         with pytest.raises(StableRegime):
             upper_bound_m(reference_config.with_theta(theta))
-
-
-def test_thresholds_bundle(reference_config):
-    t = thresholds(reference_config)
-    assert t.theta_c == pytest.approx(9.8)
-    assert t.m == pytest.approx(upper_bound_m(reference_config))
-    assert t.wang_tice == pytest.approx(24.5)
 
 
 def test_json_round_trip(reference_config):

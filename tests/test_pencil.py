@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from rtgrowth.errors import ResolutionTooSmall, ZeroWaveNumber
+from rtgrowth.model import FluidConfig
 from rtgrowth.modeforms import dissipation_form, kinetic_form
 from rtgrowth.pencil import (
     Discretization,
@@ -18,6 +21,7 @@ from rtgrowth.pencil import (
     secular_eigenpair,
     transverse_min_eigenvalue,
 )
+from rtgrowth.spectrum import FrozenModeSet
 
 
 def a_scale(forms):
@@ -234,26 +238,76 @@ def test_dof_permutation_invariance(reference_config, rng):
     assert largest_eigenpair(shuffled, s).alpha == pytest.approx(base, rel=1e-12)
 
 
-def test_transverse_single_layer_exact():
-    from rtgrowth.model import FluidConfig
+CONTRAST = FluidConfig(
+    rho_plus=5.2, rho_minus=0.2, mu_plus=0.1, mu_minus=5.0,
+    g=20.0, theta=0.0, L1=2.0, L2=2.0, h_plus=0.3, h_minus=0.3,
+)
 
-    cfg = FluidConfig(
-        rho_plus=1.0, rho_minus=1.0, mu_plus=0.1, mu_minus=0.1,
-        g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
+
+def test_transverse_single_layer_exact():
+    # equal materials: one layer of depth h+ + h-, whose first mode is a sine
+    for h_plus, h_minus in ((1.0, 1.0), (0.7, 1.3)):
+        cfg = FluidConfig(
+            rho_plus=1.0, rho_minus=1.0, mu_plus=0.1, mu_minus=0.1,
+            g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=h_plus, h_minus=h_minus,
+        )
+        for k in (0.5, 1.0, 7.0):
+            exact = 0.1 * ((np.pi / (h_plus + h_minus)) ** 2 + k * k)
+            assert transverse_min_eigenvalue(k, cfg) == pytest.approx(exact, rel=1e-13)
+
+
+def p1_transverse_ritz(k, cfg, n):
+    """Smallest Ritz value of the transverse quotient over continuous
+    piecewise-linear functions, n elements per layer, zero at both walls."""
+    nodes = np.concatenate(
+        [np.linspace(-cfg.h_minus, 0.0, n + 1), np.linspace(0.0, cfg.h_plus, n + 1)[1:]]
     )
-    exact = 0.1 * (1.0 + (np.pi / 2.0) ** 2)
-    lam = transverse_min_eigenvalue(1.0, cfg, Discretization(128))
-    assert lam == pytest.approx(exact, rel=1e-8)
+    K = np.zeros((nodes.size, nodes.size))
+    M = np.zeros_like(K)
+    for e in range(2 * n):
+        rho, mu = (cfg.rho_minus, cfg.mu_minus) if e < n else (cfg.rho_plus, cfg.mu_plus)
+        he = nodes[e + 1] - nodes[e]
+        mass = he / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        idx = np.ix_([e, e + 1], [e, e + 1])
+        K[idx] += mu * (np.array([[1.0, -1.0], [-1.0, 1.0]]) / he + k * k * mass)
+        M[idx] += rho * mass
+    inner = slice(1, -1)
+    return float(sla.eigh(K[inner, inner], M[inner, inner], eigvals_only=True)[0])
+
+
+@pytest.mark.parametrize("k", [0.5, 5.0])
+def test_transverse_root_is_the_smallest_eigenvalue(reference_config, cheap_config, k):
+    # A conforming Ritz value lies above the minimum and converges to it at
+    # second order; a higher root would leave a gap that does not shrink.
+    for cfg in (reference_config, cheap_config, CONTRAST):
+        lam = transverse_min_eigenvalue(k, cfg)
+        gaps = [p1_transverse_ritz(k, cfg, n) - lam for n in (100, 200)]
+        assert gaps[0] > gaps[1] > 0.0
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
+def test_transverse_bound_and_large_k(reference_config, cheap_config):
+    # the transverse bullet of certified_cutoff: lam >= mu_min k^2 / rho_max
+    for cfg in (reference_config, cheap_config, CONTRAST):
+        ratio = min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
+        for k in (0.1, 1.0, 24.8, 300.0):
+            assert transverse_min_eigenvalue(k, cfg) >= ratio * k * k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = transverse_min_eigenvalue(2550.0, CONTRAST)
+    assert np.isfinite(lam) and lam >= 0.1 / 5.2 * 2550.0**2
+    for k in (0.0, -1.0):
+        with pytest.raises(ZeroWaveNumber):
+            transverse_min_eigenvalue(k, CONTRAST)
 
 
 def test_transverse_linear_in_s(reference_config):
-    disc = Discretization(8)
-    # the transverse branch value is alpha_tau(k, s) = -s * lam_min(k)
-    lam_min = transverse_min_eigenvalue(1.5, reference_config, disc)
-    a1 = -1.0 * lam_min
-    a2 = -2.0 * lam_min
-    assert a1 < 0.0
-    assert a2 == pytest.approx(2.0 * a1, rel=1e-12)
+    # the cached transverse branch is alpha_tau(k, s) = -s * lam_min(k) per row
+    fm = FrozenModeSet.freeze(reference_config, Discretization(8), 3.0)
+    for s, theta in ((0.5, 0.0), (2.0, 4.0)):
+        alpha_tau = fm.alpha_arrays(s, theta)[1]
+        expected = [-s * transverse_min_eigenvalue(k, reference_config) for k in fm.modes.magnitudes]
+        assert alpha_tau.tolist() == expected
 
 
 def test_prolongation_preserves_forms(reference_config, rng):

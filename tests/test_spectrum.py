@@ -103,7 +103,7 @@ def test_global_alpha_matches_brute_scan(cheap_config):
     for k in brute_magnitudes(1.0, 1.0, k_max):
         forms = assemble(k, cheap_config, DISC)
         best = max(best, largest_eigenpair(forms, s).alpha)
-        best = max(best, -s * transverse_min_eigenvalue(k, cheap_config, DISC))
+        best = max(best, -s * transverse_min_eigenvalue(k, cheap_config))
     assert value.alpha == pytest.approx(best, rel=1e-10)
     assert value.table.k.size == len(brute_magnitudes(1.0, 1.0, k_max))
 
