@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""End-to-end timings of the command-line tool, written as one BENCH json file.
+
+Usage: python scripts/bench.py --out BENCH_<n>.json
+
+Rows, all on the reference config (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1,
+theta 0): `rtgrowth growth` at N = 64 and N = 128, `sweep-theta` (default
+grid) and `verify` at N = 128, each run REPEATS times, and the Tier-1 test
+suite, run once. Every run is a fresh interpreter with one BLAS thread, timed
+from start to exit, because a command-line user pays imports on every run.
+
+Each command row records its inputs (N, the modes sized, the number of global
+solves) and its answer (lambda and argmax_k), so that a later file can check
+that a speed-up kept the answer. The child counts modes as the rows the mode
+cache computes and solves as the growth results it validates; both are read
+from its own process, not inferred from the outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
+REFERENCE = {
+    "rho_plus": 2.0, "rho_minus": 1.0, "mu_plus": 0.1, "mu_minus": 0.1, "g": 9.8,
+    "theta": 0.0, "L1": 1.0, "L2": 1.0, "h_plus": 1.0, "h_minus": 1.0,
+}
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+
+# Runs the CLI in the child and reports the counts on its last stderr line.
+CHILD_SCRIPT = """
+import json, sys
+from rtgrowth import cli
+from rtgrowth.fixedpoint import GrowthResult
+from rtgrowth.spectrum import FrozenModeSet
+
+counts = {"modes": 0, "solves": 0}
+compute_rows, validate = FrozenModeSet._compute_rows, GrowthResult.validate
+
+def count_rows(self, ks):
+    counts["modes"] += len(ks)
+    return compute_rows(self, ks)
+
+def count_solve(self):
+    counts["solves"] += 1
+    return validate(self)
+
+FrozenModeSet._compute_rows, GrowthResult.validate = count_rows, count_solve
+code = cli.main(sys.argv[1:])
+sys.stderr.write(json.dumps(counts) + "\\n")
+sys.exit(code)
+"""
+
+
+def timed(argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=ROOT, env=ENV, capture_output=True, text=True)
+    return time.perf_counter() - start, proc
+
+
+def cli_row(name: str, command: str, n: int, work: Path, answer) -> dict:
+    """Time one CLI command REPEATS times; answer(out_path) -> (lambda, argmax_k)."""
+    out = work / f"{name}.out"
+    argv = [
+        sys.executable, "-c", CHILD_SCRIPT, command,
+        "--config", str(work / "reference.json"), "--resolution", str(n), "--out", str(out),
+    ]
+    runs = []
+    for _ in range(REPEATS):
+        wall, proc = timed(argv)
+        if proc.returncode != 0:
+            raise SystemExit(f"{name} exited {proc.returncode}: {proc.stderr.strip()}")
+        runs.append(wall)
+    counts = json.loads(proc.stderr.strip().splitlines()[-1])
+    lam, argmax_k = answer(out)
+    return {
+        "name": name,
+        "command": f"rtgrowth {command} --resolution {n}",
+        "N": n,
+        "modes": counts["modes"],
+        "solves": counts["solves"],
+        "lambda": lam,
+        "argmax_k": argmax_k,
+        "wall_s": statistics.median(runs),
+        "runs_s": runs,
+    }
+
+
+def growth_answer(path: Path):
+    out = json.loads(path.read_text())
+    return out["lambda"], out["argmax_k"]
+
+
+def sweep_answer(path: Path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [float(r[2]) for r in rows], [float(r[4]) for r in rows]
+
+
+def verify_answer(path: Path):
+    report = json.loads(path.read_text())
+    if not report["all_pass"]:
+        raise SystemExit("verify reported a failed check")
+    detail = next(c["detail"] for c in report["checks"] if c["name"] == "fixed_point")
+    lam, k = re.match(r"lambda (\S+) at k (\S+),", detail).groups()
+    return float(lam), float(k)
+
+
+def tier1_row() -> dict:
+    wall, proc = timed(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+    )
+    summary = proc.stdout.strip().splitlines()[-1]
+    if proc.returncode != 0:
+        raise SystemExit(f"Tier-1 failed: {summary}")
+    return {
+        "name": "tier1",
+        "command": "python -m pytest -q --continue-on-collection-errors",
+        "passed": int(re.search(r"(\d+) passed", summary).group(1)),
+        "wall_s": wall,
+        "runs_s": [wall],
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="path of the BENCH json file to write")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "reference.json").write_text(json.dumps(REFERENCE))
+        rows = [
+            cli_row("growth_64", "growth", 64, work, growth_answer),
+            cli_row("growth_128", "growth", 128, work, growth_answer),
+            cli_row("sweep_theta_128", "sweep-theta", 128, work, sweep_answer),
+            cli_row("verify_128", "verify", 128, work, verify_answer),
+        ]
+    rows.append(tier1_row())
+    for row in rows:
+        print(f"{row['name']:>16}  {row['wall_s']:8.2f} s  " + " ".join(f"{r:.2f}" for r in row["runs_s"]))
+
+    payload = {
+        "config": REFERENCE,
+        "repeats": REPEATS,
+        "environment": {
+            "machine": platform.machine(),
+            "processor_count": os.cpu_count(),
+            "blas_threads": 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,7 +7,8 @@ the per-mode fixed point Lambda_k^2 = alpha_k(Lambda_k). So
 Lambda = max_k Lambda_k, and every Lambda_k is the root of one scalar secular
 equation over the cached spectral rows of the mode (rank_one_fixed_point),
 solved for all modes at once. The eigenprofile is built here and only here:
-at Lambda it costs one assembly of the maximizing mode and one linear solve.
+at Lambda it costs one banded assembly of the maximizing mode and one
+banded Cholesky solve.
 An owned mode set is grown until the certified cutoff at the answer lies
 inside it; a set handed in is checked against that cutoff once.
 """
@@ -26,6 +27,7 @@ from .pencil import (
     Discretization,
     PencilForms,
     assemble,
+    band_matvec,
     coeffs_to_profile,
     mode_spectral_data,
     profile_to_coeffs,
@@ -199,5 +201,5 @@ def bvp_residual(result: GrowthResult, cfg: FluidConfig) -> float:
     x_fine = prolong_coeffs(x, forms)
     forms_fine = assemble(result.argmax_k, cfg, disc.refined())
     dual = residual_dual_norm(forms_fine, x_fine, result.lam, result.lam**2)
-    kinetic = math.sqrt(float(x_fine @ forms_fine.B @ x_fine))
+    kinetic = math.sqrt(float(x_fine @ band_matvec(forms_fine.B_band, x_fine)))
     return dual / (result.lam**2 * kinetic)

@@ -12,6 +12,17 @@ interface value dof. The trial space is H^2-conforming, which the psi''
 term of the dissipation requires, and it is nested under uniform refinement,
 so the discrete supremum is a monotone lower bound of the continuous one.
 
+Neighbouring nodes share an element, so every matrix is banded with half
+bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
+band form: a (4, dim) array whose row d holds the entries (j + d, j). The band
+is the lower triangle of the element scatter. Dense views are expanded on
+demand only for the full eigendecomposition (mode_spectral_data) and the
+dense reference solve (largest_eigenpair); they read the lower triangle
+only, so they see exactly the scattered values. The eigenprofile solve and
+the residual norms factor the band (dpbtrf/dpbtrs) and multiply by it
+(dsbmv); the eigenprofile solve takes one refinement step whose residual is
+formed in np.longdouble.
+
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
 """
@@ -24,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas, lapack
 
 from .errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from .model import FluidConfig
@@ -83,35 +95,42 @@ def _tables(
     h_plus: float,
     n: int,
 ):
-    """k-independent global matrices for one material/mesh combination."""
+    """k-independent global matrices for one material/mesh combination, as bands.
+
+    Element e carries the full dofs 2e .. 2e+3; clamping drops value and slope
+    at both walls, so its local dof a is global dof 2e + a - 2 when that lies
+    in [0, dim). Local entry (a, b), a >= b, lands in band row a - b, column
+    2e + b - 2. A band entry receives at most two element contributions, and
+    0 + u + v is exact in either order, so the band holds bit for bit the lower
+    triangle of a dense scatter.
+    """
     grid = uniform_layered_grid(h_minus, h_plus, n)
-    n_nodes = 2 * n + 1
-
-    # Longitudinal (clamped, C^1) dof map: drop value+slope at both walls.
-    gmap = np.full(2 * n_nodes, -1, dtype=int)
-    gmap[2 : 2 * n_nodes - 2] = np.arange(2 * n_nodes - 4)
-    dim = 2 * n_nodes - 4
-
-    mats = {name: np.zeros((dim, dim)) for name in ("M_rho", "D_rho", "M_mu", "D_mu", "H_mu", "X_mu")}
-    elem_lower = _element_matrices(h_minus / n)
-    elem_upper = _element_matrices(h_plus / n)
-    for e in range(2 * n):
-        lower = e < n
-        mass, grad, bend, cross = elem_lower if lower else elem_upper
-        rho = rho_minus if lower else rho_plus
-        mu = mu_minus if lower else mu_plus
-        dofs = gmap[[2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3]]
-        keep = dofs >= 0
-        idx = np.ix_(dofs[keep], dofs[keep])
-        sub = np.ix_(keep, keep)
-        mats["M_rho"][idx] += rho * mass[sub]
-        mats["D_rho"][idx] += rho * grad[sub]
-        mats["M_mu"][idx] += mu * mass[sub]
-        mats["D_mu"][idx] += mu * grad[sub]
-        mats["H_mu"][idx] += mu * bend[sub]
-        mats["X_mu"][idx] += mu * 0.5 * (cross[sub] + cross[sub].T)
-    e0_index = int(gmap[2 * n])
-    return {"grid": grid, "e0_index": e0_index, **mats}
+    dim = 4 * n - 2
+    per_layer = []
+    for h, rho, mu in ((h_minus, rho_minus, mu_minus), (h_plus, rho_plus, mu_plus)):
+        mass, grad, bend, cross = _element_matrices(h / n)
+        per_layer.append({
+            "M_rho": rho * mass,
+            "D_rho": rho * grad,
+            "M_mu": mu * mass,
+            "D_mu": mu * grad,
+            "H_mu": mu * bend,
+            "X_mu": mu * 0.5 * (cross + cross.T),
+        })
+    lower_layer = np.arange(2 * n) < n
+    first = 2 * np.arange(2 * n) - 2  # global dof of each element's local dof 0
+    bands = {}
+    for name in per_layer[0]:
+        band = np.zeros((4, dim))  # an element couples two nodes of two dofs each
+        for a in range(4):
+            for b in range(a + 1):
+                col = first + b
+                keep = (col >= 0) & (col + a - b < dim)
+                vals = np.where(lower_layer, per_layer[0][name][a, b], per_layer[1][name][a, b])
+                band[a - b, col[keep]] += vals[keep]
+        band.flags.writeable = False
+        bands[name] = band
+    return {"grid": grid, "e0_index": 2 * n - 2, **bands}
 
 
 def _cfg_tables(cfg: FluidConfig, disc: Discretization):
@@ -126,31 +145,82 @@ def _cfg_tables(cfg: FluidConfig, disc: Discretization):
     )
 
 
+def _dense(band: np.ndarray) -> np.ndarray:
+    """Symmetric dense matrix whose lower triangle the lower band holds."""
+    n = band.shape[1]
+    M = np.diag(band[0])
+    for d in range(1, min(band.shape[0], n)):
+        i = np.arange(n - d)
+        M[i + d, i] = M[i, i + d] = band[d, : n - d]
+    return M
+
+
+def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of the symmetric matrix held in lower band form with x."""
+    return blas.dsbmv(band.shape[0] - 1, 1.0, band, x, lower=1)
+
+
+def _band_matvec_extended(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """band_matvec for a np.longdouble band (80-bit extended on x86-64)."""
+    x = x.astype(np.longdouble)
+    y = band[0] * x
+    for d in range(1, band.shape[0]):
+        y[d:] += band[d, :-d] * x[:-d]
+        y[:-d] += band[d, :-d] * x[d:]
+    return y
+
+
+def _spd_factor(band: np.ndarray, what: str) -> np.ndarray:
+    """Banded Cholesky factor of a positive definite matrix in lower band form.
+
+    dpbtrf reports a non-positive pivot as info > 0, which raises.
+    """
+    chol, info = lapack.dpbtrf(band, lower=1)
+    if info != 0:
+        raise FactorizationFailure(f"banded Cholesky factorization of the {what} failed (LAPACK info {info})")
+    return chol
+
+
+def _spd_solve(chol: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """chol^(-T) chol^(-1) rhs; a nonzero info raises, so no vector comes back."""
+    x, info = lapack.dpbtrs(chol, rhs, lower=1)
+    if info != 0:
+        raise FactorizationFailure(f"banded Cholesky solve of the {what} failed (LAPACK info {info})")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class PencilForms:
-    """Assembled matrices of one mode at one resolution."""
+    """Assembled matrices of one mode at one resolution, in lower band form.
+
+    B_band and A_band hold the kinetic and dissipation matrices as (4, dim)
+    LAPACK symmetric lower bands (row d, column j is entry (j + d, j)). B and
+    A_diss expand dense symmetric views on demand, for the dense eigensolves.
+    """
 
     k: float
     c_k: float
-    B: np.ndarray
-    A_diss: np.ndarray
+    B_band: np.ndarray
+    A_band: np.ndarray
     e0_index: int
     grid: np.ndarray
     elements_per_layer: int
 
     @property
     def dim(self) -> int:
-        return self.B.shape[0]
+        return self.B_band.shape[1]
 
-    def numerator(self, s: float) -> np.ndarray:
-        """c_k e0 e0^T - s A_diss."""
-        P = -s * self.A_diss
-        P[self.e0_index, self.e0_index] += self.c_k
-        return P
+    @property
+    def B(self) -> np.ndarray:
+        return _dense(self.B_band)
+
+    @property
+    def A_diss(self) -> np.ndarray:
+        return _dense(self.A_band)
 
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
-    """Assemble kinetic/dissipation matrices and the surface coefficient."""
+    """Assemble kinetic/dissipation bands and the surface coefficient."""
     if k <= 0.0:
         raise ZeroWaveNumber(f"assembly needs k > 0, got {k!r}")
     t = _cfg_tables(cfg, disc)
@@ -159,8 +229,8 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     return PencilForms(
         k=k,
         c_k=surface_coefficient(k, cfg),
-        B=B,
-        A_diss=A,
+        B_band=B,
+        A_band=A,
         e0_index=t["e0_index"],
         grid=t["grid"],
         elements_per_layer=disc.elements_per_layer,
@@ -187,11 +257,24 @@ def _fix_sign(x: np.ndarray, e0_index: int) -> np.ndarray:
     return x
 
 
-def _finish_eigenpair(forms: PencilForms, s: float, alpha: float, x: np.ndarray) -> EigenSolution:
-    bx = forms.B @ x
-    x = x / np.sqrt(x @ bx)
+def _energy(forms: PencilForms, s: float, alpha: float) -> np.ndarray:
+    """s A_diss + alpha B, in band form."""
+    return s * forms.A_band + alpha * forms.B_band
+
+
+def _pencil_residual(forms: PencilForms, energy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(c_k e0 e0^T - s A_diss - alpha B) x, with energy = s A_diss + alpha B."""
+    r = -band_matvec(energy, x)
+    r[forms.e0_index] += forms.c_k * x[forms.e0_index]
+    return r
+
+
+def _finish_eigenpair(
+    forms: PencilForms, energy: np.ndarray, alpha: float, x: np.ndarray
+) -> EigenSolution:
+    x = x / np.sqrt(x @ band_matvec(forms.B_band, x))
     x = _fix_sign(x, forms.e0_index)
-    r = forms.numerator(s) @ x - alpha * (forms.B @ x)
+    r = _pencil_residual(forms, energy, x)
     residual = float(np.linalg.norm(r) / np.linalg.norm(x))
     return EigenSolution(alpha=float(alpha), vector=x, residual=residual)
 
@@ -205,32 +288,42 @@ def largest_eigenpair(forms: PencilForms, s: float) -> EigenSolution:
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
     n = forms.dim
+    numerator = -s * forms.A_diss
+    numerator[forms.e0_index, forms.e0_index] += forms.c_k
     try:
-        w, v = sla.eigh(forms.numerator(s), forms.B, subset_by_index=[n - 1, n - 1])
+        w, v = sla.eigh(numerator, forms.B, subset_by_index=[n - 1, n - 1])
     except sla.LinAlgError as exc:
         raise FactorizationFailure(f"symmetric-definite solve failed: {exc}") from exc
-    return _finish_eigenpair(forms, s, w[0], v[:, 0])
+    return _finish_eigenpair(forms, _energy(forms, s, w[0]), w[0], v[:, 0])
 
 
 def secular_eigenpair(forms: PencilForms, s: float, alpha: float) -> EigenSolution:
     """Eigenvector for the largest eigenvalue alpha, known from the secular rows.
 
     (c_k e0 e0^T - s A) x = alpha B x gives (s A + alpha B) x = c_k x[e0] e0,
-    so x is proportional to (s A + alpha B)^(-1) e0: one linear solve. It is
-    called at fixed points only, where alpha = Lambda^2 > 0 and s A + alpha B
-    is positive definite. Requires alpha > 0: below that the matrix is
-    indefinite when c_k <= 0 and numerically singular when c_k is a tiny
-    positive number (alpha then sits within rounding of -s lam_0).
+    so x is proportional to (s A + alpha B)^(-1) e0: one banded Cholesky
+    factorization and two solves. It is called at fixed points only, where alpha = Lambda^2 > 0 and
+    s A + alpha B is positive definite. Requires alpha > 0: below that the
+    matrix is indefinite when c_k <= 0 and numerically singular when c_k is a
+    tiny positive number (alpha then sits within rounding of -s lam_0).
     """
     if alpha <= 0.0:
         raise ValueError(f"secular eigenpair needs alpha > 0, got {alpha!r}")
     e0 = np.zeros(forms.dim)
     e0[forms.e0_index] = 1.0
-    try:
-        x = sla.cho_solve(sla.cho_factor(s * forms.A_diss + alpha * forms.B), e0)
-    except sla.LinAlgError as exc:
-        raise FactorizationFailure(f"energy matrix not SPD at alpha {alpha!r}: {exc}") from exc
-    return _finish_eigenpair(forms, s, alpha, x)
+    what = f"energy matrix at alpha {alpha!r}"
+    energy = _energy(forms, s, alpha)
+    chol = _spd_factor(energy, what)
+    x = _spd_solve(chol, e0, what)
+    # One step of refinement with s A + alpha B formed and applied in extended
+    # precision: rounding it to float64 puts the solve off by up to 2e-9 at
+    # N = 128 (cond ~ 4e8), an error that moves with BLAS threading; the
+    # refined vector is good to ~1e-12.
+    ext = np.longdouble
+    exact = ext(s) * forms.A_band.astype(ext) + ext(alpha) * forms.B_band.astype(ext)
+    r = e0 - _band_matvec_extended(exact, x)
+    x = x + _spd_solve(chol, r.astype(float), what)
+    return _finish_eigenpair(forms, energy, alpha, x)
 
 
 def mode_spectral_data(forms: PencilForms):
@@ -251,34 +344,38 @@ def _secular_roots(w: np.ndarray, denoms, span: np.ndarray, live: np.ndarray) ->
     """Per row, the root x in (0, span] of sum_j w_j / d_j(x) = 1.
 
     The sum must strictly decrease in x on (0, span), exceed 1 near 0 and be
-    at most 1 at span; denoms(x) returns (d, dd/dx) for a column x. Rows not
-    `live` return 0. Safeguarded Newton, batched over rows: a step that
-    leaves the current sign bracket is replaced by bisection.
+    at most 1 at span; denoms(x, rows) returns (d, dd/dx) of the given rows
+    at their column x. Rows not `live` return 0. Safeguarded Newton, batched
+    over rows: a step that leaves the current sign bracket is replaced by
+    bisection. Each pass evaluates only the rows still live, so a row's
+    iterates are those it would take if solved alone.
     """
     x = np.where(live, 0.5 * span, 0.0)
     lo = np.zeros(x.size)
     hi = span.copy()
-    live = live.copy()
+    rows = np.flatnonzero(live)
     for _ in range(60):
-        if not live.any():
+        if rows.size == 0:
             break
-        d, dd = denoms(x[:, None])
+        xr = x[rows]
+        d, dd = denoms(xr[:, None], rows)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(live[:, None], w / d, 0.0)
+            q = w[rows] / d
             G = q.sum(axis=1)
             slope = -(q * dd / d).sum(axis=1)
         R = G - 1.0
         above = R > 0.0
-        lo = np.where(live & above, x, lo)
-        hi = np.where(live & ~above, x, hi)
-        done = live & (
-            (np.abs(R) <= 1e-13 * (1.0 + np.abs(G))) | (hi - lo <= 1e-15 * span)
-        )
-        live = live & ~done
+        lo_r = np.where(above, xr, lo[rows])
+        hi_r = np.where(above, hi[rows], xr)
+        lo[rows] = lo_r
+        hi[rows] = hi_r
+        done = (np.abs(R) <= 1e-13 * (1.0 + np.abs(G))) | (hi_r - lo_r <= 1e-15 * span[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_newton = x - R / slope
-        inside = np.isfinite(x_newton) & (x_newton > lo) & (x_newton < hi)
-        x = np.where(live, np.where(inside, x_newton, 0.5 * (lo + hi)), x)
+            x_newton = xr - R / slope
+        inside = np.isfinite(x_newton) & (x_newton > lo_r) & (x_newton < hi_r)
+        step = np.where(inside, x_newton, 0.5 * (lo_r + hi_r))
+        x[rows] = np.where(done, xr, step)
+        rows = rows[~done]
     return x
 
 
@@ -305,7 +402,10 @@ def rank_one_largest(lam: np.ndarray, z2: np.ndarray, c: np.ndarray, s: float) -
     active = (c != 0.0) & (span > 0.0) & np.isfinite(span)
     sgn = sign[:, None]
     t = _secular_roots(
-        c[:, None] * z2, lambda t: (delta + sgn * t, sgn), np.where(active, span, 0.0), active
+        c[:, None] * z2,
+        lambda t, rows: (delta[rows] + sgn[rows] * t, sgn[rows]),
+        np.where(active, span, 0.0),
+        active,
     )
     return -s * lam[:, 0] + sign * t
 
@@ -328,7 +428,10 @@ def rank_one_fixed_point(lam: np.ndarray, z2: np.ndarray, c: np.ndarray) -> np.n
     span = np.sqrt(np.where(c > 0.0, c * z2.sum(axis=1), 0.0))
     active = (span > 0.0) & np.isfinite(span)
     return _secular_roots(
-        c[:, None] * z2, lambda x: (x * (x + lam), 2.0 * x + lam), span, active
+        c[:, None] * z2,
+        lambda x, rows: (x * (x + lam[rows]), 2.0 * x + lam[rows]),
+        span,
+        active,
     )
 
 
@@ -428,10 +531,7 @@ def residual_dual_norm(forms: PencilForms, x: np.ndarray, s: float, alpha: float
     """
     if alpha <= 0.0:
         raise ValueError(f"dual norm needs alpha > 0, got {alpha!r}")
-    r = forms.numerator(s) @ x - alpha * (forms.B @ x)
-    try:
-        cho = sla.cho_factor(s * forms.A_diss + alpha * forms.B)
-    except sla.LinAlgError as exc:
-        raise FactorizationFailure(f"energy norm factorization failed: {exc}") from exc
-    y = sla.cho_solve(cho, r)
+    energy = _energy(forms, s, alpha)
+    r = _pencil_residual(forms, energy, x)
+    y = _spd_solve(_spd_factor(energy, "energy norm"), r, "energy norm")
     return float(np.sqrt(abs(r @ y)))

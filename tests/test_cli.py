@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import scipy.linalg.lapack as lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,6 +243,15 @@ def test_unexpected_exception_exit_4(config_path, capsys, monkeypatch, error):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert type(error).__name__ in err and "Traceback" not in err
+
+
+def test_failed_band_factorization_exit_4(config_path, capsys, monkeypatch):
+    # a non-positive pivot in the banded profile solve is a numerical failure
+    dpbtrf = lapack.dpbtrf
+    monkeypatch.setattr(lapack, "dpbtrf", lambda ab, lower=0: (dpbtrf(ab, lower=lower)[0], 3))
+    assert run_cli(["growth", "--config", config_path, "--resolution", "8"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: banded Cholesky") and err.count("\n") == 1
 
 
 # Only malformed or cheaply rejected config values: a valid but extreme one

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtgrowth import pencil
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import (
     bvp_residual,
@@ -15,7 +16,7 @@ from rtgrowth.fixedpoint import (
 )
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
 from rtgrowth.pencil import Discretization, rank_one_fixed_point
-from rtgrowth.spectrum import FrozenModeSet, smallest_magnitude
+from rtgrowth.spectrum import FrozenModeSet, size_mode_set, smallest_magnitude
 
 DISC = Discretization(8)
 
@@ -156,6 +157,26 @@ def test_one_dense_eigensolve_per_mode(cheap_config, monkeypatch):
     monkeypatch.setattr(sla, "eigh", spy)
     result = solve_lambda(cheap_config, DISC)
     assert len(calls) == result.alpha_at_lambda.table.k.size
+
+
+def test_fixed_point_path_is_banded(cheap_config, monkeypatch):
+    # after the secular rows exist, no dense Cholesky runs and no dense view is
+    # built: the profile solve, the dual norm and the kinetic norm use the bands
+    cfg = cheap_config.with_theta(0.3 * theta_critical(cheap_config))
+    fm = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
+    size_mode_set(fm, cfg.theta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve on a banded path")
+
+    monkeypatch.setattr(sla, "cho_factor", refuse)
+    monkeypatch.setattr(sla, "cho_solve", refuse)
+    per_mode = solve_mode_lambda(cfg, 1.0, DISC)  # its rows still come from gvd
+    assert per_mode is not None and per_mode.lam > 0.0
+    monkeypatch.setattr(pencil, "_dense", refuse)
+    result = solve_lambda(cfg, DISC, frozen=fm)
+    assert result.lam > 0.0
+    assert bvp_residual(result, cfg) > 0.0
 
 
 def test_invalid_tolerance(cheap_config):

@@ -1,27 +1,31 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rtgrowth.errors import ResolutionTooSmall, ZeroWaveNumber
-from rtgrowth.model import FluidConfig
-from rtgrowth.modeforms import dissipation_form, kinetic_form
+from rtgrowth import pencil
+from rtgrowth.errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
+from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.modeforms import dissipation_form, kinetic_form, surface_coefficient
 from rtgrowth.pencil import (
     Discretization,
     PencilForms,
     assemble,
+    band_matvec,
     coeffs_to_profile,
     largest_eigenpair,
     mode_spectral_data,
     profile_to_coeffs,
     prolong_coeffs,
+    rank_one_fixed_point,
     rank_one_largest,
     residual_dual_norm,
     secular_eigenpair,
     transverse_min_eigenvalue,
 )
-from rtgrowth.spectrum import FrozenModeSet
+from rtgrowth.spectrum import FrozenModeSet, enumerate_modes
 
 
 def a_scale(forms):
@@ -79,13 +83,20 @@ def test_dissipation_large_k_scaling(reference_config):
     assert d20 / d10 == pytest.approx(4.0, rel=0.05)
 
 
+def unit_band(dim):
+    """Identity in lower band form: unit main diagonal, zero subdiagonals."""
+    band = np.zeros((4, dim))
+    band[0] = 1.0
+    return band
+
+
 def hand_pencil():
     """2x2 diagonal case: numerator diag(1, -1), B identity."""
     return PencilForms(
         k=1.0,
         c_k=2.0,
-        B=np.eye(2),
-        A_diss=np.eye(2),
+        B_band=unit_band(2),
+        A_band=unit_band(2),
         e0_index=0,
         grid=np.array([-1.0, 0.0, 1.0]),
         elements_per_layer=1,
@@ -171,10 +182,7 @@ def test_secular_eigenpair_near_zero_surface_coefficient(reference_config):
     base = assemble(1.0, reference_config, Discretization(32))
     positive = 0
     for c_k in (1e-3, 1e-12, 0.0, -1e-12):
-        forms = PencilForms(
-            k=base.k, c_k=c_k, B=base.B, A_diss=base.A_diss, e0_index=base.e0_index,
-            grid=base.grid, elements_per_layer=base.elements_per_layer,
-        )
+        forms = replace(base, c_k=c_k)  # same bands, new surface coefficient
         for s in (1e-5, 0.01, 10.0):  # only c_k = 1e-3 at s = 1e-5 gives alpha > 0
             alpha = secular_alpha(forms, s)
             if alpha <= 0.0:
@@ -222,20 +230,16 @@ def test_alpha_strictly_decreasing_in_s_with_margin(reference_config):
 
 
 def test_dof_permutation_invariance(reference_config, rng):
+    # a permuted pencil is no longer banded, so it is solved densely here
     forms = assemble(1.0, reference_config, Discretization(8))
     s = 1.0
     base = largest_eigenpair(forms, s).alpha
+    numerator = -s * forms.A_diss
+    numerator[forms.e0_index, forms.e0_index] += forms.c_k
     perm = rng.permutation(forms.dim)
-    shuffled = PencilForms(
-        k=forms.k,
-        c_k=forms.c_k,
-        B=forms.B[np.ix_(perm, perm)],
-        A_diss=forms.A_diss[np.ix_(perm, perm)],
-        e0_index=int(np.nonzero(perm == forms.e0_index)[0][0]),
-        grid=forms.grid,
-        elements_per_layer=forms.elements_per_layer,
-    )
-    assert largest_eigenpair(shuffled, s).alpha == pytest.approx(base, rel=1e-12)
+    ix = np.ix_(perm, perm)
+    shuffled = sla.eigh(numerator[ix], forms.B[ix], eigvals_only=True)[-1]
+    assert shuffled == pytest.approx(base, rel=1e-12)
 
 
 CONTRAST = FluidConfig(
@@ -326,3 +330,176 @@ def test_residual_dual_norm_exact_pair():
     assert residual_dual_norm(forms, x, 1.0, 1.0) <= 1e-12
     with pytest.raises(ValueError):
         residual_dual_norm(forms, x, 1.0, -1.0)
+
+
+def dense_tables(cfg, n):
+    """The six k-independent tables by a dense element-by-element scatter."""
+    dim = 4 * n - 2
+    tables = {name: np.zeros((dim, dim)) for name in ("M_rho", "D_rho", "M_mu", "D_mu", "H_mu", "X_mu")}
+    for e in range(2 * n):
+        lower = e < n
+        mass, grad, bend, cross = pencil._element_matrices((cfg.h_minus if lower else cfg.h_plus) / n)
+        rho = cfg.rho_minus if lower else cfg.rho_plus
+        mu = cfg.mu_minus if lower else cfg.mu_plus
+        dofs = np.arange(2 * e - 2, 2 * e + 2)  # full dofs 2e .. 2e+3, walls dropped
+        keep = (dofs >= 0) & (dofs < dim)
+        idx = np.ix_(dofs[keep], dofs[keep])
+        sub = np.ix_(keep, keep)
+        tables["M_rho"][idx] += rho * mass[sub]
+        tables["D_rho"][idx] += rho * grad[sub]
+        tables["M_mu"][idx] += mu * mass[sub]
+        tables["D_mu"][idx] += mu * grad[sub]
+        tables["H_mu"][idx] += mu * bend[sub]
+        tables["X_mu"][idx] += mu * 0.5 * (cross[sub] + cross[sub].T)
+    return tables
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config, n):
+    for cfg in (reference_config, CONTRAST):
+        bands = pencil._cfg_tables(cfg, Discretization(n))
+        assert bands["e0_index"] == 2 * n - 2
+        for name, dense in dense_tables(cfg, n).items():
+            view = pencil._dense(bands[name])
+            assert bands[name].shape == (4, 4 * n - 2)
+            assert np.array_equal(np.tril(view), np.tril(dense)), name
+            assert np.array_equal(view, view.T)
+            assert not np.triu(view, 4).any()
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_gvd_rows_match_a_dense_scatter(reference_config, n):
+    # eigh reads the lower triangle only, which the band holds bit for bit, so
+    # the cached secular rows equal gvd on the dense scatter (whose upper
+    # triangle differs from the lower at rounding level)
+    for cfg, k in ((reference_config, 1.0), (reference_config, 5.0), (CONTRAST, 3.0)):
+        t = dense_tables(cfg, n)
+        B = t["M_rho"] + t["D_rho"] / k**2
+        A = 4.0 * t["D_mu"] + k**2 * t["M_mu"] + 2.0 * t["X_mu"] + t["H_mu"] / k**2
+        forms = assemble(k, cfg, Discretization(n))
+        assert np.array_equal(np.tril(forms.B), np.tril(B))
+        assert np.array_equal(np.tril(forms.A_diss), np.tril(A))
+        lam, V = sla.eigh(A, B, driver="gvd")
+        got_lam, got_z2 = mode_spectral_data(forms)
+        assert np.array_equal(got_lam, lam)
+        assert np.array_equal(got_z2, V[forms.e0_index, :] ** 2)
+
+
+def test_band_matvec_matches_dense(reference_config, rng):
+    for n in (8, 32):
+        forms = assemble(2.0, reference_config, Discretization(n))
+        for _ in range(5):
+            x = rng.standard_normal(forms.dim)
+            for band, dense in ((forms.B_band, forms.B), (forms.A_band, forms.A_diss)):
+                scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max()
+                assert np.abs(band_matvec(band, x) - dense @ x).max() <= 1e-13 * scale
+    # a band taller than the matrix (2 x 2 with half bandwidth 3)
+    band = np.zeros((4, 2))
+    band[0] = (2.0, 3.0)
+    band[1, 0] = 0.5
+    assert band_matvec(band, np.array([1.0, 2.0])).tolist() == [3.0, 6.5]
+
+
+def test_secular_eigenpair_matches_dense_at_n128(reference_config):
+    # against the dense eigensolve (itself good to a few 1e-10 at N = 128) and,
+    # more tightly, against a dense Cholesky solve of the same system refined
+    # once with the same extended-precision residual
+    ext = np.longdouble
+    for k, s in ((5.0, 2.4), (1.0, 1.0)):
+        forms = assemble(k, reference_config, Discretization(128))
+        alpha = secular_alpha(forms, s)
+        assert alpha > 0.0
+        sec = secular_eigenpair(forms, s, alpha)
+        assert np.abs(sec.vector - largest_eigenpair(forms, s).vector).max() <= 1e-9
+        e0 = np.zeros(forms.dim)
+        e0[forms.e0_index] = 1.0
+        exact = ext(s) * forms.A_diss.astype(ext) + ext(alpha) * forms.B.astype(ext)
+        chol = sla.cho_factor(s * forms.A_diss + alpha * forms.B)
+        x = sla.cho_solve(chol, e0)
+        x = x + sla.cho_solve(chol, (e0 - exact @ x).astype(float))
+        assert np.abs(sec.vector - x / np.sqrt(x @ forms.B @ x)).max() <= 1e-12
+        assert sec.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
+
+
+def test_indefinite_band_raises_factorization_failure():
+    # s A + alpha B = diag(2, -4) at s = alpha = 1: dpbtrf stops at the second
+    # pivot, and no vector comes back
+    forms = replace(hand_pencil(), A_band=np.vstack([[1.0, -5.0], np.zeros((3, 2))]))
+    with pytest.raises(FactorizationFailure):
+        secular_eigenpair(forms, 1.0, 1.0)
+    with pytest.raises(FactorizationFailure):
+        residual_dual_norm(forms, np.array([1.0, 0.0]), 1.0, 1.0)
+
+
+def test_band_solve_error_never_returns_a_vector(reference_config, monkeypatch):
+    # a nonzero info from the triangular solves raises, even with a NaN vector
+    forms = assemble(1.0, reference_config, Discretization(8))
+    x = np.ones(forms.dim)
+    monkeypatch.setattr(
+        sla.lapack, "dpbtrs", lambda chol, b, lower=0: (np.full_like(b, np.nan), -2)
+    )
+    with pytest.raises(FactorizationFailure):
+        secular_eigenpair(forms, 1.0, 1.0)
+    with pytest.raises(FactorizationFailure):
+        residual_dual_norm(forms, x, 1.0, 1.0)
+
+
+def secular_rows(cfg, n, k_max, f):
+    """(lam, z2, c) of every lattice mode up to k_max at theta = f theta_c."""
+    cfg = cfg.with_theta(f * theta_critical(cfg))
+    ks = enumerate_modes(cfg, k_max).magnitudes
+    rows = [mode_spectral_data(assemble(k, cfg, Discretization(n))) for k in ks]
+    lam = np.stack([r[0] for r in rows])
+    z2 = np.stack([r[1] for r in rows])
+    return lam, z2, np.asarray([surface_coefficient(k, cfg) for k in ks])
+
+
+@pytest.mark.parametrize("f", [0.0, 0.3, 0.7])
+def test_secular_roots_rowwise_bit_identical(cheap_config, f):
+    # rows never interact: the batched roots equal each row solved alone
+    lam, z2, c = secular_rows(cheap_config, 16, 8.0, f)
+    fixed = rank_one_fixed_point(lam, z2, c)
+    assert np.array_equal(
+        fixed, [rank_one_fixed_point(lam[i], z2[i], c[i : i + 1])[0] for i in range(c.size)]
+    )
+    s = float(fixed.max()) if fixed.max() > 0.0 else 1.0
+    largest = rank_one_largest(lam, z2, c, s)
+    assert np.array_equal(
+        largest, [rank_one_largest(lam[i], z2[i], c[i : i + 1], s)[0] for i in range(c.size)]
+    )
+
+
+@pytest.mark.parametrize("f", [0.0, 0.7])
+def test_secular_roots_evaluate_only_live_rows(cheap_config, f):
+    # inactive rows (c_k <= 0) are never evaluated, and a row leaves the pass
+    # as soon as it converges: a converged row keeps its root, so a second
+    # evaluation at one point would be wasted, and each row is evaluated
+    # exactly as often as when solved alone
+    lam, z2, c = secular_rows(cheap_config, 16, 8.0, f)
+    span = np.sqrt(np.where(c > 0.0, c * z2.sum(axis=1), 0.0))
+    active = span > 0.0
+    assert 0 < active.sum() and (f == 0.0 or not active.all())
+
+    def solve(idx):
+        calls = []
+        points = {int(i): [] for i in idx}
+
+        def denoms(x, rows):
+            calls.append(idx[rows])
+            for i, xi in zip(idx[rows], x[:, 0]):
+                points[int(i)].append(float(xi))
+            return x * (x + lam[idx][rows]), 2.0 * x + lam[idx][rows]
+
+        w = c[idx, None] * z2[idx]
+        return pencil._secular_roots(w, denoms, span[idx], active[idx]), calls, points
+
+    everything = np.arange(c.size)
+    batch, calls, points = solve(everything)
+    for before, after in zip(calls, calls[1:]):
+        assert set(after) <= set(before)
+    assert set(calls[0]) == set(np.flatnonzero(active))
+    for i in everything:
+        assert len(set(points[i])) == len(points[i])
+        alone, alone_calls, _ = solve(np.array([i]))
+        assert alone[0] == batch[i]
+        assert sum(i in rows for rows in calls) == len(alone_calls)
