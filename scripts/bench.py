@@ -11,9 +11,10 @@ from start to exit, because a command-line user pays imports on every run.
 
 Each command row records its inputs (N, the modes sized, the number of global
 solves) and its answer (lambda and argmax_k), so that a later file can check
-that a speed-up kept the answer. The child counts modes as the rows the mode
-cache computes and solves as the growth results it validates; both are read
-from its own process, not inferred from the outputs.
+that a speed-up kept the answer. The child counts modes as the magnitudes
+whose transverse minima the mode set computes (once per mode it sizes) and
+solves as the growth results it validates; both are read from its own
+process, not inferred from the outputs.
 """
 
 from __future__ import annotations
@@ -55,17 +56,17 @@ from rtgrowth.fixedpoint import GrowthResult
 from rtgrowth.spectrum import FrozenModeSet
 
 counts = {"modes": 0, "solves": 0}
-compute_rows, validate = FrozenModeSet._compute_rows, GrowthResult.validate
+minima, validate = FrozenModeSet._transverse_minima, GrowthResult.validate
 
-def count_rows(self, ks):
+def count_modes(self, ks):
     counts["modes"] += len(ks)
-    return compute_rows(self, ks)
+    return minima(self, ks)
 
 def count_solve(self):
     counts["solves"] += 1
     return validate(self)
 
-FrozenModeSet._compute_rows, GrowthResult.validate = count_rows, count_solve
+FrozenModeSet._transverse_minima, GrowthResult.validate = count_modes, count_solve
 code = cli.main(sys.argv[1:])
 sys.stderr.write(json.dumps(counts) + "\\n")
 sys.exit(code)

@@ -136,7 +136,8 @@ def _cmd_growth(cfg, args) -> int:
     result = solve_lambda(cfg, disc, tol_fp=args.tol)
     _emit(json.dumps(result.to_json_dict()), args.out)
     if args.mode_table:
-        _emit("\n".join(result.alpha_at_lambda.table.csv_lines()), args.mode_table)
+        table = result.mode_set.table(result.lam, result.theta)
+        _emit("\n".join(table.csv_lines()), args.mode_table)
     return 0
 
 

@@ -4,11 +4,11 @@ f(s) = alpha(s) - s^2 is strictly decreasing, so the growth rate is its
 unique zero. Since alpha(s) is the maximum over lattice modes of alpha_k(s),
 f(s) > 0 exactly when some alpha_k(s) > s^2, that is when s < Lambda_k for
 the per-mode fixed point Lambda_k^2 = alpha_k(Lambda_k). So
-Lambda = max_k Lambda_k, and every Lambda_k is the root of one scalar secular
-equation over the cached spectral rows of the mode (rank_one_fixed_point),
-solved for all modes at once. The eigenprofile is built here and only here:
-at Lambda it costs one banded assembly of the maximizing mode and one
-banded Cholesky solve.
+Lambda = max_k Lambda_k: one scan of the mode set (FrozenModeSet.growth_max)
+solves Lambda_k by banded Newton steps (pencil.fixed_point) only for the modes
+that one inertia test at the running maximum cannot rule out. The eigenprofile
+is the last solve of the maximizing mode's Newton loop, and the alpha at
+Lambda and the fixed-point residual come from that solve too.
 An owned mode set is grown until the certified cutoff at the answer lies
 inside it; a set handed in is checked against that cutoff once.
 """
@@ -16,7 +16,7 @@ inside it; a set handed in is checked against that cutoff once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,22 +25,18 @@ from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
 from .pencil import (
     Discretization,
-    PencilForms,
     assemble,
     band_matvec,
     coeffs_to_profile,
-    mode_spectral_data,
     profile_to_coeffs,
     prolong_coeffs,
-    rank_one_fixed_point,
-    rank_one_largest,
     residual_dual_norm,
-    secular_eigenpair,
 )
 from .spectrum import (
     AlphaValue,
     FrozenModeSet,
     certified_cutoff,
+    mode_fixed_point,
     size_mode_set,
     smallest_magnitude,
 )
@@ -48,7 +44,10 @@ from .spectrum import (
 
 @dataclass(frozen=True, eq=False)
 class GrowthResult:
-    """Growth rate with maximizing mode, eigenprofile, and diagnostics."""
+    """Growth rate with maximizing mode, eigenprofile, and diagnostics.
+
+    mode_set is the set Lambda was maximized over (mode_set.table(lam, theta)
+    gives every mode's branch values at Lambda)."""
 
     lam: float
     argmax_k: float
@@ -59,6 +58,7 @@ class GrowthResult:
     theta: float
     resolution: int
     tol_fp: float
+    mode_set: FrozenModeSet = field(repr=False)
 
     @property
     def branch(self) -> str:
@@ -115,8 +115,10 @@ def solve_lambda(
     if fm is None:
         # at the smallest magnitude c_k > 0, since theta < theta_c
         fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
-        size_mode_set(fm, theta)
-    lam = float(fm.mode_lambdas(theta).max())
+        best = size_mode_set(fm, theta)
+    else:
+        best = fm.growth_max(theta)
+    lam = best.lam
     cutoff = certified_cutoff(cfg, theta, lam, lam * lam)
     if cutoff > fm.modes.k_max:
         raise CutoffRunaway(
@@ -124,19 +126,20 @@ def solve_lambda(
             f"but the frozen mode set ends at k_max = {fm.modes.k_max!r}"
         )
 
-    alpha_val = fm.alpha_value(lam, theta)
-    forms = assemble(alpha_val.argmax_k, fm.cfg.with_theta(theta), fm.disc)
-    vector = secular_eigenpair(forms, lam, alpha_val.alpha).vector
+    # at s = Lambda the maximizer's coupled value is Lambda^2 > 0, and every
+    # other mode's lies below it (Lambda_j < Lambda), transverse ones below 0
+    k = best.forms.k
     result = GrowthResult(
         lam=lam,
-        argmax_k=alpha_val.argmax_k,
-        eigenprofile=coeffs_to_profile(vector, forms),
-        fixed_point_residual=abs(lam * lam - alpha_val.alpha),
-        alpha_at_lambda=alpha_val,
+        argmax_k=k,
+        eigenprofile=coeffs_to_profile(best.solution.vector, best.forms),
+        fixed_point_residual=abs(lam * lam - best.alpha),
+        alpha_at_lambda=AlphaValue(best.alpha, k, "longitudinal", lam, theta),
         bound_m=m,
         theta=theta,
         resolution=disc.elements_per_layer,
         tol_fp=tol_fp,
+        mode_set=fm,
     )
     result.validate()
     return result
@@ -152,14 +155,6 @@ class ModeGrowth:
     profile: VerticalProfile
 
 
-def _mode_fixed_point(forms: PencilForms):
-    """(Lambda_k, secular rows) of one assembled mode; None when c_k <= 0 (stable)."""
-    if forms.c_k <= 0.0:
-        return None
-    rows = mode_spectral_data(forms)
-    return float(rank_one_fixed_point(*rows, np.asarray([forms.c_k]))[0]), rows
-
-
 def solve_mode_lambda(
     cfg: FluidConfig,
     k: float,
@@ -170,17 +165,14 @@ def solve_mode_lambda(
     theta_c = theta_critical(cfg)
     if cfg.theta >= theta_c:
         raise StableRegime(cfg.theta, theta_c)
-    forms = assemble(k, cfg, disc)
-    solved = _mode_fixed_point(forms)
-    if solved is None:
+    fp = mode_fixed_point(cfg, k, disc)
+    if fp is None:
         return None
-    lam, rows = solved
-    alpha = float(rank_one_largest(*rows, np.asarray([forms.c_k]), lam)[0])
     return ModeGrowth(
         k=k,
-        lam=lam,
-        fixed_point_residual=abs(lam * lam - alpha),
-        profile=coeffs_to_profile(secular_eigenpair(forms, lam, alpha).vector, forms),
+        lam=fp.lam,
+        fixed_point_residual=abs(fp.lam * fp.lam - fp.alpha),
+        profile=coeffs_to_profile(fp.solution.vector, fp.forms),
     )
 
 

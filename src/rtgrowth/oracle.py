@@ -38,10 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateExponents, ZeroWaveNumber
-from .fixedpoint import ModeGrowth, _mode_fixed_point, solve_mode_lambda
+from .fixedpoint import ModeGrowth, solve_mode_lambda
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
-from .pencil import Discretization, assemble
+from .pencil import Discretization
+from .spectrum import mode_fixed_point
 
 _ARG_LIMIT = 700.0  # cosh overflows just above this
 _DEFAULT_SCAN_POINTS = 240
@@ -333,17 +334,18 @@ def compare_modes(
     """Per-mode growth rates from both methods, with relative differences.
 
     Disagreement is reported, never resolved silently: callers decide what to
-    flag against which tolerance. Only Lambda_k is solved on the Galerkin
-    side, with no eigenprofile. Raises StableRegime at theta >= theta_c
+    flag against which tolerance. The Galerkin side is the fixed point that
+    solve_mode_lambda solves (spectrum.mode_fixed_point); only its Lambda_k
+    is read, and no profile is built. Raises StableRegime at theta >= theta_c
     (from the bound m), like solve_mode_lambda.
     """
     validate_config(cfg)
     scan_max = scan_margin * upper_bound_m(cfg)
     rows = []
     for k in ks:
-        solved = _mode_fixed_point(assemble(k, cfg, disc))
+        solved = mode_fixed_point(cfg, k, disc)
         root = dispersion_root(k, cfg, scan_max)
-        lam_v = solved[0] if solved is not None else None
+        lam_v = solved.lam if solved is not None else None
         rel = None
         if lam_v is not None and root is not None:
             rel = abs(lam_v - root) / root

@@ -1,4 +1,4 @@
-"""Discrete per-mode pencils: assembly and largest-eigenvalue solves.
+"""Discrete per-mode pencils: assembly, the inertia test and the per-mode solves.
 
 Each wavenumber magnitude k, at modification parameter s, yields the pencil
 
@@ -15,13 +15,13 @@ so the discrete supremum is a monotone lower bound of the continuous one.
 Neighbouring nodes share an element, so every matrix is banded with half
 bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
 band form: a (4, dim) array whose row d holds the entries (j + d, j). The band
-is the lower triangle of the element scatter. Dense views are expanded on
-demand only for the full eigendecomposition (mode_spectral_data) and the
-dense reference solve (largest_eigenpair); they read the lower triangle
-only, so they see exactly the scattered values. The eigenprofile solve and
-the residual norms factor the band (dpbtrf/dpbtrs) and multiply by it
-(dsbmv); the eigenprofile solve takes one refinement step whose residual is
-formed in np.longdouble.
+is the lower triangle of the element scatter. Every per-mode quantity comes
+from banded Cholesky factorizations (dpbtrf): the inertia test alpha_below
+(s A + alpha B - c_k e0 e0^T factors exactly when alpha > alpha_k(s)),
+alpha_k(s) by bisection on it (mode_alpha), and Lambda_k by Newton steps on
+phi(s) = c_k e0^T (s A + s^2 B)^(-1) e0 = 1 (fixed_point), whose last solve
+is the eigenprofile. No solver path expands a dense matrix; the dense
+largest_eigenpair is the tests' reference.
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
@@ -145,16 +145,6 @@ def _cfg_tables(cfg: FluidConfig, disc: Discretization):
     )
 
 
-def _dense(band: np.ndarray) -> np.ndarray:
-    """Symmetric dense matrix whose lower triangle the lower band holds."""
-    n = band.shape[1]
-    M = np.diag(band[0])
-    for d in range(1, min(band.shape[0], n)):
-        i = np.arange(n - d)
-        M[i + d, i] = M[i, i + d] = band[d, : n - d]
-    return M
-
-
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Product of the symmetric matrix held in lower band form with x."""
     return blas.dsbmv(band.shape[0] - 1, 1.0, band, x, lower=1)
@@ -194,8 +184,7 @@ class PencilForms:
     """Assembled matrices of one mode at one resolution, in lower band form.
 
     B_band and A_band hold the kinetic and dissipation matrices as (4, dim)
-    LAPACK symmetric lower bands (row d, column j is entry (j + d, j)). B and
-    A_diss expand dense symmetric views on demand, for the dense eigensolves.
+    LAPACK symmetric lower bands (row d, column j is entry (j + d, j)).
     """
 
     k: float
@@ -209,14 +198,6 @@ class PencilForms:
     @property
     def dim(self) -> int:
         return self.B_band.shape[1]
-
-    @property
-    def B(self) -> np.ndarray:
-        return _dense(self.B_band)
-
-    @property
-    def A_diss(self) -> np.ndarray:
-        return _dense(self.A_band)
 
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
@@ -282,157 +263,154 @@ def _finish_eigenpair(
 def largest_eigenpair(forms: PencilForms, s: float) -> EigenSolution:
     """Largest generalized eigenpair of one mode's pencil by a dense solve.
 
-    No solver path uses it: it is the reference that the cached secular
-    values and secular_eigenpair are tested against.
+    No solver path uses it: it is the reference that the banded solves are
+    tested against. It expands the bands into dense symmetric matrices.
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
     n = forms.dim
-    numerator = -s * forms.A_diss
+    dense = []
+    for band in (forms.A_band, forms.B_band):
+        M = np.diag(band[0])
+        for d in range(1, min(band.shape[0], n)):
+            i = np.arange(n - d)
+            M[i + d, i] = M[i, i + d] = band[d, : n - d]
+        dense.append(M)
+    numerator = -s * dense[0]
     numerator[forms.e0_index, forms.e0_index] += forms.c_k
     try:
-        w, v = sla.eigh(numerator, forms.B, subset_by_index=[n - 1, n - 1])
+        w, v = sla.eigh(numerator, dense[1], subset_by_index=[n - 1, n - 1])
     except sla.LinAlgError as exc:
         raise FactorizationFailure(f"symmetric-definite solve failed: {exc}") from exc
     return _finish_eigenpair(forms, _energy(forms, s, w[0]), w[0], v[:, 0])
 
 
-def secular_eigenpair(forms: PencilForms, s: float, alpha: float) -> EigenSolution:
-    """Eigenvector for the largest eigenvalue alpha, known from the secular rows.
+def _interface_solve(forms: PencilForms, s: float, alpha: float):
+    """(s A + alpha B, x) with x = (s A + alpha B)^(-1) e0, for alpha > 0.
 
-    (c_k e0 e0^T - s A) x = alpha B x gives (s A + alpha B) x = c_k x[e0] e0,
-    so x is proportional to (s A + alpha B)^(-1) e0: one banded Cholesky
-    factorization and two solves. It is called at fixed points only, where alpha = Lambda^2 > 0 and
-    s A + alpha B is positive definite. Requires alpha > 0: below that the
-    matrix is indefinite when c_k <= 0 and numerically singular when c_k is a
-    tiny positive number (alpha then sits within rounding of -s lam_0).
+    When alpha is the largest eigenvalue, x is its eigenvector: the pencil
+    gives (s A + alpha B) x = c_k x[e0] e0. One banded Cholesky factorization
+    and two solves: the second is one step of refinement with s A + alpha B
+    formed and applied in extended precision.
+    Rounding it to float64 puts the solve off by up to 2e-9 at N = 128
+    (cond ~ 4e8), an error that moves with BLAS threading; the refined vector
+    is good to ~1e-12.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"secular eigenpair needs alpha > 0, got {alpha!r}")
     e0 = np.zeros(forms.dim)
     e0[forms.e0_index] = 1.0
     what = f"energy matrix at alpha {alpha!r}"
     energy = _energy(forms, s, alpha)
     chol = _spd_factor(energy, what)
     x = _spd_solve(chol, e0, what)
-    # One step of refinement with s A + alpha B formed and applied in extended
-    # precision: rounding it to float64 puts the solve off by up to 2e-9 at
-    # N = 128 (cond ~ 4e8), an error that moves with BLAS threading; the
-    # refined vector is good to ~1e-12.
     ext = np.longdouble
     exact = ext(s) * forms.A_band.astype(ext) + ext(alpha) * forms.B_band.astype(ext)
     r = e0 - _band_matvec_extended(exact, x)
-    x = x + _spd_solve(chol, r.astype(float), what)
-    return _finish_eigenpair(forms, energy, alpha, x)
+    return energy, x + _spd_solve(chol, r.astype(float), what)
 
 
-def mode_spectral_data(forms: PencilForms):
-    """Eigenvalues of (A_diss, B) and interface weights in that eigenbasis.
+def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
+    """The inertia test: whether alpha_k(s) < alpha, by one banded Cholesky.
 
-    Returns (lam, z2) with lam ascending and z2 the squared e0-components of
-    the B-orthonormal eigenvectors; every alpha(s) and the fixed point of the
-    mode follow from these through a rank-one secular equation at O(dim) cost.
+    M = s A + alpha B - c_k e0 e0^T is positive definite exactly when
+    x^T (c_k e0 e0^T - s A) x < alpha x^T B x for every x != 0, that is when
+    alpha exceeds the largest eigenvalue alpha_k(s) of the pencil; by
+    Sylvester's law of inertia the factorization M = L L^T runs to completion
+    (dpbtrf, info = 0) exactly then. At alpha = s^2, since alpha_k(s) - s^2
+    strictly decreases through zero at Lambda_k, success proves s > Lambda_k.
+
+    In floating point, success proves this for a nearby matrix: forming M
+    perturbs each entry by at most 2u (|s A| + |alpha B|) + u |c_k| (u the
+    unit roundoff), and the computed factor is the exact factor of M + E
+    with |E| <= gamma_5 |L| |L^T| entrywise, gamma_m = m u / (1 - m u), since
+    every inner product has at most four terms (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, Theorem 10.3). So success proves
+    alpha > alpha_k(s) - delta, and failure alpha < alpha_k(s) + delta, where
+    delta is the largest B-Rayleigh quotient of these perturbations: a
+    backward error at the rounding level of the energy matrix, which grows
+    with its condition number (about 4e8 at N = 128).
     """
-    try:
-        lam, V = sla.eigh(forms.A_diss, forms.B, driver="gvd")
-    except sla.LinAlgError as exc:
-        raise FactorizationFailure(f"symmetric-definite solve failed: {exc}") from exc
-    return lam, V[forms.e0_index, :] ** 2
+    m = _energy(forms, s, alpha)
+    m[0, forms.e0_index] -= forms.c_k
+    info = lapack.dpbtrf(m, lower=1)[1]
+    if info < 0:
+        raise FactorizationFailure(f"banded Cholesky rejected its arguments (LAPACK info {info})")
+    return info == 0
 
 
-def _secular_roots(w: np.ndarray, denoms, span: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Per row, the root x in (0, span] of sum_j w_j / d_j(x) = 1.
+def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
+    """alpha_k(s) by bisection on alpha_below, on either sign of c_k.
 
-    The sum must strictly decrease in x on (0, span), exceed 1 near 0 and be
-    at most 1 at span; denoms(x, rows) returns (d, dd/dx) of the given rows
-    at their column x. Rows not `live` return 0. Safeguarded Newton, batched
-    over rows: a step that leaves the current sign bracket is replaced by
-    bisection. Each pass evaluates only the rows still live, so a row's
-    iterates are those it would take if solved alone.
+    upper must bound alpha_k(s) from above (spectrum.alpha_bound is proven to).
+    The lower end steps down from it by doubling until the test fails; the
+    bracket is then halved to 1e-14 of its width, which is at least
+    max(|upper|, s) and so far above the spacing of floats around it.
     """
-    x = np.where(live, 0.5 * span, 0.0)
-    lo = np.zeros(x.size)
-    hi = span.copy()
-    rows = np.flatnonzero(live)
-    for _ in range(60):
-        if rows.size == 0:
-            break
-        xr = x[rows]
-        d, dd = denoms(xr[:, None], rows)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = w[rows] / d
-            G = q.sum(axis=1)
-            slope = -(q * dd / d).sum(axis=1)
-        R = G - 1.0
-        above = R > 0.0
-        lo_r = np.where(above, xr, lo[rows])
-        hi_r = np.where(above, hi[rows], xr)
-        lo[rows] = lo_r
-        hi[rows] = hi_r
-        done = (np.abs(R) <= 1e-13 * (1.0 + np.abs(G))) | (hi_r - lo_r <= 1e-15 * span[rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_newton = xr - R / slope
-        inside = np.isfinite(x_newton) & (x_newton > lo_r) & (x_newton < hi_r)
-        step = np.where(inside, x_newton, 0.5 * (lo_r + hi_r))
-        x[rows] = np.where(done, xr, step)
-        rows = rows[~done]
-    return x
+    if s <= 0.0:
+        raise ValueError(f"modification parameter must be > 0, got {s!r}")
+    hi, step = float(upper), max(abs(upper), s)
+    while alpha_below(forms, s, hi - step):
+        hi, step = hi - step, 2.0 * step
+    lo, tol = hi - step, 1e-14 * step
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if alpha_below(forms, s, mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(0.5 * (lo + hi))
 
 
-def rank_one_largest(lam: np.ndarray, z2: np.ndarray, c: np.ndarray, s: float) -> np.ndarray:
-    """Largest eigenvalue of (c e0 e0^T - s A) x = alpha B x, batched.
+@dataclass(frozen=True, eq=False)
+class FixedPoint:
+    """Per-mode growth rate Lambda_k with its eigenprofile.
 
-    Rows of lam/z2 hold per-mode spectral data from mode_spectral_data; c is
-    the per-mode surface coefficient. In the (A, B)-eigenbasis the problem is
-    diag(-s lam) plus the rank-one term c z z^T, whose extreme eigenvalue is
-    the unique root of a monotone secular function on a bracketed parameter
-    t: for c > 0 the root sits in (0, c sum(z^2)] above the top diagonal
-    entry, for c < 0 inside the top spectral gap below it. When the interface
-    weight of the top entry deflates to zero the iteration collapses onto
-    that entry, so no explicit deflation cases are needed.
+    alpha is alpha_k(lam) to first order from the last solve, so
+    |lam^2 - alpha| is the fixed-point residual.
     """
-    lam = np.atleast_2d(lam)
-    z2 = np.atleast_2d(z2)
-    c = np.atleast_1d(c).astype(float)
-    m, nn = lam.shape
-    delta = s * (lam - lam[:, :1])
-    gap = s * (lam[:, 1] - lam[:, 0]) if nn > 1 else np.zeros(m)
-    sign = np.where(c > 0.0, 1.0, -1.0)
-    span = np.where(c > 0.0, c * z2.sum(axis=1), gap)
-    active = (c != 0.0) & (span > 0.0) & np.isfinite(span)
-    sgn = sign[:, None]
-    t = _secular_roots(
-        c[:, None] * z2,
-        lambda t, rows: (delta[rows] + sgn[rows] * t, sgn[rows]),
-        np.where(active, span, 0.0),
-        active,
-    )
-    return -s * lam[:, 0] + sign * t
+
+    forms: PencilForms
+    lam: float
+    alpha: float
+    solution: EigenSolution
 
 
-def rank_one_fixed_point(lam: np.ndarray, z2: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per-mode growth rate Lambda_k with Lambda_k^2 = alpha_k(Lambda_k), batched.
+def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
+    """Lambda_k with alpha_k(Lambda_k) = Lambda_k^2, for c_k > 0.
 
-    At s = Lambda and alpha = Lambda^2 the secular equation of rank_one_largest
-    reads phi(Lambda) = c sum_j z_j^2 / (Lambda (Lambda + lam_j)) = 1, which is
-    c e0^T (Lambda A + Lambda^2 B)^(-1) e0 = 1 in the (A, B) eigenbasis. For
-    c > 0, phi strictly decreases from +inf at 0+ to 0, and phi <= c sum(z^2)
-    / Lambda^2 (lam_j >= 0) puts the root in (0, sqrt(c sum(z^2))]. Since
-    Lambda^2 > 0 > -Lambda lam_0, the root is the largest eigenvalue at
-    s = Lambda, so alpha_k(s) > s^2 exactly when s < Lambda_k. Rows with
-    c <= 0 have alpha_k < 0 for every s and return 0.
+    With x = (s A + s^2 B)^(-1) e0 and phi(s) = c_k x[e0], the Schur
+    complement of s A + s^2 B in s A + s^2 B - c_k e0 e0^T is 1 - phi(s), so
+    by the inertia argument of alpha_below phi(s) < 1 exactly when
+    s > Lambda_k. phi strictly decreases, phi' = -c_k x^T (A + 2 s B) x, and
+    1/phi - 1 is nearly linear in s, so safeguarded Newton on it takes a few
+    steps: s <- s + phi (1 - phi) / phi', with a bisection of the bracket
+    whenever a step leaves it. start must satisfy phi(start) <= 1, as the
+    trace bound sqrt(c_k k / (rho+ + rho-)) does. Each solve is refined in
+    extended precision (_interface_solve); after a step below 1e-9 relative
+    the error is of the order of its square, so the next solve is the last
+    and is the eigenprofile.
     """
-    lam = np.atleast_2d(lam)
-    z2 = np.atleast_2d(z2)
-    c = np.atleast_1d(c).astype(float)
-    span = np.sqrt(np.where(c > 0.0, c * z2.sum(axis=1), 0.0))
-    active = (span > 0.0) & np.isfinite(span)
-    return _secular_roots(
-        c[:, None] * z2,
-        lambda x, rows: (x * (x + lam[rows]), 2.0 * x + lam[rows]),
-        span,
-        active,
-    )
+    c = float(forms.c_k)
+    if not c > 0.0:
+        raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
+    lo, hi, s = 0.0, float(start), float(start)
+    last = False
+    for _ in range(100):
+        energy, x = _interface_solve(forms, s, s * s)
+        phi = c * float(x[forms.e0_index])
+        xb = float(x @ band_matvec(forms.B_band, x))
+        if phi > 1.0:
+            if s == start:
+                raise ValueError(f"start {start!r} lies below the fixed point of mode k = {forms.k!r}")
+            lo = s
+        else:
+            hi = s
+        step = phi * (1.0 - phi) / (-c * (float(x @ band_matvec(forms.A_band, x)) + 2.0 * s * xb))
+        if last or phi == 1.0 or hi - lo <= 1e-15 * hi:
+            alpha = s * s + (phi - 1.0) / (c * xb)
+            return FixedPoint(forms, s, alpha, _finish_eigenpair(forms, energy, s * s, x))
+        last = abs(step) <= 1e-9 * s
+        s = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
+    raise FactorizationFailure(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")
 
 
 def _b_cot_bh(b2: float, h: float) -> float:

@@ -1,28 +1,31 @@
-"""Global alpha(s, theta): supremum over the lattice of wavenumbers.
+"""Global alpha(s, theta) and Lambda: suprema over the lattice of wavenumbers.
 
 The admissible wavenumbers are xi = (n1/L1, n2/L2) over nonzero integer
 pairs; every per-mode quantity depends on xi only through k = |xi|, so the
 search collapses to the sorted list of distinct magnitudes. A FrozenModeSet
-caches, per magnitude, the eigendecomposition of the (dissipation, kinetic)
-pair and the exact transverse minimum, one scalar root. From these rows one
-vectorized secular solve gives alpha(s, theta) at any s and theta, and
-another gives every per-mode growth rate Lambda_k at any theta; the global
-rate is max_k Lambda_k. The cached data does not depend on theta, so a
-theta sweep reuses one set. alpha(s) only locates Lambda, so an evaluation
-returns values and the maximizing mode, never a profile; eigenprofiles are
-built only at fixed points, in fixedpoint.
+holds the magnitudes and the exact transverse minimum of each (one scalar
+root); every coupled-branch value is solved on the banded pencil when it is
+needed (pencil.alpha_below, mode_alpha, fixed_point). A global maximum, the
+growth rate Lambda = max_k Lambda_k at one theta or alpha(s) at one s, is one
+scan over the set in decreasing order of a proven per-mode bound: the scan
+stops at the first bound at or below the running maximum, rules out a mode
+by one inertia test at the running maximum, and fully solves a mode only
+when that test fails. alpha(s) only locates Lambda, so an evaluation returns
+values and the maximizing mode, never a profile; the eigenprofile is the last
+solve of the maximizing mode's fixed point.
 
 The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
 never competes for the supremum near the fixed point.
 
-Cutoff policy: every per-mode value obeys alpha_k(s) <= U(k, s), a bound
-that falls below any floor beyond a computable wavenumber (certified_cutoff).
-An owned mode set starts at the smallest lattice magnitude and grows, at most
-doubling per step, until the certified cutoff for the quantity it serves
-(alpha(s), or the growth rate Lambda) lies inside it (size_mode_set); every
-mode left out then provably cannot reach the value computed on the set. A set
-handed in by the caller is evaluated as it is and never extended.
+Cutoff policy: every per-mode value obeys alpha_k(s) <= U(k, s) (alpha_bound),
+a bound that falls below any floor beyond a computable wavenumber
+(certified_cutoff). An owned mode set starts at the smallest lattice
+magnitude and grows, at most doubling per step, until the certified cutoff
+for the quantity it serves (alpha(s), or the growth rate Lambda) lies inside
+it (size_mode_set); every mode left out then provably cannot reach the value
+computed on the set. A set handed in by the caller is evaluated as it is and
+never extended.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from .errors import BranchMismatch, EmptyModeSet, MonotonicityViolation
 from .model import FluidConfig
 from .pencil import (
     Discretization,
+    FixedPoint,
+    alpha_below,
     assemble,
-    mode_spectral_data,
-    rank_one_fixed_point,
-    rank_one_largest,
+    fixed_point,
+    mode_alpha,
     transverse_min_eigenvalue,
 )
 
@@ -127,14 +131,13 @@ class ModeTable:
 
 @dataclass(frozen=True, eq=False)
 class AlphaValue:
-    """Global supremum alpha(s, theta) with its maximizer and mode table."""
+    """Global supremum alpha(s, theta) with its maximizer."""
 
     alpha: float
     argmax_k: float
     branch: str
     s: float
     theta: float
-    table: ModeTable
 
     def __post_init__(self):
         if self.alpha > 0.0 and self.branch != "longitudinal":
@@ -145,13 +148,10 @@ class AlphaValue:
 
 
 class FrozenModeSet:
-    """Per-mode spectral cache over one lattice mode set.
+    """A lattice mode set with the exact transverse minimum of every mode.
 
-    The cached rows (eigendecompositions of the per-mode pairs and the exact
-    transverse minima) are independent of both s and theta; evaluations
-    for any (s, theta), and the per-mode fixed points for any theta, reduce
-    to rank-one secular equations over the cached rows, so an evaluation
-    assembles no pencil and builds no profile. `locked` marks sets
+    The transverse minima do not depend on s or theta; the coupled branch is
+    solved on demand, so one set serves every (s, theta). `locked` marks sets
     deliberately frozen across a multi-point computation: extending one
     raises, since it would change earlier samples.
     """
@@ -161,25 +161,10 @@ class FrozenModeSet:
         self.disc = disc
         self.modes = modes
         self.locked = False
-        lam, z2, lam_tau = self._compute_rows(modes.magnitudes)
-        self._lam = lam
-        self._z2 = z2
-        self._lam_tau = lam_tau
-        self._last = None  # ((s, theta), alpha arrays) of the latest evaluation
+        self._lam_tau = self._transverse_minima(modes.magnitudes)
 
-    def _compute_rows(self, ks: np.ndarray):
-        def one(k: float):
-            lam, z2 = mode_spectral_data(assemble(k, self.cfg, self.disc))
-            return lam, z2, transverse_min_eigenvalue(k, self.cfg)
-
-        rows = [one(k) for k in ks]
-        if not rows:
-            dim = self.disc.n_dofs
-            return np.zeros((0, dim)), np.zeros((0, dim)), np.zeros(0)
-        lam = np.stack([r[0] for r in rows])
-        z2 = np.stack([r[1] for r in rows])
-        lam_tau = np.asarray([r[2] for r in rows])
-        return lam, z2, lam_tau
+    def _transverse_minima(self, ks: np.ndarray) -> np.ndarray:
+        return np.asarray([transverse_min_eigenvalue(k, self.cfg) for k in ks], dtype=float)
 
     @classmethod
     def freeze(cls, cfg: FluidConfig, disc: Discretization, k_max: float) -> "FrozenModeSet":
@@ -195,54 +180,100 @@ class FrozenModeSet:
             return
         wider = enumerate_modes(self.cfg, k_max)
         fresh = wider.magnitudes > self.modes.k_max * (1.0 + _DEDUP_RTOL)
-        lam, z2, lam_tau = self._compute_rows(wider.magnitudes[fresh])
-        self._lam = np.vstack([self._lam, lam])
-        self._z2 = np.vstack([self._z2, z2])
+        lam_tau = self._transverse_minima(wider.magnitudes[fresh])
         self._lam_tau = np.concatenate([self._lam_tau, lam_tau])
         self.modes = wider
-        self._last = None
 
-    def _surface(self, theta: float) -> np.ndarray:
-        """Per-mode surface coefficients c_k = g [rho] - theta k^2."""
-        return self.cfg.g * self.cfg.density_jump - theta * self.modes.magnitudes**2
+    def growth_max(self, theta: float) -> FixedPoint | None:
+        """The fixed point of the mode with the largest Lambda_k; None if none grows.
 
-    def alpha_arrays(self, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(alpha_longitudinal, alpha_transverse) over the mode set.
+        alpha(s) > s^2 exactly when some alpha_k(s) > s^2, which holds exactly
+        when s < Lambda_k; the transverse branch is never positive. So the
+        global rate is max_k Lambda_k. Modes are visited in decreasing order
+        of their bound Lambda_k <= growth_bound; the scan stops at the first
+        bound at or below the running maximum M, skips a mode whose inertia
+        test at (s, alpha) = (M, M^2) succeeds, which proves Lambda_k < M,
+        and solves the fixed point of the rest. Ties go to the smaller k.
+        """
+        cfg = self.cfg.with_theta(theta)
+        ks = self.modes.magnitudes
+        bounds = growth_bound(cfg, theta, ks)
+        best = None
+        for i in np.argsort(-bounds, kind="stable"):
+            lam = 0.0 if best is None else best.lam
+            if bounds[i] <= lam:
+                break
+            if best is not None and alpha_below(assemble(ks[i], cfg, self.disc), lam, lam * lam):
+                continue
+            fp = mode_fixed_point(cfg, ks[i], self.disc)
+            if best is None or (fp.lam, -ks[i]) > (lam, -best.forms.k):
+                best = fp
+        return best
 
-        The latest evaluation is kept, so size_mode_set and alpha_value at one
-        (s, theta) share one secular solve.
+    def alpha_value(self, s: float, theta: float) -> AlphaValue:
+        """alpha(s, theta), the larger branch value maximized over the set.
+
+        The transverse maximum is known exactly; a mode's coupled value is
+        solved (mode_alpha) only when its bound U(k, s) exceeds the running
+        maximum M and its inertia test at alpha = M fails. Ties go to the
+        smaller k, and within a mode to the coupled branch.
         """
         if s <= 0.0:
             raise ValueError(f"modification parameter must be > 0, got {s!r}")
-        if self._last is None or self._last[0] != (s, theta):
-            alpha_long = rank_one_largest(self._lam, self._z2, self._surface(theta), s)
-            alpha_tau = -s * self._lam_tau
-            alpha_long.flags.writeable = False
-            alpha_tau.flags.writeable = False
-            self._last = ((s, theta), (alpha_long, alpha_tau))
-        return self._last[1]
+        cfg = self.cfg.with_theta(theta)
+        ks = self.modes.magnitudes
+        bounds = alpha_bound(cfg, theta, ks, s)
+        transverse = -s * self._lam_tau
+        j = int(np.argmax(transverse))
+        best = (float(transverse[j]), float(ks[j]), "transverse")
+        for i in np.argsort(-bounds, kind="stable"):
+            if bounds[i] <= best[0]:
+                break
+            forms = assemble(ks[i], cfg, self.disc)
+            if alpha_below(forms, s, best[0]):
+                continue
+            alpha = mode_alpha(forms, s, bounds[i])
+            if (alpha, -ks[i]) >= (best[0], -best[1]):
+                best = (alpha, float(ks[i]), "longitudinal")
+        return AlphaValue(alpha=best[0], argmax_k=best[1], branch=best[2], s=s, theta=theta)
 
-    def mode_lambdas(self, theta: float) -> np.ndarray:
-        """Per-mode growth rates Lambda_k, 0 where c_k <= 0 (no growth).
+    def table(self, s: float, theta: float) -> ModeTable:
+        """Both branch values of every mode at (s, theta): one mode_alpha each."""
+        cfg = self.cfg.with_theta(theta)
+        ks = self.modes.magnitudes
+        bounds = alpha_bound(cfg, theta, ks, s)
+        longitudinal = [mode_alpha(assemble(k, cfg, self.disc), s, u) for k, u in zip(ks, bounds)]
+        return ModeTable(ks, self.modes.multiplicities, np.asarray(longitudinal), -s * self._lam_tau)
 
-        alpha(s) > s^2 exactly when some alpha_k(s) > s^2, which holds
-        exactly when s < Lambda_k (see rank_one_fixed_point); the transverse
-        branch is never positive. So the global rate is max_k Lambda_k.
-        """
-        return rank_one_fixed_point(self._lam, self._z2, self._surface(theta))
 
-    def alpha_value(self, s: float, theta: float) -> AlphaValue:
-        al, at = self.alpha_arrays(s, theta)
-        per_mode = np.maximum(al, at)
-        idx = int(np.argmax(per_mode))
-        return AlphaValue(
-            alpha=float(per_mode[idx]),
-            argmax_k=float(self.modes.magnitudes[idx]),
-            branch="longitudinal" if al[idx] >= at[idx] else "transverse",
-            s=s,
-            theta=theta,
-            table=ModeTable(self.modes.magnitudes, self.modes.multiplicities, al, at),
-        )
+def mode_fixed_point(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
+    """Fixed point of one mode at cfg.theta; None when c_k <= 0 (stable)."""
+    forms = assemble(float(k), cfg, disc)
+    if forms.c_k <= 0.0:
+        return None
+    return fixed_point(forms, math.sqrt(alpha_bound(cfg, cfg.theta, k, 0.0)))
+
+
+def alpha_bound(cfg: FluidConfig, theta: float, k, s: float):
+    """U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max >= alpha_k(s).
+
+    Proven in certified_cutoff; k may be an array. At s = 0 its square root is
+    the trace bound on Lambda_k.
+    """
+    c = cfg.g * cfg.density_jump - theta * k * k
+    viscous = min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
+    return np.maximum(c, 0.0) * k / (cfg.rho_plus + cfg.rho_minus) - s * viscous * k * k
+
+
+def growth_bound(cfg: FluidConfig, theta: float, k):
+    """Per-mode bound Lambda_k <= the positive root of Lambda^2 = U(k, Lambda).
+
+    Lambda_k^2 = alpha_k(Lambda_k) <= U(k, Lambda_k), and U(k, s) - s^2
+    strictly decreases in s; 0 where c_k <= 0.
+    """
+    q = alpha_bound(cfg, theta, k, 0.0)
+    v = q - alpha_bound(cfg, theta, k, 1.0)  # mu_min k^2 / rho_max
+    return 2.0 * q / (v + np.sqrt(v * v + 4.0 * q))
 
 
 def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> float:
@@ -277,46 +308,42 @@ def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> 
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
     rho_sum = cfg.rho_plus + cfg.rho_minus
-    g_rho = cfg.g * cfg.density_jump
-    a = g_rho / rho_sum
+    a = cfg.g * cfg.density_jump / rho_sum
     b = s * min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
-
-    def bound(k: float) -> float:
-        return max(g_rho - theta * k * k, 0.0) * k / rho_sum - b * k * k
-
     # U' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak
     lo = a / (b + math.sqrt(b * b + 3.0 * a * theta / rho_sum))
-    if bound(lo) < floor:
+    if alpha_bound(cfg, theta, lo, s) < floor:
         return 0.0
     # U(k) <= a k - b k^2, which is below floor past its larger root
     hi = (a + math.sqrt(max(a * a - 4.0 * b * floor, 0.0))) / (2.0 * b)
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if bound(mid) >= floor:
+        if alpha_bound(cfg, theta, mid, s) >= floor:
             lo = mid
         else:
             hi = mid
     return hi
 
 
-def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None) -> None:
+def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     """Extend fm until no mode above its cutoff can change the computed value.
 
     With s the value is alpha(s), the floor alpha(s) on the current set;
     without, it is Lambda = max_k Lambda_k, at s = Lambda and floor Lambda^2.
     Each pass extends toward the certified cutoff, at most doubling k_max.
     The floor (and the growth-rate s) only rises as the set grows, so the
-    cutoff only falls and the loop ends.
+    cutoff only falls and the loop ends. Returns the value of the last pass:
+    the AlphaValue at s, or the FixedPoint of the fastest mode.
     """
     while True:
         if s is None:
-            lam = float(fm.mode_lambdas(theta).max())
-            cutoff = certified_cutoff(fm.cfg, theta, lam, lam * lam)
+            best = fm.growth_max(theta)
+            cutoff = certified_cutoff(fm.cfg, theta, best.lam, best.lam * best.lam)
         else:
-            alpha = float(np.max(np.maximum(*fm.alpha_arrays(s, theta))))
-            cutoff = certified_cutoff(fm.cfg, theta, s, alpha)
+            best = fm.alpha_value(s, theta)
+            cutoff = certified_cutoff(fm.cfg, theta, s, best.alpha)
         if cutoff <= fm.modes.k_max:
-            return
+            return best
         fm.extend_to(min(cutoff, 2.0 * fm.modes.k_max))
 
 
@@ -333,11 +360,10 @@ def global_alpha(
     is sized by size_mode_set at s.
     """
     theta = cfg.theta if theta is None else theta
-    fm = frozen
-    if fm is None:
-        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
-        size_mode_set(fm, theta, s)
-    return fm.alpha_value(s, theta)
+    if frozen is not None:
+        return frozen.alpha_value(s, theta)
+    fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
+    return size_mode_set(fm, theta, s)
 
 
 @dataclass(frozen=True, eq=False)

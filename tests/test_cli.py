@@ -45,6 +45,29 @@ def test_growth_json(config_path, tmp_path, cheap_config):
     assert payload["branch"] == "longitudinal"
 
 
+def test_growth_mode_table(config_path, tmp_path, monkeypatch):
+    # one row per mode of the sized set, with both branches at s = lambda;
+    # the table is computed only when --mode-table asks for it
+    out, table = tmp_path / "growth.json", tmp_path / "modes.csv"
+    args = ["growth", "--config", config_path, "--resolution", "8", "--out", str(out)]
+    assert run_cli(args + ["--mode-table", str(table)]) == 0
+    lines = table.read_text().splitlines()
+    assert lines[0] == "k,alpha_longitudinal,alpha_transverse,branch"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 38
+    payload = json.loads(out.read_text())
+    best = max(rows, key=lambda r: float(r[1]))
+    assert float(best[0]) == payload["argmax_k"]
+    assert float(best[1]) == pytest.approx(payload["lambda"] ** 2, rel=1e-9)
+    assert all(r[3] == ("longitudinal" if float(r[1]) >= float(r[2]) else "transverse") for r in rows)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mode table built without --mode-table")
+
+    monkeypatch.setattr("rtgrowth.spectrum.FrozenModeSet.table", refuse)
+    assert run_cli(args) == 0
+
+
 def test_malformed_config_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtgrowth import pencil
+from rtgrowth.analysis import sweep_theta
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import (
     bvp_residual,
@@ -15,14 +16,27 @@ from rtgrowth.fixedpoint import (
     solve_mode_lambda,
 )
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
-from rtgrowth.pencil import Discretization, rank_one_fixed_point
-from rtgrowth.spectrum import FrozenModeSet, size_mode_set, smallest_magnitude
+from rtgrowth.oracle import compare_modes
+from rtgrowth.pencil import Discretization, PencilForms, fixed_point
+from rtgrowth.spectrum import FrozenModeSet, alpha_curve, size_mode_set, smallest_magnitude
 
 DISC = Discretization(8)
+positive = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 
 
 def one_row_fixed_point(lam, z2, c):
-    return rank_one_fixed_point(np.array([[lam]]), np.array([[z2]]), np.array([c]))[0]
+    """Fixed point of the one-dof pencil B = 1/z2, A = lam/z2, surface c.
+
+    Its one eigenvalue of (A, B) is lam with squared interface weight z2, so
+    alpha(s) = c z2 - lam s.
+    """
+    band = np.zeros((4, 1))
+    forms = PencilForms(
+        k=1.0, c_k=c, B_band=band + [[1.0 / z2], [0], [0], [0]],
+        A_band=band + [[lam / z2], [0], [0], [0]], e0_index=0,
+        grid=np.array([-1.0, 0.0, 1.0]), elements_per_layer=1,
+    )
+    return fixed_point(forms, 2.0 * math.sqrt(max(c, 0.0) * z2)).lam
 
 
 def test_constant_alpha_mock():
@@ -38,11 +52,20 @@ def test_affine_alpha_mock():
         expected = (-lam + math.sqrt(lam * lam + 4.0 * c * z2)) / 2.0
         assert one_row_fixed_point(lam, z2, c) == pytest.approx(expected, rel=1e-12)
     # no positive fixed point without a positive surface coefficient
-    assert one_row_fixed_point(0.8, 1.0, -5.0) == 0.0
-    assert one_row_fixed_point(0.8, 1.0, 0.0) == 0.0
+    for c in (-5.0, 0.0):
+        with pytest.raises(ValueError):
+            one_row_fixed_point(0.8, 1.0, c)
 
 
-positive = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
+def test_mode_lambda_increases_with_resolution(reference_config):
+    # nested Hermite spaces make the discrete Lambda_k a monotone lower bound;
+    # the increments are 2e-6, 1.4e-7 and 8.7e-9 relative, far above the
+    # rounding of the banded Newton solve, up to N = 256
+    lams = [solve_mode_lambda(reference_config, 5.0, Discretization(n)).lam for n in (32, 64, 128, 256)]
+    assert all(b > a for a, b in zip(lams, lams[1:]))
+    # the dense-eigendecomposition values at N = 64 and 128
+    assert lams[1] == pytest.approx(2.438173611571787, rel=1e-9)
+    assert lams[2] == pytest.approx(2.4381739516695293, rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -52,8 +75,8 @@ positive = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
     st.floats(min_value=0.0, max_value=0.95),
 )
 def test_max_mode_lambda_is_the_root_of_alpha_minus_s2(physics, geometry, fraction):
-    # Reference: a bisection of alpha(s) - s^2 over the full alpha arrays of
-    # one frozen set.
+    # The two scans of one frozen set agree: the growth scan's maximum is the
+    # root of alpha(s) - s^2, bisected with the alpha scan.
     rho_minus, jump, mu_plus, mu_minus, g = physics
     L1, L2, h_plus, h_minus = geometry
     cfg = FluidConfig(
@@ -64,8 +87,7 @@ def test_max_mode_lambda_is_the_root_of_alpha_minus_s2(physics, geometry, fracti
     fm = FrozenModeSet.freeze(cfg, DISC, 4.0 * smallest_magnitude(cfg))
 
     def f(s):
-        al, at = fm.alpha_arrays(s, theta)
-        return max(al.max(), at.max()) - s * s
+        return fm.alpha_value(s, theta).alpha - s * s
 
     m = upper_bound_m(cfg.with_theta(theta))
     lo, hi = m, 2.0 * m
@@ -78,7 +100,7 @@ def test_max_mode_lambda_is_the_root_of_alpha_minus_s2(physics, geometry, fracti
             lo = mid
         else:
             hi = mid
-    lam = fm.mode_lambdas(theta).max()
+    lam = fm.growth_max(theta).lam
     assert abs(lam - lo) <= 1e-8 * max(1.0, lam)
 
 
@@ -144,24 +166,26 @@ def test_bvp_residual_decreases(cheap_config):
     assert r16 < 0.25 * r8 * 1.5  # roughly second-order decrease
 
 
-def test_one_dense_eigensolve_per_mode(cheap_config, monkeypatch):
-    # each mode's (A_diss, B) pair is decomposed once; the transverse branch is
-    # a scalar root and needs no eigensolve
-    calls = []
-    eigh = sla.eigh
+def test_no_dense_eigensolve(cheap_config, monkeypatch):
+    # every solver path runs on banded factorizations: with the dense
+    # eigensolvers made to raise, all of them still return
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve on a solver path")
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(sla, "eigh", spy)
-    result = solve_lambda(cheap_config, DISC)
-    assert len(calls) == result.alpha_at_lambda.table.k.size
+    for module in (sla, np.linalg):
+        monkeypatch.setattr(module, "eigh", refuse)
+        monkeypatch.setattr(module, "eigvalsh", refuse)
+    cfg = cheap_config
+    assert solve_lambda(cfg, DISC).lam > 0.0
+    assert sweep_theta(cfg, [0.0, 0.5], DISC).lambdas[1] > 0.0
+    assert alpha_curve(cfg, [0.5, 1.0], DISC).alphas[0] > 0.0
+    assert solve_mode_lambda(cfg, 1.0, DISC).lam > 0.0
+    assert compare_modes(cfg, [1.0], DISC)[0].lambda_variational > 0.0
 
 
 def test_fixed_point_path_is_banded(cheap_config, monkeypatch):
-    # after the secular rows exist, no dense Cholesky runs and no dense view is
-    # built: the profile solve, the dual norm and the kinetic norm use the bands
+    # no dense Cholesky runs and no dense matrix is built: the fixed point,
+    # the profile, the dual norm and the kinetic norm use the bands
     cfg = cheap_config.with_theta(0.3 * theta_critical(cheap_config))
     fm = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
     size_mode_set(fm, cfg.theta)
@@ -171,9 +195,9 @@ def test_fixed_point_path_is_banded(cheap_config, monkeypatch):
 
     monkeypatch.setattr(sla, "cho_factor", refuse)
     monkeypatch.setattr(sla, "cho_solve", refuse)
-    per_mode = solve_mode_lambda(cfg, 1.0, DISC)  # its rows still come from gvd
+    monkeypatch.setattr(pencil, "largest_eigenpair", refuse)
+    per_mode = solve_mode_lambda(cfg, 1.0, DISC)
     assert per_mode is not None and per_mode.lam > 0.0
-    monkeypatch.setattr(pencil, "_dense", refuse)
     result = solve_lambda(cfg, DISC, frozen=fm)
     assert result.lam > 0.0
     assert bvp_residual(result, cfg) > 0.0

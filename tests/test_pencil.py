@@ -7,8 +7,8 @@ import scipy.linalg as sla
 
 from rtgrowth import pencil
 from rtgrowth.errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
-from rtgrowth.model import FluidConfig, theta_critical
-from rtgrowth.modeforms import dissipation_form, kinetic_form, surface_coefficient
+from rtgrowth.model import FluidConfig
+from rtgrowth.modeforms import dissipation_form, kinetic_form
 from rtgrowth.pencil import (
     Discretization,
     PencilForms,
@@ -16,20 +16,41 @@ from rtgrowth.pencil import (
     band_matvec,
     coeffs_to_profile,
     largest_eigenpair,
-    mode_spectral_data,
+    mode_alpha,
     profile_to_coeffs,
     prolong_coeffs,
-    rank_one_fixed_point,
-    rank_one_largest,
     residual_dual_norm,
-    secular_eigenpair,
     transverse_min_eigenvalue,
 )
-from rtgrowth.spectrum import FrozenModeSet, enumerate_modes
+from rtgrowth.spectrum import FrozenModeSet
+
+
+def dense(band):
+    """Symmetric dense matrix whose lower triangle the lower band holds."""
+    n = band.shape[1]
+    M = np.diag(band[0])
+    for d in range(1, min(band.shape[0], n)):
+        i = np.arange(n - d)
+        M[i + d, i] = M[i, i + d] = band[d, : n - d]
+    return M
+
+
+def form(band, x):
+    return float(x @ band_matvec(band, x))
+
+
+def secular_eigenpair(forms, s, alpha):
+    """Eigenvector for a known largest eigenvalue alpha: the one refined banded
+    solve that ends every fixed-point Newton loop. Below alpha = 0 the energy
+    matrix is indefinite (c_k <= 0) or numerically singular (tiny c_k > 0)."""
+    if alpha <= 0.0:
+        raise ValueError(f"secular eigenpair needs alpha > 0, got {alpha!r}")
+    energy, x = pencil._interface_solve(forms, s, alpha)
+    return pencil._finish_eigenpair(forms, energy, alpha, x)
 
 
 def a_scale(forms):
-    return float(np.abs(np.diag(forms.A_diss)).max())
+    return float(np.abs(forms.A_band[0]).max())
 
 
 def test_discretization_validation():
@@ -50,11 +71,9 @@ def test_assembled_dimensions(reference_config):
 
 def test_matrix_structure(reference_config):
     forms = assemble(1.3, reference_config, Discretization(8))
-    b_asym = np.abs(forms.B - forms.B.T).max() / np.abs(forms.B).max()
-    a_asym = np.abs(forms.A_diss - forms.A_diss.T).max() / np.abs(forms.A_diss).max()
-    assert b_asym <= 1e-14 and a_asym <= 1e-14
-    sla.cho_factor(forms.B)  # raises unless B is positive definite
-    eigs = np.linalg.eigvalsh(forms.A_diss)
+    assert forms.B_band.shape == forms.A_band.shape == (4, forms.dim)
+    sla.cho_factor(dense(forms.B_band))  # raises unless B is positive definite
+    eigs = np.linalg.eigvalsh(dense(forms.A_band))
     assert eigs.min() >= -1e-12 * eigs.max()
 
 
@@ -66,8 +85,8 @@ def test_assembly_matches_modeforms(reference_config, rng):
         profile = coeffs_to_profile(x, forms)
         kin = kinetic_form(k, profile, reference_config)
         dis = dissipation_form(k, profile, reference_config)
-        assert x @ forms.B @ x == pytest.approx(kin, rel=1e-12)
-        assert x @ forms.A_diss @ x == pytest.approx(dis, rel=1e-12)
+        assert form(forms.B_band, x) == pytest.approx(kin, rel=1e-12)
+        assert form(forms.A_band, x) == pytest.approx(dis, rel=1e-12)
         back = profile_to_coeffs(profile, forms)
         assert np.array_equal(back, x)
 
@@ -104,9 +123,12 @@ def hand_pencil():
 
 
 def secular_alpha(forms, s):
-    """Largest eigenvalue from the cached spectral rows, as the mode cache does."""
-    lam, z2 = mode_spectral_data(forms)
-    return float(rank_one_largest(lam, z2, np.array([forms.c_k]), s)[0])
+    """Largest eigenvalue by bisection on the inertia test, as the scans do.
+
+    |c_k| e0^T B^(-1) e0 lies above alpha_k(s) for either sign of c_k.
+    """
+    upper = abs(forms.c_k) * np.linalg.inv(dense(forms.B_band))[forms.e0_index, forms.e0_index]
+    return mode_alpha(forms, s, upper)
 
 
 def test_hand_pencil_largest():
@@ -148,7 +170,7 @@ def test_eigen_solution_contract(reference_config):
     forms = assemble(2.0, reference_config, Discretization(32))
     for s in (0.25, 1.0, 4.0):
         sol = largest_eigenpair(forms, s)
-        assert abs(sol.vector @ forms.B @ sol.vector - 1.0) <= 1e-12
+        assert abs(form(forms.B_band, sol.vector) - 1.0) <= 1e-12
         assert sol.residual <= 1e-9 * (abs(sol.alpha) + s * a_scale(forms))
         assert sol.vector[forms.e0_index] >= 0.0
 
@@ -170,7 +192,7 @@ def test_secular_matches_direct(reference_config):
             positive += 1
             sec = secular_eigenpair(forms, s, alpha)
             assert sec.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
-            assert abs(sec.vector @ forms.B @ d.vector) == pytest.approx(1.0, abs=1e-9)
+            assert abs(sec.vector @ band_matvec(forms.B_band, d.vector)) == pytest.approx(1.0, abs=1e-9)
             assert sec.vector[forms.e0_index] >= 0.0
     assert 0 < positive < 9
 
@@ -191,33 +213,35 @@ def test_secular_eigenpair_near_zero_surface_coefficient(reference_config):
                 continue
             positive += 1
             sol = secular_eigenpair(forms, s, alpha)
-            dense = largest_eigenpair(forms, s)
+            ref = largest_eigenpair(forms, s)
             assert sol.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
-            assert abs(sol.vector @ forms.B @ dense.vector) == pytest.approx(1.0, abs=1e-9)
+            assert abs(sol.vector @ band_matvec(forms.B_band, ref.vector)) == pytest.approx(1.0, abs=1e-9)
     assert positive == 1
 
 
-def test_rank_one_largest_against_dense(rng):
-    # random small pencils across signs of the surface coefficient
-    for c in (-3.0, -1e-8, 0.0, 1e-8, 2.5):
-        lam = np.sort(rng.uniform(0.1, 50.0, size=12))
-        z = rng.standard_normal(12)
-        s = 0.7
-        got = rank_one_largest(lam, z**2, np.array([c]), s)[0]
-        dense = np.linalg.eigvalsh(np.diag(-s * lam) + c * np.outer(z, z)).max()
-        assert got == pytest.approx(dense, rel=1e-11, abs=1e-11)
-
-
-def test_rank_one_deflation(rng):
-    # zero interface weight on the top diagonal entry: eigenvalue survives
+def test_rank_one_deflation():
+    # zero interface weight on the top diagonal entry: eigenvalue survives.
+    # With B = I / |z|^2 and V = |z| H, H the Householder reflection taking
+    # the first unit vector to z / |z|, the pencil A = B V diag(lam) V^T B, B
+    # has eigenvalues lam and interface weights V[0] = z, so it reads
+    # c z z^T - s diag(lam) in its eigenbasis
     lam = np.array([1.0, 2.0, 3.0])
-    z2 = np.array([0.0, 0.5, 0.25])
+    z = np.array([0.0, np.sqrt(0.5), 0.5])
+    norm = np.linalg.norm(z)
+    w = z / norm - np.eye(3)[0]
+    V = norm * (np.eye(3) - 2.0 * np.outer(w, w) / (w @ w))
+    B = np.eye(3) / norm**2
+    A = B @ V @ np.diag(lam) @ V.T @ B
+    i = np.arange(3)
+    bands = [np.array([np.where(i + d < 3, M[np.minimum(i + d, 2), i], 0.0) for d in range(4)]) for M in (A, B)]
     for c in (4.0, -4.0):
-        got = rank_one_largest(lam, z2, np.array([c]), 1.0)[0]
-        dense = np.linalg.eigvalsh(
-            np.diag(-lam) + c * np.outer(np.sqrt(z2), np.sqrt(z2))
-        ).max()
-        assert got == pytest.approx(dense, rel=1e-12, abs=1e-12)
+        forms = PencilForms(
+            k=1.0, c_k=c, B_band=bands[1], A_band=bands[0], e0_index=0,
+            grid=np.array([-1.0, 0.0, 1.0]), elements_per_layer=1,
+        )
+        got = mode_alpha(forms, 1.0, abs(c))
+        expected = np.linalg.eigvalsh(np.diag(-lam) + c * np.outer(z, z)).max()
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_alpha_strictly_decreasing_in_s_with_margin(reference_config):
@@ -225,7 +249,7 @@ def test_alpha_strictly_decreasing_in_s_with_margin(reference_config):
     grid = np.linspace(0.2, 3.0, 8)
     sols = [largest_eigenpair(forms, s) for s in grid]
     for (s1, a), (s2, b) in zip(zip(grid, sols), zip(grid[1:], sols[1:])):
-        margin = (s2 - s1) * float(b.vector @ forms.A_diss @ b.vector)
+        margin = (s2 - s1) * form(forms.A_band, b.vector)
         assert a.alpha >= b.alpha + margin - 1e-10 * max(1.0, abs(a.alpha))
 
 
@@ -234,11 +258,11 @@ def test_dof_permutation_invariance(reference_config, rng):
     forms = assemble(1.0, reference_config, Discretization(8))
     s = 1.0
     base = largest_eigenpair(forms, s).alpha
-    numerator = -s * forms.A_diss
+    numerator = -s * dense(forms.A_band)
     numerator[forms.e0_index, forms.e0_index] += forms.c_k
     perm = rng.permutation(forms.dim)
     ix = np.ix_(perm, perm)
-    shuffled = sla.eigh(numerator[ix], forms.B[ix], eigvals_only=True)[-1]
+    shuffled = sla.eigh(numerator[ix], dense(forms.B_band)[ix], eigvals_only=True)[-1]
     assert shuffled == pytest.approx(base, rel=1e-12)
 
 
@@ -306,10 +330,10 @@ def test_transverse_bound_and_large_k(reference_config, cheap_config):
 
 
 def test_transverse_linear_in_s(reference_config):
-    # the cached transverse branch is alpha_tau(k, s) = -s * lam_min(k) per row
+    # the transverse branch is alpha_tau(k, s) = -s * lam_min(k) per mode
     fm = FrozenModeSet.freeze(reference_config, Discretization(8), 3.0)
     for s, theta in ((0.5, 0.0), (2.0, 4.0)):
-        alpha_tau = fm.alpha_arrays(s, theta)[1]
+        alpha_tau = fm.table(s, theta).alpha_transverse
         expected = [-s * transverse_min_eigenvalue(k, reference_config) for k in fm.modes.magnitudes]
         assert alpha_tau.tolist() == expected
 
@@ -319,8 +343,8 @@ def test_prolongation_preserves_forms(reference_config, rng):
     fine = assemble(1.0, reference_config, Discretization(16))
     x = rng.standard_normal(coarse.dim)
     x2 = prolong_coeffs(x, coarse)
-    assert x2 @ fine.B @ x2 == pytest.approx(x @ coarse.B @ x, rel=1e-13)
-    assert x2 @ fine.A_diss @ x2 == pytest.approx(x @ coarse.A_diss @ x, rel=1e-13)
+    assert form(fine.B_band, x2) == pytest.approx(form(coarse.B_band, x), rel=1e-13)
+    assert form(fine.A_band, x2) == pytest.approx(form(coarse.A_band, x), rel=1e-13)
 
 
 def test_residual_dual_norm_exact_pair():
@@ -359,30 +383,12 @@ def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config
     for cfg in (reference_config, CONTRAST):
         bands = pencil._cfg_tables(cfg, Discretization(n))
         assert bands["e0_index"] == 2 * n - 2
-        for name, dense in dense_tables(cfg, n).items():
-            view = pencil._dense(bands[name])
+        for name, scatter in dense_tables(cfg, n).items():
+            view = dense(bands[name])
             assert bands[name].shape == (4, 4 * n - 2)
-            assert np.array_equal(np.tril(view), np.tril(dense)), name
+            assert np.array_equal(np.tril(view), np.tril(scatter)), name
             assert np.array_equal(view, view.T)
             assert not np.triu(view, 4).any()
-
-
-@pytest.mark.parametrize("n", [8, 128])
-def test_gvd_rows_match_a_dense_scatter(reference_config, n):
-    # eigh reads the lower triangle only, which the band holds bit for bit, so
-    # the cached secular rows equal gvd on the dense scatter (whose upper
-    # triangle differs from the lower at rounding level)
-    for cfg, k in ((reference_config, 1.0), (reference_config, 5.0), (CONTRAST, 3.0)):
-        t = dense_tables(cfg, n)
-        B = t["M_rho"] + t["D_rho"] / k**2
-        A = 4.0 * t["D_mu"] + k**2 * t["M_mu"] + 2.0 * t["X_mu"] + t["H_mu"] / k**2
-        forms = assemble(k, cfg, Discretization(n))
-        assert np.array_equal(np.tril(forms.B), np.tril(B))
-        assert np.array_equal(np.tril(forms.A_diss), np.tril(A))
-        lam, V = sla.eigh(A, B, driver="gvd")
-        got_lam, got_z2 = mode_spectral_data(forms)
-        assert np.array_equal(got_lam, lam)
-        assert np.array_equal(got_z2, V[forms.e0_index, :] ** 2)
 
 
 def test_band_matvec_matches_dense(reference_config, rng):
@@ -390,9 +396,9 @@ def test_band_matvec_matches_dense(reference_config, rng):
         forms = assemble(2.0, reference_config, Discretization(n))
         for _ in range(5):
             x = rng.standard_normal(forms.dim)
-            for band, dense in ((forms.B_band, forms.B), (forms.A_band, forms.A_diss)):
-                scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max()
-                assert np.abs(band_matvec(band, x) - dense @ x).max() <= 1e-13 * scale
+            for band in (forms.B_band, forms.A_band):
+                scale = np.abs(dense(band)).sum(axis=1).max() * np.abs(x).max()
+                assert np.abs(band_matvec(band, x) - dense(band) @ x).max() <= 1e-13 * scale
     # a band taller than the matrix (2 x 2 with half bandwidth 3)
     band = np.zeros((4, 2))
     band[0] = (2.0, 3.0)
@@ -413,11 +419,12 @@ def test_secular_eigenpair_matches_dense_at_n128(reference_config):
         assert np.abs(sec.vector - largest_eigenpair(forms, s).vector).max() <= 1e-9
         e0 = np.zeros(forms.dim)
         e0[forms.e0_index] = 1.0
-        exact = ext(s) * forms.A_diss.astype(ext) + ext(alpha) * forms.B.astype(ext)
-        chol = sla.cho_factor(s * forms.A_diss + alpha * forms.B)
+        A, B = dense(forms.A_band), dense(forms.B_band)
+        exact = ext(s) * A.astype(ext) + ext(alpha) * B.astype(ext)
+        chol = sla.cho_factor(s * A + alpha * B)
         x = sla.cho_solve(chol, e0)
         x = x + sla.cho_solve(chol, (e0 - exact @ x).astype(float))
-        assert np.abs(sec.vector - x / np.sqrt(x @ forms.B @ x)).max() <= 1e-12
+        assert np.abs(sec.vector - x / np.sqrt(x @ B @ x)).max() <= 1e-12
         assert sec.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
 
 
@@ -442,64 +449,3 @@ def test_band_solve_error_never_returns_a_vector(reference_config, monkeypatch):
         secular_eigenpair(forms, 1.0, 1.0)
     with pytest.raises(FactorizationFailure):
         residual_dual_norm(forms, x, 1.0, 1.0)
-
-
-def secular_rows(cfg, n, k_max, f):
-    """(lam, z2, c) of every lattice mode up to k_max at theta = f theta_c."""
-    cfg = cfg.with_theta(f * theta_critical(cfg))
-    ks = enumerate_modes(cfg, k_max).magnitudes
-    rows = [mode_spectral_data(assemble(k, cfg, Discretization(n))) for k in ks]
-    lam = np.stack([r[0] for r in rows])
-    z2 = np.stack([r[1] for r in rows])
-    return lam, z2, np.asarray([surface_coefficient(k, cfg) for k in ks])
-
-
-@pytest.mark.parametrize("f", [0.0, 0.3, 0.7])
-def test_secular_roots_rowwise_bit_identical(cheap_config, f):
-    # rows never interact: the batched roots equal each row solved alone
-    lam, z2, c = secular_rows(cheap_config, 16, 8.0, f)
-    fixed = rank_one_fixed_point(lam, z2, c)
-    assert np.array_equal(
-        fixed, [rank_one_fixed_point(lam[i], z2[i], c[i : i + 1])[0] for i in range(c.size)]
-    )
-    s = float(fixed.max()) if fixed.max() > 0.0 else 1.0
-    largest = rank_one_largest(lam, z2, c, s)
-    assert np.array_equal(
-        largest, [rank_one_largest(lam[i], z2[i], c[i : i + 1], s)[0] for i in range(c.size)]
-    )
-
-
-@pytest.mark.parametrize("f", [0.0, 0.7])
-def test_secular_roots_evaluate_only_live_rows(cheap_config, f):
-    # inactive rows (c_k <= 0) are never evaluated, and a row leaves the pass
-    # as soon as it converges: a converged row keeps its root, so a second
-    # evaluation at one point would be wasted, and each row is evaluated
-    # exactly as often as when solved alone
-    lam, z2, c = secular_rows(cheap_config, 16, 8.0, f)
-    span = np.sqrt(np.where(c > 0.0, c * z2.sum(axis=1), 0.0))
-    active = span > 0.0
-    assert 0 < active.sum() and (f == 0.0 or not active.all())
-
-    def solve(idx):
-        calls = []
-        points = {int(i): [] for i in idx}
-
-        def denoms(x, rows):
-            calls.append(idx[rows])
-            for i, xi in zip(idx[rows], x[:, 0]):
-                points[int(i)].append(float(xi))
-            return x * (x + lam[idx][rows]), 2.0 * x + lam[idx][rows]
-
-        w = c[idx, None] * z2[idx]
-        return pencil._secular_roots(w, denoms, span[idx], active[idx]), calls, points
-
-    everything = np.arange(c.size)
-    batch, calls, points = solve(everything)
-    for before, after in zip(calls, calls[1:]):
-        assert set(after) <= set(before)
-    assert set(calls[0]) == set(np.flatnonzero(active))
-    for i in everything:
-        assert len(set(points[i])) == len(points[i])
-        alone, alone_calls, _ = solve(np.array([i]))
-        assert alone[0] == batch[i]
-        assert sum(i in rows for rows in calls) == len(alone_calls)

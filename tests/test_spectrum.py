@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtgrowth import pencil, spectrum
 from rtgrowth.errors import (
     BranchMismatch,
     CutoffRunaway,
@@ -16,17 +18,21 @@ from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.pencil import (
     Discretization,
+    alpha_below,
     assemble,
+    band_matvec,
     largest_eigenpair,
     transverse_min_eigenvalue,
 )
 from rtgrowth.spectrum import (
     AlphaValue,
     FrozenModeSet,
+    alpha_bound,
     alpha_curve,
     certified_cutoff,
     enumerate_modes,
     global_alpha,
+    mode_fixed_point,
     size_mode_set,
     smallest_magnitude,
 )
@@ -105,7 +111,7 @@ def test_global_alpha_matches_brute_scan(cheap_config):
         best = max(best, largest_eigenpair(forms, s).alpha)
         best = max(best, -s * transverse_min_eigenvalue(k, cheap_config))
     assert value.alpha == pytest.approx(best, rel=1e-10)
-    assert value.table.k.size == len(brute_magnitudes(1.0, 1.0, k_max))
+    assert fm.modes.magnitudes.size == len(brute_magnitudes(1.0, 1.0, k_max))
 
 
 def reference_maximizer(value, cfg):
@@ -115,14 +121,19 @@ def reference_maximizer(value, cfg):
     """
     forms = assemble(value.argmax_k, cfg.with_theta(value.theta), DISC)
     x = largest_eigenpair(forms, value.s).vector
-    return float(x[forms.e0_index] ** 2), float(x @ forms.A_diss @ x)
+    return float(x[forms.e0_index] ** 2), float(x @ band_matvec(forms.A_band, x))
 
 
 def test_global_alpha_value_contract(cheap_config):
-    value = global_alpha(cheap_config, 0.5, DISC)
+    fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
+    value = global_alpha(cheap_config, 0.5, DISC, frozen=fm)
     assert value.branch == "longitudinal"
     assert value.alpha > 0.0
-    assert value.alpha == pytest.approx(np.max(value.table.alpha), rel=0.0)
+    # the scan solves the maximizer exactly as the full table does
+    table = fm.table(0.5, 0.0)
+    assert value.alpha == np.max(table.alpha)
+    assert value.argmax_k == table.k[np.argmax(table.alpha)]
+    assert global_alpha(cheap_config, 0.5, DISC).alpha == value.alpha
     surface, dissipation = reference_maximizer(value, cheap_config)
     assert surface > 0.0
     assert dissipation > 0.0
@@ -133,10 +144,10 @@ def test_global_alpha_value_contract(cheap_config):
 
 
 def test_global_alpha_negative_for_large_s(cheap_config):
-    value = global_alpha(cheap_config, 80.0, DISC)
-    assert value.alpha < 0.0
-    assert np.all(value.table.alpha < 0.0)
-    assert np.all(value.table.alpha_transverse < 0.0)
+    assert global_alpha(cheap_config, 80.0, DISC).alpha < 0.0
+    table = FrozenModeSet.freeze(cheap_config, DISC, K_MAX).table(80.0, 0.0)
+    assert np.all(table.alpha < 0.0)
+    assert np.all(table.alpha_transverse < 0.0)
 
 
 def test_alpha_determinism_across_runs(cheap_config):
@@ -144,16 +155,13 @@ def test_alpha_determinism_across_runs(cheap_config):
     a2 = global_alpha(cheap_config, 1.0, DISC)
     assert a1.alpha == a2.alpha
     assert a1.argmax_k == a2.argmax_k
-    assert np.array_equal(a1.table.alpha_longitudinal, a2.table.alpha_longitudinal)
+    t1, t2 = (FrozenModeSet.freeze(cheap_config, DISC, K_MAX).table(1.0, 0.0) for _ in range(2))
+    assert np.array_equal(t1.alpha_longitudinal, t2.alpha_longitudinal)
 
 
 def test_positive_transverse_alpha_is_a_solver_error(cheap_config):
-    fm = FrozenModeSet.freeze(cheap_config, DISC, 3.0)
-    table = global_alpha(cheap_config, 1.0, DISC, frozen=fm).table
     with pytest.raises(BranchMismatch):
-        AlphaValue(
-            alpha=1.0, argmax_k=1.0, branch="transverse", s=1.0, theta=0.0, table=table,
-        )
+        AlphaValue(alpha=1.0, argmax_k=1.0, branch="transverse", s=1.0, theta=0.0)
     assert issubclass(BranchMismatch, SolverError)
 
 
@@ -210,14 +218,16 @@ def test_alpha_curve_rejects_bad_grid(cheap_config):
         alpha_curve(cheap_config, [-1.0, 1.0], DISC)
 
 
-def test_alpha_builds_no_pencil(cheap_config, monkeypatch):
-    # alpha(s) only locates Lambda: on a frozen set it reads the cached rows
+def test_alpha_builds_no_profile(cheap_config, monkeypatch):
+    # alpha(s) only locates Lambda: it runs inertia tests and bisections,
+    # never a fixed-point solve or an eigenvector
     fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
 
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("alpha(s) assembled a pencil")
+    def no_profile(*args, **kwargs):
+        raise AssertionError("alpha(s) solved for an eigenvector")
 
-    monkeypatch.setattr("rtgrowth.spectrum.assemble", no_assembly)
+    monkeypatch.setattr(spectrum, "fixed_point", no_profile)
+    monkeypatch.setattr(pencil, "_interface_solve", no_profile)
     value = global_alpha(cheap_config, 0.5, DISC, frozen=fm)
     curve = alpha_curve(cheap_config, [0.5, 1.0, 2.0], DISC, frozen=fm)
     assert curve.values[0].alpha == value.alpha
@@ -236,7 +246,6 @@ def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
                 branch="longitudinal",
                 s=value.s,
                 theta=value.theta,
-                table=value.table,
             )
         return value
 
@@ -259,15 +268,15 @@ def test_locked_set_interiority_guard(cheap_config):
     with pytest.raises(CutoffRunaway):
         solve_lambda(cheap_config, DISC, frozen=fm)
     # a fixed set is still evaluated as it is
-    assert global_alpha(cheap_config, 0.5, DISC, frozen=fm).table.k[-1] <= 2.2
+    assert global_alpha(cheap_config, 0.5, DISC, frozen=fm).argmax_k <= 2.2
+    assert fm.modes.k_max == 2.2
 
 
 def test_mode_table_csv(cheap_config):
     fm = FrozenModeSet.freeze(cheap_config, DISC, 3.0)
-    value = global_alpha(cheap_config, 1.0, DISC, frozen=fm)
-    lines = value.table.csv_lines()
+    lines = fm.table(1.0, 0.0).csv_lines()
     assert lines[0] == "k,alpha_longitudinal,alpha_transverse,branch"
-    assert len(lines) == value.table.k.size + 1
+    assert len(lines) == len(fm.modes) + 1
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(1.0)
     assert first[3] in ("longitudinal", "transverse")
@@ -306,7 +315,8 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     fm = FrozenModeSet.freeze(cfg, DISC, 6.0 * smallest_magnitude(cfg))
     k = fm.modes.magnitudes
     u = per_mode_bound(cfg, theta, k, s)
-    al, at = fm.alpha_arrays(s, theta)
+    table = fm.table(s, theta)
+    al, at = table.alpha_longitudinal, table.alpha_transverse
     slack = 1e-12 * np.abs(u)  # rounding only
     assert np.all(al <= u + slack) and np.all(at <= u + slack)
 
@@ -315,18 +325,20 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     b = min(cfg.mu_plus, cfg.mu_minus) * k**2 / max(cfg.rho_plus, cfg.rho_minus)
     q = per_mode_bound(cfg, theta, k, 0.0)
     root = 0.5 * (-b + np.sqrt(b * b + 4.0 * q))
-    assert np.all(fm.mode_lambdas(theta) <= root * (1.0 + 1e-12))
+    cfg_theta = cfg.with_theta(theta)
+    for kk, r in zip(k, root):
+        solved = mode_fixed_point(cfg_theta, kk, DISC)
+        assert (solved.lam if solved else 0.0) <= r * (1.0 + 1e-12)
 
     # no mode beyond the certified set changes Lambda, to the last bit
     certified = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
-    size_mode_set(certified, theta)
-    lam = certified.mode_lambdas(theta).max()
+    lam = size_mode_set(certified, theta).lam
     cutoff = certified_cutoff(cfg, theta, lam, lam * lam)
     assert cutoff <= certified.modes.k_max
     beyond = np.linspace(cutoff, 4.0 * cutoff, 400)[1:]
     assert np.all(per_mode_bound(cfg, theta, beyond, lam) < lam * lam)
     doubled = FrozenModeSet.freeze(cfg, DISC, 2.0 * cutoff)
-    assert doubled.mode_lambdas(theta).max() == lam
+    assert doubled.growth_max(theta).lam == lam
 
 
 def test_certified_cutoff_closed_form_without_surface_tension(cheap_config):
@@ -342,12 +354,54 @@ def test_certified_cutoff_closed_form_without_surface_tension(cheap_config):
 
 def test_sizing_grows_an_owned_set_to_the_certified_cutoff(cheap_config):
     fm = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
-    size_mode_set(fm, 0.0)
-    lam = fm.mode_lambdas(0.0).max()
+    lam = size_mode_set(fm, 0.0).lam
     assert certified_cutoff(cheap_config, 0.0, lam, lam * lam) <= fm.modes.k_max
     assert solve_lambda(cheap_config, DISC).lam == lam
     # alpha(s) is sized with floor alpha(s): the same value on a wider set
-    value = global_alpha(cheap_config, 0.2, DISC)
-    wider_set = FrozenModeSet.freeze(cheap_config, DISC, 2.0 * value.table.k[-1])
+    sized = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
+    value = size_mode_set(sized, 0.0, 0.2)
+    assert global_alpha(cheap_config, 0.2, DISC).alpha == value.alpha
+    wider_set = FrozenModeSet.freeze(cheap_config, DISC, 2.0 * sized.modes.k_max)
     wider = global_alpha(cheap_config, 0.2, DISC, frozen=wider_set)
     assert wider.alpha == value.alpha and wider.argmax_k == value.argmax_k
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs(), span(0.0, 0.95), span(1e-2, 30.0))
+def test_inertia_scans_match_full_solves(cfg, fraction, s):
+    # What a successful factorization proves (pencil.alpha_below): alpha
+    # above alpha_k(s), up to a rounding-level backward error; each mode is
+    # checked on both signs of c_k against the dense reference.
+    theta = fraction * theta_critical(cfg)
+    cfg = cfg.with_theta(theta)
+    fm = FrozenModeSet.freeze(cfg, DISC, 4.0 * smallest_magnitude(cfg))
+    for k in fm.modes.magnitudes:
+        for forms in (assemble(k, cfg, DISC), replace(assemble(k, cfg, DISC), c_k=-abs(cfg.g))):
+            dense = largest_eigenpair(forms, s).alpha
+            delta = 1e-9 * max(1.0, abs(dense))
+            assert alpha_below(forms, s, dense + delta)
+            assert not alpha_below(forms, s, dense - delta)
+            upper = float(alpha_bound(cfg, theta, k, s)) if forms.c_k > 0.0 else 0.0
+            assert pencil.mode_alpha(forms, s, upper) == pytest.approx(dense, rel=1e-10, abs=1e-10)
+
+    # The scans equal the maximum over a full solve of every mode, and every
+    # mode the growth scan ruled out has Lambda_k below that maximum.
+    table = fm.table(s, theta)
+    assert fm.alpha_value(s, theta).alpha == np.max(table.alpha)
+    solved = []
+    real = spectrum.fixed_point
+
+    def spy(forms, start):
+        solved.append(forms.k)
+        return real(forms, start)
+
+    spectrum.fixed_point = spy
+    try:
+        best = fm.growth_max(theta)
+    finally:
+        spectrum.fixed_point = real
+    full = {k: mode_fixed_point(cfg, k, DISC) for k in fm.modes.magnitudes}
+    lams = {k: fp.lam for k, fp in full.items() if fp is not None}
+    assert best.lam == max(lams.values())
+    assert best.forms.k == max(lams, key=lambda k: (lams[k], -k))
+    assert all(lam < best.lam for k, lam in lams.items() if k not in solved)
