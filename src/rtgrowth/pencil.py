@@ -319,8 +319,8 @@ def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
     strictly decreases through zero at Lambda_k, success proves s > Lambda_k.
 
     In floating point, success proves this for a nearby matrix: forming M
-    perturbs each entry by at most 2u (|s A| + |alpha B|) + u |c_k| (u the
-    unit roundoff), and the computed factor is the exact factor of M + E
+    perturbs each entry by at most 3u (|s A| + |alpha B| + |c_k| e0 e0^T), u
+    the unit roundoff, and the computed factor is the exact factor of M + E
     with |E| <= gamma_5 |L| |L^T| entrywise, gamma_m = m u / (1 - m u), since
     every inner product has at most four terms (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, Theorem 10.3). So success proves
