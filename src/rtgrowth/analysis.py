@@ -7,7 +7,8 @@ certified cutoff against that set and raises instead of extending it. The
 sweep raises unless Lambda decreases strictly along the whole grid and
 reports Lambda <= m at every point, so a grid that closes in on theta_c
 checks the vanishing limit, and one that brackets a point checks the ordering
-Lambda(theta - delta) > Lambda(theta) > Lambda(theta + delta).
+Lambda(theta - delta) > Lambda(theta) > Lambda(theta + delta). The report
+lists the compliance bound of every point, which each result has checked.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class ThetaSweep:
     wang_tice: float
     lambdas: np.ndarray
     bounds_m: np.ndarray
+    bounds_compliance: np.ndarray
     argmax_ks: np.ndarray
     residuals: np.ndarray
     results: list[GrowthResult] = field(repr=False)
@@ -83,6 +85,7 @@ class ThetaSweep:
             "all_positive": bool(np.all(lam > 0.0)),
             "bounded_by_m": bool(np.all(lam <= self.bounds_m * (1.0 + 1e-6))),
             "m_below_wang_tice": bool(np.all(self.bounds_m <= self.wang_tice * (1.0 + 1e-12))),
+            "bound_compliance": [float(b) for b in self.bounds_compliance],
         }
 
     def report_json(self) -> str:
@@ -133,6 +136,7 @@ def sweep_theta(
         wang_tice=wang_tice_bound(cfg),
         lambdas=lambdas,
         bounds_m=np.asarray([r.bound_m for r in results]),
+        bounds_compliance=np.asarray([r.bound_compliance for r in results]),
         argmax_ks=np.asarray([r.argmax_k for r in results]),
         residuals=np.asarray([r.fixed_point_residual for r in results]),
         results=results,

@@ -207,12 +207,15 @@ def _cmd_sweep(cfg, args) -> int:
             "rows": [
                 dict(
                     zip(
-                        ("theta", "theta_over_theta_c", "lambda", "bound_m", "argmax_k", "residual"),
-                        (float(t), float(t / sweep.theta_c), float(l), float(m), float(k), float(r)),
+                        ("theta", "theta_over_theta_c", "lambda", "bound_m", "bound_compliance",
+                         "argmax_k", "residual"),
+                        (float(t), float(t / sweep.theta_c), float(l), float(m), float(b), float(k),
+                         float(r)),
                     )
                 )
-                for t, l, m, k, r in zip(
-                    sweep.thetas, sweep.lambdas, sweep.bounds_m, sweep.argmax_ks, sweep.residuals
+                for t, l, m, b, k, r in zip(
+                    sweep.thetas, sweep.lambdas, sweep.bounds_m, sweep.bounds_compliance,
+                    sweep.argmax_ks, sweep.residuals,
                 )
             ],
             "report": sweep.report(),

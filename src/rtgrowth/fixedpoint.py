@@ -9,8 +9,12 @@ solves Lambda_k by banded Newton steps (pencil.fixed_point) only for the modes
 that one inertia test at the running maximum cannot rule out. The eigenprofile
 is the last solve of the maximizing mode's Newton loop, and the alpha at
 Lambda and the fixed-point residual come from that solve too.
-An owned mode set is grown until the certified cutoff at the answer lies
-inside it; a set handed in is checked against that cutoff once.
+An owned mode set is grown until the growth cutoff (spectrum.growth_cutoff)
+at the answer lies inside it; a set handed in is checked against that cutoff
+once. Beside the paper's bound m, a result carries the sharper proven bound
+bound_compliance = max_k r_k (spectrum.compliance_bound): modes above the
+cutoff have r_k < Lambda, so the maximum over the set is the one over the
+lattice.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .pencil import (
 from .spectrum import (
     AlphaValue,
     FrozenModeSet,
-    certified_cutoff,
+    growth_cutoff,
     mode_fixed_point,
     size_mode_set,
     smallest_magnitude,
@@ -55,6 +59,7 @@ class GrowthResult:
     fixed_point_residual: float
     alpha_at_lambda: AlphaValue
     bound_m: float
+    bound_compliance: float
     theta: float
     resolution: int
     tol_fp: float
@@ -68,6 +73,10 @@ class GrowthResult:
         if not 0.0 < self.lam <= self.bound_m * (1.0 + 1e-6):
             raise SolverError(
                 f"growth rate {self.lam!r} escapes (0, m] with m = {self.bound_m!r}"
+            )
+        if not self.lam <= self.bound_compliance * (1.0 + 1e-12):
+            raise SolverError(
+                f"growth rate {self.lam!r} exceeds the compliance bound {self.bound_compliance!r}"
             )
         if self.fixed_point_residual > self.tol_fp * max(1.0, self.lam**2):
             raise SolverError(
@@ -89,6 +98,7 @@ class GrowthResult:
             "argmax_k": self.argmax_k,
             "fixed_point_residual": self.fixed_point_residual,
             "bound_m": self.bound_m,
+            "bound_compliance": self.bound_compliance,
             "theta": self.theta,
             "resolution": self.resolution,
             "branch": self.branch,
@@ -119,7 +129,7 @@ def solve_lambda(
     else:
         best = fm.growth_max(theta)
     lam = best.lam
-    cutoff = certified_cutoff(cfg, theta, lam, lam * lam)
+    cutoff = growth_cutoff(cfg, theta, lam)
     if cutoff > fm.modes.k_max:
         raise CutoffRunaway(
             f"a mode up to k = {cutoff!r} may grow faster than lambda = {lam!r}, "
@@ -136,6 +146,7 @@ def solve_lambda(
         fixed_point_residual=abs(lam * lam - best.alpha),
         alpha_at_lambda=AlphaValue(best.alpha, k, "longitudinal", lam, theta),
         bound_m=m,
+        bound_compliance=float(np.max(fm.growth_bounds(theta))),
         theta=theta,
         resolution=disc.elements_per_layer,
         tol_fp=tol_fp,

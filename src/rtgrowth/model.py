@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import (
     DensityOrderViolation,
@@ -58,9 +58,7 @@ class FluidConfig:
         return max(self.L1 * self.L1, self.L2 * self.L2)
 
     def with_theta(self, theta: float) -> "FluidConfig":
-        d = asdict(self)
-        d["theta"] = theta
-        return FluidConfig(**d)
+        return replace(self, theta=theta)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

@@ -18,10 +18,11 @@ band form: a (4, dim) array whose row d holds the entries (j + d, j). The band
 is the lower triangle of the element scatter. Every per-mode quantity comes
 from banded Cholesky factorizations (dpbtrf): the inertia test alpha_below
 (s A + alpha B - c_k e0 e0^T factors exactly when alpha > alpha_k(s)),
-alpha_k(s) by bisection on it (mode_alpha), and Lambda_k by Newton steps on
-phi(s) = c_k e0^T (s A + s^2 B)^(-1) e0 = 1 (fixed_point), whose last solve
-is the eigenprofile. No solver path expands a dense matrix; the dense
-largest_eigenpair is the tests' reference.
+alpha_k(s) by bisection on it, finished by secular Newton steps (mode_alpha),
+the interface compliances e0^T B^(-1) e0 and e0^T A^(-1) e0 (compliances),
+and Lambda_k by Newton steps on phi(s) = c_k e0^T (s A + s^2 B)^(-1) e0 = 1
+(fixed_point), whose last solve is the eigenprofile. No solver path expands
+a dense matrix; the dense largest_eigenpair is the tests' reference.
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -199,6 +200,12 @@ class PencilForms:
     def dim(self) -> int:
         return self.B_band.shape[1]
 
+    @cached_property
+    def extended_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A_band, B_band) as np.longdouble, converted once per forms for
+        the refined solves of _interface_solve."""
+        return self.A_band.astype(np.longdouble), self.B_band.astype(np.longdouble)
+
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     """Assemble kinetic/dissipation bands and the surface coefficient."""
@@ -286,12 +293,13 @@ def largest_eigenpair(forms: PencilForms, s: float) -> EigenSolution:
 
 
 def _interface_solve(forms: PencilForms, s: float, alpha: float):
-    """(s A + alpha B, x) with x = (s A + alpha B)^(-1) e0, for alpha > 0.
+    """(s A + alpha B, x) with x = (s A + alpha B)^(-1) e0, for s, alpha >= 0
+    not both zero (s A + alpha B is then positive definite).
 
     When alpha is the largest eigenvalue, x is its eigenvector: the pencil
     gives (s A + alpha B) x = c_k x[e0] e0. One banded Cholesky factorization
     and two solves: the second is one step of refinement with s A + alpha B
-    formed and applied in extended precision.
+    formed and applied in extended precision (from forms.extended_bands).
     Rounding it to float64 puts the solve off by up to 2e-9 at N = 128
     (cond ~ 4e8), an error that moves with BLAS threading; the refined vector
     is good to ~1e-12.
@@ -303,9 +311,27 @@ def _interface_solve(forms: PencilForms, s: float, alpha: float):
     chol = _spd_factor(energy, what)
     x = _spd_solve(chol, e0, what)
     ext = np.longdouble
-    exact = ext(s) * forms.A_band.astype(ext) + ext(alpha) * forms.B_band.astype(ext)
+    a_ext, b_ext = forms.extended_bands
+    exact = ext(s) * a_ext + ext(alpha) * b_ext
     r = e0 - _band_matvec_extended(exact, x)
     return energy, x + _spd_solve(chol, r.astype(float), what)
+
+
+def compliances(forms: PencilForms) -> tuple[float, float]:
+    """The interface compliances (I_k, C_k) = (e0^T B^(-1) e0, e0^T A^(-1) e0).
+
+    I_k = max psi(0)^2 / K and C_k = max psi(0)^2 / D over the discrete space:
+    the inviscid and the Stokes response of the interface to a unit load.
+    Neither depends on theta or s. B, a second-order form, is conditioned like
+    N^2, so one banded solve gives I_k to ~1e-13; A, a fourth-order form, is
+    conditioned like N^4, and an unrefined solve is off by up to 7e-8 at
+    N = 256, so C_k takes the refined solve of _interface_solve.
+    """
+    e0 = np.zeros(forms.dim)
+    e0[forms.e0_index] = 1.0
+    x = _spd_solve(_spd_factor(forms.B_band, "kinetic matrix"), e0, "kinetic matrix")
+    y = _interface_solve(forms, 1.0, 0.0)[1]
+    return float(x[forms.e0_index]), float(y[forms.e0_index])
 
 
 def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
@@ -343,7 +369,13 @@ def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
     upper must bound alpha_k(s) from above (spectrum.alpha_bound is proven to).
     The lower end steps down from it by doubling until the test fails; the
     bracket is then halved to 1e-14 of its width, which is at least
-    max(|upper|, s) and so far above the spacing of floats around it.
+    max(|upper|, s) and so far above the spacing of floats around it. That
+    resolves alpha_k(s) only to the backward error of the inertia test (about
+    2e-8 relative at N = 128). Where the midpoint is positive, s A + alpha B
+    is positive definite and alpha_k(s) is the unique root there of the
+    secular equation c_k e0^T (s A + alpha B)^(-1) e0 = 1, whose left side is
+    convex and decreasing in alpha with derivative -c_k x^T B x; Newton steps
+    on it with refined solves (_interface_solve) take the value to rounding.
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
@@ -357,7 +389,15 @@ def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
             hi = mid
         else:
             lo = mid
-    return float(0.5 * (lo + hi))
+    alpha = 0.5 * (lo + hi)
+    for _ in range(3 if alpha > 0.0 else 0):
+        x = _interface_solve(forms, s, alpha)[1]
+        phi = forms.c_k * float(x[forms.e0_index])
+        newton = alpha + (phi - 1.0) / (forms.c_k * float(x @ band_matvec(forms.B_band, x)))
+        if not newton > 0.0 or newton == alpha:
+            break
+        alpha = newton
+    return float(alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,29 +423,31 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     s > Lambda_k. phi strictly decreases, phi' = -c_k x^T (A + 2 s B) x, and
     1/phi - 1 is nearly linear in s, so safeguarded Newton on it takes a few
     steps: s <- s + phi (1 - phi) / phi', with a bisection of the bracket
-    whenever a step leaves it. start must satisfy phi(start) <= 1, as the
-    trace bound sqrt(c_k k / (rho+ + rho-)) does. Each solve is refined in
-    extended precision (_interface_solve); after a step below 1e-9 relative
-    the error is of the order of its square, so the next solve is the last
-    and is the eigenprofile.
+    whenever a step leaves it. start should bound Lambda_k from above, as the
+    compliance bound spectrum.compliance_bound does; the closer it is, the
+    fewer the steps. Where that bound is nearly exact (near theta_c) its
+    computed value can fall below Lambda_k by rounding, so phi(start) > 1 does
+    not raise: start becomes the lower end of the bracket, whose upper end
+    stays open until a Newton step (upward, since phi > 1) passes the root.
+    Each solve is refined in extended precision (_interface_solve); after a
+    step below 1e-9 relative the error is of the order of its square, so the
+    next solve is the last and is the eigenprofile.
     """
     c = float(forms.c_k)
     if not c > 0.0:
         raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
-    lo, hi, s = 0.0, float(start), float(start)
+    lo, hi, s = 0.0, math.inf, float(start)
     last = False
     for _ in range(100):
         energy, x = _interface_solve(forms, s, s * s)
         phi = c * float(x[forms.e0_index])
         xb = float(x @ band_matvec(forms.B_band, x))
         if phi > 1.0:
-            if s == start:
-                raise ValueError(f"start {start!r} lies below the fixed point of mode k = {forms.k!r}")
             lo = s
         else:
             hi = s
         step = phi * (1.0 - phi) / (-c * (float(x @ band_matvec(forms.A_band, x)) + 2.0 * s * xb))
-        if last or phi == 1.0 or hi - lo <= 1e-15 * hi:
+        if last or phi == 1.0 or hi - lo <= 1e-15 * s:
             alpha = s * s + (phi - 1.0) / (c * xb)
             return FixedPoint(forms, s, alpha, _finish_eigenpair(forms, energy, s * s, x))
         last = abs(step) <= 1e-9 * s

@@ -3,27 +3,31 @@
 The admissible wavenumbers are xi = (n1/L1, n2/L2) over nonzero integer
 pairs; every per-mode quantity depends on xi only through k = |xi|, so the
 search collapses to the sorted list of distinct magnitudes. A FrozenModeSet
-holds the magnitudes and the exact transverse minimum of each (one scalar
-root); every coupled-branch value is solved on the banded pencil when it is
-needed (pencil.alpha_below, mode_alpha, fixed_point). A global maximum, the
-growth rate Lambda = max_k Lambda_k at one theta or alpha(s) at one s, is one
-scan over the set in decreasing order of a proven per-mode bound: the scan
-stops at the first bound at or below the running maximum, rules out a mode
-by one inertia test at the running maximum, and fully solves a mode only
-when that test fails. alpha(s) only locates Lambda, so an evaluation returns
-values and the maximizing mode, never a profile; the eigenprofile is the last
-solve of the maximizing mode's fixed point.
+holds the magnitudes and, for each, the exact transverse minimum (one scalar
+root) and the two interface compliances (two banded solves, made the first
+time the growth rate is asked for), none of which depends on s or theta;
+every coupled-branch value is solved on the banded pencil when it is needed
+(pencil.alpha_below, mode_alpha, fixed_point). A global maximum, the growth
+rate Lambda = max_k Lambda_k at one theta or alpha(s) at one s, is one scan
+over the set in decreasing order of a proven per-mode bound (compliance_bound
+for Lambda_k, alpha_bound for alpha_k(s)): the scan stops at the first bound
+at or below the running maximum, rules out a mode by one inertia test at the
+running maximum, and fully solves a mode only when that test fails. alpha(s)
+only locates Lambda, so an evaluation returns values and the maximizing
+mode, never a profile; the eigenprofile is the last solve of the maximizing
+mode's fixed point.
 
 The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
 never competes for the supremum near the fixed point.
 
-Cutoff policy: every per-mode value obeys alpha_k(s) <= U(k, s) (alpha_bound),
-a bound that falls below any floor beyond a computable wavenumber
-(certified_cutoff). An owned mode set starts at the smallest lattice
-magnitude and grows, at most doubling per step, until the certified cutoff
-for the quantity it serves (alpha(s), or the growth rate Lambda) lies inside
-it (size_mode_set); every mode left out then provably cannot reach the value
+Cutoff policy: each quantity has a proven per-mode bound that falls below
+any floor beyond a computable wavenumber: U(k, s) >= alpha_k(s) on both
+branches (alpha_bound, cut off by certified_cutoff), and the whole-line
+envelope of the compliance bound for Lambda_k (growth_cutoff). An owned mode
+set starts at the smallest lattice magnitude and grows, at most doubling per
+step, until the cutoff for the quantity it serves lies inside it
+(size_mode_set); every mode left out then provably cannot reach the value
 computed on the set. A set handed in by the caller is evaluated as it is and
 never extended.
 """
@@ -42,10 +46,12 @@ from .pencil import (
     FixedPoint,
     alpha_below,
     assemble,
+    compliances,
     fixed_point,
     mode_alpha,
     transverse_min_eigenvalue,
 )
+from .modeforms import surface_coefficient
 
 _DEDUP_RTOL = 1e-12
 
@@ -148,12 +154,14 @@ class AlphaValue:
 
 
 class FrozenModeSet:
-    """A lattice mode set with the exact transverse minimum of every mode.
+    """A lattice mode set with the theta-free data of every mode.
 
-    The transverse minima do not depend on s or theta; the coupled branch is
-    solved on demand, so one set serves every (s, theta). `locked` marks sets
-    deliberately frozen across a multi-point computation: extending one
-    raises, since it would change earlier samples.
+    That is the exact transverse minimum and, once the growth rate is asked
+    for, the interface compliances (I_k, C_k) of pencil.compliances; alpha(s)
+    alone never needs them. The coupled branch is solved on demand, so one
+    set serves every (s, theta). `locked` marks sets deliberately frozen
+    across a multi-point computation: extending one raises, since it would
+    change earlier samples.
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet):
@@ -162,6 +170,7 @@ class FrozenModeSet:
         self.modes = modes
         self.locked = False
         self._lam_tau = self._transverse_minima(modes.magnitudes)
+        self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
 
     def _transverse_minima(self, ks: np.ndarray) -> np.ndarray:
         return np.asarray([transverse_min_eigenvalue(k, self.cfg) for k in ks], dtype=float)
@@ -179,10 +188,22 @@ class FrozenModeSet:
         if k_max <= self.modes.k_max:
             return
         wider = enumerate_modes(self.cfg, k_max)
-        fresh = wider.magnitudes > self.modes.k_max * (1.0 + _DEDUP_RTOL)
-        lam_tau = self._transverse_minima(wider.magnitudes[fresh])
-        self._lam_tau = np.concatenate([self._lam_tau, lam_tau])
+        fresh = wider.magnitudes[wider.magnitudes > self.modes.k_max * (1.0 + _DEDUP_RTOL)]
+        self._lam_tau = np.concatenate([self._lam_tau, self._transverse_minima(fresh)])
         self.modes = wider
+
+    def growth_bounds(self, theta: float) -> np.ndarray:
+        """compliance_bound of every mode at theta: Lambda_k <= r_k.
+
+        Computes the compliances of the modes that have none yet; extend_to
+        only appends modes, so those are the last ones.
+        """
+        ks = self.modes.magnitudes
+        fresh = [compliances(assemble(k, self.cfg, self.disc)) for k in ks[len(self._compliance):]]
+        if fresh:
+            self._compliance = np.concatenate([self._compliance, fresh])
+        c = surface_coefficient(ks, self.cfg.with_theta(theta))
+        return compliance_bound(c, self._compliance[:, 0], self._compliance[:, 1])
 
     def growth_max(self, theta: float) -> FixedPoint | None:
         """The fixed point of the mode with the largest Lambda_k; None if none grows.
@@ -190,22 +211,24 @@ class FrozenModeSet:
         alpha(s) > s^2 exactly when some alpha_k(s) > s^2, which holds exactly
         when s < Lambda_k; the transverse branch is never positive. So the
         global rate is max_k Lambda_k. Modes are visited in decreasing order
-        of their bound Lambda_k <= growth_bound; the scan stops at the first
-        bound at or below the running maximum M, skips a mode whose inertia
-        test at (s, alpha) = (M, M^2) succeeds, which proves Lambda_k < M,
-        and solves the fixed point of the rest. Ties go to the smaller k.
+        of their bound Lambda_k <= r_k (growth_bounds); the scan stops at the
+        first bound at or below the running maximum M, skips a mode whose
+        inertia test at (s, alpha) = (M, M^2) succeeds, which proves
+        Lambda_k < M, and solves the fixed point of the rest from r_k. Ties
+        go to the smaller k.
         """
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
-        bounds = growth_bound(cfg, theta, ks)
+        bounds = self.growth_bounds(theta)
         best = None
         for i in np.argsort(-bounds, kind="stable"):
             lam = 0.0 if best is None else best.lam
             if bounds[i] <= lam:
                 break
-            if best is not None and alpha_below(assemble(ks[i], cfg, self.disc), lam, lam * lam):
+            forms = assemble(float(ks[i]), cfg, self.disc)
+            if best is not None and alpha_below(forms, lam, lam * lam):
                 continue
-            fp = mode_fixed_point(cfg, ks[i], self.disc)
+            fp = fixed_point(forms, bounds[i])
             if best is None or (fp.lam, -ks[i]) > (lam, -best.forms.k):
                 best = fp
         return best
@@ -247,33 +270,96 @@ class FrozenModeSet:
 
 
 def mode_fixed_point(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
-    """Fixed point of one mode at cfg.theta; None when c_k <= 0 (stable)."""
+    """Fixed point of one mode at cfg.theta; None when c_k <= 0 (stable).
+
+    Newton starts from the compliance bound, which costs two banded solves.
+    """
     forms = assemble(float(k), cfg, disc)
     if forms.c_k <= 0.0:
         return None
-    return fixed_point(forms, math.sqrt(alpha_bound(cfg, cfg.theta, k, 0.0)))
+    return fixed_point(forms, float(compliance_bound(forms.c_k, *compliances(forms))))
 
 
 def alpha_bound(cfg: FluidConfig, theta: float, k, s: float):
     """U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max >= alpha_k(s).
 
-    Proven in certified_cutoff; k may be an array. At s = 0 its square root is
-    the trace bound on Lambda_k.
+    Proven in certified_cutoff; k may be an array.
     """
     c = cfg.g * cfg.density_jump - theta * k * k
     viscous = min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
     return np.maximum(c, 0.0) * k / (cfg.rho_plus + cfg.rho_minus) - s * viscous * k * k
 
 
-def growth_bound(cfg: FluidConfig, theta: float, k):
-    """Per-mode bound Lambda_k <= the positive root of Lambda^2 = U(k, Lambda).
+def compliance_bound(c, inviscid, stokes):
+    """r_k, the positive root of r^2 / I_k + r / C_k = max(c_k, 0): Lambda_k <= r_k.
 
-    Lambda_k^2 = alpha_k(Lambda_k) <= U(k, Lambda_k), and U(k, s) - s^2
-    strictly decreases in s; 0 where c_k <= 0.
+    inviscid and stokes are the compliances I_k = e0^T B^(-1) e0 and
+    C_k = e0^T A^(-1) e0 (pencil.compliances); arguments may be arrays. Proof:
+    for a symmetric positive definite M, 1 / (e^T M^(-1) e) is the minimum of
+    x^T M x over e^T x = 1. With P = Lambda A and Q = Lambda^2 B, both
+    positive definite for Lambda > 0,
+
+        1 / (e^T (P + Q)^(-1) e) = min_{e^T x = 1} x^T P x + x^T Q x
+                                 >= 1 / (e^T P^(-1) e) + 1 / (e^T Q^(-1) e)
+                                 = Lambda / C_k + Lambda^2 / I_k.
+
+    At the fixed point (pencil.fixed_point) c_k e0^T (P + Q)^(-1) e0 = 1, so
+    c_k >= Lambda_k^2 / I_k + Lambda_k / C_k, a right side that increases in
+    Lambda and reaches c_k at r_k, so Lambda_k <= r_k. The bound is exact in both classical limits:
+    without viscosity (A = 0) the fixed point is the inviscid rate
+    sqrt(c_k I_k), without inertia (B = 0) the Stokes rate c_k C_k
+    (Chandrasekhar, Hydrodynamic and Hydromagnetic Stability, 1961, ch. X).
+    0 where c_k <= 0.
     """
-    q = alpha_bound(cfg, theta, k, 0.0)
-    v = q - alpha_bound(cfg, theta, k, 1.0)  # mu_min k^2 / rho_max
-    return 2.0 * q / (v + np.sqrt(v * v + 4.0 * q))
+    c = np.maximum(c, 0.0)
+    return 2.0 * c / (1.0 / stokes + np.sqrt(1.0 / stokes**2 + 4.0 * c / inviscid))
+
+
+def growth_cutoff(cfg: FluidConfig, theta: float, lam: float) -> float:
+    """Largest k > 0 at which a mode may reach the growth rate lam; 0 if none may.
+
+    That is the largest root k2 of the convex polynomial
+        p(k) = theta k^3 + 2 (mu+ + mu-) lam k^2 - g [rho] k + (rho+ + rho-) lam^2,
+    and every mode above it has Lambda_k < lam. Proof: Lambda_k <= r_k
+    (compliance_bound), and r_k >= lam exactly when lam^2 / I_k + lam / C_k
+    <= c_k. Two whole-line envelopes, valid for the continuous compliances
+    and so for the discrete ones of the Hermite subspace, bound the left side
+    from below:
+
+    - I_k <= k / (rho+ + rho-): the trace inequality of certified_cutoff.
+    - C_k <= 1 / (2 k (mu+ + mu-)): extend a clamped psi by zero past the
+      walls, which leaves D unchanged. On a half line with psi(0) = 1 and
+      psi'(0) = a, the minimum of mu int (k psi + psi''/k)^2 + 4 psi'^2 is
+      2 k mu (1 + a^2 / k^2) >= 2 k mu, attained at a = 0 by
+      (1 + k|y|) e^(-k|y|); adding both layers gives D >= 2 k (mu+ + mu-)
+      psi(0)^2.
+
+    So r_k >= lam forces lam^2 (rho+ + rho-) / k + 2 k (mu+ + mu-) lam <= c_k,
+    that is p(k) <= 0. p(0) > 0 and p is convex on k > 0, so {p <= 0} is an
+    interval, found by bisection from the minimizer of p up to
+    g [rho] / (2 (mu+ + mu-) lam), past which p > 0.
+    """
+    if lam <= 0.0:
+        raise ValueError(f"growth rate must be > 0, got {lam!r}")
+    gr = cfg.g * cfg.density_jump
+    b = 2.0 * (cfg.mu_plus + cfg.mu_minus) * lam
+    q = (cfg.rho_plus + cfg.rho_minus) * lam * lam
+
+    def p(k):
+        return ((theta * k + b) * k - gr) * k + q
+
+    # p' = 3 theta k^2 + 2 b k - g [rho] vanishes once on k > 0
+    lo = gr / (b + math.sqrt(b * b + 3.0 * theta * gr))
+    if p(lo) > 0.0:
+        return 0.0
+    hi = gr / b
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if p(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> float:
@@ -300,10 +386,8 @@ def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> 
     The Hermite space is a subspace (it is H^2-conforming) and the Gauss rule
     is exact on it, so the coupled bound holds for the computed alpha_k(s)
     too. U is concave where c_k > 0 and decreasing beyond, so
-    every mode above the returned k has alpha_k(s) < floor. Since
-    alpha_k(s) - s^2 decreases through zero at Lambda_k, Lambda_k >= Lambda*
-    exactly when alpha_k(Lambda*) >= Lambda*^2: the growth-rate cutoff is
-    s = Lambda*, floor = Lambda*^2.
+    every mode above the returned k has alpha_k(s) < floor. The growth rate
+    has its own, much sharper cutoff (growth_cutoff).
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
@@ -328,17 +412,18 @@ def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> 
 def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     """Extend fm until no mode above its cutoff can change the computed value.
 
-    With s the value is alpha(s), the floor alpha(s) on the current set;
-    without, it is Lambda = max_k Lambda_k, at s = Lambda and floor Lambda^2.
-    Each pass extends toward the certified cutoff, at most doubling k_max.
-    The floor (and the growth-rate s) only rises as the set grows, so the
-    cutoff only falls and the loop ends. Returns the value of the last pass:
-    the AlphaValue at s, or the FixedPoint of the fastest mode.
+    With s the value is alpha(s), cut off by certified_cutoff at the floor
+    alpha(s) on the current set; without, it is Lambda = max_k Lambda_k, cut
+    off by growth_cutoff at the Lambda of the current set. Each pass extends
+    toward the cutoff, at most doubling k_max. The floor (and Lambda) only
+    rises as the set grows, so the cutoff only falls and the loop ends.
+    Returns the value of the last pass: the AlphaValue at s, or the
+    FixedPoint of the fastest mode.
     """
     while True:
         if s is None:
             best = fm.growth_max(theta)
-            cutoff = certified_cutoff(fm.cfg, theta, best.lam, best.lam * best.lam)
+            cutoff = growth_cutoff(fm.cfg, theta, best.lam)
         else:
             best = fm.alpha_value(s, theta)
             cutoff = certified_cutoff(fm.cfg, theta, s, best.alpha)

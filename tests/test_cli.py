@@ -38,10 +38,11 @@ def test_growth_json(config_path, tmp_path, cheap_config):
     assert code == 0
     payload = json.loads(out.read_text())
     assert set(payload) == {
-        "lambda", "argmax_k", "fixed_point_residual", "bound_m",
+        "lambda", "argmax_k", "fixed_point_residual", "bound_m", "bound_compliance",
         "theta", "resolution", "branch",
     }
-    assert 0.0 < payload["lambda"] <= payload["bound_m"] * (1.0 + 1e-6)
+    assert 0.0 < payload["lambda"] <= payload["bound_compliance"] * (1.0 + 1e-12)
+    assert payload["bound_compliance"] <= payload["bound_m"]
     assert payload["branch"] == "longitudinal"
 
 
@@ -54,7 +55,7 @@ def test_growth_mode_table(config_path, tmp_path, monkeypatch):
     lines = table.read_text().splitlines()
     assert lines[0] == "k,alpha_longitudinal,alpha_transverse,branch"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 38
+    assert len(rows) == 7
     payload = json.loads(out.read_text())
     best = max(rows, key=lambda r: float(r[1]))
     assert float(best[0]) == payload["argmax_k"]

@@ -135,7 +135,7 @@ def test_solve_lambda_json_fields(cheap_config):
     result = solve_lambda(cheap_config, DISC)
     payload = json.loads(json.dumps(result.to_json_dict()))
     assert set(payload) == {
-        "lambda", "argmax_k", "fixed_point_residual", "bound_m",
+        "lambda", "argmax_k", "fixed_point_residual", "bound_m", "bound_compliance",
         "theta", "resolution", "branch",
     }
     assert payload["lambda"] == result.lam

@@ -157,6 +157,14 @@ def test_json_round_trip(reference_config):
     assert FluidConfig.from_json(text) == reference_config
 
 
+def test_with_theta_matches_a_field_copy(reference_config):
+    for theta in (0.0, 1.5, 7.25):
+        copy = FluidConfig(**{**dataclasses.asdict(reference_config), "theta": theta})
+        assert reference_config.with_theta(theta) == copy
+        assert reference_config.with_theta(theta).theta == theta
+    assert reference_config.theta == 0.0
+
+
 def test_json_rejects_unknown_and_missing_fields(reference_config):
     data = json.loads(reference_config.to_json())
     data["extra"] = 1.0

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rtgrowth import pencil
+from rtgrowth import pencil, spectrum
 from rtgrowth.errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
-from rtgrowth.model import FluidConfig
+from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.modeforms import dissipation_form, kinetic_form
 from rtgrowth.pencil import (
     Discretization,
@@ -15,6 +15,7 @@ from rtgrowth.pencil import (
     assemble,
     band_matvec,
     coeffs_to_profile,
+    fixed_point,
     largest_eigenpair,
     mode_alpha,
     profile_to_coeffs,
@@ -426,6 +427,67 @@ def test_secular_eigenpair_matches_dense_at_n128(reference_config):
         x = x + sla.cho_solve(chol, (e0 - exact @ x).astype(float))
         assert np.abs(sec.vector - x / np.sqrt(x @ B @ x)).max() <= 1e-12
         assert sec.residual <= 1e-9 * (abs(alpha) + s * a_scale(forms))
+
+
+def refined_phi(forms, s, alpha):
+    """c_k e0^T (s A + alpha B)^(-1) e0 from one refined banded solve."""
+    return forms.c_k * float(pencil._interface_solve(forms, s, alpha)[1][forms.e0_index])
+
+
+def test_mode_alpha_matches_the_refined_secular_root(reference_config):
+    # bisection on the inertia test alone stops at its backward error (about
+    # 2e-8 relative here); the secular Newton steps take alpha_k(s) to the
+    # root of the refined secular equation, bisected independently below
+    forms = assemble(1.0, reference_config, Discretization(128))
+    s = 2.4381739517143846  # Lambda of the reference config at N = 128
+    alpha = mode_alpha(forms, s, float(spectrum.alpha_bound(reference_config, 0.0, 1.0, s)))
+    lo, hi = alpha * (1.0 - 1e-6), alpha * (1.0 + 1e-6)
+    assert refined_phi(forms, s, lo) > 1.0 > refined_phi(forms, s, hi)
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if refined_phi(forms, s, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    assert alpha == pytest.approx(0.5 * (lo + hi), rel=1e-11)
+
+
+def count_refined_solves(monkeypatch):
+    calls = []
+    real = pencil._interface_solve
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(pencil, "_interface_solve", spy)
+    return calls
+
+
+def test_fixed_point_from_the_compliance_bound(reference_config, monkeypatch):
+    # r_k is 1.11 Lambda_k at the reference maximizer (the trace bound that
+    # started Newton before is 1.5 to 23 Lambda_k): five refined solves
+    forms = assemble(5.0, reference_config, Discretization(128))
+    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    calls = count_refined_solves(monkeypatch)
+    fp = fixed_point(forms, start)
+    assert len(calls) <= 5
+    assert fp.lam < start < 1.2 * fp.lam
+    assert fp.lam == pytest.approx(2.4381739517143846, rel=1e-12)
+
+
+def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypatch):
+    # near theta_c the compliance bound is nearly exact; a start that falls
+    # below Lambda_k (phi(start) > 1) opens the bracket upward instead of raising
+    cfg = reference_config.with_theta(0.9999 * theta_critical(reference_config))
+    forms = assemble(1.0, cfg, Discretization(256))
+    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    calls = count_refined_solves(monkeypatch)
+    lam = fixed_point(forms, start).lam
+    assert calls[0] == start and lam < start < lam * (1.0 + 1e-3)
+    below = lam * (1.0 - 1e-13)
+    assert refined_phi(forms, below, below * below) > 1.0
+    assert fixed_point(forms, below).lam == pytest.approx(lam, rel=1e-13)
 
 
 def test_indefinite_band_raises_factorization_failure():

@@ -16,6 +16,7 @@ from rtgrowth.errors import (
 )
 from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.oracle import compare_modes
 from rtgrowth.pencil import (
     Discretization,
     alpha_below,
@@ -32,6 +33,7 @@ from rtgrowth.spectrum import (
     certified_cutoff,
     enumerate_modes,
     global_alpha,
+    growth_cutoff,
     mode_fixed_point,
     size_mode_set,
     smallest_magnitude,
@@ -219,15 +221,15 @@ def test_alpha_curve_rejects_bad_grid(cheap_config):
 
 
 def test_alpha_builds_no_profile(cheap_config, monkeypatch):
-    # alpha(s) only locates Lambda: it runs inertia tests and bisections,
-    # never a fixed-point solve or an eigenvector
+    # alpha(s) only locates Lambda: it runs inertia tests, bisections and
+    # secular Newton steps, never a fixed-point solve or an eigenprofile
     fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
 
     def no_profile(*args, **kwargs):
-        raise AssertionError("alpha(s) solved for an eigenvector")
+        raise AssertionError("alpha(s) solved for an eigenprofile")
 
     monkeypatch.setattr(spectrum, "fixed_point", no_profile)
-    monkeypatch.setattr(pencil, "_interface_solve", no_profile)
+    monkeypatch.setattr(pencil, "_finish_eigenpair", no_profile)
     value = global_alpha(cheap_config, 0.5, DISC, frozen=fm)
     curve = alpha_curve(cheap_config, [0.5, 1.0, 2.0], DISC, frozen=fm)
     assert curve.values[0].alpha == value.alpha
@@ -296,16 +298,23 @@ def span(lo, hi):
 
 @st.composite
 def configs(draw):
-    # The bound uses mu_min and rho_max, so strong viscosity or density
-    # contrasts give large certified cutoffs; this box keeps the lattices
-    # of the property test below a few thousand modes at N = 8.
-    rho_minus = draw(span(0.5, 2.0))
+    # Density ratios up to about 26 and viscosity ratios up to 50: the growth
+    # rate is sized by growth_cutoff, whose envelopes use mu+ + mu- and
+    # rho+ + rho-, so strong contrasts keep the sized sets small.
+    rho_minus = draw(span(0.2, 2.0))
     return FluidConfig(
-        rho_plus=rho_minus + draw(span(0.1, 1.5)), rho_minus=rho_minus,
-        mu_plus=draw(span(0.5, 2.0)), mu_minus=draw(span(0.5, 2.0)), g=draw(span(1.0, 20.0)),
+        rho_plus=rho_minus + draw(span(0.1, 5.0)), rho_minus=rho_minus,
+        mu_plus=draw(span(0.1, 5.0)), mu_minus=draw(span(0.1, 5.0)), g=draw(span(1.0, 20.0)),
         theta=0.0, L1=draw(span(0.3, 1.0)), L2=draw(span(0.3, 1.0)),
         h_plus=draw(span(0.5, 2.0)), h_minus=draw(span(0.5, 2.0)),
     )
+
+
+def envelope_root(cfg, theta, k):
+    """Positive root r of r^2 (rho+ + rho-) / k + 2 k (mu+ + mu-) r = max(c_k, 0)."""
+    c = np.maximum(cfg.g * cfg.density_jump - theta * k**2, 0.0)
+    a, b = (cfg.rho_plus + cfg.rho_minus) / k, 2.0 * k * (cfg.mu_plus + cfg.mu_minus)
+    return 2.0 * c / (b + np.sqrt(b * b + 4.0 * a * c))
 
 
 @settings(max_examples=25, deadline=None)
@@ -320,23 +329,24 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     slack = 1e-12 * np.abs(u)  # rounding only
     assert np.all(al <= u + slack) and np.all(at <= u + slack)
 
-    # Lambda_k^2 = alpha_k(Lambda_k) <= U(k, Lambda_k): below the positive root
-    # of Lambda^2 + Lambda mu_min k^2 / rho_max = max(c_k, 0) k / (rho+ + rho-)
-    b = min(cfg.mu_plus, cfg.mu_minus) * k**2 / max(cfg.rho_plus, cfg.rho_minus)
-    q = per_mode_bound(cfg, theta, k, 0.0)
-    root = 0.5 * (-b + np.sqrt(b * b + 4.0 * q))
+    # Lambda_k <= r_k, the root of r^2 / I_k + r / C_k = max(c_k, 0), and the
+    # discrete compliances lie below their whole-line envelopes
+    inviscid, stokes = np.transpose([pencil.compliances(assemble(kk, cfg, DISC)) for kk in k])
+    assert np.all(inviscid * (cfg.rho_plus + cfg.rho_minus) / k <= 1.0)
+    assert np.all(stokes * 2.0 * k * (cfg.mu_plus + cfg.mu_minus) < 1.0)
+    r = fm.growth_bounds(theta)
     cfg_theta = cfg.with_theta(theta)
-    for kk, r in zip(k, root):
+    for kk, rk in zip(k, r):
         solved = mode_fixed_point(cfg_theta, kk, DISC)
-        assert (solved.lam if solved else 0.0) <= r * (1.0 + 1e-12)
+        assert (solved.lam if solved else 0.0) <= rk * (1.0 + 1e-12)
 
-    # no mode beyond the certified set changes Lambda, to the last bit
+    # no mode beyond the sized set changes Lambda, to the last bit
     certified = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
     lam = size_mode_set(certified, theta).lam
-    cutoff = certified_cutoff(cfg, theta, lam, lam * lam)
+    cutoff = growth_cutoff(cfg, theta, lam)
     assert cutoff <= certified.modes.k_max
     beyond = np.linspace(cutoff, 4.0 * cutoff, 400)[1:]
-    assert np.all(per_mode_bound(cfg, theta, beyond, lam) < lam * lam)
+    assert np.all(envelope_root(cfg, theta, beyond) < lam)
     doubled = FrozenModeSet.freeze(cfg, DISC, 2.0 * cutoff)
     assert doubled.growth_max(theta).lam == lam
 
@@ -355,15 +365,74 @@ def test_certified_cutoff_closed_form_without_surface_tension(cheap_config):
 def test_sizing_grows_an_owned_set_to_the_certified_cutoff(cheap_config):
     fm = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
     lam = size_mode_set(fm, 0.0).lam
-    assert certified_cutoff(cheap_config, 0.0, lam, lam * lam) <= fm.modes.k_max
+    assert growth_cutoff(cheap_config, 0.0, lam) <= fm.modes.k_max
     assert solve_lambda(cheap_config, DISC).lam == lam
     # alpha(s) is sized with floor alpha(s): the same value on a wider set
     sized = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
     value = size_mode_set(sized, 0.0, 0.2)
+    assert certified_cutoff(cheap_config, 0.0, 0.2, value.alpha) <= sized.modes.k_max
     assert global_alpha(cheap_config, 0.2, DISC).alpha == value.alpha
     wider_set = FrozenModeSet.freeze(cheap_config, DISC, 2.0 * sized.modes.k_max)
     wider = global_alpha(cheap_config, 0.2, DISC, frozen=wider_set)
     assert wider.alpha == value.alpha and wider.argmax_k == value.argmax_k
+
+
+def test_growth_cutoff_is_the_largest_root_of_the_envelope_polynomial(cheap_config):
+    def p(k, theta, lam):
+        return (theta * k**3 + 2.0 * 2.0 * lam * k**2 - 9.8 * k + 3.0 * lam**2)
+
+    # at theta = 0, p is a quadratic: the cutoff is its larger root
+    lam = 0.7
+    expected = (9.8 + math.sqrt(9.8**2 - 4.0 * 4.0 * lam * 3.0 * lam**2)) / (2.0 * 4.0 * lam)
+    assert growth_cutoff(cheap_config, 0.0, lam) == pytest.approx(expected, rel=1e-11)
+    for theta in (0.5, 3.0):
+        k2 = growth_cutoff(cheap_config, theta, lam)
+        assert p(k2, theta, lam) > 0.0 > p(k2 * (1.0 - 1e-9), theta, lam)
+        assert k2 < expected  # surface tension only lowers the cutoff
+    # a rate no envelope reaches leaves no mode at all
+    assert growth_cutoff(cheap_config, 0.0, 10.0) == 0.0
+    with pytest.raises(ValueError):
+        growth_cutoff(cheap_config, 0.0, 0.0)
+
+
+def test_contrast_config_sizes_few_modes():
+    # strong density and viscosity contrast: at this Lambda the U cutoff
+    # (k about 1034) spans about 875,000 lattice magnitudes, the envelope
+    # cutoff (k about 10.5) 156
+    cfg = FluidConfig(
+        rho_plus=5.2, rho_minus=0.2, mu_plus=0.1, mu_minus=5.0,
+        g=20.0, theta=0.0, L1=2.0, L2=2.0, h_plus=0.3, h_minus=0.3,
+    )
+    disc = Discretization(16)
+    result = solve_lambda(cfg, disc)
+    assert len(result.mode_set.modes) <= 160
+    assert result.lam <= result.bound_compliance <= result.bound_m
+    row = compare_modes(cfg, [result.argmax_k], disc)[0]
+    assert row.lambda_variational == result.lam
+    assert row.rel_diff <= 1e-2  # the oracle tolerance of verify at N = 16
+
+
+def test_growth_scan_solves_few_modes(reference_config):
+    # ordered by r_k, one scan of the sized N = 128 set solves the maximizer
+    # and at most one other mode (the crude trace-based order solved 22)
+    disc = Discretization(128)
+    fm = FrozenModeSet.freeze(reference_config, disc, smallest_magnitude(reference_config))
+    size_mode_set(fm, 0.0)
+    solved = []
+    real = spectrum.fixed_point
+
+    def spy(forms, start):
+        solved.append(forms.k)
+        return real(forms, start)
+
+    spectrum.fixed_point = spy
+    try:
+        best = fm.growth_max(0.0)
+    finally:
+        spectrum.fixed_point = real
+    assert best.forms.k == 5.0
+    assert len(solved) <= 2
+    assert len(fm.modes) <= 30
 
 
 @settings(max_examples=25, deadline=None)
