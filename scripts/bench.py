@@ -11,10 +11,9 @@ from start to exit, because a command-line user pays imports on every run.
 
 Each command row records its inputs (N, the modes sized, the number of global
 solves) and its answer (lambda and argmax_k), so that a later file can check
-that a speed-up kept the answer. The child counts modes as the magnitudes
-whose transverse minima the mode set computes (once per mode it sizes) and
-solves as the growth results it validates; both are read from its own
-process, not inferred from the outputs.
+that a speed-up kept the answer. The child counts modes as the final size of
+every mode set it builds and solves as the growth results it validates; both
+are read from its own process, not inferred from the outputs.
 """
 
 from __future__ import annotations
@@ -55,19 +54,20 @@ from rtgrowth import cli
 from rtgrowth.fixedpoint import GrowthResult
 from rtgrowth.spectrum import FrozenModeSet
 
-counts = {"modes": 0, "solves": 0}
-minima, validate = FrozenModeSet._transverse_minima, GrowthResult.validate
+sets, counts = [], {"solves": 0}
+init, validate = FrozenModeSet.__init__, GrowthResult.validate
 
-def count_modes(self, ks):
-    counts["modes"] += len(ks)
-    return minima(self, ks)
+def track_set(self, *args):
+    init(self, *args)
+    sets.append(self)
 
 def count_solve(self):
     counts["solves"] += 1
     return validate(self)
 
-FrozenModeSet._transverse_minima, GrowthResult.validate = count_modes, count_solve
+FrozenModeSet.__init__, GrowthResult.validate = track_set, count_solve
 code = cli.main(sys.argv[1:])
+counts["modes"] = sum(len(fm.modes) for fm in sets)
 sys.stderr.write(json.dumps(counts) + "\\n")
 sys.exit(code)
 """

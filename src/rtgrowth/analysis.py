@@ -34,21 +34,18 @@ from .modeforms import (
 )
 from .oracle import compare_modes
 from .pencil import Discretization
-from .spectrum import FrozenModeSet, alpha_curve, global_alpha, size_mode_set, smallest_magnitude
+from .spectrum import FrozenModeSet, alpha_curve
 
 
 def _sized_mode_set(
     cfg: FluidConfig, disc: Discretization, tol_fp: float, _jobs=None
 ) -> tuple[FrozenModeSet, GrowthResult]:
-    """Size a mode set for Lambda at theta = 0, solve there, then lock the set."""
+    """Solve Lambda at theta = 0 on an owned, sized mode set, then lock the set."""
     # _jobs is ignored. It exists only because the frozen
     # perfbench/workloads.py calls _sized_mode_set(cfg, disc, TOL_FP, 1).
-    cfg0 = cfg.with_theta(0.0)
-    fm = FrozenModeSet.freeze(cfg0, disc, smallest_magnitude(cfg0))
-    size_mode_set(fm, 0.0)
-    res0 = solve_lambda(cfg0, disc, tol_fp=tol_fp, frozen=fm)
-    fm.locked = True
-    return fm, res0
+    res0 = solve_lambda(cfg.with_theta(0.0), disc, tol_fp=tol_fp)
+    res0.mode_set.locked = True
+    return res0.mode_set, res0
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +182,7 @@ def verify_all(
     failed = 0
     for _ in range(trace_samples):
         profile = random_admissible_profile(rng, cfg.h_minus, cfg.h_plus)
-        for k in (0.5, 1.0, 2.0):
-            rep = check_trace_inequalities(k, profile, cfg)
+        for rep in check_trace_inequalities((0.5, 1.0, 2.0), profile, cfg):
             worst = max(
                 worst,
                 rep.interface_ratio_lower,
@@ -240,8 +236,8 @@ def verify_all(
         checks.append(VerifyCheck("alpha_strictly_decreasing", False, str(exc)))
 
     s_probe = float(m / 4.0)
-    a1 = global_alpha(cfg, s_probe, disc, theta=0.0, frozen=fm)
-    a2 = global_alpha(cfg, s_probe, disc, theta=0.5 * theta_c, frozen=fm)
+    a1 = fm.alpha_value(s_probe, 0.0)
+    a2 = fm.alpha_value(s_probe, 0.5 * theta_c)
     checks.append(
         VerifyCheck(
             "alpha_decreasing_in_theta",

@@ -79,6 +79,11 @@ def hermite_shape(u: np.ndarray, order: int = 0) -> np.ndarray:
     raise ValueError(f"unsupported derivative order {order}")
 
 
+# Shape values and first and second u-derivatives at the Gauss nodes, shared
+# by every element quadrature.
+GAUSS_SHAPES = tuple(hermite_shape(GAUSS_NODES, order) for order in range(3))
+
+
 @dataclass(frozen=True, eq=False)
 class VerticalProfile:
     """Clamped piecewise-cubic vertical profile psi on a layered grid.
@@ -154,10 +159,7 @@ def _quad_data(profile: VerticalProfile):
     d0 = profile.psi_derivs[:-1, None]
     d1 = profile.psi_derivs[1:, None]
     hh = h[:, None]
-
-    s0 = hermite_shape(GAUSS_NODES, 0)
-    s1 = hermite_shape(GAUSS_NODES, 1)
-    s2 = hermite_shape(GAUSS_NODES, 2)
+    s0, s1, s2 = GAUSS_SHAPES
 
     psi = v0 * s0[0] + d0 * hh * s0[1] + v1 * s0[2] + d1 * hh * s0[3]
     dpsi = (v0 * s1[0] + d0 * hh * s1[1] + v1 * s1[2] + d1 * hh * s1[3]) / hh
@@ -294,24 +296,30 @@ def _safe_ratio(num: float, den: float) -> float:
 
 
 def check_trace_inequalities(
-    k: float, profile: VerticalProfile, cfg: FluidConfig
-) -> TraceReport:
-    """Check the per-layer interface-trace and derivative bounds."""
-    if k <= 0.0:
-        raise ZeroWaveNumber(f"trace check needs k > 0, got {k!r}")
+    ks, profile: VerticalProfile, cfg: FluidConfig
+) -> list[TraceReport]:
+    """Check the per-layer interface-trace and derivative bounds at each k in ks.
+
+    The profile's Gauss-point data is built once and shared by every k.
+    """
     require_admissible(profile)
     _, w, psi, dpsi, ddpsi = _quad_data(profile)
-    diss = w * (4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2)
     grad = w * dpsi**2
     lower = profile.layer_tags < 0
-    d_lower = float(diss[lower].sum())
-    d_upper = float(diss[~lower].sum())
-    g_lower = float(grad[lower].sum())
-    g_upper = float(grad[~lower].sum())
+    g_lower, g_upper = float(grad[lower].sum()), float(grad[~lower].sum())
     psi0_sq = profile.interface_value ** 2
-    return TraceReport(
-        interface_ratio_lower=_safe_ratio(psi0_sq, cfg.h_minus / 4.0 * d_lower),
-        interface_ratio_upper=_safe_ratio(psi0_sq, cfg.h_plus / 4.0 * d_upper),
-        deriv_ratio_lower=_safe_ratio(g_lower, d_lower / 4.0),
-        deriv_ratio_upper=_safe_ratio(g_upper, d_upper / 4.0),
-    )
+    reports = []
+    for k in ks:
+        if k <= 0.0:
+            raise ZeroWaveNumber(f"trace check needs k > 0, got {k!r}")
+        diss = w * (4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2)
+        d_lower, d_upper = float(diss[lower].sum()), float(diss[~lower].sum())
+        reports.append(
+            TraceReport(
+                interface_ratio_lower=_safe_ratio(psi0_sq, cfg.h_minus / 4.0 * d_lower),
+                interface_ratio_upper=_safe_ratio(psi0_sq, cfg.h_plus / 4.0 * d_upper),
+                deriv_ratio_lower=_safe_ratio(g_lower, d_lower / 4.0),
+                deriv_ratio_upper=_safe_ratio(g_upper, d_upper / 4.0),
+            )
+        )
+    return reports

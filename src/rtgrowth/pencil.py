@@ -41,7 +41,7 @@ from scipy.linalg import blas, lapack
 from .errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from .model import FluidConfig
 from .modeforms import (
-    GAUSS_NODES,
+    GAUSS_SHAPES,
     GAUSS_WEIGHTS,
     VerticalProfile,
     hermite_shape,
@@ -78,7 +78,7 @@ def _element_matrices(h: float):
     """
     scale = np.array([1.0, h, 1.0, h])
     w = h * GAUSS_WEIGHTS
-    s = [scale[:, None] * hermite_shape(GAUSS_NODES, r) / h**r for r in range(3)]
+    s = [scale[:, None] * shape / h**r for r, shape in enumerate(GAUSS_SHAPES)]
     mass = (s[0] * w) @ s[0].T
     grad = (s[1] * w) @ s[1].T
     bend = (s[2] * w) @ s[2].T

@@ -3,19 +3,21 @@
 The admissible wavenumbers are xi = (n1/L1, n2/L2) over nonzero integer
 pairs; every per-mode quantity depends on xi only through k = |xi|, so the
 search collapses to the sorted list of distinct magnitudes. A FrozenModeSet
-holds the magnitudes and, for each, the exact transverse minimum (one scalar
-root) and the two interface compliances (two banded solves, made the first
-time the growth rate is asked for), none of which depends on s or theta;
-every coupled-branch value is solved on the banded pencil when it is needed
-(pencil.alpha_below, mode_alpha, fixed_point). A global maximum, the growth
-rate Lambda = max_k Lambda_k at one theta or alpha(s) at one s, is one scan
-over the set in decreasing order of a proven per-mode bound (compliance_bound
-for Lambda_k, alpha_bound for alpha_k(s)): the scan stops at the first bound
-at or below the running maximum, rules out a mode by one inertia test at the
-running maximum, and fully solves a mode only when that test fails. alpha(s)
-only locates Lambda, so an evaluation returns values and the maximizing
-mode, never a profile; the eigenprofile is the last solve of the maximizing
-mode's fixed point.
+holds the magnitudes and caches only their two interface compliances (two
+banded solves per mode, made the first time the growth rate is asked for),
+which depend on neither s nor theta; every coupled-branch value is solved on
+the banded pencil when it is needed (pencil.alpha_below, mode_alpha,
+fixed_point). The transverse branch -s lambda_tau(k) is largest at the
+smallest magnitude (FrozenModeSet.alpha_value proves it), so alpha(s) takes
+one transverse root per evaluation, never one per mode. A global maximum,
+the growth rate Lambda = max_k Lambda_k at one theta or alpha(s) at one s, is
+one scan over the set in decreasing order of a proven per-mode bound
+(compliance_bound for Lambda_k, alpha_bound for alpha_k(s)): the scan stops
+at the first bound at or below the running maximum, rules out a mode by one
+inertia test at the running maximum, and fully solves a mode only when that
+test fails. alpha(s) only locates Lambda, so an evaluation returns values
+and the maximizing mode, never a profile; the eigenprofile is the last solve
+of the maximizing mode's fixed point.
 
 The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
@@ -58,19 +60,15 @@ _DEDUP_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Distinct lattice magnitudes in (0, k_max], with multiplicities."""
+    """Distinct lattice magnitudes in (0, k_max], sorted increasing."""
 
     magnitudes: np.ndarray
-    multiplicities: np.ndarray
     k_max: float
 
     def __post_init__(self):
         mags = np.asarray(self.magnitudes, dtype=float)
-        mult = np.asarray(self.multiplicities, dtype=int)
         mags.flags.writeable = False
-        mult.flags.writeable = False
         object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "multiplicities", mult)
 
     def __len__(self) -> int:
         return self.magnitudes.size
@@ -94,16 +92,10 @@ def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
     kk = np.hypot.outer(i / cfg.L1, j / cfg.L2).ravel()
     kk = kk[(kk > 0.0) & (kk <= k_max)]
     kk.sort()
-    # magnitude dedup with relative tolerance
-    mags = [kk[0]]
-    mult = [1]
-    for k in kk[1:]:
-        if k - mags[-1] <= _DEDUP_RTOL * k:
-            mult[-1] += 1
-        else:
-            mags.append(k)
-            mult.append(1)
-    return ModeSet(np.asarray(mags), np.asarray(mult), k_max)
+    # a magnitude within _DEDUP_RTOL (relative) of the one below it repeats it
+    distinct = np.ones(kk.size, dtype=bool)
+    distinct[1:] = np.diff(kk) > _DEDUP_RTOL * kk[1:]
+    return ModeSet(kk[distinct], k_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +103,6 @@ class ModeTable:
     """Per-mode branch values underlying one alpha evaluation."""
 
     k: np.ndarray
-    multiplicity: np.ndarray
     alpha_longitudinal: np.ndarray
     alpha_transverse: np.ndarray
 
@@ -156,12 +147,14 @@ class AlphaValue:
 class FrozenModeSet:
     """A lattice mode set with the theta-free data of every mode.
 
-    That is the exact transverse minimum and, once the growth rate is asked
-    for, the interface compliances (I_k, C_k) of pencil.compliances; alpha(s)
-    alone never needs them. The coupled branch is solved on demand, so one
-    set serves every (s, theta). `locked` marks sets deliberately frozen
-    across a multi-point computation: extending one raises, since it would
-    change earlier samples.
+    The only per-mode data it caches are the interface compliances (I_k, C_k)
+    of pencil.compliances, computed once the growth rate is asked for;
+    alpha(s) alone never needs them. The transverse branch peaks at the
+    smallest magnitude, so alpha_value solves one transverse root and table
+    solves its own column. The coupled branch is solved on demand, so one set
+    serves every (s, theta). `locked` marks sets deliberately frozen across a
+    multi-point computation: extending one raises, since it would change
+    earlier samples.
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet):
@@ -169,11 +162,7 @@ class FrozenModeSet:
         self.disc = disc
         self.modes = modes
         self.locked = False
-        self._lam_tau = self._transverse_minima(modes.magnitudes)
         self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
-
-    def _transverse_minima(self, ks: np.ndarray) -> np.ndarray:
-        return np.asarray([transverse_min_eigenvalue(k, self.cfg) for k in ks], dtype=float)
 
     @classmethod
     def freeze(cls, cfg: FluidConfig, disc: Discretization, k_max: float) -> "FrozenModeSet":
@@ -185,12 +174,8 @@ class FrozenModeSet:
                 "mode set is frozen for a multi-point computation; escalation "
                 "would change earlier samples"
             )
-        if k_max <= self.modes.k_max:
-            return
-        wider = enumerate_modes(self.cfg, k_max)
-        fresh = wider.magnitudes[wider.magnitudes > self.modes.k_max * (1.0 + _DEDUP_RTOL)]
-        self._lam_tau = np.concatenate([self._lam_tau, self._transverse_minima(fresh)])
-        self.modes = wider
+        if k_max > self.modes.k_max:
+            self.modes = enumerate_modes(self.cfg, k_max)
 
     def growth_bounds(self, theta: float) -> np.ndarray:
         """compliance_bound of every mode at theta: Lambda_k <= r_k.
@@ -236,19 +221,31 @@ class FrozenModeSet:
     def alpha_value(self, s: float, theta: float) -> AlphaValue:
         """alpha(s, theta), the larger branch value maximized over the set.
 
-        The transverse maximum is known exactly; a mode's coupled value is
-        solved (mode_alpha) only when its bound U(k, s) exceeds the running
-        maximum M and its inertia test at alpha = M fails. Ties go to the
-        smaller k, and within a mode to the coupled branch.
+        The transverse maximum is -s lambda_tau(k0) at the smallest magnitude
+        k0 = ks[0], one scalar root. Proof that lambda_tau strictly increases
+        in k: for every nonzero tau in H^1_0 the quotient
+
+            Q_k(tau) = sum mu int(tau'^2 + k^2 tau^2) / sum rho int tau^2
+                     = Q_0(tau) + k^2 sum mu int tau^2 / sum rho int tau^2
+
+        strictly increases in k, its last factor being positive. For k < k',
+        the minimum lambda_tau(k') is attained, by the eigenfunction tau_* of
+        pencil.transverse_min_eigenvalue, so
+        lambda_tau(k) <= Q_k(tau_*) < Q_k'(tau_*) = lambda_tau(k'). With s > 0
+        the branch value -s lambda_tau(k) therefore strictly decreases in k.
+
+        A mode's coupled value is solved (mode_alpha) only when its bound
+        U(k, s) exceeds the running maximum M and its inertia test at
+        alpha = M fails. Ties go to the smaller k, and within a mode to the
+        coupled branch.
         """
         if s <= 0.0:
             raise ValueError(f"modification parameter must be > 0, got {s!r}")
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
         bounds = alpha_bound(cfg, theta, ks, s)
-        transverse = -s * self._lam_tau
-        j = int(np.argmax(transverse))
-        best = (float(transverse[j]), float(ks[j]), "transverse")
+        k0 = float(ks[0])
+        best = (-s * transverse_min_eigenvalue(k0, self.cfg), k0, "transverse")
         for i in np.argsort(-bounds, kind="stable"):
             if bounds[i] <= best[0]:
                 break
@@ -261,12 +258,14 @@ class FrozenModeSet:
         return AlphaValue(alpha=best[0], argmax_k=best[1], branch=best[2], s=s, theta=theta)
 
     def table(self, s: float, theta: float) -> ModeTable:
-        """Both branch values of every mode at (s, theta): one mode_alpha each."""
+        """Both branch values of every mode at (s, theta): one mode_alpha and
+        one transverse root each."""
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
         bounds = alpha_bound(cfg, theta, ks, s)
         longitudinal = [mode_alpha(assemble(k, cfg, self.disc), s, u) for k, u in zip(ks, bounds)]
-        return ModeTable(ks, self.modes.multiplicities, np.asarray(longitudinal), -s * self._lam_tau)
+        lam_tau = np.asarray([transverse_min_eigenvalue(k, self.cfg) for k in ks])
+        return ModeTable(ks, np.asarray(longitudinal), -s * lam_tau)
 
 
 def mode_fixed_point(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
@@ -433,20 +432,14 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
 
 
 def global_alpha(
-    cfg: FluidConfig,
-    s: float,
-    disc: Discretization,
-    theta: float | None = None,
-    frozen: FrozenModeSet | None = None,
+    cfg: FluidConfig, s: float, disc: Discretization, theta: float | None = None
 ) -> AlphaValue:
     """alpha(s, theta) = sup over modes of the larger branch value.
 
-    With `frozen` the evaluation uses exactly that mode set. Otherwise the set
-    is sized by size_mode_set at s.
+    The set is sized by size_mode_set at s; FrozenModeSet.alpha_value
+    evaluates a given set as it is.
     """
     theta = cfg.theta if theta is None else theta
-    if frozen is not None:
-        return frozen.alpha_value(s, theta)
     fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
     return size_mode_set(fm, theta, s)
 
@@ -479,8 +472,9 @@ def alpha_curve(
 ) -> AlphaCurve:
     """Sample alpha on s_grid over one mode set; verify strict decrease.
 
-    Without `frozen` the set is sized by size_mode_set at every sample; it only
-    grows, so the values at earlier samples stay certified.
+    Without `frozen` each sample is the value size_mode_set returns at s. The
+    set only grows, and every mode added after a sample lies above that
+    sample's cutoff, so its alpha_k(s) is below the sample and never visited.
     """
     theta = cfg.theta if theta is None else theta
     s_grid = np.asarray(s_grid, dtype=float)
@@ -489,12 +483,11 @@ def alpha_curve(
     if not (np.all(s_grid > 0.0) and np.all(np.diff(s_grid) > 0.0)):
         raise ValueError("s_grid must be strictly increasing and positive")
 
-    fm = frozen
-    if fm is None:
+    if frozen is None:
         fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
-        for s in s_grid:
-            size_mode_set(fm, theta, float(s))
-    values = [fm.alpha_value(float(s), theta) for s in s_grid]
+        values = [size_mode_set(fm, theta, float(s)) for s in s_grid]
+    else:
+        values = [frozen.alpha_value(float(s), theta) for s in s_grid]
 
     alphas = np.asarray([v.alpha for v in values])
     if not np.all(np.diff(alphas) < 0.0):

@@ -213,8 +213,7 @@ def test_criterion_7_trace_inequality_suite():
     ok = True
     for _ in range(1000):
         profile = random_admissible_profile(rng, REFERENCE.h_minus, REFERENCE.h_plus)
-        for k in (0.5, 1.0, 2.0):
-            rep = check_trace_inequalities(k, profile, REFERENCE)
+        for rep in check_trace_inequalities((0.5, 1.0, 2.0), profile, REFERENCE):
             worst = max(
                 worst,
                 rep.interface_ratio_lower,

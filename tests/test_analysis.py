@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
+from rtgrowth.fixedpoint import GrowthResult
 from rtgrowth.model import theta_critical, wang_tice_bound
 from rtgrowth.pencil import Discretization
 
@@ -19,6 +22,21 @@ def cheap_mode_set():
     )
     fm, res0 = _sized_mode_set(cfg, DISC, 1e-8)
     return cfg, fm
+
+
+def test_sized_mode_set_solves_once(cheap_mode_set, monkeypatch):
+    cfg, _ = cheap_mode_set
+    validated = []
+    real = GrowthResult.validate
+
+    def spy(self):
+        validated.append(self)
+        real(self)
+
+    monkeypatch.setattr(GrowthResult, "validate", spy)
+    fm, res0 = _sized_mode_set(cfg, DISC, 1e-8)
+    assert validated == [res0]
+    assert res0.mode_set is fm and fm.locked
 
 
 def test_sweep_contract(cheap_mode_set):
@@ -95,6 +113,7 @@ def test_verify_all_passes(cheap_config):
             "threshold_stability"} <= names
     payload = report.to_json_dict()
     assert payload["all_pass"] is True
+    json.dumps(payload)  # every field is a plain JSON value
 
 
 def test_verify_stable_configuration(cheap_config):

@@ -176,7 +176,7 @@ def test_threshold_ratio_scale_invariance(reference_config):
 def test_trace_inequalities_zero_profile(reference_config):
     grid = uniform_layered_grid(1.0, 1.0, 4)
     zero = VerticalProfile(grid, np.zeros(grid.size), np.zeros(grid.size))
-    report = check_trace_inequalities(1.0, zero, reference_config)
+    (report,) = check_trace_inequalities([1.0], zero, reference_config)
     assert report.all_pass
     assert report.interface_ratio_lower == 0.0
 
@@ -184,8 +184,8 @@ def test_trace_inequalities_zero_profile(reference_config):
 def test_trace_inequalities_random_profiles(reference_config, rng):
     for _ in range(100):
         profile = random_admissible_profile(rng, 1.0, 1.0)
-        for k in (0.5, 1.0, 2.0):
-            assert check_trace_inequalities(k, profile, reference_config).all_pass
+        reports = check_trace_inequalities((0.5, 1.0, 2.0), profile, reference_config)
+        assert len(reports) == 3 and all(r.all_pass for r in reports)
 
 
 def test_trace_inequalities_gate(reference_config):
@@ -194,7 +194,9 @@ def test_trace_inequalities_gate(reference_config):
     derivs[0] = 1.0  # violates the clamped wall slope
     bad = VerticalProfile(grid, np.zeros(grid.size), derivs)
     with pytest.raises(InadmissibleProfile):
-        check_trace_inequalities(1.0, bad, reference_config)
+        check_trace_inequalities([1.0], bad, reference_config)
+    with pytest.raises(ZeroWaveNumber):
+        check_trace_inequalities([1.0, 0.0], smooth_bump_profile(1.0, 1.0), reference_config)
 
 
 def test_zero_wavenumber_rejected(reference_config, lower_bump):
@@ -226,8 +228,7 @@ def test_trace_inequality_property(seed):
     cfg = unit_cfg()
     r = np.random.default_rng(seed)
     profile = random_admissible_profile(r, 1.0, 1.0, 6)
-    for k in (0.5, 1.0, 2.0):
-        assert check_trace_inequalities(k, profile, cfg).all_pass
+    assert all(rep.all_pass for rep in check_trace_inequalities((0.5, 1.0, 2.0), profile, cfg))
 
 
 def test_profile_structural_validation():

@@ -1,10 +1,14 @@
 """Smoke tests: each script in scripts/ runs at a small resolution."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rtgrowth import Discretization, FluidConfig, solve_lambda
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -25,3 +29,24 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert "lambda" in proc.stdout
+
+
+def test_bench_child_counts_modes_and_solves(tmp_path):
+    # the bench child reports the final size of every mode set the run builds
+    # and the growth results it validates, read from inside its process
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    config = tmp_path / "reference.json"
+    config.write_text(json.dumps(bench.REFERENCE))
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", bench.CHILD_SCRIPT, "growth", "--config", str(config),
+            "--resolution", "8", "--out", str(tmp_path / "growth.json"),
+        ],
+        env=bench.ENV, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stderr.strip().splitlines()[-1])
+    result = solve_lambda(FluidConfig(**bench.REFERENCE), Discretization(8))
+    assert counts == {"modes": len(result.mode_set.modes), "solves": 1}

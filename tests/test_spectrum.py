@@ -14,6 +14,7 @@ from rtgrowth.errors import (
     MonotonicityViolation,
     SolverError,
 )
+from rtgrowth.analysis import sweep_theta
 from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.oracle import compare_modes
@@ -66,7 +67,6 @@ def brute_magnitudes(L1, L2, k_max):
 def test_enumerate_unit_lattice(reference_config):
     modes = enumerate_modes(reference_config, 1.5)
     assert modes.magnitudes == pytest.approx([1.0, math.sqrt(2.0)])
-    assert list(modes.multiplicities) == [4, 4]
 
 
 def test_enumerate_rectangular():
@@ -77,9 +77,8 @@ def test_enumerate_rectangular():
         g=9.8, theta=0.0, L1=2.0, L2=1.0, h_plus=1.0, h_minus=1.0,
     )
     modes = enumerate_modes(cfg, 1.0)
+    # k = 1, realized by (0, +-1) and (+-2, 0), is listed once
     assert modes.magnitudes == pytest.approx([0.5, 1.0])
-    # k = 1 realized by (0, +-1) and (+-2, 0)
-    assert list(modes.multiplicities) == [2, 4]
     assert smallest_magnitude(cfg) == 0.5
 
 
@@ -102,11 +101,21 @@ def test_enumerate_against_brute_scan(L1, L2, k_max):
     assert modes.magnitudes[0] == pytest.approx(smallest_magnitude(cfg))
 
 
-def test_global_alpha_matches_brute_scan(cheap_config):
+def test_global_alpha_matches_brute_scan(cheap_config, monkeypatch):
     s = 1.0
     k_max = 6.0
     fm = FrozenModeSet.freeze(cheap_config, DISC, k_max)
-    value = global_alpha(cheap_config, s, DISC, frozen=fm)
+    roots = []
+
+    def spy(k, cfg):
+        roots.append(transverse_min_eigenvalue(k, cfg))
+        return roots[-1]
+
+    monkeypatch.setattr(spectrum, "transverse_min_eigenvalue", spy)
+    value = fm.alpha_value(s, 0.0)
+    # one transverse root, at the smallest magnitude, is the branch maximum
+    assert len(roots) == 1
+    assert -s * roots[0] == np.max(fm.table(s, 0.0).alpha_transverse)
     best = -np.inf
     for k in brute_magnitudes(1.0, 1.0, k_max):
         forms = assemble(k, cheap_config, DISC)
@@ -114,6 +123,16 @@ def test_global_alpha_matches_brute_scan(cheap_config):
         best = max(best, -s * transverse_min_eigenvalue(k, cheap_config))
     assert value.alpha == pytest.approx(best, rel=1e-10)
     assert fm.modes.magnitudes.size == len(brute_magnitudes(1.0, 1.0, k_max))
+
+
+def test_growth_solves_take_no_transverse_root(cheap_config, monkeypatch):
+    # Lambda = max_k Lambda_k reads the coupled branch only
+    def forbidden(k, cfg):
+        raise AssertionError("the growth rate solved a transverse root")
+
+    monkeypatch.setattr(spectrum, "transverse_min_eigenvalue", forbidden)
+    solve_lambda(cheap_config, DISC)
+    sweep_theta(cheap_config, [0.0, 0.5], DISC)
 
 
 def reference_maximizer(value, cfg):
@@ -128,7 +147,7 @@ def reference_maximizer(value, cfg):
 
 def test_global_alpha_value_contract(cheap_config):
     fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
-    value = global_alpha(cheap_config, 0.5, DISC, frozen=fm)
+    value = fm.alpha_value(0.5, 0.0)
     assert value.branch == "longitudinal"
     assert value.alpha > 0.0
     # the scan solves the maximizer exactly as the full table does
@@ -230,7 +249,7 @@ def test_alpha_builds_no_profile(cheap_config, monkeypatch):
 
     monkeypatch.setattr(spectrum, "fixed_point", no_profile)
     monkeypatch.setattr(pencil, "_finish_eigenpair", no_profile)
-    value = global_alpha(cheap_config, 0.5, DISC, frozen=fm)
+    value = fm.alpha_value(0.5, 0.0)
     curve = alpha_curve(cheap_config, [0.5, 1.0, 2.0], DISC, frozen=fm)
     assert curve.values[0].alpha == value.alpha
 
@@ -270,7 +289,7 @@ def test_locked_set_interiority_guard(cheap_config):
     with pytest.raises(CutoffRunaway):
         solve_lambda(cheap_config, DISC, frozen=fm)
     # a fixed set is still evaluated as it is
-    assert global_alpha(cheap_config, 0.5, DISC, frozen=fm).argmax_k <= 2.2
+    assert fm.alpha_value(0.5, 0.0).argmax_k <= 2.2
     assert fm.modes.k_max == 2.2
 
 
@@ -373,7 +392,7 @@ def test_sizing_grows_an_owned_set_to_the_certified_cutoff(cheap_config):
     assert certified_cutoff(cheap_config, 0.0, 0.2, value.alpha) <= sized.modes.k_max
     assert global_alpha(cheap_config, 0.2, DISC).alpha == value.alpha
     wider_set = FrozenModeSet.freeze(cheap_config, DISC, 2.0 * sized.modes.k_max)
-    wider = global_alpha(cheap_config, 0.2, DISC, frozen=wider_set)
+    wider = wider_set.alpha_value(0.2, 0.0)
     assert wider.alpha == value.alpha and wider.argmax_k == value.argmax_k
 
 
