@@ -38,11 +38,14 @@ from .spectrum import FrozenModeSet, alpha_curve
 
 
 def _sized_mode_set(
-    cfg: FluidConfig, disc: Discretization, tol_fp: float, _jobs=None
+    cfg: FluidConfig, disc: Discretization, tol_fp: float = 1e-8, _jobs=None
 ) -> tuple[FrozenModeSet, GrowthResult]:
-    """Solve Lambda at theta = 0 on an owned, sized mode set, then lock the set."""
-    # _jobs is ignored. It exists only because the frozen
-    # perfbench/workloads.py calls _sized_mode_set(cfg, disc, TOL_FP, 1).
+    """Solve Lambda at theta = 0 on an owned, sized mode set, then lock the set.
+
+    tol_fp is passed to solve_lambda and _jobs is ignored. No caller in the
+    package sets either; both stay because perfbench/workloads.py calls
+    _sized_mode_set(cfg, disc, TOL_FP, 1).
+    """
     res0 = solve_lambda(cfg.with_theta(0.0), disc, tol_fp=tol_fp)
     res0.mode_set.locked = True
     return res0.mode_set, res0
@@ -50,27 +53,42 @@ def _sized_mode_set(
 
 @dataclass(frozen=True, eq=False)
 class ThetaSweep:
-    """Growth rates over an increasing theta grid, with bounds and diagnostics."""
+    """Growth rates over an increasing theta grid, with bounds and diagnostics.
 
-    thetas: np.ndarray
+    Every column is read from the per-point results."""
+
+    results: list[GrowthResult] = field(repr=False)
     theta_c: float
     wang_tice: float
-    lambdas: np.ndarray
-    bounds_m: np.ndarray
-    bounds_compliance: np.ndarray
-    argmax_ks: np.ndarray
-    residuals: np.ndarray
-    results: list[GrowthResult] = field(repr=False)
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        return np.asarray([r.lam for r in self.results])
+
+    @property
+    def bounds_m(self) -> np.ndarray:
+        return np.asarray([r.bound_m for r in self.results])
+
+    def rows(self) -> list[dict]:
+        """One dict per grid point, in the order of the --format json rows."""
+        return [
+            {
+                "theta": float(r.theta),
+                "theta_over_theta_c": float(r.theta / self.theta_c),
+                "lambda": float(r.lam),
+                "bound_m": float(r.bound_m),
+                "bound_compliance": float(r.bound_compliance),
+                "argmax_k": float(r.argmax_k),
+                "residual": float(r.fixed_point_residual),
+            }
+            for r in self.results
+        ]
 
     def csv_lines(self) -> list[str]:
-        lines = ["theta,theta_over_theta_c,lambda,bound_m,argmax_k,residual"]
-        for th, lam, m, k, r in zip(
-            self.thetas, self.lambdas, self.bounds_m, self.argmax_ks, self.residuals
-        ):
-            lines.append(
-                f"{float(th)!r},{float(th / self.theta_c)!r},{float(lam)!r},"
-                f"{float(m)!r},{float(k)!r},{float(r)!r}"
-            )
+        columns = ("theta", "theta_over_theta_c", "lambda", "bound_m", "argmax_k", "residual")
+        lines = [",".join(columns)]
+        for row in self.rows():
+            lines.append(",".join(repr(row[c]) for c in columns))
         return lines
 
     def report(self) -> dict:
@@ -82,7 +100,7 @@ class ThetaSweep:
             "all_positive": bool(np.all(lam > 0.0)),
             "bounded_by_m": bool(np.all(lam <= self.bounds_m * (1.0 + 1e-6))),
             "m_below_wang_tice": bool(np.all(self.bounds_m <= self.wang_tice * (1.0 + 1e-12))),
-            "bound_compliance": [float(b) for b in self.bounds_compliance],
+            "bound_compliance": [float(r.bound_compliance) for r in self.results],
         }
 
     def report_json(self) -> str:
@@ -93,7 +111,6 @@ def sweep_theta(
     cfg: FluidConfig,
     fractions,
     disc: Discretization,
-    tol_fp: float = 1e-8,
     frozen: FrozenModeSet | None = None,
 ) -> ThetaSweep:
     """Solve Lambda over theta = fractions * theta_c on one frozen mode set."""
@@ -108,7 +125,7 @@ def sweep_theta(
     theta_c = theta_critical(cfg)
 
     if frozen is None:
-        fm, res0 = _sized_mode_set(cfg, disc, tol_fp)
+        fm, res0 = _sized_mode_set(cfg, disc)
     else:
         fm, res0 = frozen, None
 
@@ -117,27 +134,15 @@ def sweep_theta(
         if f == 0.0 and res0 is not None:
             results.append(res0)
             continue
-        results.append(
-            solve_lambda(cfg.with_theta(f * theta_c), disc, tol_fp=tol_fp, frozen=fm)
-        )
+        results.append(solve_lambda(cfg.with_theta(f * theta_c), disc, frozen=fm))
 
-    lambdas = np.asarray([r.lam for r in results])
-    if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0.0):
+    sweep = ThetaSweep(results, theta_c, wang_tice_bound(cfg))
+    if not np.all(np.diff(sweep.lambdas) < 0.0):
         raise MonotonicityViolation(
             "growth rate failed to decrease strictly along the theta sweep; "
             "the mode set must be frozen across points"
         )
-    return ThetaSweep(
-        thetas=fractions * theta_c,
-        theta_c=theta_c,
-        wang_tice=wang_tice_bound(cfg),
-        lambdas=lambdas,
-        bounds_m=np.asarray([r.bound_m for r in results]),
-        bounds_compliance=np.asarray([r.bound_compliance for r in results]),
-        argmax_ks=np.asarray([r.argmax_k for r in results]),
-        residuals=np.asarray([r.fixed_point_residual for r in results]),
-        results=results,
-    )
+    return sweep
 
 
 @dataclass(frozen=True)
@@ -165,22 +170,20 @@ class VerifyReport:
         }
 
 
-def verify_all(
-    cfg: FluidConfig,
-    disc: Discretization,
-    tol_fp: float = 1e-8,
-    trace_samples: int = 300,
-    seed: int = 20240831,
-) -> VerifyReport:
+_TRACE_SAMPLES = 300
+_TRACE_SEED = 20240831
+
+
+def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
     """Self-contained invariant suite; needs nothing beyond the config."""
     validate_config(cfg)
     checks: list[VerifyCheck] = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_TRACE_SEED)
 
     # Trace and derivative inequalities on random admissible profiles.
     worst = 0.0
     failed = 0
-    for _ in range(trace_samples):
+    for _ in range(_TRACE_SAMPLES):
         profile = random_admissible_profile(rng, cfg.h_minus, cfg.h_plus)
         for rep in check_trace_inequalities((0.5, 1.0, 2.0), profile, cfg):
             worst = max(
@@ -196,7 +199,7 @@ def verify_all(
         VerifyCheck(
             "trace_inequalities",
             failed == 0,
-            f"{trace_samples} profiles x 3 wavenumbers, worst ratio {worst:.6f}",
+            f"{_TRACE_SAMPLES} profiles x 3 wavenumbers, worst ratio {worst:.6f}",
         )
     )
 
@@ -220,7 +223,7 @@ def verify_all(
         return VerifyReport(checks)
 
     m = upper_bound_m(cfg)
-    fm, _ = _sized_mode_set(cfg, disc, tol_fp)
+    fm, _ = _sized_mode_set(cfg, disc)
 
     s_grid = np.geomspace(m / 20.0, 1.2 * m, 8)
     try:
@@ -247,7 +250,7 @@ def verify_all(
     )
 
     try:
-        result = solve_lambda(cfg, disc, tol_fp=tol_fp, frozen=fm)
+        result = solve_lambda(cfg, disc, frozen=fm)
         checks.append(
             VerifyCheck(
                 "fixed_point",
@@ -284,7 +287,7 @@ def verify_all(
 
     for factor in (1.01, 2.0):
         try:
-            solve_lambda(cfg.with_theta(factor * theta_c), disc, tol_fp=tol_fp)
+            solve_lambda(cfg.with_theta(factor * theta_c), disc)
             checks.append(
                 VerifyCheck("threshold_stability", False, f"no StableRegime at {factor} theta_c")
             )

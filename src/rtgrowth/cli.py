@@ -59,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
     p.add_argument("--resolution", type=int, default=128, help="elements per layer")
     p.add_argument(
-        "--tol",
-        type=positive_number,
-        default=1e-8,
-        help="bound that |lambda^2 - alpha(lambda)| must meet, relative to max(1, lambda^2)",
-    )
-    p.add_argument(
         "--theta-grid",
         default=DEFAULT_THETA_GRID,
         help="comma-separated fractions of theta_c for sweep-theta",
@@ -133,7 +127,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_growth(cfg, args) -> int:
     disc = Discretization(args.resolution)
-    result = solve_lambda(cfg, disc, tol_fp=args.tol)
+    result = solve_lambda(cfg, disc)
     _emit(json.dumps(result.to_json_dict()), args.out)
     if args.mode_table:
         table = result.mode_set.table(result.lam, result.theta)
@@ -201,26 +195,9 @@ def _cmd_sweep(cfg, args) -> int:
     if np.any(fractions < 0.0) or np.any(fractions >= 1.0):
         raise ConfigError("--theta-grid fractions must lie in [0, 1)")
     disc = Discretization(args.resolution)
-    sweep = analysis.sweep_theta(cfg, fractions, disc, tol_fp=args.tol)
+    sweep = analysis.sweep_theta(cfg, fractions, disc)
     if args.format == "json":
-        payload = {
-            "rows": [
-                dict(
-                    zip(
-                        ("theta", "theta_over_theta_c", "lambda", "bound_m", "bound_compliance",
-                         "argmax_k", "residual"),
-                        (float(t), float(t / sweep.theta_c), float(l), float(m), float(b), float(k),
-                         float(r)),
-                    )
-                )
-                for t, l, m, b, k, r in zip(
-                    sweep.thetas, sweep.lambdas, sweep.bounds_m, sweep.bounds_compliance,
-                    sweep.argmax_ks, sweep.residuals,
-                )
-            ],
-            "report": sweep.report(),
-        }
-        _emit(json.dumps(payload), args.out)
+        _emit(json.dumps({"rows": sweep.rows(), "report": sweep.report()}), args.out)
     else:
         _emit("\n".join(sweep.csv_lines()), args.out)
         report_path = (args.out + ".report.json") if args.out else None
@@ -230,7 +207,7 @@ def _cmd_sweep(cfg, args) -> int:
 
 def _cmd_verify(cfg, args) -> int:
     disc = Discretization(args.resolution)
-    report = analysis.verify_all(cfg, disc, tol_fp=args.tol)
+    report = analysis.verify_all(cfg, disc)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         sys.stdout.write(f"{status} {check.name}: {check.detail}\n")

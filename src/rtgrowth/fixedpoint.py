@@ -29,18 +29,18 @@ from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
 from .pencil import (
     Discretization,
+    FixedPoint,
     assemble,
     band_matvec,
-    coeffs_to_profile,
-    profile_to_coeffs,
+    compliances,
+    fixed_point,
     prolong_coeffs,
     residual_dual_norm,
 )
 from .spectrum import (
-    AlphaValue,
     FrozenModeSet,
+    compliance_bound,
     growth_cutoff,
-    mode_fixed_point,
     size_mode_set,
     smallest_magnitude,
 )
@@ -48,26 +48,38 @@ from .spectrum import (
 
 @dataclass(frozen=True, eq=False)
 class GrowthResult:
-    """Growth rate with maximizing mode, eigenprofile, and diagnostics.
+    """Growth rate: the maximizing mode's fixed point, with bounds.
 
-    mode_set is the set Lambda was maximized over (mode_set.table(lam, theta)
-    gives every mode's branch values at Lambda)."""
+    lam, argmax_k, eigenprofile and fixed_point_residual are read from
+    fixed_point; mode_set is the set Lambda was maximized over
+    (mode_set.table(lam, theta) gives every mode's branch values at Lambda)."""
 
-    lam: float
-    argmax_k: float
-    eigenprofile: VerticalProfile
-    fixed_point_residual: float
-    alpha_at_lambda: AlphaValue
+    fixed_point: FixedPoint
     bound_m: float
     bound_compliance: float
     theta: float
-    resolution: int
     tol_fp: float
     mode_set: FrozenModeSet = field(repr=False)
 
     @property
-    def branch(self) -> str:
-        return self.alpha_at_lambda.branch
+    def lam(self) -> float:
+        return self.fixed_point.lam
+
+    @property
+    def argmax_k(self) -> float:
+        return self.fixed_point.forms.k
+
+    @property
+    def eigenprofile(self) -> VerticalProfile:
+        return self.fixed_point.profile
+
+    @property
+    def fixed_point_residual(self) -> float:
+        return self.fixed_point.residual
+
+    @property
+    def resolution(self) -> int:
+        return self.fixed_point.forms.elements_per_layer
 
     def validate(self) -> None:
         if not 0.0 < self.lam <= self.bound_m * (1.0 + 1e-6):
@@ -82,17 +94,19 @@ class GrowthResult:
             raise SolverError(
                 f"fixed-point residual {self.fixed_point_residual!r} exceeds tolerance"
             )
-        if not self.alpha_at_lambda.alpha > 0.0:
+        if not self.fixed_point.alpha > 0.0:
             raise SolverError("alpha at the fixed point must be positive")
-        if self.branch != "longitudinal":
-            raise SolverError("unstable maximizer must couple to the interface")
-        profile = self.eigenprofile
-        if profile.interface_value == 0.0:
+        # the eigenvector's interface value and slopes, as the profile holds them
+        x = self.fixed_point.solution.vector
+        if x[self.fixed_point.forms.e0_index] == 0.0:
             raise SolverError("eigenprofile has vanishing interface value")
-        if not np.max(np.abs(profile.psi_derivs)) > 0.0:
+        if not np.max(np.abs(x[1::2])) > 0.0:
             raise SolverError("eigenprofile has identically zero derivative")
 
     def to_json_dict(self) -> dict:
+        # the maximizer couples to the interface: alpha(Lambda) = Lambda^2 > 0
+        # is the coupled value of a mode, and the transverse branch is never
+        # positive
         return {
             "lambda": self.lam,
             "argmax_k": self.argmax_k,
@@ -101,7 +115,7 @@ class GrowthResult:
             "bound_compliance": self.bound_compliance,
             "theta": self.theta,
             "resolution": self.resolution,
-            "branch": self.branch,
+            "branch": "longitudinal",
         }
 
 
@@ -111,14 +125,18 @@ def solve_lambda(
     tol_fp: float = 1e-8,
     frozen: FrozenModeSet | None = None,
 ) -> GrowthResult:
-    """Largest growth rate Lambda with Lambda^2 = alpha(Lambda)."""
+    """Largest growth rate Lambda with Lambda^2 = alpha(Lambda).
+
+    tol_fp bounds the fixed-point residual that validation accepts, relative
+    to max(1, Lambda^2). No caller in the package varies it; it stays a
+    parameter because perfbench/workloads.py passes it.
+    """
     validate_config(cfg)
     if tol_fp <= 0.0:
         raise ValueError(f"tol_fp must be > 0, got {tol_fp!r}")
     theta_c = theta_critical(cfg)
     if cfg.theta >= theta_c:
         raise StableRegime(cfg.theta, theta_c)
-    m = upper_bound_m(cfg)
     theta = cfg.theta
 
     fm = frozen
@@ -128,27 +146,17 @@ def solve_lambda(
         best = size_mode_set(fm, theta)
     else:
         best = fm.growth_max(theta)
-    lam = best.lam
-    cutoff = growth_cutoff(cfg, theta, lam)
+    cutoff = growth_cutoff(cfg, theta, best.lam)
     if cutoff > fm.modes.k_max:
         raise CutoffRunaway(
-            f"a mode up to k = {cutoff!r} may grow faster than lambda = {lam!r}, "
+            f"a mode up to k = {cutoff!r} may grow faster than lambda = {best.lam!r}, "
             f"but the frozen mode set ends at k_max = {fm.modes.k_max!r}"
         )
-
-    # at s = Lambda the maximizer's coupled value is Lambda^2 > 0, and every
-    # other mode's lies below it (Lambda_j < Lambda), transverse ones below 0
-    k = best.forms.k
     result = GrowthResult(
-        lam=lam,
-        argmax_k=k,
-        eigenprofile=coeffs_to_profile(best.solution.vector, best.forms),
-        fixed_point_residual=abs(lam * lam - best.alpha),
-        alpha_at_lambda=AlphaValue(best.alpha, k, "longitudinal", lam, theta),
-        bound_m=m,
+        fixed_point=best,
+        bound_m=upper_bound_m(cfg),
         bound_compliance=float(np.max(fm.growth_bounds(theta))),
         theta=theta,
-        resolution=disc.elements_per_layer,
         tol_fp=tol_fp,
         mode_set=fm,
     )
@@ -156,35 +164,19 @@ def solve_lambda(
     return result
 
 
-@dataclass(frozen=True, eq=False)
-class ModeGrowth:
-    """Per-mode growth rate: the fixed point of the single-mode alpha_k."""
+def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
+    """Fixed point of the single mode k at cfg.theta; None when c_k <= 0 (stable).
 
-    k: float
-    lam: float
-    fixed_point_residual: float
-    profile: VerticalProfile
-
-
-def solve_mode_lambda(
-    cfg: FluidConfig,
-    k: float,
-    disc: Discretization,
-) -> ModeGrowth | None:
-    """Fixed point of the single-mode branch; None when the mode is stable."""
+    Newton starts from the compliance bound, which costs two banded solves.
+    """
     validate_config(cfg)
     theta_c = theta_critical(cfg)
     if cfg.theta >= theta_c:
         raise StableRegime(cfg.theta, theta_c)
-    fp = mode_fixed_point(cfg, k, disc)
-    if fp is None:
+    forms = assemble(float(k), cfg, disc)
+    if forms.c_k <= 0.0:
         return None
-    return ModeGrowth(
-        k=k,
-        lam=fp.lam,
-        fixed_point_residual=abs(fp.lam * fp.lam - fp.alpha),
-        profile=coeffs_to_profile(fp.solution.vector, fp.forms),
-    )
+    return fixed_point(forms, float(compliance_bound(forms.c_k, *compliances(forms))))
 
 
 def bvp_residual(result: GrowthResult, cfg: FluidConfig) -> float:
@@ -198,11 +190,9 @@ def bvp_residual(result: GrowthResult, cfg: FluidConfig) -> float:
     norm of the embedded vector.
     """
     cfg = validate_config(cfg).with_theta(result.theta)
-    disc = Discretization(result.resolution)
-    forms = assemble(result.argmax_k, cfg, disc)
-    x = profile_to_coeffs(result.eigenprofile, forms)
-    x_fine = prolong_coeffs(x, forms)
-    forms_fine = assemble(result.argmax_k, cfg, disc.refined())
+    fp = result.fixed_point
+    x_fine = prolong_coeffs(fp.solution.vector, fp.forms)
+    forms_fine = assemble(result.argmax_k, cfg, Discretization(result.resolution).refined())
     dual = residual_dual_norm(forms_fine, x_fine, result.lam, result.lam**2)
     kinetic = math.sqrt(float(x_fine @ band_matvec(forms_fine.B_band, x_fine)))
     return dual / (result.lam**2 * kinetic)

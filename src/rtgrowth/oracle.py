@@ -38,14 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateExponents, ZeroWaveNumber
-from .fixedpoint import ModeGrowth, solve_mode_lambda
+from .fixedpoint import solve_mode_lambda
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
 from .pencil import Discretization
-from .spectrum import mode_fixed_point
 
 _ARG_LIMIT = 700.0  # cosh overflows just above this
-_DEFAULT_SCAN_POINTS = 240
+_SCAN_POINTS = 240
 _SCAN_FLOOR = 1e-9
 _ROOT_RTOL = 1e-12
 
@@ -181,32 +180,25 @@ def _refine_root(k, cfg, lo, hi, f_lo, f_hi) -> float:
     return 0.5 * (lo + hi)
 
 
-def dispersion_root(
-    k: float,
-    cfg: FluidConfig,
-    scan_max: float,
-    n_points: int = _DEFAULT_SCAN_POINTS,
-) -> float | None:
+def dispersion_root(k: float, cfg: FluidConfig, scan_max: float) -> float | None:
     """Largest positive root of the dispersion determinant, None if stable.
 
-    Evaluates the determinant on a log-spaced grid in (0, scan_max] in one
-    batched call (growth rates can sit orders of magnitude below the bound
-    near the threshold). The largest root lies in the last cell with a sign
-    change, or on a grid node where the determinant is exactly zero; only
-    that cell is refined (_refine_root), to a bracket [lo, hi] with
-    hi - lo <= 1e-12 hi whose midpoint is returned.
+    Evaluates the determinant on a log-spaced grid of _SCAN_POINTS rates in
+    (0, scan_max] in one batched call (growth rates can sit orders of
+    magnitude below the bound near the threshold). The largest root lies in
+    the last cell with a sign change, or on a grid node where the
+    determinant is exactly zero; only that cell is refined (_refine_root), to
+    a bracket [lo, hi] with hi - lo <= 1e-12 hi whose midpoint is returned.
     """
-    if n_points < 200:
-        raise ValueError("scan needs at least 200 points")
     if scan_max < upper_bound_m(cfg):
         raise ValueError(
             f"scan_max = {scan_max!r} below the growth-rate bound; roots could escape"
         )
-    grid = np.geomspace(scan_max * _SCAN_FLOOR, scan_max, n_points)
+    grid = np.geomspace(scan_max * _SCAN_FLOOR, scan_max, _SCAN_POINTS)
     values = determinant(k, grid, cfg)
     if values[-1] == 0.0:
         return float(grid[-1])
-    for i in range(n_points - 2, -1, -1):
+    for i in range(_SCAN_POINTS - 2, -1, -1):
         if values[i] == 0.0:
             return float(grid[i])
         if np.sign(values[i]) != np.sign(values[i + 1]):
@@ -304,14 +296,11 @@ def validate_jump_rows(
     cfg: FluidConfig,
     k: float,
     disc: Discretization = Discretization(128),
-    growth: ModeGrowth | None = None,
 ) -> JumpRowReport:
     """Check the derived rows on the variational eigenprofile of mode k."""
-    validate_config(cfg)
+    growth = solve_mode_lambda(cfg, k, disc)
     if growth is None:
-        growth = solve_mode_lambda(cfg, k, disc)
-        if growth is None:
-            raise ValueError(f"mode k = {k!r} is stable; no eigenprofile to test")
+        raise ValueError(f"mode k = {k!r} is stable; no eigenprofile to test")
     return evaluate_jump_rows(cfg, k, growth.profile, growth.lam)
 
 
@@ -329,21 +318,20 @@ def compare_modes(
     cfg: FluidConfig,
     ks,
     disc: Discretization,
-    scan_margin: float = 1.05,
 ) -> list[ModeComparison]:
     """Per-mode growth rates from both methods, with relative differences.
 
     Disagreement is reported, never resolved silently: callers decide what to
-    flag against which tolerance. The Galerkin side is the fixed point that
-    solve_mode_lambda solves (spectrum.mode_fixed_point); only its Lambda_k
-    is read, and no profile is built. Raises StableRegime at theta >= theta_c
-    (from the bound m), like solve_mode_lambda.
+    flag against which tolerance. The Galerkin side is solve_mode_lambda;
+    only its Lambda_k is read, so no profile is built. The oracle scans up to
+    1.05 m. Raises StableRegime at theta >= theta_c (from the bound m), like
+    solve_mode_lambda.
     """
     validate_config(cfg)
-    scan_max = scan_margin * upper_bound_m(cfg)
+    scan_max = 1.05 * upper_bound_m(cfg)
     rows = []
     for k in ks:
-        solved = mode_fixed_point(cfg, k, disc)
+        solved = solve_mode_lambda(cfg, k, disc)
         root = dispersion_root(k, cfg, scan_max)
         lam_v = solved.lam if solved is not None else None
         rel = None

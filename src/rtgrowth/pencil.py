@@ -402,16 +402,26 @@ def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FixedPoint:
-    """Per-mode growth rate Lambda_k with its eigenprofile.
+    """Per-mode growth rate Lambda_k with its eigenvector: the one per-mode
+    result of every growth solve, global or single-mode.
 
-    alpha is alpha_k(lam) to first order from the last solve, so
-    |lam^2 - alpha| is the fixed-point residual.
+    alpha is alpha_k(lam) to first order from the last solve. The profile is
+    built from the eigenvector only when it is read.
     """
 
     forms: PencilForms
     lam: float
     alpha: float
     solution: EigenSolution
+
+    @property
+    def residual(self) -> float:
+        """The fixed-point residual |lam^2 - alpha|."""
+        return abs(self.lam * self.lam - self.alpha)
+
+    @cached_property
+    def profile(self) -> VerticalProfile:
+        return coeffs_to_profile(self.solution.vector, self.forms)
 
 
 def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
@@ -501,17 +511,6 @@ def coeffs_to_profile(x: np.ndarray, forms: PencilForms) -> VerticalProfile:
     full = np.zeros(2 * grid.size)
     full[2 : 2 * grid.size - 2] = x
     return VerticalProfile(grid, full[0::2], full[1::2])
-
-
-def profile_to_coeffs(profile: VerticalProfile, forms: PencilForms) -> np.ndarray:
-    if profile.grid.shape != forms.grid.shape or not np.array_equal(
-        profile.grid, forms.grid
-    ):
-        raise ValueError("profile grid does not match the assembled mesh")
-    full = np.empty(2 * forms.grid.size)
-    full[0::2] = profile.psi_values
-    full[1::2] = profile.psi_derivs
-    return full[2:-2].copy()
 
 
 def prolong_coeffs(x: np.ndarray, forms_coarse: PencilForms) -> np.ndarray:

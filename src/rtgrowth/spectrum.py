@@ -24,14 +24,15 @@ identically under the divergence constraint, leaving pure dissipation, so it
 never competes for the supremum near the fixed point.
 
 Cutoff policy: each quantity has a proven per-mode bound that falls below
-any floor beyond a computable wavenumber: U(k, s) >= alpha_k(s) on both
-branches (alpha_bound, cut off by certified_cutoff), and the whole-line
-envelope of the compliance bound for Lambda_k (growth_cutoff). An owned mode
-set starts at the smallest lattice magnitude and grows, at most doubling per
-step, until the cutoff for the quantity it serves lies inside it
-(size_mode_set); every mode left out then provably cannot reach the value
-computed on the set. A set handed in by the caller is evaluated as it is and
-never extended.
+any floor beyond a computable wavenumber: for alpha_k(s) on both branches, a
+family of bounds that splits the dissipation between an interior and an
+interface estimate (certified_cutoff; U = alpha_bound, its first member,
+orders the scan), and for Lambda_k the whole-line envelope of the
+compliance bound (growth_cutoff). An owned mode set starts at the smallest
+lattice magnitude and grows, at most doubling per step, until the cutoff for
+the quantity it serves lies inside it (size_mode_set); every mode left out
+then provably cannot reach the value computed on the set. A set handed in by
+the caller is evaluated as it is and never extended.
 """
 
 from __future__ import annotations
@@ -268,17 +269,6 @@ class FrozenModeSet:
         return ModeTable(ks, np.asarray(longitudinal), -s * lam_tau)
 
 
-def mode_fixed_point(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
-    """Fixed point of one mode at cfg.theta; None when c_k <= 0 (stable).
-
-    Newton starts from the compliance bound, which costs two banded solves.
-    """
-    forms = assemble(float(k), cfg, disc)
-    if forms.c_k <= 0.0:
-        return None
-    return fixed_point(forms, float(compliance_bound(forms.c_k, *compliances(forms))))
-
-
 def alpha_bound(cfg: FluidConfig, theta: float, k, s: float):
     """U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max >= alpha_k(s).
 
@@ -362,46 +352,84 @@ def growth_cutoff(cfg: FluidConfig, theta: float, lam: float) -> float:
 
 
 def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> float:
-    """Largest k > 0 with U(k, s) >= floor, or 0 when no k reaches floor.
+    """Largest k > 0 at which a mode may reach alpha_k(s) >= floor; 0 if none may.
 
-    U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max bounds
-    both branches of every mode: alpha_k(s) <= U(k, s). Proof, for a clamped
-    C^1 profile psi with kinetic form K = sum_layers rho int(psi^2 + psi'^2/k^2):
+    For every split l in [0, 1],
+
+        B_l(k) = k max(c_k - 2 l s k (mu+ + mu-), 0) / (rho+ + rho-)
+                 - (1 - l) s mu_min k^2 / rho_max
+
+    bounds both branches of every mode: alpha_k(s) <= B_l(k). B_0 is
+    U(k, s) (alpha_bound). Proof, for a clamped C^1 profile psi with kinetic
+    form K = sum_layers rho int(psi^2 + psi'^2/k^2) and dissipation
+    D = sum_layers mu int (k psi + psi''/k)^2 + 4 psi'^2:
 
     - Trace: psi vanishes at each wall, so on each layer psi(0)^2 =
       |int (psi^2)'| <= int k psi^2 + psi'^2/k; weighting the layers by rho+
       and rho- and adding gives (rho+ + rho-) psi(0)^2 <= k K.
-    - Dissipation: D = sum_layers mu int (k psi + psi''/k)^2 + 4 psi'^2 is at
-      least mu_min times the same integral over the whole column, where
-      int psi psi'' = -int psi'^2 by parts (psi, psi' continuous at the
-      interface, psi = 0 at the walls), so D >= mu_min int k^2 psi^2 +
-      2 psi'^2 + psi''^2/k^2 >= mu_min k^2 K / rho_max.
-    - Coupled branch: alpha_k(s) = max over K = 1 of c_k psi(0)^2 - s D <= U.
+    - Dissipation, interior: D is at least mu_min times the same integral
+      over the whole column, where int psi psi'' = -int psi'^2 by parts (psi,
+      psi' continuous at the interface, psi = 0 at the walls), so
+      D >= mu_min int k^2 psi^2 + 2 psi'^2 + psi''^2/k^2 >= mu_min k^2 K / rho_max.
+    - Dissipation, interface: D >= 2 k (mu+ + mu-) psi(0)^2, the envelope
+      C_k <= 1 / (2 k (mu+ + mu-)) proven in growth_cutoff.
+    - Coupled branch: split D = l D + (1 - l) D and bound the parts by
+      the interface and the interior estimate. At K = 1,
+      c_k psi(0)^2 - s D <= (c_k - 2 l s k (mu+ + mu-)) psi(0)^2
+      - (1 - l) s mu_min k^2 / rho_max, and the trace bounds the first term
+      by its positive part times k / (rho+ + rho-). Maximizing over psi gives
+      alpha_k(s) <= B_l(k).
     - Transverse branch: lambda_tau = min sum mu int(tau'^2 + k^2 tau^2) /
-      sum rho int tau^2 >= mu_min k^2 / rho_max, so -s lambda_tau <= U. The
-      computed lambda_tau is this exact minimum, so the bound holds for it
-      directly.
+      sum rho int tau^2 >= mu_min k^2 / rho_max, so -s lambda_tau <=
+      -(1 - l) s mu_min k^2 / rho_max <= B_l(k). The computed lambda_tau
+      is this exact minimum, so the bound holds for it directly.
 
     The Hermite space is a subspace (it is H^2-conforming) and the Gauss rule
     is exact on it, so the coupled bound holds for the computed alpha_k(s)
-    too. U is concave where c_k > 0 and decreasing beyond, so
-    every mode above the returned k has alpha_k(s) < floor. The growth rate
-    has its own, much sharper cutoff (growth_cutoff).
+    too. The returned cutoff is the smallest over l = 0 and 1/2, and over
+    l = 1 when floor > 0 (B_1 >= 0 reaches every floor at or below 0). U is
+    sharp where viscosity is small, the larger l where mu_min / rho_max
+    understates the dissipation of a strong viscosity contrast. The growth
+    rate has its own, much sharper cutoff (growth_cutoff).
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
+    splits = (0.0, 0.5, 1.0) if floor > 0.0 else (0.0, 0.5)
+    return min(_split_cutoff(cfg, theta, s, floor, split) for split in splits)
+
+
+def _split_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float, split: float) -> float:
+    """Largest k > 0 with B_l(k) >= floor at l = split (certified_cutoff), or
+    0 when no k reaches floor.
+
+    Where its positive part is on, B_l = a k - theta k^3 / (rho+ + rho-)
+    - b k^2 is concave with a single peak; it vanishes at k = 0 and is at
+    most 0 where the positive part switches off, so the peak comes first,
+    and beyond it B_l falls to -inf, or to 0 < floor at l = 1. So
+    {B_l >= floor} is an interval, whose upper end is bracketed by doubling
+    from the peak and then bisected.
+    """
     rho_sum = cfg.rho_plus + cfg.rho_minus
-    a = cfg.g * cfg.density_jump / rho_sum
-    b = s * min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
-    # U' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak
+    gr = cfg.g * cfg.density_jump
+    stokes = 2.0 * split * s * (cfg.mu_plus + cfg.mu_minus)
+    interior = (1.0 - split) * s * min(cfg.mu_plus, cfg.mu_minus) / max(
+        cfg.rho_plus, cfg.rho_minus
+    )
+
+    def bound(k):
+        return k * max(gr - (theta * k + stokes) * k, 0.0) / rho_sum - interior * k * k
+
+    a, b = gr / rho_sum, stokes / rho_sum + interior
+    # B_l' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak
     lo = a / (b + math.sqrt(b * b + 3.0 * a * theta / rho_sum))
-    if alpha_bound(cfg, theta, lo, s) < floor:
+    if bound(lo) < floor:
         return 0.0
-    # U(k) <= a k - b k^2, which is below floor past its larger root
-    hi = (a + math.sqrt(max(a * a - 4.0 * b * floor, 0.0))) / (2.0 * b)
+    hi = 2.0 * lo
+    while bound(hi) >= floor:
+        lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if alpha_bound(cfg, theta, mid, s) >= floor:
+        if bound(mid) >= floor:
             lo = mid
         else:
             hi = mid
@@ -431,17 +459,14 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
         fm.extend_to(min(cutoff, 2.0 * fm.modes.k_max))
 
 
-def global_alpha(
-    cfg: FluidConfig, s: float, disc: Discretization, theta: float | None = None
-) -> AlphaValue:
-    """alpha(s, theta) = sup over modes of the larger branch value.
+def global_alpha(cfg: FluidConfig, s: float, disc: Discretization) -> AlphaValue:
+    """alpha(s, cfg.theta) = sup over modes of the larger branch value.
 
     The set is sized by size_mode_set at s; FrozenModeSet.alpha_value
     evaluates a given set as it is.
     """
-    theta = cfg.theta if theta is None else theta
     fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
-    return size_mode_set(fm, theta, s)
+    return size_mode_set(fm, cfg.theta, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,16 +492,15 @@ def alpha_curve(
     cfg: FluidConfig,
     s_grid,
     disc: Discretization,
-    theta: float | None = None,
     frozen: FrozenModeSet | None = None,
 ) -> AlphaCurve:
-    """Sample alpha on s_grid over one mode set; verify strict decrease.
+    """Sample alpha(s, cfg.theta) on s_grid over one mode set; verify strict
+    decrease.
 
     Without `frozen` each sample is the value size_mode_set returns at s. The
     set only grows, and every mode added after a sample lies above that
     sample's cutoff, so its alpha_k(s) is below the sample and never visited.
     """
-    theta = cfg.theta if theta is None else theta
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or s_grid.size < 2:
         raise ValueError("s_grid must be a 1-d grid with at least two points")
@@ -485,9 +509,9 @@ def alpha_curve(
 
     if frozen is None:
         fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
-        values = [size_mode_set(fm, theta, float(s)) for s in s_grid]
+        values = [size_mode_set(fm, cfg.theta, float(s)) for s in s_grid]
     else:
-        values = [frozen.alpha_value(float(s), theta) for s in s_grid]
+        values = [frozen.alpha_value(float(s), cfg.theta) for s in s_grid]
 
     alphas = np.asarray([v.alpha for v in values])
     if not np.all(np.diff(alphas) < 0.0):

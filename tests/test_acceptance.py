@@ -61,7 +61,7 @@ def frozen_reference():
 @pytest.fixture(scope="module")
 def reference_sweep(frozen_reference):
     fm, res0 = frozen_reference
-    return sweep_theta(REFERENCE, FRACTIONS, DISC, tol_fp=TOL_FP, frozen=fm)
+    return sweep_theta(REFERENCE, FRACTIONS, DISC, frozen=fm)
 
 
 def test_criterion_1_fixed_point_certificate(reference_sweep):
@@ -158,7 +158,7 @@ def test_criterion_4_monotonicity_suites(frozen_reference, reference_sweep):
     # Lambda(theta0 - delta) > Lambda(theta0) > Lambda(theta0 + delta) for
     # theta0 = theta_c / 2; sweep_theta raises unless the chain decreases.
     bracket = 0.5 + np.array([-1e-2, -1e-3, 0.0, 1e-3, 1e-2])
-    cont = sweep_theta(REFERENCE, bracket, DISC, tol_fp=TOL_FP, frozen=fm).report()
+    cont = sweep_theta(REFERENCE, bracket, DISC, frozen=fm).report()
     cont_ok = cont["strictly_decreasing"] and cont["bounded_by_m"]
     report(
         "criterion 4: monotonicity suites",

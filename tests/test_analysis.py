@@ -103,7 +103,7 @@ def test_limit_check(cheap_mode_set):
 
 
 def test_verify_all_passes(cheap_config):
-    report = verify_all(cheap_config, Discretization(16), trace_samples=60)
+    report = verify_all(cheap_config, Discretization(16))
     for check in report.checks:
         assert check.passed, f"{check.name}: {check.detail}"
     assert report.all_pass
@@ -118,8 +118,7 @@ def test_verify_all_passes(cheap_config):
 
 def test_verify_stable_configuration(cheap_config):
     theta_c = theta_critical(cheap_config)
-    report = verify_all(cheap_config.with_theta(2.0 * theta_c), Discretization(16),
-                        trace_samples=20)
+    report = verify_all(cheap_config.with_theta(2.0 * theta_c), Discretization(16))
     assert report.all_pass
     assert any(c.name == "stable_regime" for c in report.checks)
 

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtgrowth import pencil
+from rtgrowth import fixedpoint, oracle, pencil, spectrum
 from rtgrowth.analysis import sweep_theta
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import (
@@ -109,8 +109,7 @@ def test_solve_lambda_contract(cheap_config):
     m = upper_bound_m(cheap_config)
     assert 0.0 < result.lam <= m * (1.0 + 1e-6)
     assert result.fixed_point_residual <= 1e-8 * max(1.0, result.lam**2)
-    assert result.branch == "longitudinal"
-    assert result.alpha_at_lambda.alpha == pytest.approx(result.lam**2, rel=1e-7)
+    assert result.fixed_point.alpha == pytest.approx(result.lam**2, rel=1e-7)
     assert result.eigenprofile.interface_value > 0.0
     assert np.max(np.abs(result.eigenprofile.psi_derivs)) > 0.0
     assert result.bound_m == pytest.approx(m)
@@ -146,8 +145,37 @@ def test_solve_lambda_json_fields(cheap_config):
 def test_mode_solve_matches_global_at_argmax(cheap_config):
     result = solve_lambda(cheap_config, DISC)
     per_mode = solve_mode_lambda(cheap_config, result.argmax_k, DISC)
-    # the global fixed point rides the maximizing mode's branch
-    assert per_mode.lam == pytest.approx(result.lam, rel=1e-6)
+    # one per-mode solve serves both: same start, same Newton steps, same bits
+    assert per_mode.lam == result.lam
+    assert per_mode.alpha == result.fixed_point.alpha
+    assert np.array_equal(per_mode.solution.vector, result.fixed_point.solution.vector)
+
+
+def test_profile_is_built_only_when_read(cheap_config, monkeypatch):
+    # compare_modes and a solve on a frozen set read Lambda and the
+    # eigenvector, never the profile; reading eigenprofile builds it once
+    fm = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
+    size_mode_set(fm, 0.0)
+    built = []
+    real = pencil.coeffs_to_profile
+
+    def spy(x, forms):
+        built.append(forms.k)
+        return real(x, forms)
+
+    for module in (pencil, fixedpoint, spectrum, oracle):
+        if hasattr(module, "coeffs_to_profile"):
+            monkeypatch.setattr(module, "coeffs_to_profile", spy)
+    result = solve_lambda(cheap_config, DISC, frozen=fm)
+    rows = compare_modes(cheap_config, [1.0, result.argmax_k], DISC)
+    assert rows[1].lambda_variational == result.lam
+    assert built == []
+    profile = result.eigenprofile
+    assert result.eigenprofile is profile
+    assert built == [result.argmax_k]
+    assert profile.interface_value == result.fixed_point.solution.vector[
+        result.fixed_point.forms.e0_index
+    ]
 
 
 def test_mode_solve_stable_mode(cheap_config):

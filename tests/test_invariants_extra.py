@@ -34,7 +34,7 @@ def test_sweep_invariant_under_cutoff_doubling(cheap_config):
     certified, _ = _sized_mode_set(cheap_config, disc, tol_fp, 1)
     for factor in (1.0, 2.0):
         fm = FrozenModeSet.freeze(cheap_config, disc, factor * certified.modes.k_max)
-        sweep = sweep_theta(cheap_config, fractions, disc, tol_fp=tol_fp, frozen=fm)
+        sweep = sweep_theta(cheap_config, fractions, disc, frozen=fm)
         lambdas.append(sweep.lambdas)
     assert np.all(np.abs(lambdas[0] - lambdas[1]) <= 10.0 * tol_fp)
 

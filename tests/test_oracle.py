@@ -240,8 +240,6 @@ def test_largest_of_several_roots(reference_config, monkeypatch):
 def test_scan_max_precondition(reference_config):
     with pytest.raises(ValueError):
         dispersion_root(1.0, reference_config, 0.5 * upper_bound_m(reference_config))
-    with pytest.raises(ValueError):
-        dispersion_root(1.0, reference_config, 2.0 * upper_bound_m(reference_config), n_points=50)
 
 
 def test_jump_rows_converge(reference_config):

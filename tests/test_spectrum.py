@@ -15,7 +15,7 @@ from rtgrowth.errors import (
     SolverError,
 )
 from rtgrowth.analysis import sweep_theta
-from rtgrowth.fixedpoint import solve_lambda
+from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.oracle import compare_modes
 from rtgrowth.pencil import (
@@ -31,11 +31,11 @@ from rtgrowth.spectrum import (
     FrozenModeSet,
     alpha_bound,
     alpha_curve,
+    _split_cutoff,
     certified_cutoff,
     enumerate_modes,
     global_alpha,
     growth_cutoff,
-    mode_fixed_point,
     size_mode_set,
     smallest_magnitude,
 )
@@ -303,10 +303,11 @@ def test_mode_table_csv(cheap_config):
     assert first[3] in ("longitudinal", "transverse")
 
 
-def per_mode_bound(cfg, theta, k, s):
-    """U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max."""
-    c = cfg.g * cfg.density_jump - theta * k**2
-    return np.maximum(c, 0.0) * k / (cfg.rho_plus + cfg.rho_minus) - s * min(
+def split_bound(cfg, theta, k, s, split):
+    """B_l(k) = k max(c_k - 2 l s k (mu+ + mu-), 0) / (rho+ + rho-)
+    - (1 - l) s mu_min k^2 / rho_max at l = split; at l = 0 it is U(k, s)."""
+    c = cfg.g * cfg.density_jump - theta * k**2 - 2.0 * split * s * k * (cfg.mu_plus + cfg.mu_minus)
+    return np.maximum(c, 0.0) * k / (cfg.rho_plus + cfg.rho_minus) - (1.0 - split) * s * min(
         cfg.mu_plus, cfg.mu_minus
     ) * k**2 / max(cfg.rho_plus, cfg.rho_minus)
 
@@ -342,7 +343,7 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     theta = fraction * theta_critical(cfg)
     fm = FrozenModeSet.freeze(cfg, DISC, 6.0 * smallest_magnitude(cfg))
     k = fm.modes.magnitudes
-    u = per_mode_bound(cfg, theta, k, s)
+    u = split_bound(cfg, theta, k, s, 0.0)
     table = fm.table(s, theta)
     al, at = table.alpha_longitudinal, table.alpha_transverse
     slack = 1e-12 * np.abs(u)  # rounding only
@@ -356,7 +357,7 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     r = fm.growth_bounds(theta)
     cfg_theta = cfg.with_theta(theta)
     for kk, rk in zip(k, r):
-        solved = mode_fixed_point(cfg_theta, kk, DISC)
+        solved = solve_mode_lambda(cfg_theta, kk, DISC)
         assert (solved.lam if solved else 0.0) <= rk * (1.0 + 1e-12)
 
     # no mode beyond the sized set changes Lambda, to the last bit
@@ -370,11 +371,48 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     assert doubled.growth_max(theta).lam == lam
 
 
+@settings(max_examples=25, deadline=None)
+@given(configs(), span(0.0, 0.95), span(1e-2, 30.0), span(0.0, 1.0))
+def test_split_bound_holds_on_both_branches(cfg, fraction, s, split):
+    theta = fraction * theta_critical(cfg)
+    fm = FrozenModeSet.freeze(cfg, DISC, 6.0 * smallest_magnitude(cfg))
+    k = fm.modes.magnitudes
+    bound = split_bound(cfg, theta, k, s, split)
+    table = fm.table(s, theta)
+    slack = 1e-12 * np.abs(bound)  # rounding only
+    assert np.all(table.alpha_longitudinal <= bound + slack)
+    assert np.all(table.alpha_transverse <= bound + slack)
+
+    # past the cutoff some split is below the floor, so no mode reaches it
+    floor = float(np.max(table.alpha))
+    cutoff = certified_cutoff(cfg, theta, s, floor)
+    beyond = np.linspace(cutoff, 4.0 * cutoff, 400)[1:]
+    splits = (0.0, 0.5, 1.0) if floor > 0.0 else (0.0, 0.5)
+    assert np.all(np.min([split_bound(cfg, theta, beyond, s, w) for w in splits], axis=0) < floor)
+
+
+def test_contrast_alpha_sizes_few_modes():
+    # U alone puts the alpha cutoff of this config near k = 963 at s = 1,
+    # about 800,000 lattice magnitudes; the split bounds cut near k = 20
+    cfg = FluidConfig(
+        rho_plus=5.2, rho_minus=0.2, mu_plus=0.1, mu_minus=5.0,
+        g=20.0, theta=0.0, L1=2.0, L2=2.0, h_plus=0.3, h_minus=0.3,
+    )
+    for s, most in ((0.3, 700), (1.0, 500)):
+        fm = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
+        value = size_mode_set(fm, 0.0, s)
+        assert len(fm.modes) <= most
+        wider = FrozenModeSet.freeze(cfg, DISC, 2.0 * fm.modes.k_max).alpha_value(s, 0.0)
+        assert (wider.alpha, wider.argmax_k) == (value.alpha, value.argmax_k)
+
+
 def test_certified_cutoff_closed_form_without_surface_tension(cheap_config):
-    # at theta = 0, U(k, s) = a k - b k^2 and the cutoff is its larger root
+    # at theta = 0, U(k, s) = a k - b k^2 and its cutoff is the larger root;
+    # the other splits can only cut lower
     a, b, floor = 9.8 / 3.0, 1.5 / 2.0, 2.0
     expected = (a + math.sqrt(a * a - 4.0 * b * floor)) / (2.0 * b)
-    assert certified_cutoff(cheap_config, 0.0, 1.5, floor) == pytest.approx(expected, rel=1e-11)
+    assert _split_cutoff(cheap_config, 0.0, 1.5, floor, 0.0) == pytest.approx(expected, rel=1e-11)
+    assert certified_cutoff(cheap_config, 0.0, 1.5, floor) <= expected
     # a floor above the peak a^2 / (4 b) is reached by no mode
     assert certified_cutoff(cheap_config, 0.0, 1.5, 1.01 * a * a / (4.0 * b)) == 0.0
     # surface tension only lowers the bound, so only lowers the cutoff
@@ -488,7 +526,7 @@ def test_inertia_scans_match_full_solves(cfg, fraction, s):
         best = fm.growth_max(theta)
     finally:
         spectrum.fixed_point = real
-    full = {k: mode_fixed_point(cfg, k, DISC) for k in fm.modes.magnitudes}
+    full = {k: solve_mode_lambda(cfg, k, DISC) for k in fm.modes.magnitudes}
     lams = {k: fp.lam for k, fp in full.items() if fp is not None}
     assert best.lam == max(lams.values())
     assert best.forms.k == max(lams, key=lambda k: (lams[k], -k))
