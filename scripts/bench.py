@@ -7,7 +7,9 @@ Rows, all on the reference config (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1,
 theta 0): `rtgrowth growth` at N = 64 and N = 128, `sweep-theta` (default
 grid) and `verify` at N = 128, each run REPEATS times, and the Tier-1 test
 suite, run once. Every run is a fresh interpreter with one BLAS thread, timed
-from start to exit, because a command-line user pays imports on every run.
+from start to exit (wall_s), because a command-line user pays imports on every
+run. Imports dominate that time, so each command row also records main_s, the
+time the child spends inside cli.main: the part a change to the solver moves.
 
 Each command row records its inputs (N, the modes sized, the number of global
 solves) and its answer (lambda and argmax_k), so that a later file can check
@@ -47,9 +49,10 @@ ENV = {
     "MKL_NUM_THREADS": "1",
 }
 
-# Runs the CLI in the child and reports the counts on its last stderr line.
+# Runs the CLI in the child and reports the counts and the time inside
+# cli.main on its last stderr line.
 CHILD_SCRIPT = """
-import json, sys
+import json, sys, time
 from rtgrowth import cli
 from rtgrowth.fixedpoint import GrowthResult
 from rtgrowth.spectrum import FrozenModeSet
@@ -66,7 +69,9 @@ def count_solve(self):
     return validate(self)
 
 FrozenModeSet.__init__, GrowthResult.validate = track_set, count_solve
+start = time.perf_counter()
 code = cli.main(sys.argv[1:])
+counts["main_s"] = time.perf_counter() - start
 counts["modes"] = sum(len(fm.modes) for fm in sets)
 sys.stderr.write(json.dumps(counts) + "\\n")
 sys.exit(code)
@@ -86,13 +91,14 @@ def cli_row(name: str, command: str, n: int, work: Path, answer) -> dict:
         sys.executable, "-c", CHILD_SCRIPT, command,
         "--config", str(work / "reference.json"), "--resolution", str(n), "--out", str(out),
     ]
-    runs = []
+    runs, mains = [], []
     for _ in range(REPEATS):
         wall, proc = timed(argv)
         if proc.returncode != 0:
             raise SystemExit(f"{name} exited {proc.returncode}: {proc.stderr.strip()}")
+        counts = json.loads(proc.stderr.strip().splitlines()[-1])
         runs.append(wall)
-    counts = json.loads(proc.stderr.strip().splitlines()[-1])
+        mains.append(counts["main_s"])
     lam, argmax_k = answer(out)
     return {
         "name": name,
@@ -104,6 +110,8 @@ def cli_row(name: str, command: str, n: int, work: Path, answer) -> dict:
         "argmax_k": argmax_k,
         "wall_s": statistics.median(runs),
         "runs_s": runs,
+        "main_s": statistics.median(mains),
+        "main_runs_s": mains,
     }
 
 
@@ -158,7 +166,8 @@ def main() -> None:
         ]
     rows.append(tier1_row())
     for row in rows:
-        print(f"{row['name']:>16}  {row['wall_s']:8.2f} s  " + " ".join(f"{r:.2f}" for r in row["runs_s"]))
+        main = f"  main {row['main_s']:.3f} s" if "main_s" in row else ""
+        print(f"{row['name']:>16}  {row['wall_s']:8.2f} s  " + " ".join(f"{r:.2f}" for r in row["runs_s"]) + main)
 
     payload = {
         "config": REFERENCE,

@@ -2,8 +2,8 @@
 """Refinement study behind the pinned tolerances.
 
 Tracks, for the reference case at k = 1:
-  * per-mode alpha under mesh doubling (fourth-order until the dense solve's
-    noise floor, which grows like N^4 * eps),
+  * per-mode alpha under mesh doubling (mode_alpha: fourth-order until the
+    rounding floor of the banded solves, which grows like N^4 * eps),
   * the stress-jump row residuals of the variational eigenprofile,
   * the boundary-value residual of the global solve at mesh 2N.
 
@@ -15,7 +15,8 @@ import argparse
 from rtgrowth import Discretization, FluidConfig, solve_lambda
 from rtgrowth.fixedpoint import bvp_residual
 from rtgrowth.oracle import validate_jump_rows
-from rtgrowth.pencil import assemble, largest_eigenpair
+from rtgrowth.pencil import assemble, mode_alpha
+from rtgrowth.spectrum import split_bound
 
 REFERENCE = FluidConfig(
     rho_plus=2.0, rho_minus=1.0, mu_plus=0.1, mu_minus=0.1,
@@ -30,9 +31,10 @@ def main() -> None:
 
     print("per-mode alpha at k = 1, s = 1:")
     prev = None
+    upper = split_bound(REFERENCE, 1.0)(1.0)
     n = 8
     while n <= args.max_n:
-        alpha = largest_eigenpair(assemble(1.0, REFERENCE, Discretization(n)), 1.0).alpha
+        alpha = mode_alpha(assemble(1.0, REFERENCE, Discretization(n)), 1.0, upper)
         step = "" if prev is None else f"  increment {alpha - prev:+.3e}"
         print(f"  N={n:<4d} alpha={alpha:.14f}{step}")
         prev = alpha

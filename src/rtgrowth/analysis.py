@@ -1,7 +1,7 @@
 """Surface-tension sweeps and the self-contained verification suite.
 
 A sweep solves every point of a strictly increasing theta grid against one
-shared frozen mode set sized at theta = 0, so the cross-theta comparisons
+shared mode set sized at theta = 0, so the cross-theta comparisons
 inherit exact monotonicity at the discrete level; every point checks its own
 certified cutoff against that set and raises instead of extending it. The
 sweep raises unless Lambda decreases strictly along the whole grid and
@@ -40,14 +40,13 @@ from .spectrum import FrozenModeSet, alpha_curve
 def _sized_mode_set(
     cfg: FluidConfig, disc: Discretization, tol_fp: float = 1e-8, _jobs=None
 ) -> tuple[FrozenModeSet, GrowthResult]:
-    """Solve Lambda at theta = 0 on an owned, sized mode set, then lock the set.
+    """Solve Lambda at theta = 0 on an owned, sized mode set; return both.
 
     tol_fp is passed to solve_lambda and _jobs is ignored. No caller in the
     package sets either; both stay because perfbench/workloads.py calls
     _sized_mode_set(cfg, disc, TOL_FP, 1).
     """
     res0 = solve_lambda(cfg.with_theta(0.0), disc, tol_fp=tol_fp)
-    res0.mode_set.locked = True
     return res0.mode_set, res0
 
 
@@ -107,13 +106,8 @@ class ThetaSweep:
         return json.dumps(self.report())
 
 
-def sweep_theta(
-    cfg: FluidConfig,
-    fractions,
-    disc: Discretization,
-    frozen: FrozenModeSet | None = None,
-) -> ThetaSweep:
-    """Solve Lambda over theta = fractions * theta_c on one frozen mode set."""
+def sweep_theta(cfg: FluidConfig, fractions, disc: Discretization) -> ThetaSweep:
+    """Solve Lambda over theta = fractions * theta_c on one mode set sized at theta = 0."""
     validate_config(cfg)
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or fractions.size == 0:
@@ -123,18 +117,11 @@ def sweep_theta(
     if fractions.size > 1 and not np.all(np.diff(fractions) > 0.0):
         raise ValueError("fractions must be strictly increasing")
     theta_c = theta_critical(cfg)
-
-    if frozen is None:
-        fm, res0 = _sized_mode_set(cfg, disc)
-    else:
-        fm, res0 = frozen, None
-
-    results: list[GrowthResult] = []
-    for f in fractions:
-        if f == 0.0 and res0 is not None:
-            results.append(res0)
-            continue
-        results.append(solve_lambda(cfg.with_theta(f * theta_c), disc, frozen=fm))
+    fm, res0 = _sized_mode_set(cfg, disc)
+    results = [
+        res0 if f == 0.0 else solve_lambda(cfg.with_theta(f * theta_c), disc, frozen=fm)
+        for f in fractions
+    ]
 
     sweep = ThetaSweep(results, theta_c, wang_tice_bound(cfg))
     if not np.all(np.diff(sweep.lambdas) < 0.0):

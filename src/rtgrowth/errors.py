@@ -73,10 +73,6 @@ class MonotonicityViolation(SolverError):
     """
 
 
-class BranchMismatch(SolverError):
-    """A positive alpha attributed to the transverse branch, which is always negative."""
-
-
 class DegenerateExponents(SolverError):
     """Dispersion basis broke down (overflow or non-finite entries)."""
 

@@ -10,7 +10,8 @@ that one inertia test at the running maximum cannot rule out. The eigenprofile
 is the last solve of the maximizing mode's Newton loop, and the alpha at
 Lambda and the fixed-point residual come from that solve too.
 An owned mode set is grown until the growth cutoff (spectrum.growth_cutoff)
-at the answer lies inside it; a set handed in is checked against that cutoff
+at the answer lies inside it; a set handed in must have been built for the
+same config, up to theta, and resolution, and is checked against that cutoff
 once. Beside the paper's bound m, a result carries the sharper proven bound
 bound_compliance = max_k r_k (spectrum.compliance_bound): modes above the
 cutoff have r_k < Lambda, so the maximum over the set is the one over the
@@ -97,7 +98,7 @@ class GrowthResult:
         if not self.fixed_point.alpha > 0.0:
             raise SolverError("alpha at the fixed point must be positive")
         # the eigenvector's interface value and slopes, as the profile holds them
-        x = self.fixed_point.solution.vector
+        x = self.fixed_point.vector
         if x[self.fixed_point.forms.e0_index] == 0.0:
             raise SolverError("eigenprofile has vanishing interface value")
         if not np.max(np.abs(x[1::2])) > 0.0:
@@ -129,7 +130,9 @@ def solve_lambda(
 
     tol_fp bounds the fixed-point residual that validation accepts, relative
     to max(1, Lambda^2). No caller in the package varies it; it stays a
-    parameter because perfbench/workloads.py passes it.
+    parameter because perfbench/workloads.py passes it. A frozen set must
+    serve cfg and disc (FrozenModeSet.check_serves): it is maximized over as
+    it is, never extended.
     """
     validate_config(cfg)
     if tol_fp <= 0.0:
@@ -145,8 +148,9 @@ def solve_lambda(
         fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
         best = size_mode_set(fm, theta)
     else:
+        fm.check_serves(cfg, disc)
         best = fm.growth_max(theta)
-    cutoff = growth_cutoff(cfg, theta, best.lam)
+    cutoff = growth_cutoff(cfg, best.lam)
     if cutoff > fm.modes.k_max:
         raise CutoffRunaway(
             f"a mode up to k = {cutoff!r} may grow faster than lambda = {best.lam!r}, "
@@ -191,7 +195,7 @@ def bvp_residual(result: GrowthResult, cfg: FluidConfig) -> float:
     """
     cfg = validate_config(cfg).with_theta(result.theta)
     fp = result.fixed_point
-    x_fine = prolong_coeffs(fp.solution.vector, fp.forms)
+    x_fine = prolong_coeffs(fp.vector, fp.forms)
     forms_fine = assemble(result.argmax_k, cfg, Discretization(result.resolution).refined())
     dual = residual_dual_norm(forms_fine, x_fine, result.lam, result.lam**2)
     kinetic = math.sqrt(float(x_fine @ band_matvec(forms_fine.B_band, x_fine)))

@@ -22,7 +22,7 @@ alpha_k(s) by bisection on it, finished by secular Newton steps (mode_alpha),
 the interface compliances e0^T B^(-1) e0 and e0^T A^(-1) e0 (compliances),
 and Lambda_k by Newton steps on phi(s) = c_k e0^T (s A + s^2 B)^(-1) e0 = 1
 (fixed_point), whose last solve is the eigenprofile. No solver path expands
-a dense matrix; the dense largest_eigenpair is the tests' reference.
+a dense matrix.
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import blas, lapack
 
 from .errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
@@ -225,15 +224,6 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSolution:
-    """Largest eigenpair of one pencil, eigenvector normalized to x^T B x = 1."""
-
-    alpha: float
-    vector: np.ndarray
-    residual: float
-
-
 def _fix_sign(x: np.ndarray, e0_index: int) -> np.ndarray:
     """Sign convention: psi(0) >= 0, first nonzero dof positive as tiebreak."""
     v = x[e0_index]
@@ -257,44 +247,9 @@ def _pencil_residual(forms: PencilForms, energy: np.ndarray, x: np.ndarray) -> n
     return r
 
 
-def _finish_eigenpair(
-    forms: PencilForms, energy: np.ndarray, alpha: float, x: np.ndarray
-) -> EigenSolution:
-    x = x / np.sqrt(x @ band_matvec(forms.B_band, x))
-    x = _fix_sign(x, forms.e0_index)
-    r = _pencil_residual(forms, energy, x)
-    residual = float(np.linalg.norm(r) / np.linalg.norm(x))
-    return EigenSolution(alpha=float(alpha), vector=x, residual=residual)
-
-
-def largest_eigenpair(forms: PencilForms, s: float) -> EigenSolution:
-    """Largest generalized eigenpair of one mode's pencil by a dense solve.
-
-    No solver path uses it: it is the reference that the banded solves are
-    tested against. It expands the bands into dense symmetric matrices.
-    """
-    if s <= 0.0:
-        raise ValueError(f"modification parameter must be > 0, got {s!r}")
-    n = forms.dim
-    dense = []
-    for band in (forms.A_band, forms.B_band):
-        M = np.diag(band[0])
-        for d in range(1, min(band.shape[0], n)):
-            i = np.arange(n - d)
-            M[i + d, i] = M[i, i + d] = band[d, : n - d]
-        dense.append(M)
-    numerator = -s * dense[0]
-    numerator[forms.e0_index, forms.e0_index] += forms.c_k
-    try:
-        w, v = sla.eigh(numerator, dense[1], subset_by_index=[n - 1, n - 1])
-    except sla.LinAlgError as exc:
-        raise FactorizationFailure(f"symmetric-definite solve failed: {exc}") from exc
-    return _finish_eigenpair(forms, _energy(forms, s, w[0]), w[0], v[:, 0])
-
-
 def _interface_solve(forms: PencilForms, s: float, alpha: float):
-    """(s A + alpha B, x) with x = (s A + alpha B)^(-1) e0, for s, alpha >= 0
-    not both zero (s A + alpha B is then positive definite).
+    """x = (s A + alpha B)^(-1) e0, for s, alpha >= 0 not both zero (s A +
+    alpha B is then positive definite).
 
     When alpha is the largest eigenvalue, x is its eigenvector: the pencil
     gives (s A + alpha B) x = c_k x[e0] e0. One banded Cholesky factorization
@@ -307,14 +262,13 @@ def _interface_solve(forms: PencilForms, s: float, alpha: float):
     e0 = np.zeros(forms.dim)
     e0[forms.e0_index] = 1.0
     what = f"energy matrix at alpha {alpha!r}"
-    energy = _energy(forms, s, alpha)
-    chol = _spd_factor(energy, what)
+    chol = _spd_factor(_energy(forms, s, alpha), what)
     x = _spd_solve(chol, e0, what)
     ext = np.longdouble
     a_ext, b_ext = forms.extended_bands
     exact = ext(s) * a_ext + ext(alpha) * b_ext
     r = e0 - _band_matvec_extended(exact, x)
-    return energy, x + _spd_solve(chol, r.astype(float), what)
+    return x + _spd_solve(chol, r.astype(float), what)
 
 
 def compliances(forms: PencilForms) -> tuple[float, float]:
@@ -330,7 +284,7 @@ def compliances(forms: PencilForms) -> tuple[float, float]:
     e0 = np.zeros(forms.dim)
     e0[forms.e0_index] = 1.0
     x = _spd_solve(_spd_factor(forms.B_band, "kinetic matrix"), e0, "kinetic matrix")
-    y = _interface_solve(forms, 1.0, 0.0)[1]
+    y = _interface_solve(forms, 1.0, 0.0)
     return float(x[forms.e0_index]), float(y[forms.e0_index])
 
 
@@ -366,7 +320,8 @@ def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
 def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
     """alpha_k(s) by bisection on alpha_below, on either sign of c_k.
 
-    upper must bound alpha_k(s) from above (spectrum.alpha_bound is proven to).
+    upper must bound alpha_k(s) from above, as U = spectrum.split_bound(cfg, s)(k)
+    is proven to (spectrum.certified_cutoff).
     The lower end steps down from it by doubling until the test fails; the
     bracket is then halved to 1e-14 of its width, which is at least
     max(|upper|, s) and so far above the spacing of floats around it. That
@@ -391,7 +346,7 @@ def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
             lo = mid
     alpha = 0.5 * (lo + hi)
     for _ in range(3 if alpha > 0.0 else 0):
-        x = _interface_solve(forms, s, alpha)[1]
+        x = _interface_solve(forms, s, alpha)
         phi = forms.c_k * float(x[forms.e0_index])
         newton = alpha + (phi - 1.0) / (forms.c_k * float(x @ band_matvec(forms.B_band, x)))
         if not newton > 0.0 or newton == alpha:
@@ -405,14 +360,15 @@ class FixedPoint:
     """Per-mode growth rate Lambda_k with its eigenvector: the one per-mode
     result of every growth solve, global or single-mode.
 
-    alpha is alpha_k(lam) to first order from the last solve. The profile is
-    built from the eigenvector only when it is read.
+    alpha is alpha_k(lam) to first order from the last solve. vector is the
+    eigenvector, normalized to x^T B x = 1 with psi(0) >= 0 (_fix_sign). The
+    profile is built from it only when it is read.
     """
 
     forms: PencilForms
     lam: float
     alpha: float
-    solution: EigenSolution
+    vector: np.ndarray
 
     @property
     def residual(self) -> float:
@@ -421,7 +377,7 @@ class FixedPoint:
 
     @cached_property
     def profile(self) -> VerticalProfile:
-        return coeffs_to_profile(self.solution.vector, self.forms)
+        return coeffs_to_profile(self.vector, self.forms)
 
 
 def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
@@ -449,7 +405,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     lo, hi, s = 0.0, math.inf, float(start)
     last = False
     for _ in range(100):
-        energy, x = _interface_solve(forms, s, s * s)
+        x = _interface_solve(forms, s, s * s)
         phi = c * float(x[forms.e0_index])
         xb = float(x @ band_matvec(forms.B_band, x))
         if phi > 1.0:
@@ -459,7 +415,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
         step = phi * (1.0 - phi) / (-c * (float(x @ band_matvec(forms.A_band, x)) + 2.0 * s * xb))
         if last or phi == 1.0 or hi - lo <= 1e-15 * s:
             alpha = s * s + (phi - 1.0) / (c * xb)
-            return FixedPoint(forms, s, alpha, _finish_eigenpair(forms, energy, s * s, x))
+            return FixedPoint(forms, s, alpha, _fix_sign(x / math.sqrt(xb), forms.e0_index))
         last = abs(step) <= 1e-9 * s
         s = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
     raise FactorizationFailure(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")

@@ -12,7 +12,7 @@ smallest magnitude (FrozenModeSet.alpha_value proves it), so alpha(s) takes
 one transverse root per evaluation, never one per mode. A global maximum,
 the growth rate Lambda = max_k Lambda_k at one theta or alpha(s) at one s, is
 one scan over the set in decreasing order of a proven per-mode bound
-(compliance_bound for Lambda_k, alpha_bound for alpha_k(s)): the scan stops
+(compliance_bound for Lambda_k, U = split_bound for alpha_k(s)): the scan stops
 at the first bound at or below the running maximum, rules out a mode by one
 inertia test at the running maximum, and fully solves a mode only when that
 test fails. alpha(s) only locates Lambda, so an evaluation returns values
@@ -23,16 +23,20 @@ The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
 never competes for the supremum near the fixed point.
 
-Cutoff policy: each quantity has a proven per-mode bound that falls below
-any floor beyond a computable wavenumber: for alpha_k(s) on both branches, a
-family of bounds that splits the dissipation between an interior and an
-interface estimate (certified_cutoff; U = alpha_bound, its first member,
-orders the scan), and for Lambda_k the whole-line envelope of the
-compliance bound (growth_cutoff). An owned mode set starts at the smallest
+Cutoff policy: one family of proven per-mode bounds B_l (split_bound), which
+splits the dissipation between an interior and an interface estimate, falls
+below any floor beyond a computable wavenumber. For alpha_k(s) on both
+branches the cutoff is the smallest over a few splits (certified_cutoff; U =
+B_0 orders the scan). For Lambda_k it is the split l = 1 at s = Lambda and
+floor Lambda^2 (growth_cutoff): Lambda_k >= Lambda needs alpha_k(Lambda) >=
+Lambda^2, so B_1 >= Lambda^2, which is p(k) <= 0 for the whole-line envelope
+polynomial p of the compliance bound. An owned mode set starts at the smallest
 lattice magnitude and grows, at most doubling per step, until the cutoff for
 the quantity it serves lies inside it (size_mode_set); every mode left out
 then provably cannot reach the value computed on the set. A set handed in by
-the caller is evaluated as it is and never extended.
+the caller must have been built for the caller's config, up to theta, and
+resolution (FrozenModeSet.check_serves); it is evaluated as it is and never
+extended.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchMismatch, EmptyModeSet, MonotonicityViolation
+from .errors import EmptyModeSet, MonotonicityViolation
 from .model import FluidConfig
 from .pencil import (
     Discretization,
@@ -137,13 +141,6 @@ class AlphaValue:
     s: float
     theta: float
 
-    def __post_init__(self):
-        if self.alpha > 0.0 and self.branch != "longitudinal":
-            raise BranchMismatch(
-                f"positive alpha {self.alpha!r} at k = {self.argmax_k!r} attributed to "
-                f"the {self.branch} branch; only the coupled branch can be positive"
-            )
-
 
 class FrozenModeSet:
     """A lattice mode set with the theta-free data of every mode.
@@ -153,16 +150,13 @@ class FrozenModeSet:
     alpha(s) alone never needs them. The transverse branch peaks at the
     smallest magnitude, so alpha_value solves one transverse root and table
     solves its own column. The coupled branch is solved on demand, so one set
-    serves every (s, theta). `locked` marks sets deliberately frozen across a
-    multi-point computation: extending one raises, since it would change
-    earlier samples.
+    serves every (s, theta).
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet):
         self.cfg = cfg
         self.disc = disc
         self.modes = modes
-        self.locked = False
         self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
 
     @classmethod
@@ -170,13 +164,20 @@ class FrozenModeSet:
         return cls(cfg, disc, enumerate_modes(cfg, k_max))
 
     def extend_to(self, k_max: float) -> None:
-        if self.locked:
-            raise MonotonicityViolation(
-                "mode set is frozen for a multi-point computation; escalation "
-                "would change earlier samples"
-            )
         if k_max > self.modes.k_max:
             self.modes = enumerate_modes(self.cfg, k_max)
+
+    def check_serves(self, cfg: FluidConfig, disc: Discretization) -> None:
+        """Raise ValueError unless the set was built for cfg, up to theta, and disc.
+
+        A set serves every theta of its config, so a sweep may hand one set to
+        every point; any other difference would solve a different problem.
+        """
+        if self.cfg.with_theta(cfg.theta) != cfg or self.disc != disc:
+            raise ValueError(
+                f"the mode set was built for {self.cfg!r} at {self.disc!r}, "
+                f"not for {cfg!r} at {disc!r}"
+            )
 
     def growth_bounds(self, theta: float) -> np.ndarray:
         """compliance_bound of every mode at theta: Lambda_k <= r_k.
@@ -236,15 +237,15 @@ class FrozenModeSet:
         the branch value -s lambda_tau(k) therefore strictly decreases in k.
 
         A mode's coupled value is solved (mode_alpha) only when its bound
-        U(k, s) exceeds the running maximum M and its inertia test at
-        alpha = M fails. Ties go to the smaller k, and within a mode to the
+        U(k, s) = split_bound(cfg, s)(k) exceeds the running maximum M and its
+        inertia test at alpha = M fails. Ties go to the smaller k, and within a mode to the
         coupled branch.
         """
         if s <= 0.0:
             raise ValueError(f"modification parameter must be > 0, got {s!r}")
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
-        bounds = alpha_bound(cfg, theta, ks, s)
+        bounds = split_bound(cfg, s)(ks)
         k0 = float(ks[0])
         best = (-s * transverse_min_eigenvalue(k0, self.cfg), k0, "transverse")
         for i in np.argsort(-bounds, kind="stable"):
@@ -263,20 +264,10 @@ class FrozenModeSet:
         one transverse root each."""
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
-        bounds = alpha_bound(cfg, theta, ks, s)
+        bounds = split_bound(cfg, s)(ks)
         longitudinal = [mode_alpha(assemble(k, cfg, self.disc), s, u) for k, u in zip(ks, bounds)]
         lam_tau = np.asarray([transverse_min_eigenvalue(k, self.cfg) for k in ks])
         return ModeTable(ks, np.asarray(longitudinal), -s * lam_tau)
-
-
-def alpha_bound(cfg: FluidConfig, theta: float, k, s: float):
-    """U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max >= alpha_k(s).
-
-    Proven in certified_cutoff; k may be an array.
-    """
-    c = cfg.g * cfg.density_jump - theta * k * k
-    viscous = min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
-    return np.maximum(c, 0.0) * k / (cfg.rho_plus + cfg.rho_minus) - s * viscous * k * k
 
 
 def compliance_bound(c, inviscid, stokes):
@@ -304,54 +295,33 @@ def compliance_bound(c, inviscid, stokes):
     return 2.0 * c / (1.0 / stokes + np.sqrt(1.0 / stokes**2 + 4.0 * c / inviscid))
 
 
-def growth_cutoff(cfg: FluidConfig, theta: float, lam: float) -> float:
-    """Largest k > 0 at which a mode may reach the growth rate lam; 0 if none may.
+def split_bound(cfg: FluidConfig, s: float, split: float = 0.0):
+    """B_l at l = split (certified_cutoff), as a function of k, a float or an array.
 
-    That is the largest root k2 of the convex polynomial
-        p(k) = theta k^3 + 2 (mu+ + mu-) lam k^2 - g [rho] k + (rho+ + rho-) lam^2,
-    and every mode above it has Lambda_k < lam. Proof: Lambda_k <= r_k
-    (compliance_bound), and r_k >= lam exactly when lam^2 / I_k + lam / C_k
-    <= c_k. Two whole-line envelopes, valid for the continuous compliances
-    and so for the discrete ones of the Hermite subspace, bound the left side
-    from below:
-
-    - I_k <= k / (rho+ + rho-): the trace inequality of certified_cutoff.
-    - C_k <= 1 / (2 k (mu+ + mu-)): extend a clamped psi by zero past the
-      walls, which leaves D unchanged. On a half line with psi(0) = 1 and
-      psi'(0) = a, the minimum of mu int (k psi + psi''/k)^2 + 4 psi'^2 is
-      2 k mu (1 + a^2 / k^2) >= 2 k mu, attained at a = 0 by
-      (1 + k|y|) e^(-k|y|); adding both layers gives D >= 2 k (mu+ + mu-)
-      psi(0)^2.
-
-    So r_k >= lam forces lam^2 (rho+ + rho-) / k + 2 k (mu+ + mu-) lam <= c_k,
-    that is p(k) <= 0. p(0) > 0 and p is convex on k > 0, so {p <= 0} is an
-    interval, found by bisection from the minimizer of p up to
-    g [rho] / (2 (mu+ + mu-) lam), past which p > 0.
+    B_0 is U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max.
     """
-    if lam <= 0.0:
-        raise ValueError(f"growth rate must be > 0, got {lam!r}")
-    gr = cfg.g * cfg.density_jump
-    b = 2.0 * (cfg.mu_plus + cfg.mu_minus) * lam
-    q = (cfg.rho_plus + cfg.rho_minus) * lam * lam
+    gr, theta, rho_sum, stokes, interior = _split_terms(cfg, s, split)
 
-    def p(k):
-        return ((theta * k + b) * k - gr) * k + q
+    def bound(k):
+        c = gr - (theta * k + stokes) * k
+        return 0.5 * (c + abs(c)) * k / rho_sum - interior * k * k
 
-    # p' = 3 theta k^2 + 2 b k - g [rho] vanishes once on k > 0
-    lo = gr / (b + math.sqrt(b * b + 3.0 * theta * gr))
-    if p(lo) > 0.0:
-        return 0.0
-    hi = gr / b
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if p(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return bound
 
 
-def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> float:
+def _split_terms(cfg: FluidConfig, s: float, split: float):
+    """(g [rho], theta, rho+ + rho-, 2 l s (mu+ + mu-), (1 - l) s mu_min / rho_max)."""
+    viscous = min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
+    return (
+        cfg.g * cfg.density_jump,
+        cfg.theta,
+        cfg.rho_plus + cfg.rho_minus,
+        2.0 * split * s * (cfg.mu_plus + cfg.mu_minus),
+        (1.0 - split) * s * viscous,
+    )
+
+
+def certified_cutoff(cfg: FluidConfig, s: float, floor: float) -> float:
     """Largest k > 0 at which a mode may reach alpha_k(s) >= floor; 0 if none may.
 
     For every split l in [0, 1],
@@ -359,20 +329,25 @@ def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> 
         B_l(k) = k max(c_k - 2 l s k (mu+ + mu-), 0) / (rho+ + rho-)
                  - (1 - l) s mu_min k^2 / rho_max
 
-    bounds both branches of every mode: alpha_k(s) <= B_l(k). B_0 is
-    U(k, s) (alpha_bound). Proof, for a clamped C^1 profile psi with kinetic
+    bounds both branches of every mode: alpha_k(s) <= B_l(k) (split_bound).
+    B_0 is U(k, s). Proof, for a clamped C^1 profile psi with kinetic
     form K = sum_layers rho int(psi^2 + psi'^2/k^2) and dissipation
     D = sum_layers mu int (k psi + psi''/k)^2 + 4 psi'^2:
 
     - Trace: psi vanishes at each wall, so on each layer psi(0)^2 =
       |int (psi^2)'| <= int k psi^2 + psi'^2/k; weighting the layers by rho+
-      and rho- and adding gives (rho+ + rho-) psi(0)^2 <= k K.
+      and rho- and adding gives (rho+ + rho-) psi(0)^2 <= k K. So the
+      inviscid compliance has the envelope I_k <= k / (rho+ + rho-).
     - Dissipation, interior: D is at least mu_min times the same integral
       over the whole column, where int psi psi'' = -int psi'^2 by parts (psi,
       psi' continuous at the interface, psi = 0 at the walls), so
       D >= mu_min int k^2 psi^2 + 2 psi'^2 + psi''^2/k^2 >= mu_min k^2 K / rho_max.
-    - Dissipation, interface: D >= 2 k (mu+ + mu-) psi(0)^2, the envelope
-      C_k <= 1 / (2 k (mu+ + mu-)) proven in growth_cutoff.
+    - Dissipation, interface: D >= 2 k (mu+ + mu-) psi(0)^2, that is the
+      envelope C_k <= 1 / (2 k (mu+ + mu-)) of the Stokes compliance. Extend
+      psi by zero past the walls, which leaves D unchanged. On a half line
+      with psi(0) = 1 and psi'(0) = a, the minimum of
+      mu int (k psi + psi''/k)^2 + 4 psi'^2 is 2 k mu (1 + a^2 / k^2) >= 2 k mu,
+      attained at a = 0 by (1 + k|y|) e^(-k|y|); add both layers.
     - Coupled branch: split D = l D + (1 - l) D and bound the parts by
       the interface and the interior estimate. At K = 1,
       c_k psi(0)^2 - s D <= (c_k - 2 l s k (mu+ + mu-)) psi(0)^2
@@ -386,19 +361,20 @@ def certified_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float) -> 
 
     The Hermite space is a subspace (it is H^2-conforming) and the Gauss rule
     is exact on it, so the coupled bound holds for the computed alpha_k(s)
-    too. The returned cutoff is the smallest over l = 0 and 1/2, and over
-    l = 1 when floor > 0 (B_1 >= 0 reaches every floor at or below 0). U is
-    sharp where viscosity is small, the larger l where mu_min / rho_max
-    understates the dissipation of a strong viscosity contrast. The growth
-    rate has its own, much sharper cutoff (growth_cutoff).
+    too, and both envelopes hold for the discrete compliances. The returned
+    cutoff is the smallest over l = 0 and 1/2, and over l = 1 when floor > 0
+    (B_1 >= 0 reaches every floor at or below 0). U is sharp where viscosity
+    is small, the larger l where mu_min / rho_max understates the dissipation
+    of a strong viscosity contrast. The growth rate is cut off by l = 1 at
+    s = Lambda (growth_cutoff).
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
     splits = (0.0, 0.5, 1.0) if floor > 0.0 else (0.0, 0.5)
-    return min(_split_cutoff(cfg, theta, s, floor, split) for split in splits)
+    return min(_split_cutoff(cfg, s, floor, split) for split in splits)
 
 
-def _split_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float, split: float) -> float:
+def _split_cutoff(cfg: FluidConfig, s: float, floor: float, split: float) -> float:
     """Largest k > 0 with B_l(k) >= floor at l = split (certified_cutoff), or
     0 when no k reaches floor.
 
@@ -409,16 +385,8 @@ def _split_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float, split:
     {B_l >= floor} is an interval, whose upper end is bracketed by doubling
     from the peak and then bisected.
     """
-    rho_sum = cfg.rho_plus + cfg.rho_minus
-    gr = cfg.g * cfg.density_jump
-    stokes = 2.0 * split * s * (cfg.mu_plus + cfg.mu_minus)
-    interior = (1.0 - split) * s * min(cfg.mu_plus, cfg.mu_minus) / max(
-        cfg.rho_plus, cfg.rho_minus
-    )
-
-    def bound(k):
-        return k * max(gr - (theta * k + stokes) * k, 0.0) / rho_sum - interior * k * k
-
+    bound = split_bound(cfg, s, split)
+    gr, theta, rho_sum, stokes, interior = _split_terms(cfg, s, split)
     a, b = gr / rho_sum, stokes / rho_sum + interior
     # B_l' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak
     lo = a / (b + math.sqrt(b * b + 3.0 * a * theta / rho_sum))
@@ -436,6 +404,23 @@ def _split_cutoff(cfg: FluidConfig, theta: float, s: float, floor: float, split:
     return hi
 
 
+def growth_cutoff(cfg: FluidConfig, lam: float) -> float:
+    """Largest k > 0 at which a mode may reach the growth rate lam; 0 if none may.
+
+    Lambda_k >= lam needs alpha_k(lam) >= lam^2, since alpha_k(s) - s^2
+    strictly decreases through zero at Lambda_k, and alpha_k(lam) <= B_1(k)
+    at s = lam (certified_cutoff). So every mode above the largest k with
+    B_1(k) >= lam^2 has Lambda_k < lam. That condition is p(k) <= 0 for the
+    convex polynomial
+        p(k) = theta k^3 + 2 (mu+ + mu-) lam k^2 - g [rho] k + (rho+ + rho-) lam^2,
+    which is also the compliance bound r_k >= lam with I_k and C_k replaced
+    by their whole-line envelopes (certified_cutoff).
+    """
+    if lam <= 0.0:
+        raise ValueError(f"growth rate must be > 0, got {lam!r}")
+    return _split_cutoff(cfg, lam, lam * lam, 1.0)
+
+
 def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     """Extend fm until no mode above its cutoff can change the computed value.
 
@@ -447,13 +432,14 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     Returns the value of the last pass: the AlphaValue at s, or the
     FixedPoint of the fastest mode.
     """
+    cfg = fm.cfg.with_theta(theta)
     while True:
         if s is None:
             best = fm.growth_max(theta)
-            cutoff = growth_cutoff(fm.cfg, theta, best.lam)
+            cutoff = growth_cutoff(cfg, best.lam)
         else:
             best = fm.alpha_value(s, theta)
-            cutoff = certified_cutoff(fm.cfg, theta, s, best.alpha)
+            cutoff = certified_cutoff(cfg, s, best.alpha)
         if cutoff <= fm.modes.k_max:
             return best
         fm.extend_to(min(cutoff, 2.0 * fm.modes.k_max))
@@ -500,6 +486,7 @@ def alpha_curve(
     Without `frozen` each sample is the value size_mode_set returns at s. The
     set only grows, and every mode added after a sample lies above that
     sample's cutoff, so its alpha_k(s) is below the sample and never visited.
+    A set handed in must serve cfg and disc (FrozenModeSet.check_serves).
     """
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or s_grid.size < 2:
@@ -511,6 +498,7 @@ def alpha_curve(
         fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
         values = [size_mode_set(fm, cfg.theta, float(s)) for s in s_grid]
     else:
+        frozen.check_serves(cfg, disc)
         values = [frozen.alpha_value(float(s), cfg.theta) for s in s_grid]
 
     alphas = np.asarray([v.alpha for v in values])

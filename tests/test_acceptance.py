@@ -14,7 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from rtgrowth.analysis import sweep_theta, _sized_mode_set
+from conftest import largest_eigenpair
+from rtgrowth.analysis import sweep_theta
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import (
     bvp_residual,
@@ -34,7 +35,7 @@ from rtgrowth.modeforms import (
     random_admissible_profile,
 )
 from rtgrowth.oracle import dispersion_root
-from rtgrowth.pencil import Discretization, assemble, largest_eigenpair
+from rtgrowth.pencil import Discretization, assemble
 from rtgrowth.spectrum import alpha_curve
 
 REFERENCE = FluidConfig(
@@ -52,16 +53,15 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def frozen_reference():
-    """Mode set sized at theta = 0, locked, plus the theta = 0 solve."""
-    fm, res0 = _sized_mode_set(REFERENCE, DISC, TOL_FP)
-    return fm, res0
+def reference_sweep():
+    return sweep_theta(REFERENCE, FRACTIONS, DISC)
 
 
 @pytest.fixture(scope="module")
-def reference_sweep(frozen_reference):
-    fm, res0 = frozen_reference
-    return sweep_theta(REFERENCE, FRACTIONS, DISC, frozen=fm)
+def frozen_reference(reference_sweep):
+    """The sweep's mode set, sized at theta = 0, with the theta = 0 solve."""
+    res0 = reference_sweep.results[0]
+    return res0.mode_set, res0
 
 
 def test_criterion_1_fixed_point_certificate(reference_sweep):
@@ -158,7 +158,7 @@ def test_criterion_4_monotonicity_suites(frozen_reference, reference_sweep):
     # Lambda(theta0 - delta) > Lambda(theta0) > Lambda(theta0 + delta) for
     # theta0 = theta_c / 2; sweep_theta raises unless the chain decreases.
     bracket = 0.5 + np.array([-1e-2, -1e-3, 0.0, 1e-3, 1e-2])
-    cont = sweep_theta(REFERENCE, bracket, DISC, frozen=fm).report()
+    cont = sweep_theta(REFERENCE, bracket, DISC).report()
     cont_ok = cont["strictly_decreasing"] and cont["bounded_by_m"]
     report(
         "criterion 4: monotonicity suites",

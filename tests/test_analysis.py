@@ -12,20 +12,8 @@ DISC = Discretization(8)
 FRACTIONS = [0.0, 0.25, 0.5, 0.75, 0.9]
 
 
-@pytest.fixture(scope="module")
-def cheap_mode_set():
-    from rtgrowth.model import FluidConfig
-
-    cfg = FluidConfig(
-        rho_plus=2.0, rho_minus=1.0, mu_plus=1.0, mu_minus=1.0,
-        g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
-    )
-    fm, res0 = _sized_mode_set(cfg, DISC, 1e-8)
-    return cfg, fm
-
-
-def test_sized_mode_set_solves_once(cheap_mode_set, monkeypatch):
-    cfg, _ = cheap_mode_set
+def test_sized_mode_set_solves_once(cheap_config, monkeypatch):
+    cfg = cheap_config
     validated = []
     real = GrowthResult.validate
 
@@ -36,12 +24,12 @@ def test_sized_mode_set_solves_once(cheap_mode_set, monkeypatch):
     monkeypatch.setattr(GrowthResult, "validate", spy)
     fm, res0 = _sized_mode_set(cfg, DISC, 1e-8)
     assert validated == [res0]
-    assert res0.mode_set is fm and fm.locked
+    assert res0.mode_set is fm
 
 
-def test_sweep_contract(cheap_mode_set):
-    cfg, fm = cheap_mode_set
-    sweep = sweep_theta(cfg, FRACTIONS, DISC, frozen=fm)
+def test_sweep_contract(cheap_config):
+    cfg = cheap_config
+    sweep = sweep_theta(cfg, FRACTIONS, DISC)
     assert np.all(np.diff(sweep.lambdas) < 0.0)
     assert np.all(sweep.lambdas > 0.0)
     assert np.all(sweep.lambdas <= sweep.bounds_m * (1.0 + 1e-6))
@@ -52,9 +40,9 @@ def test_sweep_contract(cheap_mode_set):
     assert report["bounded_by_m"] and report["m_below_wang_tice"]
 
 
-def test_sweep_csv_shape(cheap_mode_set):
-    cfg, fm = cheap_mode_set
-    sweep = sweep_theta(cfg, [0.0, 0.5], DISC, frozen=fm)
+def test_sweep_csv_shape(cheap_config):
+    cfg = cheap_config
+    sweep = sweep_theta(cfg, [0.0, 0.5], DISC)
     lines = sweep.csv_lines()
     assert lines[0] == "theta,theta_over_theta_c,lambda,bound_m,argmax_k,residual"
     assert len(lines) == 3
@@ -75,11 +63,11 @@ def test_sweep_rejects_bad_fractions(cheap_config):
         sweep_theta(cheap_config, [], DISC)
 
 
-def test_continuity_probe(cheap_mode_set):
+def test_continuity_probe(cheap_config):
     # A strictly increasing grid bracketing theta0 = theta_c / 2 checks the
     # ordering Lambda(theta0 - delta) > Lambda(theta0) > Lambda(theta0 + delta).
-    cfg, fm = cheap_mode_set
-    sweep = sweep_theta(cfg, 0.5 + np.array([-1e-2, -1e-3, 0.0, 1e-3, 1e-2]), DISC, frozen=fm)
+    cfg = cheap_config
+    sweep = sweep_theta(cfg, 0.5 + np.array([-1e-2, -1e-3, 0.0, 1e-3, 1e-2]), DISC)
     lam = sweep.lambdas
     gaps_below = lam[:2] - lam[2]
     gaps_above = lam[2] - lam[:2:-1]
@@ -91,10 +79,10 @@ def test_continuity_probe(cheap_mode_set):
     assert sweep.report()["bounded_by_m"]
 
 
-def test_limit_check(cheap_mode_set):
+def test_limit_check(cheap_config):
     # Lambda <= m, with m -> 0, on a grid closing in on theta_c.
-    cfg, fm = cheap_mode_set
-    sweep = sweep_theta(cfg, [0.9, 0.99, 0.999], DISC, frozen=fm)
+    cfg = cheap_config
+    sweep = sweep_theta(cfg, [0.9, 0.99, 0.999], DISC)
     report = sweep.report()
     assert report["bounded_by_m"]
     assert report["all_positive"]

@@ -148,7 +148,7 @@ def test_mode_solve_matches_global_at_argmax(cheap_config):
     # one per-mode solve serves both: same start, same Newton steps, same bits
     assert per_mode.lam == result.lam
     assert per_mode.alpha == result.fixed_point.alpha
-    assert np.array_equal(per_mode.solution.vector, result.fixed_point.solution.vector)
+    assert np.array_equal(per_mode.vector, result.fixed_point.vector)
 
 
 def test_profile_is_built_only_when_read(cheap_config, monkeypatch):
@@ -173,9 +173,7 @@ def test_profile_is_built_only_when_read(cheap_config, monkeypatch):
     profile = result.eigenprofile
     assert result.eigenprofile is profile
     assert built == [result.argmax_k]
-    assert profile.interface_value == result.fixed_point.solution.vector[
-        result.fixed_point.forms.e0_index
-    ]
+    assert profile.interface_value == result.fixed_point.vector[result.fixed_point.forms.e0_index]
 
 
 def test_mode_solve_stable_mode(cheap_config):
@@ -223,12 +221,31 @@ def test_fixed_point_path_is_banded(cheap_config, monkeypatch):
 
     monkeypatch.setattr(sla, "cho_factor", refuse)
     monkeypatch.setattr(sla, "cho_solve", refuse)
-    monkeypatch.setattr(pencil, "largest_eigenpair", refuse)
     per_mode = solve_mode_lambda(cfg, 1.0, DISC)
     assert per_mode is not None and per_mode.lam > 0.0
     result = solve_lambda(cfg, DISC, frozen=fm)
     assert result.lam > 0.0
     assert bvp_residual(result, cfg) > 0.0
+
+
+def test_handed_in_set_must_serve_the_config_and_resolution(reference_config, cheap_config):
+    # a set built for another config or resolution would solve another
+    # problem; only theta may differ, since one set serves a whole sweep
+    disc = Discretization(16)
+    fm = FrozenModeSet.freeze(reference_config, disc, smallest_magnitude(reference_config))
+    size_mode_set(fm, 0.0)
+    with pytest.raises(ValueError):
+        solve_lambda(cheap_config, disc, frozen=fm)
+    with pytest.raises(ValueError):
+        solve_lambda(reference_config, Discretization(32), frozen=fm)
+    with pytest.raises(ValueError):
+        alpha_curve(cheap_config, [0.5, 1.0], disc, frozen=fm)
+    with pytest.raises(ValueError):
+        alpha_curve(reference_config, [0.5, 1.0], Discretization(32), frozen=fm)
+    theta = 0.3 * theta_critical(reference_config)
+    result = solve_lambda(reference_config.with_theta(theta), disc, frozen=fm)
+    assert result.lam == solve_lambda(reference_config.with_theta(theta), disc).lam
+    assert result.resolution == 16
 
 
 def test_invalid_tolerance(cheap_config):

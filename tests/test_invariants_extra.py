@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rtgrowth.analysis import _sized_mode_set, sweep_theta
+from rtgrowth.analysis import _sized_mode_set
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import theta_critical
@@ -28,15 +28,14 @@ def test_alpha_curve_decrease_persists_under_refinement(cheap_config):
 
 def test_sweep_invariant_under_cutoff_doubling(cheap_config):
     disc = Discretization(8)
-    fractions = [0.0, 0.5, 0.9]
+    thetas = theta_critical(cheap_config) * np.array([0.0, 0.5, 0.9])
     tol_fp = 1e-8
     lambdas = []
     certified, _ = _sized_mode_set(cheap_config, disc, tol_fp, 1)
     for factor in (1.0, 2.0):
         fm = FrozenModeSet.freeze(cheap_config, disc, factor * certified.modes.k_max)
-        sweep = sweep_theta(cheap_config, fractions, disc, frozen=fm)
-        lambdas.append(sweep.lambdas)
-    assert np.all(np.abs(lambdas[0] - lambdas[1]) <= 10.0 * tol_fp)
+        lambdas.append([solve_lambda(cheap_config.with_theta(t), disc, frozen=fm).lam for t in thetas])
+    assert np.all(np.abs(np.subtract(*lambdas)) <= 10.0 * tol_fp)
 
 
 def test_stable_regime_just_above_threshold(cheap_config):

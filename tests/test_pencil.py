@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import dense, finish_eigenpair, largest_eigenpair
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from rtgrowth.model import FluidConfig, theta_critical
@@ -16,23 +17,12 @@ from rtgrowth.pencil import (
     band_matvec,
     coeffs_to_profile,
     fixed_point,
-    largest_eigenpair,
     mode_alpha,
     prolong_coeffs,
     residual_dual_norm,
     transverse_min_eigenvalue,
 )
 from rtgrowth.spectrum import FrozenModeSet
-
-
-def dense(band):
-    """Symmetric dense matrix whose lower triangle the lower band holds."""
-    n = band.shape[1]
-    M = np.diag(band[0])
-    for d in range(1, min(band.shape[0], n)):
-        i = np.arange(n - d)
-        M[i + d, i] = M[i, i + d] = band[d, : n - d]
-    return M
 
 
 def form(band, x):
@@ -45,8 +35,7 @@ def secular_eigenpair(forms, s, alpha):
     matrix is indefinite (c_k <= 0) or numerically singular (tiny c_k > 0)."""
     if alpha <= 0.0:
         raise ValueError(f"secular eigenpair needs alpha > 0, got {alpha!r}")
-    energy, x = pencil._interface_solve(forms, s, alpha)
-    return pencil._finish_eigenpair(forms, energy, alpha, x)
+    return finish_eigenpair(forms, s, alpha, pencil._interface_solve(forms, s, alpha))
 
 
 def a_scale(forms):
@@ -435,7 +424,7 @@ def test_secular_eigenpair_matches_dense_at_n128(reference_config):
 
 def refined_phi(forms, s, alpha):
     """c_k e0^T (s A + alpha B)^(-1) e0 from one refined banded solve."""
-    return forms.c_k * float(pencil._interface_solve(forms, s, alpha)[1][forms.e0_index])
+    return forms.c_k * float(pencil._interface_solve(forms, s, alpha)[forms.e0_index])
 
 
 def test_mode_alpha_matches_the_refined_secular_root(reference_config):
@@ -444,7 +433,7 @@ def test_mode_alpha_matches_the_refined_secular_root(reference_config):
     # root of the refined secular equation, bisected independently below
     forms = assemble(1.0, reference_config, Discretization(128))
     s = 2.4381739517143846  # Lambda of the reference config at N = 128
-    alpha = mode_alpha(forms, s, float(spectrum.alpha_bound(reference_config, 0.0, 1.0, s)))
+    alpha = mode_alpha(forms, s, spectrum.split_bound(reference_config, s)(1.0))
     lo, hi = alpha * (1.0 - 1e-6), alpha * (1.0 + 1e-6)
     assert refined_phi(forms, s, lo) > 1.0 > refined_phi(forms, s, hi)
     while hi - lo > 1e-15 * hi:

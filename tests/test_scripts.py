@@ -32,21 +32,23 @@ def test_script_runs(script, args):
 
 
 def test_bench_child_counts_modes_and_solves(tmp_path):
-    # the bench child reports the final size of every mode set the run builds
-    # and the growth results it validates, read from inside its process
+    # the bench child reports the final size of every mode set the run builds,
+    # the growth results it validates and the time inside cli.main, read from
+    # inside its process
     spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     config = tmp_path / "reference.json"
     config.write_text(json.dumps(bench.REFERENCE))
-    proc = subprocess.run(
+    wall_s, proc = bench.timed(
         [
             sys.executable, "-c", bench.CHILD_SCRIPT, "growth", "--config", str(config),
             "--resolution", "8", "--out", str(tmp_path / "growth.json"),
-        ],
-        env=bench.ENV, capture_output=True, text=True,
+        ]
     )
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stderr.strip().splitlines()[-1])
+    main_s = counts.pop("main_s")
     result = solve_lambda(FluidConfig(**bench.REFERENCE), Discretization(8))
     assert counts == {"modes": len(result.mode_set.modes), "solves": 1}
+    assert 0.0 < main_s < wall_s

@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import largest_eigenpair
 from rtgrowth import pencil, spectrum
-from rtgrowth.errors import (
-    BranchMismatch,
-    CutoffRunaway,
-    EmptyModeSet,
-    MonotonicityViolation,
-    SolverError,
-)
+from rtgrowth.errors import CutoffRunaway, EmptyModeSet, MonotonicityViolation
 from rtgrowth.analysis import sweep_theta
 from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical
@@ -23,13 +18,11 @@ from rtgrowth.pencil import (
     alpha_below,
     assemble,
     band_matvec,
-    largest_eigenpair,
     transverse_min_eigenvalue,
 )
 from rtgrowth.spectrum import (
     AlphaValue,
     FrozenModeSet,
-    alpha_bound,
     alpha_curve,
     _split_cutoff,
     certified_cutoff,
@@ -38,6 +31,7 @@ from rtgrowth.spectrum import (
     growth_cutoff,
     size_mode_set,
     smallest_magnitude,
+    split_bound,
 )
 
 DISC = Discretization(8)
@@ -180,12 +174,6 @@ def test_alpha_determinism_across_runs(cheap_config):
     assert np.array_equal(t1.alpha_longitudinal, t2.alpha_longitudinal)
 
 
-def test_positive_transverse_alpha_is_a_solver_error(cheap_config):
-    with pytest.raises(BranchMismatch):
-        AlphaValue(alpha=1.0, argmax_k=1.0, branch="transverse", s=1.0, theta=0.0)
-    assert issubclass(BranchMismatch, SolverError)
-
-
 def test_alpha_monotone_in_theta(cheap_config):
     # strict decrease in theta holds while the maximizer keeps psi(0) != 0;
     # once the transverse branch (theta-independent) takes over, alpha stalls
@@ -248,7 +236,7 @@ def test_alpha_builds_no_profile(cheap_config, monkeypatch):
         raise AssertionError("alpha(s) solved for an eigenprofile")
 
     monkeypatch.setattr(spectrum, "fixed_point", no_profile)
-    monkeypatch.setattr(pencil, "_finish_eigenpair", no_profile)
+    monkeypatch.setattr(pencil, "coeffs_to_profile", no_profile)
     value = fm.alpha_value(0.5, 0.0)
     curve = alpha_curve(cheap_config, [0.5, 1.0, 2.0], DISC, frozen=fm)
     assert curve.values[0].alpha == value.alpha
@@ -275,17 +263,10 @@ def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
         alpha_curve(cheap_config, [0.5, 1.5], DISC, frozen=fm)
 
 
-def test_locked_set_refuses_extension(cheap_config):
-    fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
-    fm.locked = True
-    with pytest.raises(MonotonicityViolation):
-        fm.extend_to(2.0 * fm.modes.k_max)
-
-
 def test_locked_set_interiority_guard(cheap_config):
-    # a deliberately tiny cutoff ends below the certified cutoff at Lambda
+    # a set handed in is never extended; a deliberately tiny cutoff ends
+    # below the certified cutoff at Lambda
     fm = FrozenModeSet.freeze(cheap_config, DISC, 2.2)
-    fm.locked = True
     with pytest.raises(CutoffRunaway):
         solve_lambda(cheap_config, DISC, frozen=fm)
     # a fixed set is still evaluated as it is
@@ -301,15 +282,6 @@ def test_mode_table_csv(cheap_config):
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(1.0)
     assert first[3] in ("longitudinal", "transverse")
-
-
-def split_bound(cfg, theta, k, s, split):
-    """B_l(k) = k max(c_k - 2 l s k (mu+ + mu-), 0) / (rho+ + rho-)
-    - (1 - l) s mu_min k^2 / rho_max at l = split; at l = 0 it is U(k, s)."""
-    c = cfg.g * cfg.density_jump - theta * k**2 - 2.0 * split * s * k * (cfg.mu_plus + cfg.mu_minus)
-    return np.maximum(c, 0.0) * k / (cfg.rho_plus + cfg.rho_minus) - (1.0 - split) * s * min(
-        cfg.mu_plus, cfg.mu_minus
-    ) * k**2 / max(cfg.rho_plus, cfg.rho_minus)
 
 
 def span(lo, hi):
@@ -343,7 +315,8 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     theta = fraction * theta_critical(cfg)
     fm = FrozenModeSet.freeze(cfg, DISC, 6.0 * smallest_magnitude(cfg))
     k = fm.modes.magnitudes
-    u = split_bound(cfg, theta, k, s, 0.0)
+    cfg_theta = cfg.with_theta(theta)
+    u = split_bound(cfg_theta, s)(k)
     table = fm.table(s, theta)
     al, at = table.alpha_longitudinal, table.alpha_transverse
     slack = 1e-12 * np.abs(u)  # rounding only
@@ -355,7 +328,6 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     assert np.all(inviscid * (cfg.rho_plus + cfg.rho_minus) / k <= 1.0)
     assert np.all(stokes * 2.0 * k * (cfg.mu_plus + cfg.mu_minus) < 1.0)
     r = fm.growth_bounds(theta)
-    cfg_theta = cfg.with_theta(theta)
     for kk, rk in zip(k, r):
         solved = solve_mode_lambda(cfg_theta, kk, DISC)
         assert (solved.lam if solved else 0.0) <= rk * (1.0 + 1e-12)
@@ -363,7 +335,7 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     # no mode beyond the sized set changes Lambda, to the last bit
     certified = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
     lam = size_mode_set(certified, theta).lam
-    cutoff = growth_cutoff(cfg, theta, lam)
+    cutoff = growth_cutoff(cfg_theta, lam)
     assert cutoff <= certified.modes.k_max
     beyond = np.linspace(cutoff, 4.0 * cutoff, 400)[1:]
     assert np.all(envelope_root(cfg, theta, beyond) < lam)
@@ -375,9 +347,10 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
 @given(configs(), span(0.0, 0.95), span(1e-2, 30.0), span(0.0, 1.0))
 def test_split_bound_holds_on_both_branches(cfg, fraction, s, split):
     theta = fraction * theta_critical(cfg)
+    cfg_theta = cfg.with_theta(theta)
     fm = FrozenModeSet.freeze(cfg, DISC, 6.0 * smallest_magnitude(cfg))
     k = fm.modes.magnitudes
-    bound = split_bound(cfg, theta, k, s, split)
+    bound = split_bound(cfg_theta, s, split)(k)
     table = fm.table(s, theta)
     slack = 1e-12 * np.abs(bound)  # rounding only
     assert np.all(table.alpha_longitudinal <= bound + slack)
@@ -385,10 +358,10 @@ def test_split_bound_holds_on_both_branches(cfg, fraction, s, split):
 
     # past the cutoff some split is below the floor, so no mode reaches it
     floor = float(np.max(table.alpha))
-    cutoff = certified_cutoff(cfg, theta, s, floor)
+    cutoff = certified_cutoff(cfg_theta, s, floor)
     beyond = np.linspace(cutoff, 4.0 * cutoff, 400)[1:]
     splits = (0.0, 0.5, 1.0) if floor > 0.0 else (0.0, 0.5)
-    assert np.all(np.min([split_bound(cfg, theta, beyond, s, w) for w in splits], axis=0) < floor)
+    assert np.all(np.min([split_bound(cfg_theta, s, w)(beyond) for w in splits], axis=0) < floor)
 
 
 def test_contrast_alpha_sizes_few_modes():
@@ -411,45 +384,54 @@ def test_certified_cutoff_closed_form_without_surface_tension(cheap_config):
     # the other splits can only cut lower
     a, b, floor = 9.8 / 3.0, 1.5 / 2.0, 2.0
     expected = (a + math.sqrt(a * a - 4.0 * b * floor)) / (2.0 * b)
-    assert _split_cutoff(cheap_config, 0.0, 1.5, floor, 0.0) == pytest.approx(expected, rel=1e-11)
-    assert certified_cutoff(cheap_config, 0.0, 1.5, floor) <= expected
+    assert _split_cutoff(cheap_config, 1.5, floor, 0.0) == pytest.approx(expected, rel=1e-11)
+    assert certified_cutoff(cheap_config, 1.5, floor) <= expected
     # a floor above the peak a^2 / (4 b) is reached by no mode
-    assert certified_cutoff(cheap_config, 0.0, 1.5, 1.01 * a * a / (4.0 * b)) == 0.0
+    assert certified_cutoff(cheap_config, 1.5, 1.01 * a * a / (4.0 * b)) == 0.0
     # surface tension only lowers the bound, so only lowers the cutoff
-    assert certified_cutoff(cheap_config, 1.0, 1.5, floor) < expected
+    assert certified_cutoff(cheap_config.with_theta(1.0), 1.5, floor) < expected
 
 
 def test_sizing_grows_an_owned_set_to_the_certified_cutoff(cheap_config):
     fm = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
     lam = size_mode_set(fm, 0.0).lam
-    assert growth_cutoff(cheap_config, 0.0, lam) <= fm.modes.k_max
+    assert growth_cutoff(cheap_config, lam) <= fm.modes.k_max
     assert solve_lambda(cheap_config, DISC).lam == lam
     # alpha(s) is sized with floor alpha(s): the same value on a wider set
     sized = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
     value = size_mode_set(sized, 0.0, 0.2)
-    assert certified_cutoff(cheap_config, 0.0, 0.2, value.alpha) <= sized.modes.k_max
+    assert certified_cutoff(cheap_config, 0.2, value.alpha) <= sized.modes.k_max
     assert global_alpha(cheap_config, 0.2, DISC).alpha == value.alpha
     wider_set = FrozenModeSet.freeze(cheap_config, DISC, 2.0 * sized.modes.k_max)
     wider = wider_set.alpha_value(0.2, 0.0)
     assert wider.alpha == value.alpha and wider.argmax_k == value.argmax_k
 
 
-def test_growth_cutoff_is_the_largest_root_of_the_envelope_polynomial(cheap_config):
-    def p(k, theta, lam):
-        return (theta * k**3 + 2.0 * 2.0 * lam * k**2 - 9.8 * k + 3.0 * lam**2)
-
-    # at theta = 0, p is a quadratic: the cutoff is its larger root
-    lam = 0.7
-    expected = (9.8 + math.sqrt(9.8**2 - 4.0 * 4.0 * lam * 3.0 * lam**2)) / (2.0 * 4.0 * lam)
-    assert growth_cutoff(cheap_config, 0.0, lam) == pytest.approx(expected, rel=1e-11)
-    for theta in (0.5, 3.0):
-        k2 = growth_cutoff(cheap_config, theta, lam)
-        assert p(k2, theta, lam) > 0.0 > p(k2 * (1.0 - 1e-9), theta, lam)
-        assert k2 < expected  # surface tension only lowers the cutoff
-    # a rate no envelope reaches leaves no mode at all
-    assert growth_cutoff(cheap_config, 0.0, 10.0) == 0.0
+@settings(max_examples=50, deadline=None)
+@given(configs(), span(0.0, 0.95), span(0.05, 0.95))
+def test_growth_cutoff_is_the_largest_root_of_the_envelope_polynomial(cfg, fraction, share):
+    # growth_cutoff bisects B_1 >= lam^2 at s = lam; that is p(k) <= 0 for
+    #   p(k) = theta k^3 + 2 (mu+ + mu-) lam k^2 - g [rho] k + (rho+ + rho-) lam^2,
+    # whose largest root numpy finds independently. lam is a share of the
+    # envelope root at the smallest magnitude k0, so p(k0) < 0: p, convex on
+    # k > 0 with p(0) > 0, has one simple root below k0 and one above. numpy
+    # solves for y = 1/k, whose leading coefficient is not theta, which may be
+    # tiny; in (0, 1/k0) the only other root is the one at y = 0 (theta = 0),
+    # or within rounding of it.
+    cfg = cfg.with_theta(fraction * theta_critical(cfg))
+    k0 = smallest_magnitude(cfg)
+    lam = share * float(envelope_root(cfg, cfg.theta, k0))
+    rho_sum, mu_sum = cfg.rho_plus + cfg.rho_minus, cfg.mu_plus + cfg.mu_minus
+    gr = cfg.g * cfg.density_jump
+    ys = np.roots([rho_sum * lam**2, -gr, 2.0 * mu_sum * lam, cfg.theta])
+    y = max(r.real for r in ys if abs(r.imag) <= 1e-9 * abs(r) and 0.0 < r.real < 1.0 / k0)
+    assert growth_cutoff(cfg, lam) == pytest.approx(1.0 / y, rel=1e-9)
+    # no envelope reaches a rate above max_k min(sqrt(g [rho] k / rho_sum),
+    # g [rho] / (2 k mu_sum)), attained where the two are equal
+    k3 = (gr * rho_sum / (4.0 * mu_sum**2)) ** (1.0 / 3.0)
+    assert growth_cutoff(cfg, 1.01 * math.sqrt(gr * k3 / rho_sum)) == 0.0
     with pytest.raises(ValueError):
-        growth_cutoff(cheap_config, 0.0, 0.0)
+        growth_cutoff(cfg, 0.0)
 
 
 def test_contrast_config_sizes_few_modes():
@@ -507,7 +489,7 @@ def test_inertia_scans_match_full_solves(cfg, fraction, s):
             delta = 1e-9 * max(1.0, abs(dense))
             assert alpha_below(forms, s, dense + delta)
             assert not alpha_below(forms, s, dense - delta)
-            upper = float(alpha_bound(cfg, theta, k, s)) if forms.c_k > 0.0 else 0.0
+            upper = float(split_bound(cfg, s)(k)) if forms.c_k > 0.0 else 0.0
             assert pencil.mode_alpha(forms, s, upper) == pytest.approx(dense, rel=1e-10, abs=1e-10)
 
     # The scans equal the maximum over a full solve of every mode, and every
