@@ -300,25 +300,33 @@ def split_bound(cfg: FluidConfig, s: float, split: float = 0.0):
 
     B_0 is U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max.
     """
-    gr, theta, rho_sum, stokes, interior = _split_terms(cfg, s, split)
+    return _split_bound(cfg, s, split)[0]
+
+
+def _split_bound(cfg: FluidConfig, s: float, split: float):
+    """(B_l, the k > 0 at which it peaks, a k past the peak) at l = split.
+
+    Where its positive part is on, B_l = a k - theta k^3 / (rho+ + rho-)
+    - b k^2 is concave, with one peak before the positive part switches off.
+    The k past the peak is g [rho] / stokes, past which c_k <= g [rho]
+    - stokes k turns the positive part off, or twice the peak when stokes = 0.
+    """
+    gr = cfg.g * cfg.density_jump
+    theta = cfg.theta
+    rho_sum = cfg.rho_plus + cfg.rho_minus
+    stokes = 2.0 * split * s * (cfg.mu_plus + cfg.mu_minus)
+    interior = (1.0 - split) * s * min(cfg.mu_plus, cfg.mu_minus) / max(
+        cfg.rho_plus, cfg.rho_minus
+    )
 
     def bound(k):
         c = gr - (theta * k + stokes) * k
         return 0.5 * (c + abs(c)) * k / rho_sum - interior * k * k
 
-    return bound
-
-
-def _split_terms(cfg: FluidConfig, s: float, split: float):
-    """(g [rho], theta, rho+ + rho-, 2 l s (mu+ + mu-), (1 - l) s mu_min / rho_max)."""
-    viscous = min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
-    return (
-        cfg.g * cfg.density_jump,
-        cfg.theta,
-        cfg.rho_plus + cfg.rho_minus,
-        2.0 * split * s * (cfg.mu_plus + cfg.mu_minus),
-        (1.0 - split) * s * viscous,
-    )
+    a, b = gr / rho_sum, stokes / rho_sum + interior
+    # B_l' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak
+    peak = a / (b + math.sqrt(b * b + 3.0 * a * theta / rho_sum))
+    return bound, peak, gr / stokes if stokes > 0.0 else 2.0 * peak
 
 
 def certified_cutoff(cfg: FluidConfig, s: float, floor: float) -> float:
@@ -378,21 +386,15 @@ def _split_cutoff(cfg: FluidConfig, s: float, floor: float, split: float) -> flo
     """Largest k > 0 with B_l(k) >= floor at l = split (certified_cutoff), or
     0 when no k reaches floor.
 
-    Where its positive part is on, B_l = a k - theta k^3 / (rho+ + rho-)
-    - b k^2 is concave with a single peak; it vanishes at k = 0 and is at
-    most 0 where the positive part switches off, so the peak comes first,
-    and beyond it B_l falls to -inf, or to 0 < floor at l = 1. So
-    {B_l >= floor} is an interval, whose upper end is bracketed by doubling
-    from the peak and then bisected.
+    B_l vanishes at k = 0, rises to its peak (_split_bound) and is at most 0
+    where its positive part is off, beyond which it falls to -inf, or stays
+    at 0 < floor at l = 1. So {B_l >= floor} is an interval. Its upper end is
+    bracketed between the peak and the k past it from _split_bound, doubled
+    while B_l still reaches floor there, and then bisected.
     """
-    bound = split_bound(cfg, s, split)
-    gr, theta, rho_sum, stokes, interior = _split_terms(cfg, s, split)
-    a, b = gr / rho_sum, stokes / rho_sum + interior
-    # B_l' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak
-    lo = a / (b + math.sqrt(b * b + 3.0 * a * theta / rho_sum))
+    bound, lo, hi = _split_bound(cfg, s, split)
     if bound(lo) < floor:
         return 0.0
-    hi = 2.0 * lo
     while bound(hi) >= floor:
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-12 * hi:

@@ -417,21 +417,39 @@ def test_growth_cutoff_is_the_largest_root_of_the_envelope_polynomial(cfg, fract
     # k > 0 with p(0) > 0, has one simple root below k0 and one above. numpy
     # solves for y = 1/k, whose leading coefficient is not theta, which may be
     # tiny; in (0, 1/k0) the only other root is the one at y = 0 (theta = 0),
-    # or within rounding of it.
+    # or within rounding of it. Beside a far larger root, numpy's companion
+    # eigenvalue can be 1e-11 off, so two Newton steps on p polish it.
     cfg = cfg.with_theta(fraction * theta_critical(cfg))
     k0 = smallest_magnitude(cfg)
     lam = share * float(envelope_root(cfg, cfg.theta, k0))
     rho_sum, mu_sum = cfg.rho_plus + cfg.rho_minus, cfg.mu_plus + cfg.mu_minus
     gr = cfg.g * cfg.density_jump
-    ys = np.roots([rho_sum * lam**2, -gr, 2.0 * mu_sum * lam, cfg.theta])
-    y = max(r.real for r in ys if abs(r.imag) <= 1e-9 * abs(r) and 0.0 < r.real < 1.0 / k0)
-    assert growth_cutoff(cfg, lam) == pytest.approx(1.0 / y, rel=1e-9)
+    b, q = 2.0 * mu_sum * lam, rho_sum * lam**2
+    ys = np.roots([q, -gr, b, cfg.theta])
+    k = 1.0 / max(r.real for r in ys if abs(r.imag) <= 1e-9 * abs(r) and 0.0 < r.real < 1.0 / k0)
+    for _ in range(2):
+        k -= (((cfg.theta * k + b) * k - gr) * k + q) / ((3.0 * cfg.theta * k + 2.0 * b) * k - gr)
+    assert growth_cutoff(cfg, lam) == pytest.approx(k, rel=1e-11)
     # no envelope reaches a rate above max_k min(sqrt(g [rho] k / rho_sum),
     # g [rho] / (2 k mu_sum)), attained where the two are equal
     k3 = (gr * rho_sum / (4.0 * mu_sum**2)) ** (1.0 / 3.0)
     assert growth_cutoff(cfg, 1.01 * math.sqrt(gr * k3 / rho_sum)) == 0.0
     with pytest.raises(ValueError):
         growth_cutoff(cfg, 0.0)
+
+
+def test_growth_cutoff_is_the_closed_form_root_without_surface_tension(cheap_config):
+    def p(k, theta, lam):
+        return (theta * k**3 + 2.0 * 2.0 * lam * k**2 - 9.8 * k + 3.0 * lam**2)
+
+    # at theta = 0, p is a quadratic: the cutoff is its larger root
+    lam = 0.7
+    expected = (9.8 + math.sqrt(9.8**2 - 4.0 * 4.0 * lam * 3.0 * lam**2)) / (2.0 * 4.0 * lam)
+    assert growth_cutoff(cheap_config, lam) == pytest.approx(expected, rel=1e-11)
+    for theta in (0.5, 3.0):
+        k2 = growth_cutoff(cheap_config.with_theta(theta), lam)
+        assert p(k2, theta, lam) > 0.0 > p(k2 * (1.0 - 1e-9), theta, lam)
+        assert k2 < expected  # surface tension only lowers the cutoff
 
 
 def test_contrast_config_sizes_few_modes():
