@@ -16,6 +16,11 @@ solves) and its answer (lambda and argmax_k), so that a later file can check
 that a speed-up kept the answer. The child counts modes as the final size of
 every mode set it builds and solves as the growth results it validates; both
 are read from its own process, not inferred from the outputs.
+
+Times compare only within one file: wall_s and main_s move with the machine's
+load from one session to the next, and a file records no baseline of the
+same session. lambda, argmax_k, modes and solves compare across files. To
+measure a change, run this script on both trees in one session.
 """
 
 from __future__ import annotations

@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Write a fixed set of command-line outputs and exit codes into one directory.
+
+Usage: python scripts/cli_outputs.py OUTDIR
+
+Runs the tool of the tree the script sits in (its src/) on four configs:
+reference (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1, theta 0), viscous
+(mu 1/1), contrast (rho 5.2/0.2, mu 0.1/5, g 20, L = 2, h = 0.3) and
+anisotropic (L2 = 1.7, h- = 0.5, mu- = 0.2, theta = 3). On each it runs
+`growth --mode-table` at N = 32 and 128; `sweep-theta` at N = 64 as CSV with
+its report, as JSON, and on the grid 0.3,0.6,0.95; `verify` at N = 64 with
+its stdout and its JSON; `alpha-curve --s-grid 0.1,0.3,1,3` at N = 32 with
+and without `--kmax 6`; and `oracle-compare` at N = 32. Every run's exit
+code goes to OUTDIR/exit_codes.txt, and the stderr of a failed run to
+<name>.stderr beside its outputs. Outputs are byte-stable, so comparing two
+trees is one `diff -r` of their OUTDIRs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+
+REFERENCE = {
+    "rho_plus": 2.0, "rho_minus": 1.0, "mu_plus": 0.1, "mu_minus": 0.1, "g": 9.8,
+    "theta": 0.0, "L1": 1.0, "L2": 1.0, "h_plus": 1.0, "h_minus": 1.0,
+}
+CONFIGS = {
+    "reference": REFERENCE,
+    "viscous": {**REFERENCE, "mu_plus": 1.0, "mu_minus": 1.0},
+    "contrast": {
+        **REFERENCE, "rho_plus": 5.2, "rho_minus": 0.2, "mu_plus": 0.1, "mu_minus": 5.0,
+        "g": 20.0, "L1": 2.0, "L2": 2.0, "h_plus": 0.3, "h_minus": 0.3,
+    },
+    "anisotropic": {**REFERENCE, "L2": 1.7, "h_minus": 0.5, "mu_minus": 0.2, "theta": 3.0},
+}
+
+# (name, command-line arguments, stdout file or None); {out} is the config's
+# output directory. Every cli.COMMANDS entry appears (tests/test_scripts.py).
+RUNS = [
+    ("growth_32", ["growth", "--resolution", "32", "--out", "{out}/growth_32.json",
+                   "--mode-table", "{out}/growth_32.modes.csv"], None),
+    ("growth_128", ["growth", "--resolution", "128", "--out", "{out}/growth_128.json",
+                    "--mode-table", "{out}/growth_128.modes.csv"], None),
+    ("sweep_csv", ["sweep-theta", "--resolution", "64", "--out", "{out}/sweep.csv"], None),
+    ("sweep_json", ["sweep-theta", "--resolution", "64", "--format", "json",
+                    "--out", "{out}/sweep.json"], None),
+    ("sweep_grid", ["sweep-theta", "--resolution", "64", "--theta-grid", "0.3,0.6,0.95",
+                    "--out", "{out}/sweep_grid.csv"], None),
+    ("verify", ["verify", "--resolution", "64", "--out", "{out}/verify.json"], "verify.stdout"),
+    ("alpha_curve", ["alpha-curve", "--resolution", "32", "--s-grid", "0.1,0.3,1,3",
+                     "--out", "{out}/alpha_curve.csv"], None),
+    ("alpha_curve_kmax", ["alpha-curve", "--resolution", "32", "--s-grid", "0.1,0.3,1,3",
+                          "--kmax", "6", "--out", "{out}/alpha_curve_kmax.csv"], None),
+    ("oracle_compare", ["oracle-compare", "--resolution", "32",
+                        "--out", "{out}/oracle_compare.csv"], None),
+]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", help="directory to write the outputs into")
+    args = parser.parse_args()
+
+    outdir = Path(args.outdir)
+    codes = []
+    for config, fields in CONFIGS.items():
+        out = outdir / config
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.json").write_text(json.dumps(fields) + "\n")
+        for name, argv, stdout in RUNS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rtgrowth.cli", argv[0], "--config", str(out / "config.json"),
+                 *(a.format(out=out) for a in argv[1:])],
+                cwd=ROOT, env=ENV, capture_output=True, text=True,
+            )
+            if stdout is not None:
+                (out / stdout).write_text(proc.stdout)
+            if proc.returncode != 0:
+                (out / f"{name}.stderr").write_text(proc.stderr)
+            codes.append(f"{config}/{name} {proc.returncode}")
+            print(codes[-1], flush=True)
+    (outdir / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,10 +1,11 @@
 """Surface-tension sweeps and the self-contained verification suite.
 
-A sweep solves every point of a strictly increasing theta grid against one
-shared mode set sized at theta = 0, so the cross-theta comparisons
-inherit exact monotonicity at the discrete level; every point checks its own
-certified cutoff against that set and raises instead of extending it. The
-sweep raises unless Lambda decreases strictly along the whole grid and
+A sweep solves every point of a strictly increasing theta grid on one shared
+mode set. Each point's solve extends the set until its own growth cutoff lies
+inside (spectrum.size_mode_set), so every point is the maximum over the whole
+lattice, and the compliances of a mode are computed once for the grid. Every
+Lambda_k strictly decreases in theta, as c_k does, so their maximum does too:
+the sweep raises unless Lambda decreases strictly along the whole grid, and it
 reports Lambda <= m at every point, so a grid that closes in on theta_c
 checks the vanishing limit, and one that brackets a point checks the ordering
 Lambda(theta - delta) > Lambda(theta) > Lambda(theta + delta). The report
@@ -34,7 +35,7 @@ from .modeforms import (
 )
 from .oracle import compare_modes
 from .pencil import Discretization
-from .spectrum import FrozenModeSet, alpha_curve
+from .spectrum import FrozenModeSet, alpha_curve, smallest_magnitude
 
 
 def _sized_mode_set(
@@ -107,7 +108,7 @@ class ThetaSweep:
 
 
 def sweep_theta(cfg: FluidConfig, fractions, disc: Discretization) -> ThetaSweep:
-    """Solve Lambda over theta = fractions * theta_c on one mode set sized at theta = 0."""
+    """Solve Lambda at theta = fractions * theta_c, one solve per point, on one shared set."""
     validate_config(cfg)
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or fractions.size == 0:
@@ -117,17 +118,14 @@ def sweep_theta(cfg: FluidConfig, fractions, disc: Discretization) -> ThetaSweep
     if fractions.size > 1 and not np.all(np.diff(fractions) > 0.0):
         raise ValueError("fractions must be strictly increasing")
     theta_c = theta_critical(cfg)
-    fm, res0 = _sized_mode_set(cfg, disc)
-    results = [
-        res0 if f == 0.0 else solve_lambda(cfg.with_theta(f * theta_c), disc, frozen=fm)
-        for f in fractions
-    ]
+    fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
+    results = [solve_lambda(cfg.with_theta(f * theta_c), disc, frozen=fm) for f in fractions]
 
     sweep = ThetaSweep(results, theta_c, wang_tice_bound(cfg))
     if not np.all(np.diff(sweep.lambdas) < 0.0):
         raise MonotonicityViolation(
-            "growth rate failed to decrease strictly along the theta sweep; "
-            "the mode set must be frozen across points"
+            "growth rate failed to decrease strictly along the theta sweep, "
+            "though every per-mode rate Lambda_k strictly decreases in theta"
         )
     return sweep
 
@@ -252,7 +250,7 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
 
     n = disc.elements_per_layer
     oracle_tol = 5e-5 if n >= 128 else min(1e-2, 5e-5 * (128.0 / n) ** 4)
-    ks = [min(1.0 / cfg.L1, 1.0 / cfg.L2)]
+    ks = [smallest_magnitude(cfg)]
     if result is not None and result.argmax_k not in ks:
         ks.append(result.argmax_k)
     rows = compare_modes(cfg, ks, disc)

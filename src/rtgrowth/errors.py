@@ -61,10 +61,6 @@ class EmptyModeSet(SolverError):
     """Cutoff below the smallest lattice wavenumber magnitude."""
 
 
-class CutoffRunaway(SolverError):
-    """A frozen mode set ends below the certified cutoff of its answer."""
-
-
 class MonotonicityViolation(SolverError):
     """A quantity the theory requires to be strictly monotone is not.
 

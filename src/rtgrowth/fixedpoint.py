@@ -9,13 +9,14 @@ solves Lambda_k by banded Newton steps (pencil.fixed_point) only for the modes
 that one inertia test at the running maximum cannot rule out. The eigenprofile
 is the last solve of the maximizing mode's Newton loop, and the alpha at
 Lambda and the fixed-point residual come from that solve too.
-An owned mode set is grown until the growth cutoff (spectrum.growth_cutoff)
-at the answer lies inside it; a set handed in must have been built for the
-same config, up to theta, and resolution, and is checked against that cutoff
-once. Beside the paper's bound m, a result carries the sharper proven bound
-bound_compliance = max_k r_k (spectrum.compliance_bound): modes above the
-cutoff have r_k < Lambda, so the maximum over the set is the one over the
-lattice.
+Every solve sizes its mode set the one way (spectrum.size_mode_set): the set,
+owned or handed in, is extended until the growth cutoff
+(spectrum.growth_cutoff) at the answer lies inside it. Modes above the cutoff
+have r_k < Lambda, so the maximum over the set is the one over the lattice.
+Extending only appends modes, and the scan visits them only after the
+maximizer, so a set handed in that was already large enough gives the same
+bits as an owned one. Beside the paper's bound m, a result carries the
+sharper proven bound bound_compliance = max_k r_k (spectrum.compliance_bound).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffRunaway, SolverError, StableRegime
+from .errors import SolverError, StableRegime
 from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile
 from .pencil import (
@@ -38,13 +39,7 @@ from .pencil import (
     prolong_coeffs,
     residual_dual_norm,
 )
-from .spectrum import (
-    FrozenModeSet,
-    compliance_bound,
-    growth_cutoff,
-    size_mode_set,
-    smallest_magnitude,
-)
+from .spectrum import FrozenModeSet, compliance_bound, size_mode_set, smallest_magnitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,38 +126,24 @@ def solve_lambda(
     tol_fp bounds the fixed-point residual that validation accepts, relative
     to max(1, Lambda^2). No caller in the package varies it; it stays a
     parameter because perfbench/workloads.py passes it. A frozen set must
-    serve cfg and disc (FrozenModeSet.check_serves): it is maximized over as
-    it is, never extended.
+    serve cfg and disc (FrozenModeSet.check_serves) and is sized by
+    size_mode_set as an owned set is, so a sweep can hand one set to every theta.
     """
     validate_config(cfg)
     if tol_fp <= 0.0:
         raise ValueError(f"tol_fp must be > 0, got {tol_fp!r}")
-    theta_c = theta_critical(cfg)
-    if cfg.theta >= theta_c:
-        raise StableRegime(cfg.theta, theta_c)
-    theta = cfg.theta
-
-    fm = frozen
-    if fm is None:
-        # at the smallest magnitude c_k > 0, since theta < theta_c
-        fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
-        best = size_mode_set(fm, theta)
-    else:
-        fm.check_serves(cfg, disc)
-        best = fm.growth_max(theta)
-    cutoff = growth_cutoff(cfg, best.lam)
-    if cutoff > fm.modes.k_max:
-        raise CutoffRunaway(
-            f"a mode up to k = {cutoff!r} may grow faster than lambda = {best.lam!r}, "
-            f"but the frozen mode set ends at k_max = {fm.modes.k_max!r}"
-        )
+    bound_m = upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
+    if frozen is None:
+        # theta < theta_c: c_k > 0 at the smallest magnitude, which every set holds
+        frozen = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
+    frozen.check_serves(cfg, disc)
     result = GrowthResult(
-        fixed_point=best,
-        bound_m=upper_bound_m(cfg),
-        bound_compliance=float(np.max(fm.growth_bounds(theta))),
-        theta=theta,
+        fixed_point=size_mode_set(frozen, cfg.theta),
+        bound_m=bound_m,
+        bound_compliance=float(np.max(frozen.growth_bounds(cfg.theta))),
+        theta=cfg.theta,
         tol_fp=tol_fp,
-        mode_set=fm,
+        mode_set=frozen,
     )
     result.validate()
     return result

@@ -5,11 +5,14 @@ vertical profile psi(y3) in the clamped space (psi = psi' = 0 at both walls,
 psi and psi' continuous at the interface y3 = 0). The longitudinal horizontal
 amplitude is eliminated through the divergence constraint, which turns the
 kinetic energy, the viscous dissipation, and the interface energy of a single
-mode into the three quadratic forms evaluated here:
+mode into three quadratic forms:
 
     kinetic      sum_layers rho * integral( psi'^2 / k^2 + psi^2 )
     dissipation  sum_layers mu  * integral( 4 psi'^2 + (k psi + psi''/k)^2 )
     surface      (g [rho] - theta k^2) * psi(0)^2
+
+pencil.assemble integrates the first two exactly with the Gauss rule and the
+Hermite shapes defined here; surface_coefficient gives the third.
 
 Profiles are piecewise-cubic Hermite interpolants of nodal (value, derivative)
 data; psi'' is the exact elementwise second derivative of that representation,
@@ -31,7 +34,7 @@ from .errors import InadmissibleProfile, ZeroWaveNumber
 from .model import FluidConfig
 
 # 5-point Gauss-Legendre rule on [0, 1]: exact through polynomial degree 9,
-# which covers every integrand appearing below (degree <= 6).
+# which covers every integrand of the kinetic and dissipation forms (degree <= 6).
 _GX, _GW = np.polynomial.legendre.leggauss(5)
 GAUSS_NODES = 0.5 * (_GX + 1.0)
 GAUSS_WEIGHTS = 0.5 * _GW
@@ -166,34 +169,6 @@ def _quad_data(profile: VerticalProfile):
     ddpsi = (v0 * s2[0] + d0 * hh * s2[1] + v1 * s2[2] + d1 * hh * s2[3]) / hh**2
     w = hh * GAUSS_WEIGHTS[None, :]
     return h, w, psi, dpsi, ddpsi
-
-
-def _layer_weights(profile: VerticalProfile, lower: float, upper: float) -> np.ndarray:
-    return np.where(profile.layer_tags < 0, lower, upper)
-
-
-def kinetic_form(k: float, profile: VerticalProfile, cfg: FluidConfig) -> float:
-    """sum_layers rho * integral( psi'^2 / k^2 + psi^2 )."""
-    if k <= 0.0:
-        raise ZeroWaveNumber(f"kinetic form needs k > 0, got {k!r}")
-    _, w, psi, dpsi, _ = _quad_data(profile)
-    rho = _layer_weights(profile, cfg.rho_minus, cfg.rho_plus)
-    return float((rho[:, None] * w * (dpsi**2 / k**2 + psi**2)).sum())
-
-
-def dissipation_form(k: float, profile: VerticalProfile, cfg: FluidConfig) -> float:
-    """sum_layers mu * integral( 4 psi'^2 + (k psi + psi''/k)^2 ).
-
-    This is the longitudinal-optimal value of the per-mode dissipation
-    functional, i.e. one half of the mu-weighted symmetric-gradient norm of
-    the reconstructed velocity field.
-    """
-    if k <= 0.0:
-        raise ZeroWaveNumber(f"dissipation form needs k > 0, got {k!r}")
-    _, w, psi, dpsi, ddpsi = _quad_data(profile)
-    mu = _layer_weights(profile, cfg.mu_minus, cfg.mu_plus)
-    integrand = 4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2
-    return float((mu[:, None] * w * integrand).sum())
 
 
 def surface_coefficient(k: float, cfg: FluidConfig) -> float:

@@ -224,17 +224,6 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     )
 
 
-def _fix_sign(x: np.ndarray, e0_index: int) -> np.ndarray:
-    """Sign convention: psi(0) >= 0, first nonzero dof positive as tiebreak."""
-    v = x[e0_index]
-    if v != 0.0:
-        return x if v > 0.0 else -x
-    nz = np.nonzero(x)[0]
-    if nz.size and x[nz[0]] < 0.0:
-        return -x
-    return x
-
-
 def _energy(forms: PencilForms, s: float, alpha: float) -> np.ndarray:
     """s A_diss + alpha B, in band form."""
     return s * forms.A_band + alpha * forms.B_band
@@ -361,7 +350,9 @@ class FixedPoint:
     result of every growth solve, global or single-mode.
 
     alpha is alpha_k(lam) to first order from the last solve. vector is the
-    eigenvector, normalized to x^T B x = 1 with psi(0) >= 0 (_fix_sign). The
+    eigenvector, normalized to x^T B x = 1. Its interface value psi(0) is
+    positive with no sign flip: it is a positive multiple of
+    e0^T (s A + s^2 B)^(-1) e0 > 0, s A + s^2 B being positive definite. The
     profile is built from it only when it is read.
     """
 
@@ -415,7 +406,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
         step = phi * (1.0 - phi) / (-c * (float(x @ band_matvec(forms.A_band, x)) + 2.0 * s * xb))
         if last or phi == 1.0 or hi - lo <= 1e-15 * s:
             alpha = s * s + (phi - 1.0) / (c * xb)
-            return FixedPoint(forms, s, alpha, _fix_sign(x / math.sqrt(xb), forms.e0_index))
+            return FixedPoint(forms, s, alpha, x / math.sqrt(xb))
         last = abs(step) <= 1e-9 * s
         s = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
     raise FactorizationFailure(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")

@@ -35,8 +35,9 @@ lattice magnitude and grows, at most doubling per step, until the cutoff for
 the quantity it serves lies inside it (size_mode_set); every mode left out
 then provably cannot reach the value computed on the set. A set handed in by
 the caller must have been built for the caller's config, up to theta, and
-resolution (FrozenModeSet.check_serves); it is evaluated as it is and never
-extended.
+resolution (FrozenModeSet.check_serves). A growth solve sizes it for Lambda
+like an owned set (fixedpoint.solve_lambda); alpha(s) evaluates it as it is
+(alpha_curve with a set, FrozenModeSet.alpha_value).
 """
 
 from __future__ import annotations

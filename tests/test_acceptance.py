@@ -3,7 +3,7 @@
 The reference case (rho+ = 2, rho- = 1, mu = 0.1, g = 9.8, L1 = L2 = 1,
 h = 1) is solved once per fixture scope and shared: the per-mode spectral
 cache is independent of the surface tension, so every theta sweep, including
-the one bracketing theta_c / 2 in criterion 4, rides one frozen mode set.
+the one bracketing theta_c / 2 in criterion 4, rides one shared mode set.
 Each test prints one PASS/FAIL line (run with -s to see them).
 """
 
@@ -59,7 +59,7 @@ def reference_sweep():
 
 @pytest.fixture(scope="module")
 def frozen_reference(reference_sweep):
-    """The sweep's mode set, sized at theta = 0, with the theta = 0 solve."""
+    """The sweep's shared mode set, sized by every point, with the theta = 0 solve."""
     res0 = reference_sweep.results[0]
     return res0.mode_set, res0
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from rtgrowth import analysis
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
-from rtgrowth.fixedpoint import GrowthResult
+from rtgrowth.fixedpoint import GrowthResult, solve_lambda
 from rtgrowth.model import theta_critical, wang_tice_bound
 from rtgrowth.pencil import Discretization
 
@@ -25,6 +26,24 @@ def test_sized_mode_set_solves_once(cheap_config, monkeypatch):
     fm, res0 = _sized_mode_set(cfg, DISC, 1e-8)
     assert validated == [res0]
     assert res0.mode_set is fm
+
+
+def test_sweep_solves_only_its_grid_points(cheap_config, monkeypatch):
+    # one growth solve per point and none at theta = 0 off the grid; each
+    # point equals an owned solve bit for bit, though the points share a set
+    thetas = []
+
+    def spy(cfg, disc, *args, **kwargs):
+        thetas.append(cfg.theta)
+        return solve_lambda(cfg, disc, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_lambda", spy)
+    sweep = sweep_theta(cheap_config, [0.3, 0.6, 0.95], DISC)
+    theta_c = theta_critical(cheap_config)
+    assert thetas == [f * theta_c for f in (0.3, 0.6, 0.95)]
+    for res, theta in zip(sweep.results, thetas):
+        owned = solve_lambda(cheap_config.with_theta(theta), DISC)
+        assert (res.lam, res.argmax_k) == (owned.lam, owned.argmax_k)
 
 
 def test_sweep_contract(cheap_config):

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dissipation_form, kinetic_form
 from rtgrowth.errors import InadmissibleProfile, ZeroWaveNumber
 from rtgrowth.modeforms import (
     VerticalProfile,
     check_trace_inequalities,
-    dissipation_form,
-    kinetic_form,
     threshold_test_profile,
     random_admissible_profile,
     smooth_bump_profile,

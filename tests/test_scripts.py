@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rtgrowth import Discretization, FluidConfig, solve_lambda
+from rtgrowth import Discretization, FluidConfig, cli, solve_lambda
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,13 +31,25 @@ def test_script_runs(script, args):
     assert "lambda" in proc.stdout
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_outputs_covers_every_command():
+    # checked without running the script: it runs every command on four configs
+    runs = load_script("cli_outputs").RUNS
+    assert {argv[0] for _, argv, _ in runs} == set(cli.COMMANDS)
+    assert len({name for name, _, _ in runs}) == len(runs)
+
+
 def test_bench_child_counts_modes_and_solves(tmp_path):
     # the bench child reports the final size of every mode set the run builds,
     # the growth results it validates and the time inside cli.main, read from
     # inside its process
-    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_script("bench")
     config = tmp_path / "reference.json"
     config.write_text(json.dumps(bench.REFERENCE))
     wall_s, proc = bench.timed(

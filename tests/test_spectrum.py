@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import largest_eigenpair
 from rtgrowth import pencil, spectrum
-from rtgrowth.errors import CutoffRunaway, EmptyModeSet, MonotonicityViolation
+from rtgrowth.errors import EmptyModeSet, MonotonicityViolation
 from rtgrowth.analysis import sweep_theta
 from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical
@@ -263,15 +263,19 @@ def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
         alpha_curve(cheap_config, [0.5, 1.5], DISC, frozen=fm)
 
 
-def test_locked_set_interiority_guard(cheap_config):
-    # a set handed in is never extended; a deliberately tiny cutoff ends
-    # below the certified cutoff at Lambda
+def test_handed_in_set_is_sized_for_lambda_and_evaluated_as_is_for_alpha(cheap_config):
+    # a deliberately tiny set ends below the growth cutoff at Lambda
     fm = FrozenModeSet.freeze(cheap_config, DISC, 2.2)
-    with pytest.raises(CutoffRunaway):
-        solve_lambda(cheap_config, DISC, frozen=fm)
-    # a fixed set is still evaluated as it is
+    # alpha(s) evaluates a set as it is
     assert fm.alpha_value(0.5, 0.0).argmax_k <= 2.2
     assert fm.modes.k_max == 2.2
+    # a growth solve extends it, like an owned set, to the owned solve's answer
+    owned = solve_lambda(cheap_config, DISC)
+    assert growth_cutoff(cheap_config, owned.lam) > 2.2
+    handed = solve_lambda(cheap_config, DISC, frozen=fm)
+    assert handed.mode_set is fm and fm.modes.k_max > 2.2
+    assert handed.lam == owned.lam and handed.argmax_k == owned.argmax_k
+    assert handed.bound_compliance == owned.bound_compliance
 
 
 def test_mode_table_csv(cheap_config):
