@@ -5,17 +5,21 @@ Usage: python scripts/bench.py --out BENCH_<n>.json
 
 Rows, all on the reference config (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1,
 theta 0): `rtgrowth growth` at N = 64 and N = 128, `sweep-theta` (default
-grid) and `verify` at N = 128, each run REPEATS times, and the Tier-1 test
-suite, run once. Every run is a fresh interpreter with one BLAS thread, timed
-from start to exit (wall_s), because a command-line user pays imports on every
-run. Imports dominate that time, so each command row also records main_s, the
-time the child spends inside cli.main: the part a change to the solver moves.
+grid) and `verify` at N = 128, `oracle-compare` (default modes) at N = 32,
+each run REPEATS times, and the Tier-1 test suite, run once. Every run is a
+fresh interpreter with one BLAS thread, timed from start to exit (wall_s),
+because a command-line user pays imports on every run. Imports dominate that
+time, so each command row also records main_s, the time the child spends
+inside cli.main: the part a change to the solver moves.
 
 Each command row records its inputs (N, the modes sized, the number of global
-solves) and its answer (lambda and argmax_k), so that a later file can check
-that a speed-up kept the answer. The child counts modes as the final size of
-every mode set it builds and solves as the growth results it validates; both
-are read from its own process, not inferred from the outputs.
+solves, the dispersion determinant calls) and its answer (lambda and
+argmax_k; for oracle-compare, the oracle root and k of every compared mode),
+so that a later file can check that a speed-up kept the answer. The child
+counts modes as the final size of every mode set it builds, solves as the
+growth results it validates and determinants as the calls to
+oracle.determinant, batched or single-rate; all are read from its own
+process, not inferred from the outputs.
 
 Times compare only within one file: wall_s and main_s move with the machine's
 load from one session to the next, and a file records no baseline of the
@@ -58,12 +62,12 @@ ENV = {
 # cli.main on its last stderr line.
 CHILD_SCRIPT = """
 import json, sys, time
-from rtgrowth import cli
+from rtgrowth import cli, oracle
 from rtgrowth.fixedpoint import GrowthResult
 from rtgrowth.spectrum import FrozenModeSet
 
-sets, counts = [], {"solves": 0}
-init, validate = FrozenModeSet.__init__, GrowthResult.validate
+sets, counts = [], {"solves": 0, "determinants": 0}
+init, validate, determinant = FrozenModeSet.__init__, GrowthResult.validate, oracle.determinant
 
 def track_set(self, *args):
     init(self, *args)
@@ -73,7 +77,12 @@ def count_solve(self):
     counts["solves"] += 1
     return validate(self)
 
+def count_determinant(*args):
+    counts["determinants"] += 1
+    return determinant(*args)
+
 FrozenModeSet.__init__, GrowthResult.validate = track_set, count_solve
+oracle.determinant = count_determinant
 start = time.perf_counter()
 code = cli.main(sys.argv[1:])
 counts["main_s"] = time.perf_counter() - start
@@ -111,6 +120,7 @@ def cli_row(name: str, command: str, n: int, work: Path, answer) -> dict:
         "N": n,
         "modes": counts["modes"],
         "solves": counts["solves"],
+        "determinants": counts["determinants"],
         "lambda": lam,
         "argmax_k": argmax_k,
         "wall_s": statistics.median(runs),
@@ -137,6 +147,11 @@ def verify_answer(path: Path):
     detail = next(c["detail"] for c in report["checks"] if c["name"] == "fixed_point")
     lam, k = re.match(r"lambda (\S+) at k (\S+),", detail).groups()
     return float(lam), float(k)
+
+
+def oracle_answer(path: Path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [float(r[1]) for r in rows], [float(r[0]) for r in rows]
 
 
 def tier1_row() -> dict:
@@ -168,6 +183,7 @@ def main() -> None:
             cli_row("growth_128", "growth", 128, work, growth_answer),
             cli_row("sweep_theta_128", "sweep-theta", 128, work, sweep_answer),
             cli_row("verify_128", "verify", 128, work, verify_answer),
+            cli_row("oracle_compare_32", "oracle-compare", 32, work, oracle_answer),
         ]
     rows.append(tier1_row())
     for row in rows:

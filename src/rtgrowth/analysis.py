@@ -15,6 +15,7 @@ lists the compliance bound of every point, which each result has checked.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from .modeforms import (
     threshold_test_profile,
     random_admissible_profile,
 )
-from .oracle import compare_modes
+from .oracle import compare_modes, dispersion_root
 from .pencil import Discretization
 from .spectrum import FrozenModeSet, alpha_curve, smallest_magnitude
 
@@ -157,6 +158,7 @@ class VerifyReport:
 
 _TRACE_SAMPLES = 300
 _TRACE_SEED = 20240831
+_SCAN_GAP_TOL = 2e-12  # each root sits in a refined bracket at most 1e-12 wide
 
 
 def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
@@ -208,7 +210,7 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
         return VerifyReport(checks)
 
     m = upper_bound_m(cfg)
-    fm, _ = _sized_mode_set(cfg, disc)
+    fm, res0 = _sized_mode_set(cfg, disc)
 
     s_grid = np.geomspace(m / 20.0, 1.2 * m, 8)
     try:
@@ -235,7 +237,8 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
     )
 
     try:
-        result = solve_lambda(cfg, disc, frozen=fm)
+        # at theta = 0 the sizing solve is this solve: same set, same theta
+        result = res0 if cfg.theta == 0.0 else solve_lambda(cfg, disc, frozen=fm)
         checks.append(
             VerifyCheck(
                 "fixed_point",
@@ -260,13 +263,22 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
         or (r.lambda_variational is None and r.lambda_oracle is None)
         for r in rows
     )
-    agree = both_stable and all(d <= oracle_tol for d in diffs)
+    # compare_modes seeds each root search with the Galerkin Lambda_k; one
+    # unseeded full scan at the first mode checks the seeded root
+    full = dispersion_root(ks[0], cfg, 1.05 * m)
+    seeded = rows[0].lambda_oracle
+    if full is None or seeded is None:
+        scan_gap = 0.0 if full == seeded else math.inf
+    else:
+        scan_gap = abs(seeded - full) / full
+    agree = both_stable and all(d <= oracle_tol for d in diffs) and scan_gap <= _SCAN_GAP_TOL
     checks.append(
         VerifyCheck(
             "oracle_agreement",
             agree,
             f"max rel diff {max(diffs) if diffs else 0.0!r} over k = {ks!r} "
-            f"(tolerance {oracle_tol!r} at N = {n})",
+            f"(tolerance {oracle_tol!r} at N = {n}); full-scan root gap "
+            f"{scan_gap!r} at k = {ks[0]!r} (tolerance {_SCAN_GAP_TOL!r})",
         )
     )
 

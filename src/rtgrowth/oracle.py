@@ -24,11 +24,15 @@ regularized combinations (cosh qt - cosh kt)/(q^2 - k^2) and the sinh
 analogue, written through product identities so they stay finite and
 cancellation-free as q -> k (small n). Growth rates are the positive roots of
 the 8x8 condition determinant. The matrices for an array of P trial rates are
-built as one (P, 8, 8) stack, so the log-spaced sign scan is a single
-determinant call. The last sign-change cell, which holds the largest root, is
-then refined by Illinois (modified regula falsi) steps that always keep a sign
-bracket, with a bisection step whenever three steps in a row have not halved
-the bracket, until the bracket is at most 1e-12 of its upper end wide.
+built as one (P, 8, 8) stack, so each sign search is a single determinant
+call. Without a floor the search is a log-spaced scan of (0, scan_max]; with
+one (compare_modes passes the Galerkin Lambda_k^N, a proven lower bound of
+the root) it is a cluster of rates just above the floor plus the scan's nodes
+above that cluster, and the full scan runs only if that finds no sign change.
+The last sign-change cell, which holds the largest root, is then refined by
+Illinois (modified regula falsi) steps that always keep a sign bracket, with
+a bisection step whenever three steps in a row have not halved the bracket,
+until the bracket is at most 1e-12 of its upper end wide.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ _ARG_LIMIT = 700.0  # cosh overflows just above this
 _SCAN_POINTS = 240
 _SCAN_FLOOR = 1e-9
 _ROOT_RTOL = 1e-12
+# Relative offsets of the seeded nodes from the floor: one node just below it,
+# the floor itself, and half-decade steps from 1e-10 to 1e-1 above it.
+_FLOOR_OFFSETS = np.concatenate(([-1e-9, 0.0], np.geomspace(1e-10, 1e-1, 19)))
 
 
 def _layer_basis(k: float, q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -180,30 +187,68 @@ def _refine_root(k, cfg, lo, hi, f_lo, f_hi) -> float:
     return 0.5 * (lo + hi)
 
 
-def dispersion_root(k: float, cfg: FluidConfig, scan_max: float) -> float | None:
+def _largest_root(k, cfg, nodes: np.ndarray) -> float | None:
+    """Largest root on the increasing nodes, from one batched determinant call.
+
+    The largest root lies in the last cell with a sign change, or on a node
+    where the determinant is exactly zero; only that cell is refined
+    (_refine_root). None when no node is a root and no cell changes sign.
+    """
+    values = determinant(k, nodes, cfg)
+    if values[-1] == 0.0:
+        return float(nodes[-1])
+    for i in range(nodes.size - 2, -1, -1):
+        if values[i] == 0.0:
+            return float(nodes[i])
+        if np.sign(values[i]) != np.sign(values[i + 1]):
+            return float(_refine_root(k, cfg, nodes[i], nodes[i + 1], values[i], values[i + 1]))
+    return None
+
+
+def dispersion_root(
+    k: float, cfg: FluidConfig, scan_max: float, floor: float | None = None
+) -> float | None:
     """Largest positive root of the dispersion determinant, None if stable.
 
-    Evaluates the determinant on a log-spaced grid of _SCAN_POINTS rates in
-    (0, scan_max] in one batched call (growth rates can sit orders of
-    magnitude below the bound near the threshold). The largest root lies in
-    the last cell with a sign change, or on a grid node where the
-    determinant is exactly zero; only that cell is refined (_refine_root), to
-    a bracket [lo, hi] with hi - lo <= 1e-12 hi whose midpoint is returned.
+    Without a floor: the determinant on a log-spaced grid of _SCAN_POINTS
+    rates in (0, scan_max], in one batched call (growth rates can sit orders
+    of magnitude below the bound near the threshold), and the last sign
+    change refined (_largest_root) to a bracket [lo, hi] with
+    hi - lo <= 1e-12 hi whose midpoint is returned.
+
+    floor is a proven lower bound of the largest root, 0 < floor < scan_max.
+    The first call then covers floor * (1 + _FLOOR_OFFSETS) (one node 1e-9
+    below the floor, the floor, and half-decade steps from 1e-10 to 1e-1
+    above it) below scan_max, plus the grid's own nodes above that cluster,
+    and refines its last sign change. The grid nodes are kept, so the answer
+    differs from the unseeded one only when the root lies in the cluster,
+    and there only within the refined bracket. If those nodes show no root
+    the full scan runs as without a floor: the floor decides what the search
+    costs, never what it returns.
+
+    Why the Galerkin Lambda_k^N is such a floor: alpha_k(s) is a supremum of
+    the Rayleigh quotient over the clamped H^2 profiles, and alpha_k^N(s)
+    the same supremum over the Hermite cubic space, an H^2-conforming subspace
+    that satisfies the wall conditions; so alpha_k^N(s) <= alpha_k(s) at every
+    s. At s = Lambda_k^N this gives s^2 = alpha_k^N(s) <= alpha_k(s), and
+    alpha_k(s) - s^2 strictly decreases, so s <= Lambda_k, the continuous
+    fixed point, which is the largest root of the dispersion relation. The
+    node 1e-9 below the floor covers the rounding of both computed values.
     """
     if scan_max < upper_bound_m(cfg):
         raise ValueError(
             f"scan_max = {scan_max!r} below the growth-rate bound; roots could escape"
         )
     grid = np.geomspace(scan_max * _SCAN_FLOOR, scan_max, _SCAN_POINTS)
-    values = determinant(k, grid, cfg)
-    if values[-1] == 0.0:
-        return float(grid[-1])
-    for i in range(_SCAN_POINTS - 2, -1, -1):
-        if values[i] == 0.0:
-            return float(grid[i])
-        if np.sign(values[i]) != np.sign(values[i + 1]):
-            return float(_refine_root(k, cfg, grid[i], grid[i + 1], values[i], values[i + 1]))
-    return None
+    if floor is not None:
+        if not 0.0 < floor < scan_max:
+            raise ValueError(f"floor = {floor!r} outside (0, scan_max = {scan_max!r})")
+        seeded = floor * (1.0 + _FLOOR_OFFSETS)
+        seeded = seeded[seeded < scan_max]
+        root = _largest_root(k, cfg, np.concatenate((seeded, grid[grid > seeded[-1]])))
+        if root is not None:
+            return root
+    return _largest_root(k, cfg, grid)
 
 
 def _side_jet(profile: VerticalProfile, direction: int):
@@ -323,17 +368,19 @@ def compare_modes(
 
     Disagreement is reported, never resolved silently: callers decide what to
     flag against which tolerance. The Galerkin side is solve_mode_lambda;
-    only its Lambda_k is read, so no profile is built. The oracle scans up to
-    1.05 m. Raises StableRegime at theta >= theta_c (from the bound m), like
-    solve_mode_lambda.
+    only its Lambda_k is read, so no profile is built. The oracle searches
+    up to 1.05 m, seeded with the Galerkin Lambda_k^N as its floor (a proven
+    lower bound; see dispersion_root); a stable Galerkin mode has no floor,
+    and its oracle runs the full scan. Raises StableRegime at theta >= theta_c
+    (from the bound m), like solve_mode_lambda.
     """
     validate_config(cfg)
     scan_max = 1.05 * upper_bound_m(cfg)
     rows = []
     for k in ks:
         solved = solve_mode_lambda(cfg, k, disc)
-        root = dispersion_root(k, cfg, scan_max)
         lam_v = solved.lam if solved is not None else None
+        root = dispersion_root(k, cfg, scan_max, floor=lam_v)
         rel = None
         if lam_v is not None and root is not None:
             rel = abs(lam_v - root) / root

@@ -123,6 +123,24 @@ def test_verify_all_passes(cheap_config):
     json.dumps(payload)  # every field is a plain JSON value
 
 
+def test_verify_all_solves_once_at_theta_zero(cheap_config, monkeypatch):
+    # the theta = 0 solve that sizes the mode set is the fixed_point check's
+    # solve; the oracle check reports the gap of its one unseeded full scan
+    validated = []
+    real = GrowthResult.validate
+
+    def spy(self):
+        validated.append(self)
+        real(self)
+
+    monkeypatch.setattr(GrowthResult, "validate", spy)
+    report = verify_all(cheap_config, Discretization(16))
+    assert len(validated) == 1
+    (oracle_check,) = [c for c in report.checks if c.name == "oracle_agreement"]
+    assert oracle_check.passed
+    assert "full-scan root gap" in oracle_check.detail
+
+
 def test_verify_stable_configuration(cheap_config):
     theta_c = theta_critical(cheap_config)
     report = verify_all(cheap_config.with_theta(2.0 * theta_c), Discretization(16))

@@ -213,6 +213,64 @@ def test_root_determinant_calls(reference_config, monkeypatch):
         assert len(calls) <= 16
 
 
+def test_seeded_root_matches_reference_bisection(reference_config):
+    # the Galerkin Lambda_k as the floor moves no root beyond the bracket width
+    disc = Discretization(32)
+    for cfg, k in _root_cases(reference_config):
+        scan_max = 1.05 * upper_bound_m(cfg)
+        floor = solve_mode_lambda(cfg, k, disc).lam
+        expected = _bisection_root(k, cfg, scan_max)
+        seeded = dispersion_root(k, cfg, scan_max, floor=floor)
+        assert seeded == pytest.approx(expected, rel=2e-12, abs=0.0)
+
+
+def test_seeded_root_below_floor_falls_back_to_full_scan(reference_config, monkeypatch):
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    root = 0.3 * math.pi
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - root)
+    full = dispersion_root(1.0, reference_config, scan_max)
+    assert full == pytest.approx(root, rel=1e-12)
+    assert dispersion_root(1.0, reference_config, scan_max, floor=2.0) == full
+
+
+@pytest.mark.parametrize("r1, r2", [(1.0001, 2.0 * math.pi), (1.000001, 1.001)])
+def test_seeded_root_is_the_largest_above_floor(reference_config, monkeypatch, r1, r2):
+    # one root in the seeded cluster and one above it, or both in the cluster
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: (n - r1) * (n - r2))
+    seeded = dispersion_root(1.0, reference_config, scan_max, floor=1.0)
+    assert seeded == pytest.approx(r2, rel=1e-12)
+
+
+def test_seeded_root_determinant_calls(reference_config, monkeypatch):
+    # every lattice magnitude k <= 20 at N = 32: one batched call of at most
+    # 60 rates, then single-rate refinement, at most 6 calls per root
+    disc = Discretization(32)
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    squares = {i * i + j * j for i in range(21) for j in range(21)}
+    ks = [math.sqrt(q) for q in sorted(squares) if 0 < q <= 400]
+    calls = []
+
+    def counting(k, n, cfg):
+        calls.append(np.size(n) if np.ndim(n) else 0)
+        return determinant(k, n, cfg)
+
+    monkeypatch.setattr(oracle, "determinant", counting)
+    for k in ks:
+        floor = solve_mode_lambda(reference_config, k, disc).lam
+        calls.clear()
+        assert dispersion_root(k, reference_config, scan_max, floor=floor) is not None
+        assert 0 < calls[0] <= 60 and not any(calls[1:])
+        assert len(calls) <= 6
+
+
+def test_floor_precondition(reference_config):
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    for floor in (0.0, -1.0, scan_max, 2.0 * scan_max):
+        with pytest.raises(ValueError):
+            dispersion_root(1.0, reference_config, scan_max, floor=floor)
+
+
 def test_scan_overflow_raises(reference_config):
     m = upper_bound_m(reference_config)
     with pytest.raises(DegenerateExponents):
