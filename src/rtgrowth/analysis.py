@@ -34,7 +34,7 @@ from .modeforms import (
     threshold_test_profile,
     random_admissible_profile,
 )
-from .oracle import compare_modes, dispersion_root
+from .oracle import compare_modes, compare_solved_mode, dispersion_root
 from .pencil import Discretization
 from .spectrum import FrozenModeSet, alpha_curve, smallest_magnitude
 
@@ -256,7 +256,13 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
     ks = [smallest_magnitude(cfg)]
     if result is not None and result.argmax_k not in ks:
         ks.append(result.argmax_k)
-    rows = compare_modes(cfg, ks, disc)
+    # the fixed_point check has solved the argmax mode: its Lambda_k^N is result.lam
+    rows = [
+        compare_solved_mode(cfg, k, result.lam, 1.05 * m)
+        if result is not None and k == result.argmax_k
+        else compare_modes(cfg, [k], disc)[0]
+        for k in ks
+    ]
     diffs = [r.rel_diff for r in rows if r.rel_diff is not None]
     both_stable = all(
         r.rel_diff is not None

@@ -379,17 +379,19 @@ def compare_modes(
     rows = []
     for k in ks:
         solved = solve_mode_lambda(cfg, k, disc)
-        lam_v = solved.lam if solved is not None else None
-        root = dispersion_root(k, cfg, scan_max, floor=lam_v)
-        rel = None
-        if lam_v is not None and root is not None:
-            rel = abs(lam_v - root) / root
-        rows.append(
-            ModeComparison(
-                k=float(k), lambda_variational=lam_v, lambda_oracle=root, rel_diff=rel
-            )
-        )
+        rows.append(compare_solved_mode(cfg, k, solved.lam if solved is not None else None, scan_max))
     return rows
+
+
+def compare_solved_mode(
+    cfg: FluidConfig, k: float, lam_v: float | None, scan_max: float
+) -> ModeComparison:
+    """The compare_modes row of mode k, whose Galerkin Lambda_k^N (None if stable) is lam_v."""
+    root = dispersion_root(k, cfg, scan_max, floor=lam_v)
+    rel = None
+    if lam_v is not None and root is not None:
+        rel = abs(lam_v - root) / root
+    return ModeComparison(k=float(k), lambda_variational=lam_v, lambda_oracle=root, rel_diff=rel)
 
 
 def comparison_csv_lines(rows: list[ModeComparison]) -> list[str]:

@@ -26,16 +26,23 @@ a dense matrix.
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
+
+dpbtrf, dpbtrs and dsbmv are scipy's own f2py wrappers, loaded from their
+extension files without importing scipy.linalg, whose import would otherwise
+be half of every process's start-up (_load_wrappers).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.linalg import blas, lapack
+import scipy
 
 from .errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from .model import FluidConfig
@@ -47,6 +54,47 @@ from .modeforms import (
     surface_coefficient,
     uniform_layered_grid,
 )
+
+
+def _extension_path(name: str) -> str:
+    """The compiled file of scipy's extension module name (dotted, under scipy)."""
+    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    for suffix in EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            return stem + suffix
+    raise ImportError(f"no extension file for {name}")
+
+
+def _load_extension(name: str):
+    spec = spec_from_file_location(name, _extension_path(name))
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_wrappers():
+    """(blas, lapack): scipy's f2py wrapper modules _fblas and _flapack.
+
+    Importing scipy.linalg runs its __init__, which pulls in numpy.f2py and
+    scipy's array-API layer: about half of every process's start-up, for
+    three routines (dpbtrf, dpbtrs, dsbmv). So the two extension modules are
+    loaded straight from their files under their own dotted names. Python
+    keeps one copy of a single-phase extension module per file and name, so
+    these are the function objects that scipy.linalg.blas and
+    scipy.linalg.lapack re-export, and every call, its bits and its cost are
+    scipy's own. The file layout scipy/linalg/_flapack<suffix> is a detail
+    of scipy's wheels, not an API: when a file is missing or fails to load,
+    the fallback imports scipy.linalg. The fallback is permanent.
+    """
+    try:
+        return _load_extension("scipy.linalg._fblas"), _load_extension("scipy.linalg._flapack")
+    except (ImportError, OSError):
+        from scipy.linalg import blas, lapack
+
+        return blas, lapack
+
+
+blas, lapack = _load_wrappers()
 
 
 @dataclass(frozen=True)

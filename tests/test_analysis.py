@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from rtgrowth import analysis
+from rtgrowth import analysis, oracle
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
 from rtgrowth.model import theta_critical, wang_tice_bound
 from rtgrowth.pencil import Discretization
+from rtgrowth.spectrum import smallest_magnitude
 
 DISC = Discretization(8)
 FRACTIONS = [0.0, 0.25, 0.5, 0.75, 0.9]
@@ -139,6 +140,34 @@ def test_verify_all_solves_once_at_theta_zero(cheap_config, monkeypatch):
     (oracle_check,) = [c for c in report.checks if c.name == "oracle_agreement"]
     assert oracle_check.passed
     assert "full-scan root gap" in oracle_check.detail
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.95])
+def test_verify_oracle_check_reuses_the_argmax_solve(cheap_config, monkeypatch, fraction):
+    # the fixed_point check's result holds the argmax mode's Lambda_k^N, so
+    # the oracle check solves a Galerkin mode only for a different smallest k
+    cfg = cheap_config.with_theta(fraction * theta_critical(cheap_config))
+    disc = Discretization(16)
+    result = solve_lambda(cfg, disc)
+    k_min = smallest_magnitude(cfg)
+    assert (result.argmax_k == k_min) == (fraction > 0.0)
+    solved, reused = [], []
+    solve_mode, compare_solved = oracle.solve_mode_lambda, analysis.compare_solved_mode
+
+    def spy_solve(cfg, k, disc):
+        solved.append(k)
+        return solve_mode(cfg, k, disc)
+
+    def spy_row(*args):
+        reused.append(compare_solved(*args))
+        return reused[-1]
+
+    monkeypatch.setattr(oracle, "solve_mode_lambda", spy_solve)
+    monkeypatch.setattr(analysis, "compare_solved_mode", spy_row)
+    report = verify_all(cfg, disc)
+    assert solved == ([] if result.argmax_k == k_min else [k_min])
+    assert reused == oracle.compare_modes(cfg, [result.argmax_k], disc)
+    assert all(c.passed for c in report.checks if c.name == "oracle_agreement")
 
 
 def test_verify_stable_configuration(cheap_config):

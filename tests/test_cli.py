@@ -7,10 +7,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-import scipy.linalg.lapack as lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtgrowth import pencil
 from rtgrowth.cli import COMMANDS, main
 from rtgrowth.model import theta_critical
 
@@ -269,8 +269,8 @@ def test_unexpected_exception_exit_4(config_path, capsys, monkeypatch, error):
 
 def test_failed_band_factorization_exit_4(config_path, capsys, monkeypatch):
     # a non-positive pivot in the banded profile solve is a numerical failure
-    dpbtrf = lapack.dpbtrf
-    monkeypatch.setattr(lapack, "dpbtrf", lambda ab, lower=0: (dpbtrf(ab, lower=lower)[0], 3))
+    dpbtrf = pencil.lapack.dpbtrf
+    monkeypatch.setattr(pencil.lapack, "dpbtrf", lambda ab, lower=0: (dpbtrf(ab, lower=lower)[0], 3))
     assert run_cli(["growth", "--config", config_path, "--resolution", "8"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: banded Cholesky") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -497,9 +499,39 @@ def test_band_solve_error_never_returns_a_vector(reference_config, monkeypatch):
     forms = assemble(1.0, reference_config, Discretization(8))
     x = np.ones(forms.dim)
     monkeypatch.setattr(
-        sla.lapack, "dpbtrs", lambda chol, b, lower=0: (np.full_like(b, np.nan), -2)
+        pencil.lapack, "dpbtrs", lambda chol, b, lower=0: (np.full_like(b, np.nan), -2)
     )
     with pytest.raises(FactorizationFailure):
         secular_eigenpair(forms, 1.0, 1.0)
     with pytest.raises(FactorizationFailure):
         residual_dual_norm(forms, x, 1.0, 1.0)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg's __init__ takes about a quarter second to import, and
+    # every command would pay it at start-up; the wrappers load without it
+    code = (
+        "import sys, rtgrowth.cli, rtgrowth.pencil as p; "
+        "print('scipy.linalg' in sys.modules, p.lapack.__name__, p.blas.__name__)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "scipy.linalg._flapack", "scipy.linalg._fblas"]
+
+
+def test_band_wrappers_are_scipy_linalg_functions():
+    # the directly loaded modules share scipy's function objects, so every
+    # call and its bits are scipy.linalg's own
+    assert pencil.lapack.dpbtrf is sla.lapack.dpbtrf
+    assert pencil.lapack.dpbtrs is sla.lapack.dpbtrs
+    assert pencil.blas.dsbmv is sla.blas.dsbmv
+
+
+@pytest.mark.parametrize("error", [ImportError, OSError])
+def test_band_wrappers_fall_back_to_scipy_linalg(monkeypatch, error):
+    def missing(name):
+        raise error(f"no file for {name}")
+
+    monkeypatch.setattr(pencil, "_extension_path", missing)
+    blas, lapack = pencil._load_wrappers()
+    assert blas is sla.blas and lapack is sla.lapack
