@@ -18,8 +18,8 @@ argmax_k; for oracle-compare, the oracle root and k of every compared mode),
 so that a later file can check that a speed-up kept the answer. The child
 counts modes as the final size of every mode set it builds, solves as the
 growth results it validates and determinants as the calls to
-oracle.determinant, batched or single-rate; all are read from its own
-process, not inferred from the outputs.
+oracle.determinant, one trial rate each; all are read from its own process,
+not inferred from the outputs.
 
 Times compare only within one file: wall_s and main_s move with the machine's
 load from one session to the next, and a file records no baseline of the

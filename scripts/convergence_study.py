@@ -4,7 +4,6 @@
 Tracks, for the reference case at k = 1:
   * per-mode alpha under mesh doubling (mode_alpha: fourth-order until the
     rounding floor of the banded solves, which grows like N^4 * eps),
-  * the stress-jump row residuals of the variational eigenprofile,
   * the boundary-value residual of the global solve at mesh 2N.
 
 Usage: python scripts/convergence_study.py [--max-n 128]
@@ -14,7 +13,6 @@ import argparse
 
 from rtgrowth import Discretization, FluidConfig, solve_lambda
 from rtgrowth.fixedpoint import bvp_residual
-from rtgrowth.oracle import validate_jump_rows
 from rtgrowth.pencil import assemble, mode_alpha
 from rtgrowth.spectrum import split_bound
 
@@ -38,14 +36,6 @@ def main() -> None:
         step = "" if prev is None else f"  increment {alpha - prev:+.3e}"
         print(f"  N={n:<4d} alpha={alpha:.14f}{step}")
         prev = alpha
-        n *= 2
-
-    print("\nstress-jump row residuals at k = 1:")
-    n = 16
-    while n <= args.max_n:
-        rep = validate_jump_rows(REFERENCE, 1.0, Discretization(n))
-        print(f"  N={n:<4d} tangential={rep.tangential_residual:.3e} "
-              f"normal={rep.normal_residual:.3e}")
         n *= 2
 
     print("\nglobal solve and boundary-value residual:")

@@ -70,7 +70,8 @@ class MonotonicityViolation(SolverError):
 
 
 class DegenerateExponents(SolverError):
-    """Dispersion basis broke down (overflow or non-finite entries)."""
+    """The dispersion function F_k came out non-finite (a rate or wavenumber
+    near the end of the float range)."""
 
 
 class InadmissibleProfile(SolverError):

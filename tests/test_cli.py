@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtgrowth import pencil
+from rtgrowth import oracle, pencil
 from rtgrowth.cli import COMMANDS, main
 from rtgrowth.model import theta_critical
 
@@ -184,6 +184,21 @@ def test_verify_passes(config_path, tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["all_pass"] is True
+
+
+def test_verify_reports_an_empty_oracle_bracket(config_path, tmp_path, monkeypatch):
+    # a dispersion function of one sign over the bracket fails the oracle
+    # check with the error's message: exit 1, the other checks still run
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: 1.0)
+    out = tmp_path / "verify.json"
+    code = run_cli(["verify", "--config", config_path, "--resolution", "16",
+                    "--out", str(out)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["oracle_agreement"]["passed"]
+    assert checks["oracle_agreement"]["detail"].startswith("no root of the dispersion relation")
+    assert all(c["passed"] for name, c in checks.items() if name != "oracle_agreement")
+    assert "threshold_stability" in checks
 
 
 def test_sweep_determinism_in_process(config_path, tmp_path):

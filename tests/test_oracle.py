@@ -1,24 +1,23 @@
+import csv
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtgrowth import fixedpoint, oracle, pencil, spectrum
-from rtgrowth.errors import DegenerateExponents
+from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
+from rtgrowth.errors import DegenerateExponents, SolverError
 from rtgrowth.fixedpoint import solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
-from rtgrowth.modeforms import random_admissible_profile, uniform_layered_grid, VerticalProfile
+from rtgrowth.modeforms import surface_coefficient
 from rtgrowth.oracle import (
-    _SCAN_FLOOR,
-    _condition_matrices,
+    _interface_traction,
     compare_modes,
     comparison_csv_lines,
     determinant,
     dispersion_root,
-    evaluate_jump_rows,
-    validate_jump_rows,
 )
 from rtgrowth.pencil import Discretization
 
@@ -29,18 +28,25 @@ CONTRAST = FluidConfig(
 )
 REFERENCE_KS = (1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 5.0, math.sqrt(50.0), 13.0, 20.0)
 CONTRAST_KS = (0.5, 1.0, 3.0, 7.0)
+# verify's oracle tolerance at N >= 128
+ORACLE_TOL = 5e-5
 
 
 def _scan_grid(scan_max, n_points=240):
-    return np.geomspace(scan_max * _SCAN_FLOOR, scan_max, n_points)
+    return np.geomspace(scan_max * 1e-9, scan_max, n_points)
 
 
 def _root_cases(reference_config):
     return [(reference_config, k) for k in REFERENCE_KS] + [(CONTRAST, k) for k in CONTRAST_KS]
 
 
+def _lattice_magnitudes(k_max):
+    squares = {i * i + j * j for i in range(int(k_max) + 1) for j in range(int(k_max) + 1)}
+    return [math.sqrt(q) for q in sorted(squares) if 0 < q <= k_max * k_max]
+
+
 def _bisection_root(k, cfg, scan_max):
-    """Largest root by bisecting every sign change of the scan to 1e-12 relative."""
+    """Largest root by bisecting every sign change of a 240-point scan to 1e-12 relative."""
     grid = _scan_grid(scan_max)
     values = [determinant(k, n, cfg) for n in grid]
     roots = []
@@ -64,19 +70,62 @@ def _bisection_root(k, cfg, scan_max):
     return max(roots) if roots else None
 
 
+def _dense_condition_matrix(k, n, cfg):
+    """The 8x8 system over both layers' four basis functions, not condensed.
+
+    Each layer in its distance z from the interface, with the basis e^(-k z),
+    e^(-k (h - z)), u(z) = (e^(-q z) - e^(-k z)) / (q - k) and u(h - z),
+    differentiated directly; the lower layer has d/dy = -d/dz.
+    """
+
+    def jets(rho, mu, h):
+        q = math.sqrt(k * k + n * rho / mu)
+
+        def u(j, z):
+            return ((-q) ** j * math.exp(-q * z) - (-k) ** j * math.exp(-k * z)) / (q - k)
+
+        def at(z):
+            return np.array([
+                [(-k) ** j * math.exp(-k * z), k**j * math.exp(-k * (h - z)), u(j, z), (-1) ** j * u(j, h - z)]
+                for j in range(4)
+            ])
+
+        return at(0.0), at(h)
+
+    up0, up_wall = jets(cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
+    lo0, lo_wall = jets(cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
+    sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None]  # y-derivatives of the lower layer
+    lo0 = sign * lo0
+    k2 = k * k
+
+    def normal(rho, mu, d):
+        return mu * (d[3] - 3.0 * k2 * d[1]) - n * rho * d[1]
+
+    M = np.zeros((8, 8))
+    M[0, :4], M[1, :4] = up_wall[0], up_wall[1]
+    M[2, 4:], M[3, 4:] = lo_wall[0], lo_wall[1]
+    M[4, :4], M[4, 4:] = up0[0], -lo0[0]
+    M[5, :4], M[5, 4:] = up0[1], -lo0[1]
+    M[6, :4] = cfg.mu_plus * (up0[2] + k2 * up0[0])
+    M[6, 4:] = -cfg.mu_minus * (lo0[2] + k2 * lo0[0])
+    M[7, :4] = normal(cfg.rho_plus, cfg.mu_plus, up0) - (k2 / n) * surface_coefficient(k, cfg) * up0[0]
+    M[7, 4:] = -normal(cfg.rho_minus, cfg.mu_minus, lo0)
+    return M / np.abs(M).max(axis=0)
+
+
 def test_system_structure(reference_config):
-    stack = _condition_matrices(1.0, 1.0, reference_config)
-    assert stack.shape == (1, 8, 8)
-    M = stack[0]
-    # wall rows act on a single layer's columns
-    assert np.array_equal(np.nonzero(M[0])[0], [0])
-    assert np.all(M[1, 4:] == 0.0)
-    assert np.all(M[2, :4] == 0.0)
-    # a stack over several rates holds the single-rate matrices
-    rates = np.array([0.3, 1.0, 2.4])
-    batch = _condition_matrices(1.0, rates, reference_config)
-    for n, Mn in zip(rates, batch):
-        assert np.array_equal(Mn, _condition_matrices(1.0, n, reference_config)[0])
+    # each layer's traction map is the gradient of a positive quadratic form
+    # (n / k^2) [[G00, G01], [-G10, -G11]] in the interface data
+    for k, n, rho, mu, h in ((1.0, 0.7, 2.0, 0.1, 1.0), (5.0, 2.0, 1.0, 0.1, 1.0),
+                             (0.5, 1e-6, 5.2, 0.1, 0.3), (40.0, 3.0, 0.2, 5.0, 0.3)):
+        g00, g01, g10, g11 = _interface_traction(k, n, rho, mu, h)
+        assert g01 == pytest.approx(-g10, rel=1e-12)
+        assert g00 > 0.0 and g11 < 0.0 and -g00 * g11 > g01 * g10
+    # theta enters only through the surface term -k^2 c_k
+    f0 = determinant(2.0, 1.3, reference_config)
+    f1 = determinant(2.0, 1.3, reference_config.with_theta(0.5))
+    assert isinstance(f0, float)
+    assert f1 - f0 == pytest.approx(2.0**4 * 0.5, rel=1e-12)
 
 
 def test_regularized_basis_small_n(reference_config):
@@ -87,8 +136,39 @@ def test_regularized_basis_small_n(reference_config):
 
 
 def test_determinant_overflow_guard(reference_config):
+    # the anchored basis stays finite at k h = 800; a rate whose q^3
+    # overflows gives a non-finite F_k, which raises
+    assert math.isfinite(determinant(800.0, 1.0, reference_config))
     with pytest.raises(DegenerateExponents):
-        determinant(800.0, 1.0, reference_config)
+        determinant(1.0, 1e250, reference_config)
+
+
+def test_determinant_is_the_condensed_galerkin_form(reference_config):
+    # F_k(n) = k^2 (1 / (e0^T (n A + n^2 B)^(-1) e0) - c_k), the identity
+    # behind its monotonicity; the N = 256 forms give it to about 1e-7
+    disc = Discretization(256)
+    for cfg, k, n in ((reference_config, 1.0, 0.7), (reference_config, 5.0, 2.0),
+                      (CONTRAST, 0.5, 1.0), (CONTRAST, 3.0, 5.0)):
+        forms = pencil.assemble(k, cfg, disc)
+        x = pencil._interface_solve(forms, n, n * n)
+        expected = k * k * (1.0 / x[forms.e0_index] - forms.c_k)
+        assert determinant(k, n, cfg) == pytest.approx(expected, rel=1e-6)
+
+
+def test_condensed_root_matches_dense_system(reference_config):
+    # bisection on the sign of the uncondensed 8x8 determinant finds F_k's root
+    for cfg, k in _root_cases(reference_config) + [(reference_config, 40.0)]:
+        root = dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg))
+        lo, hi = 0.5 * root, 1.5 * root
+        s_lo = np.sign(np.linalg.det(_dense_condition_matrix(k, lo, cfg)))
+        assert s_lo != np.sign(np.linalg.det(_dense_condition_matrix(k, hi, cfg)))
+        while hi - lo > 1e-13 * hi:
+            mid = 0.5 * (lo + hi)
+            if np.sign(np.linalg.det(_dense_condition_matrix(k, mid, cfg))) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        assert root == pytest.approx(0.5 * (lo + hi), rel=1e-11)
 
 
 def test_root_matches_variational(reference_config):
@@ -100,10 +180,11 @@ def test_root_matches_variational(reference_config):
         assert root == pytest.approx(growth.lam, rel=1e-6)
 
 
-def test_root_none_for_stable_mode(reference_config):
+def test_root_none_for_stable_mode(reference_config, monkeypatch):
     theta = 0.5 * theta_critical(reference_config)
     cfg = reference_config.with_theta(theta)
-    # k = 2: c_k = 9.8 - 4.9 * 4 < 0
+    # k = 2: c_k = 9.8 - 4.9 * 4 < 0, decided without evaluating F_k
+    monkeypatch.setattr(oracle, "determinant", None)
     assert dispersion_root(2.0, cfg, 1.05 * upper_bound_m(cfg)) is None
     assert solve_mode_lambda(cfg, 2.0, Discretization(16)) is None
 
@@ -135,58 +216,15 @@ def test_dimensional_homogeneity(reference_config):
     assert r2 == pytest.approx(r1, rel=1e-9)
 
 
-def test_determinant_cofactor_identity(reference_config, rng):
-    # the cofactor vector of rows 1..7 spans their nullspace, so for any
-    # candidate last row u: det([rows; u]) / (u . v) is one fixed constant
-    M = _condition_matrices(1.3, 0.8, reference_config)[0]
-    v = null_space(M[:7], rcond=1e-12)
-    assert v.shape[1] == 1
-    v = v[:, 0]
-    ratio = np.linalg.det(M) / (M[7] @ v)
-    for _ in range(5):
-        u = rng.standard_normal(8)
-        M2 = M.copy()
-        M2[7] = u
-        assert np.linalg.det(M2) / (u @ v) == pytest.approx(ratio, rel=1e-8)
-
-
 def test_scan_parity_stable_under_density(reference_config):
+    # F_k changes sign exactly once on a log grid, however fine
     scan_max = 1.05 * upper_bound_m(reference_config)
 
     def sign_changes(n_points):
-        values = determinant(1.0, _scan_grid(scan_max, n_points), reference_config)
+        values = np.array([determinant(1.0, n, reference_config) for n in _scan_grid(scan_max, n_points)])
         return int(np.count_nonzero(np.sign(values[:-1]) != np.sign(values[1:])))
 
-    n1 = sign_changes(240)
-    n2 = sign_changes(480)
-    assert n1 == n2 >= 1
-
-
-def test_slogdet_normalization_invariance(reference_config):
-    # (sign, log|det|) of the raw matrix through column-max and through no
-    # scaling agree to rounding, and the sign is the one determinant reports
-    def slogdet(M, scales):
-        sign, logabs = np.linalg.slogdet(M / scales)
-        return sign, logabs + np.log(scales).sum()
-
-    for n in (0.3, 1.0, 2.4):
-        M = _condition_matrices(1.0, n, reference_config)[0]
-        s1, l1 = slogdet(M, np.abs(M).max(axis=0))
-        s2, l2 = slogdet(M, np.ones(8))
-        assert s1 == s2 == np.sign(determinant(1.0, n, reference_config))
-        assert l1 == pytest.approx(l2, rel=1e-12)
-
-
-def test_batched_determinant_matches_pointwise(reference_config):
-    for cfg, ks in ((reference_config, (1.0, 5.0, 20.0)), (CONTRAST, CONTRAST_KS)):
-        grid = _scan_grid(1.05 * upper_bound_m(cfg))
-        for k in ks:
-            batched = determinant(k, grid, cfg)
-            pointwise = np.array([determinant(k, n, cfg) for n in grid])
-            assert batched.shape == grid.shape
-            assert np.array_equal(np.sign(batched), np.sign(pointwise))
-            np.testing.assert_allclose(batched, pointwise, rtol=1e-12, atol=0.0)
-    assert isinstance(determinant(1.0, 0.7, reference_config), float)
+    assert sign_changes(240) == sign_changes(480) == 1
 
 
 def test_root_matches_reference_bisection(reference_config):
@@ -198,19 +236,20 @@ def test_root_matches_reference_bisection(reference_config):
 
 
 def test_root_determinant_calls(reference_config, monkeypatch):
-    # one batched scan plus the refinement of the largest sign change
+    # the left end F_k(0+) is closed-form: one call at scan_max, then the refinement
     calls = []
 
     def counting(k, n, cfg):
-        calls.append(np.ndim(n))
+        calls.append(n)
         return determinant(k, n, cfg)
 
     monkeypatch.setattr(oracle, "determinant", counting)
     for cfg, k in _root_cases(reference_config):
         calls.clear()
-        assert dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg)) is not None
-        assert calls[0] == 1 and calls[1:].count(1) == 0
-        assert len(calls) <= 16
+        scan_max = 1.05 * upper_bound_m(cfg)
+        assert dispersion_root(k, cfg, scan_max) is not None
+        assert calls[0] == scan_max and all(isinstance(n, float) for n in calls)
+        assert len(calls) <= 20
 
 
 def test_seeded_root_matches_reference_bisection(reference_config):
@@ -224,35 +263,27 @@ def test_seeded_root_matches_reference_bisection(reference_config):
         assert seeded == pytest.approx(expected, rel=2e-12, abs=0.0)
 
 
-def test_seeded_root_below_floor_falls_back_to_full_scan(reference_config, monkeypatch):
+def test_seeded_root_below_floor_raises(reference_config, monkeypatch):
+    # a floor above the root leaves a bracket with one sign: an error, not a widened search
     scan_max = 1.05 * upper_bound_m(reference_config)
     root = 0.3 * math.pi
     monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - root)
-    full = dispersion_root(1.0, reference_config, scan_max)
-    assert full == pytest.approx(root, rel=1e-12)
-    assert dispersion_root(1.0, reference_config, scan_max, floor=2.0) == full
-
-
-@pytest.mark.parametrize("r1, r2", [(1.0001, 2.0 * math.pi), (1.000001, 1.001)])
-def test_seeded_root_is_the_largest_above_floor(reference_config, monkeypatch, r1, r2):
-    # one root in the seeded cluster and one above it, or both in the cluster
-    scan_max = 1.05 * upper_bound_m(reference_config)
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: (n - r1) * (n - r2))
-    seeded = dispersion_root(1.0, reference_config, scan_max, floor=1.0)
-    assert seeded == pytest.approx(r2, rel=1e-12)
+    assert dispersion_root(1.0, reference_config, scan_max) == pytest.approx(root, rel=1e-12)
+    with pytest.raises(SolverError, match="no root of the dispersion relation"):
+        dispersion_root(1.0, reference_config, scan_max, floor=2.0)
 
 
 def test_seeded_root_determinant_calls(reference_config, monkeypatch):
-    # every lattice magnitude k <= 20 at N = 32: one batched call of at most
-    # 60 rates, then single-rate refinement, at most 6 calls per root
+    # all 145 lattice magnitudes k <= 20 at N = 32: at most 16 evaluations of
+    # F_k per root, the floor end and scan_max first (8.1 on average)
     disc = Discretization(32)
     scan_max = 1.05 * upper_bound_m(reference_config)
-    squares = {i * i + j * j for i in range(21) for j in range(21)}
-    ks = [math.sqrt(q) for q in sorted(squares) if 0 < q <= 400]
-    calls = []
+    ks = _lattice_magnitudes(20.0)
+    assert len(ks) == 145
+    calls, counts = [], []
 
     def counting(k, n, cfg):
-        calls.append(np.size(n) if np.ndim(n) else 0)
+        calls.append(n)
         return determinant(k, n, cfg)
 
     monkeypatch.setattr(oracle, "determinant", counting)
@@ -260,8 +291,10 @@ def test_seeded_root_determinant_calls(reference_config, monkeypatch):
         floor = solve_mode_lambda(reference_config, k, disc).lam
         calls.clear()
         assert dispersion_root(k, reference_config, scan_max, floor=floor) is not None
-        assert 0 < calls[0] <= 60 and not any(calls[1:])
-        assert len(calls) <= 6
+        assert calls[:2] == [floor * (1.0 - 1e-9), scan_max]
+        counts.append(len(calls))
+    assert max(counts) <= 16
+    assert sum(counts) / len(counts) <= 9.0
 
 
 def test_floor_precondition(reference_config):
@@ -273,26 +306,12 @@ def test_floor_precondition(reference_config):
 
 def test_scan_overflow_raises(reference_config):
     m = upper_bound_m(reference_config)
+    # k h = 800 is no overflow: the root is finite and below m
+    root = dispersion_root(800.0, reference_config, 1.05 * m)
+    assert 0.0 < root < m
+    # only the top of this bracket overflows
     with pytest.raises(DegenerateExponents):
-        dispersion_root(800.0, reference_config, 1.05 * m)
-    # only the top of this scan overflows (q h > 700 needs n > 24500)
-    with pytest.raises(DegenerateExponents):
-        dispersion_root(1.0, reference_config, 1e6)
-
-
-@pytest.mark.parametrize("node_index", [150, 239])
-def test_root_on_grid_node(reference_config, monkeypatch, node_index):
-    scan_max = 1.05 * upper_bound_m(reference_config)
-    node = _scan_grid(scan_max)[node_index]
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - node)
-    assert dispersion_root(1.0, reference_config, scan_max) == node
-
-
-def test_largest_of_several_roots(reference_config, monkeypatch):
-    scan_max = 1.05 * upper_bound_m(reference_config)
-    r1, r2 = 1e-4 * math.pi, 0.3 * math.pi
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: (n - r1) * (n - r2))
-    assert dispersion_root(1.0, reference_config, scan_max) == pytest.approx(r2, rel=1e-12)
+        dispersion_root(1.0, reference_config, 1e250)
 
 
 def test_scan_max_precondition(reference_config):
@@ -300,35 +319,78 @@ def test_scan_max_precondition(reference_config):
         dispersion_root(1.0, reference_config, 0.5 * upper_bound_m(reference_config))
 
 
-def test_jump_rows_converge(reference_config):
-    rep128 = validate_jump_rows(reference_config, 1.0, Discretization(128))
-    rep256 = validate_jump_rows(reference_config, 1.0, Discretization(256))
-    assert rep128.tangential_residual < 1e-3
-    assert rep128.normal_residual < 1e-3
-    # both at least halve; the tangential row is higher order still
-    assert rep256.tangential_residual <= 0.5 * rep128.tangential_residual
-    assert rep256.normal_residual <= 0.5 * rep128.normal_residual
-    assert rep256.tangential_residual <= rep128.tangential_residual / 3.5
+def test_reference_roots_past_the_old_basis_limit(reference_config):
+    # q h > 35, where a wall-centred basis loses the root; the Galerkin values
+    # approach the roots from below, at N = 128 for k = 40 and N = 512 for
+    # k = 100, whose boundary layers N = 128 does not resolve
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    r40 = dispersion_root(40.0, reference_config, scan_max)
+    r100 = dispersion_root(100.0, reference_config, scan_max)
+    assert r40 == pytest.approx(0.60988617, rel=1e-8)
+    assert r100 == pytest.approx(0.24493251, rel=1e-8)
+    g40 = solve_mode_lambda(reference_config, 40.0, Discretization(128)).lam
+    assert 0.0 < r40 - g40 <= ORACLE_TOL * r40
+    g100 = [solve_mode_lambda(reference_config, 100.0, Discretization(n)).lam for n in (128, 256, 512)]
+    assert g100[0] < g100[1] < g100[2] < r100
+    assert r100 - g100[2] <= ORACLE_TOL * r100
 
 
-def test_jump_rows_symmetric_profile(cheap_config):
-    # mirror-symmetric data with equal viscosities: the tangential jump
-    # cancels identically
-    grid = uniform_layered_grid(1.0, 1.0, 16)
-    vals = np.cos(np.pi * grid / 2.0) ** 2
-    ders = -np.pi / 2.0 * np.sin(np.pi * grid)
-    vals[0] = vals[-1] = 0.0
-    ders[0] = ders[-1] = 0.0
-    profile = VerticalProfile(grid, vals, ders)
-    rep = evaluate_jump_rows(cheap_config, 1.0, profile, 1.0)
-    assert rep.tangential_raw == 0.0
+def test_low_viscosity_argmax_root_below_m(reference_config):
+    # mu = 0.01: the argmax mode k = sqrt(481) at N = 128
+    cfg = dataclasses.replace(reference_config, mu_plus=0.01, mu_minus=0.01)
+    m = upper_bound_m(cfg)
+    k = math.sqrt(481.0)
+    lam = solve_mode_lambda(cfg, k, Discretization(128)).lam
+    root = dispersion_root(k, cfg, 1.05 * m, floor=lam)
+    assert root == pytest.approx(5.2617093, rel=1e-7)
+    assert root < m
+    assert root - lam <= ORACLE_TOL * root
 
 
-def test_jump_rows_negative_control(reference_config, rng):
-    profile = random_admissible_profile(rng, 1.0, 1.0, 16)
-    rep = evaluate_jump_rows(reference_config, 1.0, profile, 1.0)
-    assert rep.tangential_residual > 0.02
-    assert rep.normal_residual > 0.02
+def test_oracle_compare_to_k40_agrees(reference_config, tmp_path):
+    # every one of the 504 magnitudes up to k = 40 at N = 128
+    config = tmp_path / "reference.json"
+    config.write_text(reference_config.to_json())
+    out = tmp_path / "compare.csv"
+    assert cli.main(["oracle-compare", "--config", str(config), "--resolution", "128",
+                     "--kmax", "40", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 504
+    assert max(float(r["rel_diff"]) for r in rows) <= ORACLE_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nu_plus=st.floats(min_value=-4.0, max_value=0.0),
+    nu_minus=st.floats(min_value=-4.0, max_value=0.0),
+    fraction=st.floats(min_value=0.0, max_value=0.99),
+    i=st.integers(min_value=0, max_value=212),
+    j=st.integers(min_value=1, max_value=212),
+)
+def test_dispersion_root_over_config_box(nu_plus, nu_minus, fraction, i, j):
+    # mu / rho in [1e-4, 1] per layer, theta / theta_c in [0, 0.99] and a
+    # lattice k with k h up to 300: F_k strictly increases from its limit
+    # -k^2 c_k, its root is at most m, and the N = 64 Galerkin Lambda_k^N
+    # stays below it
+    base = FluidConfig(
+        rho_plus=2.0, rho_minus=1.0, mu_plus=2.0 * 10.0**nu_plus, mu_minus=10.0**nu_minus,
+        g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
+    )
+    cfg = base.with_theta(fraction * theta_critical(base))
+    k = math.hypot(i, j)
+    m = upper_bound_m(cfg)
+    scan_max = 1.05 * m
+    values = [determinant(k, n, cfg) for n in _scan_grid(scan_max, 50)]
+    assert all(a < b for a, b in zip(values[:-1], values[1:]))
+    limit = -k * k * surface_coefficient(k, cfg)
+    assert determinant(k, 1e-12 * scan_max, cfg) == pytest.approx(limit, rel=1e-6, abs=1e-9)
+    root = dispersion_root(k, cfg, scan_max)
+    growth = solve_mode_lambda(cfg, k, Discretization(64))
+    if surface_coefficient(k, cfg) <= 0.0:
+        assert root is None and growth is None
+        return
+    assert 0.0 < root <= m
+    assert growth.lam <= root * (1.0 + 1e-9)
 
 
 def test_compare_modes_table(reference_config):
