@@ -101,9 +101,10 @@ def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
     W = (q + k) * U + E
     m0, m1 = U, q * U + E
     m2, m3 = q2 * U + (q + k) * E, q2 * q * U + (q2 + q * k + k2) * E
-    one_m, one_p, twoke, ue = -math.expm1(-2.0 * k * h), 1.0 + E * E, 2.0 * k * E, U * E
-    a0, a1 = one_m + twoke * m0, -k * one_p + twoke * m1
-    a2, a3 = k2 * one_m + twoke * m2, -k2 * k * one_p + twoke * m3
+    one_minus_ee, one_plus_ee = -math.expm1(-2.0 * k * h), 1.0 + E * E
+    two_k_e, ue = 2.0 * k * E, U * E
+    a0, a1 = one_minus_ee + two_k_e * m0, -k * one_plus_ee + two_k_e * m1
+    a2, a3 = k2 * one_minus_ee + two_k_e * m2, -k2 * k * one_plus_ee + two_k_e * m3
     b0, b1 = -ue + W * m0, -1.0 - k * ue + W * m1
     b2, b3 = (q + k) - k2 * ue + W * m2, -(q2 + q * k + k2) - k2 * k * ue + W * m3
     # traction rows on (c1, c3), times the inverse of [[a0, b0], [a1, b1]]
@@ -122,8 +123,8 @@ def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
 def determinant(k: float, n: float, cfg: FluidConfig) -> float:
     """F_k(n), the determinant of the condensed 1x1 system at one rate n > 0.
 
-    It has the sign of n - Lambda_k (module docstring); a non-finite value
-    raises DegenerateExponents.
+    For c_k > 0 it has the sign of n - Lambda_k, for c_k <= 0 it is positive
+    (module docstring); a non-finite value raises DegenerateExponents.
     """
     if k <= 0.0:
         raise ZeroWaveNumber(f"dispersion system needs k > 0, got {k!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -167,6 +168,16 @@ def test_verify_oracle_check_reuses_the_argmax_solve(cheap_config, monkeypatch, 
     assert solved == ([] if result.argmax_k == k_min else [k_min])
     assert reused == oracle.compare_modes(cfg, [result.argmax_k], disc)
     assert all(c.passed for c in report.checks if c.name == "oracle_agreement")
+
+
+def test_verify_low_viscosity_at_n128_passes(reference_config):
+    # mu = 0.01: the oracle root at the argmax mode k = sqrt(481) lies below m
+    # and within the N = 128 tolerance of the Galerkin value
+    cfg = dataclasses.replace(reference_config, mu_plus=0.01, mu_minus=0.01)
+    report = verify_all(cfg, Discretization(128))
+    assert report.all_pass, [c for c in report.checks if not c.passed]
+    (oracle_check,) = [c for c in report.checks if c.name == "oracle_agreement"]
+    assert "21.93171219946131" in oracle_check.detail
 
 
 def test_verify_stable_configuration(cheap_config):
