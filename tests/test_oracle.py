@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, SolverError
@@ -171,6 +172,27 @@ def test_condensed_root_matches_dense_system(reference_config):
         assert root == pytest.approx(0.5 * (lo + hi), rel=1e-11)
 
 
+def test_determinant_cofactor_identity(reference_config, rng):
+    # the cofactor vector of rows 1..7 of the dense system spans their
+    # nullspace, so for any candidate last row u: det([rows; u]) / (u . v) is
+    # one fixed constant; and the normal-stress row on that vector, per unit
+    # psi(0) (row 5's upper half) and times n, is the condensed F_k(n)
+    for cfg, k, n in ((reference_config, 1.3, 0.8), (reference_config, 5.0, 2.0),
+                      (CONTRAST, 0.5, 1.0), (CONTRAST, 3.0, 5.0)):
+        M = _dense_condition_matrix(k, n, cfg)
+        v = null_space(M[:7], rcond=1e-12)
+        assert v.shape[1] == 1
+        v = v[:, 0]
+        ratio = np.linalg.det(M) / (M[7] @ v)
+        for _ in range(5):
+            u = rng.standard_normal(8)
+            M2 = M.copy()
+            M2[7] = u
+            assert np.linalg.det(M2) / (u @ v) == pytest.approx(ratio, rel=1e-8)
+        condensed = n * (M[7] @ v) / (M[4, :4] @ v[:4])
+        assert condensed == pytest.approx(determinant(k, n, cfg), rel=1e-8)
+
+
 def test_root_matches_variational(reference_config):
     disc = Discretization(64)
     scan_max = 1.05 * upper_bound_m(reference_config)
@@ -312,6 +334,17 @@ def test_scan_overflow_raises(reference_config):
     # only the top of this bracket overflows
     with pytest.raises(DegenerateExponents):
         dispersion_root(1.0, reference_config, 1e250)
+
+
+@pytest.mark.parametrize("node_index", [150, 239])
+def test_root_on_grid_node(reference_config, monkeypatch, node_index):
+    # a root at a rate the search evaluates is returned exactly: node 239 is
+    # scan_max, the top end of the bracket, and on a linear F_k the second
+    # regula falsi step lands on an interior node such as 150
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    node = _scan_grid(scan_max)[node_index]
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - node)
+    assert dispersion_root(1.0, reference_config, scan_max) == node
 
 
 def test_scan_max_precondition(reference_config):
