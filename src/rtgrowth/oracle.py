@@ -80,7 +80,7 @@ from .modeforms import surface_coefficient
 from .pencil import Discretization
 
 _ROOT_RTOL = 1e-12
-_FLOOR_MARGIN = 1e-9  # covers the rounding of a Galerkin floor and of F_k
+_FLOOR_MARGIN = 1e-9  # a floor rounded up to 1e-9 above the root still shortens the bracket
 
 
 def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
@@ -181,22 +181,26 @@ def dispersion_root(
     """Lambda_k, the positive root of F_k, or None when c_k <= 0 (no root).
 
     scan_max, at least the bound m, is the upper end of the bracket. The
-    lower end is floor (1 - 1e-9) when a floor is given, else 0, where
-    F_k(0+) = -k^2 c_k is known in closed form. The root is refined
-    (_refine_root) to a bracket [lo, hi] with hi - lo <= 1e-12 hi whose
-    midpoint is returned. F_k strictly increases (module docstring), so a
-    bracket whose ends have one sign cannot hold the root, and the search
-    raises SolverError instead of widening it: either scan_max or the floor
-    is not the bound it is declared to be.
+    lower end is 0, where F_k(0+) = -k^2 c_k is known in closed form, or
+    floor (1 - 1e-9) when a floor is given and F_k is at most 0 there. A
+    floor at which F_k is positive lies above the root, by rounding or
+    because it is no lower bound, and the bracket drops back to [0, scan_max]
+    without a further evaluation. The root is refined (_refine_root) to a
+    bracket [lo, hi] with hi - lo <= 1e-12 hi whose midpoint is returned.
+    F_k strictly increases (module docstring), so the bracket always holds
+    the root unless F_k(scan_max) <= 0; then scan_max is not the bound it is
+    declared to be, and the search raises SolverError instead of widening it.
 
-    floor is a proven lower bound of Lambda_k, 0 < floor < scan_max; the
-    Galerkin Lambda_k^N is one. alpha_k(s) is a supremum of the Rayleigh
-    quotient over the clamped H^2 profiles, and alpha_k^N(s) the same
-    supremum over the Hermite cubic space, an H^2-conforming subspace that
-    satisfies the wall conditions; so alpha_k^N(s) <= alpha_k(s) at every s.
-    At s = Lambda_k^N this gives s^2 = alpha_k^N(s) <= alpha_k(s), and
-    alpha_k(s) - s^2 strictly decreases, so s <= Lambda_k. The margin of
-    1e-9 covers the rounding of both computed values.
+    floor is meant to be a lower bound of Lambda_k, 0 < floor < scan_max,
+    that shortens the bracket; the Galerkin Lambda_k^N is one in exact
+    arithmetic. alpha_k(s) is a supremum of the Rayleigh quotient over the
+    clamped H^2 profiles, and alpha_k^N(s) the same supremum over the Hermite
+    cubic space, an H^2-conforming subspace that satisfies the wall
+    conditions; so alpha_k^N(s) <= alpha_k(s) at every s. At s = Lambda_k^N
+    this gives s^2 = alpha_k^N(s) <= alpha_k(s), and alpha_k(s) - s^2
+    strictly decreases, so s <= Lambda_k. The computed Lambda_k^N can exceed
+    the root by more than the 1e-9 margin (its rounding grows with N and
+    with the viscosity contrast), which the drop back covers.
     """
     if scan_max < upper_bound_m(cfg):
         raise ValueError(
@@ -209,18 +213,21 @@ def dispersion_root(
     c = surface_coefficient(k, cfg)
     if c <= 0.0:
         return None
-    if floor is None:
-        lo, f_lo = 0.0, -k * k * c
-    else:
-        lo = floor * (1.0 - _FLOOR_MARGIN)
-        f_lo = determinant(k, lo, cfg)
+    lo, f_lo = 0.0, -k * k * c
+    if floor is not None:
+        seeded = floor * (1.0 - _FLOOR_MARGIN)
+        f_seeded = determinant(k, seeded, cfg)
+        if f_seeded <= 0.0:
+            lo, f_lo = seeded, f_seeded
+    if f_lo == 0.0:
+        return lo
     f_hi = determinant(k, scan_max, cfg)
-    if f_lo == 0.0 or f_hi == 0.0:
-        return lo if f_lo == 0.0 else scan_max
-    if (f_lo > 0.0) == (f_hi > 0.0):
+    if f_hi == 0.0:
+        return scan_max
+    if f_hi < 0.0:
         raise SolverError(
             f"no root of the dispersion relation of mode k = {k!r} in "
-            f"[{lo!r}, {scan_max!r}]: F_k is {f_lo!r} and {f_hi!r} at the ends"
+            f"[0, {scan_max!r}]: F_k(scan_max) = {f_hi!r} <= 0"
         )
     return _refine_root(k, cfg, lo, scan_max, f_lo, f_hi)
 
@@ -245,8 +252,9 @@ def compare_modes(
     Disagreement is reported, never resolved silently: callers decide what to
     flag against which tolerance. The Galerkin side is solve_mode_lambda;
     only its Lambda_k is read, so no profile is built. The oracle brackets
-    its root between the Galerkin Lambda_k^N (a proven lower bound; see
-    dispersion_root) and 1.05 m. Raises StableRegime at theta >= theta_c
+    its root between 1.05 m and the Galerkin Lambda_k^N, a lower bound up to
+    rounding, or 0 where the computed Lambda_k^N lies above the root (see
+    dispersion_root). Raises StableRegime at theta >= theta_c
     (from the bound m), like solve_mode_lambda.
     """
     validate_config(cfg)

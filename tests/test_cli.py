@@ -187,9 +187,10 @@ def test_verify_passes(config_path, tmp_path):
 
 
 def test_verify_reports_an_empty_oracle_bracket(config_path, tmp_path, monkeypatch):
-    # a dispersion function of one sign over the bracket fails the oracle
-    # check with the error's message: exit 1, the other checks still run
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: 1.0)
+    # a dispersion function still negative at the bracket's top end (no root
+    # below the bound) fails the oracle check with the error's message:
+    # exit 1, the other checks still run
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: -1.0)
     out = tmp_path / "verify.json"
     code = run_cli(["verify", "--config", config_path, "--resolution", "16",
                     "--out", str(out)])

@@ -46,6 +46,14 @@ def _lattice_magnitudes(k_max):
     return [math.sqrt(q) for q in sorted(squares) if 0 < q <= k_max * k_max]
 
 
+def _box_config(nu_plus, nu_minus, fraction):
+    base = FluidConfig(
+        rho_plus=2.0, rho_minus=1.0, mu_plus=2.0 * 10.0**nu_plus, mu_minus=10.0**nu_minus,
+        g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
+    )
+    return base.with_theta(fraction * theta_critical(base))
+
+
 def _bisection_root(k, cfg, scan_max):
     """Largest root by bisecting every sign change of a 240-point scan to 1e-12 relative."""
     grid = _scan_grid(scan_max)
@@ -285,14 +293,36 @@ def test_seeded_root_matches_reference_bisection(reference_config):
         assert seeded == pytest.approx(expected, rel=2e-12, abs=0.0)
 
 
-def test_seeded_root_below_floor_raises(reference_config, monkeypatch):
-    # a floor above the root leaves a bracket with one sign: an error, not a widened search
+def test_seeded_root_below_floor_falls_back_to_full_scan(reference_config, monkeypatch):
+    # F_k > 0 at a floor above the root: the bracket drops back to the full
+    # [0, scan_max], and the search runs exactly as without a floor
     scan_max = 1.05 * upper_bound_m(reference_config)
     root = 0.3 * math.pi
     monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - root)
-    assert dispersion_root(1.0, reference_config, scan_max) == pytest.approx(root, rel=1e-12)
-    with pytest.raises(SolverError, match="no root of the dispersion relation"):
-        dispersion_root(1.0, reference_config, scan_max, floor=2.0)
+    full = dispersion_root(1.0, reference_config, scan_max)
+    assert full == pytest.approx(root, rel=1e-12)
+    assert dispersion_root(1.0, reference_config, scan_max, floor=2.0) == full
+
+
+def test_galerkin_floor_above_the_root_still_compares():
+    # at N = 128 the computed Lambda_k^N of this config is 9.7e-9 above the
+    # root (CHANGES.md, FOUND; ROADMAP item 3): the row still holds the root,
+    # well inside verify's tolerance
+    cfg = _box_config(-0.11075493, -2.70973775, 0.23154304)
+    scan_max = 1.05 * upper_bound_m(cfg)
+    (row,) = compare_modes(cfg, [1.0], Discretization(128))
+    assert row.lambda_oracle == pytest.approx(dispersion_root(1.0, cfg, scan_max), rel=2e-12)
+    assert row.rel_diff <= ORACLE_TOL
+
+
+def test_empty_bracket_raises(reference_config, monkeypatch):
+    # F_k(scan_max) <= 0 puts the root above the declared bound: an error,
+    # not a widened search, with or without a floor
+    scan_max = 1.05 * upper_bound_m(reference_config)
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - 2.0 * scan_max)
+    for floor in (None, 1.0):
+        with pytest.raises(SolverError, match="no root of the dispersion relation"):
+            dispersion_root(1.0, reference_config, scan_max, floor=floor)
 
 
 def test_seeded_root_determinant_calls(reference_config, monkeypatch):
@@ -392,24 +422,12 @@ def test_oracle_compare_to_k40_agrees(reference_config, tmp_path):
     assert max(float(r["rel_diff"]) for r in rows) <= ORACLE_TOL
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    nu_plus=st.floats(min_value=-4.0, max_value=0.0),
-    nu_minus=st.floats(min_value=-4.0, max_value=0.0),
-    fraction=st.floats(min_value=0.0, max_value=0.99),
-    i=st.integers(min_value=0, max_value=212),
-    j=st.integers(min_value=1, max_value=212),
-)
-def test_dispersion_root_over_config_box(nu_plus, nu_minus, fraction, i, j):
+def _check_box_case(nu_plus, nu_minus, fraction, i, j):
     # mu / rho in [1e-4, 1] per layer, theta / theta_c in [0, 0.99] and a
     # lattice k with k h up to 300: F_k strictly increases from its limit
     # -k^2 c_k, its root is at most m, and the N = 64 Galerkin Lambda_k^N
     # stays below it
-    base = FluidConfig(
-        rho_plus=2.0, rho_minus=1.0, mu_plus=2.0 * 10.0**nu_plus, mu_minus=10.0**nu_minus,
-        g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
-    )
-    cfg = base.with_theta(fraction * theta_critical(base))
+    cfg = _box_config(nu_plus, nu_minus, fraction)
     k = math.hypot(i, j)
     m = upper_bound_m(cfg)
     scan_max = 1.05 * m
@@ -424,6 +442,28 @@ def test_dispersion_root_over_config_box(nu_plus, nu_minus, fraction, i, j):
         return
     assert 0.0 < root <= m
     assert growth.lam <= root * (1.0 + 1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    nu_plus=st.floats(min_value=-4.0, max_value=0.0),
+    nu_minus=st.floats(min_value=-4.0, max_value=0.0),
+    fraction=st.floats(min_value=0.0, max_value=0.99),
+    i=st.integers(min_value=0, max_value=212),
+    j=st.integers(min_value=1, max_value=212),
+)
+def test_dispersion_root_over_config_box(nu_plus, nu_minus, fraction, i, j):
+    _check_box_case(nu_plus, nu_minus, fraction, i, j)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="N = 64 Lambda_k^N rounds 1.2e-9 above the root (ROADMAP item 3)",
+)
+def test_config_box_galerkin_floor_counterexample():
+    # the point of the box where the N = 64 Galerkin side breaks the 1e-9
+    # bound (CHANGES.md, FOUND)
+    _check_box_case(-0.10001778, -1.38176338, 0.78403162, 0, 1)
 
 
 def test_compare_modes_table(reference_config):
