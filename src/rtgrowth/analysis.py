@@ -28,11 +28,6 @@ from .model import (
     validate_config,
     wang_tice_bound,
 )
-from .modeforms import (
-    check_trace_inequalities,
-    threshold_test_profile,
-    random_admissible_profile,
-)
 from .oracle import compare_modes, compare_solved_mode
 from .pencil import Discretization
 from .spectrum import FrozenModeSet, alpha_curve, smallest_magnitude
@@ -155,45 +150,17 @@ class VerifyReport:
         }
 
 
-_TRACE_SAMPLES = 300
-_TRACE_SEED = 20240831
-
-
 def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
-    """Self-contained invariant suite; needs nothing beyond the config."""
+    """Check this config's solve; needs nothing beyond the config.
+
+    The two alpha checks evaluate alpha_k(s) on the mode set sized for Lambda
+    at theta = 0, which is not sized for alpha(s): below Lambda the maximum
+    over that set can lie well below alpha(s), so their details name the set
+    (mode count and k_max). Strict decrease in s and in theta holds for the
+    maximum over any fixed set, so both checks stay valid.
+    """
     validate_config(cfg)
     checks: list[VerifyCheck] = []
-    rng = np.random.default_rng(_TRACE_SEED)
-
-    # Trace and derivative inequalities on random admissible profiles.
-    worst = 0.0
-    failed = 0
-    for _ in range(_TRACE_SAMPLES):
-        profile = random_admissible_profile(rng, cfg.h_minus, cfg.h_plus)
-        for rep in check_trace_inequalities((0.5, 1.0, 2.0), profile, cfg):
-            worst = max(
-                worst,
-                rep.interface_ratio_lower,
-                rep.interface_ratio_upper,
-                rep.deriv_ratio_lower,
-                rep.deriv_ratio_upper,
-            )
-            if not rep.all_pass:
-                failed += 1
-    checks.append(
-        VerifyCheck(
-            "trace_inequalities",
-            failed == 0,
-            f"{_TRACE_SAMPLES} profiles x 3 wavenumbers, worst ratio {worst:.6f}",
-        )
-    )
-
-    _, ratio = threshold_test_profile(cfg)
-    expected = max(cfg.L1**2, cfg.L2**2)
-    ok = abs(ratio - expected) <= 1e-12 * expected
-    checks.append(
-        VerifyCheck("threshold_ratio", ok, f"ratio {ratio!r} vs max(L1^2, L2^2) {expected!r}")
-    )
 
     theta_c = theta_critical(cfg)
     stable = cfg.theta >= theta_c
@@ -210,6 +177,7 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
     m = upper_bound_m(cfg)
     fm, res0 = _sized_mode_set(cfg, disc)
 
+    over_set = f"max of alpha_k over the {len(fm.modes)} modes with k <= {fm.modes.k_max!r}"
     s_grid = np.geomspace(m / 20.0, 1.2 * m, 8)
     try:
         alpha_curve(cfg, s_grid, disc, frozen=fm)
@@ -217,7 +185,7 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
             VerifyCheck(
                 "alpha_strictly_decreasing",
                 True,
-                f"8 samples on [{s_grid[0]!r}, {s_grid[-1]!r}]",
+                f"{over_set}: 8 samples on [{s_grid[0]!r}, {s_grid[-1]!r}]",
             )
         )
     except MonotonicityViolation as exc:
@@ -230,7 +198,7 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
         VerifyCheck(
             "alpha_decreasing_in_theta",
             a2.alpha < a1.alpha,
-            f"alpha({s_probe!r}) drops from {a1.alpha!r} to {a2.alpha!r}",
+            f"{over_set}: at s = {s_probe!r} drops from {a1.alpha!r} to {a2.alpha!r}",
         )
     )
 

@@ -222,16 +222,19 @@ def main(argv=None) -> int:
         if args.resolution < 8:
             raise ConfigError(f"--resolution must be >= 8, got {args.resolution}")
         cfg = _load_config(args.config)
-        if args.command == "growth":
-            return _cmd_growth(cfg, args)
-        if args.command == "alpha-curve":
-            return _cmd_alpha_curve(cfg, args)
-        if args.command == "oracle-compare":
-            return _cmd_compare(cfg, args)
-        if args.command == "sweep-theta":
-            return _cmd_sweep(cfg, args)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args)
+        # a failure is reported in the one stderr line below, so numpy's
+        # floating-point warnings on the way there are silenced
+        with np.errstate(all="ignore"):
+            if args.command == "growth":
+                return _cmd_growth(cfg, args)
+            if args.command == "alpha-curve":
+                return _cmd_alpha_curve(cfg, args)
+            if args.command == "oracle-compare":
+                return _cmd_compare(cfg, args)
+            if args.command == "sweep-theta":
+                return _cmd_sweep(cfg, args)
+            if args.command == "verify":
+                return _cmd_verify(cfg, args)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")

@@ -72,7 +72,3 @@ class MonotonicityViolation(SolverError):
 class DegenerateExponents(SolverError):
     """The dispersion function F_k came out non-finite (a rate or wavenumber
     near the end of the float range)."""
-
-
-class InadmissibleProfile(SolverError):
-    """Profile violates the clamped/no-slip reduction it is required to obey."""

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleProfile, ZeroWaveNumber
 from .model import FluidConfig
 
 # 5-point Gauss-Legendre rule on [0, 1]: exact through polynomial degree 9,
@@ -76,9 +75,6 @@ def hermite_shape(u: np.ndarray, order: int = 0) -> np.ndarray:
                 6.0 * u - 2.0,
             ]
         )
-    if order == 3:
-        ones = np.ones_like(u)
-        return np.stack([12.0 * ones, 6.0 * ones, -12.0 * ones, 6.0 * ones])
     raise ValueError(f"unsupported derivative order {order}")
 
 
@@ -92,9 +88,10 @@ class VerticalProfile:
     """Clamped piecewise-cubic vertical profile psi on a layered grid.
 
     The grid must be strictly increasing, contain a node exactly at 0, and its
-    endpoints define the layer heights. Admissibility (the no-slip reduction:
-    psi and psi' exactly zero at both walls) is a separate predicate so tests
-    can construct deliberately violated profiles.
+    endpoints define the layer heights. The constructor does not enforce the
+    no-slip reduction (psi and psi' exactly zero at both walls), so tests can
+    build deliberately violated profiles; pencil.coeffs_to_profile builds only
+    clamped ones.
     """
 
     grid: np.ndarray
@@ -126,50 +123,6 @@ class VerticalProfile:
     def interface_value(self) -> float:
         return float(self.psi_values[self.interface_index])
 
-    @property
-    def layer_tags(self) -> np.ndarray:
-        """-1 for elements below the interface, +1 above."""
-        mid = 0.5 * (self.grid[:-1] + self.grid[1:])
-        return np.where(mid < 0.0, -1, 1)
-
-    def is_admissible(self) -> bool:
-        return (
-            self.psi_values[0] == 0.0
-            and self.psi_values[-1] == 0.0
-            and self.psi_derivs[0] == 0.0
-            and self.psi_derivs[-1] == 0.0
-        )
-
-
-def require_admissible(profile: VerticalProfile) -> None:
-    if not profile.is_admissible():
-        raise InadmissibleProfile(
-            "profile must satisfy psi = psi' = 0 at both walls exactly"
-        )
-
-
-def _quad_data(profile: VerticalProfile):
-    """psi, psi', psi'' at the Gauss points of every element, plus weights.
-
-    Returns (h, w, psi, dpsi, ddpsi) with h of shape (n_elems,) and the rest
-    of shape (n_elems, n_gauss); w already contains the h scaling, so any
-    integral is (w * f).sum().
-    """
-    grid = profile.grid
-    h = np.diff(grid)
-    v0 = profile.psi_values[:-1, None]
-    v1 = profile.psi_values[1:, None]
-    d0 = profile.psi_derivs[:-1, None]
-    d1 = profile.psi_derivs[1:, None]
-    hh = h[:, None]
-    s0, s1, s2 = GAUSS_SHAPES
-
-    psi = v0 * s0[0] + d0 * hh * s0[1] + v1 * s0[2] + d1 * hh * s0[3]
-    dpsi = (v0 * s1[0] + d0 * hh * s1[1] + v1 * s1[2] + d1 * hh * s1[3]) / hh
-    ddpsi = (v0 * s2[0] + d0 * hh * s2[1] + v1 * s2[2] + d1 * hh * s2[3]) / hh**2
-    w = hh * GAUSS_WEIGHTS[None, :]
-    return h, w, psi, dpsi, ddpsi
-
 
 def surface_coefficient(k: float, cfg: FluidConfig) -> float:
     """c_k = g [rho] - theta k^2, the coefficient of psi(0)^2 in -E."""
@@ -183,118 +136,3 @@ def uniform_layered_grid(h_minus: float, h_plus: float, n_per_layer: int) -> np.
     lower[-1] = 0.0
     grid = np.concatenate([lower, upper[1:]])
     return grid
-
-
-def random_admissible_profile(
-    rng: np.random.Generator,
-    h_minus: float,
-    h_plus: float,
-    n_per_layer: int = 8,
-) -> VerticalProfile:
-    """Random clamped profile, used by the property suites."""
-    grid = uniform_layered_grid(h_minus, h_plus, n_per_layer)
-    values = rng.standard_normal(grid.size)
-    derivs = rng.standard_normal(grid.size)
-    for arr in (values, derivs):
-        arr[0] = 0.0
-        arr[-1] = 0.0
-    return VerticalProfile(grid, values, derivs)
-
-
-def smooth_bump_profile(
-    h_minus: float, h_plus: float, n_per_layer: int = 16, amplitude: float = 1.0
-) -> VerticalProfile:
-    """Clamped bump sin^2(pi (y + h-) / (h- + h+)) with nonzero interface value."""
-    grid = uniform_layered_grid(h_minus, h_plus, n_per_layer)
-    total = h_minus + h_plus
-    phase = np.pi * (grid + h_minus) / total
-    values = amplitude * np.sin(phase) ** 2
-    derivs = amplitude * np.pi / total * np.sin(2.0 * phase)
-    values[0] = values[-1] = 0.0
-    derivs[0] = derivs[-1] = 0.0
-    return VerticalProfile(grid, values, derivs)
-
-
-def threshold_test_profile(cfg: FluidConfig) -> tuple[VerticalProfile, float]:
-    """Single-mode test field realizing the threshold ratio max(L1^2, L2^2).
-
-    The field has vertical velocity L^{-1} psi(y3) sin(y_j / L) with L the
-    larger period scale and y_j the matching horizontal coordinate; the ratio
-    of the squared interface norms |w3|^2 / |grad_h w3|^2 is evaluated by
-    quadrature over one full period and equals max(L1^2, L2^2) exactly.
-    """
-    L = max(cfg.L1, cfg.L2)
-    profile = smooth_bump_profile(cfg.h_minus, cfg.h_plus)
-    psi0 = profile.interface_value
-
-    # 64 Gauss panels over [0, 2 pi L]: machine precision for these integrands.
-    edges = np.linspace(0.0, 2.0 * np.pi * L, 65)
-    h = np.diff(edges)
-    y = edges[:-1, None] + h[:, None] * GAUSS_NODES[None, :]
-    w = h[:, None] * GAUSS_WEIGHTS[None, :]
-    num = ((psi0 / L * np.sin(y / L)) ** 2 * w).sum()
-    den = ((psi0 / L**2 * np.cos(y / L)) ** 2 * w).sum()
-    return profile, float(num / den)
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    """Per-layer trace and derivative inequality ratios for one profile.
-
-    interface ratio:  psi(0)^2 / ( (h_layer / 4) * D_layer )
-    derivative ratio: integral_layer psi'^2 / ( D_layer / 4 )
-    with D_layer = integral_layer( 4 psi'^2 + (k psi + psi''/k)^2 ), both
-    ratios at most 1 for every admissible profile. Zero denominators with a
-    zero numerator report ratio 0.
-    """
-
-    interface_ratio_lower: float
-    interface_ratio_upper: float
-    deriv_ratio_lower: float
-    deriv_ratio_upper: float
-
-    @property
-    def all_pass(self) -> bool:
-        tol = 1.0 + 1e-12
-        return (
-            self.interface_ratio_lower <= tol
-            and self.interface_ratio_upper <= tol
-            and self.deriv_ratio_lower <= tol
-            and self.deriv_ratio_upper <= tol
-        )
-
-
-def _safe_ratio(num: float, den: float) -> float:
-    if num == 0.0:
-        return 0.0
-    return num / den
-
-
-def check_trace_inequalities(
-    ks, profile: VerticalProfile, cfg: FluidConfig
-) -> list[TraceReport]:
-    """Check the per-layer interface-trace and derivative bounds at each k in ks.
-
-    The profile's Gauss-point data is built once and shared by every k.
-    """
-    require_admissible(profile)
-    _, w, psi, dpsi, ddpsi = _quad_data(profile)
-    grad = w * dpsi**2
-    lower = profile.layer_tags < 0
-    g_lower, g_upper = float(grad[lower].sum()), float(grad[~lower].sum())
-    psi0_sq = profile.interface_value ** 2
-    reports = []
-    for k in ks:
-        if k <= 0.0:
-            raise ZeroWaveNumber(f"trace check needs k > 0, got {k!r}")
-        diss = w * (4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2)
-        d_lower, d_upper = float(diss[lower].sum()), float(diss[~lower].sum())
-        reports.append(
-            TraceReport(
-                interface_ratio_lower=_safe_ratio(psi0_sq, cfg.h_minus / 4.0 * d_lower),
-                interface_ratio_upper=_safe_ratio(psi0_sq, cfg.h_plus / 4.0 * d_upper),
-                deriv_ratio_lower=_safe_ratio(g_lower, d_lower / 4.0),
-                deriv_ratio_upper=_safe_ratio(g_upper, d_upper / 4.0),
-            )
-        )
-    return reports

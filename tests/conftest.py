@@ -7,7 +7,13 @@ import scipy.linalg as sla
 from rtgrowth import pencil
 from rtgrowth.errors import ZeroWaveNumber
 from rtgrowth.model import FluidConfig
-from rtgrowth.modeforms import _quad_data
+from rtgrowth.modeforms import (
+    GAUSS_NODES,
+    GAUSS_SHAPES,
+    GAUSS_WEIGHTS,
+    VerticalProfile,
+    uniform_layered_grid,
+)
 
 
 @pytest.fixture
@@ -104,8 +110,28 @@ def largest_eigenpair(forms, s):
     return finish_eigenpair(forms, s, w[0], v[:, 0])
 
 
-def _layer_weights(profile, lower, upper):
-    return np.where(profile.layer_tags < 0, lower, upper)
+def quad_data(profile):
+    """psi, psi', psi'' at the Gauss points of every element, and the weights,
+    each of shape (n_elems, n_gauss); the weights hold the element lengths, so
+    any integral is (w * f).sum()."""
+    h = np.diff(profile.grid)[:, None]
+    v0, v1 = profile.psi_values[:-1, None], profile.psi_values[1:, None]
+    d0, d1 = profile.psi_derivs[:-1, None] * h, profile.psi_derivs[1:, None] * h
+    psi, dpsi, ddpsi = (
+        (v0 * s[0] + d0 * s[1] + v1 * s[2] + d1 * s[3]) / h**r
+        for r, s in enumerate(GAUSS_SHAPES)
+    )
+    return h * GAUSS_WEIGHTS, psi, dpsi, ddpsi
+
+
+def lower_layer(profile):
+    """True for the elements below the interface."""
+    return 0.5 * (profile.grid[:-1] + profile.grid[1:]) < 0.0
+
+
+def is_admissible(profile):
+    """The no-slip reduction: psi = psi' = 0 at both walls, exactly."""
+    return not np.any(profile.psi_values[[0, -1]]) and not np.any(profile.psi_derivs[[0, -1]])
 
 
 def kinetic_form(k, profile, cfg):
@@ -113,8 +139,8 @@ def kinetic_form(k, profile, cfg):
     the profile: the reference that the assembled kinetic band is tested against."""
     if k <= 0.0:
         raise ZeroWaveNumber(f"kinetic form needs k > 0, got {k!r}")
-    _, w, psi, dpsi, _ = _quad_data(profile)
-    rho = _layer_weights(profile, cfg.rho_minus, cfg.rho_plus)
+    w, psi, dpsi, _ = quad_data(profile)
+    rho = np.where(lower_layer(profile), cfg.rho_minus, cfg.rho_plus)
     return float((rho[:, None] * w * (dpsi**2 / k**2 + psi**2)).sum())
 
 
@@ -128,7 +154,78 @@ def dissipation_form(k, profile, cfg):
     """
     if k <= 0.0:
         raise ZeroWaveNumber(f"dissipation form needs k > 0, got {k!r}")
-    _, w, psi, dpsi, ddpsi = _quad_data(profile)
-    mu = _layer_weights(profile, cfg.mu_minus, cfg.mu_plus)
+    w, psi, dpsi, ddpsi = quad_data(profile)
+    mu = np.where(lower_layer(profile), cfg.mu_minus, cfg.mu_plus)
     integrand = 4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2
     return float((mu[:, None] * w * integrand).sum())
+
+
+def random_admissible_profile(rng, h_minus, h_plus, n_per_layer=8):
+    """Clamped profile with standard normal nodal values and slopes."""
+    grid = uniform_layered_grid(h_minus, h_plus, n_per_layer)
+    values, derivs = rng.standard_normal((2, grid.size))
+    values[[0, -1]] = derivs[[0, -1]] = 0.0
+    return VerticalProfile(grid, values, derivs)
+
+
+def smooth_bump_profile(h_minus, h_plus, n_per_layer=16, amplitude=1.0):
+    """Clamped bump sin^2(pi (y + h-) / (h- + h+)) with nonzero interface value."""
+    grid = uniform_layered_grid(h_minus, h_plus, n_per_layer)
+    total = h_minus + h_plus
+    phase = np.pi * (grid + h_minus) / total
+    values = amplitude * np.sin(phase) ** 2
+    derivs = amplitude * np.pi / total * np.sin(2.0 * phase)
+    values[[0, -1]] = derivs[[0, -1]] = 0.0
+    return VerticalProfile(grid, values, derivs)
+
+
+def threshold_test_profile(cfg):
+    """Single-mode test field and its threshold ratio, max(L1^2, L2^2) exactly.
+
+    The field has vertical velocity L^{-1} psi(y3) sin(y_j / L) with L the
+    larger period scale and y_j the matching horizontal coordinate; the ratio
+    of the squared interface norms |w3|^2 / |grad_h w3|^2 is evaluated by
+    quadrature over one full period (64 Gauss panels: machine precision).
+    """
+    L = max(cfg.L1, cfg.L2)
+    profile = smooth_bump_profile(cfg.h_minus, cfg.h_plus)
+    psi0 = profile.interface_value
+    edges = np.linspace(0.0, 2.0 * np.pi * L, 65)
+    h = np.diff(edges)[:, None]
+    y = edges[:-1, None] + h * GAUSS_NODES
+    w = h * GAUSS_WEIGHTS
+    num = ((psi0 / L * np.sin(y / L)) ** 2 * w).sum()
+    den = ((psi0 / L**2 * np.cos(y / L)) ** 2 * w).sum()
+    return profile, float(num / den)
+
+
+TRACE_TOL = 1.0 + 1e-12
+
+
+def trace_ratios(ks, profile, cfg):
+    """The per-layer trace and derivative ratios of a clamped profile, one row
+    per k, in the order (interface lower, interface upper, derivative lower,
+    derivative upper):
+
+        interface ratio   psi(0)^2 / ( (h_layer / 4) * D_layer )
+        derivative ratio  integral_layer psi'^2 / ( D_layer / 4 )
+
+    with D_layer = integral_layer( 4 psi'^2 + (k psi + psi''/k)^2 ). Every
+    ratio is at most 1 for every admissible profile; a zero numerator gives 0.
+    """
+    if not is_admissible(profile):
+        raise ValueError("profile must satisfy psi = psi' = 0 at both walls exactly")
+    w, psi, dpsi, ddpsi = quad_data(profile)
+    lower = lower_layer(profile)
+    grad = w * dpsi**2
+    psi0_sq = profile.interface_value**2
+    nums = (psi0_sq, psi0_sq, grad[lower].sum(), grad[~lower].sum())
+    rows = []
+    for k in ks:
+        if k <= 0.0:
+            raise ZeroWaveNumber(f"trace check needs k > 0, got {k!r}")
+        diss = w * (4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2)
+        d_lower, d_upper = diss[lower].sum(), diss[~lower].sum()
+        dens = (cfg.h_minus / 4.0 * d_lower, cfg.h_plus / 4.0 * d_upper, d_lower / 4.0, d_upper / 4.0)
+        rows.append([n / d if n else 0.0 for n, d in zip(nums, dens)])
+    return np.array(rows)

@@ -116,13 +116,24 @@ def test_verify_all_passes(cheap_config):
     for check in report.checks:
         assert check.passed, f"{check.name}: {check.detail}"
     assert report.all_pass
-    names = {c.name for c in report.checks}
-    assert {"trace_inequalities", "threshold_ratio", "alpha_strictly_decreasing",
-            "alpha_decreasing_in_theta", "fixed_point", "oracle_agreement",
-            "threshold_stability"} <= names
+    assert [c.name for c in report.checks] == [
+        "alpha_strictly_decreasing", "alpha_decreasing_in_theta", "fixed_point",
+        "oracle_agreement", "threshold_stability",
+    ]
     payload = report.to_json_dict()
     assert payload["all_pass"] is True
     json.dumps(payload)  # every field is a plain JSON value
+
+
+def test_verify_alpha_checks_name_their_mode_set(cheap_config):
+    # alpha(s) is maximized over the set sized for Lambda at theta = 0, not
+    # over a set sized at each s, so both details say which set that is
+    disc = Discretization(16)
+    fm, _ = _sized_mode_set(cheap_config, disc)
+    label = f"over the {len(fm.modes)} modes with k <= {fm.modes.k_max!r}"
+    checks = {c.name: c for c in verify_all(cheap_config, disc).checks}
+    assert label in checks["alpha_strictly_decreasing"].detail
+    assert label in checks["alpha_decreasing_in_theta"].detail
 
 
 def test_verify_all_solves_once_at_theta_zero(cheap_config, monkeypatch):

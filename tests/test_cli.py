@@ -225,6 +225,32 @@ def test_subprocess_entry(config_path, tmp_path):
     assert json.loads(out.read_text())["lambda"] > 0.0
 
 
+def test_numerical_failure_is_one_stderr_line(tmp_path):
+    # layers of height 1e-300 overflow the element matrices; numpy's
+    # floating-point warnings must not reach stderr ahead of the report
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({**CHEAP, "h_plus": 1e-300, "h_minus": 1e-300}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtgrowth.cli", "growth", "--config", str(path),
+         "--resolution", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ")
+
+
+def test_verify_on_a_stable_config_runs_only_the_stable_check(tmp_path):
+    # L1 = L2 = 1e-300 puts theta_c at 0, so theta = 0 is stable
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({**CHEAP, "L1": 1e-300, "L2": 1e-300}))
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--config", str(path), "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [("stable_regime", True)]
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize alone takes about a quarter second to import, and every
     # command would pay it at start-up

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import dissipation_form, kinetic_form
+from conftest import dissipation_form, kinetic_form, random_admissible_profile
 from rtgrowth.analysis import _sized_mode_set
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import theta_critical
-from rtgrowth.modeforms import random_admissible_profile
 from rtgrowth.pencil import Discretization
 from rtgrowth.spectrum import FrozenModeSet, alpha_curve
 

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import dense, dissipation_form, finish_eigenpair, kinetic_form, largest_eigenpair
+from conftest import (
+    dense,
+    dissipation_form,
+    finish_eigenpair,
+    kinetic_form,
+    largest_eigenpair,
+    smooth_bump_profile,
+)
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from rtgrowth.model import FluidConfig, theta_critical
@@ -85,8 +92,6 @@ def test_assembly_matches_modeforms(reference_config, rng):
 def test_dissipation_large_k_scaling(reference_config):
     # for a fixed smooth profile the k^2 mu psi^2 term dominates:
     # quadrupling between k=10 and k=20 to within a few percent
-    from rtgrowth.modeforms import smooth_bump_profile
-
     profile = smooth_bump_profile(1.0, 1.0)
     d10 = dissipation_form(10.0, profile, reference_config)
     d20 = dissipation_form(20.0, profile, reference_config)
