@@ -13,13 +13,16 @@ time, so each command row also records main_s, the time the child spends
 inside cli.main: the part a change to the solver moves.
 
 Each command row records its inputs (N, the modes sized, the number of global
-solves, the dispersion determinant calls) and its answer (lambda and
-argmax_k; for oracle-compare, the oracle root and k of every compared mode),
-so that a later file can check that a speed-up kept the answer. The child
-counts modes as the final size of every mode set it builds, solves as the
-growth results it validates and determinants as the calls to
-oracle.determinant, one trial rate each; all are read from its own process,
-not inferred from the outputs.
+solves, the dispersion determinant calls), its banded work (factorizations
+and extended-precision residuals) and its answer (lambda and argmax_k; for
+oracle-compare, the oracle root and k of every compared mode), so that a
+later file can check that a speed-up kept the answer. The child counts modes
+as the final size of every mode set it builds, solves as the growth results
+it validates, determinants as the calls to oracle.determinant (one trial rate
+each), factorizations as the banded Cholesky factorizations (dpbtrf: inertia
+tests and solves alike) and extended residuals as the refinement residuals
+formed in extended precision; all are read from its own process, not
+inferred from the outputs.
 
 Times compare only within one file: wall_s and main_s move with the machine's
 load from one session to the next, and a file records no baseline of the
@@ -62,12 +65,14 @@ ENV = {
 # cli.main on its last stderr line.
 CHILD_SCRIPT = """
 import json, sys, time
-from rtgrowth import cli, oracle
+from rtgrowth import cli, oracle, pencil
 from rtgrowth.fixedpoint import GrowthResult
 from rtgrowth.spectrum import FrozenModeSet
 
-sets, counts = [], {"solves": 0, "determinants": 0}
+sets = []
+counts = {"solves": 0, "determinants": 0, "factorizations": 0, "extended_residuals": 0}
 init, validate, determinant = FrozenModeSet.__init__, GrowthResult.validate, oracle.determinant
+dpbtrf, extended = pencil.lapack.dpbtrf, pencil._band_matvec_extended
 
 def track_set(self, *args):
     init(self, *args)
@@ -81,8 +86,17 @@ def count_determinant(*args):
     counts["determinants"] += 1
     return determinant(*args)
 
+def count_factorization(*args, **kwargs):
+    counts["factorizations"] += 1
+    return dpbtrf(*args, **kwargs)
+
+def count_extended(*args):
+    counts["extended_residuals"] += 1
+    return extended(*args)
+
 FrozenModeSet.__init__, GrowthResult.validate = track_set, count_solve
 oracle.determinant = count_determinant
+pencil.lapack.dpbtrf, pencil._band_matvec_extended = count_factorization, count_extended
 start = time.perf_counter()
 code = cli.main(sys.argv[1:])
 counts["main_s"] = time.perf_counter() - start
@@ -121,6 +135,8 @@ def cli_row(name: str, command: str, n: int, work: Path, answer) -> dict:
         "modes": counts["modes"],
         "solves": counts["solves"],
         "determinants": counts["determinants"],
+        "factorizations": counts["factorizations"],
+        "extended_residuals": counts["extended_residuals"],
         "lambda": lam,
         "argmax_k": argmax_k,
         "wall_s": statistics.median(runs),

@@ -185,7 +185,7 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
             VerifyCheck(
                 "alpha_strictly_decreasing",
                 True,
-                f"{over_set}: 8 samples on [{s_grid[0]!r}, {s_grid[-1]!r}]",
+                f"{over_set}: 8 samples on [{float(s_grid[0])!r}, {float(s_grid[-1])!r}]",
             )
         )
     except MonotonicityViolation as exc:

@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import (
+    ConfigError,
     DensityOrderViolation,
     NegativeSurfaceTension,
     NonFiniteParameter,
@@ -94,7 +95,10 @@ def validate_config(cfg: FluidConfig) -> FluidConfig:
 
     Comparisons are exact predicates: these are user-supplied inputs, not
     computed quantities. Equal densities are rejected outright because every
-    downstream formula divides by the density jump.
+    downstream formula divides by the density jump. So is a config whose
+    threshold theta_c = g [rho] max(L1^2, L2^2) is not a finite positive
+    float: tiny periods underflow it to 0, which would call every theta
+    stable, and a product past the float range overflows it.
     """
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)
@@ -109,6 +113,12 @@ def validate_config(cfg: FluidConfig) -> FluidConfig:
     if not cfg.rho_plus > cfg.rho_minus:
         raise DensityOrderViolation(
             f"rho_plus = {cfg.rho_plus!r} must exceed rho_minus = {cfg.rho_minus!r}"
+        )
+    theta_c = theta_critical(cfg)
+    if not (math.isfinite(theta_c) and theta_c > 0.0):
+        raise ConfigError(
+            f"theta_c = g (rho_plus - rho_minus) max(L1^2, L2^2) = {theta_c!r} "
+            "is not a finite positive float"
         )
     return cfg
 

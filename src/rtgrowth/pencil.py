@@ -20,9 +20,13 @@ from banded Cholesky factorizations (dpbtrf): the inertia test alpha_below
 (s A + alpha B - c_k e0 e0^T factors exactly when alpha > alpha_k(s)),
 alpha_k(s) by bisection on it, finished by secular Newton steps (mode_alpha),
 the interface compliances e0^T B^(-1) e0 and e0^T A^(-1) e0 (compliances),
-and Lambda_k by Newton steps on phi(s) = c_k e0^T (s A + s^2 B)^(-1) e0 = 1
-(fixed_point), whose last solve is the eigenprofile. No solver path expands
-a dense matrix.
+and Lambda_k as the root of phi(s) = c_k e0^T (s A + s^2 B)^(-1) e0 = 1
+(fixed_point), whose last solve is the eigenprofile. The energy matrix
+s A + alpha B has condition number ~4e8 at N = 128, so a solve whose value
+is read is refined once with a residual in extended precision
+(_interface_solve = _factor_solve + _refine). fixed_point refines only at
+the answer: float64 steps propose points until a step falls below 1e-3 s,
+then two refined solves finish it. No solver path expands a dense matrix.
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
@@ -133,6 +137,9 @@ def _element_matrices(h: float):
     return mass, grad, bend, cross
 
 
+_TABLE_NAMES = ("M_rho", "D_rho", "M_mu", "D_mu", "H_mu", "X_mu")
+
+
 @lru_cache(maxsize=32)
 def _tables(
     rho_minus: float,
@@ -148,37 +155,31 @@ def _tables(
     Element e carries the full dofs 2e .. 2e+3; clamping drops value and slope
     at both walls, so its local dof a is global dof 2e + a - 2 when that lies
     in [0, dim). Local entry (a, b), a >= b, lands in band row a - b, column
-    2e + b - 2. A band entry receives at most two element contributions, and
-    0 + u + v is exact in either order, so the band holds bit for bit the lower
-    triangle of a dense scatter.
+    2e + b - 2. All six bands are one scatter: np.bincount over the flat
+    (table, band row, column) index. A band entry receives at most two element
+    contributions (only the two dofs of a shared node lie in two elements),
+    and 0 + u + v is exact in either order, so the band holds bit for bit the
+    lower triangle of a dense scatter.
     """
     grid = uniform_layered_grid(h_minus, h_plus, n)
     dim = 4 * n - 2
     per_layer = []
     for h, rho, mu in ((h_minus, rho_minus, mu_minus), (h_plus, rho_plus, mu_plus)):
         mass, grad, bend, cross = _element_matrices(h / n)
-        per_layer.append({
-            "M_rho": rho * mass,
-            "D_rho": rho * grad,
-            "M_mu": mu * mass,
-            "D_mu": mu * grad,
-            "H_mu": mu * bend,
-            "X_mu": mu * 0.5 * (cross + cross.T),
-        })
-    lower_layer = np.arange(2 * n) < n
-    first = 2 * np.arange(2 * n) - 2  # global dof of each element's local dof 0
-    bands = {}
-    for name in per_layer[0]:
-        band = np.zeros((4, dim))  # an element couples two nodes of two dofs each
-        for a in range(4):
-            for b in range(a + 1):
-                col = first + b
-                keep = (col >= 0) & (col + a - b < dim)
-                vals = np.where(lower_layer, per_layer[0][name][a, b], per_layer[1][name][a, b])
-                band[a - b, col[keep]] += vals[keep]
-        band.flags.writeable = False
-        bands[name] = band
-    return {"grid": grid, "e0_index": 2 * n - 2, **bands}
+        per_layer.append(
+            [rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * 0.5 * (cross + cross.T)]
+        )
+    tables = len(_TABLE_NAMES)
+    a, b = np.tril_indices(4)
+    # indexed (element, table, entry (a, b))
+    vals = np.asarray(per_layer)[(np.arange(2 * n) >= n).astype(int)][:, :, a, b]
+    col = 2 * np.arange(2 * n)[:, None, None] - 2 + b
+    index = (np.arange(tables)[:, None] * 4 + a - b) * dim + col
+    keep = np.broadcast_to((col >= 0) & (col + a - b < dim), index.shape)
+    # four band rows: an element couples two nodes of two dofs each
+    bands = np.bincount(index[keep], vals[keep], tables * 4 * dim).reshape(tables, 4, dim)
+    bands.flags.writeable = False
+    return {"grid": grid, "e0_index": 2 * n - 2, **dict(zip(_TABLE_NAMES, bands))}
 
 
 def _cfg_tables(cfg: FluidConfig, disc: Discretization):
@@ -284,28 +285,44 @@ def _pencil_residual(forms: PencilForms, energy: np.ndarray, x: np.ndarray) -> n
     return r
 
 
-def _interface_solve(forms: PencilForms, s: float, alpha: float):
-    """x = (s A + alpha B)^(-1) e0, for s, alpha >= 0 not both zero (s A +
-    alpha B is then positive definite).
-
-    When alpha is the largest eigenvalue, x is its eigenvector: the pencil
-    gives (s A + alpha B) x = c_k x[e0] e0. One banded Cholesky factorization
-    and two solves: the second is one step of refinement with s A + alpha B
-    formed and applied in extended precision (from forms.extended_bands).
-    Rounding it to float64 puts the solve off by up to 2e-9 at N = 128
-    (cond ~ 4e8), an error that moves with BLAS threading; the refined vector
-    is good to ~1e-12.
-    """
+def _unit(forms: PencilForms) -> np.ndarray:
+    """e0, the interface value dof as a unit vector."""
     e0 = np.zeros(forms.dim)
     e0[forms.e0_index] = 1.0
+    return e0
+
+
+def _factor_solve(forms: PencilForms, s: float, alpha: float):
+    """(chol, x): the banded Cholesky factor of s A + alpha B and the float64
+    solve x = (s A + alpha B)^(-1) e0 from it, for s, alpha >= 0 not both zero
+    (s A + alpha B is then positive definite)."""
     what = f"energy matrix at alpha {alpha!r}"
     chol = _spd_factor(_energy(forms, s, alpha), what)
-    x = _spd_solve(chol, e0, what)
+    return chol, _spd_solve(chol, _unit(forms), what)
+
+
+def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.ndarray):
+    """x after one step of refinement: the residual e0 - (s A + alpha B) x is
+    formed and applied in extended precision (from forms.extended_bands) and
+    solved with chol, the factor of s A + alpha B held already."""
     ext = np.longdouble
     a_ext, b_ext = forms.extended_bands
     exact = ext(s) * a_ext + ext(alpha) * b_ext
-    r = e0 - _band_matvec_extended(exact, x)
-    return x + _spd_solve(chol, r.astype(float), what)
+    r = _unit(forms) - _band_matvec_extended(exact, x)
+    return x + _spd_solve(chol, r.astype(float), f"energy matrix at alpha {alpha!r}")
+
+
+def _interface_solve(forms: PencilForms, s: float, alpha: float):
+    """x = (s A + alpha B)^(-1) e0, refined, for s, alpha >= 0 not both zero.
+
+    When alpha is the largest eigenvalue, x is its eigenvector: the pencil
+    gives (s A + alpha B) x = c_k x[e0] e0. One banded Cholesky factorization
+    and two solves (_factor_solve, _refine). Rounding the solve to float64
+    puts it off by up to 2e-9 at N = 128 (cond ~ 4e8), an error that moves
+    with BLAS threading; the refined vector is good to ~1e-12.
+    """
+    chol, x = _factor_solve(forms, s, alpha)
+    return _refine(forms, chol, s, alpha, x)
 
 
 def compliances(forms: PencilForms) -> tuple[float, float]:
@@ -318,9 +335,7 @@ def compliances(forms: PencilForms) -> tuple[float, float]:
     conditioned like N^4, and an unrefined solve is off by up to 7e-8 at
     N = 256, so C_k takes the refined solve of _interface_solve.
     """
-    e0 = np.zeros(forms.dim)
-    e0[forms.e0_index] = 1.0
-    x = _spd_solve(_spd_factor(forms.B_band, "kinetic matrix"), e0, "kinetic matrix")
+    x = _spd_solve(_spd_factor(forms.B_band, "kinetic matrix"), _unit(forms), "kinetic matrix")
     y = _interface_solve(forms, 1.0, 0.0)
     return float(x[forms.e0_index]), float(y[forms.e0_index])
 
@@ -419,43 +434,94 @@ class FixedPoint:
         return coeffs_to_profile(self.vector, self.forms)
 
 
+# fixed_point's two phases: float64 steps until one is at most _FLOAT_STEP * s,
+# then refined steps until one is at most _LAST_STEP * s (derived in its docstring)
+_FLOAT_STEP = 1e-3
+_LAST_STEP = 1e-7
+
+
 def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     """Lambda_k with alpha_k(Lambda_k) = Lambda_k^2, for c_k > 0.
 
     With x = (s A + s^2 B)^(-1) e0 and phi(s) = c_k x[e0], the Schur
     complement of s A + s^2 B in s A + s^2 B - c_k e0 e0^T is 1 - phi(s), so
     by the inertia argument of alpha_below phi(s) < 1 exactly when
-    s > Lambda_k. phi strictly decreases, phi' = -c_k x^T (A + 2 s B) x, and
-    1/phi - 1 is nearly linear in s, so safeguarded Newton on it takes a few
-    steps: s <- s + phi (1 - phi) / phi', with a bisection of the bracket
-    whenever a step leaves it. start should bound Lambda_k from above, as the
-    compliance bound spectrum.compliance_bound does; the closer it is, the
-    fewer the steps. Where that bound is nearly exact (near theta_c) its
-    computed value can fall below Lambda_k by rounding, so phi(start) > 1 does
-    not raise: start becomes the lower end of the bracket, whose upper end
-    stays open until a Newton step (upward, since phi > 1) passes the root.
-    Each solve is refined in extended precision (_interface_solve); after a
-    step below 1e-9 relative the error is of the order of its square, so the
-    next solve is the last and is the eigenprofile.
+    s > Lambda_k. Since x^T (s A + s^2 B) x = x[e0], the kinetic share
+    q = s^2 x^T B x / x[e0] lies in (0, 1), and phi strictly decreases with
+    phi' = -c_k x^T (A + 2 s B) x = -c_k (x[e0] / s + s x^T B x): one banded
+    matvec per step, and two positive terms, so nothing cancels. start should
+    bound Lambda_k from above, as the compliance bound
+    spectrum.compliance_bound does; the closer it is, the fewer the steps.
+
+    Float64 phase. Each step factors s A + s^2 B and solves once, unrefined
+    (_factor_solve), and refits y(t) = 1 / phi(t) as a t^2 + b t through its
+    value and slope at s: y(0) = 0, since e0^T (t A + t^2 B)^(-1) e0 grows
+    without bound as t -> 0. This is the two-limit model of the compliance
+    bound, y(t) / y(s) = q (t/s)^2 + (1 - q) t/s, so a and b are positive and
+    the refit has exactly one positive root, the next point. Steps go to
+    the refit root until one is at most _FLOAT_STEP * s. This phase only
+    proposes a point: it sets no bracket end and no returned value, so it
+    cannot change what the refined phase certifies; a poor proposal costs
+    refined steps, never accuracy. An unrefined solve is off by about
+    cond * u (2e-9 at N = 128, cond ~ 4e8; cond grows like N^4), far below
+    _FLOAT_STEP, so the phase ends.
+
+    Refined phase. Safeguarded Newton on 1/phi - 1, every solve refined in
+    extended precision (_refine): s <- s + phi (1 - phi) / phi', with a
+    bisection of the bracket whenever a step leaves it. Where the start's
+    bound is nearly exact (near theta_c) its computed value can fall below
+    Lambda_k by rounding, so phi > 1 does not raise: s becomes the lower end
+    of the bracket, whose upper end stays open until a step (upward, since
+    phi > 1) passes the root. The phase starts at the proposed point, or,
+    after a float64 step of at most _LAST_STEP * s, refines the factor in
+    hand at s instead of factoring again.
+
+    Thresholds. A step leaves an error of about K e^2 from an error e.
+    Measured at N = 128 on the reference maximizer (k = 5) and on mu = 1
+    (k = 1 and sqrt(8)), K s is 0.02 to 0.31 for the Newton step and at most
+    0.011 for the refit step. So after a float64 step of at most
+    _FLOAT_STEP * s the error is at most about 1e-8 s, plus the unrefined
+    solve's rounding, and the first refined step is below _LAST_STEP * s.
+    After a refined step of d <= _LAST_STEP * s the error left is
+    K d^2 <= 3e-15 s, below the refined solve's own rounding (1e-12 to
+    1e-11 relative at N = 128). So the next solve is the last and is the
+    eigenprofile: a fixed point takes two refined solves.
     """
     c = float(forms.c_k)
     if not c > 0.0:
         raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
-    lo, hi, s = 0.0, math.inf, float(start)
-    last = False
+    i0 = forms.e0_index
+    s, held = float(start), None
     for _ in range(100):
-        x = _interface_solve(forms, s, s * s)
-        phi = c * float(x[forms.e0_index])
+        chol, x = _factor_solve(forms, s, s * s)
+        x0 = float(x[i0])
+        y, q = 1.0 / (c * x0), s * s * float(x @ band_matvec(forms.B_band, x)) / x0
+        b = y * (1.0 - q)  # y(t) = y q (t/s)^2 + b t/s
+        step = s * (2.0 / (b + math.sqrt(b * b + 4.0 * y * q)) - 1.0)
+        if abs(step) <= _LAST_STEP * s:
+            held = chol, x  # refined at s, not factored again at s + step
+            break
+        near = abs(step) <= _FLOAT_STEP * s
+        s += step
+        if near:
+            break
+    lo, hi, last = 0.0, math.inf, False
+    for _ in range(100):
+        chol, x = held or _factor_solve(forms, s, s * s)
+        held = None
+        x = _refine(forms, chol, s, s * s, x)
+        x0 = float(x[i0])
+        phi = c * x0
         xb = float(x @ band_matvec(forms.B_band, x))
         if phi > 1.0:
             lo = s
         else:
             hi = s
-        step = phi * (1.0 - phi) / (-c * (float(x @ band_matvec(forms.A_band, x)) + 2.0 * s * xb))
+        step = phi * (1.0 - phi) / (-c * (x0 / s + s * xb))
         if last or phi == 1.0 or hi - lo <= 1e-15 * s:
             alpha = s * s + (phi - 1.0) / (c * xb)
             return FixedPoint(forms, s, alpha, x / math.sqrt(xb))
-        last = abs(step) <= 1e-9 * s
+        last = abs(step) <= _LAST_STEP * s
         s = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
     raise FactorizationFailure(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,81 @@ def largest_eigenpair(forms, s):
     numerator[forms.e0_index, forms.e0_index] += forms.c_k
     w, v = sla.eigh(numerator, dense(forms.B_band), subset_by_index=[n - 1, n - 1])
     return finish_eigenpair(forms, s, w[0], v[:, 0])
+
+
+def all_refined_fixed_point(forms, start):
+    """Lambda_k by safeguarded Newton on 1/phi - 1 with every solve
+    refined (pencil._interface_solve), stopping one solve after a step below
+    1e-9 relative: the reference that pencil.fixed_point's float64 proposals
+    and shorter refined phase are tested against."""
+    c = float(forms.c_k)
+    lo, hi, s = 0.0, math.inf, float(start)
+    last = False
+    for _ in range(100):
+        x = pencil._interface_solve(forms, s, s * s)
+        phi = c * float(x[forms.e0_index])
+        xb = float(x @ pencil.band_matvec(forms.B_band, x))
+        if phi > 1.0:
+            lo = s
+        else:
+            hi = s
+        xa = float(x @ pencil.band_matvec(forms.A_band, x))
+        step = phi * (1.0 - phi) / (-c * (xa + 2.0 * s * xb))
+        if last or phi == 1.0 or hi - lo <= 1e-15 * s:
+            return s
+        last = abs(step) <= 1e-9 * s
+        s = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
+    raise AssertionError(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")
+
+
+def count_solves(monkeypatch):
+    """Two lists that fill as the energy solves run: the s of every banded
+    factorization (_factor_solve) and of every extended-precision residual
+    (_refine)."""
+    factored, refined = [], []
+    factor_solve, refine = pencil._factor_solve, pencil._refine
+
+    def factor_spy(*args):
+        factored.append(args[1])
+        return factor_solve(*args)
+
+    def refine_spy(*args):
+        refined.append(args[2])
+        return refine(*args)
+
+    monkeypatch.setattr(pencil, "_factor_solve", factor_spy)
+    monkeypatch.setattr(pencil, "_refine", refine_spy)
+    return factored, refined
+
+
+def loop_tables(cfg, n):
+    """The six k-independent bands by an element-by-element scatter, one band
+    entry of every element at a time: the reference for pencil._tables."""
+    dim = 4 * n - 2
+    per_layer = []
+    for h, rho, mu in ((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)):
+        mass, grad, bend, cross = pencil._element_matrices(h / n)
+        per_layer.append({
+            "M_rho": rho * mass,
+            "D_rho": rho * grad,
+            "M_mu": mu * mass,
+            "D_mu": mu * grad,
+            "H_mu": mu * bend,
+            "X_mu": mu * 0.5 * (cross + cross.T),
+        })
+    below = np.arange(2 * n) < n
+    first = 2 * np.arange(2 * n) - 2  # global dof of each element's local dof 0
+    bands = {}
+    for name in per_layer[0]:
+        band = np.zeros((4, dim))
+        for a in range(4):
+            for b in range(a + 1):
+                col = first + b
+                keep = (col >= 0) & (col + a - b < dim)
+                vals = np.where(below, per_layer[0][name][a, b], per_layer[1][name][a, b])
+                band[a - b, col[keep]] += vals[keep]
+        bands[name] = band
+    return bands
 
 
 def quad_data(profile):

@@ -7,7 +7,7 @@ import pytest
 from rtgrowth import analysis, oracle
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
-from rtgrowth.model import theta_critical, wang_tice_bound
+from rtgrowth.model import theta_critical, upper_bound_m, wang_tice_bound
 from rtgrowth.pencil import Discretization
 from rtgrowth.spectrum import smallest_magnitude
 
@@ -120,6 +120,10 @@ def test_verify_all_passes(cheap_config):
         "alpha_strictly_decreasing", "alpha_decreasing_in_theta", "fixed_point",
         "oracle_agreement", "threshold_stability",
     ]
+    # every detail prints plain floats, the sample range's ends included
+    m = upper_bound_m(cheap_config)
+    assert report.checks[0].detail.endswith(f"8 samples on [{m / 20.0!r}, {1.2 * m!r}]")
+    assert not any("np." in c.detail for c in report.checks)
     payload = report.to_json_dict()
     assert payload["all_pass"] is True
     json.dumps(payload)  # every field is a plain JSON value

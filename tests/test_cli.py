@@ -241,14 +241,30 @@ def test_numerical_failure_is_one_stderr_line(tmp_path):
     assert proc.stderr.startswith("numerical failure: ")
 
 
-def test_verify_on_a_stable_config_runs_only_the_stable_check(tmp_path):
-    # L1 = L2 = 1e-300 puts theta_c at 0, so theta = 0 is stable
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps({**CHEAP, "L1": 1e-300, "L2": 1e-300}))
+def test_verify_on_a_stable_config_runs_only_the_stable_check(tmp_path, cheap_config):
+    path = tmp_path / "stable.json"
+    path.write_text(json.dumps({**CHEAP, "theta": 1.5 * theta_critical(cheap_config)}))
     out = tmp_path / "verify.json"
     assert run_cli(["verify", "--config", str(path), "--out", str(out)]) == 0
     checks = json.loads(out.read_text())["checks"]
     assert [(c["name"], c["passed"]) for c in checks] == [("stable_regime", True)]
+
+
+@pytest.mark.parametrize("command", ["growth", "verify", "oracle-compare"])
+def test_underflowing_threshold_exit_2(tmp_path, command):
+    # L1 = L2 = 1e-300 underflows max(L1^2, L2^2), and so theta_c, to 0,
+    # which would call this unstable config (theta = 0) stable
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({**CHEAP, "L1": 1e-300, "L2": 1e-300}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtgrowth.cli", command, "--config", str(path),
+         "--resolution", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "theta_c" in proc.stderr
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -7,8 +7,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_solves
 from rtgrowth import fixedpoint, oracle, pencil, spectrum
-from rtgrowth.analysis import sweep_theta
+from rtgrowth.analysis import _sized_mode_set, sweep_theta
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import (
     bvp_residual,
@@ -226,6 +227,21 @@ def test_fixed_point_path_is_banded(cheap_config, monkeypatch):
     result = solve_lambda(cfg, DISC, frozen=fm)
     assert result.lam > 0.0
     assert bvp_residual(result, cfg) > 0.0
+
+
+def test_sweep_point_on_a_locked_set_refines_only_twice(cheap_config, monkeypatch):
+    # a theta point on a set sized at theta = 0 (its compliances cached)
+    # solves one fixed point: at most three banded factorizations and two
+    # extended-precision residuals (the all-refined loop took four and four)
+    disc = Discretization(128)
+    fm, _ = _sized_mode_set(cheap_config, disc)
+    theta_c = theta_critical(cheap_config)
+    factored, refined = count_solves(monkeypatch)
+    for f in (0.05, 0.3, 0.6, 0.9):
+        factored.clear()
+        refined.clear()
+        solve_lambda(cheap_config.with_theta(f * theta_c), disc, frozen=fm)
+        assert len(factored) <= 3 and len(refined) == 2, f
 
 
 def test_handed_in_set_must_serve_the_config_and_resolution(reference_config, cheap_config):

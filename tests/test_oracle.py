@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
+
+from conftest import all_refined_fixed_point
 
 from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, SolverError
@@ -454,6 +456,27 @@ def _check_box_case(nu_plus, nu_minus, fraction, i, j):
 )
 def test_dispersion_root_over_config_box(nu_plus, nu_minus, fraction, i, j):
     _check_box_case(nu_plus, nu_minus, fraction, i, j)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    nu_plus=st.floats(min_value=-4.0, max_value=0.0),
+    nu_minus=st.floats(min_value=-4.0, max_value=0.0),
+    fraction=st.floats(min_value=0.0, max_value=0.99),
+    i=st.integers(min_value=0, max_value=212),
+    j=st.integers(min_value=1, max_value=212),
+    n=st.sampled_from([32, 64, 128]),
+)
+def test_fixed_point_matches_the_all_refined_loop_over_config_box(nu_plus, nu_minus, fraction, i, j, n):
+    # float64 proposals followed by two refined solves land where every step
+    # refined lands, to the refined solve's own rounding
+    cfg = _box_config(nu_plus, nu_minus, fraction)
+    forms = pencil.assemble(math.hypot(i, j), cfg, Discretization(n))
+    assume(forms.c_k > 0.0)
+    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    fp = pencil.fixed_point(forms, start)
+    assert fp.lam == pytest.approx(all_refined_fixed_point(forms, start), rel=1e-10)
+    assert fp.residual <= 1e-9 * max(1.0, fp.lam**2)
 
 
 @pytest.mark.xfail(

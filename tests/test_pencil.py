@@ -8,11 +8,13 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import (
+    count_solves,
     dense,
     dissipation_form,
     finish_eigenpair,
     kinetic_form,
     largest_eigenpair,
+    loop_tables,
     smooth_bump_profile,
 )
 from rtgrowth import pencil, spectrum
@@ -391,6 +393,15 @@ def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config
             assert not np.triu(view, 4).any()
 
 
+@pytest.mark.parametrize("n", [4, 32, 128])
+def test_band_tables_match_the_loop_scatter_bit_for_bit(reference_config, n):
+    # int64 views, so that a signed zero or a last-bit difference counts
+    for cfg in (reference_config, CONTRAST):
+        bands = pencil._cfg_tables(cfg, Discretization(n))
+        for name, band in loop_tables(cfg, n).items():
+            assert np.array_equal(bands[name].view(np.int64), band.view(np.int64)), name
+
+
 def test_band_matvec_matches_dense(reference_config, rng):
     for n in (8, 32):
         forms = assemble(2.0, reference_config, Discretization(n))
@@ -451,28 +462,27 @@ def test_mode_alpha_matches_the_refined_secular_root(reference_config):
     assert alpha == pytest.approx(0.5 * (lo + hi), rel=1e-11)
 
 
-def count_refined_solves(monkeypatch):
-    calls = []
-    real = pencil._interface_solve
-
-    def spy(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(pencil, "_interface_solve", spy)
-    return calls
-
-
 def test_fixed_point_from_the_compliance_bound(reference_config, monkeypatch):
     # r_k is 1.11 Lambda_k at the reference maximizer (the trace bound that
-    # started Newton before is 1.5 to 23 Lambda_k): five refined solves
+    # started Newton before is 1.5 to 23 Lambda_k): at most five factorizations
     forms = assemble(5.0, reference_config, Discretization(128))
     start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
-    calls = count_refined_solves(monkeypatch)
+    calls, _ = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(calls) <= 5
     assert fp.lam < start < 1.2 * fp.lam
     assert fp.lam == pytest.approx(2.4381739517143846, rel=1e-12)
+
+
+def test_fixed_point_refines_only_its_last_two_solves(reference_config, monkeypatch):
+    # float64 steps reach the root; only the last two solves take an
+    # extended-precision residual (the all-refined loop took 5 and 5 here)
+    forms = assemble(5.0, reference_config, Discretization(128))
+    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    factored, refined = count_solves(monkeypatch)
+    fp = fixed_point(forms, start)
+    assert len(factored) <= 4 and len(refined) == 2
+    assert refined == factored[-2:] and refined[-1] == fp.lam
 
 
 def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypatch):
@@ -481,7 +491,7 @@ def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypa
     cfg = reference_config.with_theta(0.9999 * theta_critical(reference_config))
     forms = assemble(1.0, cfg, Discretization(256))
     start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
-    calls = count_refined_solves(monkeypatch)
+    calls, _ = count_solves(monkeypatch)
     lam = fixed_point(forms, start).lam
     assert calls[0] == start and lam < start < lam * (1.0 + 1e-3)
     below = lam * (1.0 - 1e-13)

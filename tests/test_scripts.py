@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rtgrowth import Discretization, FluidConfig, cli, oracle, solve_lambda
+from rtgrowth import Discretization, FluidConfig, cli, oracle, pencil, solve_lambda
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -47,8 +47,9 @@ def test_cli_outputs_covers_every_command():
 
 def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     # the bench child reports the final size of every mode set the run builds,
-    # the growth results it validates, its dispersion determinant calls and
-    # the time inside cli.main, read from inside its process
+    # the growth results it validates, its dispersion determinant calls, its
+    # banded factorizations and extended-precision residuals, and the time
+    # inside cli.main, read from inside its process
     bench = load_script("bench")
     config = tmp_path / "reference.json"
     config.write_text(json.dumps(bench.REFERENCE))
@@ -65,20 +66,32 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         assert 0.0 < counts.pop("main_s") < wall_s
         return counts
 
+    calls = {"determinants": 0, "factorizations": 0, "extended_residuals": 0}
+
+    def counting(key, real):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "determinant", counting("determinants", oracle.determinant))
+    monkeypatch.setattr(pencil.lapack, "dpbtrf", counting("factorizations", pencil.lapack.dpbtrf))
+    monkeypatch.setattr(
+        pencil, "_band_matvec_extended", counting("extended_residuals", pencil._band_matvec_extended)
+    )
+
+    def in_process(command):
+        for key in calls:
+            calls[key] = 0
+        out = tmp_path / f"in_process_{command}.out"
+        assert cli.main([command, "--config", str(config), "--resolution", "8",
+                         "--out", str(out)]) == 0
+        assert out.read_text() == (tmp_path / f"{command}.out").read_text()
+        return dict(calls)
+
     result = solve_lambda(FluidConfig(**bench.REFERENCE), Discretization(8))
-    assert child_counts("growth") == {
-        "modes": len(result.mode_set.modes), "solves": 1, "determinants": 0,
-    }
-    calls = []
-    determinant = oracle.determinant
-
-    def counting(*args):
-        calls.append(args)
-        return determinant(*args)
-
-    monkeypatch.setattr(oracle, "determinant", counting)
-    out = tmp_path / "in_process.csv"
-    assert cli.main(["oracle-compare", "--config", str(config), "--resolution", "8",
-                     "--out", str(out)]) == 0
-    assert child_counts("oracle-compare") == {"modes": 0, "solves": 0, "determinants": len(calls)}
-    assert (tmp_path / "oracle-compare.out").read_text() == out.read_text()
+    growth = child_counts("growth")
+    assert growth == {"modes": len(result.mode_set.modes), "solves": 1, **in_process("growth")}
+    assert growth["determinants"] == 0 and growth["extended_residuals"] > 0
+    compare = child_counts("oracle-compare")
+    assert compare == {"modes": 0, "solves": 0, **in_process("oracle-compare")}
