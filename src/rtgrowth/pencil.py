@@ -459,12 +459,16 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     without bound as t -> 0. This is the two-limit model of the compliance
     bound, y(t) / y(s) = q (t/s)^2 + (1 - q) t/s, so a and b are positive and
     the refit has exactly one positive root, the next point. Steps go to
-    the refit root until one is at most _FLOAT_STEP * s. This phase only
-    proposes a point: it sets no bracket end and no returned value, so it
-    cannot change what the refined phase certifies; a poor proposal costs
-    refined steps, never accuracy. An unrefined solve is off by about
-    cond * u (2e-9 at N = 128, cond ~ 4e8; cond grows like N^4), far below
-    _FLOAT_STEP, so the phase ends.
+    the refit root until one is at most _FLOAT_STEP * s, and the phase ends
+    at s, with the factor in hand, when a step is at most _LAST_STEP * s or
+    is not below half the step before. This phase only proposes a point: it
+    sets no bracket end and no returned value, so it cannot change what the
+    refined phase certifies; a poor proposal costs refined steps, never
+    accuracy. An unrefined solve is off by about cond * u, u = 1.1e-16, with
+    cond ~ 4e8 at N = 128 growing like N^4: 2e-9 at N = 128 and 2e-4 at
+    N = 1024, below _FLOAT_STEP, so up to N ~ 1500 the phase ends on a short
+    step. Past that a step can be mostly rounding; such steps stop halving,
+    so the phase still ends after a few solves.
 
     Refined phase. Safeguarded Newton on 1/phi - 1, every solve refined in
     extended precision (_refine): s <- s + phi (1 - phi) / phi', with a
@@ -472,9 +476,8 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     bound is nearly exact (near theta_c) its computed value can fall below
     Lambda_k by rounding, so phi > 1 does not raise: s becomes the lower end
     of the bracket, whose upper end stays open until a step (upward, since
-    phi > 1) passes the root. The phase starts at the proposed point, or,
-    after a float64 step of at most _LAST_STEP * s, refines the factor in
-    hand at s instead of factoring again.
+    phi > 1) passes the root. The phase starts by refining the float64
+    phase's last factor, at its last point.
 
     Thresholds. A step leaves an error of about K e^2 from an error e.
     Measured at N = 128 on the reference maximizer (k = 5) and on mu = 1
@@ -485,30 +488,30 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     After a refined step of d <= _LAST_STEP * s the error left is
     K d^2 <= 3e-15 s, below the refined solve's own rounding (1e-12 to
     1e-11 relative at N = 128). So the next solve is the last and is the
-    eigenprofile: a fixed point takes two refined solves.
+    eigenprofile: a fixed point takes two refined solves at N <= 256. At
+    N = 512 to 2048 the refined phase measured three or four, and from
+    N = 4096 on (cond ~ 1e14) one refinement no longer resolves the root.
     """
     c = float(forms.c_k)
     if not c > 0.0:
         raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
     i0 = forms.e0_index
-    s, held = float(start), None
+    s, size = float(start), math.inf
+    chol, x = _factor_solve(forms, s, s * s)  # the factor and float64 solve at s
     for _ in range(100):
-        chol, x = _factor_solve(forms, s, s * s)
         x0 = float(x[i0])
         y, q = 1.0 / (c * x0), s * s * float(x @ band_matvec(forms.B_band, x)) / x0
         b = y * (1.0 - q)  # y(t) = y q (t/s)^2 + b t/s
         step = s * (2.0 / (b + math.sqrt(b * b + 4.0 * y * q)) - 1.0)
-        if abs(step) <= _LAST_STEP * s:
-            held = chol, x  # refined at s, not factored again at s + step
-            break
+        if abs(step) <= _LAST_STEP * s or not abs(step) <= 0.5 * size:
+            break  # also on a NaN step
         near = abs(step) <= _FLOAT_STEP * s
-        s += step
+        s, size = s + step, abs(step)
+        chol, x = _factor_solve(forms, s, s * s)
         if near:
             break
     lo, hi, last = 0.0, math.inf, False
     for _ in range(100):
-        chol, x = held or _factor_solve(forms, s, s * s)
-        held = None
         x = _refine(forms, chol, s, s * s, x)
         x0 = float(x[i0])
         phi = c * x0
@@ -523,6 +526,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
             return FixedPoint(forms, s, alpha, x / math.sqrt(xb))
         last = abs(step) <= _LAST_STEP * s
         s = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
+        chol, x = _factor_solve(forms, s, s * s)
     raise FactorizationFailure(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")
 
 

@@ -159,7 +159,6 @@ class FrozenModeSet:
         self.disc = disc
         self.modes = modes
         self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
-        self._bounds = (None, None, None)  # (theta, modes, growth_bounds) of the last call
 
     @classmethod
     def freeze(cls, cfg: FluidConfig, disc: Discretization, k_max: float) -> "FrozenModeSet":
@@ -182,24 +181,17 @@ class FrozenModeSet:
             )
 
     def growth_bounds(self, theta: float) -> np.ndarray:
-        """compliance_bound of every mode at theta: Lambda_k <= r_k (read-only).
+        """compliance_bound of every mode at theta: Lambda_k <= r_k.
 
         Computes the compliances of the modes that have none yet; extend_to
-        only appends modes, so those are the last ones. The bounds of the
-        last theta and mode list are kept, so a solve reads those its scan
-        (growth_max) computed.
+        only appends modes, so those are the last ones.
         """
-        if self._bounds[0] == theta and self._bounds[1] is self.modes:
-            return self._bounds[2]
         ks = self.modes.magnitudes
         fresh = [compliances(assemble(k, self.cfg, self.disc)) for k in ks[len(self._compliance):]]
         if fresh:
             self._compliance = np.concatenate([self._compliance, fresh])
         c = surface_coefficient(ks, self.cfg.with_theta(theta))
-        bounds = compliance_bound(c, self._compliance[:, 0], self._compliance[:, 1])
-        bounds.flags.writeable = False
-        self._bounds = (theta, self.modes, bounds)
-        return bounds
+        return compliance_bound(c, self._compliance[:, 0], self._compliance[:, 1])
 
     def growth_max(self, theta: float) -> FixedPoint | None:
         """The fixed point of the mode with the largest Lambda_k; None if none grows.

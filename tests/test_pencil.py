@@ -491,12 +491,48 @@ def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypa
     cfg = reference_config.with_theta(0.9999 * theta_critical(reference_config))
     forms = assemble(1.0, cfg, Discretization(256))
     start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
-    calls, _ = count_solves(monkeypatch)
+    factored, refined = count_solves(monkeypatch)
     lam = fixed_point(forms, start).lam
-    assert calls[0] == start and lam < start < lam * (1.0 + 1e-3)
+    first = refined[0]  # the float64 proposal from the start lands below Lambda_k
+    assert factored[0] == start and lam < start < lam * (1.0 + 1e-3)
+    assert first < lam and refined_phi(forms, first, first * first) > 1.0
     below = lam * (1.0 - 1e-13)
     assert refined_phi(forms, below, below * below) > 1.0
+    refined.clear()
     assert fixed_point(forms, below).lam == pytest.approx(lam, rel=1e-13)
+    assert refined[0] == below  # a float64 step of at most 1e-7 s: refined in hand
+
+
+def test_fixed_point_at_large_resolution(reference_config, monkeypatch):
+    # cond(s A + s^2 B) grows like N^4 (about 1.6e12 at N = 1024), so the
+    # float64 phase hands over with a larger error and the refined phase
+    # takes one more step; the fixed point still takes a handful of solves
+    forms = assemble(5.0, reference_config, Discretization(1024))
+    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    factored, refined = count_solves(monkeypatch)
+    fp = fixed_point(forms, start)
+    assert len(factored) <= 5 and len(refined) <= 3
+    assert fp.residual <= 1e-8 * max(1.0, fp.lam ** 2)
+
+
+def test_float64_phase_ends_when_its_steps_stop_halving(reference_config, monkeypatch):
+    # float64 solves off by 0.5 % (a rounding floor above _FLOAT_STEP, as at
+    # very large N) make the refit steps bounce without reaching 1e-3 s; the
+    # phase ends at the first step not below half the one before, and the
+    # refined phase, which corrects the solve, still reaches Lambda_k
+    forms = assemble(5.0, reference_config, Discretization(128))
+    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    lam = fixed_point(forms, start).lam
+    factored, refined = count_solves(monkeypatch)
+    spied = pencil._factor_solve
+
+    def rounded(*args):
+        chol, x = spied(*args)
+        return chol, x * (1.0 + 5e-3 * (-1.0) ** len(factored))
+
+    monkeypatch.setattr(pencil, "_factor_solve", rounded)
+    assert fixed_point(forms, start).lam == pytest.approx(lam, rel=1e-12)
+    assert len(factored) <= 6 and len(refined) <= 4
 
 
 def test_indefinite_band_raises_factorization_failure():
