@@ -9,7 +9,7 @@ the sweep raises unless Lambda decreases strictly along the whole grid, and it
 reports Lambda <= m at every point, so a grid that closes in on theta_c
 checks the vanishing limit, and one that brackets a point checks the ordering
 Lambda(theta - delta) > Lambda(theta) > Lambda(theta + delta). The report
-lists the compliance bound of every point, which each result has checked.
+lists each point's compliance bound on the exact Lambda, which it has checked.
 """
 
 from __future__ import annotations

@@ -70,5 +70,5 @@ class MonotonicityViolation(SolverError):
 
 
 class DegenerateExponents(SolverError):
-    """The dispersion function F_k came out non-finite (a rate or wavenumber
-    near the end of the float range)."""
+    """F_k came out non-finite or an interface compliance not finite and
+    positive (a rate, wavenumber, depth or viscosity near the float range's end)."""

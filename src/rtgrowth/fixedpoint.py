@@ -16,7 +16,8 @@ have r_k < Lambda, so the maximum over the set is the one over the lattice.
 Extending only appends modes, and the scan visits them only after the
 maximizer, so a set handed in that was already large enough gives the same
 bits as an owned one. Beside the paper's bound m, a result carries the
-sharper proven bound bound_compliance = max_k r_k (spectrum.compliance_bound).
+sharper proven bound bound_compliance = max_k r_k (spectrum.compliance_bound)
+on the exact Lambda, whose r_k also start every per-mode Newton solve.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import numpy as np
 
 from .errors import SolverError, StableRegime
 from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
-from .modeforms import VerticalProfile
+from .modeforms import VerticalProfile, compliances
 from .pencil import (
     Discretization,
     FixedPoint,
     assemble,
     band_matvec,
-    compliances,
     fixed_point,
     prolong_coeffs,
     residual_dual_norm,
@@ -152,7 +152,7 @@ def solve_lambda(
 def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
     """Fixed point of the single mode k at cfg.theta; None when c_k <= 0 (stable).
 
-    Newton starts from the compliance bound, which costs two banded solves.
+    Newton starts from the compliance bound r_k, as in the global scan.
     """
     validate_config(cfg)
     theta_c = theta_critical(cfg)
@@ -161,7 +161,7 @@ def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> Fixed
     forms = assemble(float(k), cfg, disc)
     if forms.c_k <= 0.0:
         return None
-    return fixed_point(forms, float(compliance_bound(forms.c_k, *compliances(forms))))
+    return fixed_point(forms, float(compliance_bound(forms.c_k, *compliances(forms.k, cfg))))
 
 
 def bvp_residual(result: GrowthResult, cfg: FluidConfig) -> float:

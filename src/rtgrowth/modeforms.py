@@ -26,10 +26,12 @@ its minimum eigenvalue, the exact smallest root of a two-layer equation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateExponents
 from .model import FluidConfig
 
 # 5-point Gauss-Legendre rule on [0, 1]: exact through polynomial degree 9,
@@ -136,3 +138,94 @@ def uniform_layered_grid(h_minus: float, h_plus: float, n_per_layer: int) -> np.
     lower[-1] = 0.0
     grid = np.concatenate([lower, upper[1:]])
     return grid
+
+
+def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
+    """(G00, G01, G10, G11): the map (psi(0), psi_z(0)) -> (N, T) of one layer.
+
+    The clamped profiles are c1 v1 + c3 v3, with v1 = e^(-k z) - E e^(-k (h - z))
+    + 2 k E u(h - z) and v3 = u(z) - U e^(-k (h - z)) + W u(h - z), where
+    E = e^(-k h), U = u(h) and W = (q + k) U + E: both vanish with their slope
+    at z = h. a_j and b_j are the j-th z-derivatives of v1 and v3 at z = 0,
+    m_j that of u(h - z), q^j U + d_j E.
+    """
+    k2 = k * k
+    q2 = k2 + n * rho / mu
+    q = math.sqrt(q2)
+    x = n * rho / mu / (q + k) * h  # (q - k) h
+    E = math.exp(-k * h)
+    U = E * h * (math.expm1(-x) / x if x else -1.0)
+    W = (q + k) * U + E
+    m0, m1 = U, q * U + E
+    m2, m3 = q2 * U + (q + k) * E, q2 * q * U + (q2 + q * k + k2) * E
+    one_minus_ee, one_plus_ee = -math.expm1(-2.0 * k * h), 1.0 + E * E
+    two_k_e, ue = 2.0 * k * E, U * E
+    a0, a1 = one_minus_ee + two_k_e * m0, -k * one_plus_ee + two_k_e * m1
+    a2, a3 = k2 * one_minus_ee + two_k_e * m2, -k2 * k * one_plus_ee + two_k_e * m3
+    b0, b1 = -ue + W * m0, -1.0 - k * ue + W * m1
+    b2, b3 = (q + k) - k2 * ue + W * m2, -(q2 + q * k + k2) - k2 * k * ue + W * m3
+    # traction rows on (c1, c3), times the inverse of [[a0, b0], [a1, b1]]
+    na = mu * (a3 - 3.0 * k2 * a1) - n * rho * a1
+    nb = mu * (b3 - 3.0 * k2 * b1) - n * rho * b1
+    ta, tb = mu * (a2 + k2 * a0), mu * (b2 + k2 * b0)
+    det = a0 * b1 - a1 * b0
+    return (
+        (na * b1 - nb * a1) / det,
+        (nb * a0 - na * b0) / det,
+        (ta * b1 - tb * a1) / det,
+        (tb * a0 - ta * b0) / det,
+    )
+
+
+def _condensed_traction(k: float, n: float, cfg: FluidConfig) -> float:
+    """S_k(n) = D00 - D01 D10 / D11 of the two layers' maps (oracle module docstring)."""
+    up = _interface_traction(k, n, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
+    lo = _interface_traction(k, n, cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
+    d00, d01, d10, d11 = up[0] + lo[0], up[1] - lo[1], up[2] - lo[2], up[3] + lo[3]
+    return d00 - d01 * d10 / d11
+
+
+def compliances(k: float, cfg: FluidConfig) -> tuple[float, float]:
+    """The interface compliances (I_k, C_k) of mode k, in closed form:
+
+        I_k = k / (rho+ coth(k h+) + rho- coth(k h-)),   C_k = k^2 / S_k(0),
+
+    the inviscid and the Stokes response of the interface to a unit load,
+    free of s and theta. Proof that 1 / I_k and 1 / C_k are the minima of the
+    kinetic and dissipation forms K and D over the clamped profiles with
+    psi(0) = 1, that is that I_k and C_k are the suprema of psi(0)^2 / K and
+    psi(0)^2 / D:
+
+    - I_k. K reads only psi and psi'. On a layer of depth h, with z the
+      distance from the interface, int psi_z^2 / k^2 + psi^2 over the H^1
+      profiles with psi(0) = 1 and psi(h) = 0 is least for
+      sinh(k (h - z)) / sinh(k h), which solves psi_zz = k^2 psi; by parts
+      the least value is -psi_z(0) / k^2 = coth(k h) / k. Weighting by rho
+      and adding the layers gives 1 / I_k. The clamped H^2 profiles are
+      dense in that H^1 set and K is continuous on H^1, so they approach
+      the minimum; they cannot attain it, as the minimizer has psi_z != 0
+      at the walls and a kink at the interface.
+    - C_k. By the identity of the oracle module docstring, S_k(n) / k^2 is
+      the minimum of D + n K over psi(0) = 1. It lies between min D and
+      D(psi_D) + n K(psi_D), psi_D the minimizer of D, so it tends to min D
+      as n -> 0+; the maps are continuous at n = 0, where q = k, so
+      min D = S_k(0) / k^2.
+
+    The Hermite space is a subspace of the clamped profiles, and the Gauss
+    rule integrates K and D exactly on it, so the discrete compliances
+    I_k^N = e0^T B^(-1) e0 and C_k^N = e0^T A^(-1) e0, suprema over fewer
+    profiles, satisfy I_k^N <= I_k and C_k^N <= C_k. The compliance bound
+    r_k (spectrum.compliance_bound) increases in both, and its proof holds
+    on either space, so r_k bounds Lambda_k and Lambda_k^N alike.
+
+    Raises DegenerateExponents unless both values are finite and positive
+    (depths of 1e-300 divide by zero; mu = 1e300 at k = 1000 gives a NaN C_k).
+    """
+    try:
+        inviscid = k / (cfg.rho_plus / math.tanh(k * cfg.h_plus) + cfg.rho_minus / math.tanh(k * cfg.h_minus))
+        stokes = k * k / _condensed_traction(k, 0.0, cfg)
+    except ZeroDivisionError:
+        inviscid = stokes = math.nan
+    if not (0.0 < inviscid < math.inf and 0.0 < stokes < math.inf):
+        raise DegenerateExponents(f"interface compliances of mode k = {k!r} are not finite and positive")
+    return inviscid, stokes

@@ -20,14 +20,14 @@ interface tractions
 
     N = mu (psi_zzz - 3 k^2 psi_z) - n rho psi_z,   T = mu (psi_zz + k^2 psi)
 
-at z = 0 are a 2x2 map G of (psi(0), psi_z(0)) (_interface_traction). The
-upper layer has z = y; the lower has z = -y, which flips the odd orders, so
-in y-derivatives its map is [[-G00, G01], [G10, -G11]]. Continuity makes
+at z = 0 are a 2x2 map G of (psi(0), psi_z(0)) (modeforms._interface_traction).
+The upper layer has z = y; the lower has z = -y, which flips the odd orders,
+so in y-derivatives its map is [[-G00, G01], [G10, -G11]]. Continuity makes
 (a, b) = (psi(0), psi'(0)) common to both layers; with D = T+ - T- the two
 stress rows read D10 a + D11 b = 0 and D00 a + D01 b = (k^2 / n) c_k a.
 Eliminating b leaves the 1x1 system F_k(n) a = 0 with the secular function
 
-    F_k(n) = n (D00 - D01 D10 / D11) - k^2 c_k        (determinant).
+    F_k(n) = n S_k(n) - k^2 c_k,  S_k(n) = D00 - D01 D10 / D11   (determinant).
 
 The layer basis is anchored at the interface: e^(-k z), e^(-k (h - z)),
 u(z) = (e^(-q z) - e^(-k z)) / (q - k) and its wall mirror u(h - z), with
@@ -50,22 +50,22 @@ B. In each layer the solution of the equation above with interface data
 (the equation is P(n)'s Euler-Lagrange equation); integrating by parts, that
 minimum Q(a, b) is the quadratic form (n / k^2) [[D00, D01], [-D10, -D11]],
 whose second row, the tangential stress, is the natural condition in b. So
-min_b Q(1, b) = (n / k^2) (D00 - D01 D10 / D11) is the minimum of psi^T P psi
-over psi(0) = 1, which is 1 / (e0^T P(n)^(-1) e0), and
+min_b Q(1, b) = (n / k^2) S_k(n) is the minimum of psi^T P psi over
+psi(0) = 1, which is 1 / (e0^T P(n)^(-1) e0), and
 
     F_k(n) = k^2 (1 / (e0^T P(n)^(-1) e0) - c_k).
 
 With x = P(n)^(-1) e0, d/dn e0^T P^(-1) e0 = -x^T (A + 2 n B) x < 0 (the phi_k
 argument of pencil.fixed_point, on the continuous forms): F_k strictly
-increases. As n -> 0+, e0^T P^(-1) e0 ~ C_k / n -> infinity, so
-F_k(0+) = -k^2 c_k; e0^T P^(-1) e0 <= I_k / n^2, so F_k -> +infinity. F_k
-therefore has exactly one positive root, the continuous Lambda_k, when
-c_k > 0 and none when c_k <= 0; dispersion_root brackets it and refines it
-by Illinois (modified regula falsi) steps that always keep a sign bracket,
-with a bisection step whenever three steps in a row have not halved it,
-until the bracket is at most 1e-12 of its upper end wide. Tests check
-F_k(n) against this identity at N = 256 and its monotonicity over a box of
-configs.
+increases. As n -> 0+, e0^T P^(-1) e0 ~ C_k / n -> infinity (C_k = k^2 / S_k(0),
+modeforms.compliances), so F_k(0+) = -k^2 c_k; e0^T P^(-1) e0 <= I_k / n^2,
+so F_k -> +infinity. F_k therefore has exactly one positive root, the
+continuous Lambda_k, when c_k > 0 and none when c_k <= 0; dispersion_root
+brackets it and refines it by Illinois (modified regula falsi) steps that
+always keep a sign bracket, with a bisection step whenever three steps in a
+row have not halved it, until the bracket is at most 1e-12 of its upper end
+wide. Tests check F_k(n) against this identity at N = 256 and its
+monotonicity over a box of configs.
 """
 
 from __future__ import annotations
@@ -76,48 +76,11 @@ from dataclasses import dataclass
 from .errors import DegenerateExponents, SolverError, ZeroWaveNumber
 from .fixedpoint import solve_mode_lambda
 from .model import FluidConfig, upper_bound_m, validate_config
-from .modeforms import surface_coefficient
+from .modeforms import _condensed_traction, surface_coefficient
 from .pencil import Discretization
 
 _ROOT_RTOL = 1e-12
 _FLOOR_MARGIN = 1e-9  # a floor rounded up to 1e-9 above the root still shortens the bracket
-
-
-def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
-    """(G00, G01, G10, G11): the map (psi(0), psi_z(0)) -> (N, T) of one layer.
-
-    The clamped profiles are c1 v1 + c3 v3, with v1 = e^(-k z) - E e^(-k (h - z))
-    + 2 k E u(h - z) and v3 = u(z) - U e^(-k (h - z)) + W u(h - z), where
-    E = e^(-k h), U = u(h) and W = (q + k) U + E: both vanish with their slope
-    at z = h. a_j and b_j are the j-th z-derivatives of v1 and v3 at z = 0,
-    m_j that of u(h - z), q^j U + d_j E.
-    """
-    k2 = k * k
-    q2 = k2 + n * rho / mu
-    q = math.sqrt(q2)
-    x = n * rho / mu / (q + k) * h  # (q - k) h
-    E = math.exp(-k * h)
-    U = E * h * (math.expm1(-x) / x if x else -1.0)
-    W = (q + k) * U + E
-    m0, m1 = U, q * U + E
-    m2, m3 = q2 * U + (q + k) * E, q2 * q * U + (q2 + q * k + k2) * E
-    one_minus_ee, one_plus_ee = -math.expm1(-2.0 * k * h), 1.0 + E * E
-    two_k_e, ue = 2.0 * k * E, U * E
-    a0, a1 = one_minus_ee + two_k_e * m0, -k * one_plus_ee + two_k_e * m1
-    a2, a3 = k2 * one_minus_ee + two_k_e * m2, -k2 * k * one_plus_ee + two_k_e * m3
-    b0, b1 = -ue + W * m0, -1.0 - k * ue + W * m1
-    b2, b3 = (q + k) - k2 * ue + W * m2, -(q2 + q * k + k2) - k2 * k * ue + W * m3
-    # traction rows on (c1, c3), times the inverse of [[a0, b0], [a1, b1]]
-    na = mu * (a3 - 3.0 * k2 * a1) - n * rho * a1
-    nb = mu * (b3 - 3.0 * k2 * b1) - n * rho * b1
-    ta, tb = mu * (a2 + k2 * a0), mu * (b2 + k2 * b0)
-    det = a0 * b1 - a1 * b0
-    return (
-        (na * b1 - nb * a1) / det,
-        (nb * a0 - na * b0) / det,
-        (ta * b1 - tb * a1) / det,
-        (tb * a0 - ta * b0) / det,
-    )
 
 
 def determinant(k: float, n: float, cfg: FluidConfig) -> float:
@@ -130,10 +93,7 @@ def determinant(k: float, n: float, cfg: FluidConfig) -> float:
         raise ZeroWaveNumber(f"dispersion system needs k > 0, got {k!r}")
     if not n > 0.0:
         raise ValueError(f"trial growth rates must be > 0, got {n!r}")
-    up = _interface_traction(k, n, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
-    lo = _interface_traction(k, n, cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
-    d00, d01, d10, d11 = up[0] + lo[0], up[1] - lo[1], up[2] - lo[2], up[3] + lo[3]
-    f = n * (d00 - d01 * d10 / d11) - k * k * surface_coefficient(k, cfg)
+    f = n * _condensed_traction(k, n, cfg) - k * k * surface_coefficient(k, cfg)
     if not math.isfinite(f):
         raise DegenerateExponents(f"non-finite dispersion function at k={k!r}, n={n!r}")
     return f

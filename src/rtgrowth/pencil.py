@@ -19,7 +19,6 @@ is the lower triangle of the element scatter. Every per-mode quantity comes
 from banded Cholesky factorizations (dpbtrf): the inertia test alpha_below
 (s A + alpha B - c_k e0 e0^T factors exactly when alpha > alpha_k(s)),
 alpha_k(s) by bisection on it, finished by secular Newton steps (mode_alpha),
-the interface compliances e0^T B^(-1) e0 and e0^T A^(-1) e0 (compliances),
 and Lambda_k as the root of phi(s) = c_k e0^T (s A + s^2 B)^(-1) e0 = 1
 (fixed_point), whose last solve is the eigenprofile. The energy matrix
 s A + alpha B has condition number ~4e8 at N = 128, so a solve whose value
@@ -323,21 +322,6 @@ def _interface_solve(forms: PencilForms, s: float, alpha: float):
     """
     chol, x = _factor_solve(forms, s, alpha)
     return _refine(forms, chol, s, alpha, x)
-
-
-def compliances(forms: PencilForms) -> tuple[float, float]:
-    """The interface compliances (I_k, C_k) = (e0^T B^(-1) e0, e0^T A^(-1) e0).
-
-    I_k = max psi(0)^2 / K and C_k = max psi(0)^2 / D over the discrete space:
-    the inviscid and the Stokes response of the interface to a unit load.
-    Neither depends on theta or s. B, a second-order form, is conditioned like
-    N^2, so one banded solve gives I_k to ~1e-13; A, a fourth-order form, is
-    conditioned like N^4, and an unrefined solve is off by up to 7e-8 at
-    N = 256, so C_k takes the refined solve of _interface_solve.
-    """
-    x = _spd_solve(_spd_factor(forms.B_band, "kinetic matrix"), _unit(forms), "kinetic matrix")
-    y = _interface_solve(forms, 1.0, 0.0)
-    return float(x[forms.e0_index]), float(y[forms.e0_index])
 
 
 def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:

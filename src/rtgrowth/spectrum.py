@@ -3,13 +3,13 @@
 The admissible wavenumbers are xi = (n1/L1, n2/L2) over nonzero integer
 pairs; every per-mode quantity depends on xi only through k = |xi|, so the
 search collapses to the sorted list of distinct magnitudes. A FrozenModeSet
-holds the magnitudes and caches only their two interface compliances (two
-banded solves per mode, made the first time the growth rate is asked for),
-which depend on neither s nor theta; every coupled-branch value is solved on
-the banded pencil when it is needed (pencil.alpha_below, mode_alpha,
-fixed_point). The transverse branch -s lambda_tau(k) is largest at the
-smallest magnitude (FrozenModeSet.alpha_value proves it), so alpha(s) takes
-one transverse root per evaluation, never one per mode. A global maximum,
+holds the magnitudes and caches only their two interface compliances (closed
+forms, taken the first time the growth rate is asked for), which depend on
+neither s nor theta; every coupled-branch value is solved on the banded
+pencil when it is needed (pencil.alpha_below, mode_alpha, fixed_point).
+The transverse branch -s lambda_tau(k) is largest at the smallest magnitude
+(FrozenModeSet.alpha_value proves it), so alpha(s) takes one transverse root
+per evaluation, never one per mode. A global maximum,
 the growth rate Lambda = max_k Lambda_k at one theta or alpha(s) at one s, is
 one scan over the set in decreasing order of a proven per-mode bound
 (compliance_bound for Lambda_k, U = split_bound for alpha_k(s)): the scan stops
@@ -54,12 +54,11 @@ from .pencil import (
     FixedPoint,
     alpha_below,
     assemble,
-    compliances,
     fixed_point,
     mode_alpha,
     transverse_min_eigenvalue,
 )
-from .modeforms import surface_coefficient
+from .modeforms import compliances, surface_coefficient
 
 _DEDUP_RTOL = 1e-12
 
@@ -147,11 +146,11 @@ class FrozenModeSet:
     """A lattice mode set with the theta-free data of every mode.
 
     The only per-mode data it caches are the interface compliances (I_k, C_k)
-    of pencil.compliances, computed once the growth rate is asked for;
-    alpha(s) alone never needs them. The transverse branch peaks at the
-    smallest magnitude, so alpha_value solves one transverse root and table
-    solves its own column. The coupled branch is solved on demand, so one set
-    serves every (s, theta).
+    of modeforms.compliances, taken once the growth rate is asked for and
+    re-read at every theta; alpha(s) alone never needs them. The transverse
+    branch peaks at the smallest magnitude, so alpha_value solves one
+    transverse root and table solves its own column. The coupled branch is
+    solved on demand, so one set serves every (s, theta).
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet):
@@ -183,11 +182,11 @@ class FrozenModeSet:
     def growth_bounds(self, theta: float) -> np.ndarray:
         """compliance_bound of every mode at theta: Lambda_k <= r_k.
 
-        Computes the compliances of the modes that have none yet; extend_to
-        only appends modes, so those are the last ones.
+        Takes the compliances of the modes that have none yet, with no
+        matrix; extend_to only appends modes, so those are the last ones.
         """
         ks = self.modes.magnitudes
-        fresh = [compliances(assemble(k, self.cfg, self.disc)) for k in ks[len(self._compliance):]]
+        fresh = [compliances(k, self.cfg) for k in ks[len(self._compliance):].tolist()]
         if fresh:
             self._compliance = np.concatenate([self._compliance, fresh])
         c = surface_coefficient(ks, self.cfg.with_theta(theta))
@@ -274,21 +273,22 @@ class FrozenModeSet:
 def compliance_bound(c, inviscid, stokes):
     """r_k, the positive root of r^2 / I_k + r / C_k = max(c_k, 0): Lambda_k <= r_k.
 
-    inviscid and stokes are the compliances I_k = e0^T B^(-1) e0 and
-    C_k = e0^T A^(-1) e0 (pencil.compliances); arguments may be arrays. Proof:
-    for a symmetric positive definite M, 1 / (e^T M^(-1) e) is the minimum of
-    x^T M x over e^T x = 1. With P = Lambda A and Q = Lambda^2 B, both
-    positive definite for Lambda > 0,
+    inviscid and stokes are the interface compliances I_k and C_k, the
+    suprema of psi(0)^2 / K and psi(0)^2 / D (modeforms.compliances);
+    arguments may be arrays. Proof: for a positive form M, 1 / sup psi(0)^2 / M
+    is the minimum of M over psi(0) = 1. With P = Lambda D and Q = Lambda^2 K,
+    both positive for Lambda > 0,
 
-        1 / (e^T (P + Q)^(-1) e) = min_{e^T x = 1} x^T P x + x^T Q x
-                                 >= 1 / (e^T P^(-1) e) + 1 / (e^T Q^(-1) e)
-                                 = Lambda / C_k + Lambda^2 / I_k.
+        min_{psi(0) = 1} P + Q >= min P + min Q = Lambda / C_k + Lambda^2 / I_k.
 
-    At the fixed point (pencil.fixed_point) c_k e0^T (P + Q)^(-1) e0 = 1, so
+    At the fixed point the left side is c_k (c_k e0^T (P + Q)^(-1) e0 = 1 in
+    pencil.fixed_point, F_k = 0 in the oracle), so
     c_k >= Lambda_k^2 / I_k + Lambda_k / C_k, a right side that increases in
-    Lambda and reaches c_k at r_k, so Lambda_k <= r_k. The bound is exact in both classical limits:
-    without viscosity (A = 0) the fixed point is the inviscid rate
-    sqrt(c_k I_k), without inertia (B = 0) the Stokes rate c_k C_k
+    Lambda and reaches c_k at r_k, so Lambda_k <= r_k. The same holds over the
+    Hermite space, whose compliances are at most I_k and C_k, so r_k bounds
+    the Galerkin Lambda_k^N too. The bound is exact in both classical limits:
+    without viscosity (D = 0) the fixed point is the inviscid rate
+    sqrt(c_k I_k), without inertia (K = 0) the Stokes rate c_k C_k
     (Chandrasekhar, Hydrodynamic and Hydromagnetic Stability, 1961, ch. X).
     0 where c_k <= 0.
     """

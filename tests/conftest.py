@@ -52,6 +52,23 @@ def cheap_config():
 
 
 @pytest.fixture
+def contrast_config():
+    """Strong density and viscosity contrast with thin layers."""
+    return FluidConfig(
+        rho_plus=5.2,
+        rho_minus=0.2,
+        mu_plus=0.1,
+        mu_minus=5.0,
+        g=20.0,
+        theta=0.0,
+        L1=2.0,
+        L2=2.0,
+        h_plus=0.3,
+        h_minus=0.3,
+    )
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)
 
@@ -134,6 +151,22 @@ def all_refined_fixed_point(forms, start):
         last = abs(step) <= 1e-9 * s
         s = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
     raise AssertionError(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")
+
+
+def galerkin_compliances(forms):
+    """The discrete interface compliances (I_k^N, C_k^N) =
+    (e0^T B^(-1) e0, e0^T A^(-1) e0): the Galerkin reference for the closed
+    forms of modeforms.compliances, which bound them from above.
+
+    B, a second-order form, is conditioned like N^2, so one banded solve
+    gives I_k^N to ~1e-13; A, a fourth-order form, is conditioned like N^4,
+    and an unrefined solve is off by up to 7e-8 at N = 256, so C_k^N takes
+    the refined solve of pencil._interface_solve.
+    """
+    e0 = pencil._unit(forms)
+    x = pencil._spd_solve(pencil._spd_factor(forms.B_band, "kinetic matrix"), e0, "kinetic matrix")
+    y = pencil._interface_solve(forms, 1.0, 0.0)
+    return float(x[forms.e0_index]), float(y[forms.e0_index])
 
 
 def count_solves(monkeypatch):

@@ -264,6 +264,30 @@ def test_handed_in_set_must_serve_the_config_and_resolution(reference_config, ch
     assert result.resolution == 16
 
 
+def test_growth_bounds_assemble_and_factor_nothing(reference_config, monkeypatch):
+    # the compliance bound of every mode comes from the closed-form
+    # compliances, so bounding a mode builds and factors no matrix
+    fm = FrozenModeSet.freeze(reference_config, Discretization(64), 6.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built or factored to bound a mode")
+
+    monkeypatch.setattr(spectrum, "assemble", refuse)
+    monkeypatch.setattr(pencil.lapack, "dpbtrf", refuse)
+    bounds = fm.growth_bounds(0.0)
+    assert bounds.shape == (len(fm.modes),) and np.all(bounds > 0.0)
+
+
+def test_growth_solves_at_n128_next_to_theta_c(reference_config, cheap_config, contrast_config):
+    # the Galerkin Lambda stays below the bound on the exact Lambda that
+    # validation checks it against (smallest slack measured: 8e-9 relative,
+    # contrast); past N = 128 Galerkin rounding can lift it above (CHANGES.md)
+    disc = Discretization(128)
+    for cfg in (reference_config, cheap_config, contrast_config):
+        result = solve_lambda(cfg.with_theta(0.99999 * theta_critical(cfg)), disc)
+        assert 0.0 < result.lam <= result.bound_compliance
+
+
 def test_invalid_tolerance(cheap_config):
     with pytest.raises(ValueError):
         solve_lambda(cheap_config, DISC, tol_fp=0.0)

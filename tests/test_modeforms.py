@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     TRACE_TOL,
     dissipation_form,
+    galerkin_compliances,
     is_admissible,
     kinetic_form,
     random_admissible_profile,
@@ -15,9 +16,16 @@ from conftest import (
     threshold_test_profile,
     trace_ratios,
 )
-from rtgrowth.errors import ZeroWaveNumber
-from rtgrowth.modeforms import VerticalProfile, surface_coefficient, uniform_layered_grid
+from rtgrowth.errors import DegenerateExponents, ZeroWaveNumber
+from rtgrowth.modeforms import (
+    VerticalProfile,
+    compliances,
+    surface_coefficient,
+    uniform_layered_grid,
+)
 from rtgrowth.model import FluidConfig
+from rtgrowth.oracle import determinant
+from rtgrowth.pencil import Discretization, assemble
 
 
 def hermite_eval(profile, y, elem=None):
@@ -257,3 +265,42 @@ def test_profile_structural_validation():
         VerticalProfile(grid + 0.1, np.zeros(grid.size), np.zeros(grid.size))
     with pytest.raises(ValueError, match="match the grid"):
         VerticalProfile(grid, np.zeros(3), np.zeros(grid.size))
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 5.0, 20.0])
+def test_stokes_compliance_is_the_limit_of_the_secular_function(
+    reference_config, cheap_config, contrast_config, k
+):
+    # F_k(n) + k^2 c_k = n S_k(n), and S_k(n) / k^2 = min(D + n K) falls to
+    # min D = 1 / C_k as n -> 0+: k^2 n / (F_k(n) + k^2 c_k) rises to C_k,
+    # linearly in n (measured slope 2e-3 to 1.6 relative per unit rate here)
+    for cfg in (reference_config, cheap_config, contrast_config):
+        stokes = compliances(k, cfg)[1]
+        for n in (1e-4, 1e-5, 1e-6):
+            limit = k * k * n / (determinant(k, n, cfg) + k * k * surface_coefficient(k, cfg))
+            assert -2.0 * n * stokes <= limit - stokes < 0.0
+
+
+@pytest.mark.parametrize("k", [1.0, 5.0])
+def test_inviscid_galerkin_compliance_error_falls_like_one_over_n(reference_config, k):
+    # the minimizer of K, sinh(k (h - z)) / sinh(k h), is not clamped, so the
+    # Hermite space approaches I_k only through wall and interface layers of
+    # one element: I_k^N / I_k - 1 reads -6.3e-3 and -1.6e-3 (k = 1) and
+    # -1.6e-2 and -4.1e-3 (k = 5) at N = 32 and 128
+    inviscid = compliances(k, reference_config)[0]
+    errors = [
+        galerkin_compliances(assemble(k, reference_config, Discretization(n)))[0] / inviscid - 1.0
+        for n in (32, 64, 128)
+    ]
+    assert all(e < 0.0 for e in errors)
+    assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.02)
+    assert errors[1] / errors[2] == pytest.approx(2.0, rel=0.02)
+
+
+@pytest.mark.parametrize("field, value, k", [("h", 1e-300, 1.0), ("mu", 1e300, 1000.0)])
+def test_degenerate_compliances_raise(reference_config, field, value, k):
+    # depths of 1e-300 divide by zero in the maps; mu = 1e300 at k = 1000
+    # gives a NaN C_k, which would otherwise fail later as a comparison with nan
+    cfg = replace(reference_config, **{f"{field}_plus": value, f"{field}_minus": value})
+    with pytest.raises(DegenerateExponents, match="not finite and positive"):
+        compliances(k, cfg)

@@ -20,6 +20,7 @@ from conftest import (
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.modeforms import compliances
 from rtgrowth.pencil import (
     Discretization,
     PencilForms,
@@ -466,7 +467,7 @@ def test_fixed_point_from_the_compliance_bound(reference_config, monkeypatch):
     # r_k is 1.11 Lambda_k at the reference maximizer (the trace bound that
     # started Newton before is 1.5 to 23 Lambda_k): at most five factorizations
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
     calls, _ = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(calls) <= 5
@@ -478,7 +479,7 @@ def test_fixed_point_refines_only_its_last_two_solves(reference_config, monkeypa
     # float64 steps reach the root; only the last two solves take an
     # extended-precision residual (the all-refined loop took 5 and 5 here)
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
     factored, refined = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(factored) <= 4 and len(refined) == 2
@@ -490,7 +491,7 @@ def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypa
     # below Lambda_k (phi(start) > 1) opens the bracket upward instead of raising
     cfg = reference_config.with_theta(0.9999 * theta_critical(reference_config))
     forms = assemble(1.0, cfg, Discretization(256))
-    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
     factored, refined = count_solves(monkeypatch)
     lam = fixed_point(forms, start).lam
     first = refined[0]  # the float64 proposal from the start lands below Lambda_k
@@ -508,7 +509,7 @@ def test_fixed_point_at_large_resolution(reference_config, monkeypatch):
     # float64 phase hands over with a larger error and the refined phase
     # takes one more step; the fixed point still takes a handful of solves
     forms = assemble(5.0, reference_config, Discretization(1024))
-    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
     factored, refined = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(factored) <= 5 and len(refined) <= 3
@@ -521,7 +522,7 @@ def test_float64_phase_ends_when_its_steps_stop_halving(reference_config, monkey
     # phase ends at the first step not below half the one before, and the
     # refined phase, which corrects the solve, still reaches Lambda_k
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = float(spectrum.compliance_bound(forms.c_k, *pencil.compliances(forms)))
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
     lam = fixed_point(forms, start).lam
     factored, refined = count_solves(monkeypatch)
     spied = pencil._factor_solve

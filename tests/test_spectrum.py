@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import largest_eigenpair
+from conftest import galerkin_compliances, largest_eigenpair
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import EmptyModeSet, MonotonicityViolation
 from rtgrowth.analysis import sweep_theta
@@ -328,7 +328,7 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
 
     # Lambda_k <= r_k, the root of r^2 / I_k + r / C_k = max(c_k, 0), and the
     # discrete compliances lie below their whole-line envelopes
-    inviscid, stokes = np.transpose([pencil.compliances(assemble(kk, cfg, DISC)) for kk in k])
+    inviscid, stokes = np.transpose([galerkin_compliances(assemble(kk, cfg, DISC)) for kk in k])
     assert np.all(inviscid * (cfg.rho_plus + cfg.rho_minus) / k <= 1.0)
     assert np.all(stokes * 2.0 * k * (cfg.mu_plus + cfg.mu_minus) < 1.0)
     r = fm.growth_bounds(theta)
