@@ -75,7 +75,8 @@ def main() -> None:
     parser.add_argument("outdir", help="directory to write the outputs into")
     args = parser.parse_args()
 
-    outdir = Path(args.outdir)
+    # the runs' working directory is the tree's root, so their paths are absolute
+    outdir = Path(args.outdir).resolve()
     codes = []
     for config, fields in CONFIGS.items():
         out = outdir / config

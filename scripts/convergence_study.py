@@ -4,15 +4,18 @@
 Tracks, for the reference case at k = 1:
   * per-mode alpha under mesh doubling (mode_alpha: fourth-order until the
     rounding floor of the banded solves, which grows like N^4 * eps),
-  * the boundary-value residual of the global solve at mesh 2N.
+  * the global solve's eigenprofile against the exact one of the dispersion
+    relation at its mode's root (nodal values and slopes, psi(0) = 1), with
+    the observed order of each doubling.
 
 Usage: python scripts/convergence_study.py [--max-n 128]
 """
 
 import argparse
+import math
 
-from rtgrowth import Discretization, FluidConfig, solve_lambda
-from rtgrowth.fixedpoint import bvp_residual
+from rtgrowth import Discretization, FluidConfig, solve_lambda, upper_bound_m
+from rtgrowth.oracle import dispersion_root, profile_error
 from rtgrowth.pencil import assemble, mode_alpha
 from rtgrowth.spectrum import split_bound
 
@@ -38,12 +41,20 @@ def main() -> None:
         prev = alpha
         n *= 2
 
-    print("\nglobal solve and boundary-value residual:")
+    print("\nglobal solve and its eigenprofile error (values, slopes):")
+    scan_max = 1.05 * upper_bound_m(REFERENCE)
+    prev = None
     n = 16
     while n <= args.max_n:
         res = solve_lambda(REFERENCE, Discretization(n))
+        root = dispersion_root(res.argmax_k, REFERENCE, scan_max)
+        errors = profile_error(res.eigenprofile, res.argmax_k, root, REFERENCE)
+        rate = ""
+        if prev is not None and prev[0] == res.argmax_k:
+            rate = "  rate " + " ".join(f"{math.log2(a / b):.2f}" for a, b in zip(prev[1], errors))
         print(f"  N={n:<4d} lambda={res.lam:.10f} argmax_k={res.argmax_k} "
-              f"bvp_residual={bvp_residual(res, REFERENCE):.3e}")
+              f"profile_error={errors[0]:.3e} {errors[1]:.3e}{rate}")
+        prev = res.argmax_k, errors
         n *= 2
 
 

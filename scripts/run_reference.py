@@ -9,8 +9,7 @@ import json
 import math
 
 from rtgrowth import Discretization, FluidConfig, solve_lambda, theta_critical
-from rtgrowth.fixedpoint import bvp_residual
-from rtgrowth.oracle import compare_modes
+from rtgrowth.oracle import compare_modes, profile_error
 
 REFERENCE = FluidConfig(
     rho_plus=2.0, rho_minus=1.0, mu_plus=0.1, mu_minus=0.1,
@@ -29,11 +28,15 @@ def main() -> None:
     disc = Discretization(args.resolution)
     result = solve_lambda(cfg, disc)
     print(json.dumps(result.to_json_dict(), indent=2))
-    print(f"boundary-value residual at 2N: {bvp_residual(result, cfg):.3e}")
 
     ks = sorted({1.0, math.sqrt(2.0), result.argmax_k})
+    rows = compare_modes(cfg, ks, disc)
+    root = rows[ks.index(result.argmax_k)].lambda_oracle
+    values, slopes = profile_error(result.eigenprofile, result.argmax_k, root, cfg)
+    print(f"eigenprofile error against the exact profile (psi(0) = 1): "
+          f"values {values:.3e}, slopes {slopes:.3e}")
     print("\nper-mode cross-check (variational vs dispersion determinant):")
-    for row in compare_modes(cfg, ks, disc):
+    for row in rows:
         print(f"  k={row.k:<10.6f} variational={row.lambda_variational} "
               f"oracle={row.lambda_oracle} rel_diff={row.rel_diff}")
 

@@ -28,7 +28,7 @@ from .model import (
     validate_config,
     wang_tice_bound,
 )
-from .oracle import compare_modes, compare_solved_mode
+from .oracle import compare_modes, compare_solved_mode, profile_error
 from .pencil import Discretization
 from .spectrum import FrozenModeSet, alpha_curve, smallest_magnitude
 
@@ -247,6 +247,18 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
                 f"(tolerance {oracle_tol!r} at N = {n})",
             )
         )
+        # ks ends with the argmax mode, whose root the eigenprofile is checked at
+        root = rows[-1].lambda_oracle if result is not None else None
+        if root is not None:
+            err = profile_error(result.eigenprofile, result.argmax_k, root, cfg)[0]
+            checks.append(
+                VerifyCheck(
+                    "profile_agreement",
+                    err <= oracle_tol,
+                    f"max |psi - psi_exact| {err!r} at k {result.argmax_k!r}, psi(0) = 1 "
+                    f"(tolerance {oracle_tol!r} at N = {n})",
+                )
+            )
 
     for factor in (1.01, 2.0):
         try:

@@ -70,5 +70,6 @@ class MonotonicityViolation(SolverError):
 
 
 class DegenerateExponents(SolverError):
-    """F_k came out non-finite or an interface compliance not finite and
-    positive (a rate, wavenumber, depth or viscosity near the float range's end)."""
+    """F_k came out non-finite, an interface compliance not finite and positive,
+    or every growth bound r_k 0 (a rate, wavenumber, depth or viscosity near
+    the float range's end)."""

@@ -8,7 +8,9 @@ Lambda = max_k Lambda_k: one scan of the mode set (FrozenModeSet.growth_max)
 solves Lambda_k by banded Newton steps (pencil.fixed_point) only for the modes
 that one inertia test at the running maximum cannot rule out. The eigenprofile
 is the last solve of the maximizing mode's Newton loop, and the alpha at
-Lambda and the fixed-point residual come from that solve too.
+Lambda and the fixed-point residual come from that solve too; its error is
+read against the exact eigenprofile of the dispersion relation
+(oracle.profile_error), on the same nodes, with no second mesh.
 Every solve sizes its mode set the one way (spectrum.size_mode_set): the set,
 owned or handed in, is extended until the growth cutoff
 (spectrum.growth_cutoff) at the answer lies inside it. Modes above the cutoff
@@ -22,7 +24,6 @@ on the exact Lambda, whose r_k also start every per-mode Newton solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,15 +31,7 @@ import numpy as np
 from .errors import SolverError, StableRegime
 from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile, compliances
-from .pencil import (
-    Discretization,
-    FixedPoint,
-    assemble,
-    band_matvec,
-    fixed_point,
-    prolong_coeffs,
-    residual_dual_norm,
-)
+from .pencil import Discretization, FixedPoint, assemble, fixed_point
 from .spectrum import FrozenModeSet, compliance_bound, size_mode_set, smallest_magnitude
 
 
@@ -162,22 +155,3 @@ def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> Fixed
     if forms.c_k <= 0.0:
         return None
     return fixed_point(forms, float(compliance_bound(forms.c_k, *compliances(forms.k, cfg))))
-
-
-def bvp_residual(result: GrowthResult, cfg: FluidConfig) -> float:
-    """Strong-form consistency of the solved eigenpair, tested at mesh 2N.
-
-    The coarse eigenvector is embedded exactly into the once-refined mesh and
-    the pencil residual (c e0 e0^T - Lambda A - Lambda^2 B) x is measured
-    there in the energy-dual norm; coarse test components vanish by Galerkin
-    orthogonality, so this isolates the part of the boundary-value problem
-    the resolution N cannot represent. Normalized by Lambda^2 and the kinetic
-    norm of the embedded vector.
-    """
-    cfg = validate_config(cfg).with_theta(result.theta)
-    fp = result.fixed_point
-    x_fine = prolong_coeffs(fp.vector, fp.forms)
-    forms_fine = assemble(result.argmax_k, cfg, Discretization(result.resolution).refined())
-    dual = residual_dual_norm(forms_fine, x_fine, result.lam, result.lam**2)
-    kinetic = math.sqrt(float(x_fine @ band_matvec(forms_fine.B_band, x_fine)))
-    return dual / (result.lam**2 * kinetic)

@@ -93,7 +93,8 @@ class VerticalProfile:
     endpoints define the layer heights. The constructor does not enforce the
     no-slip reduction (psi and psi' exactly zero at both walls), so tests can
     build deliberately violated profiles; pencil.coeffs_to_profile builds only
-    clamped ones.
+    clamped ones, from an eigenvector, and oracle.dispersion_profile the exact
+    eigenprofile of a mode at the same nodes, scaled to psi(0) = 1.
     """
 
     grid: np.ndarray
@@ -140,8 +141,8 @@ def uniform_layered_grid(h_minus: float, h_plus: float, n_per_layer: int) -> np.
     return grid
 
 
-def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
-    """(G00, G01, G10, G11): the map (psi(0), psi_z(0)) -> (N, T) of one layer.
+def _layer_basis(k: float, n: float, rho: float, mu: float, h: float):
+    """(q, q - k, E, U, W, a0, a1, a2, a3, b0, b1, b2, b3) of one layer at rate n.
 
     The clamped profiles are c1 v1 + c3 v3, with v1 = e^(-k z) - E e^(-k (h - z))
     + 2 k E u(h - z) and v3 = u(z) - U e^(-k (h - z)) + W u(h - z), where
@@ -152,7 +153,8 @@ def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
     k2 = k * k
     q2 = k2 + n * rho / mu
     q = math.sqrt(q2)
-    x = n * rho / mu / (q + k) * h  # (q - k) h
+    dq = n * rho / mu / (q + k)  # q - k, free of cancellation
+    x = dq * h
     E = math.exp(-k * h)
     U = E * h * (math.expm1(-x) / x if x else -1.0)
     W = (q + k) * U + E
@@ -164,6 +166,14 @@ def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
     a2, a3 = k2 * one_minus_ee + two_k_e * m2, -k2 * k * one_plus_ee + two_k_e * m3
     b0, b1 = -ue + W * m0, -1.0 - k * ue + W * m1
     b2, b3 = (q + k) - k2 * ue + W * m2, -(q2 + q * k + k2) - k2 * k * ue + W * m3
+    return q, dq, E, U, W, a0, a1, a2, a3, b0, b1, b2, b3
+
+
+def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
+    """(G00, G01, G10, G11): the map (psi(0), psi_z(0)) -> (N, T) of one layer,
+    on the basis of _layer_basis."""
+    k2 = k * k
+    a0, a1, a2, a3, b0, b1, b2, b3 = _layer_basis(k, n, rho, mu, h)[5:]
     # traction rows on (c1, c3), times the inverse of [[a0, b0], [a1, b1]]
     na = mu * (a3 - 3.0 * k2 * a1) - n * rho * a1
     nb = mu * (b3 - 3.0 * k2 * b1) - n * rho * b1

@@ -43,6 +43,13 @@ layers: as k h -> 0 the four functions flatten towards one another and the
 root loses about (k h)^-3 ulps (2e-12 relative at k h = 0.05, against the
 same formula in 60-digit arithmetic; 1e-16 for k h >= 1).
 
+The profile. At the root, (a, b) = (1, -D10 / D11) spans the kernel, and
+per layer c1 v1 + c3 v3 with (c1, c3) from the 2x2 interface block of the
+basis is the exact eigenprofile (dispersion_profile). The Galerkin one,
+scaled to psi(0) = 1, approaches it at fourth order in nodal values and
+slopes (profile_error: 1.3e-6 to 3.1e-10 from N = 32 to 256 on the
+reference maximizer k = 5) until its solve's rounding takes over.
+
 Why one bracketed root. Let A and B be the dissipation and kinetic forms of
 pencil.assemble, on the continuous clamped H^2 profiles, and P(n) = n A + n^2
 B. In each layer the solution of the equation above with interface data
@@ -73,10 +80,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateExponents, SolverError, ZeroWaveNumber
 from .fixedpoint import solve_mode_lambda
 from .model import FluidConfig, upper_bound_m, validate_config
-from .modeforms import _condensed_traction, surface_coefficient
+from .modeforms import (
+    VerticalProfile, _condensed_traction, _interface_traction, _layer_basis, surface_coefficient,
+)
 from .pencil import Discretization
 
 _ROOT_RTOL = 1e-12
@@ -190,6 +201,45 @@ def dispersion_root(
             f"[0, {scan_max!r}]: F_k(scan_max) = {f_hi!r} <= 0"
         )
     return _refine_root(k, cfg, lo, scan_max, f_lo, f_hi)
+
+
+def dispersion_profile(k: float, lam: float, cfg: FluidConfig, grid) -> VerticalProfile:
+    """The exact eigenprofile of mode k at its root lam, with psi(0) = 1, at the nodes of grid.
+
+    The tangential-stress row gives b = psi'(0) = -D10 / D11; each layer is
+    then c1 v1 + c3 v3 with [[a0, b0], [a1, b1]] (c1, c3) = (1, psi_z(0))
+    (module docstring). The lower layer has z = -y, so its psi_z(0) is -b and
+    its slopes flip sign. Like the basis, it loses about (k h)^-3 ulps in
+    thin layers.
+    """
+    up = _interface_traction(k, lam, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
+    lo = _interface_traction(k, lam, cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
+    b = -(up[2] - lo[2]) / (up[3] + lo[3])
+    grid = np.asarray(grid, dtype=float)
+    psi, dpsi = [], []
+    layers = ((-1.0, cfg.rho_minus, cfg.mu_minus, cfg.h_minus), (1.0, cfg.rho_plus, cfg.mu_plus, cfg.h_plus))
+    for sign, rho, mu, h in layers:
+        z = sign * grid[(grid >= 0.0) == (sign > 0.0)]  # the node at 0 is the upper layer's
+        q, dq, E, U, W, a0, a1, _, _, b0, b1, _, _ = _layer_basis(k, lam, rho, mu, h)
+        det = a0 * b1 - a1 * b0
+        c1, c3 = (b1 - b0 * sign * b) / det, (a0 * sign * b - a1) / det
+        near, far = np.exp(-k * z), np.exp(-k * (h - z))
+        u_near, u_far = near * np.expm1(-dq * z) / dq, far * np.expm1(-dq * (h - z)) / dq
+        du_far = q * u_far + far  # d/dz u(h - z); u'(z) = -(q u(z) + e^(-k z))
+        psi.append(c1 * (near - E * far + 2.0 * k * E * u_far) + c3 * (u_near - U * far + W * u_far))
+        v1_z, v3_z = k * (2.0 * E * du_far - near - E * far), W * du_far - q * u_near - near - k * U * far
+        dpsi.append(sign * (c1 * v1_z + c3 * v3_z))
+    return VerticalProfile(grid, np.concatenate(psi), np.concatenate(dpsi))
+
+
+def profile_error(profile: VerticalProfile, k: float, lam: float, cfg: FluidConfig) -> tuple[float, float]:
+    """Max-norm errors of profile's nodal values and slopes, scaled to psi(0) = 1,
+    against dispersion_profile(k, lam, cfg) on its grid."""
+    exact = dispersion_profile(k, lam, cfg, profile.grid)
+    scale = profile.interface_value
+    values = profile.psi_values / scale - exact.psi_values
+    slopes = profile.psi_derivs / scale - exact.psi_derivs
+    return float(np.max(np.abs(values))), float(np.max(np.abs(slopes)))
 
 
 @dataclass(frozen=True)

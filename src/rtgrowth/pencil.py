@@ -25,7 +25,9 @@ s A + alpha B has condition number ~4e8 at N = 128, so a solve whose value
 is read is refined once with a residual in extended precision
 (_interface_solve = _factor_solve + _refine). fixed_point refines only at
 the answer: float64 steps propose points until a step falls below 1e-3 s,
-then two refined solves finish it. No solver path expands a dense matrix.
+then two refined solves finish it. No solver path expands a dense matrix,
+and none builds a second mesh: the eigenvector's error is read against the
+exact eigenprofile at its own nodes (oracle.dispersion_profile).
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
@@ -53,7 +55,6 @@ from .modeforms import (
     GAUSS_SHAPES,
     GAUSS_WEIGHTS,
     VerticalProfile,
-    hermite_shape,
     surface_coefficient,
     uniform_layered_grid,
 )
@@ -111,13 +112,6 @@ class Discretization:
             raise ResolutionTooSmall(
                 f"need at least 4 elements per layer, got {self.elements_per_layer}"
             )
-
-    @property
-    def n_dofs(self) -> int:
-        return 4 * self.elements_per_layer - 2
-
-    def refined(self) -> "Discretization":
-        return Discretization(2 * self.elements_per_layer)
 
 
 def _element_matrices(h: float):
@@ -275,13 +269,6 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
 def _energy(forms: PencilForms, s: float, alpha: float) -> np.ndarray:
     """s A_diss + alpha B, in band form."""
     return s * forms.A_band + alpha * forms.B_band
-
-
-def _pencil_residual(forms: PencilForms, energy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(c_k e0 e0^T - s A_diss - alpha B) x, with energy = s A_diss + alpha B."""
-    r = -band_matvec(energy, x)
-    r[forms.e0_index] += forms.c_k * x[forms.e0_index]
-    return r
 
 
 def _unit(forms: PencilForms) -> np.ndarray:
@@ -560,46 +547,3 @@ def coeffs_to_profile(x: np.ndarray, forms: PencilForms) -> VerticalProfile:
     full = np.zeros(2 * grid.size)
     full[2 : 2 * grid.size - 2] = x
     return VerticalProfile(grid, full[0::2], full[1::2])
-
-
-def prolong_coeffs(x: np.ndarray, forms_coarse: PencilForms) -> np.ndarray:
-    """Exact embedding of a coarse dof vector into the once-refined mesh."""
-    grid = forms_coarse.grid
-    vals = np.zeros(grid.size)
-    ders = np.zeros(grid.size)
-    vals[1:-1] = x[0 : 2 * grid.size - 4 : 2]
-    ders[1:-1] = x[1 : 2 * grid.size - 4 : 2]
-
-    h = np.diff(grid)
-    s0 = hermite_shape(np.array([0.5]), 0)[:, 0]
-    s1 = hermite_shape(np.array([0.5]), 1)[:, 0]
-    v0, v1 = vals[:-1], vals[1:]
-    d0, d1 = ders[:-1], ders[1:]
-    mid_val = v0 * s0[0] + d0 * h * s0[1] + v1 * s0[2] + d1 * h * s0[3]
-    mid_der = (v0 * s1[0] + d0 * h * s1[1] + v1 * s1[2] + d1 * h * s1[3]) / h
-
-    fine_vals = np.empty(2 * grid.size - 1)
-    fine_ders = np.empty(2 * grid.size - 1)
-    fine_vals[0::2] = vals
-    fine_vals[1::2] = mid_val
-    fine_ders[0::2] = ders
-    fine_ders[1::2] = mid_der
-    full = np.empty(2 * fine_vals.size)
-    full[0::2] = fine_vals
-    full[1::2] = fine_ders
-    return full[2:-2].copy()
-
-
-def residual_dual_norm(forms: PencilForms, x: np.ndarray, s: float, alpha: float) -> float:
-    """||(c e0 e0^T - s A - alpha B) x|| in the (s A + alpha B)^(-1) dual norm.
-
-    s A + alpha B is the dimensionally consistent energy of the pencil at the
-    fixed point (both terms scale like density / time^2), so the dual norm is
-    comparable across resolutions and parameters. Requires alpha > 0.
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"dual norm needs alpha > 0, got {alpha!r}")
-    energy = _energy(forms, s, alpha)
-    r = _pencil_residual(forms, energy, x)
-    y = _spd_solve(_spd_factor(energy, "energy norm"), r, "energy norm")
-    return float(np.sqrt(abs(r @ y)))

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyModeSet, MonotonicityViolation
+from .errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
 from .model import FluidConfig
 from .pencil import (
     Discretization,
@@ -192,8 +192,8 @@ class FrozenModeSet:
         c = surface_coefficient(ks, self.cfg.with_theta(theta))
         return compliance_bound(c, self._compliance[:, 0], self._compliance[:, 1])
 
-    def growth_max(self, theta: float) -> FixedPoint | None:
-        """The fixed point of the mode with the largest Lambda_k; None if none grows.
+    def growth_max(self, theta: float) -> FixedPoint:
+        """The fixed point of the mode with the largest Lambda_k.
 
         alpha(s) > s^2 exactly when some alpha_k(s) > s^2, which holds exactly
         when s < Lambda_k; the transverse branch is never positive. So the
@@ -202,7 +202,10 @@ class FrozenModeSet:
         first bound at or below the running maximum M, skips a mode whose
         inertia test at (s, alpha) = (M, M^2) succeeds, which proves
         Lambda_k < M, and solves the fixed point of the rest from r_k. Ties
-        go to the smaller k.
+        go to the smaller k. Callers ask at theta < theta_c, where the
+        smallest magnitude, in every set, has c_k > 0 and so r_k > 0: a scan
+        that solves no mode found every r_k rounded to 0 (C_k underflows at
+        mu = 1e300) and raises DegenerateExponents.
         """
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
@@ -218,6 +221,8 @@ class FrozenModeSet:
             fp = fixed_point(forms, bounds[i])
             if best is None or (fp.lam, -ks[i]) > (lam, -best.forms.k):
                 best = fp
+        if best is None:
+            raise DegenerateExponents(f"no mode grows at theta = {float(theta)!r}: every bound r_k is 0")
         return best
 
     def alpha_value(self, s: float, theta: float) -> AlphaValue:

@@ -112,7 +112,9 @@ def finish_eigenpair(forms, s, alpha, x):
     measure its residual."""
     x = x / np.sqrt(x @ pencil.band_matvec(forms.B_band, x))
     x = fix_sign(x, forms.e0_index)
-    r = pencil._pencil_residual(forms, pencil._energy(forms, s, alpha), x)
+    # (c_k e0 e0^T - s A - alpha B) x
+    r = -pencil.band_matvec(pencil._energy(forms, s, alpha), x)
+    r[forms.e0_index] += forms.c_k * x[forms.e0_index]
     return EigenSolution(float(alpha), x, float(np.linalg.norm(r) / np.linalg.norm(x)))
 
 

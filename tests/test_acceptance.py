@@ -23,11 +23,7 @@ from conftest import (
 )
 from rtgrowth.analysis import sweep_theta
 from rtgrowth.errors import StableRegime
-from rtgrowth.fixedpoint import (
-    bvp_residual,
-    solve_lambda,
-    solve_mode_lambda,
-)
+from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
 from rtgrowth.model import (
     FluidConfig,
     theta_critical,
@@ -35,7 +31,7 @@ from rtgrowth.model import (
     validate_config,
     wang_tice_bound,
 )
-from rtgrowth.oracle import dispersion_root
+from rtgrowth.oracle import dispersion_root, profile_error
 from rtgrowth.pencil import Discretization, assemble
 from rtgrowth.spectrum import alpha_curve
 
@@ -237,15 +233,17 @@ def test_criterion_8_discretization_soundness(frozen_reference, reference_sweep)
 
     res128 = reference_sweep.results[0]
     res64 = solve_lambda(REFERENCE, Discretization(64), tol_fp=TOL_FP)
-    r64 = bvp_residual(res64, REFERENCE)
-    r128 = bvp_residual(res128, REFERENCE)
-    bvp_ok = r128 < r64 and r128 < 1e-4
+    assert res64.argmax_k == res128.argmax_k
+    root = dispersion_root(res128.argmax_k, REFERENCE, 1.05 * upper_bound_m(REFERENCE))
+    e64, e128 = (profile_error(r.eigenprofile, r.argmax_k, root, REFERENCE)[0] for r in (res64, res128))
+    # fourth order: 7.9e-8 -> 5.0e-9 measured
+    profile_ok = e128 < e64 / 8.0 and e128 < 1e-8
     report(
         "criterion 8: discretization soundness",
-        monotone_ok and residual_ok and bvp_ok,
+        monotone_ok and residual_ok and profile_ok,
         f"alpha(N) nondecreasing over N={{8..128}}: {monotone_ok}; eigen residual "
-        f"scale-relative <= 1e-9: {residual_ok}; BVP residual {r64:.3e} (N=64) -> "
-        f"{r128:.3e} (N=128) < 1e-4",
+        f"scale-relative <= 1e-9: {residual_ok}; profile error against the exact "
+        f"eigenprofile {e64:.3e} (N=64) -> {e128:.3e} (N=128) < 1e-8",
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from rtgrowth import analysis, oracle
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
+from rtgrowth.modeforms import VerticalProfile
 from rtgrowth.model import theta_critical, upper_bound_m, wang_tice_bound
 from rtgrowth.pencil import Discretization
 from rtgrowth.spectrum import smallest_magnitude
@@ -118,7 +119,7 @@ def test_verify_all_passes(cheap_config):
     assert report.all_pass
     assert [c.name for c in report.checks] == [
         "alpha_strictly_decreasing", "alpha_decreasing_in_theta", "fixed_point",
-        "oracle_agreement", "threshold_stability",
+        "oracle_agreement", "profile_agreement", "threshold_stability",
     ]
     # every detail prints plain floats, the sample range's ends included
     m = upper_bound_m(cheap_config)
@@ -183,6 +184,47 @@ def test_verify_oracle_check_reuses_the_argmax_solve(cheap_config, monkeypatch, 
     assert solved == ([] if result.argmax_k == k_min else [k_min])
     assert reused == oracle.compare_modes(cfg, [result.argmax_k], disc)
     assert all(c.passed for c in report.checks if c.name == "oracle_agreement")
+
+
+def test_verify_profile_check_reads_the_oracle_root(cheap_config, monkeypatch):
+    # the eigenprofile is compared with the exact one at the root the oracle
+    # check found, with no further root solve, against the oracle tolerance
+    disc = Discretization(16)
+    result = solve_lambda(cheap_config, disc)
+    scan_max = 1.05 * upper_bound_m(cheap_config)
+    root = oracle.compare_solved_mode(cheap_config, result.argmax_k, result.lam, scan_max).lambda_oracle
+    err = oracle.profile_error(result.eigenprofile, result.argmax_k, root, cheap_config)[0]
+    roots, real_root = [], oracle.dispersion_root
+
+    def spy_root(*args, **kwargs):
+        roots.append(args[0])
+        return real_root(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "dispersion_root", spy_root)
+    checks = {c.name: c for c in verify_all(cheap_config, disc).checks}
+    assert roots == [smallest_magnitude(cheap_config), result.argmax_k]
+    assert checks["profile_agreement"].passed
+    assert checks["profile_agreement"].detail == (
+        f"max |psi - psi_exact| {err!r} at k {result.argmax_k!r}, psi(0) = 1 "
+        f"(tolerance 0.01 at N = 16)"
+    )
+
+    # an exact profile 1.5 times too large is off by 0.5 at the interface
+    real_profile = oracle.dispersion_profile
+
+    def scaled(*args):
+        p = real_profile(*args)
+        return VerticalProfile(p.grid, 1.5 * p.psi_values, p.psi_derivs)
+
+    monkeypatch.setattr(oracle, "dispersion_profile", scaled)
+    report = verify_all(cheap_config, disc)
+    (check,) = [c for c in report.checks if c.name == "profile_agreement"]
+    assert not check.passed and not report.all_pass
+
+    # with no root there is nothing to compare with, and the check is left out
+    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: -1.0)
+    names = [c.name for c in verify_all(cheap_config, disc).checks]
+    assert "oracle_agreement" in names and "profile_agreement" not in names
 
 
 def test_verify_low_viscosity_at_n128_passes(reference_config):

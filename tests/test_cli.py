@@ -241,6 +241,25 @@ def test_numerical_failure_is_one_stderr_line(tmp_path):
     assert proc.stderr.startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize("command", ["growth", "sweep-theta"])
+def test_overflowing_compliance_bounds_exit_4(tmp_path, command):
+    # mu = 1e300 underflows the Stokes compliance C_k, so every bound r_k
+    # rounds to 0 and no mode is solved: a numerical failure, reported as one
+    # line, not an AttributeError on a missing fixed point
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({**CHEAP, "mu_plus": 1e300, "mu_minus": 1e300}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtgrowth.cli", command, "--config", str(path),
+         "--resolution", "8", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("numerical failure: no mode grows at theta = 0.0")
+    assert "AttributeError" not in proc.stderr
+
+
 def test_verify_on_a_stable_config_runs_only_the_stable_check(tmp_path, cheap_config):
     path = tmp_path / "stable.json"
     path.write_text(json.dumps({**CHEAP, "theta": 1.5 * theta_critical(cheap_config)}))

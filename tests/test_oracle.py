@@ -14,12 +14,19 @@ from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, SolverError
 from rtgrowth.fixedpoint import solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
-from rtgrowth.modeforms import _interface_traction, compliances, surface_coefficient
+from rtgrowth.modeforms import (
+    _interface_traction,
+    compliances,
+    surface_coefficient,
+    uniform_layered_grid,
+)
 from rtgrowth.oracle import (
     compare_modes,
     comparison_csv_lines,
     determinant,
+    dispersion_profile,
     dispersion_root,
+    profile_error,
 )
 from rtgrowth.pencil import Discretization
 
@@ -502,6 +509,43 @@ def test_closed_form_compliances_bound_the_galerkin_ones_over_config_box(nu_plus
     c = surface_coefficient(k, cfg)
     if c > 0.0:
         assert determinant(k, float(spectrum.compliance_bound(c, inviscid, stokes)), cfg) >= 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    nu_plus=st.floats(min_value=-4.0, max_value=0.0),
+    nu_minus=st.floats(min_value=-4.0, max_value=0.0),
+    fraction=st.floats(min_value=0.0, max_value=0.99),
+    i=st.integers(min_value=0, max_value=212),
+    j=st.integers(min_value=1, max_value=212),
+)
+def test_dispersion_profile_is_clamped_over_config_box(nu_plus, nu_minus, fraction, i, j):
+    # the exact profile at the root is finite, has psi(0) = 1, and vanishes
+    # with its slope at both walls, also where k h reaches 300
+    cfg = _box_config(nu_plus, nu_minus, fraction)
+    k = math.hypot(i, j)
+    root = dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg))
+    assume(root is not None)
+    profile = dispersion_profile(k, root, cfg, uniform_layered_grid(cfg.h_minus, cfg.h_plus, 64))
+    psi, dpsi = profile.psi_values, profile.psi_derivs
+    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
+    assert profile.interface_value == pytest.approx(1.0, abs=1e-13)
+    for values in (psi, dpsi):
+        scale = np.max(np.abs(values))
+        assert abs(values[0]) <= 1e-13 * scale and abs(values[-1]) <= 1e-13 * scale
+
+
+def test_galerkin_eigenprofile_converges_at_fourth_order(reference_config):
+    # nodal values and slopes of the Galerkin eigenprofile at k = 5 against
+    # the exact one: values 1.3e-6, 7.9e-8, 5.0e-9, 3.1e-10 from N = 32 to 256
+    k = 5.0
+    root = dispersion_root(k, reference_config, 1.05 * upper_bound_m(reference_config))
+    errors = np.array([
+        profile_error(solve_mode_lambda(reference_config, k, Discretization(n)).profile, k, root, reference_config)
+        for n in (32, 64, 128, 256)
+    ])
+    rates = np.log2(errors[:-1] / errors[1:])
+    assert np.all(rates >= 3.8), rates
 
 
 @pytest.mark.xfail(

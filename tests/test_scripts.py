@@ -13,15 +13,30 @@ from rtgrowth import Discretization, FluidConfig, cli, oracle, pencil, solve_lam
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+def check_run_reference(out):
+    (line,) = [l for l in out.splitlines() if l.startswith("eigenprofile error")]
+    values, slopes = (float(w.rstrip(",")) for w in line.split()[-3::2])
+    assert 0.0 < values < 1e-3 and 0.0 < slopes < 1e-2
+
+
+def check_convergence_study(out):
+    # the reference maximizer k = 5 at N = 16 and 32: fourth order in values and slopes
+    (line,) = [l for l in out.splitlines() if "rate" in l]
+    assert "N=32" in line and "argmax_k=5.0" in line
+    rates = [float(w) for w in line.split("rate")[1].split()]
+    assert len(rates) == 2 and all(r > 3.5 for r in rates), line
+
+
 @pytest.mark.parametrize(
-    "script,args",
+    "script,args,check",
     [
-        ("run_reference.py", ["--resolution", "8"]),
-        ("convergence_study.py", ["--max-n", "16"]),
+        ("run_reference.py", ["--resolution", "8"], check_run_reference),
+        ("convergence_study.py", ["--max-n", "32"], check_convergence_study),
     ],
     ids=["run_reference", "convergence_study"],
 )
-def test_script_runs(script, args):
+def test_script_runs(script, args, check):
+    # both print the eigenprofile's error against the exact profile
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True,
@@ -29,6 +44,7 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert "lambda" in proc.stdout
+    check(proc.stdout)
 
 
 def load_script(name):
@@ -43,6 +59,21 @@ def test_cli_outputs_covers_every_command():
     runs = load_script("cli_outputs").RUNS
     assert {argv[0] for _, argv, _ in runs} == set(cli.COMMANDS)
     assert len({name for name, _, _ in runs}) == len(runs)
+
+
+def test_cli_outputs_takes_a_relative_outdir(tmp_path, monkeypatch):
+    # the runs start in the tree's root, so a relative OUTDIR must be
+    # resolved against the caller's directory first
+    script = load_script("cli_outputs")
+    monkeypatch.setattr(script, "CONFIGS", {"reference": script.REFERENCE})
+    monkeypatch.setattr(
+        script, "RUNS", [("growth_8", ["growth", "--resolution", "8", "--out", "{out}/growth_8.json"], None)]
+    )
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["cli_outputs.py", "out"])
+    script.main()
+    assert (tmp_path / "out" / "exit_codes.txt").read_text() == "reference/growth_8 0\n"
+    assert json.loads((tmp_path / "out" / "reference" / "growth_8.json").read_text())["lambda"] > 0.0
 
 
 def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
