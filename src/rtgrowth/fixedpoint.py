@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError, StableRegime
+from .errors import DegenerateExponents, SolverError, StableRegime
 from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .modeforms import VerticalProfile, compliances
 from .pencil import Discretization, FixedPoint, assemble, fixed_point
@@ -145,7 +145,9 @@ def solve_lambda(
 def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
     """Fixed point of the single mode k at cfg.theta; None when c_k <= 0 (stable).
 
-    Newton starts from the compliance bound r_k, as in the global scan.
+    Newton starts from the compliance bound r_k, as in the global scan. An
+    r_k rounded to 0 (C_k near 3e-302 at mu = 1e300, whose square underflows)
+    raises DegenerateExponents, as a global scan whose every r_k is 0 does.
     """
     validate_config(cfg)
     theta_c = theta_critical(cfg)
@@ -154,4 +156,9 @@ def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> Fixed
     forms = assemble(float(k), cfg, disc)
     if forms.c_k <= 0.0:
         return None
-    return fixed_point(forms, float(compliance_bound(forms.c_k, *compliances(forms.k, cfg))))
+    inviscid, stokes = compliances(forms.k, cfg)
+    # as a numpy float, 1 / stokes**2 is inf past the underflow, not a ZeroDivisionError
+    start = float(compliance_bound(forms.c_k, inviscid, np.float64(stokes)))
+    if not start > 0.0:
+        raise DegenerateExponents(f"mode k = {forms.k!r} has its bound r_k rounded to 0 at theta = {cfg.theta!r}")
+    return fixed_point(forms, start)

@@ -25,9 +25,13 @@ s A + alpha B has condition number ~4e8 at N = 128, so a solve whose value
 is read is refined once with a residual in extended precision
 (_interface_solve = _factor_solve + _refine). fixed_point refines only at
 the answer: float64 steps propose points until a step falls below 1e-3 s,
-then two refined solves finish it. No solver path expands a dense matrix,
-and none builds a second mesh: the eigenvector's error is read against the
-exact eigenprofile at its own nodes (oracle.dispersion_profile).
+then one refined solve fixes Lambda_k, and the last solve reuses its factor
+and its extended residual wherever that refinement's noise is at most a
+tenth of the residual acceptance (a fresh factorization and refined solve
+elsewhere); the residual it reports includes that noise. No solver path
+expands a dense matrix, and none builds a second mesh: the eigenvector's
+error is read against the exact eigenprofile at its own nodes
+(oracle.dispersion_profile).
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
@@ -241,12 +245,6 @@ class PencilForms:
     def dim(self) -> int:
         return self.B_band.shape[1]
 
-    @cached_property
-    def extended_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A_band, B_band) as np.longdouble, converted once per forms for
-        the refined solves of _interface_solve."""
-        return self.A_band.astype(np.longdouble), self.B_band.astype(np.longdouble)
-
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     """Assemble kinetic/dissipation bands and the surface coefficient."""
@@ -288,14 +286,17 @@ def _factor_solve(forms: PencilForms, s: float, alpha: float):
 
 
 def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.ndarray):
-    """x after one step of refinement: the residual e0 - (s A + alpha B) x is
-    formed and applied in extended precision (from forms.extended_bands) and
-    solved with chol, the factor of s A + alpha B held already."""
+    """(r, d) for one step of refinement of x: the residual
+    r = e0 - (s A + alpha B) x, formed and applied in extended precision and
+    rounded to float64, and the correction d = (s A + alpha B)^(-1) r, solved
+    with chol, the factor of s A + alpha B held already. x + d is the refined
+    solve. The float64 bands widen to np.longdouble exactly inside the
+    products; the explicit dtype keeps them wide under NumPy 1's promotion
+    rules too."""
     ext = np.longdouble
-    a_ext, b_ext = forms.extended_bands
-    exact = ext(s) * a_ext + ext(alpha) * b_ext
-    r = _unit(forms) - _band_matvec_extended(exact, x)
-    return x + _spd_solve(chol, r.astype(float), f"energy matrix at alpha {alpha!r}")
+    exact = np.multiply(s, forms.A_band, dtype=ext) + np.multiply(alpha, forms.B_band, dtype=ext)
+    r = (_unit(forms) - _band_matvec_extended(exact, x)).astype(float)
+    return r, _spd_solve(chol, r, f"energy matrix at alpha {alpha!r}")
 
 
 def _interface_solve(forms: PencilForms, s: float, alpha: float):
@@ -308,7 +309,7 @@ def _interface_solve(forms: PencilForms, s: float, alpha: float):
     with BLAS threading; the refined vector is good to ~1e-12.
     """
     chol, x = _factor_solve(forms, s, alpha)
-    return _refine(forms, chol, s, alpha, x)
+    return x + _refine(forms, chol, s, alpha, x)[1]
 
 
 def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
@@ -387,18 +388,29 @@ class FixedPoint:
     eigenvector, normalized to x^T B x = 1. Its interface value psi(0) is
     positive with no sign flip: it is a positive multiple of
     e0^T (s A + s^2 B)^(-1) e0 > 0, s A + s^2 B being positive definite. The
-    profile is built from it only when it is read.
+    profile is built from it only when it is read. noise is the refinement
+    noise that a last solve on the held factor cannot show (fixed_point);
+    0 after a fresh last solve.
     """
 
     forms: PencilForms
     lam: float
     alpha: float
     vector: np.ndarray
+    noise: float = 0.0
+
+    @classmethod
+    def at(cls, forms: PencilForms, s: float, x: np.ndarray, xb: float, noise: float = 0.0) -> "FixedPoint":
+        """The fixed point at s from the solve x = (s A + s^2 B)^(-1) e0 and
+        xb = x^T B x, with alpha = s^2 + (phi - 1) / (c_k xb) to first order
+        in phi - 1."""
+        phi = forms.c_k * float(x[forms.e0_index])
+        return cls(forms, s, s * s + (phi - 1.0) / (forms.c_k * xb), x / math.sqrt(xb), noise)
 
     @property
     def residual(self) -> float:
-        """The fixed-point residual |lam^2 - alpha|."""
-        return abs(self.lam * self.lam - self.alpha)
+        """The fixed-point residual |lam^2 - alpha| + noise."""
+        return abs(self.lam * self.lam - self.alpha) + self.noise
 
     @cached_property
     def profile(self) -> VerticalProfile:
@@ -409,6 +421,10 @@ class FixedPoint:
 # then refined steps until one is at most _LAST_STEP * s (derived in its docstring)
 _FLOAT_STEP = 1e-3
 _LAST_STEP = 1e-7
+# the last step's solve reuses the factor and residual held when the one
+# refinement's noise _KAPPA tau / (c_k xb) is at most _HELD_GATE max(1, s^2)
+_KAPPA = 1e-2
+_HELD_GATE = 1e-9
 
 
 def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
@@ -441,14 +457,40 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     step. Past that a step can be mostly rounding; such steps stop halving,
     so the phase still ends after a few solves.
 
-    Refined phase. Safeguarded Newton on 1/phi - 1, every solve refined in
-    extended precision (_refine): s <- s + phi (1 - phi) / phi', with a
+    Refined phase. Safeguarded Newton on 1/phi - 1, every solve refined once
+    in extended precision (_refine): s <- s + phi (1 - phi) / phi', with a
     bisection of the bracket whenever a step leaves it. Where the start's
     bound is nearly exact (near theta_c) its computed value can fall below
     Lambda_k by rounding, so phi > 1 does not raise: s becomes the lower end
     of the bracket, whose upper end stays open until a step (upward, since
     phi > 1) passes the root. The phase starts by refining the float64
-    phase's last factor, at its last point.
+    phase's last factor, at its last point, and stops one solve after a step
+    of at most _LAST_STEP * s. That step fixes lam = t; the solve at t gives
+    only alpha, the eigenvector and the residual.
+
+    Held last step. With x the float64 solve at s, r = e0 - M(s) x the
+    extended-precision residual already formed (M(s) = s A + s^2 B) and d
+    its correction, the residual of x + d at t is
+
+        e0 - M(t) (x + d) = r - (M(t) - M(s)) x - M(t) d.
+
+    Both products are small, |t - s| <= _LAST_STEP * s and |d| = tau |x|, so
+    float64 forms them far below the size of r, and the factor of M(s)
+    already held solves for the next correction: one step of a stationary
+    iteration that contracts by |M(s)^(-1) (M(t) - M(s))| <= 2 |t - s| / s
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 12).
+    x and d stay apart until the end, since a residual of their float64 sum
+    rounds away what r holds (a prototype read 2.7e-15 where the true
+    residual was 7.5e-9). The step costs no factorization and no second
+    extended residual, and lam = t keeps the bits of a fresh step.
+    The held solve cannot show the noise of the one refinement at s: Newton
+    chose t from that same phi, so |lam^2 - alpha| reads ~0. So the residual
+    adds noise = kappa tau / (c_k xb), with xb = x^T B x and
+    tau = max|d| / max|x + d|, the relative change the refinement made; an
+    error e in phi moves alpha = s^2 + (phi - 1) / (c_k xb) by e / (c_k xb).
+    The held step runs only where noise <= _HELD_GATE * max(1, s^2), a tenth
+    of solve_lambda's 1e-8 acceptance. Elsewhere t is factored and refined
+    afresh, and the residual is that solve's |lam^2 - alpha|.
 
     Thresholds. A step leaves an error of about K e^2 from an error e.
     Measured at N = 128 on the reference maximizer (k = 5) and on mu = 1
@@ -459,9 +501,29 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     After a refined step of d <= _LAST_STEP * s the error left is
     K d^2 <= 3e-15 s, below the refined solve's own rounding (1e-12 to
     1e-11 relative at N = 128). So the next solve is the last and is the
-    eigenprofile: a fixed point takes two refined solves at N <= 256. At
-    N = 512 to 2048 the refined phase measured three or four, and from
-    N = 4096 on (cond ~ 1e14) one refinement no longer resolves the root.
+    eigenprofile. In growth solves at theta/theta_c = 0, 0.5, 0.9 and 0.99
+    on the reference, viscous (mu = 1) and contrast configs, 92 of 96 fixed
+    points at N = 32 to 128 and 19 of 32 at N = 256 took one extended
+    residual and the held last step, the rest two refined solves. At
+    N = 512 to 2048 the refined phase measured three or four refined solves,
+    and from N = 4096 on (cond ~ 1e14) one refinement no longer resolves
+    the root.
+    kappa = _KAPPA = 1e-2. One refinement leaves phi off by about
+    cond * u_ext (u_ext = 5.4e-20, the extended residual's roundoff), while
+    tau is about cond * u (u = 1.1e-16): a ratio near 5e-4. Refined solves
+    at 17 points 1e-12 apart around Lambda_k (those three configs at
+    theta/theta_c = 0, 0.5 and 0.99, k = 1 to 7.28, N = 64 to 1024)
+    scattered phi about their line by 4e-4 tau to 1.4e-2 tau; the two above
+    1e-2 lie at N = 1024 near theta_c, where the gate fails 11- and
+    25-fold. Over 130 held fixed points (those configs at N = 64 to 256 and
+    random configs of the property-test box at N = 32 to 128) the held alpha
+    lay within 0.0098 tau / (c_k xb) of alpha from a line through 33 such
+    solves, 99 % within 0.0072. The e0 entry alone, |d[e0]| / |x[e0]|,
+    swung up to a thousandfold between points 1e-9 apart and fell to a
+    fifth of that error, so tau reads the whole vector. At N = 128,
+    tau / (c_k xb max(1, s^2)) measured 1.6e-10 to 1.0e-6 in those growth
+    solves; the gate sent the contrast config's k = 2, 4 and its maximizer
+    7.28 to the fresh step.
     """
     c = float(forms.c_k)
     if not c > 0.0:
@@ -483,20 +545,28 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
             break
     lo, hi, last = 0.0, math.inf, False
     for _ in range(100):
-        x = _refine(forms, chol, s, s * s, x)
-        x0 = float(x[i0])
+        r, d = _refine(forms, chol, s, s * s, x)
+        xr = x + d
+        x0 = float(xr[i0])
         phi = c * x0
-        xb = float(x @ band_matvec(forms.B_band, x))
+        xb = float(xr @ band_matvec(forms.B_band, xr))
         if phi > 1.0:
             lo = s
         else:
             hi = s
         step = phi * (1.0 - phi) / (-c * (x0 / s + s * xb))
         if last or phi == 1.0 or hi - lo <= 1e-15 * s:
-            alpha = s * s + (phi - 1.0) / (c * xb)
-            return FixedPoint(forms, s, alpha, x / math.sqrt(xb))
+            return FixedPoint.at(forms, s, xr, xb)
         last = abs(step) <= _LAST_STEP * s
-        s = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
+        t = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
+        noise = _KAPPA * float(abs(d).max() / abs(xr).max()) / (c * xb)  # tau = |d| / |x + d|
+        if last and noise <= _HELD_GATE * max(1.0, s * s):
+            # the residual of x + d at t, from r at s; both products are small
+            dm = _energy(forms, t - s, (t - s) * (t + s))  # M(t) - M(s), without cancellation
+            r = r - band_matvec(dm, x) - band_matvec(_energy(forms, t, t * t), d)
+            xr = x + (d + _spd_solve(chol, r, f"energy matrix at alpha {s * s!r}"))
+            return FixedPoint.at(forms, t, xr, float(xr @ band_matvec(forms.B_band, xr)), noise)
+        s = t
         chol, x = _factor_solve(forms, s, s * s)
     raise FactorizationFailure(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")
 

@@ -330,8 +330,12 @@ def _split_bound(cfg: FluidConfig, s: float, split: float):
         return 0.5 * (c + abs(c)) * k / rho_sum - interior * k * k
 
     a, b = gr / rho_sum, stokes / rho_sum + interior
-    # B_l' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak
-    peak = a / (b + math.sqrt(b * b + 3.0 * a * theta / rho_sum))
+    # B_l' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak;
+    # b * b overflows past b ~ 1.3e154 (mu ~ 1e300), where hypot does not
+    root = math.sqrt(b * b + 3.0 * a * theta / rho_sum)
+    if root == math.inf:
+        root = math.hypot(b, math.sqrt(3.0 * a * theta / rho_sum))
+    peak = a / (b + root)
     return bound, peak, gr / stokes if stokes > 0.0 else 2.0 * peak
 
 
@@ -396,9 +400,16 @@ def _split_cutoff(cfg: FluidConfig, s: float, floor: float, split: float) -> flo
     where its positive part is off, beyond which it falls to -inf, or stays
     at 0 < floor at l = 1. So {B_l >= floor} is an interval. Its upper end is
     bracketed between the peak and the k past it from _split_bound, doubled
-    while B_l still reaches floor there, and then bisected.
+    while B_l still reaches floor there, and then bisected. A bracket end
+    that is not positive and finite (a rate or viscosity near the float
+    range's end) could never double past a negative floor, so it raises
+    DegenerateExponents.
     """
     bound, lo, hi = _split_bound(cfg, s, split)
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise DegenerateExponents(
+            f"cutoff bracket [{lo!r}, {hi!r}] at s = {float(s)!r} is not positive and finite"
+        )
     if bound(lo) < floor:
         return 0.0
     while bound(hi) >= floor:

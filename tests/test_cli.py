@@ -260,6 +260,41 @@ def test_overflowing_compliance_bounds_exit_4(tmp_path, command):
     assert "AttributeError" not in proc.stderr
 
 
+def test_oracle_compare_with_overflowing_compliance_bounds_exits_4(tmp_path):
+    # the single-mode solve names the mode whose bound r_k rounds to 0, as
+    # the global scan does, instead of dividing by the underflowed C_k^2
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({**CHEAP, "mu_plus": 1e300, "mu_minus": 1e300}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtgrowth.cli", "oracle-compare", "--config", str(path),
+         "--resolution", "8", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("numerical failure: mode k = 1.0 has its bound r_k rounded to 0")
+
+
+def test_alpha_curve_with_overflowing_viscosity_ends(tmp_path):
+    # at mu = 1e300 the cutoff bracket's b * b overflowed, its end came out
+    # 0 and never doubled past the negative floor alpha(s): the command hung
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({**CHEAP, "mu_plus": 1e300, "mu_minus": 1e300}))
+    out = tmp_path / "curve.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtgrowth.cli", "alpha-curve", "--config", str(path),
+         "--resolution", "8", "--s-grid", "0.1,1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.1", "1.0"]
+    assert all(float(row[1]) < 0.0 and row[3] == "transverse" for row in rows)
+
+
 def test_verify_on_a_stable_config_runs_only_the_stable_check(tmp_path, cheap_config):
     path = tmp_path / "stable.json"
     path.write_text(json.dumps({**CHEAP, "theta": 1.5 * theta_critical(cheap_config)}))

@@ -230,10 +230,11 @@ def test_fixed_point_path_is_banded(cheap_config, monkeypatch):
     assert 0.0 < exact_profile_error(result, cfg)[0] < 1e-4
 
 
-def test_sweep_point_on_a_locked_set_refines_only_twice(cheap_config, monkeypatch):
+def test_sweep_point_on_a_locked_set_refines_only_once(cheap_config, monkeypatch):
     # a theta point on a set sized at theta = 0 (its compliances cached)
-    # solves one fixed point: at most three banded factorizations and two
-    # extended-precision residuals (the all-refined loop took four and four)
+    # solves one fixed point: at most two banded factorizations and one
+    # extended-precision residual, the last Newton step taking the factor
+    # and residual already held (the all-refined loop took four and four)
     disc = Discretization(128)
     fm, _ = _sized_mode_set(cheap_config, disc)
     theta_c = theta_critical(cheap_config)
@@ -242,7 +243,7 @@ def test_sweep_point_on_a_locked_set_refines_only_twice(cheap_config, monkeypatc
         factored.clear()
         refined.clear()
         solve_lambda(cheap_config.with_theta(f * theta_c), disc, frozen=fm)
-        assert len(factored) <= 3 and len(refined) == 2, f
+        assert len(factored) <= 2 and len(refined) == 1, f
 
 
 def test_handed_in_set_must_serve_the_config_and_resolution(reference_config, cheap_config):

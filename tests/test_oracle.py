@@ -474,7 +474,7 @@ def test_dispersion_root_over_config_box(nu_plus, nu_minus, fraction, i, j):
     n=st.sampled_from([32, 64, 128]),
 )
 def test_fixed_point_matches_the_all_refined_loop_over_config_box(nu_plus, nu_minus, fraction, i, j, n):
-    # float64 proposals followed by two refined solves land where every step
+    # float64 proposals followed by the refined phase land where every step
     # refined lands, to the refined solve's own rounding
     cfg = _box_config(nu_plus, nu_minus, fraction)
     forms = pencil.assemble(math.hypot(i, j), cfg, Discretization(n))
@@ -483,6 +483,32 @@ def test_fixed_point_matches_the_all_refined_loop_over_config_box(nu_plus, nu_mi
     fp = pencil.fixed_point(forms, start)
     assert fp.lam == pytest.approx(all_refined_fixed_point(forms, start), rel=1e-10)
     assert fp.residual <= 1e-9 * max(1.0, fp.lam**2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    nu_plus=st.floats(min_value=-4.0, max_value=0.0),
+    nu_minus=st.floats(min_value=-4.0, max_value=0.0),
+    fraction=st.floats(min_value=0.0, max_value=0.99),
+    i=st.integers(min_value=0, max_value=212),
+    j=st.integers(min_value=1, max_value=212),
+    n=st.sampled_from([32, 64, 128]),
+)
+def test_held_last_step_keeps_the_fresh_step_lambda_over_config_box(nu_plus, nu_minus, fraction, i, j, n):
+    # lam is chosen before the last solve, so the last step on the held
+    # factor returns the bits of a fresh factorization there; its residual
+    # carries the refinement noise that its own solve cannot show
+    cfg = _box_config(nu_plus, nu_minus, fraction)
+    forms = pencil.assemble(math.hypot(i, j), cfg, Discretization(n))
+    assume(forms.c_k > 0.0)
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
+    held = pencil.fixed_point(forms, start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pencil, "_HELD_GATE", -1.0)
+        fresh = pencil.fixed_point(forms, start)
+    assert held.lam == fresh.lam and fresh.noise == 0.0
+    if held.noise > 0.0:
+        assert held.residual >= held.noise
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

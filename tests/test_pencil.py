@@ -454,15 +454,17 @@ def test_fixed_point_from_the_compliance_bound(reference_config, monkeypatch):
     assert fp.lam == pytest.approx(2.4381739517143846, rel=1e-12)
 
 
-def test_fixed_point_refines_only_its_last_two_solves(reference_config, monkeypatch):
-    # float64 steps reach the root; only the last two solves take an
-    # extended-precision residual (the all-refined loop took 5 and 5 here)
+def test_fixed_point_refines_only_its_last_float64_solve(reference_config, monkeypatch):
+    # float64 steps reach the root; only the last float64 solve takes an
+    # extended-precision residual, and the last Newton step from it reuses
+    # that factor and residual (the all-refined loop took 5 and 5 here)
     forms = assemble(5.0, reference_config, Discretization(128))
     start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
     factored, refined = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
-    assert len(factored) <= 4 and len(refined) == 2
-    assert refined == factored[-2:] and refined[-1] == fp.lam
+    assert len(factored) <= 3 and len(refined) == 1
+    assert refined == factored[-1:] and 0.0 < abs(fp.lam - refined[0]) <= pencil._LAST_STEP * fp.lam
+    assert fp.noise > 0.0
 
 
 def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypatch):
@@ -478,9 +480,12 @@ def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypa
     assert first < lam and refined_phi(forms, first, first * first) > 1.0
     below = lam * (1.0 - 1e-13)
     assert refined_phi(forms, below, below * below) > 1.0
+    factored.clear()
     refined.clear()
     assert fixed_point(forms, below).lam == pytest.approx(lam, rel=1e-13)
-    assert refined[0] == below  # a float64 step of at most 1e-7 s: refined in hand
+    # a float64 step of at most 1e-7 s: refined in hand, and the last Newton
+    # step reuses that factor
+    assert factored == refined == [below]
 
 
 def test_fixed_point_at_large_resolution(reference_config, monkeypatch):
@@ -513,6 +518,27 @@ def test_float64_phase_ends_when_its_steps_stop_halving(reference_config, monkey
     monkeypatch.setattr(pencil, "_factor_solve", rounded)
     assert fixed_point(forms, start).lam == pytest.approx(lam, rel=1e-12)
     assert len(factored) <= 6 and len(refined) <= 4
+
+
+def test_fixed_point_over_the_gate_takes_a_fresh_last_step(reference_config, monkeypatch):
+    # float64 solves off by 1e-6 leave every refinement a correction
+    # tau ~ 1e-6, whose noise kappa tau / (c_k xb) passes the held gate; the
+    # last Newton step then factors and refines afresh at lam, as at large N
+    forms = assemble(5.0, reference_config, Discretization(128))
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    lam = fixed_point(forms, start).lam
+    factored, refined = count_solves(monkeypatch)
+    spied = pencil._factor_solve
+
+    def rounded(*args):
+        chol, x = spied(*args)
+        return chol, x * (1.0 + 1e-6)
+
+    monkeypatch.setattr(pencil, "_factor_solve", rounded)
+    fp = fixed_point(forms, start)
+    assert fp.lam == pytest.approx(lam, rel=1e-12)
+    assert fp.noise == 0.0 and refined[-1] == factored[-1] == fp.lam and len(refined) <= 3
+    assert fp.residual <= 1e-8 * max(1.0, fp.lam ** 2)
 
 
 def test_indefinite_band_raises_factorization_failure():

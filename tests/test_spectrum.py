@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import galerkin_compliances, largest_eigenpair
 from rtgrowth import pencil, spectrum
-from rtgrowth.errors import EmptyModeSet, MonotonicityViolation
+from rtgrowth.errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
 from rtgrowth.analysis import sweep_theta
 from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical
@@ -56,6 +56,19 @@ def brute_magnitudes(L1, L2, k_max):
         if not out or k - out[-1] > 1e-12 * k:
             out.append(k)
     return out
+
+
+def test_cutoff_bracket_at_an_overflowing_viscosity(cheap_config):
+    # b * b overflows past b ~ 1.3e154, so the peak comes from hypot; at
+    # mu = 1e300 the cutoff of B_0 is where -s mu k^2 / rho_max meets the
+    # floor. A bracket end of 0 (stokes = inf) could never double past a
+    # negative floor, so it raises instead of looping
+    cfg = replace(cheap_config, mu_plus=1e300, mu_minus=1e300)
+    interior = 0.1 * 1e300 / 2.0
+    cutoff = spectrum.certified_cutoff(cfg, 0.1, -2.2e299)
+    assert cutoff == pytest.approx(math.sqrt(2.2e299 / interior), rel=1e-11)
+    with pytest.raises(DegenerateExponents):
+        spectrum.certified_cutoff(cfg, 1e10, -1.0)
 
 
 def test_enumerate_unit_lattice(reference_config):
