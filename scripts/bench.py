@@ -3,24 +3,29 @@
 
 Usage: python scripts/bench.py --out BENCH_<n>.json
 
-Rows, all on the reference config (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1,
+Rows on the reference config (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1,
 theta 0): `rtgrowth growth` at N = 64 and N = 128, `sweep-theta` (default
-grid) and `verify` at N = 128, `oracle-compare` (default modes) at N = 32,
-each run REPEATS times, and the Tier-1 test suite, run once. Every run is a
+grid) and `verify` at N = 128, `oracle-compare` (default modes) at N = 32;
+`growth` at N = 128 with mu+ = mu- = 0.01 and 1e-3 (rows growth_128_mu_0.01
+and growth_128_mu_0.001, whose sizing passes enumerate 406 and 7017 modes),
+each run REPEATS times; and the Tier-1 test suite, run once. Every run is a
 fresh interpreter with one BLAS thread, timed from start to exit (wall_s),
 because a command-line user pays imports on every run. Imports dominate that
 time, so each command row also records main_s, the time the child spends
 inside cli.main: the part a change to the solver moves.
 
-Each command row records its inputs (N, the modes sized, the number of global
-solves, the dispersion determinant calls), its banded work (factorizations
-and extended-precision residuals) and its answer (lambda and argmax_k; for
+Each command row records its inputs (config, N, the modes sized, the number of
+global solves, the dispersion determinant calls), its banded work (fixed
+points, inertia tests, factorizations and extended-precision residuals) and
+its answer (lambda and argmax_k; for
 oracle-compare, the oracle root and k of every compared mode), so that a
 later file can check that a speed-up kept the answer. The child counts modes
 as the final size of every mode set it builds, solves as the growth results
 it validates, determinants as the calls to oracle.determinant (one trial rate
-each), factorizations as the banded Cholesky factorizations (dpbtrf: inertia
-tests and solves alike) and extended residuals as the refinement residuals
+each), fixed points as the calls to pencil.fixed_point, inertia tests as the
+calls to pencil.alpha_below (the scans' and mode_alpha's), factorizations as
+the banded Cholesky factorizations (dpbtrf: inertia tests and solves alike)
+and extended residuals as the refinement residuals
 formed in extended precision; all are read from its own process, not
 inferred from the outputs.
 
@@ -53,6 +58,11 @@ REFERENCE = {
     "rho_plus": 2.0, "rho_minus": 1.0, "mu_plus": 0.1, "mu_minus": 0.1, "g": 9.8,
     "theta": 0.0, "L1": 1.0, "L2": 1.0, "h_plus": 1.0, "h_minus": 1.0,
 }
+CONFIGS = {
+    "reference": REFERENCE,
+    "mu_0.01": {**REFERENCE, "mu_plus": 0.01, "mu_minus": 0.01},
+    "mu_0.001": {**REFERENCE, "mu_plus": 1e-3, "mu_minus": 1e-3},
+}
 ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
@@ -65,13 +75,17 @@ ENV = {
 # cli.main on its last stderr line.
 CHILD_SCRIPT = """
 import json, sys, time
-from rtgrowth import cli, oracle, pencil
+from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
 from rtgrowth.fixedpoint import GrowthResult
 from rtgrowth.spectrum import FrozenModeSet
 
 sets = []
-counts = {"solves": 0, "determinants": 0, "factorizations": 0, "extended_residuals": 0}
+counts = {
+    "solves": 0, "determinants": 0, "fixed_points": 0, "inertia_tests": 0,
+    "factorizations": 0, "extended_residuals": 0,
+}
 init, validate, determinant = FrozenModeSet.__init__, GrowthResult.validate, oracle.determinant
+fixed_point, alpha_below = pencil.fixed_point, pencil.alpha_below
 dpbtrf, extended = pencil.lapack.dpbtrf, pencil._band_matvec_extended
 
 def track_set(self, *args):
@@ -86,6 +100,14 @@ def count_determinant(*args):
     counts["determinants"] += 1
     return determinant(*args)
 
+def count_fixed_point(*args):
+    counts["fixed_points"] += 1
+    return fixed_point(*args)
+
+def count_inertia_test(*args):
+    counts["inertia_tests"] += 1
+    return alpha_below(*args)
+
 def count_factorization(*args, **kwargs):
     counts["factorizations"] += 1
     return dpbtrf(*args, **kwargs)
@@ -96,6 +118,8 @@ def count_extended(*args):
 
 FrozenModeSet.__init__, GrowthResult.validate = track_set, count_solve
 oracle.determinant = count_determinant
+spectrum.fixed_point = fixedpoint.fixed_point = count_fixed_point
+spectrum.alpha_below = pencil.alpha_below = count_inertia_test
 pencil.lapack.dpbtrf, pencil._band_matvec_extended = count_factorization, count_extended
 start = time.perf_counter()
 code = cli.main(sys.argv[1:])
@@ -112,12 +136,13 @@ def timed(argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
     return time.perf_counter() - start, proc
 
 
-def cli_row(name: str, command: str, n: int, work: Path, answer) -> dict:
-    """Time one CLI command REPEATS times; answer(out_path) -> (lambda, argmax_k)."""
+def cli_row(name: str, command: str, n: int, work: Path, answer, config: str = "reference") -> dict:
+    """Time one CLI command REPEATS times on CONFIGS[config];
+    answer(out_path) -> (lambda, argmax_k)."""
     out = work / f"{name}.out"
     argv = [
         sys.executable, "-c", CHILD_SCRIPT, command,
-        "--config", str(work / "reference.json"), "--resolution", str(n), "--out", str(out),
+        "--config", str(work / f"{config}.json"), "--resolution", str(n), "--out", str(out),
     ]
     runs, mains = [], []
     for _ in range(REPEATS):
@@ -131,10 +156,13 @@ def cli_row(name: str, command: str, n: int, work: Path, answer) -> dict:
     return {
         "name": name,
         "command": f"rtgrowth {command} --resolution {n}",
+        "config": config,
         "N": n,
         "modes": counts["modes"],
         "solves": counts["solves"],
         "determinants": counts["determinants"],
+        "fixed_points": counts["fixed_points"],
+        "inertia_tests": counts["inertia_tests"],
         "factorizations": counts["factorizations"],
         "extended_residuals": counts["extended_residuals"],
         "lambda": lam,
@@ -193,10 +221,13 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        (work / "reference.json").write_text(json.dumps(REFERENCE))
+        for name, fields in CONFIGS.items():
+            (work / f"{name}.json").write_text(json.dumps(fields))
         rows = [
             cli_row("growth_64", "growth", 64, work, growth_answer),
             cli_row("growth_128", "growth", 128, work, growth_answer),
+            cli_row("growth_128_mu_0.01", "growth", 128, work, growth_answer, "mu_0.01"),
+            cli_row("growth_128_mu_0.001", "growth", 128, work, growth_answer, "mu_0.001"),
             cli_row("sweep_theta_128", "sweep-theta", 128, work, sweep_answer),
             cli_row("verify_128", "verify", 128, work, verify_answer),
             cli_row("oracle_compare_32", "oracle-compare", 32, work, oracle_answer),
@@ -204,10 +235,11 @@ def main() -> None:
     rows.append(tier1_row())
     for row in rows:
         main = f"  main {row['main_s']:.3f} s" if "main_s" in row else ""
-        print(f"{row['name']:>16}  {row['wall_s']:8.2f} s  " + " ".join(f"{r:.2f}" for r in row["runs_s"]) + main)
+        print(f"{row['name']:>20}  {row['wall_s']:8.2f} s  " + " ".join(f"{r:.2f}" for r in row["runs_s"]) + main)
 
     payload = {
         "config": REFERENCE,
+        "configs": CONFIGS,
         "repeats": REPEATS,
         "environment": {
             "machine": platform.machine(),

@@ -15,9 +15,11 @@ Every solve sizes its mode set the one way (spectrum.size_mode_set): the set,
 owned or handed in, is extended until the growth cutoff
 (spectrum.growth_cutoff) at the answer lies inside it. Modes above the cutoff
 have r_k < Lambda, so the maximum over the set is the one over the lattice.
-Extending only appends modes, and the scan visits them only after the
-maximizer, so a set handed in that was already large enough gives the same
-bits as an owned one. Beside the paper's bound m, a result carries the
+Extending only appends modes, and each sizing pass scans only those, against
+the maximizer of the passes before: their k are all larger, so ties still go
+to the smaller k, and every mode not solved was proven below a running
+maximum. So an owned set and a set handed in that was already large enough
+give the bits of one scan of the final set. Beside the paper's bound m, a result carries the
 sharper proven bound bound_compliance = max_k r_k (spectrum.compliance_bound)
 on the exact Lambda, whose r_k also start every per-mode Newton solve.
 """
@@ -121,6 +123,8 @@ def solve_lambda(
     parameter because perfbench/workloads.py passes it. A frozen set must
     serve cfg and disc (FrozenModeSet.check_serves) and is sized by
     size_mode_set as an owned set is, so a sweep can hand one set to every theta.
+    bound_compliance reads the bounds r_k that the sizing passes took at this
+    theta (FrozenModeSet.growth_bounds keeps them).
     """
     validate_config(cfg)
     if tol_fp <= 0.0:

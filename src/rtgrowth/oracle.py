@@ -101,12 +101,12 @@ def determinant(k: float, n: float, cfg: FluidConfig) -> float:
     (module docstring); a non-finite value raises DegenerateExponents.
     """
     if k <= 0.0:
-        raise ZeroWaveNumber(f"dispersion system needs k > 0, got {k!r}")
+        raise ZeroWaveNumber(f"dispersion system needs k > 0, got {float(k)!r}")
     if not n > 0.0:
-        raise ValueError(f"trial growth rates must be > 0, got {n!r}")
+        raise ValueError(f"trial growth rates must be > 0, got {float(n)!r}")
     f = n * _condensed_traction(k, n, cfg) - k * k * surface_coefficient(k, cfg)
     if not math.isfinite(f):
-        raise DegenerateExponents(f"non-finite dispersion function at k={k!r}, n={n!r}")
+        raise DegenerateExponents(f"non-finite dispersion function at k={float(k)!r}, n={float(n)!r}")
     return f
 
 
@@ -180,7 +180,7 @@ def dispersion_root(
     if floor is not None and not 0.0 < floor < scan_max:
         raise ValueError(f"floor = {floor!r} outside (0, scan_max = {scan_max!r})")
     if k <= 0.0:
-        raise ZeroWaveNumber(f"dispersion system needs k > 0, got {k!r}")
+        raise ZeroWaveNumber(f"dispersion system needs k > 0, got {float(k)!r}")
     c = surface_coefficient(k, cfg)
     if c <= 0.0:
         return None
@@ -197,7 +197,7 @@ def dispersion_root(
         return scan_max
     if f_hi < 0.0:
         raise SolverError(
-            f"no root of the dispersion relation of mode k = {k!r} in "
+            f"no root of the dispersion relation of mode k = {float(k)!r} in "
             f"[0, {scan_max!r}]: F_k(scan_max) = {f_hi!r} <= 0"
         )
     return _refine_root(k, cfg, lo, scan_max, f_lo, f_hi)

@@ -153,7 +153,8 @@ def _tables(
     at both walls, so its local dof a is global dof 2e + a - 2 when that lies
     in [0, dim). Local entry (a, b), a >= b, lands in band row a - b, column
     2e + b - 2. All six bands are one scatter: np.bincount over the flat
-    (table, band row, column) index. A band entry receives at most two element
+    (table, column, band row) index, which lays each band out in Fortran
+    order, the order dpbtrf and dsbmv read without a copy. A band entry receives at most two element
     contributions (only the two dofs of a shared node lie in two elements),
     and 0 + u + v is exact in either order, so the band holds bit for bit the
     lower triangle of a dense scatter.
@@ -171,10 +172,11 @@ def _tables(
     # indexed (element, table, entry (a, b))
     vals = np.asarray(per_layer)[(np.arange(2 * n) >= n).astype(int)][:, :, a, b]
     col = 2 * np.arange(2 * n)[:, None, None] - 2 + b
-    index = (np.arange(tables)[:, None] * 4 + a - b) * dim + col
+    index = (np.arange(tables)[:, None] * dim + col) * 4 + a - b
     keep = np.broadcast_to((col >= 0) & (col + a - b < dim), index.shape)
     # four band rows: an element couples two nodes of two dofs each
-    bands = np.bincount(index[keep], vals[keep], tables * 4 * dim).reshape(tables, 4, dim)
+    flat = np.bincount(index[keep], vals[keep], tables * 4 * dim)
+    bands = flat.reshape(tables, dim, 4).transpose(0, 2, 1)
     bands.flags.writeable = False
     return {"grid": grid, "e0_index": 2 * n - 2, **dict(zip(_TABLE_NAMES, bands))}
 
@@ -197,31 +199,47 @@ def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _band_matvec_extended(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """band_matvec for a np.longdouble band (80-bit extended on x86-64)."""
+    """band_matvec for a np.longdouble band (80-bit extended on x86-64).
+
+    Every off-diagonal product goes through one buffer, in the order of a
+    product per term, so the sums round as they would with a fresh array each.
+    """
     x = x.astype(np.longdouble)
     y = band[0] * x
+    buffer = np.empty_like(y)
     for d in range(1, band.shape[0]):
-        y[d:] += band[d, :-d] * x[:-d]
-        y[:-d] += band[d, :-d] * x[d:]
+        term = np.multiply(band[d, :-d], x[:-d], out=buffer[d:])
+        y[d:] += term
+        y[:-d] += np.multiply(band[d, :-d], x[d:], out=term)
     return y
 
 
-def _spd_factor(band: np.ndarray, what: str) -> np.ndarray:
+def _failure(step: str, what, info: int) -> FactorizationFailure:
+    """The error of a banded Cholesky step that reported info != 0; what names
+    the matrix, or is the alpha of the energy matrix s A + alpha B. Formatted
+    only when a step fails."""
+    name = what if isinstance(what, str) else f"energy matrix at alpha {what!r}"
+    return FactorizationFailure(f"banded Cholesky {step} of the {name} failed (LAPACK info {info})")
+
+
+def _spd_factor(band: np.ndarray, what, overwrite: bool = False) -> np.ndarray:
     """Banded Cholesky factor of a positive definite matrix in lower band form.
 
-    dpbtrf reports a non-positive pivot as info > 0, which raises.
+    dpbtrf reports a non-positive pivot as info > 0, which raises. With
+    overwrite, a Fortran-ordered band is factored in place: only for a band
+    made for this factorization, since f2py writes through a read-only flag.
     """
-    chol, info = lapack.dpbtrf(band, lower=1)
+    chol, info = lapack.dpbtrf(band, lower=1, overwrite_ab=overwrite)
     if info != 0:
-        raise FactorizationFailure(f"banded Cholesky factorization of the {what} failed (LAPACK info {info})")
+        raise _failure("factorization", what, info)
     return chol
 
 
-def _spd_solve(chol: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _spd_solve(chol: np.ndarray, rhs: np.ndarray, what) -> np.ndarray:
     """chol^(-T) chol^(-1) rhs; a nonzero info raises, so no vector comes back."""
     x, info = lapack.dpbtrs(chol, rhs, lower=1)
     if info != 0:
-        raise FactorizationFailure(f"banded Cholesky solve of the {what} failed (LAPACK info {info})")
+        raise _failure("solve", what, info)
     return x
 
 
@@ -231,6 +249,8 @@ class PencilForms:
 
     B_band and A_band hold the kinetic and dissipation matrices as (4, dim)
     LAPACK symmetric lower bands (row d, column j is entry (j + d, j)).
+    assemble makes them read-only and Fortran-ordered, the order the banded
+    routines read in place; any order works.
     """
 
     k: float
@@ -251,8 +271,10 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     if k <= 0.0:
         raise ZeroWaveNumber(f"assembly needs k > 0, got {k!r}")
     t = _cfg_tables(cfg, disc)
+    # Fortran-ordered like the tables, and read-only: every solve reads them
     B = t["M_rho"] + t["D_rho"] / k**2
     A = 4.0 * t["D_mu"] + k**2 * t["M_mu"] + 2.0 * t["X_mu"] + t["H_mu"] / k**2
+    B.flags.writeable = A.flags.writeable = False
     return PencilForms(
         k=k,
         c_k=surface_coefficient(k, cfg),
@@ -269,20 +291,26 @@ def _energy(forms: PencilForms, s: float, alpha: float) -> np.ndarray:
     return s * forms.A_band + alpha * forms.B_band
 
 
-def _unit(forms: PencilForms) -> np.ndarray:
-    """e0, the interface value dof as a unit vector."""
-    e0 = np.zeros(forms.dim)
-    e0[forms.e0_index] = 1.0
+@lru_cache(maxsize=32)
+def _unit_vector(dim: int, index: int) -> np.ndarray:
+    e0 = np.zeros(dim)
+    e0[index] = 1.0
+    e0.flags.writeable = False
     return e0
+
+
+def _unit(forms: PencilForms) -> np.ndarray:
+    """e0, the interface value dof as a unit vector: one read-only array per mesh."""
+    return _unit_vector(forms.dim, forms.e0_index)
 
 
 def _factor_solve(forms: PencilForms, s: float, alpha: float):
     """(chol, x): the banded Cholesky factor of s A + alpha B and the float64
     solve x = (s A + alpha B)^(-1) e0 from it, for s, alpha >= 0 not both zero
-    (s A + alpha B is then positive definite)."""
-    what = f"energy matrix at alpha {alpha!r}"
-    chol = _spd_factor(_energy(forms, s, alpha), what)
-    return chol, _spd_solve(chol, _unit(forms), what)
+    (s A + alpha B is then positive definite). The fresh energy band is
+    factored in place."""
+    chol = _spd_factor(_energy(forms, s, alpha), alpha, overwrite=True)
+    return chol, _spd_solve(chol, _unit(forms), alpha)
 
 
 def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.ndarray):
@@ -294,9 +322,11 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     products; the explicit dtype keeps them wide under NumPy 1's promotion
     rules too."""
     ext = np.longdouble
-    exact = np.multiply(s, forms.A_band, dtype=ext) + np.multiply(alpha, forms.B_band, dtype=ext)
-    r = (_unit(forms) - _band_matvec_extended(exact, x)).astype(float)
-    return r, _spd_solve(chol, r, f"energy matrix at alpha {alpha!r}")
+    exact = np.multiply(s, forms.A_band, dtype=ext)
+    exact += np.multiply(alpha, forms.B_band, dtype=ext)
+    y = _band_matvec_extended(exact, x)
+    r = np.subtract(_unit(forms), y, out=y).astype(float)
+    return r, _spd_solve(chol, r, alpha)
 
 
 def _interface_solve(forms: PencilForms, s: float, alpha: float):
@@ -335,7 +365,7 @@ def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
     """
     m = _energy(forms, s, alpha)
     m[0, forms.e0_index] -= forms.c_k
-    info = lapack.dpbtrf(m, lower=1)[1]
+    info = lapack.dpbtrf(m, lower=1, overwrite_ab=1)[1]
     if info < 0:
         raise FactorizationFailure(f"banded Cholesky rejected its arguments (LAPACK info {info})")
     return info == 0
@@ -564,7 +594,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
             # the residual of x + d at t, from r at s; both products are small
             dm = _energy(forms, t - s, (t - s) * (t + s))  # M(t) - M(s), without cancellation
             r = r - band_matvec(dm, x) - band_matvec(_energy(forms, t, t * t), d)
-            xr = x + (d + _spd_solve(chol, r, f"energy matrix at alpha {s * s!r}"))
+            xr = x + (d + _spd_solve(chol, r, s * s))
             return FixedPoint.at(forms, t, xr, float(xr @ band_matvec(forms.B_band, xr)), noise)
         s = t
         chol, x = _factor_solve(forms, s, s * s)

@@ -30,10 +30,15 @@ branches the cutoff is the smallest over a few splits (certified_cutoff; U =
 B_0 orders the scan). For Lambda_k it is the split l = 1 at s = Lambda and
 floor Lambda^2 (growth_cutoff): Lambda_k >= Lambda needs alpha_k(Lambda) >=
 Lambda^2, so B_1 >= Lambda^2, which is p(k) <= 0 for the whole-line envelope
-polynomial p of the compliance bound. An owned mode set starts at the smallest
-lattice magnitude and grows, at most doubling per step, until the cutoff for
-the quantity it serves lies inside it (size_mode_set); every mode left out
-then provably cannot reach the value computed on the set. A set handed in by
+polynomial p of the compliance bound. Each cutoff is the largest root of a
+convex cubic, found by Newton steps from above and certified where they stop
+(_split_cutoff). An owned mode set starts at the smallest lattice magnitude
+and grows, at most doubling per step, until the cutoff for the quantity it
+serves lies inside it (size_mode_set); every mode left out then provably
+cannot reach the value computed on the set. A pass scans only the modes the
+step appended, against the value of the passes before, so no mode is
+assembled twice in one solve; a lattice past LATTICE_POINTS points is never
+enumerated, and sizing toward one raises DegenerateExponents. A set handed in by
 the caller must have been built for the caller's config, up to theta, and
 resolution (FrozenModeSet.check_serves). A growth solve sizes it for Lambda
 like an owned set (fixedpoint.solve_lambda); alpha(s) evaluates it as it is
@@ -61,6 +66,9 @@ from .pencil import (
 from .modeforms import compliances, surface_coefficient
 
 _DEDUP_RTOL = 1e-12
+# the most lattice points enumerate_modes forms, (2 n1 + 1)(2 n2 + 1) with
+# n_i = ceil(k_max L_i): k_max = 1023 on a unit box, 225,996 magnitudes
+LATTICE_POINTS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +91,23 @@ def smallest_magnitude(cfg: FluidConfig) -> float:
     return min(1.0 / cfg.L1, 1.0 / cfg.L2)
 
 
+def _lattice_points(cfg: FluidConfig, k_max: float) -> float:
+    """The number of lattice points enumerate_modes forms to reach k_max."""
+    return float(np.prod(2.0 * np.ceil(k_max * np.array([cfg.L1, cfg.L2])) + 1.0))
+
+
 def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
-    """Exactly the distinct lattice magnitudes in (0, k_max]."""
+    """Exactly the distinct lattice magnitudes in (0, k_max].
+
+    A k_max whose lattice exceeds LATTICE_POINTS raises DegenerateExponents.
+    """
     if k_max < smallest_magnitude(cfg):
         raise EmptyModeSet(
             f"k_max = {k_max!r} below smallest lattice magnitude "
             f"{smallest_magnitude(cfg)!r}"
         )
+    if not _lattice_points(cfg, k_max) <= LATTICE_POINTS:
+        raise DegenerateExponents(f"k_max = {k_max!r} needs more than {LATTICE_POINTS} lattice points")
     n1 = int(math.ceil(k_max * cfg.L1))
     n2 = int(math.ceil(k_max * cfg.L2))
     i = np.arange(-n1, n1 + 1)
@@ -158,6 +176,7 @@ class FrozenModeSet:
         self.disc = disc
         self.modes = modes
         self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
+        self._bounds = (None, np.empty(0))  # (theta, r_k of the first modes at theta)
 
     @classmethod
     def freeze(cls, cfg: FluidConfig, disc: Discretization, k_max: float) -> "FrozenModeSet":
@@ -180,19 +199,28 @@ class FrozenModeSet:
             )
 
     def growth_bounds(self, theta: float) -> np.ndarray:
-        """compliance_bound of every mode at theta: Lambda_k <= r_k.
+        """compliance_bound of every mode at theta: Lambda_k <= r_k, read-only.
 
         Takes the compliances of the modes that have none yet, with no
-        matrix; extend_to only appends modes, so those are the last ones.
+        matrix, and the bounds of the modes that have none at this theta yet
+        (those of the last theta asked for are kept); extend_to only appends
+        modes, so those are the last ones.
         """
         ks = self.modes.magnitudes
         fresh = [compliances(k, self.cfg) for k in ks[len(self._compliance):].tolist()]
         if fresh:
             self._compliance = np.concatenate([self._compliance, fresh])
-        c = surface_coefficient(ks, self.cfg.with_theta(theta))
-        return compliance_bound(c, self._compliance[:, 0], self._compliance[:, 1])
+        known, bounds = self._bounds
+        start = bounds.size if known == theta else 0
+        if start < ks.size:
+            c = surface_coefficient(ks[start:], self.cfg.with_theta(theta))
+            rows = self._compliance[start:]
+            bounds = np.concatenate([bounds[:start], compliance_bound(c, rows[:, 0], rows[:, 1])])
+            bounds.flags.writeable = False
+            self._bounds = (theta, bounds)
+        return bounds
 
-    def growth_max(self, theta: float) -> FixedPoint:
+    def growth_max(self, theta: float, best: FixedPoint | None = None, start: int = 0) -> FixedPoint:
         """The fixed point of the mode with the largest Lambda_k.
 
         alpha(s) > s^2 exactly when some alpha_k(s) > s^2, which holds exactly
@@ -206,11 +234,17 @@ class FrozenModeSet:
         smallest magnitude, in every set, has c_k > 0 and so r_k > 0: a scan
         that solves no mode found every r_k rounded to 0 (C_k underflows at
         mu = 1e300) and raises DegenerateExponents.
+
+        With best, the result of this scan on the first start modes, only the
+        modes from start on are visited, best being the running maximum from
+        the outset (size_mode_set): every mode before start was solved or
+        proven below a running maximum at most best.lam, and every mode from
+        start on has a larger k than best, so a tie keeps best as a scan of
+        the whole set would.
         """
         cfg = self.cfg.with_theta(theta)
-        ks = self.modes.magnitudes
-        bounds = self.growth_bounds(theta)
-        best = None
+        ks = self.modes.magnitudes[start:]
+        bounds = self.growth_bounds(theta)[start:]
         for i in np.argsort(-bounds, kind="stable"):
             lam = 0.0 if best is None else best.lam
             if bounds[i] <= lam:
@@ -225,7 +259,9 @@ class FrozenModeSet:
             raise DegenerateExponents(f"no mode grows at theta = {float(theta)!r}: every bound r_k is 0")
         return best
 
-    def alpha_value(self, s: float, theta: float) -> AlphaValue:
+    def alpha_value(
+        self, s: float, theta: float, best: AlphaValue | None = None, start: int = 0
+    ) -> AlphaValue:
         """alpha(s, theta), the larger branch value maximized over the set.
 
         The transverse maximum is -s lambda_tau(k0) at the smallest magnitude
@@ -244,15 +280,19 @@ class FrozenModeSet:
         A mode's coupled value is solved (mode_alpha) only when its bound
         U(k, s) = split_bound(cfg, s)(k) exceeds the running maximum M and its
         inertia test at alpha = M fails. Ties go to the smaller k, and within a mode to the
-        coupled branch.
+        coupled branch. With best, the value of this scan on the first start
+        modes, only the modes from start on are visited, as in growth_max.
         """
         if s <= 0.0:
             raise ValueError(f"modification parameter must be > 0, got {s!r}")
         cfg = self.cfg.with_theta(theta)
-        ks = self.modes.magnitudes
+        ks = self.modes.magnitudes[start:]
         bounds = split_bound(cfg, s)(ks)
-        k0 = float(ks[0])
-        best = (-s * transverse_min_eigenvalue(k0, self.cfg), k0, "transverse")
+        if best is None:
+            k0 = float(ks[0])
+            best = (-s * transverse_min_eigenvalue(k0, self.cfg), k0, "transverse")
+        else:
+            best = (best.alpha, best.argmax_k, best.branch)
         for i in np.argsort(-bounds, kind="stable"):
             if bounds[i] <= best[0]:
                 break
@@ -310,12 +350,14 @@ def split_bound(cfg: FluidConfig, s: float, split: float = 0.0):
 
 
 def _split_bound(cfg: FluidConfig, s: float, split: float):
-    """(B_l, the k > 0 at which it peaks, a k past the peak) at l = split.
+    """(B_l, a, t, b, i) at l = split, with B_l as a function of k and
 
-    Where its positive part is on, B_l = a k - theta k^3 / (rho+ + rho-)
-    - b k^2 is concave, with one peak before the positive part switches off.
-    The k past the peak is g [rho] / stokes, past which c_k <= g [rho]
-    - stokes k turns the positive part off, or twice the peak when stokes = 0.
+        B_l(k) = max(a k - t k^3 - b k^2, -i k^2),
+
+    a = g [rho] / (rho+ + rho-), t = theta / (rho+ + rho-), i the interior
+    coefficient (1 - l) s mu_min / rho_max and b = 2 l s (mu+ + mu-) /
+    (rho+ + rho-) + i: the positive part of c_k - 2 l s k (mu+ + mu-) is the
+    larger of it and 0.
     """
     gr = cfg.g * cfg.density_jump
     theta = cfg.theta
@@ -329,14 +371,7 @@ def _split_bound(cfg: FluidConfig, s: float, split: float):
         c = gr - (theta * k + stokes) * k
         return 0.5 * (c + abs(c)) * k / rho_sum - interior * k * k
 
-    a, b = gr / rho_sum, stokes / rho_sum + interior
-    # B_l' = a - 3 theta k^2 / rho_sum - 2 b k vanishes once, at the peak;
-    # b * b overflows past b ~ 1.3e154 (mu ~ 1e300), where hypot does not
-    root = math.sqrt(b * b + 3.0 * a * theta / rho_sum)
-    if root == math.inf:
-        root = math.hypot(b, math.sqrt(3.0 * a * theta / rho_sum))
-    peak = a / (b + root)
-    return bound, peak, gr / stokes if stokes > 0.0 else 2.0 * peak
+    return bound, gr / rho_sum, theta / rho_sum, stokes / rho_sum + interior, interior
 
 
 def certified_cutoff(cfg: FluidConfig, s: float, floor: float) -> float:
@@ -394,33 +429,60 @@ def certified_cutoff(cfg: FluidConfig, s: float, floor: float) -> float:
 
 def _split_cutoff(cfg: FluidConfig, s: float, floor: float, split: float) -> float:
     """Largest k > 0 with B_l(k) >= floor at l = split (certified_cutoff), or
-    0 when no k reaches floor.
+    0 when no k reaches floor; B_l < floor holds, as computed, at a returned
+    k > 0.
 
-    B_l vanishes at k = 0, rises to its peak (_split_bound) and is at most 0
-    where its positive part is off, beyond which it falls to -inf, or stays
-    at 0 < floor at l = 1. So {B_l >= floor} is an interval. Its upper end is
-    bracketed between the peak and the k past it from _split_bound, doubled
-    while B_l still reaches floor there, and then bisected. A bracket end
-    that is not positive and finite (a rate or viscosity near the float
-    range's end) could never double past a negative floor, so it raises
-    DegenerateExponents.
+    With B_l(k) = max(a k - t k^3 - b k^2, -i k^2) (_split_bound), B_l(k) >=
+    floor exactly when the cubic p(k) = t k^3 + b k^2 - a k + floor is at most
+    0 or i k^2 <= -floor. So {B_l >= floor} is an interval whose upper end is
+    the larger of two roots:
+
+    - far = sqrt(-floor / i) for floor < 0, none for floor >= 0;
+    - the largest root of p. p is convex on k > 0 (p'' = 6 t k + 2 b >= 0)
+      and least at the peak of B_l, where p' = 0: a / (b + sqrt(b^2 + 3 a t)).
+      If p is positive there (B_l below floor, only for floor > 0), no k
+      reaches floor and the cutoff is 0. Else p increases from the peak on,
+      through its root. Let u = 2 a / (b + sqrt(b^2 + 4 a t)), the root of
+      t k^2 + b k = a; u is past the peak, since p'(u) = 2 t u^2 + b u >= 0.
+      For k >= u, t k^2 + b k - a >= b (k - u), so at k0 = u + d with
+      d = sqrt(max(-floor, 0) / b), p(k0) >= k0 b d + floor >= b d^2 + floor
+      >= 0: k0 lies at or past the root. From there Newton steps
+      k <- k - p(k) / p'(k) fall monotonically and never pass the root, p
+      being convex and increasing there; they stop once a step is at most
+      1e-15 k, or is not positive (rounding at the root).
+
+    The larger root is then raised by steps that double from one ulp until
+    B_l, evaluated as split_bound does, is below floor, so the cutoff is
+    certified as computed and not below the exact one. Square roots of
+    squares go through hypot, which neither overflows (b ~ 1e300) nor
+    underflows (b ~ 1e-300). A cutoff that is not positive and finite (a rate
+    or viscosity near the float range's end) raises DegenerateExponents.
     """
-    bound, lo, hi = _split_bound(cfg, s, split)
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise DegenerateExponents(
-            f"cutoff bracket [{lo!r}, {hi!r}] at s = {float(s)!r} is not positive and finite"
-        )
-    if bound(lo) < floor:
+    bound, a, t, b, interior = _split_bound(cfg, s, split)
+    den = b + math.hypot(b, math.sqrt(3.0 * a * t))
+    far = 0.0
+    if floor < 0.0:
+        far = math.sqrt(-floor / interior) if interior > 0.0 else math.inf
+    if not (0.0 < den < math.inf and far < math.inf):
+        raise DegenerateExponents(f"the cutoff of the bound B_l at s = {float(s)!r} is not finite")
+    if bound(a / den) < floor:
         return 0.0
-    while bound(hi) >= floor:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if bound(mid) >= floor:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    k = 2.0 * a / (b + math.hypot(b, 2.0 * math.sqrt(a * t)))
+    if floor < 0.0:
+        k += math.sqrt(-floor / b)
+    for _ in range(100):
+        step = (((t * k + b) * k - a) * k + floor) / ((3.0 * t * k + 2.0 * b) * k - a)
+        if not 0.0 < step < k:
+            break
+        k -= step
+        if step <= 1e-15 * k:
+            break
+    k = max(k, far)
+    for j in range(64):
+        if 0.0 < k < math.inf and bound(k) < floor:
+            return k
+        k += k * 2.0 ** (j - 52)
+    raise DegenerateExponents(f"the cutoff of the bound B_l at s = {float(s)!r} is not finite")
 
 
 def growth_cutoff(cfg: FluidConfig, lam: float) -> float:
@@ -446,22 +508,36 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     With s the value is alpha(s), cut off by certified_cutoff at the floor
     alpha(s) on the current set; without, it is Lambda = max_k Lambda_k, cut
     off by growth_cutoff at the Lambda of the current set. Each pass extends
-    toward the cutoff, at most doubling k_max. The floor (and Lambda) only
-    rises as the set grows, so the cutoff only falls and the loop ends.
-    Returns the value of the last pass: the AlphaValue at s, or the
-    FixedPoint of the fastest mode.
+    toward the cutoff, at most doubling k_max, and scans only the modes it
+    appended, against the value of the passes before (growth_max,
+    alpha_value): those modes all have a larger k, and every mode left behind
+    was solved or proven below that value, so the last pass returns the bits
+    of one scan of the final set. The floor (and Lambda) only rises as the set
+    grows, so the cutoff only falls and the loop ends, unless the extension
+    needs more than LATTICE_POINTS lattice points (a viscosity so small that
+    the cutoff lies near the float range's end): that raises
+    DegenerateExponents, naming the cutoff. Returns the value of the last
+    pass: the AlphaValue at s, or the FixedPoint of the fastest mode.
     """
     cfg = fm.cfg.with_theta(theta)
+    best, start = None, 0
     while True:
         if s is None:
-            best = fm.growth_max(theta)
+            best = fm.growth_max(theta, best, start)
             cutoff = growth_cutoff(cfg, best.lam)
         else:
-            best = fm.alpha_value(s, theta)
+            best = fm.alpha_value(s, theta, best, start)
             cutoff = certified_cutoff(cfg, s, best.alpha)
         if cutoff <= fm.modes.k_max:
             return best
-        fm.extend_to(min(cutoff, 2.0 * fm.modes.k_max))
+        target = min(cutoff, 2.0 * fm.modes.k_max)
+        if not _lattice_points(cfg, target) <= LATTICE_POINTS:
+            raise DegenerateExponents(
+                f"the cutoff k = {cutoff!r} lies past the lattice that can be enumerated: "
+                f"k_max = {target!r} needs more than {LATTICE_POINTS} lattice points"
+            )
+        start = len(fm.modes)
+        fm.extend_to(target)
 
 
 def global_alpha(cfg: FluidConfig, s: float, disc: Discretization) -> AlphaValue:

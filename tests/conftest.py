@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from rtgrowth import pencil
 from rtgrowth.errors import ZeroWaveNumber
-from rtgrowth.model import FluidConfig
+from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.modeforms import (
     GAUSS_NODES,
     GAUSS_SHAPES,
@@ -15,6 +15,16 @@ from rtgrowth.modeforms import (
     VerticalProfile,
     uniform_layered_grid,
 )
+
+
+def box_config(nu_plus, nu_minus, fraction):
+    """The property-test box: reference densities and depths, mu / rho from
+    10^nu_plus (upper layer) and 10^nu_minus (lower), theta = fraction theta_c."""
+    base = FluidConfig(
+        rho_plus=2.0, rho_minus=1.0, mu_plus=2.0 * 10.0**nu_plus, mu_minus=10.0**nu_minus,
+        g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
+    )
+    return base.with_theta(fraction * theta_critical(base))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtgrowth import oracle, pencil
+from rtgrowth import oracle, pencil, spectrum
 from rtgrowth.cli import COMMANDS, main
 from rtgrowth.model import theta_critical
 
@@ -276,6 +277,23 @@ def test_oracle_compare_with_overflowing_compliance_bounds_exits_4(tmp_path):
     assert proc.stderr.startswith("numerical failure: mode k = 1.0 has its bound r_k rounded to 0")
 
 
+def test_vanishing_viscosity_exits_4_naming_the_cutoff(tmp_path, capsys, monkeypatch):
+    # at mu = 1e-300, b * b underflowed in the growth cutoff, which came out
+    # 0: growth exited 0 with the k = 1 rate 1.557 of a one-mode set, where
+    # k = 20 alone gives 6.97. The cutoff lies near 2.5e299, past any lattice
+    # that can be enumerated (LATTICE_POINTS, limited here to keep the test
+    # short; at the default 2^22 the run takes about 2 s). The cutoff named
+    # is the one at the rate of the last pass
+    monkeypatch.setattr(spectrum, "LATTICE_POINTS", 1 << 12)
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({**CHEAP, "mu_plus": 1e-300, "mu_minus": 1e-300}))
+    assert run_cli(["growth", "--config", str(path), "--resolution", "8"]) == 4
+    err = capsys.readouterr().err
+    cutoff = re.match(r"numerical failure: the cutoff k = (\S+) lies past the lattice", err)
+    assert cutoff and err.count("\n") == 1
+    assert float(cutoff.group(1)) > 1e299
+
+
 def test_alpha_curve_with_overflowing_viscosity_ends(tmp_path):
     # at mu = 1e300 the cutoff bracket's b * b overflowed, its end came out
     # 0 and never doubled past the negative floor alpha(s): the command hung
@@ -382,7 +400,9 @@ def test_unexpected_exception_exit_4(config_path, capsys, monkeypatch, error):
 def test_failed_band_factorization_exit_4(config_path, capsys, monkeypatch):
     # a non-positive pivot in the banded profile solve is a numerical failure
     dpbtrf = pencil.lapack.dpbtrf
-    monkeypatch.setattr(pencil.lapack, "dpbtrf", lambda ab, lower=0: (dpbtrf(ab, lower=lower)[0], 3))
+    monkeypatch.setattr(
+        pencil.lapack, "dpbtrf", lambda ab, lower=0, overwrite_ab=0: (dpbtrf(ab, lower=lower)[0], 3)
+    )
     assert run_cli(["growth", "--config", config_path, "--resolution", "8"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: banded Cholesky") and err.count("\n") == 1

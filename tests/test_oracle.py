@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from conftest import all_refined_fixed_point, galerkin_compliances
+from conftest import all_refined_fixed_point, box_config, galerkin_compliances
 
 from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, SolverError
@@ -52,14 +52,6 @@ def _root_cases(reference_config):
 def _lattice_magnitudes(k_max):
     squares = {i * i + j * j for i in range(int(k_max) + 1) for j in range(int(k_max) + 1)}
     return [math.sqrt(q) for q in sorted(squares) if 0 < q <= k_max * k_max]
-
-
-def _box_config(nu_plus, nu_minus, fraction):
-    base = FluidConfig(
-        rho_plus=2.0, rho_minus=1.0, mu_plus=2.0 * 10.0**nu_plus, mu_minus=10.0**nu_minus,
-        g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
-    )
-    return base.with_theta(fraction * theta_critical(base))
 
 
 def _bisection_root(k, cfg, scan_max):
@@ -158,6 +150,16 @@ def test_determinant_overflow_guard(reference_config):
     assert math.isfinite(determinant(800.0, 1.0, reference_config))
     with pytest.raises(DegenerateExponents):
         determinant(1.0, 1e250, reference_config)
+
+
+def test_degenerate_messages_print_numpy_magnitudes_as_floats(reference_config):
+    # the CLI hands compare_modes numpy magnitudes; at mu = 1e-300 the
+    # determinant at k = 1 overflows, and its message read k=np.float64(1.0)
+    cfg = dataclasses.replace(reference_config, mu_plus=1e-300, mu_minus=1e-300)
+    with np.errstate(all="ignore"), pytest.raises(DegenerateExponents) as raised:
+        compare_modes(cfg, np.array([1.0]), Discretization(8))
+    assert str(raised.value).startswith("non-finite dispersion function at k=1.0, n=")
+    assert "np." not in str(raised.value)
 
 
 def test_determinant_is_the_condensed_galerkin_form(reference_config):
@@ -316,7 +318,7 @@ def test_galerkin_floor_above_the_root_still_compares():
     # at N = 128 the computed Lambda_k^N of this config is 9.7e-9 above the
     # root (CHANGES.md, FOUND; ROADMAP item 3): the row still holds the root,
     # well inside verify's tolerance
-    cfg = _box_config(-0.11075493, -2.70973775, 0.23154304)
+    cfg = box_config(-0.11075493, -2.70973775, 0.23154304)
     scan_max = 1.05 * upper_bound_m(cfg)
     (row,) = compare_modes(cfg, [1.0], Discretization(128))
     assert row.lambda_oracle == pytest.approx(dispersion_root(1.0, cfg, scan_max), rel=2e-12)
@@ -435,7 +437,7 @@ def _check_box_case(nu_plus, nu_minus, fraction, i, j):
     # lattice k with k h up to 300: F_k strictly increases from its limit
     # -k^2 c_k, its root is at most m, and the N = 64 Galerkin Lambda_k^N
     # stays below it
-    cfg = _box_config(nu_plus, nu_minus, fraction)
+    cfg = box_config(nu_plus, nu_minus, fraction)
     k = math.hypot(i, j)
     m = upper_bound_m(cfg)
     scan_max = 1.05 * m
@@ -476,7 +478,7 @@ def test_dispersion_root_over_config_box(nu_plus, nu_minus, fraction, i, j):
 def test_fixed_point_matches_the_all_refined_loop_over_config_box(nu_plus, nu_minus, fraction, i, j, n):
     # float64 proposals followed by the refined phase land where every step
     # refined lands, to the refined solve's own rounding
-    cfg = _box_config(nu_plus, nu_minus, fraction)
+    cfg = box_config(nu_plus, nu_minus, fraction)
     forms = pencil.assemble(math.hypot(i, j), cfg, Discretization(n))
     assume(forms.c_k > 0.0)
     start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
@@ -498,7 +500,7 @@ def test_held_last_step_keeps_the_fresh_step_lambda_over_config_box(nu_plus, nu_
     # lam is chosen before the last solve, so the last step on the held
     # factor returns the bits of a fresh factorization there; its residual
     # carries the refinement noise that its own solve cannot show
-    cfg = _box_config(nu_plus, nu_minus, fraction)
+    cfg = box_config(nu_plus, nu_minus, fraction)
     forms = pencil.assemble(math.hypot(i, j), cfg, Discretization(n))
     assume(forms.c_k > 0.0)
     start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
@@ -525,7 +527,7 @@ def test_closed_form_compliances_bound_the_galerkin_ones_over_config_box(nu_plus
     # gets the slack of its refined solve's rounding (ROADMAP item 3): in a
     # scan of 3000 box configs at k = 1, sqrt(2) and 2 it rose above C_k by
     # up to 2.1e-9 at N = 64 and 3.5e-8 at N = 128 (k = 1), never at N = 32
-    cfg = _box_config(nu_plus, nu_minus, fraction)
+    cfg = box_config(nu_plus, nu_minus, fraction)
     k = math.hypot(i, j)
     inviscid, stokes = compliances(k, cfg)
     for n in (32, 64, 128):
@@ -548,7 +550,7 @@ def test_closed_form_compliances_bound_the_galerkin_ones_over_config_box(nu_plus
 def test_dispersion_profile_is_clamped_over_config_box(nu_plus, nu_minus, fraction, i, j):
     # the exact profile at the root is finite, has psi(0) = 1, and vanishes
     # with its slope at both walls, also where k h reaches 300
-    cfg = _box_config(nu_plus, nu_minus, fraction)
+    cfg = box_config(nu_plus, nu_minus, fraction)
     k = math.hypot(i, j)
     root = dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg))
     assume(root is not None)

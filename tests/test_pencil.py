@@ -19,6 +19,7 @@ from conftest import (
 )
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
+from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.modeforms import compliances
 from rtgrowth.pencil import (
@@ -587,3 +588,32 @@ def test_band_wrappers_fall_back_to_scipy_linalg(monkeypatch, error):
     monkeypatch.setattr(pencil, "_extension_path", missing)
     blas, lapack = pencil._load_wrappers()
     assert blas is sla.blas and lapack is sla.lapack
+
+
+def test_solves_leave_the_bands_read_only_and_unchanged(reference_config, monkeypatch):
+    # the energy band is factored in place, and f2py writes through a
+    # read-only flag, so only a band made for the factorization may be
+    # handed over: every solve leaves the assembled bands as they were
+    disc = Discretization(32)
+    built = [assemble(5.0, reference_config, disc)]
+    forms = built[0]
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    lam = fixed_point(forms, start).lam
+    pencil.alpha_below(forms, lam, lam * lam)
+    mode_alpha(forms, lam, float(spectrum.split_bound(reference_config, lam)(forms.k)))
+    pencil._interface_solve(forms, lam, lam * lam)
+    real = spectrum.assemble
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(spectrum, "assemble", spy)
+    solve_lambda(reference_config, disc)
+    assert len(built) > 1
+    for forms in built:
+        fresh = real(forms.k, reference_config, disc)
+        assert np.array_equal(forms.A_band, fresh.A_band) and np.array_equal(forms.B_band, fresh.B_band)
+        assert not (forms.A_band.flags.writeable or forms.B_band.flags.writeable)
+        assert forms.A_band.flags.f_contiguous and forms.B_band.flags.f_contiguous
+    assert not pencil._unit(forms).flags.writeable

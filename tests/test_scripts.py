@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rtgrowth import Discretization, FluidConfig, cli, oracle, pencil, solve_lambda
+from rtgrowth import Discretization, FluidConfig, cli, fixedpoint, oracle, pencil, solve_lambda, spectrum
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -79,8 +79,9 @@ def test_cli_outputs_takes_a_relative_outdir(tmp_path, monkeypatch):
 def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     # the bench child reports the final size of every mode set the run builds,
     # the growth results it validates, its dispersion determinant calls, its
-    # banded factorizations and extended-precision residuals, and the time
-    # inside cli.main, read from inside its process
+    # fixed points and inertia tests, its banded factorizations and
+    # extended-precision residuals, and the time inside cli.main, read from
+    # inside its process
     bench = load_script("bench")
     config = tmp_path / "reference.json"
     config.write_text(json.dumps(bench.REFERENCE))
@@ -97,7 +98,10 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         assert 0.0 < counts.pop("main_s") < wall_s
         return counts
 
-    calls = {"determinants": 0, "factorizations": 0, "extended_residuals": 0}
+    calls = {
+        "determinants": 0, "fixed_points": 0, "inertia_tests": 0,
+        "factorizations": 0, "extended_residuals": 0,
+    }
 
     def counting(key, real):
         def wrapped(*args, **kwargs):
@@ -106,6 +110,10 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(oracle, "determinant", counting("determinants", oracle.determinant))
+    for module in (spectrum, fixedpoint):
+        monkeypatch.setattr(module, "fixed_point", counting("fixed_points", pencil.fixed_point))
+    for module in (spectrum, pencil):
+        monkeypatch.setattr(module, "alpha_below", counting("inertia_tests", pencil.alpha_below))
     monkeypatch.setattr(pencil.lapack, "dpbtrf", counting("factorizations", pencil.lapack.dpbtrf))
     monkeypatch.setattr(
         pencil, "_band_matvec_extended", counting("extended_residuals", pencil._band_matvec_extended)
@@ -124,5 +132,6 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     growth = child_counts("growth")
     assert growth == {"modes": len(result.mode_set.modes), "solves": 1, **in_process("growth")}
     assert growth["determinants"] == 0 and growth["extended_residuals"] > 0
+    assert growth["fixed_points"] > 0 and growth["inertia_tests"] > 0
     compare = child_counts("oracle-compare")
     assert compare == {"modes": 0, "solves": 0, **in_process("oracle-compare")}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import galerkin_compliances, largest_eigenpair
+from conftest import box_config, galerkin_compliances, largest_eigenpair
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
 from rtgrowth.analysis import sweep_theta
@@ -427,7 +427,7 @@ def test_sizing_grows_an_owned_set_to_the_certified_cutoff(cheap_config):
 @settings(max_examples=50, deadline=None)
 @given(configs(), span(0.0, 0.95), span(0.05, 0.95))
 def test_growth_cutoff_is_the_largest_root_of_the_envelope_polynomial(cfg, fraction, share):
-    # growth_cutoff bisects B_1 >= lam^2 at s = lam; that is p(k) <= 0 for
+    # growth_cutoff solves B_1 >= lam^2 at s = lam; that is p(k) <= 0 for
     #   p(k) = theta k^3 + 2 (mu+ + mu-) lam k^2 - g [rho] k + (rho+ + rho-) lam^2,
     # whose largest root numpy finds independently. lam is a share of the
     # envelope root at the smallest magnitude k0, so p(k0) < 0: p, convex on
@@ -548,3 +548,112 @@ def test_inertia_scans_match_full_solves(cfg, fraction, s):
     assert best.lam == max(lams.values())
     assert best.forms.k == max(lams, key=lambda k: (lams[k], -k))
     assert all(lam < best.lam for k, lam in lams.items() if k not in solved)
+
+
+def bisection_cutoff(cfg, s, floor, split):
+    """The upper end of {B_l >= floor} by bisection: the reference for the
+    Newton steps of spectrum._split_cutoff. Bracketed between the peak of B_l
+    and g [rho] / stokes (twice the peak without stokes), doubled while B_l
+    still reaches floor there, and bisected to 1e-12 of the upper end."""
+    bound = split_bound(cfg, s, split)
+    rho_sum = cfg.rho_plus + cfg.rho_minus
+    gr = cfg.g * cfg.density_jump
+    stokes = 2.0 * split * s * (cfg.mu_plus + cfg.mu_minus)
+    interior = (1.0 - split) * s * min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
+    a, b = gr / rho_sum, stokes / rho_sum + interior
+    lo = a / (b + math.sqrt(b * b + 3.0 * a * cfg.theta / rho_sum))
+    hi = gr / stokes if stokes > 0.0 else 2.0 * lo
+    if bound(lo) < floor:
+        return 0.0
+    while bound(hi) >= floor:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bound(mid) >= floor else (lo, mid)
+    return hi
+
+
+def check_newton_cutoff(cfg, s, floor, split):
+    newton = _split_cutoff(cfg, s, floor, split)
+    reference = bisection_cutoff(cfg, s, floor, split)
+    assert newton >= reference * (1.0 - 1e-12)
+    assert newton <= reference * (1.0 + 1e-9)  # as tight, up to the bisection's own width
+    assert newton == 0.0 or split_bound(cfg, s, split)(newton) < floor
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    nu_plus=st.floats(min_value=-4.0, max_value=0.0),
+    nu_minus=st.floats(min_value=-4.0, max_value=0.0),
+    fraction=st.floats(min_value=0.0, max_value=0.99),
+    share=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_incremental_sizing_and_newton_cutoff_over_config_box(nu_plus, nu_minus, fraction, share):
+    # the box of test_dispersion_root_over_config_box. The Newton cutoff is
+    # certified (B_l < floor where it stops) and not below the bisection's,
+    # on every split, at floors above and below 0; the incremental passes of
+    # a growth solve assemble every mode at most once and return the bits of
+    # one scan of the final set
+    cfg = box_config(nu_plus, nu_minus, fraction)
+    for split in (0.0, 0.5, 1.0):
+        for s in (0.1, 1.0, 10.0):
+            top = float(np.max(split_bound(cfg, s, split)(np.geomspace(1e-3, 1e4, 2000))))
+            floors = [share * top] + ([-share * top, -10.0 * share] if split < 1.0 else [])
+            for floor in floors:
+                check_newton_cutoff(cfg, s, floor, split)
+
+    disc = Discretization(8)
+    fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
+    assembled = []
+    real = spectrum.assemble
+
+    def spy(k, *args):
+        assembled.append(float(k))
+        return real(k, *args)
+
+    spectrum.assemble = spy
+    try:
+        best = size_mode_set(fm, cfg.theta)
+    except DegenerateExponents as exc:
+        # near mu = 1e-4 at N = 8 the growth cutoff lies past the lattice
+        # that can be enumerated
+        assert "lies past the lattice" in str(exc)
+        return
+    finally:
+        spectrum.assemble = real
+    assert len(assembled) == len(set(assembled))
+    check_newton_cutoff(cfg, best.lam, best.lam**2, 1.0)
+    scan = FrozenModeSet.freeze(cfg, disc, fm.modes.k_max)
+    assert np.array_equal(scan.modes.magnitudes, fm.modes.magnitudes)
+    once = scan.growth_max(cfg.theta)
+    assert (best.lam, best.forms.k, best.alpha, best.noise) == (once.lam, once.forms.k, once.alpha, once.noise)
+    assert np.array_equal(best.vector, once.vector)
+
+
+def test_vanishing_viscosity_cutoff_does_not_underflow(cheap_config):
+    # at mu = 1e-300, b * b underflowed to 0 and the peak of B_1 doubled onto
+    # the zero of its positive part, so growth_cutoff returned 0 and the set
+    # stayed at k = 1. With hypot the cutoff is where the viscous term
+    # catches up, near g [rho] / (2 (mu+ + mu-) lam)
+    cfg = replace(cheap_config, mu_plus=1e-300, mu_minus=1e-300)
+    lam = 1.5570986831765101  # the k = 1 rate of the one-mode set
+    cutoff = growth_cutoff(cfg, lam)
+    assert cutoff == pytest.approx(9.8 / (4e-300 * lam), rel=1e-12)
+    assert split_bound(cfg, lam, 1.0)(cutoff) < lam * lam
+    assert certified_cutoff(cfg, 1.0, 0.5) > 1e299
+
+
+def test_sizing_past_the_lattice_limit_names_the_cutoff(cheap_config, monkeypatch):
+    # the lattice up to the cutoff would take more than LATTICE_POINTS points
+    # (1024 here, to keep the test short): the extension raises instead of
+    # enumerating it, and names the cutoff
+    monkeypatch.setattr(spectrum, "LATTICE_POINTS", 1 << 10)
+    fm = FrozenModeSet.freeze(cheap_config, DISC, smallest_magnitude(cheap_config))
+    assert size_mode_set(fm, 0.0).lam > 0.0  # k_max 2.83: 49 lattice points
+    cfg = replace(cheap_config, mu_plus=1e-3, mu_minus=1e-3)
+    fm = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
+    with pytest.raises(DegenerateExponents, match=r"the cutoff k = \S+ lies past the lattice"):
+        size_mode_set(fm, 0.0)
+    assert fm.modes.k_max <= 16.0
+    with pytest.raises(DegenerateExponents, match="lattice points"):
+        enumerate_modes(cfg, 16.0)
