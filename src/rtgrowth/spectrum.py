@@ -357,7 +357,8 @@ def _split_bound(cfg: FluidConfig, s: float, split: float):
     a = g [rho] / (rho+ + rho-), t = theta / (rho+ + rho-), i the interior
     coefficient (1 - l) s mu_min / rho_max and b = 2 l s (mu+ + mu-) /
     (rho+ + rho-) + i: the positive part of c_k - 2 l s k (mu+ + mu-) is the
-    larger of it and 0.
+    larger of it and 0. The coefficients are Python floats, also where a
+    sweep's theta grid makes theta a numpy one.
     """
     gr = cfg.g * cfg.density_jump
     theta = cfg.theta
@@ -371,7 +372,8 @@ def _split_bound(cfg: FluidConfig, s: float, split: float):
         c = gr - (theta * k + stokes) * k
         return 0.5 * (c + abs(c)) * k / rho_sum - interior * k * k
 
-    return bound, gr / rho_sum, theta / rho_sum, stokes / rho_sum + interior, interior
+    coefficients = (gr / rho_sum, theta / rho_sum, stokes / rho_sum + interior, interior)
+    return (bound, *map(float, coefficients))
 
 
 def certified_cutoff(cfg: FluidConfig, s: float, floor: float) -> float:

@@ -277,20 +277,23 @@ def test_oracle_compare_with_overflowing_compliance_bounds_exits_4(tmp_path):
     assert proc.stderr.startswith("numerical failure: mode k = 1.0 has its bound r_k rounded to 0")
 
 
-def test_vanishing_viscosity_exits_4_naming_the_cutoff(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["growth", "sweep-theta"])
+def test_vanishing_viscosity_exits_4_naming_the_cutoff(tmp_path, capsys, monkeypatch, command):
     # at mu = 1e-300, b * b underflowed in the growth cutoff, which came out
     # 0: growth exited 0 with the k = 1 rate 1.557 of a one-mode set, where
     # k = 20 alone gives 6.97. The cutoff lies near 2.5e299, past any lattice
     # that can be enumerated (LATTICE_POINTS, limited here to keep the test
     # short; at the default 2^22 the run takes about 2 s). The cutoff named
-    # is the one at the rate of the last pass
+    # is the one at the rate of the last pass, a float even where the sweep's
+    # theta grid makes it a numpy one
     monkeypatch.setattr(spectrum, "LATTICE_POINTS", 1 << 12)
     path = tmp_path / "thin.json"
     path.write_text(json.dumps({**CHEAP, "mu_plus": 1e-300, "mu_minus": 1e-300}))
-    assert run_cli(["growth", "--config", str(path), "--resolution", "8"]) == 4
+    out = str(tmp_path / "out")
+    assert run_cli([command, "--config", str(path), "--resolution", "8", "--out", out]) == 4
     err = capsys.readouterr().err
     cutoff = re.match(r"numerical failure: the cutoff k = (\S+) lies past the lattice", err)
-    assert cutoff and err.count("\n") == 1
+    assert cutoff and err.count("\n") == 1 and "np." not in err
     assert float(cutoff.group(1)) > 1e299
 
 

@@ -641,6 +641,8 @@ def test_vanishing_viscosity_cutoff_does_not_underflow(cheap_config):
     assert cutoff == pytest.approx(9.8 / (4e-300 * lam), rel=1e-12)
     assert split_bound(cfg, lam, 1.0)(cutoff) < lam * lam
     assert certified_cutoff(cfg, 1.0, 0.5) > 1e299
+    # a sweep's numpy theta leaves the cutoff a float, as error messages print it
+    assert type(growth_cutoff(cfg.with_theta(np.float64(0.0)), lam)) is float
 
 
 def test_sizing_past_the_lattice_limit_names_the_cutoff(cheap_config, monkeypatch):
