@@ -516,8 +516,8 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     was solved or proven below that value, so the last pass returns the bits
     of one scan of the final set. The floor (and Lambda) only rises as the set
     grows, so the cutoff only falls and the loop ends, unless the extension
-    needs more than LATTICE_POINTS lattice points (a viscosity so small that
-    the cutoff lies near the float range's end): that raises
+    needs more than LATTICE_POINTS lattice points (small viscosities: on the
+    reference densities and depths, below about mu = 1e-4 at N = 128): that raises
     DegenerateExponents, naming the cutoff. Returns the value of the last
     pass: the AlphaValue at s, or the FixedPoint of the fastest mode.
     """
