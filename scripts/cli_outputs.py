@@ -2,6 +2,7 @@
 """Write a fixed set of command-line outputs and exit codes into one directory.
 
 Usage: python scripts/cli_outputs.py OUTDIR
+       python scripts/cli_outputs.py --compare DIR_A DIR_B
 
 Runs the tool of the tree the script sits in (its src/) on four configs:
 reference (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1, theta 0), viscous
@@ -14,13 +15,22 @@ and without `--kmax 6`; and `oracle-compare` at N = 32. Every run's exit
 code goes to OUTDIR/exit_codes.txt, and the stderr of a failed run to
 <name>.stderr beside its outputs. Outputs are byte-stable, so comparing two
 trees is one `diff -r` of their OUTDIRs.
+
+--compare reads two OUTDIRs and prints one line per file: the count of
+numbers that changed from DIR_A to DIR_B and the largest relative change
+|b - a| / |a| among them (inf where a is 0). It exits 1 on any difference
+that is not a number: a file in one directory only, a changed exit code,
+field name, branch label or PASS/FAIL word, or a number that appears or
+vanishes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,10 +80,50 @@ RUNS = [
 ]
 
 
+# a number standing alone: not part of a name such as growth_32, and with the
+# spellings of infinity and NaN that repr and json write
+NUMBER = re.compile(r"(?<![\w.])(-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN))(?!\w)")
+
+
+def relative_change(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    change = abs(b - a) / abs(a) if a else math.inf
+    return math.inf if math.isnan(change) else change
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print the moved numbers of every file of two OUTDIRs; 1 if anything
+    else differs, else 0."""
+    names = sorted({p.relative_to(d) for d in (dir_a, dir_b) for p in d.rglob("*") if p.is_file()})
+    status = 0
+    for name in names:
+        if not ((dir_a / name).is_file() and (dir_b / name).is_file()):
+            print(f"{name}: in one directory only")
+            status = 1
+            continue
+        text_a, text_b = (dir_a / name).read_text(), (dir_b / name).read_text()
+        parts_a, parts_b = NUMBER.split(text_a), NUMBER.split(text_b)
+        # an exit code is a number in the text, and never a moved digit
+        moved_code = name.name == "exit_codes.txt" and text_a != text_b
+        if moved_code or len(parts_a) != len(parts_b) or parts_a[0::2] != parts_b[0::2]:
+            print(f"{name}: differs in more than its numbers")
+            status = 1
+            continue
+        changes = [relative_change(float(a), float(b)) for a, b in zip(parts_a[1::2], parts_b[1::2]) if a != b]
+        print(f"{name}: {len(changes)} changed, largest relative change {max(changes, default=0.0):.3g}")
+    return status
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", help="directory to write the outputs into")
+    parser.add_argument("outdir", nargs="?", help="directory to write the outputs into")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), help="compare two OUTDIRs instead")
     args = parser.parse_args()
+    if (args.outdir is None) == (args.compare is None):
+        parser.error("give either OUTDIR or --compare DIR_A DIR_B")
+    if args.compare:
+        sys.exit(compare(*map(Path, args.compare)))
 
     # the runs' working directory is the tree's root, so their paths are absolute
     outdir = Path(args.outdir).resolve()

@@ -125,8 +125,7 @@ def _emit(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
 
 
-def _cmd_growth(cfg, args) -> int:
-    disc = Discretization(args.resolution)
+def _cmd_growth(cfg, disc, args) -> int:
     result = solve_lambda(cfg, disc)
     _emit(json.dumps(result.to_json_dict()), args.out)
     if args.mode_table:
@@ -135,11 +134,10 @@ def _cmd_growth(cfg, args) -> int:
     return 0
 
 
-def _cmd_alpha_curve(cfg, args) -> int:
+def _cmd_alpha_curve(cfg, disc, args) -> int:
     if args.s_grid is None:
         raise ConfigError("alpha-curve requires --s-grid")
     s_grid = _parse_grid(args.s_grid, "--s-grid")
-    disc = Discretization(args.resolution)
     k_max = _kmax(cfg, args)
     frozen = None if k_max is None else spectrum.FrozenModeSet.freeze(cfg, disc, k_max)
     curve = spectrum.alpha_curve(cfg, s_grid, disc, frozen=frozen)
@@ -170,8 +168,7 @@ def _comparison_ks(cfg, args) -> np.ndarray:
         k_try *= 2.0
 
 
-def _cmd_compare(cfg, args) -> int:
-    disc = Discretization(args.resolution)
+def _cmd_compare(cfg, disc, args) -> int:
     ks = _comparison_ks(cfg, args)
     rows = oracle.compare_modes(cfg, ks, disc)
     if args.format == "json":
@@ -190,11 +187,10 @@ def _cmd_compare(cfg, args) -> int:
     return 0
 
 
-def _cmd_sweep(cfg, args) -> int:
+def _cmd_sweep(cfg, disc, args) -> int:
     fractions = _parse_grid(args.theta_grid, "--theta-grid")
     if np.any(fractions < 0.0) or np.any(fractions >= 1.0):
         raise ConfigError("--theta-grid fractions must lie in [0, 1)")
-    disc = Discretization(args.resolution)
     sweep = analysis.sweep_theta(cfg, fractions, disc)
     if args.format == "json":
         _emit(json.dumps({"rows": sweep.rows(), "report": sweep.report()}), args.out)
@@ -205,8 +201,7 @@ def _cmd_sweep(cfg, args) -> int:
     return 0
 
 
-def _cmd_verify(cfg, args) -> int:
-    disc = Discretization(args.resolution)
+def _cmd_verify(cfg, disc, args) -> int:
     report = analysis.verify_all(cfg, disc)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -219,22 +214,22 @@ def _cmd_verify(cfg, args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.resolution < 8:
-            raise ConfigError(f"--resolution must be >= 8, got {args.resolution}")
+        # first, so that a resolution below the floor exits 2 whatever the config
+        disc = Discretization(args.resolution)
         cfg = _load_config(args.config)
         # a failure is reported in the one stderr line below, so numpy's
         # floating-point warnings on the way there are silenced
         with np.errstate(all="ignore"):
             if args.command == "growth":
-                return _cmd_growth(cfg, args)
+                return _cmd_growth(cfg, disc, args)
             if args.command == "alpha-curve":
-                return _cmd_alpha_curve(cfg, args)
+                return _cmd_alpha_curve(cfg, disc, args)
             if args.command == "oracle-compare":
-                return _cmd_compare(cfg, args)
+                return _cmd_compare(cfg, disc, args)
             if args.command == "sweep-theta":
-                return _cmd_sweep(cfg, args)
+                return _cmd_sweep(cfg, disc, args)
             if args.command == "verify":
-                return _cmd_verify(cfg, args)
+                return _cmd_verify(cfg, disc, args)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")

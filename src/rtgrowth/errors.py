@@ -49,7 +49,7 @@ class ZeroWaveNumber(SolverError):
     """Per-mode operation received k <= 0."""
 
 
-class ResolutionTooSmall(SolverError):
+class ResolutionTooSmall(ConfigError):
     """Fewer elements per layer than the discretization supports."""
 
 

@@ -11,8 +11,8 @@ mode into three quadratic forms:
     dissipation  sum_layers mu  * integral( 4 psi'^2 + (k psi + psi''/k)^2 )
     surface      (g [rho] - theta k^2) * psi(0)^2
 
-pencil.assemble integrates the first two exactly with the Gauss rule and the
-Hermite shapes defined here; surface_coefficient gives the third.
+pencil assembles the first two exactly on the piecewise-cubic Hermite space
+from its closed-form element tables; surface_coefficient gives the third.
 
 Profiles are piecewise-cubic Hermite interpolants of nodal (value, derivative)
 data; psi'' is the exact elementwise second derivative of that representation,
@@ -33,57 +33,6 @@ import numpy as np
 
 from .errors import DegenerateExponents
 from .model import FluidConfig
-
-# 5-point Gauss-Legendre rule on [0, 1]: exact through polynomial degree 9,
-# which covers every integrand of the kinetic and dissipation forms (degree <= 6).
-_GX, _GW = np.polynomial.legendre.leggauss(5)
-GAUSS_NODES = 0.5 * (_GX + 1.0)
-GAUSS_WEIGHTS = 0.5 * _GW
-
-
-def hermite_shape(u: np.ndarray, order: int = 0) -> np.ndarray:
-    """Reference cubic Hermite shape functions and u-derivatives.
-
-    Returns an array of shape (4, len(u)) for the basis ordered as
-    (value left, slope left, value right, slope right) on the unit element.
-    Slope functions are unscaled; multiply rows 1 and 3 by the element length
-    when assembling y-derivatives of nodal data.
-    """
-    u = np.asarray(u, dtype=float)
-    if order == 0:
-        return np.stack(
-            [
-                1.0 - 3.0 * u**2 + 2.0 * u**3,
-                u - 2.0 * u**2 + u**3,
-                3.0 * u**2 - 2.0 * u**3,
-                u**3 - u**2,
-            ]
-        )
-    if order == 1:
-        return np.stack(
-            [
-                -6.0 * u + 6.0 * u**2,
-                1.0 - 4.0 * u + 3.0 * u**2,
-                6.0 * u - 6.0 * u**2,
-                3.0 * u**2 - 2.0 * u,
-            ]
-        )
-    if order == 2:
-        return np.stack(
-            [
-                -6.0 + 12.0 * u,
-                -4.0 + 6.0 * u,
-                6.0 - 12.0 * u,
-                6.0 * u - 2.0,
-            ]
-        )
-    raise ValueError(f"unsupported derivative order {order}")
-
-
-# Shape values and first and second u-derivatives at the Gauss nodes, shared
-# by every element quadrature.
-GAUSS_SHAPES = tuple(hermite_shape(GAUSS_NODES, order) for order in range(3))
-
 
 @dataclass(frozen=True, eq=False)
 class VerticalProfile:
@@ -221,8 +170,8 @@ def compliances(k: float, cfg: FluidConfig) -> tuple[float, float]:
       as n -> 0+; the maps are continuous at n = 0, where q = k, so
       min D = S_k(0) / k^2.
 
-    The Hermite space is a subspace of the clamped profiles, and the Gauss
-    rule integrates K and D exactly on it, so the discrete compliances
+    The Hermite space is a subspace of the clamped profiles, and pencil's
+    element tables hold K and D on it exactly, so the discrete compliances
     I_k^N = e0^T B^(-1) e0 and C_k^N = e0^T A^(-1) e0, suprema over fewer
     profiles, satisfy I_k^N <= I_k and C_k^N <= C_k. The compliance bound
     r_k (spectrum.compliance_bound) increases in both, and its proof holds

@@ -6,11 +6,13 @@ Each wavenumber magnitude k, at modification parameter s, yields the pencil
 
 over the clamped piecewise-cubic Hermite space (value and slope unknowns at
 every node, value/slope clamped at both walls, one shared node at the
-interface). B and A_diss are exact Gauss-quadrature integrals of the kinetic
-and dissipation integrands; the surface term is the rank-one form on the
-interface value dof. The trial space is H^2-conforming, which the psi''
-term of the dissipation requires, and it is nested under uniform refinement,
-so the discrete supremum is a monotone lower bound of the continuous one.
+interface). B and A_diss are the kinetic and dissipation forms on that
+space, assembled from the closed-form cubic Hermite element integrals:
+integer tables times powers of the element length (_element_matrices). The
+surface term is the rank-one form on the interface value dof. The trial
+space is H^2-conforming, which the psi'' term of the dissipation requires,
+and it is nested under uniform refinement, so the discrete supremum is a
+monotone lower bound of the continuous one.
 
 Neighbouring nodes share an element, so every matrix is banded with half
 bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
@@ -55,13 +57,7 @@ import scipy
 
 from .errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from .model import FluidConfig
-from .modeforms import (
-    GAUSS_SHAPES,
-    GAUSS_WEIGHTS,
-    VerticalProfile,
-    surface_coefficient,
-    uniform_layered_grid,
-)
+from .modeforms import VerticalProfile, surface_coefficient, uniform_layered_grid
 
 
 def _extension_path(name: str) -> str:
@@ -112,26 +108,45 @@ class Discretization:
     elements_per_layer: int = 128
 
     def __post_init__(self):
-        if self.elements_per_layer < 4:
+        if self.elements_per_layer < 8:
             raise ResolutionTooSmall(
-                f"need at least 4 elements per layer, got {self.elements_per_layer}"
+                f"need at least 8 elements per layer, got {self.elements_per_layer}"
             )
 
 
-def _element_matrices(h: float):
-    """4x4 element integrals (mass, grad, bending, mass-bending cross).
+# Cubic Hermite element integrals on an element of length h, exactly. The
+# shapes N_i are (value left, slope left, value right, slope right), the slope
+# shapes scaled so that their y-derivative at their own node is 1. In order:
+# mass int N_i N_j is h/420 times its table, gradient int N_i' N_j' is
+# 1/(30 h) times its table, bending int N_i'' N_j'' is 1/h^3 times its table,
+# and the dissipation's cross term, int N_i N_j'' symmetrized, is 1/(30 h)
+# times its table: by parts it is minus the gradient plus half of
+# [N_i N_j' + N_j N_i'] from 0 to h. Each slope index adds a factor h.
+_ELEMENT_TABLES = np.array(
+    [
+        [[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22], [-13, -3, -22, 4]],
+        [[36, 3, -36, 3], [3, 4, -3, -1], [-36, -3, 36, -3], [3, -1, -3, 4]],
+        [[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]],
+        [[-36, -18, 36, -3], [-18, -4, 3, 1], [36, 3, -36, 18], [-3, 1, 18, -4]],
+    ],
+    dtype=np.longdouble,
+)
+_ELEMENT_DENOMINATORS = np.array([420, 30, 1, 30], dtype=np.longdouble)[:, None, None]
+_ELEMENT_POWERS = np.add.outer([1, -1, -3, -1], np.add.outer([0, 1, 0, 1], [0, 1, 0, 1])).astype(np.longdouble)
 
-    Slope shape functions carry the element length, derivatives carry 1/h per
-    order, so entries are integrals in the physical coordinate.
-    """
-    scale = np.array([1.0, h, 1.0, h])
-    w = h * GAUSS_WEIGHTS
-    s = [scale[:, None] * shape / h**r for r, shape in enumerate(GAUSS_SHAPES)]
-    mass = (s[0] * w) @ s[0].T
-    grad = (s[1] * w) @ s[1].T
-    bend = (s[2] * w) @ s[2].T
-    cross = (s[0] * w) @ s[2].T
-    return mass, grad, bend, cross
+
+def _element_matrices(h: float) -> np.ndarray:
+    """The 4x4 element integrals (mass, grad, bending, symmetrized
+    mass-bending cross) in the physical coordinate, stacked, from the integer
+    tables above. Each entry takes one power, one product and one quotient in
+    np.longdouble, then one rounding to float64: the correctly rounded value,
+    or 1 ulp from it where the extended result falls within a few extended
+    units of a midpoint. Where np.longdouble is float64 itself, each entry is
+    within 2 ulp (tests/test_pencil.py). lambda at N = 128 reads the last bits
+    of the tables: against the quadrature tables these replaced, a float64
+    evaluation moved it by up to 1.4e-10 relative on a thin-layer config
+    (h = 0.3), this one by 8e-12."""
+    return (_ELEMENT_TABLES * np.longdouble(h) ** _ELEMENT_POWERS / _ELEMENT_DENOMINATORS).astype(float)
 
 
 _TABLE_NAMES = ("M_rho", "D_rho", "M_mu", "D_mu", "H_mu", "X_mu")
@@ -165,7 +180,7 @@ def _tables(
     for h, rho, mu in ((h_minus, rho_minus, mu_minus), (h_plus, rho_plus, mu_plus)):
         mass, grad, bend, cross = _element_matrices(h / n)
         per_layer.append(
-            [rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * 0.5 * (cross + cross.T)]
+            [rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * cross]
         )
     tables = len(_TABLE_NAMES)
     a, b = np.tril_indices(4)
@@ -214,32 +229,19 @@ def _band_matvec_extended(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _failure(step: str, what, info: int) -> FactorizationFailure:
-    """The error of a banded Cholesky step that reported info != 0; what names
-    the matrix, or is the alpha of the energy matrix s A + alpha B. Formatted
-    only when a step fails."""
-    name = what if isinstance(what, str) else f"energy matrix at alpha {what!r}"
-    return FactorizationFailure(f"banded Cholesky {step} of the {name} failed (LAPACK info {info})")
+def _failure(step: str, alpha: float, info: int) -> FactorizationFailure:
+    """The error of a banded Cholesky step on the energy matrix s A + alpha B
+    that reported info != 0. Formatted only when a step fails."""
+    return FactorizationFailure(
+        f"banded Cholesky {step} of the energy matrix at alpha {alpha!r} failed (LAPACK info {info})"
+    )
 
 
-def _spd_factor(band: np.ndarray, what, overwrite: bool = False) -> np.ndarray:
-    """Banded Cholesky factor of a positive definite matrix in lower band form.
-
-    dpbtrf reports a non-positive pivot as info > 0, which raises. With
-    overwrite, a Fortran-ordered band is factored in place: only for a band
-    made for this factorization, since f2py writes through a read-only flag.
-    """
-    chol, info = lapack.dpbtrf(band, lower=1, overwrite_ab=overwrite)
-    if info != 0:
-        raise _failure("factorization", what, info)
-    return chol
-
-
-def _spd_solve(chol: np.ndarray, rhs: np.ndarray, what) -> np.ndarray:
+def _spd_solve(chol: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
     """chol^(-T) chol^(-1) rhs; a nonzero info raises, so no vector comes back."""
     x, info = lapack.dpbtrs(chol, rhs, lower=1)
     if info != 0:
-        raise _failure("solve", what, info)
+        raise _failure("solve", alpha, info)
     return x
 
 
@@ -307,9 +309,13 @@ def _unit(forms: PencilForms) -> np.ndarray:
 def _factor_solve(forms: PencilForms, s: float, alpha: float):
     """(chol, x): the banded Cholesky factor of s A + alpha B and the float64
     solve x = (s A + alpha B)^(-1) e0 from it, for s, alpha >= 0 not both zero
-    (s A + alpha B is then positive definite). The fresh energy band is
-    factored in place."""
-    chol = _spd_factor(_energy(forms, s, alpha), alpha, overwrite=True)
+    (s A + alpha B is then positive definite). dpbtrf reports a non-positive
+    pivot as info > 0, which raises. The fresh energy band is factored in
+    place: f2py writes through a read-only flag, so only a band made for this
+    factorization may be handed over."""
+    chol, info = lapack.dpbtrf(_energy(forms, s, alpha), lower=1, overwrite_ab=1)
+    if info != 0:
+        raise _failure("factorization", alpha, info)
     return chol, _spd_solve(chol, _unit(forms), alpha)
 
 
@@ -379,12 +385,18 @@ def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
     The lower end steps down from it by doubling until the test fails; the
     bracket is then halved to 1e-14 of its width, which is at least
     max(|upper|, s) and so far above the spacing of floats around it. That
-    resolves alpha_k(s) only to the backward error of the inertia test (about
-    2e-8 relative at N = 128). Where the midpoint is positive, s A + alpha B
-    is positive definite and alpha_k(s) is the unique root there of the
-    secular equation c_k e0^T (s A + alpha B)^(-1) e0 = 1, whose left side is
-    convex and decreasing in alpha with derivative -c_k x^T B x; Newton steps
-    on it with refined solves (_interface_solve) take the value to rounding.
+    resolves alpha_k(s) only to the backward error of the inertia test, and
+    where the result is at most 0 it is that bisection alone: on the contrast
+    config (rho 5.2/0.2, mu 0.1/5, g 20, L = 2, h = 0.3) at N = 128, element
+    tables that differ in their last bits (up to 7.6 ulp) moved such values
+    by up to 3.4e-6 relative (k = 6.185: -0.45411737 against -0.45411894).
+    Where the midpoint is positive, s A + alpha B is positive definite and
+    alpha_k(s) is the unique root there of the secular equation
+    c_k e0^T (s A + alpha B)^(-1) e0 = 1, whose left side is convex and
+    decreasing in alpha with derivative -c_k x^T B x; Newton steps on it with
+    refined solves (_interface_solve) take the value to the noise of those
+    solves: there the same tables moved positive values by at most 1.9e-9
+    absolute, and successive Newton iterates differ by about 6e-10.
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")

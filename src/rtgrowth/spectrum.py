@@ -30,7 +30,7 @@ branches the cutoff is the smallest over a few splits (certified_cutoff; U =
 B_0 orders the scan). For Lambda_k it is the split l = 1 at s = Lambda and
 floor Lambda^2 (growth_cutoff): Lambda_k >= Lambda needs alpha_k(Lambda) >=
 Lambda^2, so B_1 >= Lambda^2, which is p(k) <= 0 for the whole-line envelope
-polynomial p of the compliance bound. Each cutoff is the largest root of a
+cubic p of the compliance bound. Each cutoff is the largest root of a
 convex cubic, found by Newton steps from above and certified where they stop
 (_split_cutoff). An owned mode set starts at the smallest lattice magnitude
 and grows, at most doubling per step, until the cutoff for the quantity it
@@ -494,7 +494,7 @@ def growth_cutoff(cfg: FluidConfig, lam: float) -> float:
     strictly decreases through zero at Lambda_k, and alpha_k(lam) <= B_1(k)
     at s = lam (certified_cutoff). So every mode above the largest k with
     B_1(k) >= lam^2 has Lambda_k < lam. That condition is p(k) <= 0 for the
-    convex polynomial
+    convex cubic
         p(k) = theta k^3 + 2 (mu+ + mu-) lam k^2 - g [rho] k + (rho+ + rho-) lam^2,
     which is also the compliance bound r_k >= lam with I_k and C_k replaced
     by their whole-line envelopes (certified_cutoff).

@@ -8,13 +8,67 @@ import scipy.linalg as sla
 from rtgrowth import pencil
 from rtgrowth.errors import ZeroWaveNumber
 from rtgrowth.model import FluidConfig, theta_critical
-from rtgrowth.modeforms import (
-    GAUSS_NODES,
-    GAUSS_SHAPES,
-    GAUSS_WEIGHTS,
-    VerticalProfile,
-    uniform_layered_grid,
-)
+from rtgrowth.modeforms import VerticalProfile, uniform_layered_grid
+
+# 5-point Gauss-Legendre rule on [0, 1]: exact through polynomial degree 9,
+# which covers every integrand of the kinetic and dissipation forms (degree <= 6).
+_GX, _GW = np.polynomial.legendre.leggauss(5)
+GAUSS_NODES = 0.5 * (_GX + 1.0)
+GAUSS_WEIGHTS = 0.5 * _GW
+
+
+def hermite_shape(u, order=0):
+    """Reference cubic Hermite shape functions and u-derivatives.
+
+    Returns an array of shape (4, len(u)) for the basis ordered as
+    (value left, slope left, value right, slope right) on the unit element.
+    Slope functions are unscaled; multiply rows 1 and 3 by the element length
+    when assembling y-derivatives of nodal data.
+    """
+    u = np.asarray(u, dtype=float)
+    if order == 0:
+        return np.stack(
+            [
+                1.0 - 3.0 * u**2 + 2.0 * u**3,
+                u - 2.0 * u**2 + u**3,
+                3.0 * u**2 - 2.0 * u**3,
+                u**3 - u**2,
+            ]
+        )
+    if order == 1:
+        return np.stack(
+            [
+                -6.0 * u + 6.0 * u**2,
+                1.0 - 4.0 * u + 3.0 * u**2,
+                6.0 * u - 6.0 * u**2,
+                3.0 * u**2 - 2.0 * u,
+            ]
+        )
+    if order == 2:
+        return np.stack(
+            [
+                -6.0 + 12.0 * u,
+                -4.0 + 6.0 * u,
+                6.0 - 12.0 * u,
+                6.0 * u - 2.0,
+            ]
+        )
+    raise ValueError(f"unsupported derivative order {order}")
+
+
+# Shape values and first and second u-derivatives at the Gauss nodes.
+GAUSS_SHAPES = tuple(hermite_shape(GAUSS_NODES, order) for order in range(3))
+
+
+def quadrature_element_matrices(h):
+    """The 4x4 element integrals (mass, grad, bending, symmetrized
+    mass-bending cross) by Gauss quadrature of the Hermite shapes: the
+    reference that pencil's closed-form tables are tested against."""
+    scale = np.array([1.0, h, 1.0, h])
+    w = h * GAUSS_WEIGHTS
+    s = [scale[:, None] * shape / h**r for r, shape in enumerate(GAUSS_SHAPES)]
+    cross = (s[0] * w) @ s[2].T
+    return (s[0] * w) @ s[0].T, (s[1] * w) @ s[1].T, (s[2] * w) @ s[2].T, 0.5 * (cross + cross.T)
 
 
 def box_config(nu_plus, nu_minus, fraction):
@@ -175,8 +229,10 @@ def galerkin_compliances(forms):
     and an unrefined solve is off by up to 7e-8 at N = 256, so C_k^N takes
     the refined solve of pencil._interface_solve.
     """
-    e0 = pencil._unit(forms)
-    x = pencil._spd_solve(pencil._spd_factor(forms.B_band, "kinetic matrix"), e0, "kinetic matrix")
+    chol, info = pencil.lapack.dpbtrf(forms.B_band, lower=1)
+    assert info == 0, f"kinetic matrix not positive definite (LAPACK info {info})"
+    x, info = pencil.lapack.dpbtrs(chol, pencil._unit(forms), lower=1)
+    assert info == 0, f"kinetic solve failed (LAPACK info {info})"
     y = pencil._interface_solve(forms, 1.0, 0.0)
     return float(x[forms.e0_index]), float(y[forms.e0_index])
 
@@ -214,7 +270,7 @@ def loop_tables(cfg, n):
             "M_mu": mu * mass,
             "D_mu": mu * grad,
             "H_mu": mu * bend,
-            "X_mu": mu * 0.5 * (cross + cross.T),
+            "X_mu": mu * cross,
         })
     below = np.arange(2 * n) < n
     first = 2 * np.arange(2 * n) - 2  # global dof of each element's local dof 0

@@ -1,7 +1,9 @@
+import math
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,10 +17,11 @@ from conftest import (
     kinetic_form,
     largest_eigenpair,
     loop_tables,
+    quadrature_element_matrices,
     smooth_bump_profile,
 )
 from rtgrowth import pencil, spectrum
-from rtgrowth.errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
+from rtgrowth.errors import ConfigError, FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.modeforms import compliances
@@ -53,9 +56,11 @@ def a_scale(forms):
 
 
 def test_discretization_validation():
-    assert Discretization(4).elements_per_layer == 4
+    # the one resolution floor: the CLI reads it from here (exit 2)
+    assert Discretization(8).elements_per_layer == 8
     with pytest.raises(ResolutionTooSmall):
-        Discretization(3)
+        Discretization(7)
+    assert issubclass(ResolutionTooSmall, ConfigError)
 
 
 def test_assembled_dimensions(reference_config):
@@ -339,6 +344,56 @@ def test_transverse_linear_in_s(reference_config):
         assert alpha_tau.tolist() == expected
 
 
+# cubic Hermite shapes on the unit element (value left, slope left, value
+# right, slope right) as coefficients of 1, u, u^2, u^3
+HERMITE_COEFFICIENTS = ((1, 0, -3, 2), (0, 1, -2, 1), (0, 0, 3, -2), (0, 0, -1, 1))
+
+
+def exact_element_matrices(h):
+    """(mass, grad, bending, symmetrized cross) at element length h, the float
+    read exactly, as Fractions: the shape products integrated term by term
+    over the unit element, times h per slope shape, 1/h per derivative and h
+    for the change of variable."""
+    h = Fraction(h)
+    scale = (1, h, 1, h)
+    shapes = [HERMITE_COEFFICIENTS]
+    for _ in range(2):
+        shapes.append([[i * c for i, c in enumerate(p)][1:] for p in shapes[-1]])
+
+    def integral(p, q):  # of p q over [0, 1]
+        return sum(Fraction(a * b, m + n + 1) for m, a in enumerate(p) for n, b in enumerate(q))
+
+    def table(r, t):
+        return [
+            [scale[i] * scale[j] * h ** (1 - r - t) * integral(shapes[r][i], shapes[t][j]) for j in range(4)]
+            for i in range(4)
+        ]
+
+    cross = table(0, 2)
+    symmetric = [[(cross[i][j] + cross[j][i]) / 2 for j in range(4)] for i in range(4)]
+    return table(0, 0), table(1, 1), table(2, 2), symmetric
+
+
+# the element lengths of the reference (h = 1), contrast (0.3) and
+# anisotropic (0.5 and 1) configs at N = 8, 32 and 128, as _tables forms them
+ELEMENT_LENGTHS = [depth / n for depth in (1.0, 0.3, 0.5) for n in (8, 32, 128)]
+
+
+@pytest.mark.parametrize("h", ELEMENT_LENGTHS + [1.0 / 7.0])
+def test_element_tables_are_within_2_ulp_of_the_exact_integrals(h):
+    # the Gauss quadrature these tables replace was up to 7.6 ulp off
+    for table, exact in zip(pencil._element_matrices(h), exact_element_matrices(h)):
+        for value, rational in zip(np.ravel(table), np.ravel(exact)):
+            assert rational != 0
+            assert abs(Fraction(float(value)) - rational) <= 2 * math.ulp(float(rational)), (value, rational)
+
+
+@pytest.mark.parametrize("h", ELEMENT_LENGTHS + [1.0 / 7.0])
+def test_element_tables_match_gauss_quadrature_of_the_shapes(h):
+    for table, quadrature in zip(pencil._element_matrices(h), quadrature_element_matrices(h)):
+        assert np.all(np.abs(table - quadrature) <= 1e-14 * np.abs(table))
+
+
 def dense_tables(cfg, n):
     """The six k-independent tables by a dense element-by-element scatter."""
     dim = 4 * n - 2
@@ -357,7 +412,7 @@ def dense_tables(cfg, n):
         tables["M_mu"][idx] += mu * mass[sub]
         tables["D_mu"][idx] += mu * grad[sub]
         tables["H_mu"][idx] += mu * bend[sub]
-        tables["X_mu"][idx] += mu * 0.5 * (cross[sub] + cross[sub].T)
+        tables["X_mu"][idx] += mu * cross[sub]
     return tables
 
 
@@ -374,7 +429,7 @@ def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config
             assert not np.triu(view, 4).any()
 
 
-@pytest.mark.parametrize("n", [4, 32, 128])
+@pytest.mark.parametrize("n", [8, 32, 128])
 def test_band_tables_match_the_loop_scatter_bit_for_bit(reference_config, n):
     # int64 views, so that a signed zero or a last-bit difference counts
     for cfg in (reference_config, CONTRAST):

@@ -76,6 +76,59 @@ def test_cli_outputs_takes_a_relative_outdir(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "out" / "reference" / "growth_8.json").read_text())["lambda"] > 0.0
 
 
+def write_outputs(root, growth, stdout, codes="reference/growth_8 0\n"):
+    (root / "reference").mkdir(parents=True)
+    (root / "exit_codes.txt").write_text(codes)
+    (root / "reference" / "growth_8.json").write_text(json.dumps(growth))
+    (root / "reference" / "verify.stdout").write_text(stdout)
+
+
+GROWTH = {"lambda": 2.4381682020, "argmax_k": 5.0, "branch": "longitudinal"}
+VERIFY = "PASS fixed_point: lambda 2.438168202 at k 5.0, residual 1e-13\n"
+
+
+def test_cli_outputs_compare_reports_moved_numbers(tmp_path, capsys, monkeypatch):
+    script = load_script("cli_outputs")
+    write_outputs(tmp_path / "a", GROWTH, VERIFY)
+    write_outputs(
+        tmp_path / "b", {**GROWTH, "lambda": 2.4381682020 * (1 + 4e-11)},
+        VERIFY.replace("1e-13", "-3e-13").replace("2.438168202", "2.4381682021"),
+    )
+    monkeypatch.setattr(sys, "argv", ["cli_outputs.py", "--compare", str(tmp_path / "a"), str(tmp_path / "b")])
+    with pytest.raises(SystemExit) as stop:
+        script.main()
+    assert stop.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "exit_codes.txt: 0 changed, largest relative change 0",
+        "reference/growth_8.json: 1 changed, largest relative change 4e-11",
+        "reference/verify.stdout: 2 changed, largest relative change 4",
+    ]
+    # a failed run leaves a stderr file that the other tree does not have
+    (tmp_path / "b" / "reference" / "growth_8.stderr").write_text("numerical failure: ...\n")
+    assert script.compare(tmp_path / "a", tmp_path / "b") == 1
+    assert "reference/growth_8.stderr: in one directory only" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "growth,stdout,codes",
+    [
+        (GROWTH, VERIFY, "reference/growth_8 4\n"),  # an exit code
+        ({**GROWTH, "branch": "transverse"}, VERIFY, None),  # a branch label
+        ({"lam": 2.4381682020, "argmax_k": 5.0, "branch": "longitudinal"}, VERIFY, None),  # a field name
+        (GROWTH, VERIFY.replace("PASS", "FAIL"), None),  # a verdict
+        (GROWTH, VERIFY.replace(", residual 1e-13", ""), None),  # a vanished number
+    ],
+    ids=["exit_code", "branch", "field", "verdict", "vanished_number"],
+)
+def test_cli_outputs_compare_fails_on_a_non_numeric_difference(tmp_path, capsys, growth, stdout, codes):
+    script = load_script("cli_outputs")
+    write_outputs(tmp_path / "a", GROWTH, VERIFY)
+    write_outputs(tmp_path / "b", growth, stdout, *([codes] if codes else []))
+    assert script.compare(tmp_path / "a", tmp_path / "b") == 1
+    assert "differs in more than its numbers" in capsys.readouterr().out
+
+
 def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     # the bench child reports the final size of every mode set the run builds,
     # the growth results it validates, its dispersion determinant calls, its
