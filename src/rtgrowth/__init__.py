@@ -10,7 +10,7 @@ an exact dispersion-relation oracle cross-checks every growth rate.
 from .fixedpoint import GrowthResult, solve_lambda, solve_mode_lambda
 from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
 from .pencil import Discretization
-from .spectrum import AlphaValue, alpha_curve, global_alpha
+from .spectrum import AlphaValue, alpha_curve
 
 __all__ = [
     "AlphaValue",
@@ -18,7 +18,6 @@ __all__ = [
     "FluidConfig",
     "GrowthResult",
     "alpha_curve",
-    "global_alpha",
     "solve_lambda",
     "solve_mode_lambda",
     "theta_critical",

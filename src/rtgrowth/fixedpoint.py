@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateExponents, SolverError, StableRegime
-from .model import FluidConfig, theta_critical, upper_bound_m, validate_config
+from .errors import DegenerateExponents, SolverError
+from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import VerticalProfile, compliances
 from .pencil import Discretization, FixedPoint, assemble, fixed_point
 from .spectrum import FrozenModeSet, compliance_bound, size_mode_set, smallest_magnitude
@@ -154,15 +154,11 @@ def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> Fixed
     raises DegenerateExponents, as a global scan whose every r_k is 0 does.
     """
     validate_config(cfg)
-    theta_c = theta_critical(cfg)
-    if cfg.theta >= theta_c:
-        raise StableRegime(cfg.theta, theta_c)
+    upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
     forms = assemble(float(k), cfg, disc)
     if forms.c_k <= 0.0:
         return None
-    inviscid, stokes = compliances(forms.k, cfg)
-    # as a numpy float, 1 / stokes**2 is inf past the underflow, not a ZeroDivisionError
-    start = float(compliance_bound(forms.c_k, inviscid, np.float64(stokes)))
+    start = float(compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
     if not start > 0.0:
         raise DegenerateExponents(f"mode k = {forms.k!r} has its bound r_k rounded to 0 at theta = {cfg.theta!r}")
     return fixed_point(forms, start)

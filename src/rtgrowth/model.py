@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import (
     ConfigError,
@@ -65,9 +65,6 @@ class FluidConfig:
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, theta=theta)
         return new
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "FluidConfig":

@@ -67,12 +67,15 @@ argument of pencil.fixed_point, on the continuous forms): F_k strictly
 increases. As n -> 0+, e0^T P^(-1) e0 ~ C_k / n -> infinity (C_k = k^2 / S_k(0),
 modeforms.compliances), so F_k(0+) = -k^2 c_k; e0^T P^(-1) e0 <= I_k / n^2,
 so F_k -> +infinity. F_k therefore has exactly one positive root, the
-continuous Lambda_k, when c_k > 0 and none when c_k <= 0; dispersion_root
-brackets it and refines it by Illinois (modified regula falsi) steps that
-always keep a sign bracket, with a bisection step whenever three steps in a
-row have not halved it, until the bracket is at most 1e-12 of its upper end
-wide. Tests check F_k(n) against this identity at N = 256 and its
-monotonicity over a box of configs.
+continuous Lambda_k, when c_k > 0 and none when c_k <= 0. dispersion_root
+brackets it by [0, min(scan_max, r_k)], with r_k the compliance bound that
+spectrum.compliance_bound proves from the same two forms, so the bracket
+takes nothing from the Galerkin solve it checks. It refines the root by
+Illinois (modified regula falsi) steps that always keep a sign bracket, with
+a bisection step whenever three steps in a row have not halved it, until
+the bracket is at most 1e-12 of its upper end wide. Tests check F_k(n)
+against this identity at N = 256, its monotonicity over a box of configs,
+and F_k > 0 just above r_k over the same box.
 """
 
 from __future__ import annotations
@@ -86,12 +89,13 @@ from .errors import DegenerateExponents, SolverError, ZeroWaveNumber
 from .fixedpoint import solve_mode_lambda
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import (
-    VerticalProfile, _condensed_traction, _interface_traction, _layer_basis, surface_coefficient,
+    VerticalProfile, _condensed_traction, _interface_traction, _layer_basis, compliances,
+    surface_coefficient,
 )
 from .pencil import Discretization
+from .spectrum import compliance_bound
 
 _ROOT_RTOL = 1e-12
-_FLOOR_MARGIN = 1e-9  # a floor rounded up to 1e-9 above the root still shortens the bracket
 
 
 def determinant(k: float, n: float, cfg: FluidConfig) -> float:
@@ -146,61 +150,47 @@ def _refine_root(k, cfg, lo, hi, f_lo, f_hi) -> float:
     return 0.5 * (lo + hi)
 
 
-def dispersion_root(
-    k: float, cfg: FluidConfig, scan_max: float, floor: float | None = None
-) -> float | None:
+def dispersion_root(k: float, cfg: FluidConfig, scan_max: float) -> float | None:
     """Lambda_k, the positive root of F_k, or None when c_k <= 0 (no root).
 
-    scan_max, at least the bound m, is the upper end of the bracket. The
-    lower end is 0, where F_k(0+) = -k^2 c_k is known in closed form, or
-    floor (1 - 1e-9) when a floor is given and F_k is at most 0 there. A
-    floor at which F_k is positive lies above the root, by rounding or
-    because it is no lower bound, and the bracket drops back to [0, scan_max]
-    without a further evaluation. The root is refined (_refine_root) to a
-    bracket [lo, hi] with hi - lo <= 1e-12 hi whose midpoint is returned.
-    F_k strictly increases (module docstring), so the bracket always holds
-    the root unless F_k(scan_max) <= 0; then scan_max is not the bound it is
-    declared to be, and the search raises SolverError instead of widening it.
-
-    floor is meant to be a lower bound of Lambda_k, 0 < floor < scan_max,
-    that shortens the bracket; the Galerkin Lambda_k^N is one in exact
-    arithmetic. alpha_k(s) is a supremum of the Rayleigh quotient over the
-    clamped H^2 profiles, and alpha_k^N(s) the same supremum over the Hermite
-    cubic space, an H^2-conforming subspace that satisfies the wall
-    conditions; so alpha_k^N(s) <= alpha_k(s) at every s. At s = Lambda_k^N
-    this gives s^2 = alpha_k^N(s) <= alpha_k(s), and alpha_k(s) - s^2
-    strictly decreases, so s <= Lambda_k. The computed Lambda_k^N can exceed
-    the root by more than the 1e-9 margin (its rounding grows with N and
-    with the viscosity contrast), which the drop back covers.
+    The bracket is [0, min(scan_max, r_k)], read from the config alone. At 0,
+    F_k(0+) = -k^2 c_k is known in closed form. The upper end hi is the
+    compliance bound r_k, which compliance_bound proves to bound the exact
+    Lambda_k, raised by 1e-9; where that product is not in (0, scan_max), hi
+    is scan_max, at least the bound m. The margin needs no proof, as the sign
+    of F_k(hi) is checked: where F_k(hi) < 0 (a rounded r_k below a nearly
+    tight root, as near theta_c) the bracket becomes [hi, scan_max], one more
+    evaluation. The root is refined (_refine_root) to a bracket [lo, hi] with
+    hi - lo <= 1e-12 hi whose midpoint is returned. F_k strictly increases
+    (module docstring), so the bracket holds the root unless
+    F_k(scan_max) < 0; then scan_max is not the bound it is declared to be,
+    and the search raises SolverError instead of widening it.
     """
     if scan_max < upper_bound_m(cfg):
         raise ValueError(
             f"scan_max = {scan_max!r} below the growth-rate bound; roots could escape"
         )
-    if floor is not None and not 0.0 < floor < scan_max:
-        raise ValueError(f"floor = {floor!r} outside (0, scan_max = {scan_max!r})")
     if k <= 0.0:
         raise ZeroWaveNumber(f"dispersion system needs k > 0, got {float(k)!r}")
     c = surface_coefficient(k, cfg)
     if c <= 0.0:
         return None
     lo, f_lo = 0.0, -k * k * c
-    if floor is not None:
-        seeded = floor * (1.0 - _FLOOR_MARGIN)
-        f_seeded = determinant(k, seeded, cfg)
-        if f_seeded <= 0.0:
-            lo, f_lo = seeded, f_seeded
-    if f_lo == 0.0:
-        return lo
-    f_hi = determinant(k, scan_max, cfg)
+    hi = float(compliance_bound(c, *compliances(k, cfg))) * (1.0 + 1e-9)
+    if not 0.0 < hi < scan_max:
+        hi = scan_max
+    f_hi = determinant(k, hi, cfg)
+    if f_hi < 0.0 and hi < scan_max:
+        lo, f_lo, hi = hi, f_hi, scan_max
+        f_hi = determinant(k, hi, cfg)
     if f_hi == 0.0:
-        return scan_max
+        return hi
     if f_hi < 0.0:
         raise SolverError(
             f"no root of the dispersion relation of mode k = {float(k)!r} in "
             f"[0, {scan_max!r}]: F_k(scan_max) = {f_hi!r} <= 0"
         )
-    return _refine_root(k, cfg, lo, scan_max, f_lo, f_hi)
+    return _refine_root(k, cfg, lo, hi, f_lo, f_hi)
 
 
 def dispersion_profile(k: float, lam: float, cfg: FluidConfig, grid) -> VerticalProfile:
@@ -261,11 +251,21 @@ def compare_modes(
 
     Disagreement is reported, never resolved silently: callers decide what to
     flag against which tolerance. The Galerkin side is solve_mode_lambda;
-    only its Lambda_k is read, so no profile is built. The oracle brackets
-    its root between 1.05 m and the Galerkin Lambda_k^N, a lower bound up to
-    rounding, or 0 where the computed Lambda_k^N lies above the root (see
-    dispersion_root). Raises StableRegime at theta >= theta_c
-    (from the bound m), like solve_mode_lambda.
+    only its Lambda_k is read, so no profile is built, and the oracle's root
+    (dispersion_root, scan_max = 1.05 m) does not depend on it. Raises
+    StableRegime at theta >= theta_c (from the bound m), like
+    solve_mode_lambda.
+
+    In exact arithmetic the gap is one-sided, Lambda_k^N <= Lambda_k, which
+    verify's oracle_agreement relies on. alpha_k(s) is a supremum of the
+    Rayleigh quotient over the clamped H^2 profiles, and alpha_k^N(s) the
+    same supremum over the Hermite cubic space, an H^2-conforming subspace
+    that satisfies the wall conditions; so alpha_k^N(s) <= alpha_k(s) at
+    every s. At s = Lambda_k^N this gives s^2 = alpha_k^N(s) <= alpha_k(s),
+    and alpha_k(s) - s^2 strictly decreases, so s <= Lambda_k. The computed
+    Lambda_k^N can exceed the root by its rounding, which grows with N and
+    with the viscosity contrast; rel_diff is an absolute value, so that
+    excess is reported too.
     """
     validate_config(cfg)
     scan_max = 1.05 * upper_bound_m(cfg)
@@ -280,7 +280,7 @@ def compare_solved_mode(
     cfg: FluidConfig, k: float, lam_v: float | None, scan_max: float
 ) -> ModeComparison:
     """The compare_modes row of mode k, whose Galerkin Lambda_k^N (None if stable) is lam_v."""
-    root = dispersion_root(k, cfg, scan_max, floor=lam_v)
+    root = dispersion_root(k, cfg, scan_max)
     rel = None
     if lam_v is not None and root is not None:
         rel = abs(lam_v - root) / root

@@ -130,10 +130,6 @@ class ModeTable:
     alpha_transverse: np.ndarray
 
     @property
-    def alpha(self) -> np.ndarray:
-        return np.maximum(self.alpha_longitudinal, self.alpha_transverse)
-
-    @property
     def branch(self) -> list[str]:
         return [
             "longitudinal" if al >= at else "transverse"
@@ -335,10 +331,12 @@ def compliance_bound(c, inviscid, stokes):
     without viscosity (D = 0) the fixed point is the inviscid rate
     sqrt(c_k I_k), without inertia (K = 0) the Stokes rate c_k C_k
     (Chandrasekhar, Hydrodynamic and Hydromagnetic Stability, 1961, ch. X).
-    0 where c_k <= 0.
+    0 where c_k <= 0. numpy squares C_k, also for Python floats, so a C_k
+    whose square underflows (mu = 1e300) gives 0, not a ZeroDivisionError,
+    and a scalar call returns the bits of an array one.
     """
     c = np.maximum(c, 0.0)
-    return 2.0 * c / (1.0 / stokes + np.sqrt(1.0 / stokes**2 + 4.0 * c / inviscid))
+    return 2.0 * c / (1.0 / stokes + np.sqrt(1.0 / np.square(stokes) + 4.0 * c / inviscid))
 
 
 def split_bound(cfg: FluidConfig, s: float, split: float = 0.0):
@@ -542,16 +540,6 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
         fm.extend_to(target)
 
 
-def global_alpha(cfg: FluidConfig, s: float, disc: Discretization) -> AlphaValue:
-    """alpha(s, cfg.theta) = sup over modes of the larger branch value.
-
-    The set is sized by size_mode_set at s; FrozenModeSet.alpha_value
-    evaluates a given set as it is.
-    """
-    fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
-    return size_mode_set(fm, cfg.theta, s)
-
-
 @dataclass(frozen=True, eq=False)
 class AlphaCurve:
     """Samples of alpha over a strictly increasing s grid."""
@@ -559,10 +547,6 @@ class AlphaCurve:
     s: np.ndarray
     values: list[AlphaValue] = field(repr=False)
     zero_bracket: tuple[float, float] | None
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.asarray([v.alpha for v in self.values])
 
     def csv_lines(self) -> list[str]:
         lines = ["s,alpha,argmax_k,branch"]

@@ -1,11 +1,12 @@
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rtgrowth import pencil
+from rtgrowth import pencil, spectrum
 from rtgrowth.errors import ZeroWaveNumber
 from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.modeforms import VerticalProfile, uniform_layered_grid
@@ -69,6 +70,28 @@ def quadrature_element_matrices(h):
     s = [scale[:, None] * shape / h**r for r, shape in enumerate(GAUSS_SHAPES)]
     cross = (s[0] * w) @ s[2].T
     return (s[0] * w) @ s[0].T, (s[1] * w) @ s[1].T, (s[2] * w) @ s[2].T, 0.5 * (cross + cross.T)
+
+
+def config_json(cfg):
+    """cfg as the JSON object that FluidConfig.from_json and the CLI read."""
+    return json.dumps(asdict(cfg))
+
+
+def global_alpha(cfg, s, disc):
+    """alpha(s, cfg.theta) over a mode set sized at s by spectrum.size_mode_set,
+    as alpha_curve samples it."""
+    fm = spectrum.FrozenModeSet.freeze(cfg, disc, spectrum.smallest_magnitude(cfg))
+    return spectrum.size_mode_set(fm, cfg.theta, s)
+
+
+def table_alpha(table):
+    """The larger branch value of every row of a spectrum.ModeTable."""
+    return np.maximum(table.alpha_longitudinal, table.alpha_transverse)
+
+
+def curve_alphas(curve):
+    """The sampled alpha values of a spectrum.AlphaCurve."""
+    return np.asarray([v.alpha for v in curve.values])
 
 
 def box_config(nu_plus, nu_minus, fraction):

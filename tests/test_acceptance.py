@@ -16,6 +16,8 @@ import pytest
 
 from conftest import (
     TRACE_TOL,
+    config_json,
+    curve_alphas,
     largest_eigenpair,
     random_admissible_profile,
     threshold_test_profile,
@@ -148,7 +150,7 @@ def test_criterion_4_monotonicity_suites(frozen_reference, reference_sweep):
     fm, res0 = frozen_reference
     s_grid = np.geomspace(0.3 * res0.lam, 2.2 * res0.lam, 10)
     curve = alpha_curve(REFERENCE, s_grid, DISC, frozen=fm)
-    alpha_ok = bool(np.all(np.diff(curve.alphas) < 0.0))
+    alpha_ok = bool(np.all(np.diff(curve_alphas(curve)) < 0.0))
 
     sweep_ok = bool(np.all(np.diff(reference_sweep.lambdas) < 0.0))
 
@@ -249,7 +251,7 @@ def test_criterion_8_discretization_soundness(frozen_reference, reference_sweep)
 
 def test_criterion_9_cli_determinism(tmp_path):
     config = tmp_path / "reference.json"
-    config.write_text(REFERENCE.to_json())
+    config.write_text(config_json(REFERENCE))
     blobs = []
     for run in ("1", "2"):
         out = tmp_path / f"sweep-run{run}.csv"

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_solves
+from conftest import count_solves, curve_alphas
 from rtgrowth import fixedpoint, oracle, pencil, spectrum
 from rtgrowth.analysis import _sized_mode_set, sweep_theta
 from rtgrowth.errors import StableRegime
@@ -206,7 +206,7 @@ def test_no_dense_eigensolve(cheap_config, monkeypatch):
     cfg = cheap_config
     assert solve_lambda(cfg, DISC).lam > 0.0
     assert sweep_theta(cfg, [0.0, 0.5], DISC).lambdas[1] > 0.0
-    assert alpha_curve(cfg, [0.5, 1.0], DISC).alphas[0] > 0.0
+    assert curve_alphas(alpha_curve(cfg, [0.5, 1.0], DISC))[0] > 0.0
     assert solve_mode_lambda(cfg, 1.0, DISC).lam > 0.0
     assert compare_modes(cfg, [1.0], DISC)[0].lambda_variational > 0.0
 

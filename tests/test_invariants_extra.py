@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dissipation_form, kinetic_form, random_admissible_profile
+from conftest import curve_alphas, dissipation_form, kinetic_form, random_admissible_profile
 from rtgrowth.analysis import _sized_mode_set
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import solve_lambda
@@ -22,8 +22,8 @@ def test_alpha_curve_decrease_persists_under_refinement(cheap_config):
     s_grid = np.linspace(0.1, 1.0, 10)
     for n in (8, 16):
         curve = alpha_curve(cheap_config, s_grid, Discretization(n))
-        assert np.all(np.diff(curve.alphas) < 0.0)
-        assert curve.alphas[0] > 0.0
+        assert np.all(np.diff(curve_alphas(curve)) < 0.0)
+        assert curve_alphas(curve)[0] > 0.0
 
 
 def test_sweep_invariant_under_cutoff_doubling(cheap_config):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import config_json
+
 from rtgrowth.errors import (
     DensityOrderViolation,
     ConfigError,
@@ -148,7 +150,7 @@ def test_stable_regime_raised(reference_config):
 
 
 def test_json_round_trip(reference_config):
-    text = reference_config.to_json()
+    text = config_json(reference_config)
     data = json.loads(text)
     assert set(data) == {
         "rho_plus", "rho_minus", "mu_plus", "mu_minus", "g",
@@ -166,7 +168,7 @@ def test_with_theta_matches_a_field_copy(reference_config):
 
 
 def test_json_rejects_unknown_and_missing_fields(reference_config):
-    data = json.loads(reference_config.to_json())
+    data = json.loads(config_json(reference_config))
     data["extra"] = 1.0
     with pytest.raises(ValueError, match="unknown"):
         FluidConfig.from_json(json.dumps(data))
@@ -176,7 +178,7 @@ def test_json_rejects_unknown_and_missing_fields(reference_config):
 
 
 def test_json_accepts_only_finite_numbers(reference_config):
-    text = reference_config.to_json()
+    text = config_json(reference_config)
     assert FluidConfig.from_json(text.replace("0.0", "0")).theta == 0.0
     for raw in ('"1.5"', "true", "null", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
         with pytest.raises(NonFiniteParameter, match="theta"):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from conftest import all_refined_fixed_point, box_config, galerkin_compliances
+from conftest import all_refined_fixed_point, box_config, config_json, galerkin_compliances
 
 from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, SolverError
@@ -275,8 +275,16 @@ def test_root_matches_reference_bisection(reference_config):
         assert dispersion_root(k, cfg, scan_max) == pytest.approx(expected, rel=2e-12, abs=0.0)
 
 
+def _bracket_top(k, cfg, scan_max):
+    """The upper end dispersion_root evaluates first: r_k (1 + 1e-9), or scan_max
+    where that is not below it."""
+    hi = float(spectrum.compliance_bound(surface_coefficient(k, cfg), *compliances(k, cfg))) * (1.0 + 1e-9)
+    return hi if 0.0 < hi < scan_max else scan_max
+
+
 def test_root_determinant_calls(reference_config, monkeypatch):
-    # the left end F_k(0+) is closed-form: one call at scan_max, then the refinement
+    # the left end F_k(0+) is closed-form: one call at the compliance end,
+    # then the refinement
     calls = []
 
     def counting(k, n, cfg):
@@ -288,30 +296,38 @@ def test_root_determinant_calls(reference_config, monkeypatch):
         calls.clear()
         scan_max = 1.05 * upper_bound_m(cfg)
         assert dispersion_root(k, cfg, scan_max) is not None
-        assert calls[0] == scan_max and all(isinstance(n, float) for n in calls)
+        assert calls[0] == _bracket_top(k, cfg, scan_max) and all(type(n) is float for n in calls)
+        assert scan_max not in calls
         assert len(calls) <= 20
 
 
-def test_seeded_root_matches_reference_bisection(reference_config):
-    # the Galerkin Lambda_k as the floor moves no root beyond the bracket width
-    disc = Discretization(32)
+def test_seeded_root_matches_reference_bisection(reference_config, monkeypatch):
+    # where r_k is not below scan_max the bracket is [0, scan_max], and its
+    # roots match the reference bisection as those of the compliance end do
+    monkeypatch.setattr(oracle, "compliance_bound", lambda c, inviscid, stokes: math.inf)
     for cfg, k in _root_cases(reference_config):
         scan_max = 1.05 * upper_bound_m(cfg)
-        floor = solve_mode_lambda(cfg, k, disc).lam
         expected = _bisection_root(k, cfg, scan_max)
-        seeded = dispersion_root(k, cfg, scan_max, floor=floor)
-        assert seeded == pytest.approx(expected, rel=2e-12, abs=0.0)
+        assert dispersion_root(k, cfg, scan_max) == pytest.approx(expected, rel=2e-12, abs=0.0)
 
 
-def test_seeded_root_below_floor_falls_back_to_full_scan(reference_config, monkeypatch):
-    # F_k > 0 at a floor above the root: the bracket drops back to the full
-    # [0, scan_max], and the search runs exactly as without a floor
+def test_root_above_the_compliance_end_is_found_by_the_fallback(reference_config, monkeypatch):
+    # F_k < 0 at r_k (1 + 1e-9), as where a rounded r_k lies below a nearly
+    # tight root: one more evaluation, at scan_max, and the bracket
+    # [r_k (1 + 1e-9), scan_max] still holds the root
     scan_max = 1.05 * upper_bound_m(reference_config)
-    root = 0.3 * math.pi
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - root)
-    full = dispersion_root(1.0, reference_config, scan_max)
-    assert full == pytest.approx(root, rel=1e-12)
-    assert dispersion_root(1.0, reference_config, scan_max, floor=2.0) == full
+    top = _bracket_top(1.0, reference_config, scan_max)
+    assert top < scan_max
+    root = 0.5 * (top + scan_max)
+    calls = []
+
+    def linear(k, n, cfg):
+        calls.append(n)
+        return n - root
+
+    monkeypatch.setattr(oracle, "determinant", linear)
+    assert dispersion_root(1.0, reference_config, scan_max) == pytest.approx(root, rel=1e-12)
+    assert calls[:2] == [top, scan_max]
 
 
 def test_galerkin_floor_above_the_root_still_compares():
@@ -321,24 +337,48 @@ def test_galerkin_floor_above_the_root_still_compares():
     cfg = box_config(-0.11075493, -2.70973775, 0.23154304)
     scan_max = 1.05 * upper_bound_m(cfg)
     (row,) = compare_modes(cfg, [1.0], Discretization(128))
-    assert row.lambda_oracle == pytest.approx(dispersion_root(1.0, cfg, scan_max), rel=2e-12)
+    assert row.lambda_oracle == dispersion_root(1.0, cfg, scan_max)
     assert row.rel_diff <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_oracle_root_takes_nothing_from_the_galerkin_solve(reference_config, monkeypatch, factor):
+    # a Galerkin side off by a factor of 2 either way leaves every oracle
+    # root bit for bit as it was, and shows in rel_diff
+    disc = Discretization(32)
+    ks = _lattice_magnitudes(5.0)
+    rows = compare_modes(reference_config, ks, disc)
+    real = oracle.solve_mode_lambda
+
+    def scaled(cfg, k, disc):
+        fp = real(cfg, k, disc)
+        return dataclasses.replace(fp, lam=factor * fp.lam)
+
+    monkeypatch.setattr(oracle, "solve_mode_lambda", scaled)
+    off = compare_modes(reference_config, ks, disc)
+    assert [r.lambda_oracle for r in off] == [r.lambda_oracle for r in rows]
+    assert all(r.rel_diff >= 0.4 for r in off)
 
 
 def test_empty_bracket_raises(reference_config, monkeypatch):
     # F_k(scan_max) <= 0 puts the root above the declared bound: an error,
-    # not a widened search, with or without a floor
+    # not a widened search, after the compliance end and scan_max
     scan_max = 1.05 * upper_bound_m(reference_config)
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - 2.0 * scan_max)
-    for floor in (None, 1.0):
-        with pytest.raises(SolverError, match="no root of the dispersion relation"):
-            dispersion_root(1.0, reference_config, scan_max, floor=floor)
+    calls = []
+
+    def beyond(k, n, cfg):
+        calls.append(n)
+        return n - 2.0 * scan_max
+
+    monkeypatch.setattr(oracle, "determinant", beyond)
+    with pytest.raises(SolverError, match="no root of the dispersion relation"):
+        dispersion_root(1.0, reference_config, scan_max)
+    assert calls == [_bracket_top(1.0, reference_config, scan_max), scan_max]
 
 
 def test_seeded_root_determinant_calls(reference_config, monkeypatch):
-    # all 145 lattice magnitudes k <= 20 at N = 32: at most 16 evaluations of
-    # F_k per root, the floor end and scan_max first (8.1 on average)
-    disc = Discretization(32)
+    # all 145 lattice magnitudes k <= 20 of the reference config: at most 10
+    # evaluations of F_k per root, the compliance end first (6.9 on average)
     scan_max = 1.05 * upper_bound_m(reference_config)
     ks = _lattice_magnitudes(20.0)
     assert len(ks) == 145
@@ -350,28 +390,24 @@ def test_seeded_root_determinant_calls(reference_config, monkeypatch):
 
     monkeypatch.setattr(oracle, "determinant", counting)
     for k in ks:
-        floor = solve_mode_lambda(reference_config, k, disc).lam
         calls.clear()
-        assert dispersion_root(k, reference_config, scan_max, floor=floor) is not None
-        assert calls[:2] == [floor * (1.0 - 1e-9), scan_max]
+        assert dispersion_root(k, reference_config, scan_max) is not None
+        assert calls[0] == _bracket_top(k, reference_config, scan_max)
         counts.append(len(calls))
-    assert max(counts) <= 16
-    assert sum(counts) / len(counts) <= 9.0
+    assert max(counts) <= 10
+    assert sum(counts) / len(counts) <= 7.2
 
 
-def test_floor_precondition(reference_config):
-    scan_max = 1.05 * upper_bound_m(reference_config)
-    for floor in (0.0, -1.0, scan_max, 2.0 * scan_max):
-        with pytest.raises(ValueError):
-            dispersion_root(1.0, reference_config, scan_max, floor=floor)
-
-
-def test_scan_overflow_raises(reference_config):
+def test_scan_overflow_raises(reference_config, monkeypatch):
     m = upper_bound_m(reference_config)
     # k h = 800 is no overflow: the root is finite and below m
     root = dispersion_root(800.0, reference_config, 1.05 * m)
     assert 0.0 < root < m
-    # only the top of this bracket overflows
+    # the top of this bracket overflows, but r_k < 1.05 m ends the bracket
+    # first, so the root is that of 1.05 m
+    assert dispersion_root(1.0, reference_config, 1e250) == dispersion_root(1.0, reference_config, 1.05 * m)
+    # without a compliance end the bracket reaches scan_max, which overflows
+    monkeypatch.setattr(oracle, "compliance_bound", lambda c, inviscid, stokes: 0.0)
     with pytest.raises(DegenerateExponents):
         dispersion_root(1.0, reference_config, 1e250)
 
@@ -414,7 +450,7 @@ def test_low_viscosity_argmax_root_below_m(reference_config):
     m = upper_bound_m(cfg)
     k = math.sqrt(481.0)
     lam = solve_mode_lambda(cfg, k, Discretization(128)).lam
-    root = dispersion_root(k, cfg, 1.05 * m, floor=lam)
+    root = dispersion_root(k, cfg, 1.05 * m)
     assert root == pytest.approx(5.2617093, rel=1e-7)
     assert root < m
     assert root - lam <= ORACLE_TOL * root
@@ -423,7 +459,7 @@ def test_low_viscosity_argmax_root_below_m(reference_config):
 def test_oracle_compare_to_k40_agrees(reference_config, tmp_path):
     # every one of the 504 magnitudes up to k = 40 at N = 128
     config = tmp_path / "reference.json"
-    config.write_text(reference_config.to_json())
+    config.write_text(config_json(reference_config))
     out = tmp_path / "compare.csv"
     assert cli.main(["oracle-compare", "--config", str(config), "--resolution", "128",
                      "--kmax", "40", "--out", str(out)]) == 0
@@ -435,8 +471,8 @@ def test_oracle_compare_to_k40_agrees(reference_config, tmp_path):
 def _check_box_case(nu_plus, nu_minus, fraction, i, j):
     # mu / rho in [1e-4, 1] per layer, theta / theta_c in [0, 0.99] and a
     # lattice k with k h up to 300: F_k strictly increases from its limit
-    # -k^2 c_k, its root is at most m, and the N = 64 Galerkin Lambda_k^N
-    # stays below it
+    # -k^2 c_k, it is positive just above the compliance bound r_k, its root
+    # is at most m, and the N = 64 Galerkin Lambda_k^N stays below it
     cfg = box_config(nu_plus, nu_minus, fraction)
     k = math.hypot(i, j)
     m = upper_bound_m(cfg)
@@ -450,6 +486,8 @@ def _check_box_case(nu_plus, nu_minus, fraction, i, j):
     if surface_coefficient(k, cfg) <= 0.0:
         assert root is None and growth is None
         return
+    r_k = float(spectrum.compliance_bound(surface_coefficient(k, cfg), *compliances(k, cfg)))
+    assert determinant(k, r_k * (1.0 + 1e-9), cfg) > 0.0
     assert 0.0 < root <= m
     assert growth.lam <= root * (1.0 + 1e-9)
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_config, galerkin_compliances, largest_eigenpair
+from conftest import (
+    box_config, curve_alphas, galerkin_compliances, global_alpha, largest_eigenpair, table_alpha,
+)
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
 from rtgrowth.analysis import sweep_theta
@@ -27,7 +29,6 @@ from rtgrowth.spectrum import (
     _split_cutoff,
     certified_cutoff,
     enumerate_modes,
-    global_alpha,
     growth_cutoff,
     size_mode_set,
     smallest_magnitude,
@@ -159,8 +160,8 @@ def test_global_alpha_value_contract(cheap_config):
     assert value.alpha > 0.0
     # the scan solves the maximizer exactly as the full table does
     table = fm.table(0.5, 0.0)
-    assert value.alpha == np.max(table.alpha)
-    assert value.argmax_k == table.k[np.argmax(table.alpha)]
+    assert value.alpha == np.max(table_alpha(table))
+    assert value.argmax_k == table.k[np.argmax(table_alpha(table))]
     assert global_alpha(cheap_config, 0.5, DISC).alpha == value.alpha
     surface, dissipation = reference_maximizer(value, cheap_config)
     assert surface > 0.0
@@ -174,7 +175,7 @@ def test_global_alpha_value_contract(cheap_config):
 def test_global_alpha_negative_for_large_s(cheap_config):
     assert global_alpha(cheap_config, 80.0, DISC).alpha < 0.0
     table = FrozenModeSet.freeze(cheap_config, DISC, K_MAX).table(80.0, 0.0)
-    assert np.all(table.alpha < 0.0)
+    assert np.all(table_alpha(table) < 0.0)
     assert np.all(table.alpha_transverse < 0.0)
 
 
@@ -220,12 +221,12 @@ def test_alpha_lipschitz_bound(cheap_config):
 
 def test_alpha_curve_monotone_with_zero_bracket(cheap_config):
     curve = alpha_curve(cheap_config, np.linspace(0.2, 4.0, 8), DISC)
-    assert np.all(np.diff(curve.alphas) < 0.0)
+    assert np.all(np.diff(curve_alphas(curve)) < 0.0)
     assert curve.zero_bracket is not None
     lo, hi = curve.zero_bracket
     assert lo < hi
     i = list(curve.s).index(lo)
-    assert curve.alphas[i] > 0.0 >= curve.alphas[i + 1]
+    assert curve_alphas(curve)[i] > 0.0 >= curve_alphas(curve)[i + 1]
     lines = curve.csv_lines()
     assert lines[0] == "s,alpha,argmax_k,branch"
     assert len(lines) == 9
@@ -374,7 +375,7 @@ def test_split_bound_holds_on_both_branches(cfg, fraction, s, split):
     assert np.all(table.alpha_transverse <= bound + slack)
 
     # past the cutoff some split is below the floor, so no mode reaches it
-    floor = float(np.max(table.alpha))
+    floor = float(np.max(table_alpha(table)))
     cutoff = certified_cutoff(cfg_theta, s, floor)
     beyond = np.linspace(cutoff, 4.0 * cutoff, 400)[1:]
     splits = (0.0, 0.5, 1.0) if floor > 0.0 else (0.0, 0.5)
@@ -455,6 +456,18 @@ def test_growth_cutoff_is_the_largest_root_of_the_envelope_polynomial(cfg, fract
         growth_cutoff(cfg, 0.0)
 
 
+def test_compliance_bound_takes_python_floats(rng):
+    # Python floats give the bits of arrays, and a C_k whose square
+    # underflows (mu = 1e300) gives r_k = 0, not a ZeroDivisionError
+    c = rng.uniform(-1.0, 20.0, 2000)
+    inviscid, stokes = 10.0 ** rng.uniform(-3.0, 3.0, 2000), 10.0 ** rng.uniform(-150.0, 5.0, 2000)
+    arrays = spectrum.compliance_bound(c, inviscid, stokes)
+    scalars = [float(spectrum.compliance_bound(*args)) for args in zip(c.tolist(), inviscid.tolist(), stokes.tolist())]
+    assert scalars == arrays.tolist()
+    with np.errstate(divide="ignore"):
+        assert spectrum.compliance_bound(9.8, 0.4, 1e-170) == 0.0
+
+
 def test_growth_cutoff_is_the_closed_form_root_without_surface_tension(cheap_config):
     def p(k, theta, lam):
         return (theta * k**3 + 2.0 * 2.0 * lam * k**2 - 9.8 * k + 3.0 * lam**2)
@@ -530,7 +543,7 @@ def test_inertia_scans_match_full_solves(cfg, fraction, s):
     # The scans equal the maximum over a full solve of every mode, and every
     # mode the growth scan ruled out has Lambda_k below that maximum.
     table = fm.table(s, theta)
-    assert fm.alpha_value(s, theta).alpha == np.max(table.alpha)
+    assert fm.alpha_value(s, theta).alpha == np.max(table_alpha(table))
     solved = []
     real = spectrum.fixed_point
 
