@@ -11,7 +11,8 @@ anisotropic (L2 = 1.7, h- = 0.5, mu- = 0.2, theta = 3). On each it runs
 `growth --mode-table` at N = 32 and 128; `sweep-theta` at N = 64 as CSV with
 its report, as JSON, and on the grid 0.3,0.6,0.95; `verify` at N = 64 with
 its stdout and its JSON; `alpha-curve --s-grid 0.1,0.3,1,3` at N = 32 with
-and without `--kmax 6`; and `oracle-compare` at N = 32. Every run's exit
+and without `--kmax 6`, and as JSON; and `oracle-compare` at N = 32 as CSV
+and as JSON. Every run's exit
 code goes to OUTDIR/exit_codes.txt, and the stderr of a failed run to
 <name>.stderr beside its outputs. Outputs are byte-stable, so comparing two
 trees is one `diff -r` of their OUTDIRs.
@@ -59,7 +60,8 @@ CONFIGS = {
 }
 
 # (name, command-line arguments, stdout file or None); {out} is the config's
-# output directory. Every cli.COMMANDS entry appears (tests/test_scripts.py).
+# output directory. Every cli.COMMANDS entry appears, and each command that
+# reads --format runs in both formats (tests/test_scripts.py).
 RUNS = [
     ("growth_32", ["growth", "--resolution", "32", "--out", "{out}/growth_32.json",
                    "--mode-table", "{out}/growth_32.modes.csv"], None),
@@ -75,8 +77,12 @@ RUNS = [
                      "--out", "{out}/alpha_curve.csv"], None),
     ("alpha_curve_kmax", ["alpha-curve", "--resolution", "32", "--s-grid", "0.1,0.3,1,3",
                           "--kmax", "6", "--out", "{out}/alpha_curve_kmax.csv"], None),
+    ("alpha_curve_json", ["alpha-curve", "--resolution", "32", "--s-grid", "0.1,0.3,1,3",
+                          "--format", "json", "--out", "{out}/alpha_curve.json"], None),
     ("oracle_compare", ["oracle-compare", "--resolution", "32",
                         "--out", "{out}/oracle_compare.csv"], None),
+    ("oracle_compare_json", ["oracle-compare", "--resolution", "32", "--format", "json",
+                             "--out", "{out}/oracle_compare.json"], None),
 ]
 
 

@@ -14,7 +14,6 @@ lists each point's compliance bound on the exact Lambda, which it has checked.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,28 +63,6 @@ class ThetaSweep:
     def bounds_m(self) -> np.ndarray:
         return np.asarray([r.bound_m for r in self.results])
 
-    def rows(self) -> list[dict]:
-        """One dict per grid point, in the order of the --format json rows."""
-        return [
-            {
-                "theta": float(r.theta),
-                "theta_over_theta_c": float(r.theta / self.theta_c),
-                "lambda": float(r.lam),
-                "bound_m": float(r.bound_m),
-                "bound_compliance": float(r.bound_compliance),
-                "argmax_k": float(r.argmax_k),
-                "residual": float(r.fixed_point_residual),
-            }
-            for r in self.results
-        ]
-
-    def csv_lines(self) -> list[str]:
-        columns = ("theta", "theta_over_theta_c", "lambda", "bound_m", "argmax_k", "residual")
-        lines = [",".join(columns)]
-        for row in self.rows():
-            lines.append(",".join(repr(row[c]) for c in columns))
-        return lines
-
     def report(self) -> dict:
         lam = self.lambdas
         return {
@@ -97,9 +74,6 @@ class ThetaSweep:
             "m_below_wang_tice": bool(np.all(self.bounds_m <= self.wang_tice * (1.0 + 1e-12))),
             "bound_compliance": [float(r.bound_compliance) for r in self.results],
         }
-
-    def report_json(self) -> str:
-        return json.dumps(self.report())
 
 
 def sweep_theta(cfg: FluidConfig, fractions, disc: Discretization) -> ThetaSweep:
@@ -139,15 +113,6 @@ class VerifyReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
 
 def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
@@ -225,7 +190,7 @@ def verify_all(cfg: FluidConfig, disc: Discretization) -> VerifyReport:
     try:
         # the fixed_point check has solved the argmax mode: its Lambda_k^N is result.lam
         rows = [
-            compare_solved_mode(cfg, k, result.lam, 1.05 * m)
+            compare_solved_mode(cfg, k, result.lam)
             if result is not None and k == result.argmax_k
             else compare_modes(cfg, [k], disc)[0]
             for k in ks

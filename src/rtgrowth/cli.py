@@ -3,15 +3,18 @@
 Exit codes: 0 success, 1 failed verification, 2 configuration or validation
 error, 3 stable regime (theta at or above the computed threshold), 4
 numerical failure, including any unexpected exception (reported in one line,
-never as a traceback). Output files are byte-stable across runs: floats are
-serialized with shortest round-trip repr, field order is fixed, newlines are
-'\n'. Only alpha-curve and oracle-compare read --kmax; it must reach the
-smallest lattice magnitude.
+never as a traceback). This module alone writes CSV and JSON, apart from
+GrowthResult.to_json_dict. Output files are byte-stable across runs: every
+CSV cell follows one rule (_cell: a float as its shortest round-trip repr, an
+empty cell for None, a label as it is), which json.dumps matches with null
+for None; field order is fixed, newlines are '\n'. Only alpha-curve and
+oracle-compare read --kmax; it must reach the smallest lattice magnitude.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -72,7 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-compare: compare every mode up to it; "
         "ignored by the other commands",
     )
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument(
+        "--format",
+        choices=("csv", "json"),
+        default="csv",
+        help="output format of alpha-curve, sweep-theta and oracle-compare; "
+        "growth and verify --out always write JSON, and --mode-table always writes CSV",
+    )
     p.add_argument(
         "--mode-table",
         default=None,
@@ -125,12 +134,31 @@ def _emit(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
 
 
+def _cell(value) -> str:
+    """The one cell rule: a number as the shortest round-trip repr of its
+    float, None as an empty cell, a label as it is. json.dumps writes the
+    same floats, and None as null."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(float(value))
+
+
+def _render(columns, rows, fmt: str) -> str:
+    """rows, tuples in the order of columns, as CSV lines under a header or
+    as a JSON list of row objects."""
+    if fmt == "json":
+        return json.dumps([dict(zip(columns, row)) for row in rows])
+    return "\n".join([",".join(columns), *(",".join(map(_cell, row)) for row in rows)])
+
+
 def _cmd_growth(cfg, disc, args) -> int:
     result = solve_lambda(cfg, disc)
     _emit(json.dumps(result.to_json_dict()), args.out)
     if args.mode_table:
         table = result.mode_set.table(result.lam, result.theta)
-        _emit("\n".join(table.csv_lines()), args.mode_table)
+        rows = zip(table.k, table.alpha_longitudinal, table.alpha_transverse, table.branch)
+        columns = ("k", "alpha_longitudinal", "alpha_transverse", "branch")
+        _emit(_render(columns, rows, "csv"), args.mode_table)
     return 0
 
 
@@ -141,17 +169,14 @@ def _cmd_alpha_curve(cfg, disc, args) -> int:
     k_max = _kmax(cfg, args)
     frozen = None if k_max is None else spectrum.FrozenModeSet.freeze(cfg, disc, k_max)
     curve = spectrum.alpha_curve(cfg, s_grid, disc, frozen=frozen)
+    columns = ("s", "alpha", "argmax_k", "branch")
+    rows = [(float(s), v.alpha, v.argmax_k, v.branch) for s, v in zip(curve.s, curve.values)]
     if args.format == "json":
-        payload = {
-            "s": list(map(float, curve.s)),
-            "alpha": [v.alpha for v in curve.values],
-            "argmax_k": [v.argmax_k for v in curve.values],
-            "branch": [v.branch for v in curve.values],
-            "zero_bracket": curve.zero_bracket,
-        }
-        _emit(json.dumps(payload), args.out)
+        # one list per column, then the bracket of alpha's zero
+        lists = dict(zip(columns, map(list, zip(*rows))))
+        _emit(json.dumps({**lists, "zero_bracket": curve.zero_bracket}), args.out)
     else:
-        _emit("\n".join(curve.csv_lines()), args.out)
+        _emit(_render(columns, rows, "csv"), args.out)
     return 0
 
 
@@ -169,21 +194,9 @@ def _comparison_ks(cfg, args) -> np.ndarray:
 
 
 def _cmd_compare(cfg, disc, args) -> int:
-    ks = _comparison_ks(cfg, args)
-    rows = oracle.compare_modes(cfg, ks, disc)
-    if args.format == "json":
-        payload = [
-            {
-                "k": r.k,
-                "lambda_oracle": r.lambda_oracle,
-                "lambda_variational": r.lambda_variational,
-                "rel_diff": r.rel_diff,
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(payload), args.out)
-    else:
-        _emit("\n".join(oracle.comparison_csv_lines(rows)), args.out)
+    comparisons = oracle.compare_modes(cfg, _comparison_ks(cfg, args), disc)
+    rows = [(r.k, r.lambda_oracle, r.lambda_variational, r.rel_diff) for r in comparisons]
+    _emit(_render(("k", "lambda_oracle", "lambda_variational", "rel_diff"), rows, args.format), args.out)
     return 0
 
 
@@ -192,12 +205,21 @@ def _cmd_sweep(cfg, disc, args) -> int:
     if np.any(fractions < 0.0) or np.any(fractions >= 1.0):
         raise ConfigError("--theta-grid fractions must lie in [0, 1)")
     sweep = analysis.sweep_theta(cfg, fractions, disc)
+    columns = ("theta", "theta_over_theta_c", "lambda", "bound_m", "bound_compliance", "argmax_k", "residual")
+    rows = [
+        tuple(map(float, (r.theta, r.theta / sweep.theta_c, r.lam, r.bound_m, r.bound_compliance,
+                          r.argmax_k, r.fixed_point_residual)))
+        for r in sweep.results
+    ]
     if args.format == "json":
-        _emit(json.dumps({"rows": sweep.rows(), "report": sweep.report()}), args.out)
+        records = [dict(zip(columns, row)) for row in rows]
+        _emit(json.dumps({"rows": records, "report": sweep.report()}), args.out)
     else:
-        _emit("\n".join(sweep.csv_lines()), args.out)
+        # the CSV leaves bound_compliance to its report, which lists it per point
+        i = columns.index("bound_compliance")
+        _emit(_render(columns[:i] + columns[i + 1:], [row[:i] + row[i + 1:] for row in rows], "csv"), args.out)
         report_path = (args.out + ".report.json") if args.out else None
-        _emit(sweep.report_json(), report_path)
+        _emit(json.dumps(sweep.report()), report_path)
     return 0
 
 
@@ -207,7 +229,8 @@ def _cmd_verify(cfg, disc, args) -> int:
         status = "PASS" if check.passed else "FAIL"
         sys.stdout.write(f"{status} {check.name}: {check.detail}\n")
     if args.out:
-        _emit(json.dumps(report.to_json_dict()), args.out)
+        checks = [dataclasses.asdict(check) for check in report.checks]
+        _emit(json.dumps({"all_pass": report.all_pass, "checks": checks}), args.out)
     return 0 if report.all_pass else EXIT_VERIFY_FAILED
 
 

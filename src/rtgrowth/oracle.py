@@ -253,8 +253,7 @@ def compare_modes(
     flag against which tolerance. The Galerkin side is solve_mode_lambda;
     only its Lambda_k is read, so no profile is built, and the oracle's root
     (dispersion_root, scan_max = 1.05 m) does not depend on it. Raises
-    StableRegime at theta >= theta_c (from the bound m), like
-    solve_mode_lambda.
+    StableRegime at theta >= theta_c, from solve_mode_lambda's bound m.
 
     In exact arithmetic the gap is one-sided, Lambda_k^N <= Lambda_k, which
     verify's oracle_agreement relies on. alpha_k(s) is a supremum of the
@@ -268,30 +267,20 @@ def compare_modes(
     excess is reported too.
     """
     validate_config(cfg)
-    scan_max = 1.05 * upper_bound_m(cfg)
     rows = []
     for k in ks:
         solved = solve_mode_lambda(cfg, k, disc)
-        rows.append(compare_solved_mode(cfg, k, solved.lam if solved is not None else None, scan_max))
+        rows.append(compare_solved_mode(cfg, k, solved.lam if solved is not None else None))
     return rows
 
 
-def compare_solved_mode(
-    cfg: FluidConfig, k: float, lam_v: float | None, scan_max: float
-) -> ModeComparison:
-    """The compare_modes row of mode k, whose Galerkin Lambda_k^N (None if stable) is lam_v."""
-    root = dispersion_root(k, cfg, scan_max)
+def compare_solved_mode(cfg: FluidConfig, k: float, lam_v: float | None) -> ModeComparison:
+    """The compare_modes row of mode k, whose Galerkin Lambda_k^N (None if stable) is lam_v.
+
+    Every comparison, compare_modes' and verify's, scans for the root up to
+    scan_max = 1.05 m, above the bound m on every root."""
+    root = dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg))
     rel = None
     if lam_v is not None and root is not None:
         rel = abs(lam_v - root) / root
     return ModeComparison(k=float(k), lambda_variational=lam_v, lambda_oracle=root, rel_diff=rel)
-
-
-def comparison_csv_lines(rows: list[ModeComparison]) -> list[str]:
-    lines = ["k,lambda_oracle,lambda_variational,rel_diff"]
-    for r in rows:
-        oracle = "" if r.lambda_oracle is None else repr(float(r.lambda_oracle))
-        vari = "" if r.lambda_variational is None else repr(float(r.lambda_variational))
-        rel = "" if r.rel_diff is None else repr(float(r.rel_diff))
-        lines.append(f"{float(r.k)!r},{oracle},{vari},{rel}")
-    return lines

@@ -136,14 +136,6 @@ class ModeTable:
             for al, at in zip(self.alpha_longitudinal, self.alpha_transverse)
         ]
 
-    def csv_lines(self) -> list[str]:
-        lines = ["k,alpha_longitudinal,alpha_transverse,branch"]
-        for k, al, at, br in zip(
-            self.k, self.alpha_longitudinal, self.alpha_transverse, self.branch
-        ):
-            lines.append(f"{float(k)!r},{float(al)!r},{float(at)!r},{br}")
-        return lines
-
 
 @dataclass(frozen=True, eq=False)
 class AlphaValue:
@@ -547,12 +539,6 @@ class AlphaCurve:
     s: np.ndarray
     values: list[AlphaValue] = field(repr=False)
     zero_bracket: tuple[float, float] | None
-
-    def csv_lines(self) -> list[str]:
-        lines = ["s,alpha,argmax_k,branch"]
-        for s, v in zip(self.s, self.values):
-            lines.append(f"{float(s)!r},{float(v.alpha)!r},{float(v.argmax_k)!r},{v.branch}")
-        return lines
 
 
 def alpha_curve(

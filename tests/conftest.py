@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rtgrowth import pencil, spectrum
+from rtgrowth import cli, pencil, spectrum
 from rtgrowth.errors import ZeroWaveNumber
 from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.modeforms import VerticalProfile, uniform_layered_grid
@@ -75,6 +75,14 @@ def quadrature_element_matrices(h):
 def config_json(cfg):
     """cfg as the JSON object that FluidConfig.from_json and the CLI read."""
     return json.dumps(asdict(cfg))
+
+
+def cli_output(tmp_path, cfg, command, *args):
+    """Run command in process on cfg, which must exit 0; return its --out path."""
+    config, out = tmp_path / "cli_config.json", tmp_path / f"{command}.out"
+    config.write_text(config_json(cfg))
+    assert cli.main([command, "--config", str(config), *args, "--out", str(out)]) == 0
+    return out
 
 
 def global_alpha(cfg, s, disc):

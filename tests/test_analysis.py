@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import cli_output
 from rtgrowth import analysis, oracle
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
@@ -62,10 +63,9 @@ def test_sweep_contract(cheap_config):
     assert report["bounded_by_m"] and report["m_below_wang_tice"]
 
 
-def test_sweep_csv_shape(cheap_config):
-    cfg = cheap_config
-    sweep = sweep_theta(cfg, [0.0, 0.5], DISC)
-    lines = sweep.csv_lines()
+def test_sweep_csv_shape(cheap_config, tmp_path):
+    out = cli_output(tmp_path, cheap_config, "sweep-theta", "--theta-grid", "0,0.5", "--resolution", "8")
+    lines = out.read_text().splitlines()
     assert lines[0] == "theta,theta_over_theta_c,lambda,bound_m,argmax_k,residual"
     assert len(lines) == 3
     row = lines[1].split(",")
@@ -112,7 +112,7 @@ def test_limit_check(cheap_config):
     assert sweep.lambdas[-1] < 0.05 * sweep.lambdas[0]
 
 
-def test_verify_all_passes(cheap_config):
+def test_verify_all_passes(cheap_config, tmp_path):
     report = verify_all(cheap_config, Discretization(16))
     for check in report.checks:
         assert check.passed, f"{check.name}: {check.detail}"
@@ -125,9 +125,10 @@ def test_verify_all_passes(cheap_config):
     m = upper_bound_m(cheap_config)
     assert report.checks[0].detail.endswith(f"8 samples on [{m / 20.0!r}, {1.2 * m!r}]")
     assert not any("np." in c.detail for c in report.checks)
-    payload = report.to_json_dict()
+    # the CLI writes the same report, every field a plain JSON value
+    payload = json.loads(cli_output(tmp_path, cheap_config, "verify", "--resolution", "16").read_text())
     assert payload["all_pass"] is True
-    json.dumps(payload)  # every field is a plain JSON value
+    assert payload["checks"] == [dataclasses.asdict(c) for c in report.checks]
 
 
 def test_verify_alpha_checks_name_their_mode_set(cheap_config):
@@ -191,8 +192,7 @@ def test_verify_profile_check_reads_the_oracle_root(cheap_config, monkeypatch):
     # check found, with no further root solve, against the oracle tolerance
     disc = Discretization(16)
     result = solve_lambda(cheap_config, disc)
-    scan_max = 1.05 * upper_bound_m(cheap_config)
-    root = oracle.compare_solved_mode(cheap_config, result.argmax_k, result.lam, scan_max).lambda_oracle
+    root = oracle.compare_solved_mode(cheap_config, result.argmax_k, result.lam).lambda_oracle
     err = oracle.profile_error(result.eigenprofile, result.argmax_k, root, cheap_config)[0]
     roots, real_root = [], oracle.dispersion_root
 

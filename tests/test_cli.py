@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rtgrowth import oracle, pencil, spectrum
 from rtgrowth.cli import COMMANDS, main
-from rtgrowth.model import theta_critical
+from rtgrowth.model import FluidConfig, theta_critical
 
 CHEAP = {
     "rho_plus": 2.0, "rho_minus": 1.0, "mu_plus": 1.0, "mu_minus": 1.0,
@@ -68,6 +68,54 @@ def test_growth_mode_table(config_path, tmp_path, monkeypatch):
 
     monkeypatch.setattr("rtgrowth.spectrum.FrozenModeSet.table", refuse)
     assert run_cli(args) == 0
+
+
+def csv_rows(path):
+    lines = path.read_text().splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def same_values(csv_row, json_row):
+    # every CSV cell holds its JSON value: a float's repr, a label, or empty for null
+    def cell(value):
+        return "" if value is None else value if isinstance(value, str) else repr(float(value))
+
+    return all(text == cell(json_row[column]) for column, text in csv_row.items())
+
+
+def test_csv_and_json_carry_the_same_values(tmp_path):
+    # near theta_c every mode above the smallest is stable: empty cells, nulls
+    near = {**CHEAP, "theta": 0.9 * theta_critical(FluidConfig(**CHEAP))}
+    for name, fields in (("cheap", CHEAP), ("near", near)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(fields))
+
+    def both(config, command, *args):
+        outs = [tmp_path / f"{config}.{command}.{fmt}" for fmt in ("csv", "json")]
+        for fmt, out in zip(("csv", "json"), outs):
+            argv = [command, "--config", str(tmp_path / f"{config}.json"), "--resolution", "8",
+                    "--format", fmt, "--out", str(out), *args]
+            assert run_cli(argv) == 0
+        return csv_rows(outs[0]), json.loads(outs[1].read_text()), outs[0]
+
+    rows, payload, _ = both("cheap", "alpha-curve", "--s-grid", "0.1,0.3,1,3")
+    assert len(rows) == len(payload["s"]) == 4
+    assert all(same_values(row, {c: payload[c][i] for c in row}) for i, row in enumerate(rows))
+    assert payload["zero_bracket"] is None or len(payload["zero_bracket"]) == 2
+
+    rows, payload, csv_path = both("cheap", "sweep-theta", "--theta-grid", "0,0.5,0.9")
+    assert len(rows) == len(payload["rows"]) == 3
+    assert all(same_values(row, json_row) for row, json_row in zip(rows, payload["rows"]))
+    report = json.loads(Path(str(csv_path) + ".report.json").read_text())
+    assert report == payload["report"]
+    assert report["bound_compliance"] == [r["bound_compliance"] for r in payload["rows"]]
+
+    rows, payload, _ = both("near", "oracle-compare")
+    assert len(rows) == len(payload) == 12
+    assert all(same_values(row, json_row) for row, json_row in zip(rows, payload))
+    assert all(list(row) == list(json_row) for row, json_row in zip(rows, payload))
+    stable = [row for row in payload if row["lambda_oracle"] is None]
+    assert len(stable) == 11 and all(row["rel_diff"] is None for row in stable)
+    assert rows[1] == {"k": repr(payload[1]["k"]), "lambda_oracle": "", "lambda_variational": "", "rel_diff": ""}
 
 
 def test_malformed_config_exit_2(tmp_path):

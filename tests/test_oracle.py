@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from conftest import all_refined_fixed_point, box_config, config_json, galerkin_compliances
+from conftest import all_refined_fixed_point, box_config, cli_output, config_json, galerkin_compliances
 
 from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, SolverError
@@ -22,7 +22,6 @@ from rtgrowth.modeforms import (
 )
 from rtgrowth.oracle import (
     compare_modes,
-    comparison_csv_lines,
     determinant,
     dispersion_profile,
     dispersion_root,
@@ -624,15 +623,19 @@ def test_config_box_galerkin_floor_counterexample():
     _check_box_case(-0.10001778, -1.38176338, 0.78403162, 0, 1)
 
 
-def test_compare_modes_table(reference_config):
+def test_compare_modes_table(reference_config, tmp_path):
     disc = Discretization(32)
     rows = compare_modes(reference_config, [1.0, math.sqrt(2.0)], disc)
     assert all(r.rel_diff is not None and r.rel_diff < 1e-4 for r in rows)
-    lines = comparison_csv_lines(rows)
+    # oracle-compare writes the same rows: the modes up to 1.5 are these two
+    out = cli_output(tmp_path, reference_config, "oracle-compare", "--kmax", "1.5", "--resolution", "32")
+    lines = out.read_text().splitlines()
     assert lines[0] == "k,lambda_oracle,lambda_variational,rel_diff"
+    assert len(lines) == 3
     cells = lines[1].split(",")
     assert float(cells[0]) == 1.0
     assert float(cells[3]) < 1e-4
+    assert float(cells[3]) == rows[0].rel_diff
 
 
 def test_compare_modes_builds_no_profile(reference_config, monkeypatch):
@@ -651,10 +654,12 @@ def test_compare_modes_builds_no_profile(reference_config, monkeypatch):
     assert all(r.rel_diff < 1e-3 for r in rows)
 
 
-def test_compare_modes_stable_entry(reference_config):
+def test_compare_modes_stable_entry(reference_config, tmp_path):
     cfg = reference_config.with_theta(0.5 * theta_critical(reference_config))
     rows = compare_modes(cfg, [2.0], Discretization(16))
     assert rows[0].lambda_variational is None
     assert rows[0].lambda_oracle is None
     assert rows[0].rel_diff is None
-    assert comparison_csv_lines(rows)[1] == "2.0,,,"
+    # the modes up to k = 2 are 1, sqrt(2) and 2, each in its own CSV row
+    out = cli_output(tmp_path, cfg, "oracle-compare", "--kmax", "2", "--resolution", "16")
+    assert out.read_text().splitlines()[3] == "2.0,,,"

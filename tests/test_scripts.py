@@ -59,6 +59,10 @@ def test_cli_outputs_covers_every_command():
     runs = load_script("cli_outputs").RUNS
     assert {argv[0] for _, argv, _ in runs} == set(cli.COMMANDS)
     assert len({name for name, _, _ in runs}) == len(runs)
+    # and each command that reads --format in both formats
+    formats = {(argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "csv") for _, argv, _ in runs}
+    for command in ("alpha-curve", "sweep-theta", "oracle-compare"):
+        assert {(command, "csv"), (command, "json")} <= formats
 
 
 def test_cli_outputs_takes_a_relative_outdir(tmp_path, monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    box_config, curve_alphas, galerkin_compliances, global_alpha, largest_eigenpair, table_alpha,
+    box_config, cli_output, curve_alphas, galerkin_compliances, global_alpha, largest_eigenpair,
+    table_alpha,
 )
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
@@ -219,17 +220,21 @@ def test_alpha_lipschitz_bound(cheap_config):
     assert 0.0 < v1.alpha - v2.alpha <= bound * (1.0 + 1e-9)
 
 
-def test_alpha_curve_monotone_with_zero_bracket(cheap_config):
-    curve = alpha_curve(cheap_config, np.linspace(0.2, 4.0, 8), DISC)
+def test_alpha_curve_monotone_with_zero_bracket(cheap_config, tmp_path):
+    s_grid = np.linspace(0.2, 4.0, 8)
+    curve = alpha_curve(cheap_config, s_grid, DISC)
     assert np.all(np.diff(curve_alphas(curve)) < 0.0)
     assert curve.zero_bracket is not None
     lo, hi = curve.zero_bracket
     assert lo < hi
     i = list(curve.s).index(lo)
     assert curve_alphas(curve)[i] > 0.0 >= curve_alphas(curve)[i + 1]
-    lines = curve.csv_lines()
+    grid = ",".join(repr(float(s)) for s in s_grid)
+    out = cli_output(tmp_path, cheap_config, "alpha-curve", "--s-grid", grid, "--resolution", "8")
+    lines = out.read_text().splitlines()
     assert lines[0] == "s,alpha,argmax_k,branch"
     assert len(lines) == 9
+    assert [float(line.split(",")[1]) for line in lines[1:]] == list(curve_alphas(curve))
 
 
 def test_alpha_curve_rejects_bad_grid(cheap_config):
@@ -292,11 +297,15 @@ def test_handed_in_set_is_sized_for_lambda_and_evaluated_as_is_for_alpha(cheap_c
     assert handed.bound_compliance == owned.bound_compliance
 
 
-def test_mode_table_csv(cheap_config):
-    fm = FrozenModeSet.freeze(cheap_config, DISC, 3.0)
-    lines = fm.table(1.0, 0.0).csv_lines()
+def test_mode_table_csv(cheap_config, tmp_path):
+    # growth --mode-table: one row per mode of the solve's sized set
+    fm = solve_lambda(cheap_config, DISC).mode_set
+    table = tmp_path / "modes.csv"
+    cli_output(tmp_path, cheap_config, "growth", "--resolution", "8", "--mode-table", str(table))
+    lines = table.read_text().splitlines()
     assert lines[0] == "k,alpha_longitudinal,alpha_transverse,branch"
     assert len(lines) == len(fm.modes) + 1
+    assert [float(line.split(",")[0]) for line in lines[1:]] == list(fm.modes.magnitudes)
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(1.0)
     assert first[3] in ("longitudinal", "transverse")
