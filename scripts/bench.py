@@ -23,11 +23,14 @@ later file can check that a speed-up kept the answer. The child counts modes
 as the final size of every mode set it builds, solves as the growth results
 it validates, determinants as the calls to oracle.determinant (one trial rate
 each), fixed points as the calls to pencil.fixed_point, inertia tests as the
-calls to pencil.alpha_below (the scans' and mode_alpha's), factorizations as
-the banded Cholesky factorizations (dpbtrf: inertia tests and solves alike)
-and extended residuals as the refinement residuals
-formed in extended precision; all are read from its own process, not
-inferred from the outputs.
+calls to pencil.alpha_below (the scans' and mode_alpha's), last solves as
+the deferred last steps of fixed points that ran (pencil._last_solve: a fixed
+point runs its last solve only when its alpha, eigenvector or residual is
+read, so a growth solve runs one, for its maximizer, and oracle-compare none),
+factorizations as the banded Cholesky factorizations (dpbtrf: inertia tests
+and solves alike) and extended residuals as the refinement residuals formed
+in extended precision; all are read from its own process, not inferred from
+the outputs.
 
 Times compare only within one file: wall_s and main_s move with the machine's
 load from one session to the next, and a file records no baseline of the
@@ -81,11 +84,11 @@ from rtgrowth.spectrum import FrozenModeSet
 
 sets = []
 counts = {
-    "solves": 0, "determinants": 0, "fixed_points": 0, "inertia_tests": 0,
-    "factorizations": 0, "extended_residuals": 0,
+    "solves": 0, "determinants": 0, "fixed_points": 0, "last_solves": 0,
+    "inertia_tests": 0, "factorizations": 0, "extended_residuals": 0,
 }
 init, validate, determinant = FrozenModeSet.__init__, GrowthResult.validate, oracle.determinant
-fixed_point, alpha_below = pencil.fixed_point, pencil.alpha_below
+fixed_point, last_solve, alpha_below = pencil.fixed_point, pencil._last_solve, pencil.alpha_below
 dpbtrf, extended = pencil.lapack.dpbtrf, pencil._band_matvec_extended
 
 def track_set(self, *args):
@@ -104,6 +107,10 @@ def count_fixed_point(*args):
     counts["fixed_points"] += 1
     return fixed_point(*args)
 
+def count_last_solve(*args):
+    counts["last_solves"] += 1
+    return last_solve(*args)
+
 def count_inertia_test(*args):
     counts["inertia_tests"] += 1
     return alpha_below(*args)
@@ -119,6 +126,7 @@ def count_extended(*args):
 FrozenModeSet.__init__, GrowthResult.validate = track_set, count_solve
 oracle.determinant = count_determinant
 spectrum.fixed_point = fixedpoint.fixed_point = count_fixed_point
+pencil._last_solve = count_last_solve
 spectrum.alpha_below = pencil.alpha_below = count_inertia_test
 pencil.lapack.dpbtrf, pencil._band_matvec_extended = count_factorization, count_extended
 start = time.perf_counter()
@@ -162,6 +170,7 @@ def cli_row(name: str, command: str, n: int, work: Path, answer, config: str = "
         "solves": counts["solves"],
         "determinants": counts["determinants"],
         "fixed_points": counts["fixed_points"],
+        "last_solves": counts["last_solves"],
         "inertia_tests": counts["inertia_tests"],
         "factorizations": counts["factorizations"],
         "extended_residuals": counts["extended_residuals"],

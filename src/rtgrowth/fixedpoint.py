@@ -8,9 +8,12 @@ Lambda = max_k Lambda_k: one scan of the mode set (FrozenModeSet.growth_max)
 solves Lambda_k by banded Newton steps (pencil.fixed_point) only for the modes
 that one inertia test at the running maximum cannot rule out. The eigenprofile
 is the last solve of the maximizing mode's Newton loop, and the alpha at
-Lambda and the fixed-point residual come from that solve too; its error is
-read against the exact eigenprofile of the dispersion relation
-(oracle.profile_error), on the same nodes, with no second mesh.
+Lambda and the fixed-point residual come from that solve too. It runs for
+that mode alone, when GrowthResult.validate reads it: a mode the scan
+solves but does not keep never runs its last solve (pencil.FixedPoint).
+The eigenprofile's error is read against the exact eigenprofile of the
+dispersion relation (oracle.profile_error), on the same nodes, with no
+second mesh.
 Every solve sizes its mode set the one way (spectrum.size_mode_set): the set,
 owned or handed in, is extended until the growth cutoff
 (spectrum.growth_cutoff) at the answer lies inside it. Modes above the cutoff

@@ -251,9 +251,11 @@ def compare_modes(
 
     Disagreement is reported, never resolved silently: callers decide what to
     flag against which tolerance. The Galerkin side is solve_mode_lambda;
-    only its Lambda_k is read, so no profile is built, and the oracle's root
-    (dispersion_root, scan_max = 1.05 m) does not depend on it. Raises
-    StableRegime at theta >= theta_c, from solve_mode_lambda's bound m.
+    only its Lambda_k is read, so its last solve never runs: no eigenvector,
+    no profile, and a last factorization that would fail does not show
+    (pencil.FixedPoint). The oracle's root (dispersion_root, at the scan_max
+    of _scan_max, formed once per call) does not depend on it. Raises
+    StableRegime at theta >= theta_c, from the bound m.
 
     In exact arithmetic the gap is one-sided, Lambda_k^N <= Lambda_k, which
     verify's oracle_agreement relies on. alpha_k(s) is a supremum of the
@@ -267,19 +269,27 @@ def compare_modes(
     excess is reported too.
     """
     validate_config(cfg)
+    scan_max = _scan_max(cfg)
     rows = []
     for k in ks:
         solved = solve_mode_lambda(cfg, k, disc)
-        rows.append(compare_solved_mode(cfg, k, solved.lam if solved is not None else None))
+        lam_v = solved.lam if solved is not None else None
+        rows.append(_comparison(k, lam_v, dispersion_root(k, cfg, scan_max)))
     return rows
 
 
 def compare_solved_mode(cfg: FluidConfig, k: float, lam_v: float | None) -> ModeComparison:
-    """The compare_modes row of mode k, whose Galerkin Lambda_k^N (None if stable) is lam_v.
+    """The compare_modes row of mode k, whose Galerkin Lambda_k^N (None if stable) is lam_v."""
+    return _comparison(k, lam_v, dispersion_root(k, cfg, _scan_max(cfg)))
 
-    Every comparison, compare_modes' and verify's, scans for the root up to
-    scan_max = 1.05 m, above the bound m on every root."""
-    root = dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg))
+
+def _scan_max(cfg: FluidConfig) -> float:
+    """1.05 m, above the bound m on every root: the scan_max of every
+    comparison, compare_modes' and verify's."""
+    return 1.05 * upper_bound_m(cfg)
+
+
+def _comparison(k: float, lam_v: float | None, root: float | None) -> ModeComparison:
     rel = None
     if lam_v is not None and root is not None:
         rel = abs(lam_v - root) / root

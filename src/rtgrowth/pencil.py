@@ -27,12 +27,14 @@ s A + alpha B has condition number ~4e8 at N = 128, so a solve whose value
 is read is refined once with a residual in extended precision
 (_interface_solve = _factor_solve + _refine). fixed_point refines only at
 the answer: float64 steps propose points until a step falls below 1e-3 s,
-then one refined solve fixes Lambda_k, and the last solve reuses its factor
-and its extended residual wherever that refinement's noise is at most a
-tenth of the residual acceptance (a fresh factorization and refined solve
-elsewhere); the residual it reports includes that noise. No solver path
-expands a dense matrix, and none builds a second mesh: the eigenvector's
-error is read against the exact eigenprofile at its own nodes
+then one refined solve fixes Lambda_k. The last solve, which gives only the
+eigenvector, alpha and the residual, runs when one of them is first read
+(FixedPoint), so a caller that reads only Lambda_k never runs it. It reuses
+the factor and the extended residual held wherever that refinement's noise
+is at most a tenth of the residual acceptance (a fresh factorization and
+refined solve elsewhere); the residual it reports includes that noise. No
+solver path expands a dense matrix, and none builds a second mesh: the
+eigenvector's error is read against the exact eigenprofile at its own nodes
 (oracle.dispersion_profile).
 
 The transverse branch is not discretized: its minimum eigenvalue is the
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
@@ -426,28 +428,51 @@ class FixedPoint:
     """Per-mode growth rate Lambda_k with its eigenvector: the one per-mode
     result of every growth solve, global or single-mode.
 
+    lam is fixed when fixed_point returns. The last solve, which gives only
+    alpha, the eigenvector and the residual, runs the first time one of them
+    (or profile) is read, and is kept: a caller that reads only lam, as
+    oracle.compare_modes and the modes a growth scan does not keep as its
+    maximum do, pays for no solve after lam is fixed. The fields hold what
+    that solve needs: x and its correction d, the refined solve x + d at s
+    that fixed lam, with its extended-precision residual r, the factor chol
+    of s A + s^2 B, xb = (x + d)^T B (x + d) and the noise bound gate of the
+    held step in force when lam was fixed (fixed_point). r is None where s
+    is lam and x + d is already the last solve. A last solve whose
+    factorization fails raises when it runs, on that first read.
+
     alpha is alpha_k(lam) to first order from the last solve. vector is the
     eigenvector, normalized to x^T B x = 1. Its interface value psi(0) is
     positive with no sign flip: it is a positive multiple of
-    e0^T (s A + s^2 B)^(-1) e0 > 0, s A + s^2 B being positive definite. The
-    profile is built from it only when it is read. noise is the refinement
-    noise that a last solve on the held factor cannot show (fixed_point);
-    0 after a fresh last solve.
+    e0^T (s A + s^2 B)^(-1) e0 > 0, s A + s^2 B being positive definite.
+    noise is the refinement noise that a last solve on the held factor
+    cannot show (fixed_point); 0 after a fresh last solve.
     """
 
     forms: PencilForms
     lam: float
-    alpha: float
-    vector: np.ndarray
-    noise: float = 0.0
+    s: float = field(repr=False)
+    chol: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    d: np.ndarray = field(repr=False)
+    r: np.ndarray | None = field(repr=False)
+    xb: float = field(repr=False)
+    gate: float = field(repr=False)
 
-    @classmethod
-    def at(cls, forms: PencilForms, s: float, x: np.ndarray, xb: float, noise: float = 0.0) -> "FixedPoint":
-        """The fixed point at s from the solve x = (s A + s^2 B)^(-1) e0 and
-        xb = x^T B x, with alpha = s^2 + (phi - 1) / (c_k xb) to first order
-        in phi - 1."""
-        phi = forms.c_k * float(x[forms.e0_index])
-        return cls(forms, s, s * s + (phi - 1.0) / (forms.c_k * xb), x / math.sqrt(xb), noise)
+    @cached_property
+    def _last(self) -> tuple[float, np.ndarray, float]:
+        return _last_solve(self)
+
+    @property
+    def alpha(self) -> float:
+        return self._last[0]
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self._last[1]
+
+    @property
+    def noise(self) -> float:
+        return self._last[2]
 
     @property
     def residual(self) -> float:
@@ -457,6 +482,35 @@ class FixedPoint:
     @cached_property
     def profile(self) -> VerticalProfile:
         return coeffs_to_profile(self.vector, self.forms)
+
+
+def _eigenpair(forms: PencilForms, s: float, x: np.ndarray, xb: float) -> tuple[float, np.ndarray]:
+    """(alpha, vector) at s from the solve x = (s A + s^2 B)^(-1) e0 and
+    xb = x^T B x, with alpha = s^2 + (phi - 1) / (c_k xb) to first order
+    in phi - 1."""
+    phi = forms.c_k * float(x[forms.e0_index])
+    return s * s + (phi - 1.0) / (forms.c_k * xb), x / math.sqrt(xb)
+
+
+def _last_solve(fp: FixedPoint) -> tuple[float, np.ndarray, float]:
+    """(alpha, vector, noise) of fp from its last solve at t = fp.lam: the
+    held step where the refinement's noise at s is within fp.gate, a fresh
+    factorization and refined solve at t elsewhere (fixed_point)."""
+    forms, t, s, x, d = fp.forms, fp.lam, fp.s, fp.x, fp.d
+    xr = x + d
+    if fp.r is None:
+        return (*_eigenpair(forms, t, xr, fp.xb), 0.0)
+    # kappa tau / (c_k xb), tau = |d| / |x + d|
+    noise = _KAPPA * float(abs(d).max() / abs(xr).max()) / (float(forms.c_k) * fp.xb)
+    if noise <= fp.gate:
+        # the residual of x + d at t, from r at s; both products are small
+        dm = _energy(forms, t - s, (t - s) * (t + s))  # M(t) - M(s), without cancellation
+        r = fp.r - band_matvec(dm, x) - band_matvec(_energy(forms, t, t * t), d)
+        xr = x + (d + _spd_solve(fp.chol, r, s * s))
+    else:
+        chol, x = _factor_solve(forms, t, t * t)
+        xr, noise = x + _refine(forms, chol, t, t * t, x)[1], 0.0
+    return (*_eigenpair(forms, t, xr, float(xr @ band_matvec(forms.B_band, xr))), noise)
 
 
 # fixed_point's two phases: float64 steps until one is at most _FLOAT_STEP * s,
@@ -506,9 +560,13 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     Lambda_k by rounding, so phi > 1 does not raise: s becomes the lower end
     of the bracket, whose upper end stays open until a step (upward, since
     phi > 1) passes the root. The phase starts by refining the float64
-    phase's last factor, at its last point, and stops one solve after a step
-    of at most _LAST_STEP * s. That step fixes lam = t; the solve at t gives
-    only alpha, the eigenvector and the residual.
+    phase's last factor, at its last point, and stops at a step of at most
+    _LAST_STEP * s. That step fixes lam = t; the solve at t gives only alpha,
+    the eigenvector and the residual. So fixed_point returns there, and the
+    FixedPoint runs that last solve the first time one of them is read
+    (_last_solve), held or fresh as the gate in force when lam was fixed
+    decides: oracle.compare_modes and the modes a growth scan does not keep
+    as its maximum read only lam and never run it.
 
     Held last step. With x the float64 solve at s, r = e0 - M(s) x the
     extended-precision residual already formed (M(s) = s A + s^2 B) and d
@@ -585,7 +643,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
         chol, x = _factor_solve(forms, s, s * s)
         if near:
             break
-    lo, hi, last = 0.0, math.inf, False
+    lo, hi = 0.0, math.inf
     for _ in range(100):
         r, d = _refine(forms, chol, s, s * s, x)
         xr = x + d
@@ -596,18 +654,12 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
             lo = s
         else:
             hi = s
+        if phi == 1.0 or hi - lo <= 1e-15 * s:
+            return FixedPoint(forms, s, s, chol, x, d, None, xb, 0.0)
         step = phi * (1.0 - phi) / (-c * (x0 / s + s * xb))
-        if last or phi == 1.0 or hi - lo <= 1e-15 * s:
-            return FixedPoint.at(forms, s, xr, xb)
-        last = abs(step) <= _LAST_STEP * s
         t = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
-        noise = _KAPPA * float(abs(d).max() / abs(xr).max()) / (c * xb)  # tau = |d| / |x + d|
-        if last and noise <= _HELD_GATE * max(1.0, s * s):
-            # the residual of x + d at t, from r at s; both products are small
-            dm = _energy(forms, t - s, (t - s) * (t + s))  # M(t) - M(s), without cancellation
-            r = r - band_matvec(dm, x) - band_matvec(_energy(forms, t, t * t), d)
-            xr = x + (d + _spd_solve(chol, r, s * s))
-            return FixedPoint.at(forms, t, xr, float(xr @ band_matvec(forms.B_band, xr)), noise)
+        if abs(step) <= _LAST_STEP * s:
+            return FixedPoint(forms, t, s, chol, x, d, r, xb, _HELD_GATE * max(1.0, s * s))
         s = t
         chol, x = _factor_solve(forms, s, s * s)
     raise FactorizationFailure(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")

@@ -404,9 +404,11 @@ def certified_cutoff(cfg: FluidConfig, s: float, floor: float) -> float:
       -(1 - l) s mu_min k^2 / rho_max <= B_l(k). The computed lambda_tau
       is this exact minimum, so the bound holds for it directly.
 
-    The Hermite space is a subspace (it is H^2-conforming) and the Gauss rule
-    is exact on it, so the coupled bound holds for the computed alpha_k(s)
-    too, and both envelopes hold for the discrete compliances. The returned
+    The Hermite space is a subspace (it is H^2-conforming) and its element
+    matrices are the exact integrals of its shapes, from closed-form integer
+    tables (pencil._element_matrices), so the coupled bound holds for the
+    computed alpha_k(s) too, and both envelopes hold for the discrete
+    compliances. The returned
     cutoff is the smallest over l = 0 and 1/2, and over l = 1 when floor > 0
     (B_1 >= 0 reaches every floor at or below 0). U is sharp where viscosity
     is small, the larger l where mu_min / rho_max understates the dissipation

@@ -288,6 +288,29 @@ def count_solves(monkeypatch):
     return factored, refined
 
 
+def fail_last_factorization(monkeypatch):
+    """Make every fixed point's last solve fresh (no refinement noise meets a
+    negative gate) and its banded factorization report a non-positive pivot
+    (LAPACK info 3). Every other factorization runs as before."""
+    monkeypatch.setattr(pencil, "_HELD_GATE", -1.0)
+    dpbtrf, last_solve = pencil.lapack.dpbtrf, pencil._last_solve
+    running = []
+
+    def factor(ab, lower=0, overwrite_ab=0):
+        chol, info = dpbtrf(ab, lower=lower, overwrite_ab=overwrite_ab)
+        return chol, 3 if running else info
+
+    def last(fp):
+        running.append(fp)
+        try:
+            return last_solve(fp)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(pencil.lapack, "dpbtrf", factor)
+    monkeypatch.setattr(pencil, "_last_solve", last)
+
+
 def loop_tables(cfg, n):
     """The six k-independent bands by an element-by-element scatter, one band
     entry of every element at a time: the reference for pencil._tables."""

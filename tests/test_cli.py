@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fail_last_factorization
 from rtgrowth import oracle, pencil, spectrum
 from rtgrowth.cli import COMMANDS, main
 from rtgrowth.model import FluidConfig, theta_critical
@@ -457,6 +458,15 @@ def test_failed_band_factorization_exit_4(config_path, capsys, monkeypatch):
     assert run_cli(["growth", "--config", config_path, "--resolution", "8"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: banded Cholesky") and err.count("\n") == 1
+
+
+def test_failed_last_factorization_exit_4(config_path, capsys, monkeypatch):
+    # the maximizer's last solve runs when the growth result is validated;
+    # its failure is a numerical failure, on one stderr line
+    fail_last_factorization(monkeypatch)
+    assert run_cli(["growth", "--config", config_path, "--resolution", "8"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: banded Cholesky factorization") and err.count("\n") == 1
 
 
 # Only malformed or cheaply rejected config values: a valid but extreme one

@@ -7,10 +7,10 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_solves, curve_alphas
+from conftest import count_solves, curve_alphas, fail_last_factorization
 from rtgrowth import fixedpoint, oracle, pencil, spectrum
 from rtgrowth.analysis import _sized_mode_set, sweep_theta
-from rtgrowth.errors import StableRegime
+from rtgrowth.errors import FactorizationFailure, StableRegime
 from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
 from rtgrowth.oracle import compare_modes, dispersion_root, profile_error
@@ -63,6 +63,20 @@ def test_mode_lambda_increases_with_resolution(reference_config):
     # the dense-eigendecomposition values at N = 64 and 128
     assert lams[1] == pytest.approx(2.438173611571787, rel=1e-9)
     assert lams[2] == pytest.approx(2.4381739516695293, rel=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="float64 bands round Lambda_N at N = 128 below its N = 64 value near theta_c (ROADMAP item 3)",
+)
+@pytest.mark.parametrize("fraction", [0.9, 0.99])
+def test_lambda_increases_with_resolution_near_theta_c(reference_config, fraction):
+    # nested Hermite spaces make Lambda_N nondecreasing in N; near theta_c the
+    # N = 128 value lies below the N = 64 one (0.24048990764 < 0.24048990807
+    # at 0.9 theta_c), by more than the refined solve's own rounding
+    cfg = reference_config.with_theta(fraction * theta_critical(reference_config))
+    lams = [solve_lambda(cfg, Discretization(n)).lam for n in (32, 64, 128)]
+    assert lams[0] < lams[1] < lams[2]
 
 
 @settings(max_examples=25, deadline=None)
@@ -244,6 +258,19 @@ def test_sweep_point_on_a_locked_set_refines_only_once(cheap_config, monkeypatch
         refined.clear()
         solve_lambda(cheap_config.with_theta(f * theta_c), disc, frozen=fm)
         assert len(factored) <= 2 and len(refined) == 1, f
+
+
+def test_failed_last_factorization_surfaces_where_the_last_solve_is_read(cheap_config, monkeypatch):
+    # a growth solve reads its maximizer's last solve (validate), so a failed
+    # last factorization raises there; a compare_modes row reads only lam,
+    # fixed before that solve, and keeps its bits
+    disc = Discretization(16)
+    ks = [1.0, math.sqrt(2.0), 2.0]
+    rows = compare_modes(cheap_config, ks, disc)
+    fail_last_factorization(monkeypatch)
+    with pytest.raises(FactorizationFailure, match="banded Cholesky factorization"):
+        solve_lambda(cheap_config, disc)
+    assert compare_modes(cheap_config, ks, disc) == rows
 
 
 def test_handed_in_set_must_serve_the_config_and_resolution(reference_config, cheap_config):

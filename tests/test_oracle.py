@@ -550,6 +550,29 @@ def test_held_last_step_keeps_the_fresh_step_lambda_over_config_box(nu_plus, nu_
         assert held.residual >= held.noise
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    nu_plus=st.floats(min_value=-4.0, max_value=0.0),
+    nu_minus=st.floats(min_value=-4.0, max_value=0.0),
+    fraction=st.floats(min_value=0.0, max_value=0.99),
+    i=st.integers(min_value=0, max_value=212),
+    j=st.integers(min_value=1, max_value=212),
+    n=st.sampled_from([32, 64, 128]),
+)
+def test_compare_modes_row_is_the_separate_solves_over_config_box(nu_plus, nu_minus, fraction, i, j, n):
+    # the box of test_held_last_step_keeps_the_fresh_step_lambda_over_config_box:
+    # a row holds, bit for bit, the Lambda_k^N of a separate single-mode solve
+    # and the root of a separate oracle call, stable modes included
+    cfg = box_config(nu_plus, nu_minus, fraction)
+    k = math.hypot(i, j)
+    disc = Discretization(n)
+    (row,) = compare_modes(cfg, [k], disc)
+    solved = solve_mode_lambda(cfg, k, disc)
+    assert row.lambda_variational == (None if solved is None else solved.lam)
+    assert row.lambda_oracle == dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg))
+    assert row.k == k
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     nu_plus=st.floats(min_value=-4.0, max_value=0.0),

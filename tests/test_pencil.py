@@ -4,6 +4,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -595,6 +596,55 @@ def test_fixed_point_over_the_gate_takes_a_fresh_last_step(reference_config, mon
     assert fp.lam == pytest.approx(lam, rel=1e-12)
     assert fp.noise == 0.0 and refined[-1] == factored[-1] == fp.lam and len(refined) <= 3
     assert fp.residual <= 1e-8 * max(1.0, fp.lam ** 2)
+
+
+def count_lapack(monkeypatch):
+    """A dict that counts the banded factorizations (dpbtrf), the solves on a
+    factor (dpbtrs) and the extended-precision residuals as they run."""
+    calls = {"dpbtrf": 0, "dpbtrs": 0, "extended": 0}
+    lapack, extended = pencil.lapack, pencil._band_matvec_extended
+
+    def counted(key, real):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(pencil, "lapack", SimpleNamespace(
+        dpbtrf=counted("dpbtrf", lapack.dpbtrf), dpbtrs=counted("dpbtrs", lapack.dpbtrs)
+    ))
+    monkeypatch.setattr(pencil, "_band_matvec_extended", counted("extended", extended))
+    return calls
+
+
+@pytest.mark.parametrize("gate", [pencil._HELD_GATE, -1.0])
+def test_last_solve_runs_only_when_its_result_is_read(reference_config, monkeypatch, gate):
+    # lam is fixed before the last solve, so reading it runs nothing more; the
+    # first read of alpha runs the last step, once: on the held factor (one
+    # dpbtrs) or, past the gate, afresh (one dpbtrf, one extended residual,
+    # a dpbtrs for each). Reads in any order give the same bits
+    forms = assemble(5.0, reference_config, Discretization(128))
+    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pencil, "_HELD_GATE", gate)
+        fps = [fixed_point(forms, start) for _ in range(3)]
+    calls = count_lapack(monkeypatch)
+    assert len({fp.lam for fp in fps}) == 1
+    assert calls == {"dpbtrf": 0, "dpbtrs": 0, "extended": 0}
+    held = gate > 0.0
+    last_step = {"dpbtrf": 0, "dpbtrs": 1, "extended": 0} if held else {"dpbtrf": 1, "dpbtrs": 2, "extended": 1}
+    assert fps[0].alpha > 0.0 and calls == last_step
+    fields = ("alpha", "vector", "noise", "residual", "profile")
+    for name in fields:
+        getattr(fps[0], name)
+    assert calls == last_step and (fps[0].noise > 0.0) == held
+    for fp, first in ((fps[1], "vector"), (fps[2], "profile")):
+        getattr(fp, first)
+        for name in fields:
+            a, b = getattr(fps[0], name), getattr(fp, name)
+            if name == "profile":
+                a, b = (a.psi_values, a.psi_derivs), (b.psi_values, b.psi_derivs)
+            assert np.array_equal(a, b), name
 
 
 def test_indefinite_band_raises_factorization_failure():

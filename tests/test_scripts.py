@@ -136,9 +136,9 @@ def test_cli_outputs_compare_fails_on_a_non_numeric_difference(tmp_path, capsys,
 def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     # the bench child reports the final size of every mode set the run builds,
     # the growth results it validates, its dispersion determinant calls, its
-    # fixed points and inertia tests, its banded factorizations and
-    # extended-precision residuals, and the time inside cli.main, read from
-    # inside its process
+    # fixed points and the last solves they ran, its inertia tests, banded
+    # factorizations and extended-precision residuals, and the time inside
+    # cli.main, read from inside its process
     bench = load_script("bench")
     config = tmp_path / "reference.json"
     config.write_text(json.dumps(bench.REFERENCE))
@@ -156,7 +156,7 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         return counts
 
     calls = {
-        "determinants": 0, "fixed_points": 0, "inertia_tests": 0,
+        "determinants": 0, "fixed_points": 0, "last_solves": 0, "inertia_tests": 0,
         "factorizations": 0, "extended_residuals": 0,
     }
 
@@ -167,6 +167,7 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(oracle, "determinant", counting("determinants", oracle.determinant))
+    monkeypatch.setattr(pencil, "_last_solve", counting("last_solves", pencil._last_solve))
     for module in (spectrum, fixedpoint):
         monkeypatch.setattr(module, "fixed_point", counting("fixed_points", pencil.fixed_point))
     for module in (spectrum, pencil):
@@ -190,5 +191,7 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     assert growth == {"modes": len(result.mode_set.modes), "solves": 1, **in_process("growth")}
     assert growth["determinants"] == 0 and growth["extended_residuals"] > 0
     assert growth["fixed_points"] > 0 and growth["inertia_tests"] > 0
+    assert growth["last_solves"] == growth["solves"]  # the maximizer's alone
     compare = child_counts("oracle-compare")
     assert compare == {"modes": 0, "solves": 0, **in_process("oracle-compare")}
+    assert compare["fixed_points"] > 0 and compare["last_solves"] == 0  # only lam is read
