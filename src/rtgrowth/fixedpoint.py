@@ -4,27 +4,19 @@ f(s) = alpha(s) - s^2 is strictly decreasing, so the growth rate is its
 unique zero. Since alpha(s) is the maximum over lattice modes of alpha_k(s),
 f(s) > 0 exactly when some alpha_k(s) > s^2, that is when s < Lambda_k for
 the per-mode fixed point Lambda_k^2 = alpha_k(Lambda_k). So
-Lambda = max_k Lambda_k: one scan of the mode set (FrozenModeSet.growth_max)
-solves Lambda_k by banded Newton steps (pencil.fixed_point) only for the modes
-that one inertia test at the running maximum cannot rule out. The eigenprofile
-is the last solve of the maximizing mode's Newton loop, and the alpha at
+Lambda = max_k Lambda_k: one scan of the mode set with the growth pair
+(spectrum.size_mode_set, _growth_pair) solves Lambda_k by banded Newton
+steps (pencil.fixed_point) only for the modes that one inertia test at the
+running maximum cannot rule out, and grows the set, owned or handed in,
+until the growth cutoff at the answer lies inside it. The eigenprofile is
+the last solve of the maximizing mode's Newton loop, and the alpha at
 Lambda and the fixed-point residual come from that solve too. It runs for
-that mode alone, when GrowthResult.validate reads it: a mode the scan
-solves but does not keep never runs its last solve (pencil.FixedPoint).
+that mode alone, when GrowthResult.validate reads it (pencil.FixedPoint).
 The eigenprofile's error is read against the exact eigenprofile of the
-dispersion relation (oracle.profile_error), on the same nodes, with no
-second mesh.
-Every solve sizes its mode set the one way (spectrum.size_mode_set): the set,
-owned or handed in, is extended until the growth cutoff
-(spectrum.growth_cutoff) at the answer lies inside it. Modes above the cutoff
-have r_k < Lambda, so the maximum over the set is the one over the lattice.
-Extending only appends modes, and each sizing pass scans only those, against
-the maximizer of the passes before: their k are all larger, so ties still go
-to the smaller k, and every mode not solved was proven below a running
-maximum. So an owned set and a set handed in that was already large enough
-give the bits of one scan of the final set. Beside the paper's bound m, a result carries the
-sharper proven bound bound_compliance = max_k r_k (spectrum.compliance_bound)
-on the exact Lambda, whose r_k also start every per-mode Newton solve.
+dispersion relation (oracle.profile_error), on the same nodes. Beside the
+paper's bound m, a result carries the sharper proven bound
+bound_compliance = max_k r_k (spectrum.compliance_bound) on the exact
+Lambda, whose r_k also start every per-mode Newton solve.
 """
 
 from __future__ import annotations
@@ -158,6 +150,11 @@ def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> Fixed
     """
     validate_config(cfg)
     upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
+    return _mode_fixed_point(cfg, k, disc)
+
+
+def _mode_fixed_point(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
+    """solve_mode_lambda on a cfg already validated at theta < theta_c."""
     forms = assemble(float(k), cfg, disc)
     if forms.c_k <= 0.0:
         return None

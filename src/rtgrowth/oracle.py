@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateExponents, SolverError, ZeroWaveNumber
-from .fixedpoint import solve_mode_lambda
+from .fixedpoint import _mode_fixed_point
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import (
     VerticalProfile, _condensed_traction, _interface_traction, _layer_basis, compliances,
@@ -250,12 +250,13 @@ def compare_modes(
     """Per-mode growth rates from both methods, with relative differences.
 
     Disagreement is reported, never resolved silently: callers decide what to
-    flag against which tolerance. The Galerkin side is solve_mode_lambda;
-    only its Lambda_k is read, so its last solve never runs: no eigenvector,
-    no profile, and a last factorization that would fail does not show
-    (pencil.FixedPoint). The oracle's root (dispersion_root, at the scan_max
-    of _scan_max, formed once per call) does not depend on it. Raises
-    StableRegime at theta >= theta_c, from the bound m.
+    flag against which tolerance. cfg is validated and scan_max formed
+    (_scan_max) once per call; raises StableRegime at theta >= theta_c, from
+    the bound m. The Galerkin side is solve_mode_lambda's fixed point, past
+    its checks; only its Lambda_k is read, so its last solve never runs: no
+    eigenvector, no profile, and a last factorization that would fail does
+    not show (pencil.FixedPoint). The oracle's root (dispersion_root) does
+    not depend on it.
 
     In exact arithmetic the gap is one-sided, Lambda_k^N <= Lambda_k, which
     verify's oracle_agreement relies on. alpha_k(s) is a supremum of the
@@ -272,9 +273,8 @@ def compare_modes(
     scan_max = _scan_max(cfg)
     rows = []
     for k in ks:
-        solved = solve_mode_lambda(cfg, k, disc)
-        lam_v = solved.lam if solved is not None else None
-        rows.append(_comparison(k, lam_v, dispersion_root(k, cfg, scan_max)))
+        solved = _mode_fixed_point(cfg, k, disc)
+        rows.append(_comparison(k, None if solved is None else solved.lam, dispersion_root(k, cfg, scan_max)))
     return rows
 
 

@@ -7,17 +7,15 @@ holds the magnitudes and caches only their two interface compliances (closed
 forms, taken the first time the growth rate is asked for), which depend on
 neither s nor theta; every coupled-branch value is solved on the banded
 pencil when it is needed (pencil.alpha_below, mode_alpha, fixed_point).
-The transverse branch -s lambda_tau(k) is largest at the smallest magnitude
-(FrozenModeSet.alpha_value proves it), so alpha(s) takes one transverse root
-per evaluation, never one per mode. A global maximum,
-the growth rate Lambda = max_k Lambda_k at one theta or alpha(s) at one s, is
-one scan over the set in decreasing order of a proven per-mode bound
-(compliance_bound for Lambda_k, U = split_bound for alpha_k(s)): the scan stops
-at the first bound at or below the running maximum, rules out a mode by one
-inertia test at the running maximum, and fully solves a mode only when that
-test fails. alpha(s) only locates Lambda, so an evaluation returns values
-and the maximizing mode, never a profile; the eigenprofile is the last solve
-of the maximizing mode's fixed point.
+
+Both suprema are one pruned scan (_scan) fed by one of two pairs of
+per-mode bound, test and solve: Lambda = max_k Lambda_k (_growth_pair:
+r_k = compliance_bound, the inertia test at (M, M^2), fixed_point) and
+alpha(s) (_alpha_pair: U = split_bound, the inertia test at (s, M),
+mode_alpha, over the floor of one transverse root at the smallest
+magnitude). alpha(s) only locates Lambda, so it returns values and the
+maximizing mode, never a profile; the eigenprofile is the last solve of the
+maximizing mode's fixed point.
 
 The zero horizontal mode is excluded: its vertical amplitude vanishes
 identically under the divergence constraint, leaving pure dissipation, so it
@@ -26,28 +24,24 @@ never competes for the supremum near the fixed point.
 Cutoff policy: one family of proven per-mode bounds B_l (split_bound), which
 splits the dissipation between an interior and an interface estimate, falls
 below any floor beyond a computable wavenumber. For alpha_k(s) on both
-branches the cutoff is the smallest over a few splits (certified_cutoff; U =
-B_0 orders the scan). For Lambda_k it is the split l = 1 at s = Lambda and
-floor Lambda^2 (growth_cutoff): Lambda_k >= Lambda needs alpha_k(Lambda) >=
-Lambda^2, so B_1 >= Lambda^2, which is p(k) <= 0 for the whole-line envelope
-cubic p of the compliance bound. Each cutoff is the largest root of a
-convex cubic, found by Newton steps from above and certified where they stop
-(_split_cutoff). An owned mode set starts at the smallest lattice magnitude
-and grows, at most doubling per step, until the cutoff for the quantity it
-serves lies inside it (size_mode_set); every mode left out then provably
-cannot reach the value computed on the set. A pass scans only the modes the
-step appended, against the value of the passes before, so no mode is
-assembled twice in one solve; a lattice past LATTICE_POINTS points is never
-enumerated, and sizing toward one raises DegenerateExponents. A set handed in by
-the caller must have been built for the caller's config, up to theta, and
-resolution (FrozenModeSet.check_serves). A growth solve sizes it for Lambda
-like an owned set (fixedpoint.solve_lambda); alpha(s) evaluates it as it is
-(alpha_curve with a set, FrozenModeSet.alpha_value).
+branches the cutoff is the smallest over a few splits (certified_cutoff).
+For Lambda_k it is the split l = 1 at s = Lambda and floor Lambda^2
+(growth_cutoff). Each cutoff is the largest root of a convex cubic, found by
+Newton steps from above and certified where they stop (_split_cutoff). An
+owned mode set starts at the smallest lattice magnitude and grows, at most
+doubling per step, until the cutoff of its pair at the value on the set
+lies inside it (size_mode_set); every mode left out then provably cannot
+reach that value. A set handed in by the caller must have been built for
+the caller's config, up to theta, and resolution
+(FrozenModeSet.check_serves). A growth solve sizes it like an owned set
+(fixedpoint.solve_lambda); alpha(s) evaluates it as it is
+(FrozenModeSet.alpha_value).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +50,6 @@ from .errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
 from .model import FluidConfig
 from .pencil import (
     Discretization,
-    FixedPoint,
     alpha_below,
     assemble,
     fixed_point,
@@ -91,11 +84,6 @@ def smallest_magnitude(cfg: FluidConfig) -> float:
     return min(1.0 / cfg.L1, 1.0 / cfg.L2)
 
 
-def _lattice_points(cfg: FluidConfig, k_max: float) -> float:
-    """The number of lattice points enumerate_modes forms to reach k_max."""
-    return float(np.prod(2.0 * np.ceil(k_max * np.array([cfg.L1, cfg.L2])) + 1.0))
-
-
 def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
     """Exactly the distinct lattice magnitudes in (0, k_max].
 
@@ -106,7 +94,7 @@ def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
             f"k_max = {k_max!r} below smallest lattice magnitude "
             f"{smallest_magnitude(cfg)!r}"
         )
-    if not _lattice_points(cfg, k_max) <= LATTICE_POINTS:
+    if not np.prod(2.0 * np.ceil(k_max * np.array([cfg.L1, cfg.L2])) + 1.0) <= LATTICE_POINTS:
         raise DegenerateExponents(f"k_max = {k_max!r} needs more than {LATTICE_POINTS} lattice points")
     n1 = int(math.ceil(k_max * cfg.L1))
     n2 = int(math.ceil(k_max * cfg.L2))
@@ -153,10 +141,9 @@ class FrozenModeSet:
 
     The only per-mode data it caches are the interface compliances (I_k, C_k)
     of modeforms.compliances, taken once the growth rate is asked for and
-    re-read at every theta; alpha(s) alone never needs them. The transverse
-    branch peaks at the smallest magnitude, so alpha_value solves one
-    transverse root and table solves its own column. The coupled branch is
-    solved on demand, so one set serves every (s, theta).
+    re-read at every theta; alpha(s) alone never needs them. table solves
+    its own transverse column. The coupled branch is solved on demand, so
+    one set serves every (s, theta).
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet):
@@ -208,89 +195,11 @@ class FrozenModeSet:
             self._bounds = (theta, bounds)
         return bounds
 
-    def growth_max(self, theta: float, best: FixedPoint | None = None, start: int = 0) -> FixedPoint:
-        """The fixed point of the mode with the largest Lambda_k.
-
-        alpha(s) > s^2 exactly when some alpha_k(s) > s^2, which holds exactly
-        when s < Lambda_k; the transverse branch is never positive. So the
-        global rate is max_k Lambda_k. Modes are visited in decreasing order
-        of their bound Lambda_k <= r_k (growth_bounds); the scan stops at the
-        first bound at or below the running maximum M, skips a mode whose
-        inertia test at (s, alpha) = (M, M^2) succeeds, which proves
-        Lambda_k < M, and solves the fixed point of the rest from r_k. Ties
-        go to the smaller k. Callers ask at theta < theta_c, where the
-        smallest magnitude, in every set, has c_k > 0 and so r_k > 0: a scan
-        that solves no mode found every r_k rounded to 0 (C_k underflows at
-        mu = 1e300) and raises DegenerateExponents.
-
-        With best, the result of this scan on the first start modes, only the
-        modes from start on are visited, best being the running maximum from
-        the outset (size_mode_set): every mode before start was solved or
-        proven below a running maximum at most best.lam, and every mode from
-        start on has a larger k than best, so a tie keeps best as a scan of
-        the whole set would.
-        """
-        cfg = self.cfg.with_theta(theta)
-        ks = self.modes.magnitudes[start:]
-        bounds = self.growth_bounds(theta)[start:]
-        for i in np.argsort(-bounds, kind="stable"):
-            lam = 0.0 if best is None else best.lam
-            if bounds[i] <= lam:
-                break
-            forms = assemble(float(ks[i]), cfg, self.disc)
-            if best is not None and alpha_below(forms, lam, lam * lam):
-                continue
-            fp = fixed_point(forms, bounds[i])
-            if best is None or (fp.lam, -ks[i]) > (lam, -best.forms.k):
-                best = fp
-        if best is None:
-            raise DegenerateExponents(f"no mode grows at theta = {float(theta)!r}: every bound r_k is 0")
-        return best
-
-    def alpha_value(
-        self, s: float, theta: float, best: AlphaValue | None = None, start: int = 0
-    ) -> AlphaValue:
-        """alpha(s, theta), the larger branch value maximized over the set.
-
-        The transverse maximum is -s lambda_tau(k0) at the smallest magnitude
-        k0 = ks[0], one scalar root. Proof that lambda_tau strictly increases
-        in k: for every nonzero tau in H^1_0 the quotient
-
-            Q_k(tau) = sum mu int(tau'^2 + k^2 tau^2) / sum rho int tau^2
-                     = Q_0(tau) + k^2 sum mu int tau^2 / sum rho int tau^2
-
-        strictly increases in k, its last factor being positive. For k < k',
-        the minimum lambda_tau(k') is attained, by the eigenfunction tau_* of
-        pencil.transverse_min_eigenvalue, so
-        lambda_tau(k) <= Q_k(tau_*) < Q_k'(tau_*) = lambda_tau(k'). With s > 0
-        the branch value -s lambda_tau(k) therefore strictly decreases in k.
-
-        A mode's coupled value is solved (mode_alpha) only when its bound
-        U(k, s) = split_bound(cfg, s)(k) exceeds the running maximum M and its
-        inertia test at alpha = M fails. Ties go to the smaller k, and within a mode to the
-        coupled branch. With best, the value of this scan on the first start
-        modes, only the modes from start on are visited, as in growth_max.
-        """
-        if s <= 0.0:
-            raise ValueError(f"modification parameter must be > 0, got {s!r}")
-        cfg = self.cfg.with_theta(theta)
-        ks = self.modes.magnitudes[start:]
-        bounds = split_bound(cfg, s)(ks)
-        if best is None:
-            k0 = float(ks[0])
-            best = (-s * transverse_min_eigenvalue(k0, self.cfg), k0, "transverse")
-        else:
-            best = (best.alpha, best.argmax_k, best.branch)
-        for i in np.argsort(-bounds, kind="stable"):
-            if bounds[i] <= best[0]:
-                break
-            forms = assemble(ks[i], cfg, self.disc)
-            if alpha_below(forms, s, best[0]):
-                continue
-            alpha = mode_alpha(forms, s, bounds[i])
-            if (alpha, -ks[i]) >= (best[0], -best[1]):
-                best = (alpha, float(ks[i]), "longitudinal")
-        return AlphaValue(alpha=best[0], argmax_k=best[1], branch=best[2], s=s, theta=theta)
+    def alpha_value(self, s: float, theta: float) -> AlphaValue:
+        """alpha(s, theta), the larger branch value maximized over the set as
+        it is: one scan (_scan) of the alpha(s) pair (_alpha_pair)."""
+        pair = _alpha_pair(self, theta, s)
+        return _scan(self, pair, 0, pair.floor)[2]
 
     def table(self, s: float, theta: float) -> ModeTable:
         """Both branch values of every mode at (s, theta): one mode_alpha and
@@ -496,42 +405,135 @@ def growth_cutoff(cfg: FluidConfig, lam: float) -> float:
     return _split_cutoff(cfg, lam, lam * lam, 1.0)
 
 
-def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
-    """Extend fm until no mode above its cutoff can change the computed value.
+# The per-mode side of one pruned maximum (_scan): cfg at its theta; the
+# proven bounds of the modes from start on; the running maximum
+# (value, k, result) before any mode; test(forms, M), passed only by a mode
+# below M; solve(forms, bound) -> (value, result); cutoff(M), past which no
+# mode reaches M.
+_Pair = namedtuple("_Pair", "cfg bounds floor test solve cutoff")
 
-    With s the value is alpha(s), cut off by certified_cutoff at the floor
-    alpha(s) on the current set; without, it is Lambda = max_k Lambda_k, cut
-    off by growth_cutoff at the Lambda of the current set. Each pass extends
-    toward the cutoff, at most doubling k_max, and scans only the modes it
-    appended, against the value of the passes before (growth_max,
-    alpha_value): those modes all have a larger k, and every mode left behind
-    was solved or proven below that value, so the last pass returns the bits
-    of one scan of the final set. The floor (and Lambda) only rises as the set
-    grows, so the cutoff only falls and the loop ends, unless the extension
-    needs more than LATTICE_POINTS lattice points (small viscosities: on the
-    reference densities and depths, below about mu = 1e-4 at N = 128): that raises
-    DegenerateExponents, naming the cutoff. Returns the value of the last
-    pass: the AlphaValue at s, or the FixedPoint of the fastest mode.
+
+def _growth_pair(fm: FrozenModeSet, theta: float) -> _Pair:
+    """The pair of Lambda = max_k Lambda_k at theta; its result is the fixed point.
+
+    alpha(s) > s^2 exactly when some alpha_k(s) > s^2, that is when
+    s < Lambda_k; the transverse branch is never positive. The bound is
+    Lambda_k <= r_k (growth_bounds), the test at M the inertia test at
+    (s, alpha) = (M, M^2), which passes only when Lambda_k < M, the solve the
+    fixed point from r_k, and the cutoff growth_cutoff at M. The floor 0 has
+    no result.
     """
     cfg = fm.cfg.with_theta(theta)
-    best, start = None, 0
+
+    def solve(forms, bound):
+        fp = fixed_point(forms, bound)
+        return fp.lam, fp
+
+    return _Pair(
+        cfg, bounds=lambda start: fm.growth_bounds(theta)[start:], floor=(0.0, 0.0, None),
+        test=lambda forms, m: alpha_below(forms, m, m * m), solve=solve,
+        cutoff=lambda m: growth_cutoff(cfg, m),
+    )
+
+
+def _alpha_pair(fm: FrozenModeSet, theta: float, s: float) -> _Pair:
+    """The pair of alpha(s, theta); its result is the AlphaValue.
+
+    The scanned value is the coupled branch: bound U(k, s) =
+    split_bound(cfg, s)(k), test the inertia test at (s, M), solve
+    mode_alpha, cutoff certified_cutoff at the floor M. The floor is the
+    transverse maximum -s lambda_tau(k0) at the smallest magnitude k0, one
+    scalar root. Proof that lambda_tau strictly increases in k: for every
+    nonzero tau in H^1_0 the quotient
+
+        Q_k(tau) = sum mu int(tau'^2 + k^2 tau^2) / sum rho int tau^2
+                 = Q_0(tau) + k^2 sum mu int tau^2 / sum rho int tau^2
+
+    strictly increases in k, its last factor being positive. For k < k',
+    the minimum lambda_tau(k') is attained, by the eigenfunction tau_* of
+    pencil.transverse_min_eigenvalue, so
+    lambda_tau(k) <= Q_k(tau_*) < Q_k'(tau_*) = lambda_tau(k'). With s > 0
+    the branch value -s lambda_tau(k) therefore strictly decreases in k.
+    """
+    if s <= 0.0:
+        raise ValueError(f"modification parameter must be > 0, got {s!r}")
+    cfg = fm.cfg.with_theta(theta)
+    k0 = float(fm.modes.magnitudes[0])
+    floor = -s * transverse_min_eigenvalue(k0, fm.cfg)
+
+    def solve(forms, upper):
+        alpha = mode_alpha(forms, s, upper)
+        return alpha, AlphaValue(alpha, forms.k, "longitudinal", s, theta)
+
+    return _Pair(
+        cfg, bounds=lambda start: split_bound(cfg, s)(fm.modes.magnitudes[start:]),
+        floor=(floor, k0, AlphaValue(floor, k0, "transverse", s, theta)),
+        test=lambda forms, m: alpha_below(forms, s, m), solve=solve,
+        cutoff=lambda m: certified_cutoff(cfg, s, m),
+    )
+
+
+def _scan(fm: FrozenModeSet, pair: _Pair, start: int, best: tuple) -> tuple:
+    """The running maximum (value, k, result) after a pruned scan of the
+    modes of fm from start on, begun at the running maximum best.
+
+    Modes are visited in decreasing order of their bound, equal bounds in
+    increasing k. The scan stops at the first bound at or below the running
+    maximum M, skips a mode whose test at M passes, and solves the rest.
+    Ties go to the smaller k and, at equal k (only the floor's mode can
+    repeat one), to the solved value. A floor with no result stands for no
+    mode and is never tested against.
+
+    Resuming: with best the scan of the first start modes, every mode before
+    start was solved, or proven at or below a running maximum at most best's
+    value, and every later mode has a larger k, so a tie keeps best: the
+    scan from start on returns the bits of one scan of the whole set.
+    """
+    bounds = pair.bounds(start)
+    order = np.argsort(-bounds, kind="stable")
+    for k, bound in zip(fm.modes.magnitudes[start:][order].tolist(), bounds[order]):
+        if bound <= best[0]:
+            break
+        forms = assemble(k, pair.cfg, fm.disc)
+        if best[2] is not None and pair.test(forms, best[0]):
+            continue
+        value, result = pair.solve(forms, bound)
+        if (value, -k) >= (best[0], -best[1]):
+            best = (value, k, result)
+    return best
+
+
+def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
+    """The value over fm, extended until no mode above its cutoff can change it.
+
+    The value is alpha(s) (_alpha_pair), an AlphaValue, or without s Lambda
+    (_growth_pair), the FixedPoint of the fastest mode. Each pass scans the
+    modes the last extension appended, resuming from the passes before
+    (_scan), and extends toward the pair's cutoff at the value so far, at
+    most doubling k_max. The value only rises, so the cutoff only falls and
+    the loop ends, unless the extension needs more than LATTICE_POINTS
+    lattice points (on the reference densities and depths, below about
+    mu = 1e-4 at N = 128): that raises DegenerateExponents, naming the
+    cutoff. So does a growth scan that solved no mode, every r_k rounded to
+    0 (C_k underflows at mu = 1e300); at theta < theta_c, where callers ask,
+    the smallest magnitude has c_k > 0 and so r_k > 0.
+    """
+    pair = _growth_pair(fm, theta) if s is None else _alpha_pair(fm, theta, s)
+    best, start = pair.floor, 0
     while True:
-        if s is None:
-            best = fm.growth_max(theta, best, start)
-            cutoff = growth_cutoff(cfg, best.lam)
-        else:
-            best = fm.alpha_value(s, theta, best, start)
-            cutoff = certified_cutoff(cfg, s, best.alpha)
+        best = _scan(fm, pair, start, best)
+        if best[2] is None:
+            raise DegenerateExponents(f"no mode grows at theta = {float(theta)!r}: every bound r_k is 0")
+        cutoff = pair.cutoff(best[0])
         if cutoff <= fm.modes.k_max:
-            return best
-        target = min(cutoff, 2.0 * fm.modes.k_max)
-        if not _lattice_points(cfg, target) <= LATTICE_POINTS:
-            raise DegenerateExponents(
-                f"the cutoff k = {cutoff!r} lies past the lattice that can be enumerated: "
-                f"k_max = {target!r} needs more than {LATTICE_POINTS} lattice points"
-            )
+            return best[2]
         start = len(fm.modes)
-        fm.extend_to(target)
+        try:
+            fm.extend_to(min(cutoff, 2.0 * fm.modes.k_max))
+        except DegenerateExponents as exc:  # the lattice up to there is too large
+            raise DegenerateExponents(
+                f"the cutoff k = {cutoff!r} lies past the lattice that can be enumerated: {exc}"
+            ) from None
 
 
 @dataclass(frozen=True, eq=False)

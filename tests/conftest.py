@@ -92,6 +92,13 @@ def global_alpha(cfg, s, disc):
     return spectrum.size_mode_set(fm, cfg.theta, s)
 
 
+def growth_max(fm, theta):
+    """The fixed point of the fastest mode of fm as it is, sized no further:
+    one scan of the growth pair over the whole set."""
+    pair = spectrum._growth_pair(fm, theta)
+    return spectrum._scan(fm, pair, 0, pair.floor)[2]
+
+
 def table_alpha(table):
     """The larger branch value of every row of a spectrum.ModeTable."""
     return np.maximum(table.alpha_longitudinal, table.alpha_transverse)

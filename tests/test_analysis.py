@@ -169,7 +169,7 @@ def test_verify_oracle_check_reuses_the_argmax_solve(cheap_config, monkeypatch, 
     k_min = smallest_magnitude(cfg)
     assert (result.argmax_k == k_min) == (fraction > 0.0)
     solved, reused = [], []
-    solve_mode, compare_solved = oracle.solve_mode_lambda, analysis.compare_solved_mode
+    solve_mode, compare_solved = oracle._mode_fixed_point, analysis.compare_solved_mode
 
     def spy_solve(cfg, k, disc):
         solved.append(k)
@@ -179,7 +179,7 @@ def test_verify_oracle_check_reuses_the_argmax_solve(cheap_config, monkeypatch, 
         reused.append(compare_solved(*args))
         return reused[-1]
 
-    monkeypatch.setattr(oracle, "solve_mode_lambda", spy_solve)
+    monkeypatch.setattr(oracle, "_mode_fixed_point", spy_solve)
     monkeypatch.setattr(analysis, "compare_solved_mode", spy_row)
     report = verify_all(cfg, disc)
     assert solved == ([] if result.argmax_k == k_min else [k_min])

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_solves, curve_alphas, fail_last_factorization
+from conftest import count_solves, curve_alphas, fail_last_factorization, growth_max
 from rtgrowth import fixedpoint, oracle, pencil, spectrum
 from rtgrowth.analysis import _sized_mode_set, sweep_theta
 from rtgrowth.errors import FactorizationFailure, StableRegime
@@ -111,7 +111,7 @@ def test_max_mode_lambda_is_the_root_of_alpha_minus_s2(physics, geometry, fracti
             lo = mid
         else:
             hi = mid
-    lam = fm.growth_max(theta).lam
+    lam = growth_max(fm, theta).lam
     assert abs(lam - lo) <= 1e-8 * max(1.0, lam)
 
 

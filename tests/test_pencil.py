@@ -323,7 +323,7 @@ def test_transverse_bound_and_large_k(reference_config, cheap_config):
         ratio = min(cfg.mu_plus, cfg.mu_minus) / max(cfg.rho_plus, cfg.rho_minus)
         for k in (0.1, 1.0, 24.8, 300.0):
             assert transverse_min_eigenvalue(k, cfg) >= ratio * k * k
-        # lam strictly increases in k (the proof is in FrozenModeSet.alpha_value),
+        # lam strictly increases in k (the proof is in spectrum._alpha_pair),
         # so the transverse branch peaks at the smallest magnitude
         ks = spectrum.enumerate_modes(cfg, 12.0 * spectrum.smallest_magnitude(cfg)).magnitudes
         assert np.all(np.diff([transverse_min_eigenvalue(k, cfg) for k in ks[:100]]) > 0.0)

@@ -195,3 +195,26 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     compare = child_counts("oracle-compare")
     assert compare == {"modes": 0, "solves": 0, **in_process("oracle-compare")}
     assert compare["fixed_points"] > 0 and compare["last_solves"] == 0  # only lam is read
+
+
+def test_loc_counts_total_and_code_lines(tmp_path, capsys, monkeypatch):
+    # blank lines, comments and docstrings are lines but not code; a string
+    # that is part of a statement is code on every line it spans
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # code with a comment\n"
+        '    """Docstring."""\n'
+        '    return """a\n'
+        'b"""\n'
+    )
+    (tmp_path / "b.py").write_text("x = 1\n\ny = (2 +\n     3)\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    loc = load_script("loc")
+    assert loc.count(tmp_path) == (12, 6)
+    monkeypatch.setattr(sys, "argv", ["loc.py", str(tmp_path)])
+    loc.main()
+    assert capsys.readouterr().out == "12 lines, 6 code lines\n"

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    box_config, cli_output, curve_alphas, galerkin_compliances, global_alpha, largest_eigenpair,
-    table_alpha,
+    box_config, cli_output, curve_alphas, galerkin_compliances, global_alpha, growth_max,
+    largest_eigenpair, table_alpha,
 )
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
@@ -142,6 +142,72 @@ def test_growth_solves_take_no_transverse_root(cheap_config, monkeypatch):
     monkeypatch.setattr(spectrum, "transverse_min_eigenvalue", forbidden)
     solve_lambda(cheap_config, DISC)
     sweep_theta(cheap_config, [0.0, 0.5], DISC)
+
+
+def test_alpha_sizing_takes_one_transverse_root(cheap_config, monkeypatch):
+    # the floor of alpha(s) is taken once, before the first pass; the passes
+    # after it resume from the running maximum and take no second root
+    roots, extensions = [], []
+    real_root, real_extend = spectrum.transverse_min_eigenvalue, FrozenModeSet.extend_to
+
+    def spy_root(k, cfg):
+        roots.append(k)
+        return real_root(k, cfg)
+
+    def spy_extend(self, k_max):
+        extensions.append(k_max)
+        return real_extend(self, k_max)
+
+    monkeypatch.setattr(spectrum, "transverse_min_eigenvalue", spy_root)
+    monkeypatch.setattr(FrozenModeSet, "extend_to", spy_extend)
+    value = global_alpha(cheap_config, 0.2, DISC)
+    assert len(extensions) >= 2
+    assert roots == [smallest_magnitude(cheap_config)]
+    assert value.branch == "longitudinal"
+
+
+def test_scan_ties_go_to_the_smaller_k_then_the_coupled_branch(cheap_config, monkeypatch):
+    # every coupled value equal to the transverse floor -s lambda_tau(k0),
+    # and no mode ruled out: each mode is solved, and only k0 ties the floor
+    # at its own k, where the coupled branch wins
+    s = 0.5
+    fm = FrozenModeSet.freeze(cheap_config, DISC, K_MAX)
+    k0 = smallest_magnitude(cheap_config)
+    floor = -s * transverse_min_eigenvalue(k0, cheap_config)
+    solved = []
+
+    def tie(forms, s, upper):
+        solved.append(forms.k)
+        return floor
+
+    monkeypatch.setattr(spectrum, "mode_alpha", tie)
+    monkeypatch.setattr(spectrum, "alpha_below", lambda forms, s, alpha: False)
+    value = fm.alpha_value(s, 0.0)
+    assert sorted(solved) == list(fm.modes.magnitudes)
+    assert (value.alpha, value.argmax_k, value.branch) == (floor, k0, "longitudinal")
+
+
+def test_growth_scan_tests_no_mode_before_its_first_solve(reference_config, monkeypatch):
+    # the floor 0 of the growth pair has no result: the first mode is solved
+    # untested, and every later mode is tested at the running maximum first
+    events = []
+    real_test, real_solve = spectrum.alpha_below, spectrum.fixed_point
+
+    def spy_test(forms, s, alpha):
+        events.append(("test", forms.k))
+        return real_test(forms, s, alpha)
+
+    def spy_solve(forms, start):
+        events.append(("solve", forms.k))
+        return real_solve(forms, start)
+
+    monkeypatch.setattr(spectrum, "alpha_below", spy_test)
+    monkeypatch.setattr(spectrum, "fixed_point", spy_solve)
+    fm = FrozenModeSet.freeze(reference_config, DISC, smallest_magnitude(reference_config))
+    size_mode_set(fm, 0.0)
+    solves = [i for i, (kind, _) in enumerate(events) if kind == "solve"]
+    assert solves[0] == 0 and len(solves) >= 2
+    assert all(events[i - 1][:2] == ("test", events[i][1]) for i in solves[1:])
 
 
 def reference_maximizer(value, cfg):
@@ -367,7 +433,7 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     beyond = np.linspace(cutoff, 4.0 * cutoff, 400)[1:]
     assert np.all(envelope_root(cfg, theta, beyond) < lam)
     doubled = FrozenModeSet.freeze(cfg, DISC, 2.0 * cutoff)
-    assert doubled.growth_max(theta).lam == lam
+    assert growth_max(doubled, theta).lam == lam
 
 
 @settings(max_examples=25, deadline=None)
@@ -523,7 +589,7 @@ def test_growth_scan_solves_few_modes(reference_config):
 
     spectrum.fixed_point = spy
     try:
-        best = fm.growth_max(0.0)
+        best = growth_max(fm, 0.0)
     finally:
         spectrum.fixed_point = real
     assert best.forms.k == 5.0
@@ -562,7 +628,7 @@ def test_inertia_scans_match_full_solves(cfg, fraction, s):
 
     spectrum.fixed_point = spy
     try:
-        best = fm.growth_max(theta)
+        best = growth_max(fm, theta)
     finally:
         spectrum.fixed_point = real
     full = {k: solve_mode_lambda(cfg, k, DISC) for k in fm.modes.magnitudes}
@@ -614,8 +680,8 @@ def test_incremental_sizing_and_newton_cutoff_over_config_box(nu_plus, nu_minus,
     # the box of test_dispersion_root_over_config_box. The Newton cutoff is
     # certified (B_l < floor where it stops) and not below the bisection's,
     # on every split, at floors above and below 0; the incremental passes of
-    # a growth solve assemble every mode at most once and return the bits of
-    # one scan of the final set
+    # a growth solve, and of alpha(s) at s = Lambda, assemble every mode at
+    # most once and return the bits of one scan of the final set
     cfg = box_config(nu_plus, nu_minus, fraction)
     for split in (0.0, 0.5, 1.0):
         for s in (0.1, 1.0, 10.0):
@@ -626,16 +692,19 @@ def test_incremental_sizing_and_newton_cutoff_over_config_box(nu_plus, nu_minus,
 
     disc = Discretization(8)
     fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
-    assembled = []
+    sized = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
+    assembled = [[]]  # one list per sizing
     real = spectrum.assemble
 
     def spy(k, *args):
-        assembled.append(float(k))
+        assembled[-1].append(float(k))
         return real(k, *args)
 
     spectrum.assemble = spy
     try:
         best = size_mode_set(fm, cfg.theta)
+        assembled.append([])
+        value = size_mode_set(sized, cfg.theta, best.lam)
     except DegenerateExponents as exc:
         # near mu = 1e-4 at N = 8 the growth cutoff lies past the lattice
         # that can be enumerated
@@ -643,13 +712,16 @@ def test_incremental_sizing_and_newton_cutoff_over_config_box(nu_plus, nu_minus,
         return
     finally:
         spectrum.assemble = real
-    assert len(assembled) == len(set(assembled))
+    for modes in assembled:
+        assert len(modes) == len(set(modes))
     check_newton_cutoff(cfg, best.lam, best.lam**2, 1.0)
     scan = FrozenModeSet.freeze(cfg, disc, fm.modes.k_max)
     assert np.array_equal(scan.modes.magnitudes, fm.modes.magnitudes)
-    once = scan.growth_max(cfg.theta)
+    once = growth_max(scan, cfg.theta)
     assert (best.lam, best.forms.k, best.alpha, best.noise) == (once.lam, once.forms.k, once.alpha, once.noise)
     assert np.array_equal(best.vector, once.vector)
+    once = FrozenModeSet.freeze(cfg, disc, sized.modes.k_max).alpha_value(best.lam, cfg.theta)
+    assert (value.alpha, value.argmax_k, value.branch) == (once.alpha, once.argmax_k, once.branch)
 
 
 def test_vanishing_viscosity_cutoff_does_not_underflow(cheap_config):
