@@ -7,7 +7,8 @@ Rows on the reference config (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1,
 theta 0): `rtgrowth growth` at N = 64 and N = 128, `sweep-theta` (default
 grid) and `verify` at N = 128, `oracle-compare` (default modes) at N = 32;
 `growth` at N = 128 with mu+ = mu- = 0.01 and 1e-3 (rows growth_128_mu_0.01
-and growth_128_mu_0.001, whose sizing passes enumerate 406 and 7017 modes),
+and growth_128_mu_0.001, whose sizing passes enumerate 406 and 7017 modes)
+and `verify` at N = 128 with mu+ = mu- = 0.01 (row verify_128_mu_0.01),
 each run REPEATS times; and the Tier-1 test suite, run once. Every run is a
 fresh interpreter with one BLAS thread, timed from start to exit (wall_s),
 because a command-line user pays imports on every run. Imports dominate that
@@ -16,13 +17,14 @@ inside cli.main: the part a change to the solver moves.
 
 Each command row records its inputs (config, N, the modes sized, the number of
 global solves, the dispersion determinant calls), its banded work (fixed
-points, inertia tests, factorizations and extended-precision residuals) and
-its answer (lambda and argmax_k; for
-oracle-compare, the oracle root and k of every compared mode), so that a
-later file can check that a speed-up kept the answer. The child counts modes
-as the final size of every mode set it builds, solves as the growth results
-it validates, determinants as the calls to oracle.determinant (one trial rate
-each), fixed points as the calls to pencil.fixed_point, inertia tests as the
+points, alpha solves, inertia tests, factorizations and extended-precision
+residuals) and its answer (lambda and argmax_k; for oracle-compare, the
+oracle root and k of every compared mode), so that a later file can check
+that a speed-up kept the answer. The child counts modes as the final size
+of every mode set it builds, solves as the growth results it validates,
+determinants as the calls to oracle.determinant (one trial rate
+each), fixed points as the calls to pencil.fixed_point, alpha solves as the
+calls to pencil.mode_alpha (one alpha_k(s) each), inertia tests as the
 calls to pencil.alpha_below (the scans' and mode_alpha's), last solves as
 the deferred last steps of fixed points that ran (pencil._last_solve: a fixed
 point runs its last solve only when its alpha, eigenvector or residual is
@@ -85,10 +87,11 @@ from rtgrowth.spectrum import FrozenModeSet
 sets = []
 counts = {
     "solves": 0, "determinants": 0, "fixed_points": 0, "last_solves": 0,
-    "inertia_tests": 0, "factorizations": 0, "extended_residuals": 0,
+    "alpha_solves": 0, "inertia_tests": 0, "factorizations": 0, "extended_residuals": 0,
 }
 init, validate, determinant = FrozenModeSet.__init__, GrowthResult.validate, oracle.determinant
 fixed_point, last_solve, alpha_below = pencil.fixed_point, pencil._last_solve, pencil.alpha_below
+mode_alpha = pencil.mode_alpha
 dpbtrf, extended = pencil.lapack.dpbtrf, pencil._band_matvec_extended
 
 def track_set(self, *args):
@@ -111,6 +114,10 @@ def count_last_solve(*args):
     counts["last_solves"] += 1
     return last_solve(*args)
 
+def count_alpha_solve(*args):
+    counts["alpha_solves"] += 1
+    return mode_alpha(*args)
+
 def count_inertia_test(*args):
     counts["inertia_tests"] += 1
     return alpha_below(*args)
@@ -127,6 +134,7 @@ FrozenModeSet.__init__, GrowthResult.validate = track_set, count_solve
 oracle.determinant = count_determinant
 spectrum.fixed_point = fixedpoint.fixed_point = count_fixed_point
 pencil._last_solve = count_last_solve
+spectrum.mode_alpha = pencil.mode_alpha = count_alpha_solve
 spectrum.alpha_below = pencil.alpha_below = count_inertia_test
 pencil.lapack.dpbtrf, pencil._band_matvec_extended = count_factorization, count_extended
 start = time.perf_counter()
@@ -171,6 +179,7 @@ def cli_row(name: str, command: str, n: int, work: Path, answer, config: str = "
         "determinants": counts["determinants"],
         "fixed_points": counts["fixed_points"],
         "last_solves": counts["last_solves"],
+        "alpha_solves": counts["alpha_solves"],
         "inertia_tests": counts["inertia_tests"],
         "factorizations": counts["factorizations"],
         "extended_residuals": counts["extended_residuals"],
@@ -239,6 +248,7 @@ def main() -> None:
             cli_row("growth_128_mu_0.001", "growth", 128, work, growth_answer, "mu_0.001"),
             cli_row("sweep_theta_128", "sweep-theta", 128, work, sweep_answer),
             cli_row("verify_128", "verify", 128, work, verify_answer),
+            cli_row("verify_128_mu_0.01", "verify", 128, work, verify_answer, "mu_0.01"),
             cli_row("oracle_compare_32", "oracle-compare", 32, work, oracle_answer),
         ]
     rows.append(tier1_row())

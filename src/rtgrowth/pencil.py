@@ -19,23 +19,20 @@ bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
 band form: a (4, dim) array whose row d holds the entries (j + d, j). The band
 is the lower triangle of the element scatter. Every per-mode quantity comes
 from banded Cholesky factorizations (dpbtrf): the inertia test alpha_below
-(s A + alpha B - c_k e0 e0^T factors exactly when alpha > alpha_k(s)),
-alpha_k(s) by bisection on it, finished by secular Newton steps (mode_alpha),
-and Lambda_k as the root of phi(s) = c_k e0^T (s A + s^2 B)^(-1) e0 = 1
-(fixed_point), whose last solve is the eigenprofile. The energy matrix
-s A + alpha B has condition number ~4e8 at N = 128, so a solve whose value
-is read is refined once with a residual in extended precision
-(_interface_solve = _factor_solve + _refine). fixed_point refines only at
-the answer: float64 steps propose points until a step falls below 1e-3 s,
-then one refined solve fixes Lambda_k. The last solve, which gives only the
-eigenvector, alpha and the residual, runs when one of them is first read
-(FixedPoint), so a caller that reads only Lambda_k never runs it. It reuses
-the factor and the extended residual held wherever that refinement's noise
-is at most a tenth of the residual acceptance (a fresh factorization and
-refined solve elsewhere); the residual it reports includes that noise. No
-solver path expands a dense matrix, and none builds a second mesh: the
-eigenvector's error is read against the exact eigenprofile at its own nodes
-(oracle.dispersion_profile).
+(s A + alpha B - c_k e0 e0^T factors exactly when alpha > alpha_k(s)), and
+the roots of one secular function, c_k e0^T (s A + alpha B)^(-1) e0 = 1,
+by one safeguarded Newton loop (_secular_newton) along two paths: Lambda_k
+along (t, t^2) (fixed_point), whose last solve is the eigenprofile, and
+alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
+where alpha_k(s) <= 0. The energy matrix has condition number ~4e8 at
+N = 128, so a solve whose value is read is refined once with a residual in
+extended precision (_factor_solve, then _refine). fixed_point refines only
+at the answer: float64 steps propose points until a step falls below
+1e-3 s. Its last solve, which gives only the eigenvector, alpha and the
+residual, runs when one of them is first read (FixedPoint), on the held
+factor where it can. No solver path expands a dense matrix, and none builds
+a second mesh: the eigenvector's error is read against the exact
+eigenprofile at its own nodes (oracle.dispersion_profile).
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
@@ -337,19 +334,6 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     return r, _spd_solve(chol, r, alpha)
 
 
-def _interface_solve(forms: PencilForms, s: float, alpha: float):
-    """x = (s A + alpha B)^(-1) e0, refined, for s, alpha >= 0 not both zero.
-
-    When alpha is the largest eigenvalue, x is its eigenvector: the pencil
-    gives (s A + alpha B) x = c_k x[e0] e0. One banded Cholesky factorization
-    and two solves (_factor_solve, _refine). Rounding the solve to float64
-    puts it off by up to 2e-9 at N = 128 (cond ~ 4e8), an error that moves
-    with BLAS threading; the refined vector is good to ~1e-12.
-    """
-    chol, x = _factor_solve(forms, s, alpha)
-    return x + _refine(forms, chol, s, alpha, x)[1]
-
-
 def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
     """The inertia test: whether alpha_k(s) < alpha, by one banded Cholesky.
 
@@ -380,28 +364,37 @@ def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
 
 
 def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
-    """alpha_k(s) by bisection on alpha_below, on either sign of c_k.
+    """alpha_k(s), the largest eigenvalue of the pencil, on either sign of c_k.
 
-    upper must bound alpha_k(s) from above, as U = spectrum.split_bound(cfg, s)(k)
-    is proven to (spectrum.certified_cutoff).
-    The lower end steps down from it by doubling until the test fails; the
-    bracket is then halved to 1e-14 of its width, which is at least
-    max(|upper|, s) and so far above the spacing of floats around it. That
-    resolves alpha_k(s) only to the backward error of the inertia test, and
-    where the result is at most 0 it is that bisection alone: on the contrast
-    config (rho 5.2/0.2, mu 0.1/5, g 20, L = 2, h = 0.3) at N = 128, element
-    tables that differ in their last bits (up to 7.6 ulp) moved such values
-    by up to 3.4e-6 relative (k = 6.185: -0.45411737 against -0.45411894).
-    Where the midpoint is positive, s A + alpha B is positive definite and
-    alpha_k(s) is the unique root there of the secular equation
-    c_k e0^T (s A + alpha B)^(-1) e0 = 1, whose left side is convex and
-    decreasing in alpha with derivative -c_k x^T B x; Newton steps on it with
-    refined solves (_interface_solve) take the value to the noise of those
-    solves: there the same tables moved positive values by at most 1.9e-9
-    absolute, and successive Newton iterates differ by about 6e-10.
+    Where c_k > 0, by the secular Newton loop (_secular_newton) along
+    alpha -> s A + alpha B from alpha = 0, with slope x^T B x. The path is
+    positive definite on [0, inf), as s A is, so there, by the Schur
+    complement and inertia argument of fixed_point, phi(alpha) =
+    c_k e0^T (s A + alpha B)^(-1) e0 < 1 exactly when alpha > alpha_k(s).
+    And 1/phi = min over x[e0] = 1 of x^T (s A + alpha B) x / c_k, a minimum
+    of affine functions of alpha, is concave and increasing: its tangent
+    lies above it, so Newton on 1 - 1/phi from 0 rises monotonically to
+    alpha_k(s) > 0, never past it.
+
+    Where phi(0) <= 1 the loop's bracket closes at 0 and it returns 0; there
+    and wherever c_k <= 0, alpha_k(s) <= 0 is a bisection on alpha_below
+    from upper, which must bound alpha_k(s) from above, as
+    U = spectrum.split_bound(cfg, s)(k) is proven to
+    (spectrum.certified_cutoff). The lower end steps down from it by
+    doubling until the test fails, and the bracket is halved to 1e-14 of its
+    width, at least max(|upper|, s). That resolves alpha_k(s) only to the
+    inertia test's backward error: on the contrast config (rho 5.2/0.2,
+    mu 0.1/5, g 20, L = 2, h = 0.3) at N = 128, element tables that differ
+    in their last bits (up to 7.6 ulp) moved such values by up to 3.4e-6
+    relative (k = 6.185: -0.45411737 against -0.45411894).
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
+    if forms.c_k > 0.0:
+        chol, x = _factor_solve(forms, s, 0.0)
+        alpha = _secular_newton(forms, lambda t: (s, t), lambda t, x0, xb: xb, 0.0, chol, x)[0]
+        if alpha > 0.0:
+            return alpha
     hi, step = float(upper), max(abs(upper), s)
     while alpha_below(forms, s, hi - step):
         hi, step = hi - step, 2.0 * step
@@ -412,15 +405,7 @@ def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
             hi = mid
         else:
             lo = mid
-    alpha = 0.5 * (lo + hi)
-    for _ in range(3 if alpha > 0.0 else 0):
-        x = _interface_solve(forms, s, alpha)
-        phi = forms.c_k * float(x[forms.e0_index])
-        newton = alpha + (phi - 1.0) / (forms.c_k * float(x @ band_matvec(forms.B_band, x)))
-        if not newton > 0.0 or newton == alpha:
-            break
-        alpha = newton
-    return float(alpha)
+    return float(0.5 * (lo + hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,7 +499,8 @@ def _last_solve(fp: FixedPoint) -> tuple[float, np.ndarray, float]:
 
 
 # fixed_point's two phases: float64 steps until one is at most _FLOAT_STEP * s,
-# then refined steps until one is at most _LAST_STEP * s (derived in its docstring)
+# then refined steps (_secular_newton, mode_alpha's too) until one is at most
+# _LAST_STEP * s (derived in fixed_point's docstring)
 _FLOAT_STEP = 1e-3
 _LAST_STEP = 1e-7
 # the last step's solve reuses the factor and residual held when the one
@@ -553,20 +539,13 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     step. Past that a step can be mostly rounding; such steps stop halving,
     so the phase still ends after a few solves.
 
-    Refined phase. Safeguarded Newton on 1/phi - 1, every solve refined once
-    in extended precision (_refine): s <- s + phi (1 - phi) / phi', with a
-    bisection of the bracket whenever a step leaves it. Where the start's
-    bound is nearly exact (near theta_c) its computed value can fall below
-    Lambda_k by rounding, so phi > 1 does not raise: s becomes the lower end
-    of the bracket, whose upper end stays open until a step (upward, since
-    phi > 1) passes the root. The phase starts by refining the float64
-    phase's last factor, at its last point, and stops at a step of at most
-    _LAST_STEP * s. That step fixes lam = t; the solve at t gives only alpha,
-    the eigenvector and the residual. So fixed_point returns there, and the
-    FixedPoint runs that last solve the first time one of them is read
-    (_last_solve), held or fresh as the gate in force when lam was fixed
-    decides: oracle.compare_modes and the modes a growth scan does not keep
-    as its maximum read only lam and never run it.
+    Refined phase. The secular Newton loop (_secular_newton) along (t, t^2),
+    from the float64 phase's last factor at its last point. A start's bound
+    that rounding puts below Lambda_k (near theta_c) only makes s the
+    bracket's lower end. The loop's last step fixes lam = t; the solve at t,
+    which gives only alpha, the eigenvector and the residual, runs the first
+    time one of them is read (FixedPoint, _last_solve), held or fresh as the
+    gate in force when lam was fixed decides.
 
     Held last step. With x the float64 solve at s, r = e0 - M(s) x the
     extended-precision residual already formed (M(s) = s A + s^2 B) and d
@@ -628,11 +607,10 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     c = float(forms.c_k)
     if not c > 0.0:
         raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
-    i0 = forms.e0_index
     s, size = float(start), math.inf
     chol, x = _factor_solve(forms, s, s * s)  # the factor and float64 solve at s
     for _ in range(100):
-        x0 = float(x[i0])
+        x0 = float(x[forms.e0_index])
         y, q = 1.0 / (c * x0), s * s * float(x @ band_matvec(forms.B_band, x)) / x0
         b = y * (1.0 - q)  # y(t) = y q (t/s)^2 + b t/s
         step = s * (2.0 / (b + math.sqrt(b * b + 4.0 * y * q)) - 1.0)
@@ -643,26 +621,47 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
         chol, x = _factor_solve(forms, s, s * s)
         if near:
             break
+    held = _secular_newton(forms, lambda t: (t, t * t), lambda t, x0, xb: x0 / t + t * xb, s, chol, x)
+    return FixedPoint(forms, *held, _HELD_GATE * max(1.0, held[1] * held[1]))
+
+
+def _secular_newton(forms: PencilForms, path, slope, t: float, chol: np.ndarray, x: np.ndarray):
+    """The root t of phi(t) = c_k e0^T M(t)^(-1) e0 = 1, c_k > 0, along a
+    path of positive definite energy matrices M(t) = s(t) A + alpha(t) B,
+    path(t) = (s(t), alpha(t)): (t, t^2) for Lambda_k (fixed_point), (s, t)
+    for alpha_k(s) (mode_alpha). slope(t, x0, xb) is x^T M'(t) x for
+    x = M(t)^(-1) e0, x0 = x[e0] and xb = x^T B x, so phi' = -c_k slope < 0.
+    chol and x are the factor and float64 solve at the start t.
+
+    Safeguarded Newton on 1 - 1/phi with every solve refined once (_refine):
+    t <- t + phi (1 - phi) / phi', bisecting the bracket [lo, hi], first
+    [0, inf), when a step leaves it; phi > 1 makes t its lower end. Bracket
+    and stop tests are relative to max(t, s(t)). A step of at most
+    _LAST_STEP of that fixes t_next, unsolved, and the loop returns
+    (t_next, t, chol, x, d, r, xb): x the float64 solve at t, d its
+    correction, r its extended residual and xb = (x + d)^T B (x + d), which
+    fixed_point's held last step reads. Where phi = 1 or the bracket closes,
+    t_next = t and r is None.
+    """
+    c, i0 = float(forms.c_k), forms.e0_index
     lo, hi = 0.0, math.inf
     for _ in range(100):
-        r, d = _refine(forms, chol, s, s * s, x)
+        s, alpha = path(t)
+        r, d = _refine(forms, chol, s, alpha, x)
         xr = x + d
-        x0 = float(xr[i0])
+        x0, xb = float(xr[i0]), float(xr @ band_matvec(forms.B_band, xr))
         phi = c * x0
-        xb = float(xr @ band_matvec(forms.B_band, xr))
-        if phi > 1.0:
-            lo = s
-        else:
-            hi = s
-        if phi == 1.0 or hi - lo <= 1e-15 * s:
-            return FixedPoint(forms, s, s, chol, x, d, None, xb, 0.0)
-        step = phi * (1.0 - phi) / (-c * (x0 / s + s * xb))
-        t = s + step if lo <= s + step <= hi else 0.5 * (lo + hi)
-        if abs(step) <= _LAST_STEP * s:
-            return FixedPoint(forms, t, s, chol, x, d, r, xb, _HELD_GATE * max(1.0, s * s))
-        s = t
-        chol, x = _factor_solve(forms, s, s * s)
-    raise FactorizationFailure(f"no fixed point of mode k = {forms.k!r} after 100 Newton steps")
+        lo, hi = (t, hi) if phi > 1.0 else (lo, t)
+        scale = max(t, s)
+        if phi == 1.0 or hi - lo <= 1e-15 * scale:
+            return t, t, chol, x, d, None, xb
+        step = phi * (1.0 - phi) / (-c * slope(t, x0, xb))
+        nxt = t + step if lo <= t + step <= hi else 0.5 * (lo + hi)
+        if abs(step) <= _LAST_STEP * scale:
+            return nxt, t, chol, x, d, r, xb
+        t = nxt
+        chol, x = _factor_solve(forms, *path(t))
+    raise FactorizationFailure(f"no secular root of mode k = {forms.k!r} after 100 Newton steps")
 
 
 def _b_cot_bh(b2: float, h: float) -> float:

@@ -232,16 +232,28 @@ def largest_eigenpair(forms, s):
     return finish_eigenpair(forms, s, w[0], v[:, 0])
 
 
+def interface_solve(forms, s, alpha):
+    """x = (s A + alpha B)^(-1) e0, refined once, for s A + alpha B positive
+    definite: one banded factorization and float64 solve (pencil._factor_solve)
+    and one extended-precision residual (pencil._refine). When alpha is the
+    largest eigenvalue, x is its eigenvector: the pencil gives
+    (s A + alpha B) x = c_k x[e0] e0. Rounding the solve to float64 puts it
+    off by up to 2e-9 at N = 128 (cond ~ 4e8); the refined vector is good to
+    ~1e-12."""
+    chol, x = pencil._factor_solve(forms, s, alpha)
+    return x + pencil._refine(forms, chol, s, alpha, x)[1]
+
+
 def all_refined_fixed_point(forms, start):
     """Lambda_k by safeguarded Newton on 1/phi - 1 with every solve
-    refined (pencil._interface_solve), stopping one solve after a step below
+    refined (interface_solve), stopping one solve after a step below
     1e-9 relative: the reference that pencil.fixed_point's float64 proposals
     and shorter refined phase are tested against."""
     c = float(forms.c_k)
     lo, hi, s = 0.0, math.inf, float(start)
     last = False
     for _ in range(100):
-        x = pencil._interface_solve(forms, s, s * s)
+        x = interface_solve(forms, s, s * s)
         phi = c * float(x[forms.e0_index])
         xb = float(x @ pencil.band_matvec(forms.B_band, x))
         if phi > 1.0:
@@ -265,13 +277,13 @@ def galerkin_compliances(forms):
     B, a second-order form, is conditioned like N^2, so one banded solve
     gives I_k^N to ~1e-13; A, a fourth-order form, is conditioned like N^4,
     and an unrefined solve is off by up to 7e-8 at N = 256, so C_k^N takes
-    the refined solve of pencil._interface_solve.
+    the refined solve of interface_solve.
     """
     chol, info = pencil.lapack.dpbtrf(forms.B_band, lower=1)
     assert info == 0, f"kinetic matrix not positive definite (LAPACK info {info})"
     x, info = pencil.lapack.dpbtrs(chol, pencil._unit(forms), lower=1)
     assert info == 0, f"kinetic solve failed (LAPACK info {info})"
-    y = pencil._interface_solve(forms, 1.0, 0.0)
+    y = interface_solve(forms, 1.0, 0.0)
     return float(x[forms.e0_index]), float(y[forms.e0_index])
 
 

@@ -8,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from conftest import all_refined_fixed_point, box_config, cli_output, config_json, galerkin_compliances
+from conftest import (
+    all_refined_fixed_point,
+    box_config,
+    cli_output,
+    config_json,
+    galerkin_compliances,
+    interface_solve,
+)
 
 from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
 from rtgrowth.errors import DegenerateExponents, SolverError
@@ -168,7 +175,7 @@ def test_determinant_is_the_condensed_galerkin_form(reference_config):
     for cfg, k, n in ((reference_config, 1.0, 0.7), (reference_config, 5.0, 2.0),
                       (CONTRAST, 0.5, 1.0), (CONTRAST, 3.0, 5.0)):
         forms = pencil.assemble(k, cfg, disc)
-        x = pencil._interface_solve(forms, n, n * n)
+        x = interface_solve(forms, n, n * n)
         expected = k * k * (1.0 / x[forms.e0_index] - forms.c_k)
         assert determinant(k, n, cfg) == pytest.approx(expected, rel=1e-6)
 

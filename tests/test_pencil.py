@@ -15,6 +15,7 @@ from conftest import (
     dense,
     dissipation_form,
     finish_eigenpair,
+    interface_solve,
     kinetic_form,
     largest_eigenpair,
     loop_tables,
@@ -49,7 +50,7 @@ def secular_eigenpair(forms, s, alpha):
     matrix is indefinite (c_k <= 0) or numerically singular (tiny c_k > 0)."""
     if alpha <= 0.0:
         raise ValueError(f"secular eigenpair needs alpha > 0, got {alpha!r}")
-    return finish_eigenpair(forms, s, alpha, pencil._interface_solve(forms, s, alpha))
+    return finish_eigenpair(forms, s, alpha, interface_solve(forms, s, alpha))
 
 
 def a_scale(forms):
@@ -478,25 +479,87 @@ def test_secular_eigenpair_matches_dense_at_n128(reference_config):
 
 def refined_phi(forms, s, alpha):
     """c_k e0^T (s A + alpha B)^(-1) e0 from one refined banded solve."""
-    return forms.c_k * float(pencil._interface_solve(forms, s, alpha)[forms.e0_index])
+    return forms.c_k * float(interface_solve(forms, s, alpha)[forms.e0_index])
 
 
-def test_mode_alpha_matches_the_refined_secular_root(reference_config):
+def refined_secular_root(forms, s, lo, hi):
+    """The root of refined_phi(forms, s, .) = 1 in [lo, hi], by bisection to
+    1e-15 of |hi|; s A + alpha B must stay positive definite on [lo, hi]."""
+    assert refined_phi(forms, s, lo) > 1.0 > refined_phi(forms, s, hi)
+    while hi - lo > 1e-15 * abs(hi):
+        mid = 0.5 * (lo + hi)
+        if refined_phi(forms, s, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def positive_alphas(*cfgs):
+    """(forms, s, alpha, dpbtrf calls of mode_alpha) for every alpha_k(s) > 0
+    at N = 128, k in {0.5, 1, 2, 3, 5, 7} and s in {0.1, 0.5, 1, 2.5}."""
+    real, calls = pencil.lapack.dpbtrf, []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    cases = []
+    for cfg in cfgs:
+        for k in (0.5, 1.0, 2.0, 3.0, 5.0, 7.0):
+            forms = assemble(k, cfg, Discretization(128))
+            for s in (0.1, 0.5, 1.0, 2.5):
+                calls.clear()
+                pencil.lapack.dpbtrf = spy
+                try:
+                    alpha = mode_alpha(forms, s, float(spectrum.split_bound(cfg, s)(k)))
+                finally:
+                    pencil.lapack.dpbtrf = real
+                if alpha > 0.0:
+                    cases.append((forms, s, alpha, len(calls)))
+    return cases
+
+
+def test_positive_mode_alpha_takes_at_most_six_factorizations(reference_config, contrast_config):
+    # from alpha = 0, where s A is positive definite, the secular Newton
+    # rises to alpha_k(s) > 0 in a few refined solves; bisection on the
+    # inertia test to 1e-14 of its bracket took 51 factorizations on each
+    cases = positive_alphas(reference_config, contrast_config)
+    assert len(cases) == 30
+    assert max(calls for *_, calls in cases) <= 6
+
+
+def test_mode_alpha_matches_the_refined_secular_root(reference_config, contrast_config):
     # bisection on the inertia test alone stops at its backward error (about
     # 2e-8 relative here); the secular Newton steps take alpha_k(s) to the
     # root of the refined secular equation, bisected independently below
     forms = assemble(1.0, reference_config, Discretization(128))
     s = 2.4381739517143846  # Lambda of the reference config at N = 128
     alpha = mode_alpha(forms, s, spectrum.split_bound(reference_config, s)(1.0))
-    lo, hi = alpha * (1.0 - 1e-6), alpha * (1.0 + 1e-6)
-    assert refined_phi(forms, s, lo) > 1.0 > refined_phi(forms, s, hi)
-    while hi - lo > 1e-15 * hi:
-        mid = 0.5 * (lo + hi)
-        if refined_phi(forms, s, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    assert alpha == pytest.approx(0.5 * (lo + hi), rel=1e-11)
+    root = refined_secular_root(forms, s, alpha * (1.0 - 1e-6), alpha * (1.0 + 1e-6))
+    assert alpha == pytest.approx(root, rel=1e-11)
+    # every positive alpha_k(s) of the grid. The refined secular function is
+    # itself noise within a few 1e-11 of its root where the refinement's
+    # relative correction is largest: its sign flips over 2.6e-11 (reference,
+    # k = 1, s = 2.5), 4.6e-11 (contrast, k = 3, s = 0.5) and 6.9e-11
+    # (contrast, k = 1, s = 0.1) relative, so the bisection's end in that
+    # band is arbitrary to that width
+    for forms, s, alpha, _ in positive_alphas(reference_config, contrast_config):
+        root = refined_secular_root(forms, s, alpha * (1.0 - 1e-6), alpha * (1.0 + 1e-6))
+        assert alpha == pytest.approx(root, rel=1e-10)
+
+
+@pytest.mark.parametrize("shift", [-1e-6, -1e-9, -1e-12, 0.0, 1e-12])
+def test_mode_alpha_near_a_zero_of_alpha_k(reference_config, shift):
+    # alpha_1(s) crosses 0 near s0 (reference config, N = 128). Above 0 the
+    # secular Newton answers, at or below it the inertia bisection; both stay
+    # within 5e-9 absolute of the refined secular root, bisected on its own.
+    # s A + alpha B stays positive definite down to alpha = -1e-4
+    forms = assemble(1.0, reference_config, Discretization(128))
+    s = 3.318688038074881 * (1.0 + shift)
+    alpha = mode_alpha(forms, s, float(spectrum.split_bound(reference_config, s)(1.0)))
+    assert abs(alpha) < 1e-5
+    assert alpha == pytest.approx(refined_secular_root(forms, s, -1e-4, 1e-4), abs=5e-9)
 
 
 def test_fixed_point_from_the_compliance_bound(reference_config, monkeypatch):
@@ -706,7 +769,7 @@ def test_solves_leave_the_bands_read_only_and_unchanged(reference_config, monkey
     lam = fixed_point(forms, start).lam
     pencil.alpha_below(forms, lam, lam * lam)
     mode_alpha(forms, lam, float(spectrum.split_bound(reference_config, lam)(forms.k)))
-    pencil._interface_solve(forms, lam, lam * lam)
+    interface_solve(forms, lam, lam * lam)
     real = spectrum.assemble
 
     def spy(*args):

@@ -136,9 +136,9 @@ def test_cli_outputs_compare_fails_on_a_non_numeric_difference(tmp_path, capsys,
 def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     # the bench child reports the final size of every mode set the run builds,
     # the growth results it validates, its dispersion determinant calls, its
-    # fixed points and the last solves they ran, its inertia tests, banded
-    # factorizations and extended-precision residuals, and the time inside
-    # cli.main, read from inside its process
+    # fixed points and the last solves they ran, its alpha_k(s) solves, its
+    # inertia tests, banded factorizations and extended-precision residuals,
+    # and the time inside cli.main, read from inside its process
     bench = load_script("bench")
     config = tmp_path / "reference.json"
     config.write_text(json.dumps(bench.REFERENCE))
@@ -156,8 +156,8 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         return counts
 
     calls = {
-        "determinants": 0, "fixed_points": 0, "last_solves": 0, "inertia_tests": 0,
-        "factorizations": 0, "extended_residuals": 0,
+        "determinants": 0, "fixed_points": 0, "last_solves": 0, "alpha_solves": 0,
+        "inertia_tests": 0, "factorizations": 0, "extended_residuals": 0,
     }
 
     def counting(key, real):
@@ -172,6 +172,7 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "fixed_point", counting("fixed_points", pencil.fixed_point))
     for module in (spectrum, pencil):
         monkeypatch.setattr(module, "alpha_below", counting("inertia_tests", pencil.alpha_below))
+        monkeypatch.setattr(module, "mode_alpha", counting("alpha_solves", pencil.mode_alpha))
     monkeypatch.setattr(pencil.lapack, "dpbtrf", counting("factorizations", pencil.lapack.dpbtrf))
     monkeypatch.setattr(
         pencil, "_band_matvec_extended", counting("extended_residuals", pencil._band_matvec_extended)
@@ -195,6 +196,10 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     compare = child_counts("oracle-compare")
     assert compare == {"modes": 0, "solves": 0, **in_process("oracle-compare")}
     assert compare["fixed_points"] > 0 and compare["last_solves"] == 0  # only lam is read
+    assert growth["alpha_solves"] == compare["alpha_solves"] == 0
+    verify = child_counts("verify")
+    assert {key: verify[key] for key in calls} == in_process("verify")
+    assert verify["alpha_solves"] > 0 and verify["factorizations"] > verify["inertia_tests"]
 
 
 def test_loc_counts_total_and_code_lines(tmp_path, capsys, monkeypatch):
