@@ -17,7 +17,6 @@ import math
 from rtgrowth import Discretization, FluidConfig, solve_lambda, upper_bound_m
 from rtgrowth.oracle import dispersion_root, profile_error
 from rtgrowth.pencil import assemble, mode_alpha
-from rtgrowth.spectrum import split_bound
 
 REFERENCE = FluidConfig(
     rho_plus=2.0, rho_minus=1.0, mu_plus=0.1, mu_minus=0.1,
@@ -32,10 +31,9 @@ def main() -> None:
 
     print("per-mode alpha at k = 1, s = 1:")
     prev = None
-    upper = split_bound(REFERENCE, 1.0)(1.0)
     n = 8
     while n <= args.max_n:
-        alpha = mode_alpha(assemble(1.0, REFERENCE, Discretization(n)), 1.0, upper)
+        alpha = mode_alpha(assemble(1.0, REFERENCE, Discretization(n)), 1.0)
         step = "" if prev is None else f"  increment {alpha - prev:+.3e}"
         print(f"  N={n:<4d} alpha={alpha:.14f}{step}")
         prev = alpha

@@ -24,15 +24,16 @@ the roots of one secular function, c_k e0^T (s A + alpha B)^(-1) e0 = 1,
 by one safeguarded Newton loop (_secular_newton) along two paths: Lambda_k
 along (t, t^2) (fixed_point), whose last solve is the eigenprofile, and
 alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
-where alpha_k(s) <= 0. The energy matrix has condition number ~4e8 at
-N = 128, so a solve whose value is read is refined once with a residual in
-extended precision (_factor_solve, then _refine). fixed_point refines only
-at the answer: float64 steps propose points until a step falls below
-1e-3 s. Its last solve, which gives only the eigenvector, alpha and the
-residual, runs when one of them is first read (FixedPoint), on the held
-factor where it can. No solver path expands a dense matrix, and none builds
-a second mesh: the eigenvector's error is read against the exact
-eigenprofile at its own nodes (oracle.dispersion_profile).
+down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
+condition number ~4e8 at N = 128, so a solve whose value is read is refined
+once with a residual in extended precision (_factor_solve, then _refine).
+fixed_point refines only at the answer: float64 steps propose points until
+a step falls below 1e-3 s. Its last solve, which gives only the
+eigenvector, alpha and the residual, runs when one of them is first read
+(FixedPoint), on the held factor where it can. No solver path expands a
+dense matrix, and none builds a second mesh: the eigenvector's error is
+read against the exact eigenprofile at its own nodes
+(oracle.dispersion_profile).
 
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
@@ -363,7 +364,7 @@ def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
     return info == 0
 
 
-def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
+def mode_alpha(forms: PencilForms, s: float) -> float:
     """alpha_k(s), the largest eigenvalue of the pencil, on either sign of c_k.
 
     Where c_k > 0, by the secular Newton loop (_secular_newton) along
@@ -376,17 +377,23 @@ def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
     lies above it, so Newton on 1 - 1/phi from 0 rises monotonically to
     alpha_k(s) > 0, never past it.
 
-    Where phi(0) <= 1 the loop's bracket closes at 0 and it returns 0; there
-    and wherever c_k <= 0, alpha_k(s) <= 0 is a bisection on alpha_below
-    from upper, which must bound alpha_k(s) from above, as
-    U = spectrum.split_bound(cfg, s)(k) is proven to
-    (spectrum.certified_cutoff). The lower end steps down from it by
-    doubling until the test fails, and the bracket is halved to 1e-14 of its
-    width, at least max(|upper|, s). That resolves alpha_k(s) only to the
-    inertia test's backward error: on the contrast config (rho 5.2/0.2,
-    mu 0.1/5, g 20, L = 2, h = 0.3) at N = 128, element tables that differ
-    in their last bits (up to 7.6 ulp) moved such values by up to 3.4e-6
-    relative (k = 6.185: -0.45411737 against -0.45411894).
+    Where phi(0) <= 1 the loop's bracket closes at 0 and it returns 0. There
+    and wherever c_k <= 0, alpha_k(s) <= 0 is proven, so it is bisected on
+    alpha_below down from 0:
+
+    - c_k <= 0: c_k e0 e0^T - s A is negative definite, s A being positive
+      definite, so every B-Rayleigh quotient of the pencil is negative;
+    - phi(0) <= 1: 1 - phi(0) >= 0 is the Schur complement of s A in
+      s A - c_k e0 e0^T (fixed_point), so c_k e0 e0^T - s A is negative
+      semidefinite and every B-Rayleigh quotient is at most 0.
+
+    The lower end steps down from 0 by doubling from s until the test fails,
+    and the bracket is halved to 1e-14 of its width. So alpha_k(s) depends
+    on its pencil and s alone, whoever asks. A value at or below 0 is
+    resolved only to the inertia test's backward error: on the contrast
+    config (rho 5.2/0.2, mu 0.1/5, g 20, L = 2, h = 0.3) at N = 128, element
+    tables that differ in their last bits (up to 7.6 ulp) moved such values
+    by up to 3.4e-6 relative (k = 6.185: -0.45411737 against -0.45411894).
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
@@ -395,7 +402,7 @@ def mode_alpha(forms: PencilForms, s: float, upper: float) -> float:
         alpha = _secular_newton(forms, lambda t: (s, t), lambda t, x0, xb: xb, 0.0, chol, x)[0]
         if alpha > 0.0:
             return alpha
-    hi, step = float(upper), max(abs(upper), s)
+    hi, step = 0.0, s
     while alpha_below(forms, s, hi - step):
         hi, step = hi - step, 2.0 * step
     lo, tol = hi - step, 1e-14 * step

@@ -11,8 +11,8 @@ pencil when it is needed (pencil.alpha_below, mode_alpha, fixed_point).
 Both suprema are one pruned scan (_scan) fed by one of two pairs of
 per-mode bound, test and solve: Lambda = max_k Lambda_k (_growth_pair:
 r_k = compliance_bound, the inertia test at (M, M^2), fixed_point) and
-alpha(s) (_alpha_pair: U = split_bound, the inertia test at (s, M),
-mode_alpha, over the floor of one transverse root at the smallest
+alpha(s) (_alpha_pair: the least split bound B_l, the inertia test at
+(s, M), mode_alpha, over the floor of one transverse root at the smallest
 magnitude). alpha(s) only locates Lambda, so it returns values and the
 maximizing mode, never a profile; the eigenprofile is the last solve of the
 maximizing mode's fixed point.
@@ -24,7 +24,9 @@ never competes for the supremum near the fixed point.
 Cutoff policy: one family of proven per-mode bounds B_l (split_bound), which
 splits the dissipation between an interior and an interface estimate, falls
 below any floor beyond a computable wavenumber. For alpha_k(s) on both
-branches the cutoff is the smallest over a few splits (certified_cutoff).
+branches the cutoff is the smallest over the splits _SPLITS
+(certified_cutoff), whose least bound also orders and stops the alpha(s)
+scan.
 For Lambda_k it is the split l = 1 at s = Lambda and floor Lambda^2
 (growth_cutoff). Each cutoff is the largest root of a convex cubic, found by
 Newton steps from above and certified where they stop (_split_cutoff). An
@@ -59,6 +61,9 @@ from .pencil import (
 from .modeforms import compliances, surface_coefficient
 
 _DEDUP_RTOL = 1e-12
+# the splits l of the bounds B_l (certified_cutoff) whose least value orders
+# and stops the alpha(s) scan and whose cutoffs certified_cutoff takes
+_SPLITS = (0.0, 0.5, 1.0)
 # the most lattice points enumerate_modes forms, (2 n1 + 1)(2 n2 + 1) with
 # n_i = ceil(k_max L_i): k_max = 1023 on a unit box, 225,996 magnitudes
 LATTICE_POINTS = 1 << 22
@@ -206,8 +211,7 @@ class FrozenModeSet:
         one transverse root each."""
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
-        bounds = split_bound(cfg, s)(ks)
-        longitudinal = [mode_alpha(assemble(k, cfg, self.disc), s, u) for k, u in zip(ks, bounds)]
+        longitudinal = [mode_alpha(assemble(k, cfg, self.disc), s) for k in ks]
         lam_tau = np.asarray([transverse_min_eigenvalue(k, self.cfg) for k in ks])
         return ModeTable(ks, np.asarray(longitudinal), -s * lam_tau)
 
@@ -240,10 +244,10 @@ def compliance_bound(c, inviscid, stokes):
     return 2.0 * c / (1.0 / stokes + np.sqrt(1.0 / np.square(stokes) + 4.0 * c / inviscid))
 
 
-def split_bound(cfg: FluidConfig, s: float, split: float = 0.0):
+def split_bound(cfg: FluidConfig, s: float, split: float):
     """B_l at l = split (certified_cutoff), as a function of k, a float or an array.
 
-    B_0 is U(k, s) = max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max.
+    B_0 is max(c_k, 0) k / (rho+ + rho-) - s mu_min k^2 / rho_max.
     """
     return _split_bound(cfg, s, split)[0]
 
@@ -284,7 +288,7 @@ def certified_cutoff(cfg: FluidConfig, s: float, floor: float) -> float:
                  - (1 - l) s mu_min k^2 / rho_max
 
     bounds both branches of every mode: alpha_k(s) <= B_l(k) (split_bound).
-    B_0 is U(k, s). Proof, for a clamped C^1 profile psi with kinetic
+    Proof, for a clamped C^1 profile psi with kinetic
     form K = sum_layers rho int(psi^2 + psi'^2/k^2) and dissipation
     D = sum_layers mu int (k psi + psi''/k)^2 + 4 psi'^2:
 
@@ -317,17 +321,17 @@ def certified_cutoff(cfg: FluidConfig, s: float, floor: float) -> float:
     matrices are the exact integrals of its shapes, from closed-form integer
     tables (pencil._element_matrices), so the coupled bound holds for the
     computed alpha_k(s) too, and both envelopes hold for the discrete
-    compliances. The returned
-    cutoff is the smallest over l = 0 and 1/2, and over l = 1 when floor > 0
-    (B_1 >= 0 reaches every floor at or below 0). U is sharp where viscosity
-    is small, the larger l where mu_min / rho_max understates the dissipation
-    of a strong viscosity contrast. The growth rate is cut off by l = 1 at
-    s = Lambda (growth_cutoff).
+    compliances. The returned cutoff is the smallest over the splits
+    _SPLITS, l = 0, 1/2 and 1, without l = 1 for a floor at or below 0
+    (B_1 >= 0 reaches every such floor). B_0 is sharp where viscosity is
+    small, the larger l where mu_min / rho_max understates the dissipation
+    of a strong viscosity contrast. The alpha(s) scan orders and stops by
+    min_l B_l(k) over the same splits (_alpha_pair). The growth rate is cut
+    off by l = 1 at s = Lambda (growth_cutoff).
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
-    splits = (0.0, 0.5, 1.0) if floor > 0.0 else (0.0, 0.5)
-    return min(_split_cutoff(cfg, s, floor, split) for split in splits)
+    return min(_split_cutoff(cfg, s, floor, split) for split in _SPLITS if floor > 0.0 or split < 1.0)
 
 
 def _split_cutoff(cfg: FluidConfig, s: float, floor: float, split: float) -> float:
@@ -439,9 +443,13 @@ def _growth_pair(fm: FrozenModeSet, theta: float) -> _Pair:
 def _alpha_pair(fm: FrozenModeSet, theta: float, s: float) -> _Pair:
     """The pair of alpha(s, theta); its result is the AlphaValue.
 
-    The scanned value is the coupled branch: bound U(k, s) =
-    split_bound(cfg, s)(k), test the inertia test at (s, M), solve
-    mode_alpha, cutoff certified_cutoff at the floor M. The floor is the
+    The scanned value is the coupled branch: bound min_l B_l(k) over
+    _SPLITS, the family certified_cutoff cuts with (each B_l bounds
+    alpha_k(s), so their minimum does), test the inertia test at (s, M),
+    solve mode_alpha, cutoff certified_cutoff at the floor M. mode_alpha's
+    value depends on the pencil and s alone, so the bound changes only which
+    modes are visited, and the scan's tie rule makes its result independent
+    of their order. The floor is the
     transverse maximum -s lambda_tau(k0) at the smallest magnitude k0, one
     scalar root. Proof that lambda_tau strictly increases in k: for every
     nonzero tau in H^1_0 the quotient
@@ -460,13 +468,14 @@ def _alpha_pair(fm: FrozenModeSet, theta: float, s: float) -> _Pair:
     cfg = fm.cfg.with_theta(theta)
     k0 = float(fm.modes.magnitudes[0])
     floor = -s * transverse_min_eigenvalue(k0, fm.cfg)
+    family = [split_bound(cfg, s, split) for split in _SPLITS]
 
-    def solve(forms, upper):
-        alpha = mode_alpha(forms, s, upper)
+    def solve(forms, bound):
+        alpha = mode_alpha(forms, s)
         return alpha, AlphaValue(alpha, forms.k, "longitudinal", s, theta)
 
     return _Pair(
-        cfg, bounds=lambda start: split_bound(cfg, s)(fm.modes.magnitudes[start:]),
+        cfg, bounds=lambda start: np.min([b(fm.modes.magnitudes[start:]) for b in family], axis=0),
         floor=(floor, k0, AlphaValue(floor, k0, "transverse", s, theta)),
         test=lambda forms, m: alpha_below(forms, s, m), solve=solve,
         cutoff=lambda m: certified_cutoff(cfg, s, m),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_output
-from rtgrowth import analysis, oracle
+from rtgrowth import analysis, oracle, spectrum
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
 from rtgrowth.modeforms import VerticalProfile
@@ -129,6 +129,24 @@ def test_verify_all_passes(cheap_config, tmp_path):
     payload = json.loads(cli_output(tmp_path, cheap_config, "verify", "--resolution", "16").read_text())
     assert payload["all_pass"] is True
     assert payload["checks"] == [dataclasses.asdict(c) for c in report.checks]
+
+
+@pytest.mark.parametrize("mu,n,most", [(0.1, 16, 20), (0.01, 32, 150)])
+def test_verify_solves_few_alpha_modes(reference_config, monkeypatch, mu, n, most):
+    # the alpha(s) scan orders and stops by the least split bound, the family
+    # its cutoff cuts with, and bisects alpha_k(s) <= 0 down from 0 whoever
+    # asks: few modes reach mode_alpha
+    calls = []
+    real = spectrum.mode_alpha
+
+    def spy(*args):
+        calls.append(args[0].k)
+        return real(*args)
+
+    monkeypatch.setattr(spectrum, "mode_alpha", spy)
+    cfg = dataclasses.replace(reference_config, mu_plus=mu, mu_minus=mu)
+    assert verify_all(cfg, Discretization(n)).all_pass
+    assert 0 < len(calls) <= most
 
 
 def test_verify_alpha_checks_name_their_mode_set(cheap_config):

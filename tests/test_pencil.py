@@ -126,18 +126,9 @@ def hand_pencil():
     )
 
 
-def secular_alpha(forms, s):
-    """Largest eigenvalue by bisection on the inertia test, as the scans do.
-
-    |c_k| e0^T B^(-1) e0 lies above alpha_k(s) for either sign of c_k.
-    """
-    upper = abs(forms.c_k) * np.linalg.inv(dense(forms.B_band))[forms.e0_index, forms.e0_index]
-    return mode_alpha(forms, s, upper)
-
-
 def test_hand_pencil_largest():
     forms = hand_pencil()
-    alpha = secular_alpha(forms, 1.0)
+    alpha = mode_alpha(forms, 1.0)
     assert alpha == pytest.approx(1.0, abs=5e-12)
     for sol in (largest_eigenpair(forms, 1.0), secular_eigenpair(forms, 1.0, alpha)):
         assert sol.alpha == pytest.approx(1.0, abs=5e-12)
@@ -187,7 +178,7 @@ def test_secular_matches_direct(reference_config):
         forms = assemble(k, reference_config.with_theta(4.9), Discretization(16))
         for s in (0.1, 1.0, 10.0):
             d = largest_eigenpair(forms, s)
-            alpha = secular_alpha(forms, s)
+            alpha = mode_alpha(forms, s)
             assert abs(d.alpha - alpha) <= 1e-10 * max(1.0, abs(d.alpha))
             if alpha <= 0.0:
                 with pytest.raises(ValueError):
@@ -210,7 +201,7 @@ def test_secular_eigenpair_near_zero_surface_coefficient(reference_config):
     for c_k in (1e-3, 1e-12, 0.0, -1e-12):
         forms = replace(base, c_k=c_k)  # same bands, new surface coefficient
         for s in (1e-5, 0.01, 10.0):  # only c_k = 1e-3 at s = 1e-5 gives alpha > 0
-            alpha = secular_alpha(forms, s)
+            alpha = mode_alpha(forms, s)
             if alpha <= 0.0:
                 with pytest.raises(ValueError):
                     secular_eigenpair(forms, s, alpha)
@@ -243,7 +234,7 @@ def test_rank_one_deflation():
             k=1.0, c_k=c, B_band=bands[1], A_band=bands[0], e0_index=0,
             grid=np.array([-1.0, 0.0, 1.0]), elements_per_layer=1,
         )
-        got = mode_alpha(forms, 1.0, abs(c))
+        got = mode_alpha(forms, 1.0)
         expected = np.linalg.eigvalsh(np.diag(-lam) + c * np.outer(z, z)).max()
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -462,7 +453,7 @@ def test_secular_eigenpair_matches_dense_at_n128(reference_config):
     ext = np.longdouble
     for k, s in ((5.0, 2.4), (1.0, 1.0)):
         forms = assemble(k, reference_config, Discretization(128))
-        alpha = secular_alpha(forms, s)
+        alpha = mode_alpha(forms, s)
         assert alpha > 0.0
         sec = secular_eigenpair(forms, s, alpha)
         assert np.abs(sec.vector - largest_eigenpair(forms, s).vector).max() <= 1e-9
@@ -512,7 +503,7 @@ def positive_alphas(*cfgs):
                 calls.clear()
                 pencil.lapack.dpbtrf = spy
                 try:
-                    alpha = mode_alpha(forms, s, float(spectrum.split_bound(cfg, s)(k)))
+                    alpha = mode_alpha(forms, s)
                 finally:
                     pencil.lapack.dpbtrf = real
                 if alpha > 0.0:
@@ -535,7 +526,7 @@ def test_mode_alpha_matches_the_refined_secular_root(reference_config, contrast_
     # root of the refined secular equation, bisected independently below
     forms = assemble(1.0, reference_config, Discretization(128))
     s = 2.4381739517143846  # Lambda of the reference config at N = 128
-    alpha = mode_alpha(forms, s, spectrum.split_bound(reference_config, s)(1.0))
+    alpha = mode_alpha(forms, s)
     root = refined_secular_root(forms, s, alpha * (1.0 - 1e-6), alpha * (1.0 + 1e-6))
     assert alpha == pytest.approx(root, rel=1e-11)
     # every positive alpha_k(s) of the grid. The refined secular function is
@@ -557,9 +548,22 @@ def test_mode_alpha_near_a_zero_of_alpha_k(reference_config, shift):
     # s A + alpha B stays positive definite down to alpha = -1e-4
     forms = assemble(1.0, reference_config, Discretization(128))
     s = 3.318688038074881 * (1.0 + shift)
-    alpha = mode_alpha(forms, s, float(spectrum.split_bound(reference_config, s)(1.0)))
+    alpha = mode_alpha(forms, s)
     assert abs(alpha) < 1e-5
     assert alpha == pytest.approx(refined_secular_root(forms, s, -1e-4, 1e-4), abs=5e-9)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0])
+@pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
+def test_mode_alpha_at_the_capillary_cutoff(reference_config, k, s):
+    # c_k = 1e-8 g [rho] > 0 just below the capillary cutoff: phi(0) <= 1, so
+    # alpha_k(s) <= 0 is bisected down from 0 and matches the dense reference
+    theta = reference_config.g * reference_config.density_jump * (1.0 - 1e-8) / k**2
+    forms = assemble(k, reference_config.with_theta(theta), Discretization(32))
+    assert 0.0 < forms.c_k < 1e-6
+    dense_alpha = largest_eigenpair(forms, s).alpha
+    assert dense_alpha <= 0.0
+    assert mode_alpha(forms, s) == pytest.approx(dense_alpha, rel=1e-10, abs=1e-10)
 
 
 def test_fixed_point_from_the_compliance_bound(reference_config, monkeypatch):
@@ -768,7 +772,7 @@ def test_solves_leave_the_bands_read_only_and_unchanged(reference_config, monkey
     start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
     lam = fixed_point(forms, start).lam
     pencil.alpha_below(forms, lam, lam * lam)
-    mode_alpha(forms, lam, float(spectrum.split_bound(reference_config, lam)(forms.k)))
+    mode_alpha(forms, lam)
     interface_solve(forms, lam, lam * lam)
     real = spectrum.assemble
 

@@ -202,6 +202,55 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     assert verify["alpha_solves"] > 0 and verify["factorizations"] > verify["inertia_tests"]
 
 
+def test_bench_writes_its_rows_before_a_failed_tier1_exits(tmp_path, monkeypatch):
+    # a failed suite keeps the rows already timed: the file is written, with
+    # the failure in its tier1 row, and only then does the script exit 1
+    bench = load_script("bench")
+    summary = "1 failed, 299 passed, 3 xfailed in 20.00s"
+
+    def failed_suite(argv):
+        return 2.0, subprocess.CompletedProcess(argv, 1, stdout=f"F....\n{summary}\n", stderr="")
+
+    monkeypatch.setattr(bench, "timed", failed_suite)
+    monkeypatch.setattr(bench, "cli_row", lambda name, *args: {"name": name, "wall_s": 1.0, "runs_s": [1.0]})
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out)])
+    with pytest.raises(SystemExit, match=f"Tier-1 failed: {summary}"):
+        bench.main()
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) > 1 and all(row["wall_s"] == 1.0 for row in rows[:-1])
+    tier1 = rows[-1]
+    assert (tier1["exit_code"], tier1["passed"], tier1["failed"], tier1["summary"]) == (1, 299, 1, summary)
+
+
+def test_bench_accepts_exit_1_from_verify_alone(tmp_path, monkeypatch):
+    # verify exits 1 when a check fails, as it should at mu = 1e-3 and
+    # N = 128; its row still reads lambda and argmax_k from the fixed_point
+    # check. Any other command that exits 1 stops the script.
+    bench = load_script("bench")
+    report = {"all_pass": False, "checks": [
+        {"name": "fixed_point", "passed": True, "detail": "lambda 2.5 at k 5.0, residual 0.0, bound m 3.0"},
+        {"name": "oracle_agreement", "passed": False, "detail": "relative error 1e-3"},
+    ]}
+    counts = dict.fromkeys(
+        ["modes", "solves", "determinants", "fixed_points", "last_solves", "alpha_solves",
+         "inertia_tests", "factorizations", "extended_residuals"], 0,
+    )
+    mains = iter([0.3, 0.1, 0.2, 0.1])
+
+    def failed_check(argv):
+        Path(argv[argv.index("--out") + 1]).write_text(json.dumps(report))
+        child = json.dumps({**counts, "main_s": next(mains)})
+        return 1.0, subprocess.CompletedProcess(argv, 1, stdout="", stderr=child + "\n")
+
+    monkeypatch.setattr(bench, "timed", failed_check)
+    row = bench.cli_row("verify_x", "verify", 8, tmp_path, bench.verify_answer)
+    assert (row["exit_code"], row["lambda"], row["argmax_k"]) == (1, 2.5, 5.0)
+    assert (row["main_min_s"], row["main_s"], row["main_max_s"]) == (0.1, 0.2, 0.3)
+    with pytest.raises(SystemExit, match="growth_x exited 1"):
+        bench.cli_row("growth_x", "growth", 8, tmp_path, bench.growth_answer)
+
+
 def test_loc_counts_total_and_code_lines(tmp_path, capsys, monkeypatch):
     # blank lines, comments and docstrings are lines but not code; a string
     # that is part of a statement is code on every line it spans

@@ -176,7 +176,7 @@ def test_scan_ties_go_to_the_smaller_k_then_the_coupled_branch(cheap_config, mon
     floor = -s * transverse_min_eigenvalue(k0, cheap_config)
     solved = []
 
-    def tie(forms, s, upper):
+    def tie(forms, s):
         solved.append(forms.k)
         return floor
 
@@ -409,7 +409,7 @@ def test_per_mode_bound_certifies_the_cutoff(cfg, fraction, s):
     fm = FrozenModeSet.freeze(cfg, DISC, 6.0 * smallest_magnitude(cfg))
     k = fm.modes.magnitudes
     cfg_theta = cfg.with_theta(theta)
-    u = split_bound(cfg_theta, s)(k)
+    u = split_bound(cfg_theta, s, 0.0)(k)
     table = fm.table(s, theta)
     al, at = table.alpha_longitudinal, table.alpha_transverse
     slack = 1e-12 * np.abs(u)  # rounding only
@@ -612,8 +612,10 @@ def test_inertia_scans_match_full_solves(cfg, fraction, s):
             delta = 1e-9 * max(1.0, abs(dense))
             assert alpha_below(forms, s, dense + delta)
             assert not alpha_below(forms, s, dense - delta)
-            upper = float(split_bound(cfg, s)(k)) if forms.c_k > 0.0 else 0.0
-            assert pencil.mode_alpha(forms, s, upper) == pytest.approx(dense, rel=1e-10, abs=1e-10)
+            assert pencil.mode_alpha(forms, s) == pytest.approx(dense, rel=1e-10, abs=1e-10)
+            if forms.c_k <= 0.0:  # alpha_k(s) < 0 is proven (pencil.mode_alpha)
+                assert alpha_below(forms, s, 0.0)
+                assert pencil.mode_alpha(forms, s) < 0.0
 
     # The scans equal the maximum over a full solve of every mode, and every
     # mode the growth scan ruled out has Lambda_k below that maximum.
