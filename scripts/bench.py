@@ -7,7 +7,9 @@ Rows on the reference config (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1,
 theta 0): `rtgrowth growth` at N = 64 and N = 128, `sweep-theta` (default
 grid) and `verify` at N = 128, `oracle-compare` (default modes) at N = 32;
 `growth` at N = 128 with mu+ = mu- = 0.01 and 1e-3 (rows growth_128_mu_0.01
-and growth_128_mu_0.001, whose sizing passes enumerate 406 and 7017 modes)
+and growth_128_mu_0.001, whose sizing passes enumerate 406 and 7017 modes),
+`growth --mode-table` at N = 128 with mu+ = mu- = 1e-3 (row
+growth_128_mu_0.001_table: one alpha_k(s) solve per mode of the 7017)
 and `verify` at N = 128 with mu+ = mu- = 0.01 and 1e-3 (rows
 verify_128_mu_0.01 and verify_128_mu_0.001), each run REPEATS times; and the
 Tier-1 test suite, run once. Every run is a fresh interpreter with one BLAS
@@ -163,13 +165,16 @@ def timed(argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
     return time.perf_counter() - start, proc
 
 
-def cli_row(name: str, command: str, n: int, work: Path, answer, config: str = "reference") -> dict:
-    """Time one CLI command REPEATS times on CONFIGS[config];
+def cli_row(
+    name: str, command: str, n: int, work: Path, answer, config: str = "reference", extra: tuple[str, ...] = ()
+) -> dict:
+    """Time one CLI command REPEATS times on CONFIGS[config], with the
+    options extra after the common ones (their paths inside work);
     answer(out_path) -> (lambda, argmax_k)."""
     out = work / f"{name}.out"
     argv = [
         sys.executable, "-c", CHILD_SCRIPT, command,
-        "--config", str(work / f"{config}.json"), "--resolution", str(n), "--out", str(out),
+        "--config", str(work / f"{config}.json"), "--resolution", str(n), "--out", str(out), *extra,
     ]
     runs, mains = [], []
     for _ in range(REPEATS):
@@ -182,7 +187,7 @@ def cli_row(name: str, command: str, n: int, work: Path, answer, config: str = "
     lam, argmax_k = answer(out)
     return {
         "name": name,
-        "command": f"rtgrowth {command} --resolution {n}",
+        "command": " ".join(["rtgrowth", command, "--resolution", str(n), *extra]).replace(f"{work}{os.sep}", ""),
         "config": config,
         "N": n,
         "exit_code": proc.returncode,
@@ -262,6 +267,10 @@ def main() -> None:
             cli_row("growth_128", "growth", 128, work, growth_answer),
             cli_row("growth_128_mu_0.01", "growth", 128, work, growth_answer, "mu_0.01"),
             cli_row("growth_128_mu_0.001", "growth", 128, work, growth_answer, "mu_0.001"),
+            cli_row(
+                "growth_128_mu_0.001_table", "growth", 128, work, growth_answer, "mu_0.001",
+                ("--mode-table", str(work / "mode_table.csv")),
+            ),
             cli_row("sweep_theta_128", "sweep-theta", 128, work, sweep_answer),
             cli_row("verify_128", "verify", 128, work, verify_answer),
             cli_row("verify_128_mu_0.01", "verify", 128, work, verify_answer, "mu_0.01"),

@@ -27,12 +27,13 @@ alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
 down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
 condition number ~4e8 at N = 128, so a solve whose value is read is refined
 once with a residual in extended precision (_factor_solve, then _refine).
-fixed_point refines only at the answer: float64 steps propose points until
-a step falls below 1e-3 s. Its last solve, which gives only the
-eigenvector, alpha and the residual, runs when one of them is first read
-(FixedPoint), on the held factor where it can. No solver path expands a
-dense matrix, and none builds a second mesh: the eigenvector's error is
-read against the exact eigenprofile at its own nodes
+Both paths refine only near the answer: the loop's float64 phase proposes
+points, on unrefined solves, until a step falls below 1e-3 of the point it
+moves, and only then do refined steps finish the root. fixed_point's last
+solve, which gives only the eigenvector, alpha and the residual, runs when
+one of them is first read (FixedPoint), on the held factor where it can. No
+solver path expands a dense matrix, and none builds a second mesh: the
+eigenvector's error is read against the exact eigenprofile at its own nodes
 (oracle.dispersion_profile).
 
 The transverse branch is not discretized: its minimum eigenvalue is the
@@ -374,10 +375,20 @@ def mode_alpha(forms: PencilForms, s: float) -> float:
     c_k e0^T (s A + alpha B)^(-1) e0 < 1 exactly when alpha > alpha_k(s).
     And 1/phi = min over x[e0] = 1 of x^T (s A + alpha B) x / c_k, a minimum
     of affine functions of alpha, is concave and increasing: its tangent
-    lies above it, so Newton on 1 - 1/phi from 0 rises monotonically to
-    alpha_k(s) > 0, never past it.
+    lies above it, so in exact arithmetic Newton on 1 - 1/phi from 0 rises
+    monotonically to alpha_k(s) > 0, never past it. The loop's float64
+    phase takes these steps on unrefined solves, so a step may overshoot
+    the root by rounding; the refined loop's bracket then takes over, and
+    a positive alpha_k(s) takes one extended residual, at the last point.
 
-    Where phi(0) <= 1 the loop's bracket closes at 0 and it returns 0. There
+    Where phi(0) <= 1 the float64 phase stops at 0, since its Newton step
+    would leave [0, inf), and the refined loop's bracket closes there: it
+    returns 0. Only within the refined solves' noise of a zero of
+    alpha_k(s) can the unrefined phi(0) lie above 1 where the refined one
+    does not, and the loop then returns a positive value inside that noise:
+    on the reference config at N = 128, k = 1, for s within 6e-10 relative
+    of the zero, such values read up to 1.5e-9 where bisection read down to
+    -2.4e-9. There
     and wherever c_k <= 0, alpha_k(s) <= 0 is proven, so it is bisected on
     alpha_below down from 0:
 
@@ -397,11 +408,9 @@ def mode_alpha(forms: PencilForms, s: float) -> float:
     """
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
-    if forms.c_k > 0.0:
-        chol, x = _factor_solve(forms, s, 0.0)
-        alpha = _secular_newton(forms, lambda t: (s, t), lambda t, x0, xb: xb, 0.0, chol, x)[0]
-        if alpha > 0.0:
-            return alpha
+    alpha = _secular_newton(forms, lambda t: (s, t), lambda t, x0, xb: xb, 0.0)[0] if forms.c_k > 0.0 else 0.0
+    if alpha > 0.0:
+        return alpha
     hi, step = 0.0, s
     while alpha_below(forms, s, hi - step):
         hi, step = hi - step, 2.0 * step
@@ -505,9 +514,10 @@ def _last_solve(fp: FixedPoint) -> tuple[float, np.ndarray, float]:
     return (*_eigenpair(forms, t, xr, float(xr @ band_matvec(forms.B_band, xr))), noise)
 
 
-# fixed_point's two phases: float64 steps until one is at most _FLOAT_STEP * s,
-# then refined steps (_secular_newton, mode_alpha's too) until one is at most
-# _LAST_STEP * s (derived in fixed_point's docstring)
+# _secular_newton's two phases, for fixed_point and mode_alpha alike: float64
+# steps until one is at most _FLOAT_STEP * t, t the point it moves, then
+# refined steps until one is at most _LAST_STEP * max(t, s) (derived in
+# fixed_point's docstring)
 _FLOAT_STEP = 1e-3
 _LAST_STEP = 1e-7
 # the last step's solve reuses the factor and residual held when the one
@@ -529,30 +539,19 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     bound Lambda_k from above, as the compliance bound
     spectrum.compliance_bound does; the closer it is, the fewer the steps.
 
-    Float64 phase. Each step factors s A + s^2 B and solves once, unrefined
-    (_factor_solve), and refits y(t) = 1 / phi(t) as a t^2 + b t through its
-    value and slope at s: y(0) = 0, since e0^T (t A + t^2 B)^(-1) e0 grows
-    without bound as t -> 0. This is the two-limit model of the compliance
-    bound, y(t) / y(s) = q (t/s)^2 + (1 - q) t/s, so a and b are positive and
-    the refit has exactly one positive root, the next point. Steps go to
-    the refit root until one is at most _FLOAT_STEP * s, and the phase ends
-    at s, with the factor in hand, when a step is at most _LAST_STEP * s or
-    is not below half the step before. This phase only proposes a point: it
-    sets no bracket end and no returned value, so it cannot change what the
-    refined phase certifies; a poor proposal costs refined steps, never
-    accuracy. An unrefined solve is off by about cond * u, u = 1.1e-16, with
-    cond ~ 4e8 at N = 128 growing like N^4: 2e-9 at N = 128 and 2e-4 at
-    N = 1024, below _FLOAT_STEP, so up to N ~ 1500 the phase ends on a short
-    step. Past that a step can be mostly rounding; such steps stop halving,
-    so the phase still ends after a few solves.
-
-    Refined phase. The secular Newton loop (_secular_newton) along (t, t^2),
-    from the float64 phase's last factor at its last point. A start's bound
-    that rounding puts below Lambda_k (near theta_c) only makes s the
-    bracket's lower end. The loop's last step fixes lam = t; the solve at t,
-    which gives only alpha, the eigenvector and the residual, runs the first
-    time one of them is read (FixedPoint, _last_solve), held or fresh as the
-    gate in force when lam was fixed decides.
+    Lambda_k is the root of the secular loop (_secular_newton) along
+    (t, t^2) from start, where t is s. Its float64 phase steps to the root
+    of a refit of y(t) = 1 / phi(t) as a t^2 + b t through its value and
+    slope at s: y(0) = 0, since e0^T (t A + t^2 B)^(-1) e0 grows without
+    bound as t -> 0. This is the two-limit model of the compliance bound,
+    y(t) / y(s) = q (t/s)^2 + (1 - q) t/s, so a and b are positive and the
+    refit has exactly one positive root, the next point, which never
+    leaves [0, inf). A start's bound that rounding puts below Lambda_k (near
+    theta_c) only makes s the refined bracket's lower end. The loop's last
+    step fixes lam = t; the solve at t, which gives only alpha, the
+    eigenvector and the residual, runs the first time one of them is read
+    (FixedPoint, _last_solve), held or fresh as the gate in force when lam
+    was fixed decides.
 
     Held last step. With x the float64 solve at s, r = e0 - M(s) x the
     extended-precision residual already formed (M(s) = s A + s^2 B) and d
@@ -614,43 +613,66 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     c = float(forms.c_k)
     if not c > 0.0:
         raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
-    s, size = float(start), math.inf
-    chol, x = _factor_solve(forms, s, s * s)  # the factor and float64 solve at s
-    for _ in range(100):
-        x0 = float(x[forms.e0_index])
-        y, q = 1.0 / (c * x0), s * s * float(x @ band_matvec(forms.B_band, x)) / x0
+
+    def refit(s, x0, xb):
+        y, q = 1.0 / (c * x0), s * s * xb / x0
         b = y * (1.0 - q)  # y(t) = y q (t/s)^2 + b t/s
-        step = s * (2.0 / (b + math.sqrt(b * b + 4.0 * y * q)) - 1.0)
-        if abs(step) <= _LAST_STEP * s or not abs(step) <= 0.5 * size:
-            break  # also on a NaN step
-        near = abs(step) <= _FLOAT_STEP * s
-        s, size = s + step, abs(step)
-        chol, x = _factor_solve(forms, s, s * s)
-        if near:
-            break
-    held = _secular_newton(forms, lambda t: (t, t * t), lambda t, x0, xb: x0 / t + t * xb, s, chol, x)
+        return s * (2.0 / (b + math.sqrt(b * b + 4.0 * y * q)) - 1.0)
+
+    held = _secular_newton(forms, lambda t: (t, t * t), lambda t, x0, xb: x0 / t + t * xb, float(start), refit)
     return FixedPoint(forms, *held, _HELD_GATE * max(1.0, held[1] * held[1]))
 
 
-def _secular_newton(forms: PencilForms, path, slope, t: float, chol: np.ndarray, x: np.ndarray):
+def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
     """The root t of phi(t) = c_k e0^T M(t)^(-1) e0 = 1, c_k > 0, along a
     path of positive definite energy matrices M(t) = s(t) A + alpha(t) B,
     path(t) = (s(t), alpha(t)): (t, t^2) for Lambda_k (fixed_point), (s, t)
-    for alpha_k(s) (mode_alpha). slope(t, x0, xb) is x^T M'(t) x for
-    x = M(t)^(-1) e0, x0 = x[e0] and xb = x^T B x, so phi' = -c_k slope < 0.
-    chol and x are the factor and float64 solve at the start t.
+    for alpha_k(s) (mode_alpha), from the start t >= 0. slope(t, x0, xb) is
+    x^T M'(t) x for x = M(t)^(-1) e0, x0 = x[e0] and xb = x^T B x, so
+    phi' = -c_k slope < 0. Newton on 1 - 1/phi steps by
+    phi (1 - phi) / phi'.
 
-    Safeguarded Newton on 1 - 1/phi with every solve refined once (_refine):
-    t <- t + phi (1 - phi) / phi', bisecting the bracket [lo, hi], first
-    [0, inf), when a step leaves it; phi > 1 makes t its lower end. Bracket
-    and stop tests are relative to max(t, s(t)). A step of at most
-    _LAST_STEP of that fixes t_next, unsolved, and the loop returns
-    (t_next, t, chol, x, d, r, xb): x the float64 solve at t, d its
-    correction, r its extended residual and xb = (x + d)^T B (x + d), which
-    fixed_point's held last step reads. Where phi = 1 or the bracket closes,
-    t_next = t and r is None.
+    Float64 phase. Each step factors M(t) and solves once, unrefined
+    (_factor_solve), and moves t by propose(t, x0, xb) (fixed_point's refit),
+    or by the Newton step where propose is None. Steps are measured against
+    t, the point they move: the phase ends at t, with the factor in hand,
+    after a step of at most _FLOAT_STEP * t, or without moving on a step of
+    at most _LAST_STEP * t, on a step not below half the one before and on a
+    step that would leave [0, inf). This phase only proposes a point: it
+    sets no bracket end and no returned value, so it cannot change what the
+    refined phase certifies; a poor proposal costs refined steps, never
+    accuracy. An unrefined solve is off by about cond * u, u = 1.1e-16, with
+    cond ~ 4e8 at N = 128 growing like N^4: 2e-9 at N = 128 and 2e-4 at
+    N = 1024, below _FLOAT_STEP, so up to N ~ 1500 the phase ends on a short
+    step. Past that a step can be mostly rounding; such steps stop halving,
+    so the phase still ends after a few solves.
+
+    Refined phase. Safeguarded Newton on 1 - 1/phi from the float64 phase's
+    last point and factor, with every solve refined once (_refine),
+    bisecting the bracket [lo, hi], first [0, inf), when a step leaves it;
+    phi > 1 makes t its lower end. Bracket and stop tests are relative to
+    max(t, s(t)). A step of at most _LAST_STEP of that fixes t_next,
+    unsolved, and the loop returns (t_next, t, chol, x, d, r, xb): x the
+    float64 solve at t, d its correction, r its extended residual and
+    xb = (x + d)^T B (x + d), which fixed_point's held last step reads.
+    Where phi = 1 or the bracket closes, t_next = t and r is None.
     """
     c, i0 = float(forms.c_k), forms.e0_index
+
+    def newton(t, x0, xb):
+        phi = c * x0
+        return phi * (1.0 - phi) / (-c * slope(t, x0, xb))
+
+    propose, size = propose or newton, math.inf
+    chol, x = _factor_solve(forms, *path(t))
+    for _ in range(100):
+        step = propose(t, float(x[i0]), float(x @ band_matvec(forms.B_band, x)))
+        if abs(step) <= _LAST_STEP * t or not abs(step) <= 0.5 * size or t + step < 0.0:
+            break  # also on a NaN step
+        near, t, size = abs(step) <= _FLOAT_STEP * t, t + step, abs(step)
+        chol, x = _factor_solve(forms, *path(t))
+        if near:
+            break
     lo, hi = 0.0, math.inf
     for _ in range(100):
         s, alpha = path(t)
@@ -662,7 +684,7 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, chol: np.ndarray,
         scale = max(t, s)
         if phi == 1.0 or hi - lo <= 1e-15 * scale:
             return t, t, chol, x, d, None, xb
-        step = phi * (1.0 - phi) / (-c * slope(t, x0, xb))
+        step = newton(t, x0, xb)
         nxt = t + step if lo <= t + step <= hi else 0.5 * (lo + hi)
         if abs(step) <= _LAST_STEP * scale:
             return nxt, t, chol, x, d, r, xb

@@ -624,14 +624,45 @@ def test_fixed_point_at_large_resolution(reference_config, monkeypatch):
     assert fp.residual <= 1e-8 * max(1.0, fp.lam ** 2)
 
 
-def test_float64_phase_ends_when_its_steps_stop_halving(reference_config, monkeypatch):
+def test_positive_mode_alpha_refines_only_its_last_float64_solve(reference_config, contrast_config, monkeypatch):
+    # unrefined Newton steps from alpha = 0 reach the root; only the last
+    # float64 solve takes an extended-precision residual, on the factor in
+    # hand, and the last Newton step from it fixes alpha (refining every
+    # step took 3 to 5 residuals per call here)
+    cases = positive_alphas(reference_config, contrast_config)
+    factors, refined = [], []
+    factor_solve, refine = pencil._factor_solve, pencil._refine
+
+    def factor_spy(*args):
+        chol, x = factor_solve(*args)
+        factors.append(chol)
+        return chol, x
+
+    def refine_spy(forms, chol, *args):
+        refined.append(chol)
+        return refine(forms, chol, *args)
+
+    monkeypatch.setattr(pencil, "_factor_solve", factor_spy)
+    monkeypatch.setattr(pencil, "_refine", refine_spy)
+    for forms, s, alpha, calls in cases:
+        factors.clear()
+        refined.clear()
+        assert mode_alpha(forms, s) == alpha
+        assert 3 <= calls <= 5 and len(refined) == 1 and refined[0] is factors[-1]
+
+
+@pytest.mark.parametrize("path", ["fixed_point", "mode_alpha"])
+def test_float64_phase_ends_when_its_steps_stop_halving(reference_config, contrast_config, monkeypatch, path):
     # float64 solves off by 0.5 % (a rounding floor above _FLOAT_STEP, as at
-    # very large N) make the refit steps bounce without reaching 1e-3 s; the
-    # phase ends at the first step not below half the one before, and the
-    # refined phase, which corrects the solve, still reaches Lambda_k
+    # very large N) make the float64 steps bounce without reaching 1e-3 of
+    # the point they move; the phase ends at the first step not below half
+    # the one before, and the refined phase, which corrects the solve, still
+    # reaches the root: the float64 phase only proposes points, for Lambda_k
+    # (refit steps) and for every positive alpha_k(s) (Newton steps) alike
     forms = assemble(5.0, reference_config, Discretization(128))
     start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
     lam = fixed_point(forms, start).lam
+    cases = positive_alphas(reference_config, contrast_config) if path == "mode_alpha" else []
     factored, refined = count_solves(monkeypatch)
     spied = pencil._factor_solve
 
@@ -640,8 +671,11 @@ def test_float64_phase_ends_when_its_steps_stop_halving(reference_config, monkey
         return chol, x * (1.0 + 5e-3 * (-1.0) ** len(factored))
 
     monkeypatch.setattr(pencil, "_factor_solve", rounded)
-    assert fixed_point(forms, start).lam == pytest.approx(lam, rel=1e-12)
-    assert len(factored) <= 6 and len(refined) <= 4
+    if path == "fixed_point":
+        assert fixed_point(forms, start).lam == pytest.approx(lam, rel=1e-12)
+        assert len(factored) <= 6 and len(refined) <= 4
+    for forms, s, alpha, _ in cases:
+        assert mode_alpha(forms, s) == pytest.approx(alpha, rel=1e-9)
 
 
 def test_fixed_point_over_the_gate_takes_a_fresh_last_step(reference_config, monkeypatch):
