@@ -3,21 +3,29 @@
 
 Usage: python scripts/bench.py --out BENCH_<n>.json
 
-Rows on the reference config (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1,
-theta 0): `rtgrowth growth` at N = 64 and N = 128, `sweep-theta` (default
-grid) and `verify` at N = 128, `oracle-compare` (default modes) at N = 32;
-`growth` at N = 128 with mu+ = mu- = 0.01 and 1e-3 (rows growth_128_mu_0.01
-and growth_128_mu_0.001, whose sizing passes enumerate 406 and 7017 modes),
-`growth --mode-table` at N = 128 with mu+ = mu- = 1e-3 (row
-growth_128_mu_0.001_table: one alpha_k(s) solve per mode of the 7017)
-and `verify` at N = 128 with mu+ = mu- = 0.01 and 1e-3 (rows
-verify_128_mu_0.01 and verify_128_mu_0.001), each run REPEATS times; and the
-Tier-1 test suite, run once. Every run is a fresh interpreter with one BLAS
-thread, timed from start to exit (wall_s), because a command-line user pays
-imports on every run. Imports dominate that time, so each command row also
-records main_s, the median time the child spends inside cli.main: the part a
-change to the solver moves, with the least and the largest run (main_min_s,
-main_max_s), since a median of three resolves little on a shared machine.
+Rows, each on a config of CONFIGS (reference: rho 2/1, mu 0.1/0.1, g 9.8,
+L = h = 1, theta 0; mu_0.01 and mu_0.001: mu+ = mu- = 0.01 and 1e-3 on it;
+contrast: rho 5.2/0.2, mu 0.1/5, g 20, L = 2, h = 0.3; water_air: rho
+1000/1.2, mu 1e-3/1.8e-5, g 9.8, theta 0.072, L = h = 1):
+
+- growth_64, growth_128: `rtgrowth growth` at N = 64 and 128;
+- growth_128_mu_0.01, growth_128_mu_0.001: `growth` at N = 128 (sizing
+  passes that enumerate 406 and 7017 modes);
+- growth_128_mu_0.001_table, growth_128_contrast_table: `growth
+  --mode-table` at N = 128, one alpha_k(s) solve per mode; on the contrast
+  config the alpha_k(s) <= 0 bisections dominate;
+- growth_128_water_air: `growth` at N = 128 on water under air;
+- sweep_theta_128: `sweep-theta` (default grid) at N = 128;
+- verify_128, verify_128_mu_0.01, verify_128_mu_0.001: `verify` at N = 128;
+- oracle_compare_32: `oracle-compare` (default modes) at N = 32;
+
+each run REPEATS times; and the Tier-1 test suite, run once. Every run is a
+fresh interpreter with one BLAS thread, timed from start to exit (wall_s),
+because a command-line user pays imports on every run. Imports dominate that
+time, so each command row also records main_s, the median time the child
+spends inside cli.main: the part a change to the solver moves, with the least
+and the largest run (main_min_s, main_max_s), since a median of three
+resolves little on a shared machine.
 
 Each command row records its exit code. Only `verify` may exit 1, its
 "verification failed" code: at mu = 1e-3, N = 128 does not resolve the
@@ -28,29 +36,22 @@ passed and failed counts and pytest's summary line; a failed suite is
 reported after the file is written, by exit status 1, so the timed rows are
 kept.
 
-Each command row records its inputs (config, N, the modes sized, the number of
-global solves, the dispersion determinant calls), its banded work (fixed
-points, alpha solves, inertia tests, factorizations and extended-precision
-residuals) and its answer (lambda and argmax_k; for oracle-compare, the
-oracle root and k of every compared mode), so that a later file can check
-that a speed-up kept the answer. The child counts modes as the final size
-of every mode set it builds, solves as the growth results it validates,
-determinants as the calls to oracle.determinant (one trial rate
-each), fixed points as the calls to pencil.fixed_point, alpha solves as the
-calls to pencil.mode_alpha (one alpha_k(s) each), inertia tests as the
-calls to pencil.alpha_below (the scans' and mode_alpha's), last solves as
-the deferred last steps of fixed points that ran (pencil._last_solve: a fixed
-point runs its last solve only when its alpha, eigenvector or residual is
-read, so a growth solve runs one, for its maximizer, and oracle-compare none),
-factorizations as the banded Cholesky factorizations (dpbtrf: inertia tests
-and solves alike) and extended residuals as the refinement residuals formed
-in extended precision; all are read from its own process, not inferred from
-the outputs.
+Each command row records its inputs (config, N), its work and its answer
+(lambda and argmax_k; for oracle-compare, the oracle root and k of every
+compared mode), so that a later file can check that a speed-up kept the
+answer. The work is the child's pencil.COUNTS after cli.main returns, the
+counter the solver keeps where it does each kind of work (COUNTED): modes in
+every mode set built, growth results validated (solves), dispersion
+determinants, fixed points and the last solves they ran (a fixed point runs
+its last solve only when its alpha, eigenvector or residual is read, so a
+growth solve runs one, for its maximizer, and oracle-compare none), alpha_k(s)
+solves, inertia tests, banded Cholesky factorizations (inertia tests and
+solves alike) and extended-precision residuals.
 
 Times compare only within one file: wall_s and main_s move with the machine's
-load from one session to the next, and a file records no baseline of the
-same session. lambda, argmax_k, modes and solves compare across files. To
-measure a change, run this script on both trees in one session.
+load from one hour to the next, and a file records no baseline taken beside
+it. lambda, argmax_k and the counts compare across files. To measure a
+change, run this script on both trees, one right after the other.
 """
 
 from __future__ import annotations
@@ -80,6 +81,14 @@ CONFIGS = {
     "reference": REFERENCE,
     "mu_0.01": {**REFERENCE, "mu_plus": 0.01, "mu_minus": 0.01},
     "mu_0.001": {**REFERENCE, "mu_plus": 1e-3, "mu_minus": 1e-3},
+    "contrast": {
+        **REFERENCE, "rho_plus": 5.2, "rho_minus": 0.2, "mu_plus": 0.1, "mu_minus": 5.0,
+        "g": 20.0, "L1": 2.0, "L2": 2.0, "h_plus": 0.3, "h_minus": 0.3,
+    },
+    "water_air": {
+        **REFERENCE, "rho_plus": 1000.0, "rho_minus": 1.2, "mu_plus": 1e-3, "mu_minus": 1.8e-5,
+        "theta": 0.072,
+    },
 }
 ENV = {
     **os.environ,
@@ -89,72 +98,22 @@ ENV = {
     "MKL_NUM_THREADS": "1",
 }
 
-# Runs the CLI in the child and reports the counts and the time inside
+# the kinds of work pencil.COUNTS holds, in the order of a row's fields
+COUNTED = (
+    "modes", "solves", "determinants", "fixed_points", "last_solves", "alpha_solves",
+    "inertia_tests", "factorizations", "extended_residuals",
+)
+# Runs the CLI in the child and reports its counts and the time inside
 # cli.main on its last stderr line.
-CHILD_SCRIPT = """
+CHILD_SCRIPT = f"""
 import json, sys, time
-from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
-from rtgrowth.fixedpoint import GrowthResult
-from rtgrowth.spectrum import FrozenModeSet
+from rtgrowth import cli, pencil
 
-sets = []
-counts = {
-    "solves": 0, "determinants": 0, "fixed_points": 0, "last_solves": 0,
-    "alpha_solves": 0, "inertia_tests": 0, "factorizations": 0, "extended_residuals": 0,
-}
-init, validate, determinant = FrozenModeSet.__init__, GrowthResult.validate, oracle.determinant
-fixed_point, last_solve, alpha_below = pencil.fixed_point, pencil._last_solve, pencil.alpha_below
-mode_alpha = pencil.mode_alpha
-dpbtrf, extended = pencil.lapack.dpbtrf, pencil._band_matvec_extended
-
-def track_set(self, *args):
-    init(self, *args)
-    sets.append(self)
-
-def count_solve(self):
-    counts["solves"] += 1
-    return validate(self)
-
-def count_determinant(*args):
-    counts["determinants"] += 1
-    return determinant(*args)
-
-def count_fixed_point(*args):
-    counts["fixed_points"] += 1
-    return fixed_point(*args)
-
-def count_last_solve(*args):
-    counts["last_solves"] += 1
-    return last_solve(*args)
-
-def count_alpha_solve(*args):
-    counts["alpha_solves"] += 1
-    return mode_alpha(*args)
-
-def count_inertia_test(*args):
-    counts["inertia_tests"] += 1
-    return alpha_below(*args)
-
-def count_factorization(*args, **kwargs):
-    counts["factorizations"] += 1
-    return dpbtrf(*args, **kwargs)
-
-def count_extended(*args):
-    counts["extended_residuals"] += 1
-    return extended(*args)
-
-FrozenModeSet.__init__, GrowthResult.validate = track_set, count_solve
-oracle.determinant = count_determinant
-spectrum.fixed_point = fixedpoint.fixed_point = count_fixed_point
-pencil._last_solve = count_last_solve
-spectrum.mode_alpha = pencil.mode_alpha = count_alpha_solve
-spectrum.alpha_below = pencil.alpha_below = count_inertia_test
-pencil.lapack.dpbtrf, pencil._band_matvec_extended = count_factorization, count_extended
 start = time.perf_counter()
 code = cli.main(sys.argv[1:])
-counts["main_s"] = time.perf_counter() - start
-counts["modes"] = sum(len(fm.modes) for fm in sets)
-sys.stderr.write(json.dumps(counts) + "\\n")
+main_s = time.perf_counter() - start
+counts = {{kind: pencil.COUNTS[kind] for kind in {COUNTED!r}}}
+sys.stderr.write(json.dumps({{**counts, "main_s": main_s}}) + "\\n")
 sys.exit(code)
 """
 
@@ -191,15 +150,7 @@ def cli_row(
         "config": config,
         "N": n,
         "exit_code": proc.returncode,
-        "modes": counts["modes"],
-        "solves": counts["solves"],
-        "determinants": counts["determinants"],
-        "fixed_points": counts["fixed_points"],
-        "last_solves": counts["last_solves"],
-        "alpha_solves": counts["alpha_solves"],
-        "inertia_tests": counts["inertia_tests"],
-        "factorizations": counts["factorizations"],
-        "extended_residuals": counts["extended_residuals"],
+        **{kind: counts[kind] for kind in COUNTED},
         "lambda": lam,
         "argmax_k": argmax_k,
         "wall_s": statistics.median(runs),
@@ -271,6 +222,11 @@ def main() -> None:
                 "growth_128_mu_0.001_table", "growth", 128, work, growth_answer, "mu_0.001",
                 ("--mode-table", str(work / "mode_table.csv")),
             ),
+            cli_row(
+                "growth_128_contrast_table", "growth", 128, work, growth_answer, "contrast",
+                ("--mode-table", str(work / "contrast_mode_table.csv")),
+            ),
+            cli_row("growth_128_water_air", "growth", 128, work, growth_answer, "water_air"),
             cli_row("sweep_theta_128", "sweep-theta", 128, work, sweep_answer),
             cli_row("verify_128", "verify", 128, work, verify_answer),
             cli_row("verify_128_mu_0.01", "verify", 128, work, verify_answer, "mu_0.01"),

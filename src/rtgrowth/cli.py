@@ -33,13 +33,6 @@ EXIT_CONFIG = 2
 EXIT_STABLE = 3
 EXIT_NUMERICAL = 4
 
-COMMANDS = (
-    "growth",
-    "alpha-curve",
-    "sweep-theta",
-    "verify",
-    "oracle-compare",
-)
 DEFAULT_THETA_GRID = "0,0.25,0.5,0.75,0.9,0.99"
 
 
@@ -234,6 +227,12 @@ def _cmd_verify(cfg, disc, args) -> int:
     return 0 if report.all_pass else EXIT_VERIFY_FAILED
 
 
+# command name -> handler(cfg, disc, args) -> exit code; the parser offers
+# the names in this order
+COMMANDS = {"growth": _cmd_growth, "alpha-curve": _cmd_alpha_curve, "sweep-theta": _cmd_sweep,
+            "verify": _cmd_verify, "oracle-compare": _cmd_compare}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -243,17 +242,7 @@ def main(argv=None) -> int:
         # a failure is reported in the one stderr line below, so numpy's
         # floating-point warnings on the way there are silenced
         with np.errstate(all="ignore"):
-            if args.command == "growth":
-                return _cmd_growth(cfg, disc, args)
-            if args.command == "alpha-curve":
-                return _cmd_alpha_curve(cfg, disc, args)
-            if args.command == "oracle-compare":
-                return _cmd_compare(cfg, disc, args)
-            if args.command == "sweep-theta":
-                return _cmd_sweep(cfg, disc, args)
-            if args.command == "verify":
-                return _cmd_verify(cfg, disc, args)
-        raise AssertionError(f"unhandled command {args.command}")
+            return COMMANDS[args.command](cfg, disc, args)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

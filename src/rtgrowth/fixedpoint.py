@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateExponents, SolverError
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import VerticalProfile, compliances
-from .pencil import Discretization, FixedPoint, assemble, fixed_point
+from .pencil import COUNTS, Discretization, FixedPoint, assemble, fixed_point
 from .spectrum import FrozenModeSet, compliance_bound, size_mode_set, smallest_magnitude
 
 
@@ -68,6 +68,7 @@ class GrowthResult:
         return self.fixed_point.forms.elements_per_layer
 
     def validate(self) -> None:
+        COUNTS["solves"] += 1
         if not 0.0 < self.lam <= self.bound_m * (1.0 + 1e-6):
             raise SolverError(
                 f"growth rate {self.lam!r} escapes (0, m] with m = {self.bound_m!r}"

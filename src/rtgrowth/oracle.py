@@ -92,7 +92,7 @@ from .modeforms import (
     VerticalProfile, _condensed_traction, _interface_traction, _layer_basis, compliances,
     surface_coefficient,
 )
-from .pencil import Discretization
+from .pencil import COUNTS, Discretization
 from .spectrum import compliance_bound
 
 _ROOT_RTOL = 1e-12
@@ -104,6 +104,7 @@ def determinant(k: float, n: float, cfg: FluidConfig) -> float:
     For c_k > 0 it has the sign of n - Lambda_k, for c_k <= 0 it is positive
     (module docstring); a non-finite value raises DegenerateExponents.
     """
+    COUNTS["determinants"] += 1
     if k <= 0.0:
         raise ZeroWaveNumber(f"dispersion system needs k > 0, got {float(k)!r}")
     if not n > 0.0:

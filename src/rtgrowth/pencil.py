@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -100,6 +101,16 @@ def _load_wrappers():
 
 
 blas, lapack = _load_wrappers()
+
+# The solver work done in this process, by kind, each counted once in the
+# code that does it: factorizations (every dpbtrf), extended_residuals
+# (_refine), inertia_tests (alpha_below), alpha_solves (mode_alpha),
+# fixed_points (fixed_point), last_solves (_last_solve), determinants
+# (oracle.determinant), solves (GrowthResult.validate) and modes (the modes
+# of every FrozenModeSet, as built and as extended). Always on: an increment
+# costs far less than the least work it counts, and nothing in the package
+# solves concurrently. Nothing in the package reads it; scripts/bench.py does.
+COUNTS = Counter()
 
 
 @dataclass(frozen=True)
@@ -314,6 +325,7 @@ def _factor_solve(forms: PencilForms, s: float, alpha: float):
     pivot as info > 0, which raises. The fresh energy band is factored in
     place: f2py writes through a read-only flag, so only a band made for this
     factorization may be handed over."""
+    COUNTS["factorizations"] += 1
     chol, info = lapack.dpbtrf(_energy(forms, s, alpha), lower=1, overwrite_ab=1)
     if info != 0:
         raise _failure("factorization", alpha, info)
@@ -328,6 +340,7 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     solve. The float64 bands widen to np.longdouble exactly inside the
     products; the explicit dtype keeps them wide under NumPy 1's promotion
     rules too."""
+    COUNTS["extended_residuals"] += 1
     ext = np.longdouble
     exact = np.multiply(s, forms.A_band, dtype=ext)
     exact += np.multiply(alpha, forms.B_band, dtype=ext)
@@ -357,6 +370,8 @@ def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
     backward error at the rounding level of the energy matrix, which grows
     with its condition number (about 4e8 at N = 128).
     """
+    COUNTS["inertia_tests"] += 1
+    COUNTS["factorizations"] += 1
     m = _energy(forms, s, alpha)
     m[0, forms.e0_index] -= forms.c_k
     info = lapack.dpbtrf(m, lower=1, overwrite_ab=1)[1]
@@ -406,6 +421,7 @@ def mode_alpha(forms: PencilForms, s: float) -> float:
     tables that differ in their last bits (up to 7.6 ulp) moved such values
     by up to 3.4e-6 relative (k = 6.185: -0.45411737 against -0.45411894).
     """
+    COUNTS["alpha_solves"] += 1
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
     alpha = _secular_newton(forms, lambda t: (s, t), lambda t, x0, xb: xb, 0.0)[0] if forms.c_k > 0.0 else 0.0
@@ -436,10 +452,9 @@ class FixedPoint:
     maximum do, pays for no solve after lam is fixed. The fields hold what
     that solve needs: x and its correction d, the refined solve x + d at s
     that fixed lam, with its extended-precision residual r, the factor chol
-    of s A + s^2 B, xb = (x + d)^T B (x + d) and the noise bound gate of the
-    held step in force when lam was fixed (fixed_point). r is None where s
-    is lam and x + d is already the last solve. A last solve whose
-    factorization fails raises when it runs, on that first read.
+    of s A + s^2 B and xb = (x + d)^T B (x + d). r is None where s is lam
+    and x + d is already the last solve. A last solve whose factorization
+    fails raises when it runs, on that first read.
 
     alpha is alpha_k(lam) to first order from the last solve. vector is the
     eigenvector, normalized to x^T B x = 1. Its interface value psi(0) is
@@ -457,7 +472,6 @@ class FixedPoint:
     d: np.ndarray = field(repr=False)
     r: np.ndarray | None = field(repr=False)
     xb: float = field(repr=False)
-    gate: float = field(repr=False)
 
     @cached_property
     def _last(self) -> tuple[float, np.ndarray, float]:
@@ -495,15 +509,17 @@ def _eigenpair(forms: PencilForms, s: float, x: np.ndarray, xb: float) -> tuple[
 
 def _last_solve(fp: FixedPoint) -> tuple[float, np.ndarray, float]:
     """(alpha, vector, noise) of fp from its last solve at t = fp.lam: the
-    held step where the refinement's noise at s is within fp.gate, a fresh
-    factorization and refined solve at t elsewhere (fixed_point)."""
+    held step where the refinement's noise at s is within
+    _HELD_GATE max(1, s^2), a fresh factorization and refined solve at t
+    elsewhere (fixed_point)."""
+    COUNTS["last_solves"] += 1
     forms, t, s, x, d = fp.forms, fp.lam, fp.s, fp.x, fp.d
     xr = x + d
     if fp.r is None:
         return (*_eigenpair(forms, t, xr, fp.xb), 0.0)
     # kappa tau / (c_k xb), tau = |d| / |x + d|
     noise = _KAPPA * float(abs(d).max() / abs(xr).max()) / (float(forms.c_k) * fp.xb)
-    if noise <= fp.gate:
+    if noise <= _HELD_GATE * max(1.0, s * s):
         # the residual of x + d at t, from r at s; both products are small
         dm = _energy(forms, t - s, (t - s) * (t + s))  # M(t) - M(s), without cancellation
         r = fp.r - band_matvec(dm, x) - band_matvec(_energy(forms, t, t * t), d)
@@ -550,8 +566,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     theta_c) only makes s the refined bracket's lower end. The loop's last
     step fixes lam = t; the solve at t, which gives only alpha, the
     eigenvector and the residual, runs the first time one of them is read
-    (FixedPoint, _last_solve), held or fresh as the gate in force when lam
-    was fixed decides.
+    (FixedPoint, _last_solve), held or fresh as the gate below decides.
 
     Held last step. With x the float64 solve at s, r = e0 - M(s) x the
     extended-precision residual already formed (M(s) = s A + s^2 B) and d
@@ -610,6 +625,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     solves; the gate sent the contrast config's k = 2, 4 and its maximizer
     7.28 to the fresh step.
     """
+    COUNTS["fixed_points"] += 1
     c = float(forms.c_k)
     if not c > 0.0:
         raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
@@ -620,7 +636,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
         return s * (2.0 / (b + math.sqrt(b * b + 4.0 * y * q)) - 1.0)
 
     held = _secular_newton(forms, lambda t: (t, t * t), lambda t, x0, xb: x0 / t + t * xb, float(start), refit)
-    return FixedPoint(forms, *held, _HELD_GATE * max(1.0, held[1] * held[1]))
+    return FixedPoint(forms, *held)
 
 
 def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):

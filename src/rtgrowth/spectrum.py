@@ -51,6 +51,7 @@ import numpy as np
 from .errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
 from .model import FluidConfig
 from .pencil import (
+    COUNTS,
     Discretization,
     alpha_below,
     assemble,
@@ -155,6 +156,7 @@ class FrozenModeSet:
         self.cfg = cfg
         self.disc = disc
         self.modes = modes
+        COUNTS["modes"] += len(modes)
         self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
         self._bounds = (None, np.empty(0))  # (theta, r_k of the first modes at theta)
 
@@ -164,7 +166,9 @@ class FrozenModeSet:
 
     def extend_to(self, k_max: float) -> None:
         if k_max > self.modes.k_max:
+            COUNTS["modes"] -= len(self.modes)
             self.modes = enumerate_modes(self.cfg, k_max)
+            COUNTS["modes"] += len(self.modes)
 
     def check_serves(self, cfg: FluidConfig, disc: Discretization) -> None:
         """Raise ValueError unless the set was built for cfg, up to theta, and disc.

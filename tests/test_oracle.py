@@ -550,9 +550,9 @@ def test_held_last_step_keeps_the_fresh_step_lambda_over_config_box(nu_plus, nu_
     start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
     held = pencil.fixed_point(forms, start)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pencil, "_HELD_GATE", -1.0)
+        mp.setattr(pencil, "_HELD_GATE", -1.0)  # read by the last solve
         fresh = pencil.fixed_point(forms, start)
-    assert held.lam == fresh.lam and fresh.noise == 0.0
+        assert held.lam == fresh.lam and fresh.noise == 0.0
     if held.noise > 0.0:
         assert held.residual >= held.noise
 

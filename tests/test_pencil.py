@@ -723,13 +723,13 @@ def test_last_solve_runs_only_when_its_result_is_read(reference_config, monkeypa
     # lam is fixed before the last solve, so reading it runs nothing more; the
     # first read of alpha runs the last step, once: on the held factor (one
     # dpbtrs) or, past the gate, afresh (one dpbtrf, one extended residual,
-    # a dpbtrs for each). Reads in any order give the same bits
+    # a dpbtrs for each). Reads in any order give the same bits, and
+    # pencil.COUNTS counts the same work as the spies
     forms = assemble(5.0, reference_config, Discretization(128))
     start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pencil, "_HELD_GATE", gate)
-        fps = [fixed_point(forms, start) for _ in range(3)]
-    calls = count_lapack(monkeypatch)
+    monkeypatch.setattr(pencil, "_HELD_GATE", gate)  # read by the last solve
+    fps = [fixed_point(forms, start) for _ in range(3)]
+    calls, before = count_lapack(monkeypatch), pencil.COUNTS.copy()
     assert len({fp.lam for fp in fps}) == 1
     assert calls == {"dpbtrf": 0, "dpbtrs": 0, "extended": 0}
     held = gate > 0.0
@@ -746,6 +746,10 @@ def test_last_solve_runs_only_when_its_result_is_read(reference_config, monkeypa
             if name == "profile":
                 a, b = (a.psi_values, a.psi_derivs), (b.psi_values, b.psi_derivs)
             assert np.array_equal(a, b), name
+    counted = pencil.COUNTS - before
+    assert (counted["factorizations"], counted["extended_residuals"], counted["last_solves"]) == (
+        calls["dpbtrf"], calls["extended"], len(fps)
+    )
 
 
 def test_indefinite_band_raises_factorization_failure():
