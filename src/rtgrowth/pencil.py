@@ -16,15 +16,17 @@ monotone lower bound of the continuous one.
 
 Neighbouring nodes share an element, so every matrix is banded with half
 bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
-band form: a (4, dim) array whose row d holds the entries (j + d, j). The band
-is the lower triangle of the element scatter. Every per-mode quantity comes
-from banded Cholesky factorizations (dpbtrf): the inertia test alpha_below
-(s A + alpha B - c_k e0 e0^T factors exactly when alpha > alpha_k(s)), and
-the roots of one secular function, c_k e0^T (s A + alpha B)^(-1) e0 = 1,
-by one safeguarded Newton loop (_secular_newton) along two paths: Lambda_k
-along (t, t^2) (fixed_point), whose last solve is the eigenprofile, and
-alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
-down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
+band form: a (4, dim) array whose row d holds the entries (j + d, j). The
+k-independent bands hold the lower triangle of the element scatter, each
+element table entry added by one stride-2 slice per layer (_tables). Every
+per-mode quantity comes from banded Cholesky factorizations (dpbtrf): the
+inertia test alpha_below (s A + alpha B - c_k e0 e0^T factors exactly when
+alpha > alpha_k(s)), and the roots of one secular function,
+c_k e0^T (s A + alpha B)^(-1) e0 = 1, by one safeguarded Newton loop
+(_secular_newton) along two paths: Lambda_k along (t, t^2) (fixed_point),
+whose last solve is the eigenprofile, and alpha_k(s) > 0 along (s, t)
+(mode_alpha), which bisects the inertia test down from the proven bound 0
+where alpha_k(s) <= 0. The energy matrix has
 condition number ~4e8 at N = 128, so a solve whose value is read is refined
 once with a residual in extended precision (_factor_solve, then _refine).
 Both paths refine only near the answer: the loop's float64 phase proposes
@@ -165,59 +167,39 @@ _TABLE_NAMES = ("M_rho", "D_rho", "M_mu", "D_mu", "H_mu", "X_mu")
 
 
 @lru_cache(maxsize=32)
-def _tables(
-    rho_minus: float,
-    rho_plus: float,
-    mu_minus: float,
-    mu_plus: float,
-    h_minus: float,
-    h_plus: float,
-    n: int,
-):
+def _tables(cfg: FluidConfig, n: int):
     """k-independent global matrices for one material/mesh combination, as bands.
 
-    Element e carries the full dofs 2e .. 2e+3; clamping drops value and slope
-    at both walls, so its local dof a is global dof 2e + a - 2 when that lies
-    in [0, dim). Local entry (a, b), a >= b, lands in band row a - b, column
-    2e + b - 2. All six bands are one scatter: np.bincount over the flat
-    (table, column, band row) index, which lays each band out in Fortran
-    order, the order dpbtrf and dsbmv read without a copy. A band entry receives at most two element
-    contributions (only the two dofs of a shared node lie in two elements),
-    and 0 + u + v is exact in either order, so the band holds bit for bit the
-    lower triangle of a dense scatter.
+    No band reads theta, so assemble keys the cache by cfg at theta 0 and a
+    sweep keeps one entry. Element e carries the full dofs 2e .. 2e+3;
+    clamping drops value and slope at both walls, so its local dof a is
+    global dof 2e + a - 2 when that lies in [0, dim). Local entry (a, b),
+    a >= b, lands in band row a - b, column 2e + b - 2: for one (a, b), a
+    layer's elements fill every other column, one stride-2 slice, clipped to
+    the matrix. So each layer's six tables go in by ten slice additions into
+    one zeroed (6, dim, 4) block, whose transpose lays each band out in
+    Fortran order, the order dpbtrf and dsbmv read without a copy. A band
+    entry receives at most two element contributions (only the two dofs of a
+    shared node lie in two elements), and 0 + u + v gives the same bits in
+    either order, so the band holds bit for bit the lower triangle of a
+    dense scatter, signed zeros included.
     """
-    grid = uniform_layered_grid(h_minus, h_plus, n)
+    grid = uniform_layered_grid(cfg.h_minus, cfg.h_plus, n)
     dim = 4 * n - 2
-    per_layer = []
-    for h, rho, mu in ((h_minus, rho_minus, mu_minus), (h_plus, rho_plus, mu_plus)):
-        mass, grad, bend, cross = _element_matrices(h / n)
-        per_layer.append(
-            [rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * cross]
-        )
-    tables = len(_TABLE_NAMES)
-    a, b = np.tril_indices(4)
-    # indexed (element, table, entry (a, b))
-    vals = np.asarray(per_layer)[(np.arange(2 * n) >= n).astype(int)][:, :, a, b]
-    col = 2 * np.arange(2 * n)[:, None, None] - 2 + b
-    index = (np.arange(tables)[:, None] * dim + col) * 4 + a - b
-    keep = np.broadcast_to((col >= 0) & (col + a - b < dim), index.shape)
     # four band rows: an element couples two nodes of two dofs each
-    flat = np.bincount(index[keep], vals[keep], tables * 4 * dim)
-    bands = flat.reshape(tables, dim, 4).transpose(0, 2, 1)
+    block = np.zeros((len(_TABLE_NAMES), dim, 4))
+    layers = ((0, cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (n, cfg.h_plus, cfg.rho_plus, cfg.mu_plus))
+    for first, h, rho, mu in layers:
+        mass, grad, bend, cross = _element_matrices(h / n)
+        tables = np.array([rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * cross])
+        for a in range(4):
+            for b in range(a + 1):
+                start = 2 * first + b - 2  # the layer's first element; -2 and -1 clip to 0 and 1
+                stop = min(start + 2 * n, dim - (a - b))
+                block[:, max(start, start % 2) : stop : 2, a - b] += tables[:, a, b, None]
+    bands = block.transpose(0, 2, 1)
     bands.flags.writeable = False
     return {"grid": grid, "e0_index": 2 * n - 2, **dict(zip(_TABLE_NAMES, bands))}
-
-
-def _cfg_tables(cfg: FluidConfig, disc: Discretization):
-    return _tables(
-        cfg.rho_minus,
-        cfg.rho_plus,
-        cfg.mu_minus,
-        cfg.mu_plus,
-        cfg.h_minus,
-        cfg.h_plus,
-        disc.elements_per_layer,
-    )
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -284,7 +266,7 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     """Assemble kinetic/dissipation bands and the surface coefficient."""
     if k <= 0.0:
         raise ZeroWaveNumber(f"assembly needs k > 0, got {k!r}")
-    t = _cfg_tables(cfg, disc)
+    t = _tables(cfg.with_theta(0.0), disc.elements_per_layer)
     # Fortran-ordered like the tables, and read-only: every solve reads them
     B = t["M_rho"] + t["D_rho"] / k**2
     A = 4.0 * t["D_mu"] + k**2 * t["M_mu"] + 2.0 * t["X_mu"] + t["H_mu"] / k**2

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import cli_output
-from rtgrowth import analysis, oracle, spectrum
+from conftest import cli_output, config_json
+from rtgrowth import analysis, cli, oracle, spectrum
+from rtgrowth.errors import MonotonicityViolation, SolverError
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
 from rtgrowth.modeforms import VerticalProfile
@@ -253,6 +254,46 @@ def test_verify_low_viscosity_at_n128_passes(reference_config):
     assert report.all_pass, [c for c in report.checks if not c.passed]
     (oracle_check,) = [c for c in report.checks if c.name == "oracle_agreement"]
     assert "21.93171219946131" in oracle_check.detail
+
+
+def test_verify_reports_a_failed_alpha_curve_and_fixed_point(cheap_config, tmp_path, monkeypatch):
+    # a failed check is a FAIL line and exit 1, and the checks after it
+    # still run; with no growth result there is no profile to check
+    theta_c = theta_critical(cheap_config)
+    cfg = cheap_config.with_theta(0.5 * theta_c)
+    real_solve = analysis.solve_lambda
+
+    def curve(*args, **kwargs):
+        raise MonotonicityViolation("alpha rose from 1.0 to 2.0")
+
+    def solve(cfg, disc, *args, **kwargs):
+        # the theta = 0 sizing solve and the StableRegime probes pass through
+        if 0.0 < cfg.theta < theta_c:
+            raise SolverError("growth rate escapes (0, m]")
+        return real_solve(cfg, disc, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "alpha_curve", curve)
+    monkeypatch.setattr(analysis, "solve_lambda", solve)
+    report = verify_all(cfg, DISC)
+    checks = {c.name: c for c in report.checks}
+    assert list(checks) == [
+        "alpha_strictly_decreasing", "alpha_decreasing_in_theta", "fixed_point",
+        "oracle_agreement", "threshold_stability",
+    ]
+    assert checks["alpha_strictly_decreasing"] == analysis.VerifyCheck(
+        "alpha_strictly_decreasing", False, "alpha rose from 1.0 to 2.0"
+    )
+    assert checks["fixed_point"] == analysis.VerifyCheck("fixed_point", False, "growth rate escapes (0, m]")
+    assert not report.all_pass
+    assert all(c.passed for name, c in checks.items() if name not in ("alpha_strictly_decreasing", "fixed_point"))
+
+    config = tmp_path / "config.json"
+    config.write_text(config_json(cfg))
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--config", str(config), "--resolution", "8", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["all_pass"] is False
+    assert payload["checks"] == [dataclasses.asdict(c) for c in report.checks]
 
 
 def test_verify_stable_configuration(cheap_config):

@@ -391,6 +391,26 @@ def test_underflowing_threshold_exit_2(tmp_path, command):
     assert "theta_c" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command,flags,fields,message",
+    [
+        ("alpha-curve", ["--s-grid", ","], {}, "--s-grid is empty"),
+        ("growth", ["--out", "{missing}/growth.json"], {}, "cannot write output"),
+        # L1 = L2 = 1e200 overflows max(L1^2, L2^2), and so theta_c, to inf
+        ("growth", [], {"L1": 1e200, "L2": 1e200}, "theta_c = g (rho_plus - rho_minus) max(L1^2, L2^2) = inf "
+                                                   "is not a finite positive float"),
+    ],
+)
+def test_input_errors_exit_2_on_one_line(tmp_path, capsys, command, flags, fields, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CHEAP, **fields}))
+    flags = [flag.format(missing=tmp_path / "missing") for flag in flags]
+    assert run_cli([command, "--config", str(path), "--resolution", "8", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize alone takes about a quarter second to import, and every
     # command would pay it at start-up

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import count_solves, curve_alphas, fail_last_factorization, growth_max
 from rtgrowth import fixedpoint, oracle, pencil, spectrum
 from rtgrowth.analysis import _sized_mode_set, sweep_theta
-from rtgrowth.errors import FactorizationFailure, StableRegime
-from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
+from rtgrowth.errors import FactorizationFailure, SolverError, StableRegime
+from rtgrowth.fixedpoint import GrowthResult, solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
 from rtgrowth.oracle import compare_modes, dispersion_root, profile_error
 from rtgrowth.pencil import Discretization, PencilForms, fixed_point
@@ -315,6 +316,32 @@ def test_growth_solves_at_n128_next_to_theta_c(reference_config, cheap_config, c
     for cfg in (reference_config, cheap_config, contrast_config):
         result = solve_lambda(cfg.with_theta(0.99999 * theta_critical(cfg)), disc)
         assert 0.0 < result.lam <= result.bound_compliance
+
+
+def stub_result(lam=1.0, bound_m=2.0, bound_compliance=1.5, residual=0.0, alpha=1.0, vector=(0.5, 1.0, 0.25, 0.0)):
+    """A GrowthResult around a stub fixed point: interface value dof 2,
+    slopes at the odd dofs, tol_fp 1e-8; the defaults validate."""
+    forms = SimpleNamespace(k=1.0, e0_index=2, elements_per_layer=8)
+    fp = SimpleNamespace(lam=lam, forms=forms, residual=residual, alpha=alpha, vector=np.asarray(vector))
+    return GrowthResult(fp, bound_m, bound_compliance, theta=0.0, tol_fp=1e-8, mode_set=None)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"lam": 0.0}, "growth rate 0.0 escapes (0, m] with m = 2.0"),
+        ({"lam": 2.5, "bound_compliance": 3.0}, "growth rate 2.5 escapes (0, m] with m = 2.0"),
+        ({"lam": 1.6}, "growth rate 1.6 exceeds the compliance bound 1.5"),
+        ({"residual": 2e-8}, "fixed-point residual 2e-08 exceeds tolerance"),
+        ({"alpha": 0.0}, "alpha at the fixed point must be positive"),
+        ({"vector": (0.5, 1.0, 0.0, 0.5)}, "eigenprofile has vanishing interface value"),
+        ({"vector": (0.5, 0.0, 0.25, -0.0)}, "eigenprofile has identically zero derivative"),
+    ],
+)
+def test_growth_result_validate_rejects(fields, message):
+    with pytest.raises(SolverError) as info:
+        stub_result(**fields).validate()
+    assert str(info.value) == message
 
 
 def test_invalid_tolerance(cheap_config):

@@ -412,7 +412,7 @@ def dense_tables(cfg, n):
 @pytest.mark.parametrize("n", [8, 128])
 def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config, n):
     for cfg in (reference_config, CONTRAST):
-        bands = pencil._cfg_tables(cfg, Discretization(n))
+        bands = pencil._tables(cfg, n)
         assert bands["e0_index"] == 2 * n - 2
         for name, scatter in dense_tables(cfg, n).items():
             view = dense(bands[name])
@@ -424,9 +424,13 @@ def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config
 
 @pytest.mark.parametrize("n", [8, 32, 128])
 def test_band_tables_match_the_loop_scatter_bit_for_bit(reference_config, n):
-    # int64 views, so that a signed zero or a last-bit difference counts
-    for cfg in (reference_config, CONTRAST):
-        bands = pencil._cfg_tables(cfg, Discretization(n))
+    # int64 views, so that a signed zero or a last-bit difference counts. At
+    # mu = 1e-321 both contributions to some entries round to -0.0 at
+    # N = 128, and their sum reads +0.0 only when started from +0.0.
+    tiny = replace(reference_config, mu_plus=1e-321, mu_minus=1e-321)
+    anisotropic = replace(reference_config, L2=1.7, h_minus=0.5, mu_minus=0.2)
+    for cfg in (reference_config, CONTRAST, tiny, anisotropic):
+        bands = pencil._tables(cfg, n)
         for name, band in loop_tables(cfg, n).items():
             assert np.array_equal(bands[name].view(np.int64), band.view(np.int64)), name
 
