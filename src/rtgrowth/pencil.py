@@ -167,29 +167,29 @@ _TABLE_NAMES = ("M_rho", "D_rho", "M_mu", "D_mu", "H_mu", "X_mu")
 
 
 @lru_cache(maxsize=32)
-def _tables(cfg: FluidConfig, n: int):
-    """k-independent global matrices for one material/mesh combination, as bands.
+def _tables(lower: tuple, upper: tuple, n: int):
+    """k-independent global matrices of the two layers at N = n, as bands.
 
-    No band reads theta, so assemble keys the cache by cfg at theta 0 and a
-    sweep keeps one entry. Element e carries the full dofs 2e .. 2e+3;
-    clamping drops value and slope at both walls, so its local dof a is
-    global dof 2e + a - 2 when that lies in [0, dim). Local entry (a, b),
-    a >= b, lands in band row a - b, column 2e + b - 2: for one (a, b), a
-    layer's elements fill every other column, one stride-2 slice, clipped to
-    the matrix. So each layer's six tables go in by ten slice additions into
-    one zeroed (6, dim, 4) block, whose transpose lays each band out in
-    Fortran order, the order dpbtrf and dsbmv read without a copy. A band
-    entry receives at most two element contributions (only the two dofs of a
-    shared node lie in two elements), and 0 + u + v gives the same bits in
-    either order, so the band holds bit for bit the lower triangle of a
-    dense scatter, signed zeros included.
+    lower and upper are each layer's (h, rho, mu), the only config numbers a
+    band reads, and they key the cache: configs that differ only in g, theta
+    or the periods share one entry, so a sweep keeps one. Element e carries
+    the full dofs 2e .. 2e+3; clamping drops value and slope at both walls,
+    so its local dof a is global dof 2e + a - 2 when that lies in [0, dim).
+    Local entry (a, b), a >= b, lands in band row a - b, column 2e + b - 2:
+    for one (a, b), a layer's elements fill every other column, one stride-2
+    slice, clipped to the matrix. So each layer's six tables go in by ten
+    slice additions into one zeroed (6, dim, 4) block, whose transpose lays
+    each band out in Fortran order, the order dpbtrf and dsbmv read without
+    a copy. A band entry receives at most two element contributions (only
+    the two dofs of a shared node lie in two elements), and 0 + u + v gives
+    the same bits in either order, so the band holds bit for bit the lower
+    triangle of a dense scatter, signed zeros included.
     """
-    grid = uniform_layered_grid(cfg.h_minus, cfg.h_plus, n)
+    grid = uniform_layered_grid(lower[0], upper[0], n)
     dim = 4 * n - 2
     # four band rows: an element couples two nodes of two dofs each
     block = np.zeros((len(_TABLE_NAMES), dim, 4))
-    layers = ((0, cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (n, cfg.h_plus, cfg.rho_plus, cfg.mu_plus))
-    for first, h, rho, mu in layers:
+    for first, (h, rho, mu) in ((0, lower), (n, upper)):
         mass, grad, bend, cross = _element_matrices(h / n)
         tables = np.array([rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * cross])
         for a in range(4):
@@ -266,7 +266,8 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     """Assemble kinetic/dissipation bands and the surface coefficient."""
     if k <= 0.0:
         raise ZeroWaveNumber(f"assembly needs k > 0, got {k!r}")
-    t = _tables(cfg.with_theta(0.0), disc.elements_per_layer)
+    lower, upper = (cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)
+    t = _tables(lower, upper, disc.elements_per_layer)
     # Fortran-ordered like the tables, and read-only: every solve reads them
     B = t["M_rho"] + t["D_rho"] / k**2
     A = 4.0 * t["D_mu"] + k**2 * t["M_mu"] + 2.0 * t["X_mu"] + t["H_mu"] / k**2

@@ -93,22 +93,24 @@ def smallest_magnitude(cfg: FluidConfig) -> float:
 def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
     """Exactly the distinct lattice magnitudes in (0, k_max].
 
-    A k_max whose lattice exceeds LATTICE_POINTS raises DegenerateExponents.
+    A magnitude reads only |n1| and |n2|, and (-n) / L is -(n / L) exactly,
+    which hypot takes as n / L. So the quadrant n1, n2 >= 0 holds every float
+    of the whole lattice, where the lattice holds each two or four times. A
+    repeat lies 0 above the float below it, so the dedup drops it, and the
+    gaps between different floats are the quadrant's: the result has the
+    bits of the whole lattice's. A k_max whose lattice, (2 n1 + 1)(2 n2 + 1)
+    points with n_i = ceil(k_max L_i), exceeds LATTICE_POINTS raises
+    DegenerateExponents; so does an infinite or NaN one.
     """
     if k_max < smallest_magnitude(cfg):
-        raise EmptyModeSet(
-            f"k_max = {k_max!r} below smallest lattice magnitude "
-            f"{smallest_magnitude(cfg)!r}"
-        )
-    if not np.prod(2.0 * np.ceil(k_max * np.array([cfg.L1, cfg.L2])) + 1.0) <= LATTICE_POINTS:
+        raise EmptyModeSet(f"k_max = {k_max!r} below smallest lattice magnitude {smallest_magnitude(cfg)!r}")
+    # min keeps LATTICE_POINTS unless k_max L is smaller, so inf and NaN stay out of ceil
+    n1, n2 = (math.ceil(min(LATTICE_POINTS, k_max * scale)) for scale in (cfg.L1, cfg.L2))
+    if (2 * n1 + 1) * (2 * n2 + 1) > LATTICE_POINTS:
         raise DegenerateExponents(f"k_max = {k_max!r} needs more than {LATTICE_POINTS} lattice points")
-    n1 = int(math.ceil(k_max * cfg.L1))
-    n2 = int(math.ceil(k_max * cfg.L2))
-    i = np.arange(-n1, n1 + 1)
-    j = np.arange(-n2, n2 + 1)
-    kk = np.hypot.outer(i / cfg.L1, j / cfg.L2).ravel()
-    kk = kk[(kk > 0.0) & (kk <= k_max)]
+    kk = np.hypot.outer(np.arange(n1 + 1) / cfg.L1, np.arange(n2 + 1) / cfg.L2).ravel()
     kk.sort()
+    kk = kk[1 : kk.searchsorted(k_max, side="right")]  # the origin sorts first
     # a magnitude within _DEDUP_RTOL (relative) of the one below it repeats it
     distinct = np.ones(kk.size, dtype=bool)
     distinct[1:] = np.diff(kk) > _DEDUP_RTOL * kk[1:]
@@ -158,7 +160,7 @@ class FrozenModeSet:
         self.modes = modes
         COUNTS["modes"] += len(modes)
         self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
-        self._bounds = (None, np.empty(0))  # (theta, r_k of the first modes at theta)
+        self._bounds = (None, None)  # ((theta, number of modes), r_k of every mode at theta)
 
     @classmethod
     def freeze(cls, cfg: FluidConfig, disc: Discretization, k_max: float) -> "FrozenModeSet":
@@ -186,22 +188,22 @@ class FrozenModeSet:
         """compliance_bound of every mode at theta: Lambda_k <= r_k, read-only.
 
         Takes the compliances of the modes that have none yet, with no
-        matrix, and the bounds of the modes that have none at this theta yet
-        (those of the last theta asked for are kept); extend_to only appends
-        modes, so those are the last ones.
+        matrix; extend_to only appends modes, so those are the last ones.
+        The bounds of the last (theta, number of modes) asked for are kept,
+        and any other key takes every r_k afresh: each is formed element by
+        element with correctly rounded operations, so its bits do not depend
+        on the modes beside it.
         """
         ks = self.modes.magnitudes
         fresh = [compliances(k, self.cfg) for k in ks[len(self._compliance):].tolist()]
         if fresh:
             self._compliance = np.concatenate([self._compliance, fresh])
-        known, bounds = self._bounds
-        start = bounds.size if known == theta else 0
-        if start < ks.size:
-            c = surface_coefficient(ks[start:], self.cfg.with_theta(theta))
-            rows = self._compliance[start:]
-            bounds = np.concatenate([bounds[:start], compliance_bound(c, rows[:, 0], rows[:, 1])])
+        key, bounds = self._bounds
+        if key != (theta, ks.size):
+            c = surface_coefficient(ks, self.cfg.with_theta(theta))
+            bounds = compliance_bound(c, self._compliance[:, 0], self._compliance[:, 1])
             bounds.flags.writeable = False
-            self._bounds = (theta, bounds)
+            self._bounds = ((theta, ks.size), bounds)
         return bounds
 
     def alpha_value(self, s: float, theta: float) -> AlphaValue:

@@ -22,6 +22,7 @@ from rtgrowth.errors import DegenerateExponents, SolverError
 from rtgrowth.fixedpoint import solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
 from rtgrowth.modeforms import (
+    _condensed_traction,
     _interface_traction,
     compliances,
     surface_coefficient,
@@ -670,6 +671,57 @@ def test_config_box_galerkin_floor_counterexample():
     # the point of the box where the N = 64 Galerkin side breaks the 1e-9
     # bound (CHANGES.md, FOUND)
     _check_box_case(-0.10001778, -1.38176338, 0.78403162, 0, 1)
+
+
+# ROADMAP item 3's prototype cases, each at k = 1: the reference config at
+# 0.9 theta_c, mu = 0.01 at 0.999 theta_c, and the box point of
+# test_config_box_galerkin_floor_counterexample
+IMPEDANCE_CASES = ("reference", "mu_0.01", "box")
+
+
+def fixed_rate_impedances(case, reference, ns):
+    """([H^N for N in ns], H) of mode k = 1 of an IMPEDANCE_CASES case at
+    the fixed rate (s, a) = (Lambda_1, Lambda_1^2), Lambda_1 the exact root.
+    H^N = 1 / e0^T (s A + a B)^(-1) e0 is the Galerkin interface impedance,
+    from one refined solve (interface_solve), and H = s S_1(a / s) / k^2 the
+    exact one (ROADMAP item 14). Both are minima of s D + a K over the
+    profiles with psi(0) = 1, the first over the Hermite space of N, and
+    those spaces are nested, so H^N >= H^2N >= H."""
+    if case == "box":
+        cfg = box_config(-0.10001778, -1.38176338, 0.78403162)
+    else:
+        mu, fraction = {"reference": (0.1, 0.9), "mu_0.01": (0.01, 0.999)}[case]
+        base = dataclasses.replace(reference, mu_plus=mu, mu_minus=mu)
+        cfg = base.with_theta(fraction * theta_critical(base))
+    k = 1.0
+    s = dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg))
+    a = s * s
+    galerkin = []
+    for n in ns:
+        forms = pencil.assemble(k, cfg, Discretization(n))
+        galerkin.append(1.0 / interface_solve(forms, s, a)[forms.e0_index])
+    return galerkin, s * _condensed_traction(k, a / s, cfg) / k**2
+
+
+@pytest.mark.parametrize("case", IMPEDANCE_CASES)
+def test_galerkin_impedance_falls_to_the_exact_one_from_n_16_to_32(case, reference_config):
+    # (H^N - H) / H: 4.8e-7 then 3.0e-8 on the reference and mu = 0.01
+    # cases, 9.6e-8 then 6.1e-9 on the box case
+    (h_16, h_32), h = fixed_rate_impedances(case, reference_config, (16, 32))
+    assert h_16 >= h_32 >= h
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="H^N >= H^2N >= H fails past N = 32, where lambda breaks monotonicity (ROADMAP item 3)",
+)
+@pytest.mark.parametrize("case", IMPEDANCE_CASES)
+def test_galerkin_impedance_falls_to_the_exact_one_from_n_32_to_128(case, reference_config):
+    # (H^N - H) / H at N = 64 and 128: 2.1e-9 then 4.4e-9 on the reference
+    # case (a rise), 2.3e-9 then -3.6e-9 on mu = 0.01 (below H), -1.3e-9
+    # then 1.9e-8 on the box case
+    (h_32, h_64, h_128), h = fixed_rate_impedances(case, reference_config, (32, 64, 128))
+    assert h_32 >= h_64 >= h_128 >= h
 
 
 def test_compare_modes_table(reference_config, tmp_path):

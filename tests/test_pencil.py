@@ -412,7 +412,7 @@ def dense_tables(cfg, n):
 @pytest.mark.parametrize("n", [8, 128])
 def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config, n):
     for cfg in (reference_config, CONTRAST):
-        bands = pencil._tables(cfg, n)
+        bands = pencil._tables((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus), n)
         assert bands["e0_index"] == 2 * n - 2
         for name, scatter in dense_tables(cfg, n).items():
             view = dense(bands[name])
@@ -430,9 +430,24 @@ def test_band_tables_match_the_loop_scatter_bit_for_bit(reference_config, n):
     tiny = replace(reference_config, mu_plus=1e-321, mu_minus=1e-321)
     anisotropic = replace(reference_config, L2=1.7, h_minus=0.5, mu_minus=0.2)
     for cfg in (reference_config, CONTRAST, tiny, anisotropic):
-        bands = pencil._tables(cfg, n)
+        bands = pencil._tables((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus), n)
         for name, band in loop_tables(cfg, n).items():
             assert np.array_equal(bands[name].view(np.int64), band.view(np.int64)), name
+
+
+def test_band_cache_is_keyed_by_the_two_layers_alone(reference_config):
+    # a band reads each layer's (h, rho, mu), so g, theta and the periods
+    # share one cache entry, and another viscosity takes a second
+    pencil._tables.cache_clear()
+    disc = Discretization(16)
+    for cfg in (
+        reference_config, replace(reference_config, g=20.0), reference_config.with_theta(3.0),
+        replace(reference_config, L1=2.0), replace(reference_config, L2=0.7),
+    ):
+        assemble(1.0, cfg, disc)
+    assert pencil._tables.cache_info().currsize == 1
+    assemble(1.0, replace(reference_config, mu_minus=0.2), disc)
+    assert pencil._tables.cache_info().currsize == 2
 
 
 def test_band_matvec_matches_dense(reference_config, rng):

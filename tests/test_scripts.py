@@ -1,4 +1,4 @@
-"""Smoke tests: each script in scripts/ runs at a small resolution."""
+"""Smoke tests: each script in scripts/ and each perfbench workload runs at a small resolution."""
 
 import importlib.util
 import json
@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rtgrowth import Discretization, FluidConfig, cli, fixedpoint, oracle, pencil, solve_lambda, spectrum
@@ -272,3 +273,20 @@ def test_loc_counts_total_and_code_lines(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["loc.py", str(tmp_path)])
     loc.main()
     assert capsys.readouterr().out == "12 lines, 6 code lines\n"
+
+
+@pytest.mark.parametrize("name", ["growth-ref", "sweep-dense", "oracle-modes"])
+def test_perfbench_workloads_keep_their_call_shapes(name):
+    # each workload of perfbench/workloads.py, as its worker calls it, at
+    # N = 16: inputs from seed 0 (pass 0), prepare(), three ops, and every
+    # gate passes. At N = 8 the oracle-modes gate fails at k = 15.30 and
+    # 16.76, where the Galerkin side reads 1.7 % and 2.3 % low
+    path = SCRIPTS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name](16)
+    inputs = workload.inputs(np.random.default_rng([0, 0]), 3)
+    workload.prepare()
+    records = [workload.op(x) for x in inputs]
+    assert workload.gates(records) == [None, None, None]

@@ -110,6 +110,44 @@ def test_enumerate_against_brute_scan(L1, L2, k_max):
     assert modes.magnitudes[0] == pytest.approx(smallest_magnitude(cfg))
 
 
+def whole_lattice_magnitudes(cfg, k_max):
+    """The distinct magnitudes in (0, k_max] of the whole lattice, -n_i .. n_i
+    in both directions, sorted and deduplicated as enumerate_modes does: the
+    reference its one quadrant is held to, bit for bit."""
+    n1 = int(math.ceil(k_max * cfg.L1))
+    n2 = int(math.ceil(k_max * cfg.L2))
+    kk = np.hypot.outer(np.arange(-n1, n1 + 1) / cfg.L1, np.arange(-n2, n2 + 1) / cfg.L2).ravel()
+    kk = kk[(kk > 0.0) & (kk <= k_max)]
+    kk.sort()
+    distinct = np.ones(kk.size, dtype=bool)
+    distinct[1:] = np.diff(kk) > spectrum._DEDUP_RTOL * kk[1:]
+    return kk[distinct]
+
+
+@pytest.mark.parametrize(
+    "L1,L2,k_max",
+    [(1.0, 1.0, 1.0), (1.0, 1.0, 5.0), (1.0, 1.0, 7.825), (1.0, 1.0, 300.0),
+     (2.0, 1.0, 7.825), (2.0, 1.0, 300.0), (0.7, 1.3, 7.825), (0.7, 1.3, 300.0)],
+)
+def test_quadrant_enumeration_has_the_bits_of_the_whole_lattice(reference_config, L1, L2, k_max):
+    cfg = replace(reference_config, L1=L1, L2=L2)
+    magnitudes = enumerate_modes(cfg, k_max).magnitudes
+    expected = whole_lattice_magnitudes(cfg, k_max)
+    assert np.array_equal(magnitudes.view(np.int64), expected.view(np.int64))
+    if k_max == 5.0:  # itself a magnitude, kept by the closed end of (0, k_max]
+        assert magnitudes[-1] == 5.0
+
+
+def test_enumeration_ends_of_the_unit_box(reference_config):
+    with pytest.raises(EmptyModeSet):
+        enumerate_modes(reference_config, math.nextafter(1.0, 0.0))
+    # (2 * 1023 + 1)^2 lattice points fit LATTICE_POINTS, (2 * 1024 + 1)^2 do not
+    assert len(enumerate_modes(reference_config, 1023.0)) == 225_996
+    for k_max in (1024.0, math.inf, math.nan):
+        with pytest.raises(DegenerateExponents, match="lattice points"):
+            enumerate_modes(reference_config, k_max)
+
+
 def test_global_alpha_matches_brute_scan(cheap_config, monkeypatch):
     s = 1.0
     k_max = 6.0
