@@ -46,7 +46,11 @@ determinants, fixed points and the last solves they ran (a fixed point runs
 its last solve only when its alpha, eigenvector or residual is read, so a
 growth solve runs one, for its maximizer, and oracle-compare none), alpha_k(s)
 solves, inertia tests, banded Cholesky factorizations (inertia tests and
-solves alike) and extended-precision residuals.
+solves alike), extended-precision residuals and pencil assemblies (a mode
+set keeps the pencil of each growth maximizer, so a sweep or verify
+re-assembles fewer). Each command row also records peak_rss_mb, the median
+over its runs of the child's peak resident set (ru_maxrss), which shows
+what those held pencils cost in memory.
 
 Times compare only within one file: wall_s and main_s move with the machine's
 load from one hour to the next, and a file records no baseline taken beside
@@ -101,19 +105,21 @@ ENV = {
 # the kinds of work pencil.COUNTS holds, in the order of a row's fields
 COUNTED = (
     "modes", "solves", "determinants", "fixed_points", "last_solves", "alpha_solves",
-    "inertia_tests", "factorizations", "extended_residuals",
+    "inertia_tests", "factorizations", "extended_residuals", "assemblies",
 )
-# Runs the CLI in the child and reports its counts and the time inside
-# cli.main on its last stderr line.
+# Runs the CLI in the child and reports its counts, the time inside cli.main
+# and its peak resident set in MB (ru_maxrss is in KiB on Linux) on its last
+# stderr line.
 CHILD_SCRIPT = f"""
-import json, sys, time
+import json, resource, sys, time
 from rtgrowth import cli, pencil
 
 start = time.perf_counter()
 code = cli.main(sys.argv[1:])
 main_s = time.perf_counter() - start
 counts = {{kind: pencil.COUNTS[kind] for kind in {COUNTED!r}}}
-sys.stderr.write(json.dumps({{**counts, "main_s": main_s}}) + "\\n")
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+sys.stderr.write(json.dumps({{**counts, "main_s": main_s, "peak_rss_mb": rss_mb}}) + "\\n")
 sys.exit(code)
 """
 
@@ -135,7 +141,7 @@ def cli_row(
         sys.executable, "-c", CHILD_SCRIPT, command,
         "--config", str(work / f"{config}.json"), "--resolution", str(n), "--out", str(out), *extra,
     ]
-    runs, mains = [], []
+    runs, mains, rss = [], [], []
     for _ in range(REPEATS):
         wall, proc = timed(argv)
         if proc.returncode not in ((0, 1) if command == "verify" else (0,)):
@@ -143,6 +149,7 @@ def cli_row(
         counts = json.loads(proc.stderr.strip().splitlines()[-1])
         runs.append(wall)
         mains.append(counts["main_s"])
+        rss.append(counts["peak_rss_mb"])
     lam, argmax_k = answer(out)
     return {
         "name": name,
@@ -159,6 +166,7 @@ def cli_row(
         "main_min_s": min(mains),
         "main_max_s": max(mains),
         "main_runs_s": mains,
+        "peak_rss_mb": statistics.median(rss),
     }
 
 

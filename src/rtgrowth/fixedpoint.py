@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateExponents, SolverError
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import VerticalProfile, compliances
-from .pencil import COUNTS, Discretization, FixedPoint, assemble, fixed_point
+from .pencil import COUNTS, Discretization, FixedPoint, PencilForms, assemble, fixed_point
 from .spectrum import FrozenModeSet, compliance_bound, size_mode_set, smallest_magnitude
 
 
@@ -151,15 +151,18 @@ def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> Fixed
     """
     validate_config(cfg)
     upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
-    return _mode_fixed_point(cfg, k, disc)
-
-
-def _mode_fixed_point(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
-    """solve_mode_lambda on a cfg already validated at theta < theta_c."""
     forms = assemble(float(k), cfg, disc)
+    start = _mode_start(forms, cfg)
+    return None if start is None else fixed_point(forms, start)
+
+
+def _mode_start(forms: PencilForms, cfg: FluidConfig) -> float | None:
+    """r_k of the mode of forms, read from cfg alone, which Newton starts
+    from (solve_mode_lambda, oracle.compare_modes); None where c_k <= 0. An
+    r_k rounded to 0 raises DegenerateExponents."""
     if forms.c_k <= 0.0:
         return None
     start = float(compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
     if not start > 0.0:
         raise DegenerateExponents(f"mode k = {forms.k!r} has its bound r_k rounded to 0 at theta = {cfg.theta!r}")
-    return fixed_point(forms, start)
+    return start

@@ -86,13 +86,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateExponents, SolverError, ZeroWaveNumber
-from .fixedpoint import _mode_fixed_point
+from .fixedpoint import _mode_start
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import (
     VerticalProfile, _condensed_traction, _interface_traction, _layer_basis, compliances,
     surface_coefficient,
 )
-from .pencil import COUNTS, Discretization
+from .pencil import COUNTS, Discretization, assemble, fixed_point
 from .spectrum import compliance_bound
 
 _ROOT_RTOL = 1e-12
@@ -176,8 +176,13 @@ def dispersion_root(k: float, cfg: FluidConfig, scan_max: float) -> float | None
     c = surface_coefficient(k, cfg)
     if c <= 0.0:
         return None
+    return _bracketed_root(k, cfg, scan_max, c, float(compliance_bound(c, *compliances(k, cfg))))
+
+
+def _bracketed_root(k: float, cfg: FluidConfig, scan_max: float, c: float, bound: float) -> float:
+    """dispersion_root past its checks, for c_k = c > 0 and r_k = bound."""
     lo, f_lo = 0.0, -k * k * c
-    hi = float(compliance_bound(c, *compliances(k, cfg))) * (1.0 + 1e-9)
+    hi = bound * (1.0 + 1e-9)
     if not 0.0 < hi < scan_max:
         hi = scan_max
     f_hi = determinant(k, hi, cfg)
@@ -253,11 +258,13 @@ def compare_modes(
     Disagreement is reported, never resolved silently: callers decide what to
     flag against which tolerance. cfg is validated and scan_max formed
     (_scan_max) once per call; raises StableRegime at theta >= theta_c, from
-    the bound m. The Galerkin side is solve_mode_lambda's fixed point, past
-    its checks; only its Lambda_k is read, so its last solve never runs: no
-    eigenvector, no profile, and a last factorization that would fail does
-    not show (pencil.FixedPoint). The oracle's root (dispersion_root) does
-    not depend on it.
+    the bound m. Each row forms c_k and r_k once, from the config alone, and
+    both sides read them. The Galerkin side is solve_mode_lambda's fixed
+    point, past its checks, started from r_k; only its Lambda_k is read, so
+    its last solve never runs: no eigenvector, no profile, and a last
+    factorization that would fail does not show (pencil.FixedPoint). The
+    oracle's root is dispersion_root's, bracketed by the same r_k, and does
+    not depend on the Galerkin solve.
 
     In exact arithmetic the gap is one-sided, Lambda_k^N <= Lambda_k, which
     verify's oracle_agreement relies on. alpha_k(s) is a supremum of the
@@ -274,8 +281,12 @@ def compare_modes(
     scan_max = _scan_max(cfg)
     rows = []
     for k in ks:
-        solved = _mode_fixed_point(cfg, k, disc)
-        rows.append(_comparison(k, None if solved is None else solved.lam, dispersion_root(k, cfg, scan_max)))
+        forms = assemble(float(k), cfg, disc)
+        bound = _mode_start(forms, cfg)
+        if bound is None:
+            rows.append(_comparison(k, None, None))
+            continue
+        rows.append(_comparison(k, fixed_point(forms, bound).lam, _bracketed_root(k, cfg, scan_max, forms.c_k, bound)))
     return rows
 
 

@@ -28,7 +28,10 @@ whose last solve is the eigenprofile, and alpha_k(s) > 0 along (s, t)
 (mode_alpha), which bisects the inertia test down from the proven bound 0
 where alpha_k(s) <= 0. The energy matrix has
 condition number ~4e8 at N = 128, so a solve whose value is read is refined
-once with a residual in extended precision (_factor_solve, then _refine).
+once with a residual in extended precision (_factor_solve, then _refine),
+formed from long-double copies of the two bands that are made once per
+pencil, on its first refinement, and shared by its copies at other c_k
+(PencilForms.wide, with_surface).
 Both paths refine only near the answer: the loop's float64 phase proposes
 points, on unrefined solves, until a step falls below 1e-3 of the point it
 moves, and only then do refined steps finish the root. fixed_point's last
@@ -108,10 +111,10 @@ blas, lapack = _load_wrappers()
 # code that does it: factorizations (every dpbtrf), extended_residuals
 # (_refine), inertia_tests (alpha_below), alpha_solves (mode_alpha),
 # fixed_points (fixed_point), last_solves (_last_solve), determinants
-# (oracle.determinant), solves (GrowthResult.validate) and modes (the modes
-# of every FrozenModeSet, as built and as extended). Always on: an increment
-# costs far less than the least work it counts, and nothing in the package
-# solves concurrently. Nothing in the package reads it; scripts/bench.py does.
+# (oracle.determinant), solves (GrowthResult.validate), assemblies
+# (assemble) and modes (the modes of every FrozenModeSet, as built and as
+# extended). Always on: an increment costs far less than the least work it
+# counts, and nothing in the package solves concurrently. Nothing in the package reads it; scripts/bench.py does.
 COUNTS = Counter()
 
 
@@ -246,7 +249,9 @@ class PencilForms:
     B_band and A_band hold the kinetic and dissipation matrices as (4, dim)
     LAPACK symmetric lower bands (row d, column j is entry (j + d, j)).
     assemble makes them read-only and Fortran-ordered, the order the banded
-    routines read in place; any order works.
+    routines read in place; any order works. wide holds their long-double
+    copies for _refine, made once per pencil. theta enters only c_k, so a
+    pencil serves its mode at every theta through with_surface.
     """
 
     k: float
@@ -261,11 +266,29 @@ class PencilForms:
     def dim(self) -> int:
         return self.B_band.shape[1]
 
+    @cached_property
+    def wide(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A_band, B_band) in np.longdouble, read-only, for _refine: made on
+        the first refinement and kept. Widening a float64 is exact."""
+        pair = self.A_band.astype(np.longdouble), self.B_band.astype(np.longdouble)
+        for band in pair:
+            band.flags.writeable = False
+        return pair
+
+    def with_surface(self, c_k: float) -> "PencilForms":
+        """This pencil at another surface coefficient c_k. A field-by-field
+        copy, as FluidConfig.with_theta is: it shares the bands and, once
+        made, their wide copies."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, c_k=c_k)
+        return new
+
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     """Assemble kinetic/dissipation bands and the surface coefficient."""
     if k <= 0.0:
         raise ZeroWaveNumber(f"assembly needs k > 0, got {k!r}")
+    COUNTS["assemblies"] += 1
     lower, upper = (cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)
     t = _tables(lower, upper, disc.elements_per_layer)
     # Fortran-ordered like the tables, and read-only: every solve reads them
@@ -320,13 +343,14 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     r = e0 - (s A + alpha B) x, formed and applied in extended precision and
     rounded to float64, and the correction d = (s A + alpha B)^(-1) r, solved
     with chol, the factor of s A + alpha B held already. x + d is the refined
-    solve. The float64 bands widen to np.longdouble exactly inside the
-    products; the explicit dtype keeps them wide under NumPy 1's promotion
-    rules too."""
+    solve. The products take the pencil's long-double bands (forms.wide),
+    the exact widening of its float64 ones, so a pencil widens them once,
+    not once per refinement; a float s or alpha takes the array's
+    np.longdouble under NumPy 1's promotion rules and NumPy 2's alike."""
     COUNTS["extended_residuals"] += 1
-    ext = np.longdouble
-    exact = np.multiply(s, forms.A_band, dtype=ext)
-    exact += np.multiply(alpha, forms.B_band, dtype=ext)
+    wide_A, wide_B = forms.wide
+    exact = s * wide_A
+    exact += alpha * wide_B
     y = _band_matvec_extended(exact, x)
     r = np.subtract(_unit(forms), y, out=y).astype(float)
     return r, _spd_solve(chol, r, alpha)

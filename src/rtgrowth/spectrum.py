@@ -3,10 +3,13 @@
 The admissible wavenumbers are xi = (n1/L1, n2/L2) over nonzero integer
 pairs; every per-mode quantity depends on xi only through k = |xi|, so the
 search collapses to the sorted list of distinct magnitudes. A FrozenModeSet
-holds the magnitudes and caches only their two interface compliances (closed
-forms, taken the first time the growth rate is asked for), which depend on
-neither s nor theta; every coupled-branch value is solved on the banded
-pencil when it is needed (pencil.alpha_below, mode_alpha, fixed_point).
+holds the magnitudes, their two interface compliances (closed forms, taken
+the first time the growth rate is asked for) and the pencil of every mode
+that has maximized a growth scan, all of which depend on neither s nor
+theta; every coupled-branch value is solved on the banded pencil when it is
+needed (pencil.alpha_below, mode_alpha, fixed_point). theta enters a pencil
+only through c_k, so a held pencil is rebound to each theta's c_k
+(FrozenModeSet.forms), and a sweep point re-forms only what theta changes.
 
 Both suprema are one pruned scan (_scan) fed by one of two pairs of
 per-mode bound, test and solve: Lambda = max_k Lambda_k (_growth_pair:
@@ -53,6 +56,7 @@ from .model import FluidConfig
 from .pencil import (
     COUNTS,
     Discretization,
+    PencilForms,
     alpha_below,
     assemble,
     fixed_point,
@@ -145,13 +149,16 @@ class AlphaValue:
 
 
 class FrozenModeSet:
-    """A lattice mode set with the theta-free data of every mode.
+    """A lattice mode set with the theta-free data of its modes.
 
-    The only per-mode data it caches are the interface compliances (I_k, C_k)
-    of modeforms.compliances, taken once the growth rate is asked for and
-    re-read at every theta; alpha(s) alone never needs them. table solves
-    its own transverse column. The coupled branch is solved on demand, so
-    one set serves every (s, theta).
+    It caches the interface compliances (I_k, C_k) of modeforms.compliances
+    of every mode, taken once the growth rate is asked for and re-read at
+    every theta (alpha(s) alone never needs them), and the pencil of every
+    mode that has maximized a growth scan (size_mode_set): one per distinct
+    maximizer, about 100 KB each at N = 128 with its long-double copies.
+    Every scan takes its pencils from forms. table solves its own
+    transverse column. The coupled branch is solved on demand, so one set
+    serves every (s, theta).
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet):
@@ -161,6 +168,7 @@ class FrozenModeSet:
         COUNTS["modes"] += len(modes)
         self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
         self._bounds = (None, None)  # ((theta, number of modes), r_k of every mode at theta)
+        self.pencils = {}  # k -> the pencil of a mode that maximized a growth scan
 
     @classmethod
     def freeze(cls, cfg: FluidConfig, disc: Discretization, k_max: float) -> "FrozenModeSet":
@@ -183,6 +191,14 @@ class FrozenModeSet:
                 f"the mode set was built for {self.cfg!r} at {self.disc!r}, "
                 f"not for {cfg!r} at {disc!r}"
             )
+
+    def forms(self, k: float, cfg: FluidConfig) -> PencilForms:
+        """The pencil of mode k at cfg, the set's config at some theta: a held
+        pencil rebound to cfg's c_k, else a fresh assembly. The bands read
+        neither theta nor anything but the layers and disc, so both have
+        the bits of assemble(k, cfg, disc)."""
+        held = self.pencils.get(k)
+        return assemble(k, cfg, self.disc) if held is None else held.with_surface(surface_coefficient(k, cfg))
 
     def growth_bounds(self, theta: float) -> np.ndarray:
         """compliance_bound of every mode at theta: Lambda_k <= r_k, read-only.
@@ -217,7 +233,7 @@ class FrozenModeSet:
         one transverse root each."""
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
-        longitudinal = [mode_alpha(assemble(k, cfg, self.disc), s) for k in ks]
+        longitudinal = [mode_alpha(self.forms(k, cfg), s) for k in ks]
         lam_tau = np.asarray([transverse_min_eigenvalue(k, self.cfg) for k in ks])
         return ModeTable(ks, np.asarray(longitudinal), -s * lam_tau)
 
@@ -509,7 +525,7 @@ def _scan(fm: FrozenModeSet, pair: _Pair, start: int, best: tuple) -> tuple:
     for k, bound in zip(fm.modes.magnitudes[start:][order].tolist(), bounds[order]):
         if bound <= best[0]:
             break
-        forms = assemble(k, pair.cfg, fm.disc)
+        forms = fm.forms(k, pair.cfg)
         if best[2] is not None and pair.test(forms, best[0]):
             continue
         value, result = pair.solve(forms, bound)
@@ -531,7 +547,9 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     mu = 1e-4 at N = 128): that raises DegenerateExponents, naming the
     cutoff. So does a growth scan that solved no mode, every r_k rounded to
     0 (C_k underflows at mu = 1e300); at theta < theta_c, where callers ask,
-    the smallest magnitude has c_k > 0 and so r_k > 0.
+    the smallest magnitude has c_k > 0 and so r_k > 0. fm keeps the pencil
+    of a growth scan's maximizer (FrozenModeSet.forms), which the next
+    theta of a sweep most likely solves again.
     """
     pair = _growth_pair(fm, theta) if s is None else _alpha_pair(fm, theta, s)
     best, start = pair.floor, 0
@@ -541,6 +559,8 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
             raise DegenerateExponents(f"no mode grows at theta = {float(theta)!r}: every bound r_k is 0")
         cutoff = pair.cutoff(best[0])
         if cutoff <= fm.modes.k_max:
+            if s is None:
+                fm.pencils[best[1]] = best[2].forms
             return best[2]
         start = len(fm.modes)
         try:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_output, config_json
-from rtgrowth import analysis, cli, oracle, spectrum
+from rtgrowth import analysis, cli, oracle, pencil, spectrum
 from rtgrowth.errors import MonotonicityViolation, SolverError
 from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
@@ -49,6 +49,29 @@ def test_sweep_solves_only_its_grid_points(cheap_config, monkeypatch):
     for res, theta in zip(sweep.results, thetas):
         owned = solve_lambda(cheap_config.with_theta(theta), DISC)
         assert (res.lam, res.argmax_k) == (owned.lam, owned.argmax_k)
+
+
+@pytest.mark.parametrize("name", ["viscous", "contrast"])
+def test_sweep_on_held_pencils_keeps_every_bit(reference_config, contrast_config, monkeypatch, name):
+    # a sweep point takes the pencils its set holds, rebound to its c_k;
+    # every point's output and eigenvector equal those of a sweep that
+    # assembles every pencil, and the set holds exactly the maximizers'
+    cfg = dataclasses.replace(reference_config, mu_plus=1.0, mu_minus=1.0) if name == "viscous" else contrast_config
+    disc, fractions = Discretization(64), np.linspace(0.0, 0.99, 12)
+    pencil.COUNTS.clear()
+    held = sweep_theta(cfg, fractions, disc)
+    held_assemblies = pencil.COUNTS["assemblies"]
+    fm = held.results[0].mode_set
+    assert set(fm.pencils) == {r.argmax_k for r in held.results}
+    assert all(fm.pencils[k].k == k for k in fm.pencils)
+
+    monkeypatch.setattr(spectrum.FrozenModeSet, "forms", lambda self, k, cfg: pencil.assemble(k, cfg, self.disc))
+    pencil.COUNTS.clear()
+    fresh = sweep_theta(cfg, fractions, disc)
+    assert pencil.COUNTS["assemblies"] > held_assemblies
+    for a, b in zip(held.results, fresh.results, strict=True):
+        assert a.to_json_dict() == b.to_json_dict()
+        assert a.fixed_point.vector.tobytes() == b.fixed_point.vector.tobytes()
 
 
 def test_sweep_contract(cheap_config):
@@ -188,17 +211,17 @@ def test_verify_oracle_check_reuses_the_argmax_solve(cheap_config, monkeypatch, 
     k_min = smallest_magnitude(cfg)
     assert (result.argmax_k == k_min) == (fraction > 0.0)
     solved, reused = [], []
-    solve_mode, compare_solved = oracle._mode_fixed_point, analysis.compare_solved_mode
+    solve_mode, compare_solved = oracle.fixed_point, analysis.compare_solved_mode
 
-    def spy_solve(cfg, k, disc):
-        solved.append(k)
-        return solve_mode(cfg, k, disc)
+    def spy_solve(forms, start):
+        solved.append(forms.k)
+        return solve_mode(forms, start)
 
     def spy_row(*args):
         reused.append(compare_solved(*args))
         return reused[-1]
 
-    monkeypatch.setattr(oracle, "_mode_fixed_point", spy_solve)
+    monkeypatch.setattr(oracle, "fixed_point", spy_solve)
     monkeypatch.setattr(analysis, "compare_solved_mode", spy_row)
     report = verify_all(cfg, disc)
     assert solved == ([] if result.argmax_k == k_min else [k_min])
@@ -213,13 +236,14 @@ def test_verify_profile_check_reads_the_oracle_root(cheap_config, monkeypatch):
     result = solve_lambda(cheap_config, disc)
     root = oracle.compare_solved_mode(cheap_config, result.argmax_k, result.lam).lambda_oracle
     err = oracle.profile_error(result.eigenprofile, result.argmax_k, root, cheap_config)[0]
-    roots, real_root = [], oracle.dispersion_root
+    roots, real_root = [], oracle._bracketed_root
 
     def spy_root(*args, **kwargs):
         roots.append(args[0])
         return real_root(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "dispersion_root", spy_root)
+    # every root solve, compare_modes' and dispersion_root's, brackets here
+    monkeypatch.setattr(oracle, "_bracketed_root", spy_root)
     checks = {c.name: c for c in verify_all(cheap_config, disc).checks}
     assert roots == [smallest_magnitude(cheap_config), result.argmax_k]
     assert checks["profile_agreement"].passed

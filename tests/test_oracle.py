@@ -355,13 +355,13 @@ def test_oracle_root_takes_nothing_from_the_galerkin_solve(reference_config, mon
     disc = Discretization(32)
     ks = _lattice_magnitudes(5.0)
     rows = compare_modes(reference_config, ks, disc)
-    real = oracle._mode_fixed_point
+    real = oracle.fixed_point
 
-    def scaled(cfg, k, disc):
-        fp = real(cfg, k, disc)
+    def scaled(forms, start):
+        fp = real(forms, start)
         return dataclasses.replace(fp, lam=factor * fp.lam)
 
-    monkeypatch.setattr(oracle, "_mode_fixed_point", scaled)
+    monkeypatch.setattr(oracle, "fixed_point", scaled)
     off = compare_modes(reference_config, ks, disc)
     assert [r.lambda_oracle for r in off] == [r.lambda_oracle for r in rows]
     assert all(r.rel_diff >= 0.4 for r in off)
@@ -583,7 +583,7 @@ def test_compare_modes_row_is_the_separate_solves_over_config_box(nu_plus, nu_mi
 
 def test_compare_modes_validates_once(reference_config, monkeypatch):
     # a one-mode comparison validates the config once and forms the bound m
-    # twice: for its scan_max, and in the root's pinned scan_max check
+    # once, for its scan_max: its rows skip dispersion_root's scan_max check
     calls = {"validate_config": 0, "upper_bound_m": 0}
 
     def counting(name, real):
@@ -596,7 +596,7 @@ def test_compare_modes_validates_once(reference_config, monkeypatch):
         for name in calls:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     (row,) = compare_modes(reference_config, [5.0], Discretization(16))
-    assert calls == {"validate_config": 1, "upper_bound_m": 2}
+    assert calls == {"validate_config": 1, "upper_bound_m": 1}
     assert row.rel_diff < 1e-2
 
 

@@ -450,6 +450,50 @@ def test_band_cache_is_keyed_by_the_two_layers_alone(reference_config):
     assert pencil._tables.cache_info().currsize == 2
 
 
+def widened_refine(forms, chol, s, alpha, x):
+    # _refine as it was before a pencil kept its long-double bands: each
+    # float64 band widened inside its product
+    exact = np.multiply(s, forms.A_band, dtype=np.longdouble)
+    exact += np.multiply(alpha, forms.B_band, dtype=np.longdouble)
+    y = pencil._band_matvec_extended(exact, x)
+    r = np.subtract(pencil._unit(forms), y, out=y).astype(float)
+    return r, pencil._spd_solve(chol, r, alpha)
+
+
+@pytest.mark.parametrize("n", [8, 32, 128, 256])
+def test_refine_on_the_held_wide_bands_keeps_the_bits(reference_config, contrast_config, n):
+    # widening a float64 is exact, so the residual and correction from the
+    # held long-double bands are the inline widening's, bit for bit: on the
+    # first refinement, which makes them, on later ones and on a copy at
+    # another c_k, which shares them
+    disc = Discretization(n)
+    for cfg in (reference_config, contrast_config):
+        for k in (spectrum.smallest_magnitude(cfg), 5.0):
+            forms = assemble(k, cfg, disc)
+            for pencil_at in (forms, forms, forms.with_surface(0.5 * forms.c_k)):
+                for s, alpha in ((0.1, 0.01), (1.3, 1.69), (2.0, 0.5)):
+                    chol, x = pencil._factor_solve(pencil_at, s, alpha)
+                    expected = widened_refine(pencil_at, chol, s, alpha, x)
+                    got = pencil._refine(pencil_at, chol, s, alpha, x)
+                    assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+
+
+def test_with_surface_shares_the_bands_and_the_wide_pair(reference_config):
+    disc = Discretization(16)
+    forms = assemble(5.0, reference_config, disc)
+    wide = forms.wide
+    other = forms.with_surface(-1.0)
+    assert (other.c_k, forms.c_k) == (-1.0, assemble(5.0, reference_config, disc).c_k)
+    assert other.A_band is forms.A_band and other.B_band is forms.B_band
+    assert other.wide is wide and other.grid is forms.grid
+    assert (other.k, other.e0_index, other.elements_per_layer) == (forms.k, forms.e0_index, 16)
+    for band, wide_band in zip((forms.A_band, forms.B_band), wide):
+        assert wide_band.dtype == np.longdouble and np.array_equal(wide_band, band)
+        assert not wide_band.flags.writeable
+        with pytest.raises(ValueError):
+            wide_band[0, 0] = 1.0
+
+
 def test_band_matvec_matches_dense(reference_config, rng):
     for n in (8, 32):
         forms = assemble(2.0, reference_config, Discretization(n))

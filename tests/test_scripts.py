@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ and each perfbench workload runs at a small resolution."""
 
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -154,11 +155,12 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         assert proc.returncode == 0, proc.stderr
         counts = json.loads(proc.stderr.strip().splitlines()[-1])
         assert 0.0 < counts.pop("main_s") < wall_s
+        assert 10.0 < counts.pop("peak_rss_mb") < 1000.0
         return counts
 
     calls = {
         "determinants": 0, "fixed_points": 0, "last_solves": 0, "alpha_solves": 0,
-        "inertia_tests": 0, "factorizations": 0, "extended_residuals": 0,
+        "inertia_tests": 0, "factorizations": 0, "extended_residuals": 0, "assemblies": 0,
     }
 
     def counting(key, real):
@@ -169,8 +171,9 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
 
     monkeypatch.setattr(oracle, "determinant", counting("determinants", oracle.determinant))
     monkeypatch.setattr(pencil, "_last_solve", counting("last_solves", pencil._last_solve))
-    for module in (spectrum, fixedpoint):
+    for module in (spectrum, fixedpoint, oracle):
         monkeypatch.setattr(module, "fixed_point", counting("fixed_points", pencil.fixed_point))
+        monkeypatch.setattr(module, "assemble", counting("assemblies", pencil.assemble))
     for module in (spectrum, pencil):
         monkeypatch.setattr(module, "alpha_below", counting("inertia_tests", pencil.alpha_below))
         monkeypatch.setattr(module, "mode_alpha", counting("alpha_solves", pencil.mode_alpha))
@@ -235,13 +238,13 @@ def test_bench_accepts_exit_1_from_verify_alone(tmp_path, monkeypatch):
     ]}
     counts = dict.fromkeys(
         ["modes", "solves", "determinants", "fixed_points", "last_solves", "alpha_solves",
-         "inertia_tests", "factorizations", "extended_residuals"], 0,
+         "inertia_tests", "factorizations", "extended_residuals", "assemblies"], 0,
     )
     mains = iter([0.3, 0.1, 0.2, 0.1])
 
     def failed_check(argv):
         Path(argv[argv.index("--out") + 1]).write_text(json.dumps(report))
-        child = json.dumps({**counts, "main_s": next(mains)})
+        child = json.dumps({**counts, "main_s": next(mains), "peak_rss_mb": 40.0})
         return 1.0, subprocess.CompletedProcess(argv, 1, stdout="", stderr=child + "\n")
 
     monkeypatch.setattr(bench, "timed", failed_check)
@@ -290,3 +293,31 @@ def test_perfbench_workloads_keep_their_call_shapes(name):
     workload.prepare()
     records = [workload.op(x) for x in inputs]
     assert workload.gates(records) == [None, None, None]
+
+
+def test_ab_compares_two_trees_bit_for_bit():
+    # an A/A run: the working tree loaded twice, under two package names,
+    # reports every op shape's fields, equal outputs and equal counts; a
+    # Galerkin side scaled on one tree shows as differing outputs
+    ab = load_script("ab")
+    src = SCRIPTS.parent / "src"
+    trees = ab.load_tree(src, "rtgrowth_ab_a"), ab.load_tree(src, "rtgrowth_ab_b")
+    assert trees[0].pencil.COUNTS is not trees[1].pencil.COUNTS
+    sizes = {"resolutions": (8, 16, 8), "ops": (2, 6, 4)}
+    reports = ab.compare(trees, rounds=4, **sizes)
+    assert [(r["shape"], r["ops"], r["rounds"]) for r in reports] == [
+        ("growth-ref", 2, 4), ("sweep-dense", 6, 4), ("oracle-modes", 4, 4),
+    ]
+    for r in reports:
+        assert r["outputs_equal"] and r["counts_equal"] and r["counts_differing"] == {}
+        assert r["median_a_ms"] > 0.0 and r["median_b_ms"] > 0.0
+        assert r["ratio_low"] <= r["ratio"] <= r["ratio_high"]
+        assert 0 <= r["b_faster"] <= 4
+
+    real = trees[1].oracle.fixed_point
+    trees[1].oracle.fixed_point = lambda forms, start: dataclasses.replace(real(forms, start), lam=0.0)
+    try:
+        off = ab.compare(trees, rounds=2, **sizes)[2]
+    finally:
+        trees[1].oracle.fixed_point = real
+    assert not off["outputs_equal"] and off["counts_equal"]
