@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateExponents, SolverError
+from .errors import SolverError
 from .model import FluidConfig, upper_bound_m, validate_config
-from .modeforms import VerticalProfile, compliances
-from .pencil import COUNTS, Discretization, FixedPoint, PencilForms, assemble, fixed_point
-from .spectrum import FrozenModeSet, compliance_bound, size_mode_set, smallest_magnitude
+from .modeforms import VerticalProfile
+from .pencil import COUNTS, Discretization, FixedPoint, assemble, fixed_point
+from .spectrum import FrozenModeSet, mode_compliance_bound, size_mode_set, smallest_magnitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,24 +145,13 @@ def solve_lambda(
 def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> FixedPoint | None:
     """Fixed point of the single mode k at cfg.theta; None when c_k <= 0 (stable).
 
-    Newton starts from the compliance bound r_k, as in the global scan. An
-    r_k rounded to 0 (C_k near 3e-302 at mu = 1e300, whose square underflows)
-    raises DegenerateExponents, as a global scan whose every r_k is 0 does.
+    Newton starts from the compliance bound r_k (mode_compliance_bound), as in
+    the global scan. An r_k rounded to 0 (C_k near 3e-302 at mu = 1e300,
+    whose square underflows) raises DegenerateExponents (pencil.fixed_point),
+    as a global scan whose every r_k is 0 does.
     """
     validate_config(cfg)
     upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
     forms = assemble(float(k), cfg, disc)
-    start = _mode_start(forms, cfg)
+    start = mode_compliance_bound(forms.k, cfg)
     return None if start is None else fixed_point(forms, start)
-
-
-def _mode_start(forms: PencilForms, cfg: FluidConfig) -> float | None:
-    """r_k of the mode of forms, read from cfg alone, which Newton starts
-    from (solve_mode_lambda, oracle.compare_modes); None where c_k <= 0. An
-    r_k rounded to 0 raises DegenerateExponents."""
-    if forms.c_k <= 0.0:
-        return None
-    start = float(compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
-    if not start > 0.0:
-        raise DegenerateExponents(f"mode k = {forms.k!r} has its bound r_k rounded to 0 at theta = {cfg.theta!r}")
-    return start

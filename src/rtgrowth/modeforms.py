@@ -14,6 +14,50 @@ mode into three quadratic forms:
 pencil assembles the first two exactly on the piecewise-cubic Hermite space
 from its closed-form element tables; surface_coefficient gives the third.
 
+The interface impedance. Every per-mode quantity of the package is a
+statement about one function of s, a >= 0, not both 0:
+
+    H_k(s, a) = inf over clamped psi with psi(0) = 1 of s D(psi) + a K(psi),
+
+D and K the dissipation and kinetic forms, a minimum where s > 0. theta
+enters only c_k. H has two sides:
+
+- Galerkin: over the Hermite space of N elements per layer,
+  H_k^N(s, a) = 1 / e0^T (s A + a B)^(-1) e0, A and B the bands of
+  pencil.assemble, attained at x / x[e0], x = (s A + a B)^(-1) e0.
+- Exact: H_k(s, a) = s S_k(a / s) / k^2 for s > 0, S_k(n) = D00 - D01 D10 /
+  D11 of the two layers' interface maps (_condensed_traction). In each
+  layer the Euler-Lagrange equation of D + n K is the normal-mode equation
+  of oracle at rate n = a / s, and its solution with interface data (1, b)
+  is the clamped profile with that data that minimizes D + n K. By parts,
+  that minimum is (1 / k^2) [[D00, D01], [-D10, -D11]] on (1, b), whose
+  second row, the tangential stress, is the natural condition in b; so the
+  minimum over b is S_k(n) / k^2. The layer basis is continuous at n = 0,
+  where q = k, so this holds at a = 0 too.
+
+H is an infimum of functions linear in (s, a), so it is concave, positively
+homogeneous and increasing in both arguments, and so superadditive:
+H(s + s', a + a') >= H(s, a) + H(s', a'). The Hermite spaces are nested
+subspaces of the clamped profiles, so H^N >= H^2N >= H. Then:
+
+- Lambda_k solves H(t, t^2) = c_k. H(t, t^2) strictly increases from 0 at
+  t = 0+ without bound (it is at least t^2 / I_k), so there is one root
+  where c_k > 0 and none where c_k <= 0. alpha_k(s) > 0 solves
+  H(s, a) = c_k for a. On the Galerkin side these are Lambda_k^N and
+  alpha_k^N(s), so H^N >= H gives Lambda_k^N <= Lambda_k and
+  alpha_k^N(s) <= alpha_k(s);
+- the inertia test at (s, a), a >= 0 (pencil.alpha_below), passes exactly
+  when H^N(s, a) > c_k: by Sylvester's law of inertia, with Haynsworth's
+  additivity, s A + a B - c_k e0 e0^T has the inertia of the positive
+  definite s A + a B but for the sign of 1 - c_k / H^N(s, a);
+- oracle's secular function is F_k(n) = k^2 (H(n, n^2) - c_k);
+- 1 / C_k = H(1, 0) and 1 / I_k = H(0, 1) (compliances);
+- superadditivity gives H(t, t^2) >= t / C_k + t^2 / I_k, so at t = Lambda_k,
+  c_k >= Lambda_k / C_k + Lambda_k^2 / I_k, whose right side increases in
+  Lambda_k and reaches c_k at r_k (spectrum.compliance_bound): Lambda_k <= r_k.
+  The discrete compliances are at most I_k and C_k, so r_k bounds
+  Lambda_k^N too.
+
 Profiles are piecewise-cubic Hermite interpolants of nodal (value, derivative)
 data; psi'' is the exact elementwise second derivative of that representation,
 so the algebraic identities among the dissipation forms hold exactly at the
@@ -136,11 +180,17 @@ def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
     )
 
 
-def _condensed_traction(k: float, n: float, cfg: FluidConfig) -> float:
-    """S_k(n) = D00 - D01 D10 / D11 of the two layers' maps (oracle module docstring)."""
+def _interface_map(k: float, n: float, cfg: FluidConfig):
+    """(D00, D01, D10, D11): the jump of the two layers' maps (_interface_traction)
+    in y-derivatives, the lower layer's odd orders flipped (oracle module docstring)."""
     up = _interface_traction(k, n, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
     lo = _interface_traction(k, n, cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
-    d00, d01, d10, d11 = up[0] + lo[0], up[1] - lo[1], up[2] - lo[2], up[3] + lo[3]
+    return up[0] + lo[0], up[1] - lo[1], up[2] - lo[2], up[3] + lo[3]
+
+
+def _condensed_traction(k: float, n: float, cfg: FluidConfig) -> float:
+    """S_k(n) = D00 - D01 D10 / D11 (_interface_map), so H_k(s, a) = s S_k(a / s) / k^2."""
+    d00, d01, d10, d11 = _interface_map(k, n, cfg)
     return d00 - d01 * d10 / d11
 
 
@@ -150,32 +200,18 @@ def compliances(k: float, cfg: FluidConfig) -> tuple[float, float]:
         I_k = k / (rho+ coth(k h+) + rho- coth(k h-)),   C_k = k^2 / S_k(0),
 
     the inviscid and the Stokes response of the interface to a unit load,
-    free of s and theta. Proof that 1 / I_k and 1 / C_k are the minima of the
-    kinetic and dissipation forms K and D over the clamped profiles with
-    psi(0) = 1, that is that I_k and C_k are the suprema of psi(0)^2 / K and
-    psi(0)^2 / D:
-
-    - I_k. K reads only psi and psi'. On a layer of depth h, with z the
-      distance from the interface, int psi_z^2 / k^2 + psi^2 over the H^1
-      profiles with psi(0) = 1 and psi(h) = 0 is least for
-      sinh(k (h - z)) / sinh(k h), which solves psi_zz = k^2 psi; by parts
-      the least value is -psi_z(0) / k^2 = coth(k h) / k. Weighting by rho
-      and adding the layers gives 1 / I_k. The clamped H^2 profiles are
-      dense in that H^1 set and K is continuous on H^1, so they approach
-      the minimum; they cannot attain it, as the minimizer has psi_z != 0
-      at the walls and a kink at the interface.
-    - C_k. By the identity of the oracle module docstring, S_k(n) / k^2 is
-      the minimum of D + n K over psi(0) = 1. It lies between min D and
-      D(psi_D) + n K(psi_D), psi_D the minimizer of D, so it tends to min D
-      as n -> 0+; the maps are continuous at n = 0, where q = k, so
-      min D = S_k(0) / k^2.
-
-    The Hermite space is a subspace of the clamped profiles, and pencil's
-    element tables hold K and D on it exactly, so the discrete compliances
-    I_k^N = e0^T B^(-1) e0 and C_k^N = e0^T A^(-1) e0, suprema over fewer
-    profiles, satisfy I_k^N <= I_k and C_k^N <= C_k. The compliance bound
-    r_k (spectrum.compliance_bound) increases in both, and its proof holds
-    on either space, so r_k bounds Lambda_k and Lambda_k^N alike.
+    free of s and theta: 1 / I_k = H_k(0, 1) and 1 / C_k = H_k(1, 0) (module
+    docstring), whose exact side at a = 0 gives C_k. Proof of I_k: K reads
+    only psi and psi'. On a layer of depth h, with z the distance from the
+    interface, int psi_z^2 / k^2 + psi^2 over the H^1 profiles with
+    psi(0) = 1 and psi(h) = 0 is least for sinh(k (h - z)) / sinh(k h),
+    which solves psi_zz = k^2 psi; by parts the least value is
+    -psi_z(0) / k^2 = coth(k h) / k. Weighting by rho and adding the layers
+    gives 1 / I_k. The clamped H^2 profiles are dense in that H^1 set and K
+    is continuous on H^1, so they approach the minimum; they cannot attain
+    it, as the minimizer has psi_z != 0 at the walls and a kink at the
+    interface. The discrete compliances I_k^N = e0^T B^(-1) e0 and
+    C_k^N = e0^T A^(-1) e0 are at most I_k and C_k, as H^N >= H.
 
     Raises DegenerateExponents unless both values are finite and positive
     (depths of 1e-300 divide by zero; mu = 1e300 at k = 1000 gives a NaN C_k).

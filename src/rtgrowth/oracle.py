@@ -23,8 +23,9 @@ interface tractions
 at z = 0 are a 2x2 map G of (psi(0), psi_z(0)) (modeforms._interface_traction).
 The upper layer has z = y; the lower has z = -y, which flips the odd orders,
 so in y-derivatives its map is [[-G00, G01], [G10, -G11]]. Continuity makes
-(a, b) = (psi(0), psi'(0)) common to both layers; with D = T+ - T- the two
-stress rows read D10 a + D11 b = 0 and D00 a + D01 b = (k^2 / n) c_k a.
+(a, b) = (psi(0), psi'(0)) common to both layers; with D = T+ - T-
+(modeforms._interface_map) the two stress rows read D10 a + D11 b = 0 and
+D00 a + D01 b = (k^2 / n) c_k a.
 Eliminating b leaves the 1x1 system F_k(n) a = 0 with the secular function
 
     F_k(n) = n S_k(n) - k^2 c_k,  S_k(n) = D00 - D01 D10 / D11   (determinant).
@@ -50,32 +51,19 @@ scaled to psi(0) = 1, approaches it at fourth order in nodal values and
 slopes (profile_error: 1.3e-6 to 3.1e-10 from N = 32 to 256 on the
 reference maximizer k = 5) until its solve's rounding takes over.
 
-Why one bracketed root. Let A and B be the dissipation and kinetic forms of
-pencil.assemble, on the continuous clamped H^2 profiles, and P(n) = n A + n^2
-B. In each layer the solution of the equation above with interface data
-(a, b) is the clamped profile with that data that minimizes psi^T P(n) psi
-(the equation is P(n)'s Euler-Lagrange equation); integrating by parts, that
-minimum Q(a, b) is the quadratic form (n / k^2) [[D00, D01], [-D10, -D11]],
-whose second row, the tangential stress, is the natural condition in b. So
-min_b Q(1, b) = (n / k^2) S_k(n) is the minimum of psi^T P psi over
-psi(0) = 1, which is 1 / (e0^T P(n)^(-1) e0), and
-
-    F_k(n) = k^2 (1 / (e0^T P(n)^(-1) e0) - c_k).
-
-With x = P(n)^(-1) e0, d/dn e0^T P^(-1) e0 = -x^T (A + 2 n B) x < 0 (the phi_k
-argument of pencil.fixed_point, on the continuous forms): F_k strictly
-increases. As n -> 0+, e0^T P^(-1) e0 ~ C_k / n -> infinity (C_k = k^2 / S_k(0),
-modeforms.compliances), so F_k(0+) = -k^2 c_k; e0^T P^(-1) e0 <= I_k / n^2,
-so F_k -> +infinity. F_k therefore has exactly one positive root, the
+Why one bracketed root. F_k(n) = k^2 (H_k(n, n^2) - c_k), H_k the exact
+interface impedance (modeforms module docstring, where the same
+condensation gives its exact side), so F_k strictly increases from
+F_k(0+) = -k^2 c_k without bound: it has exactly one positive root, the
 continuous Lambda_k, when c_k > 0 and none when c_k <= 0. dispersion_root
-brackets it by [0, min(scan_max, r_k)], with r_k the compliance bound that
-spectrum.compliance_bound proves from the same two forms, so the bracket
-takes nothing from the Galerkin solve it checks. It refines the root by
-Illinois (modified regula falsi) steps that always keep a sign bracket, with
-a bisection step whenever three steps in a row have not halved it, until
-the bracket is at most 1e-12 of its upper end wide. Tests check F_k(n)
-against this identity at N = 256, its monotonicity over a box of configs,
-and F_k > 0 just above r_k over the same box.
+brackets it by [0, min(scan_max, r_k)], with r_k the compliance bound
+(spectrum.mode_compliance_bound), read from the config alone, so the
+bracket takes nothing from the Galerkin solve it checks. It refines the
+root by Illinois (modified regula falsi) steps that always keep a sign
+bracket, with a bisection step whenever three steps in a row have not
+halved it, until the bracket is at most 1e-12 of its upper end wide. Tests
+check F_k(n) against this identity at N = 256, its monotonicity over a box
+of configs, and F_k > 0 just above r_k over the same box.
 """
 
 from __future__ import annotations
@@ -86,14 +74,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateExponents, SolverError, ZeroWaveNumber
-from .fixedpoint import _mode_start
 from .model import FluidConfig, upper_bound_m, validate_config
-from .modeforms import (
-    VerticalProfile, _condensed_traction, _interface_traction, _layer_basis, compliances,
-    surface_coefficient,
-)
+from .modeforms import VerticalProfile, _condensed_traction, _interface_map, _layer_basis, surface_coefficient
 from .pencil import COUNTS, Discretization, assemble, fixed_point
-from .spectrum import compliance_bound
+from .spectrum import mode_compliance_bound
 
 _ROOT_RTOL = 1e-12
 
@@ -173,15 +157,13 @@ def dispersion_root(k: float, cfg: FluidConfig, scan_max: float) -> float | None
         )
     if k <= 0.0:
         raise ZeroWaveNumber(f"dispersion system needs k > 0, got {float(k)!r}")
-    c = surface_coefficient(k, cfg)
-    if c <= 0.0:
-        return None
-    return _bracketed_root(k, cfg, scan_max, c, float(compliance_bound(c, *compliances(k, cfg))))
+    bound = mode_compliance_bound(k, cfg)
+    return None if bound is None else _bracketed_root(k, cfg, scan_max, bound)
 
 
-def _bracketed_root(k: float, cfg: FluidConfig, scan_max: float, c: float, bound: float) -> float:
-    """dispersion_root past its checks, for c_k = c > 0 and r_k = bound."""
-    lo, f_lo = 0.0, -k * k * c
+def _bracketed_root(k: float, cfg: FluidConfig, scan_max: float, bound: float) -> float:
+    """dispersion_root past its checks, for c_k > 0 and r_k = bound."""
+    lo, f_lo = 0.0, -k * k * surface_coefficient(k, cfg)
     hi = bound * (1.0 + 1e-9)
     if not 0.0 < hi < scan_max:
         hi = scan_max
@@ -208,9 +190,8 @@ def dispersion_profile(k: float, lam: float, cfg: FluidConfig, grid) -> Vertical
     its slopes flip sign. Like the basis, it loses about (k h)^-3 ulps in
     thin layers.
     """
-    up = _interface_traction(k, lam, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
-    lo = _interface_traction(k, lam, cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
-    b = -(up[2] - lo[2]) / (up[3] + lo[3])
+    _, _, d10, d11 = _interface_map(k, lam, cfg)
+    b = -d10 / d11
     grid = np.asarray(grid, dtype=float)
     psi, dpsi = [], []
     layers = ((-1.0, cfg.rho_minus, cfg.mu_minus, cfg.h_minus), (1.0, cfg.rho_plus, cfg.mu_plus, cfg.h_plus))
@@ -258,35 +239,30 @@ def compare_modes(
     Disagreement is reported, never resolved silently: callers decide what to
     flag against which tolerance. cfg is validated and scan_max formed
     (_scan_max) once per call; raises StableRegime at theta >= theta_c, from
-    the bound m. Each row forms c_k and r_k once, from the config alone, and
-    both sides read them. The Galerkin side is solve_mode_lambda's fixed
-    point, past its checks, started from r_k; only its Lambda_k is read, so
-    its last solve never runs: no eigenvector, no profile, and a last
-    factorization that would fail does not show (pencil.FixedPoint). The
-    oracle's root is dispersion_root's, bracketed by the same r_k, and does
-    not depend on the Galerkin solve.
+    the bound m. Each row forms r_k once (mode_compliance_bound), from the
+    config alone, and both sides read it. The Galerkin side is
+    solve_mode_lambda's fixed point, past its checks, started from r_k; only
+    its Lambda_k is read, so its last solve never runs: no eigenvector, no
+    profile, and a last factorization that would fail does not show
+    (pencil.FixedPoint). The oracle's root is dispersion_root's, bracketed
+    by the same r_k, and does not depend on the Galerkin solve.
 
-    In exact arithmetic the gap is one-sided, Lambda_k^N <= Lambda_k, which
-    verify's oracle_agreement relies on. alpha_k(s) is a supremum of the
-    Rayleigh quotient over the clamped H^2 profiles, and alpha_k^N(s) the
-    same supremum over the Hermite cubic space, an H^2-conforming subspace
-    that satisfies the wall conditions; so alpha_k^N(s) <= alpha_k(s) at
-    every s. At s = Lambda_k^N this gives s^2 = alpha_k^N(s) <= alpha_k(s),
-    and alpha_k(s) - s^2 strictly decreases, so s <= Lambda_k. The computed
-    Lambda_k^N can exceed the root by its rounding, which grows with N and
-    with the viscosity contrast; rel_diff is an absolute value, so that
-    excess is reported too.
+    In exact arithmetic the gap is one-sided, Lambda_k^N <= Lambda_k, since
+    H^N >= H (modeforms module docstring), which verify's oracle_agreement
+    relies on. The computed Lambda_k^N can exceed the root by its rounding,
+    which grows with N and with the viscosity contrast; rel_diff is an
+    absolute value, so that excess is reported too.
     """
     validate_config(cfg)
     scan_max = _scan_max(cfg)
     rows = []
     for k in ks:
         forms = assemble(float(k), cfg, disc)
-        bound = _mode_start(forms, cfg)
+        bound = mode_compliance_bound(forms.k, cfg)
         if bound is None:
             rows.append(_comparison(k, None, None))
             continue
-        rows.append(_comparison(k, fixed_point(forms, bound).lam, _bracketed_root(k, cfg, scan_max, forms.c_k, bound)))
+        rows.append(_comparison(k, fixed_point(forms, bound).lam, _bracketed_root(k, cfg, scan_max, bound)))
     return rows
 
 

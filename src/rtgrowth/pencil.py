@@ -11,22 +11,21 @@ space, assembled from the closed-form cubic Hermite element integrals:
 integer tables times powers of the element length (_element_matrices). The
 surface term is the rank-one form on the interface value dof. The trial
 space is H^2-conforming, which the psi'' term of the dissipation requires,
-and it is nested under uniform refinement, so the discrete supremum is a
-monotone lower bound of the continuous one.
+and nested under uniform refinement (modeforms: H^N >= H^2N >= H).
 
 Neighbouring nodes share an element, so every matrix is banded with half
 bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
 band form: a (4, dim) array whose row d holds the entries (j + d, j). The
 k-independent bands hold the lower triangle of the element scatter, each
 element table entry added by one stride-2 slice per layer (_tables). Every
-per-mode quantity comes from banded Cholesky factorizations (dpbtrf): the
-inertia test alpha_below (s A + alpha B - c_k e0 e0^T factors exactly when
-alpha > alpha_k(s)), and the roots of one secular function,
-c_k e0^T (s A + alpha B)^(-1) e0 = 1, by one safeguarded Newton loop
-(_secular_newton) along two paths: Lambda_k along (t, t^2) (fixed_point),
-whose last solve is the eigenprofile, and alpha_k(s) > 0 along (s, t)
-(mode_alpha), which bisects the inertia test down from the proven bound 0
-where alpha_k(s) <= 0. The energy matrix has
+per-mode quantity reads the Galerkin interface impedance
+H^N(s, a) = 1 / e0^T (s A + a B)^(-1) e0 (modeforms module docstring) from
+banded Cholesky factorizations (dpbtrf): the inertia test alpha_below
+(whether H^N(s, a) > c_k), and the roots of H^N = c_k, by one safeguarded
+Newton loop (_secular_newton) on phi = c_k / H^N along two paths: Lambda_k
+along (t, t^2) (fixed_point), whose last solve is the eigenprofile, and
+alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
+down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
 condition number ~4e8 at N = 128, so a solve whose value is read is refined
 once with a residual in extended precision (_factor_solve, then _refine),
 formed from long-double copies of the two bands that are made once per
@@ -62,7 +61,7 @@ from importlib.util import module_from_spec, spec_from_file_location
 import numpy as np
 import scipy
 
-from .errors import FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
+from .errors import DegenerateExponents, FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from .model import FluidConfig
 from .modeforms import VerticalProfile, surface_coefficient, uniform_layered_grid
 
@@ -114,7 +113,8 @@ blas, lapack = _load_wrappers()
 # (oracle.determinant), solves (GrowthResult.validate), assemblies
 # (assemble) and modes (the modes of every FrozenModeSet, as built and as
 # extended). Always on: an increment costs far less than the least work it
-# counts, and nothing in the package solves concurrently. Nothing in the package reads it; scripts/bench.py does.
+# counts, and nothing in the package solves concurrently. Nothing in the
+# package reads it; scripts/bench.py and scripts/ab.py do.
 COUNTS = Counter()
 
 
@@ -359,12 +359,11 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
 def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
     """The inertia test: whether alpha_k(s) < alpha, by one banded Cholesky.
 
-    M = s A + alpha B - c_k e0 e0^T is positive definite exactly when
-    x^T (c_k e0 e0^T - s A) x < alpha x^T B x for every x != 0, that is when
-    alpha exceeds the largest eigenvalue alpha_k(s) of the pencil; by
-    Sylvester's law of inertia the factorization M = L L^T runs to completion
-    (dpbtrf, info = 0) exactly then. At alpha = s^2, since alpha_k(s) - s^2
-    strictly decreases through zero at Lambda_k, success proves s > Lambda_k.
+    M = s A + alpha B - c_k e0 e0^T is positive definite exactly when alpha
+    exceeds the largest eigenvalue alpha_k(s) of the pencil (for alpha >= 0,
+    when H^N(s, alpha) > c_k: modeforms module docstring), and the
+    factorization M = L L^T runs to completion (dpbtrf, info = 0) exactly
+    then. At alpha = s^2 success proves s > Lambda_k.
 
     In floating point, success proves this for a nearby matrix: forming M
     perturbs each entry by at most 3u (|s A| + |alpha B| + |c_k| e0 e0^T), u
@@ -391,17 +390,15 @@ def mode_alpha(forms: PencilForms, s: float) -> float:
     """alpha_k(s), the largest eigenvalue of the pencil, on either sign of c_k.
 
     Where c_k > 0, by the secular Newton loop (_secular_newton) along
-    alpha -> s A + alpha B from alpha = 0, with slope x^T B x. The path is
-    positive definite on [0, inf), as s A is, so there, by the Schur
-    complement and inertia argument of fixed_point, phi(alpha) =
-    c_k e0^T (s A + alpha B)^(-1) e0 < 1 exactly when alpha > alpha_k(s).
-    And 1/phi = min over x[e0] = 1 of x^T (s A + alpha B) x / c_k, a minimum
-    of affine functions of alpha, is concave and increasing: its tangent
-    lies above it, so in exact arithmetic Newton on 1 - 1/phi from 0 rises
-    monotonically to alpha_k(s) > 0, never past it. The loop's float64
-    phase takes these steps on unrefined solves, so a step may overshoot
-    the root by rounding; the refined loop's bracket then takes over, and
-    a positive alpha_k(s) takes one extended residual, at the last point.
+    alpha -> s A + alpha B from alpha = 0, with slope x^T B x, on
+    phi = c_k / H^N(s, alpha): alpha_k(s) > 0 solves H^N(s, alpha) = c_k
+    (modeforms module docstring). 1 / phi is concave and increasing in
+    alpha, so its tangent lies above it, and in exact arithmetic Newton on
+    1 - 1/phi from 0 rises monotonically to alpha_k(s) > 0, never past it.
+    The loop's float64 phase takes these steps on unrefined solves, so a
+    step may overshoot the root by rounding; the refined loop's bracket
+    then takes over, and a positive alpha_k(s) takes one extended residual,
+    at the last point.
 
     Where phi(0) <= 1 the float64 phase stops at 0, since its Newton step
     would leave [0, inf), and the refined loop's bracket closes there: it
@@ -410,17 +407,10 @@ def mode_alpha(forms: PencilForms, s: float) -> float:
     does not, and the loop then returns a positive value inside that noise:
     on the reference config at N = 128, k = 1, for s within 6e-10 relative
     of the zero, such values read up to 1.5e-9 where bisection read down to
-    -2.4e-9. There
-    and wherever c_k <= 0, alpha_k(s) <= 0 is proven, so it is bisected on
-    alpha_below down from 0:
-
-    - c_k <= 0: c_k e0 e0^T - s A is negative definite, s A being positive
-      definite, so every B-Rayleigh quotient of the pencil is negative;
-    - phi(0) <= 1: 1 - phi(0) >= 0 is the Schur complement of s A in
-      s A - c_k e0 e0^T (fixed_point), so c_k e0 e0^T - s A is negative
-      semidefinite and every B-Rayleigh quotient is at most 0.
-
-    The lower end steps down from 0 by doubling from s until the test fails,
+    -2.4e-9. There and wherever c_k <= 0, c_k <= H^N(s, 0), so the inertia
+    test passes at every alpha > 0 and alpha_k(s) <= 0 is proven; it is
+    bisected on alpha_below down from 0. The lower end steps down from 0 by
+    doubling from s until the test fails,
     and the bracket is halved to 1e-14 of its width. So alpha_k(s) depends
     on its pencil and s alone, whoever asks. A value at or below 0 is
     resolved only to the inertia test's backward error: on the contrast
@@ -552,15 +542,15 @@ _HELD_GATE = 1e-9
 def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     """Lambda_k with alpha_k(Lambda_k) = Lambda_k^2, for c_k > 0.
 
-    With x = (s A + s^2 B)^(-1) e0 and phi(s) = c_k x[e0], the Schur
-    complement of s A + s^2 B in s A + s^2 B - c_k e0 e0^T is 1 - phi(s), so
-    by the inertia argument of alpha_below phi(s) < 1 exactly when
-    s > Lambda_k. Since x^T (s A + s^2 B) x = x[e0], the kinetic share
-    q = s^2 x^T B x / x[e0] lies in (0, 1), and phi strictly decreases with
-    phi' = -c_k x^T (A + 2 s B) x = -c_k (x[e0] / s + s x^T B x): one banded
-    matvec per step, and two positive terms, so nothing cancels. start should
-    bound Lambda_k from above, as the compliance bound
-    spectrum.compliance_bound does; the closer it is, the fewer the steps.
+    With x = (s A + s^2 B)^(-1) e0, phi(s) = c_k x[e0] = c_k / H^N(s, s^2)
+    is below 1 exactly when s > Lambda_k (modeforms module docstring). Since
+    x^T (s A + s^2 B) x = x[e0], the kinetic share q = s^2 x^T B x / x[e0]
+    lies in (0, 1), and phi' = -c_k x^T (A + 2 s B) x
+    = -c_k (x[e0] / s + s x^T B x): one banded matvec per step, and two
+    positive terms, so nothing cancels. start should bound Lambda_k from
+    above, as the compliance bound r_k (spectrum.compliance_bound) does; the
+    closer it is, the fewer the steps. A start rounded to 0 raises
+    DegenerateExponents.
 
     Lambda_k is the root of the secular loop (_secular_newton) along
     (t, t^2) from start, where t is s. Its float64 phase steps to the root
@@ -636,6 +626,8 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     c = float(forms.c_k)
     if not c > 0.0:
         raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
+    if not start > 0.0:
+        raise DegenerateExponents(f"mode k = {forms.k!r} has its bound r_k rounded to 0 at c_k = {c!r}")
 
     def refit(s, x0, xb):
         y, q = 1.0 / (c * x0), s * s * xb / x0

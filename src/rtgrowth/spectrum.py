@@ -241,29 +241,30 @@ class FrozenModeSet:
 def compliance_bound(c, inviscid, stokes):
     """r_k, the positive root of r^2 / I_k + r / C_k = max(c_k, 0): Lambda_k <= r_k.
 
-    inviscid and stokes are the interface compliances I_k and C_k, the
-    suprema of psi(0)^2 / K and psi(0)^2 / D (modeforms.compliances);
-    arguments may be arrays. Proof: for a positive form M, 1 / sup psi(0)^2 / M
-    is the minimum of M over psi(0) = 1. With P = Lambda D and Q = Lambda^2 K,
-    both positive for Lambda > 0,
-
-        min_{psi(0) = 1} P + Q >= min P + min Q = Lambda / C_k + Lambda^2 / I_k.
-
-    At the fixed point the left side is c_k (c_k e0^T (P + Q)^(-1) e0 = 1 in
-    pencil.fixed_point, F_k = 0 in the oracle), so
-    c_k >= Lambda_k^2 / I_k + Lambda_k / C_k, a right side that increases in
-    Lambda and reaches c_k at r_k, so Lambda_k <= r_k. The same holds over the
-    Hermite space, whose compliances are at most I_k and C_k, so r_k bounds
-    the Galerkin Lambda_k^N too. The bound is exact in both classical limits:
-    without viscosity (D = 0) the fixed point is the inviscid rate
-    sqrt(c_k I_k), without inertia (K = 0) the Stokes rate c_k C_k
-    (Chandrasekhar, Hydrodynamic and Hydromagnetic Stability, 1961, ch. X).
-    0 where c_k <= 0. numpy squares C_k, also for Python floats, so a C_k
-    whose square underflows (mu = 1e300) gives 0, not a ZeroDivisionError,
-    and a scalar call returns the bits of an array one.
+    inviscid and stokes are the interface compliances I_k and C_k
+    (modeforms.compliances); arguments may be arrays. The proof, on the
+    exact and the Hermite space alike, is the superadditivity of the
+    interface impedance H_k (modeforms module docstring). The bound is exact
+    in both classical limits: without viscosity (D = 0) the fixed point is
+    the inviscid rate sqrt(c_k I_k), without inertia (K = 0) the Stokes rate
+    c_k C_k (Chandrasekhar, Hydrodynamic and Hydromagnetic Stability, 1961,
+    ch. X). 0 where c_k <= 0. numpy squares C_k, also for Python floats, so
+    a C_k whose square underflows (mu = 1e300) gives 0, not a
+    ZeroDivisionError, and a scalar call returns the bits of an array one.
     """
     c = np.maximum(c, 0.0)
     return 2.0 * c / (1.0 / stokes + np.sqrt(1.0 / np.square(stokes) + 4.0 * c / inviscid))
+
+
+def mode_compliance_bound(k: float, cfg: FluidConfig) -> float | None:
+    """r_k of the one mode k at cfg, from cfg alone: the start of a single-mode
+    fixed point and the top of the oracle's bracket. None where c_k <= 0,
+    before compliances, which raises at extreme k where a stable mode needs
+    no bound; an r_k rounded to 0 is 0.0, for the caller to judge."""
+    c = surface_coefficient(k, cfg)
+    if c <= 0.0:
+        return None
+    return float(compliance_bound(c, *compliances(k, cfg)))
 
 
 def split_bound(cfg: FluidConfig, s: float, split: float):

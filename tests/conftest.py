@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from rtgrowth import cli, pencil, spectrum
 from rtgrowth.errors import ZeroWaveNumber
 from rtgrowth.model import FluidConfig, theta_critical
-from rtgrowth.modeforms import VerticalProfile, uniform_layered_grid
+from rtgrowth.modeforms import VerticalProfile, _condensed_traction, uniform_layered_grid
 
 # 5-point Gauss-Legendre rule on [0, 1]: exact through polynomial degree 9,
 # which covers every integrand of the kinetic and dissipation forms (degree <= 6).
@@ -242,6 +242,19 @@ def interface_solve(forms, s, alpha):
     ~1e-12."""
     chol, x = pencil._factor_solve(forms, s, alpha)
     return x + pencil._refine(forms, chol, s, alpha, x)[1]
+
+
+def galerkin_impedance(forms, s, a):
+    """H_k^N(s, a) = 1 / e0^T (s A + a B)^(-1) e0, the Galerkin side of the
+    interface impedance (modeforms module docstring), from one refined solve
+    (interface_solve)."""
+    return 1.0 / float(interface_solve(forms, s, a)[forms.e0_index])
+
+
+def exact_impedance(k, cfg, s, a):
+    """H_k(s, a) = s S_k(a / s) / k^2, s > 0, the exact side of the interface
+    impedance (modeforms module docstring)."""
+    return s * _condensed_traction(k, a / s, cfg) / k**2
 
 
 def all_refined_fixed_point(forms, start):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import count_solves, curve_alphas, fail_last_factorization, growth_max
 from rtgrowth import fixedpoint, oracle, pencil, spectrum
 from rtgrowth.analysis import _sized_mode_set, sweep_theta
-from rtgrowth.errors import FactorizationFailure, SolverError, StableRegime
+from rtgrowth.errors import DegenerateExponents, FactorizationFailure, SolverError, StableRegime
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
 from rtgrowth.oracle import compare_modes, dispersion_root, profile_error
@@ -193,6 +194,14 @@ def test_mode_solve_stable_mode(cheap_config):
     cfg = cheap_config.with_theta(theta)
     # k = 2: c_k = g*drho - theta*4 < 0 for theta = 8.82
     assert solve_mode_lambda(cfg, 2.0, DISC) is None
+
+
+def test_mode_solve_names_a_bound_rounded_to_0(cheap_config):
+    # mu = 1e300 underflows C_k^2 (numpy divides by the zero), so r_k rounds
+    # to 0 and Newton has no start
+    cfg = replace(cheap_config, mu_plus=1e300, mu_minus=1e300)
+    with np.errstate(divide="ignore"), pytest.raises(DegenerateExponents, match="has its bound r_k rounded to 0"):
+        solve_mode_lambda(cfg, 1.0, DISC)
 
 
 def exact_profile_error(result, cfg):

@@ -1,9 +1,13 @@
 """Cross-module invariants that belong to no single unit suite."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import curve_alphas, dissipation_form, kinetic_form, random_admissible_profile
+import rtgrowth
 from rtgrowth.analysis import _sized_mode_set
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import solve_lambda
@@ -43,3 +47,39 @@ def test_stable_regime_just_above_threshold(cheap_config):
     for factor in (1.001, 1.01):
         with pytest.raises(StableRegime):
             solve_lambda(cheap_config.with_theta(factor * theta_c), Discretization(8))
+
+
+class _CallSites(ast.NodeVisitor):
+    """The dotted scopes (class and function names) of every call of name."""
+
+    def __init__(self, name):
+        self.name, self.scope, self.sites = name, [], []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scoped
+
+    def visit_Call(self, node):
+        if self.name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_function_forms_a_single_modes_compliance_bound():
+    # r_k comes from compliance_bound in two places: one mode at a time
+    # (mode_compliance_bound) and every mode of a set at once (growth_bounds);
+    # and the oracle takes nothing from the fixed-point module
+    src = Path(rtgrowth.__file__).parent
+    sites = _CallSites("compliance_bound")
+    for path in sorted(src.glob("*.py")):
+        sites.visit(ast.parse(path.read_text()))
+    assert sorted(sites.sites) == ["FrozenModeSet.growth_bounds", "mode_compliance_bound"]
+    imports = [
+        node for node in ast.walk(ast.parse((src / "oracle.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and ("fixedpoint" in (node.module or "").split(".") or "fixedpoint" in [a.name for a in node.names])
+    ]
+    assert imports == []

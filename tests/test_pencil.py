@@ -26,7 +26,6 @@ from rtgrowth import pencil, spectrum
 from rtgrowth.errors import ConfigError, FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import FluidConfig, theta_critical
-from rtgrowth.modeforms import compliances
 from rtgrowth.pencil import (
     Discretization,
     PencilForms,
@@ -633,7 +632,7 @@ def test_fixed_point_from_the_compliance_bound(reference_config, monkeypatch):
     # r_k is 1.11 Lambda_k at the reference maximizer (the trace bound that
     # started Newton before is 1.5 to 23 Lambda_k): at most five factorizations
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    start = spectrum.mode_compliance_bound(forms.k, reference_config)
     calls, _ = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(calls) <= 5
@@ -646,7 +645,7 @@ def test_fixed_point_refines_only_its_last_float64_solve(reference_config, monke
     # extended-precision residual, and the last Newton step from it reuses
     # that factor and residual (the all-refined loop took 5 and 5 here)
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    start = spectrum.mode_compliance_bound(forms.k, reference_config)
     factored, refined = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(factored) <= 3 and len(refined) == 1
@@ -659,7 +658,7 @@ def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypa
     # below Lambda_k (phi(start) > 1) opens the bracket upward instead of raising
     cfg = reference_config.with_theta(0.9999 * theta_critical(reference_config))
     forms = assemble(1.0, cfg, Discretization(256))
-    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, cfg)))
+    start = spectrum.mode_compliance_bound(forms.k, cfg)
     factored, refined = count_solves(monkeypatch)
     lam = fixed_point(forms, start).lam
     first = refined[0]  # the float64 proposal from the start lands below Lambda_k
@@ -680,7 +679,7 @@ def test_fixed_point_at_large_resolution(reference_config, monkeypatch):
     # float64 phase hands over with a larger error and the refined phase
     # takes one more step; the fixed point still takes a handful of solves
     forms = assemble(5.0, reference_config, Discretization(1024))
-    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    start = spectrum.mode_compliance_bound(forms.k, reference_config)
     factored, refined = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(factored) <= 5 and len(refined) <= 3
@@ -723,7 +722,7 @@ def test_float64_phase_ends_when_its_steps_stop_halving(reference_config, contra
     # reaches the root: the float64 phase only proposes points, for Lambda_k
     # (refit steps) and for every positive alpha_k(s) (Newton steps) alike
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    start = spectrum.mode_compliance_bound(forms.k, reference_config)
     lam = fixed_point(forms, start).lam
     cases = positive_alphas(reference_config, contrast_config) if path == "mode_alpha" else []
     factored, refined = count_solves(monkeypatch)
@@ -746,7 +745,7 @@ def test_fixed_point_over_the_gate_takes_a_fresh_last_step(reference_config, mon
     # tau ~ 1e-6, whose noise kappa tau / (c_k xb) passes the held gate; the
     # last Newton step then factors and refines afresh at lam, as at large N
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    start = spectrum.mode_compliance_bound(forms.k, reference_config)
     lam = fixed_point(forms, start).lam
     factored, refined = count_solves(monkeypatch)
     spied = pencil._factor_solve
@@ -789,7 +788,7 @@ def test_last_solve_runs_only_when_its_result_is_read(reference_config, monkeypa
     # a dpbtrs for each). Reads in any order give the same bits, and
     # pencil.COUNTS counts the same work as the spies
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    start = spectrum.mode_compliance_bound(forms.k, reference_config)
     monkeypatch.setattr(pencil, "_HELD_GATE", gate)  # read by the last solve
     fps = [fixed_point(forms, start) for _ in range(3)]
     calls, before = count_lapack(monkeypatch), pencil.COUNTS.copy()
@@ -870,7 +869,7 @@ def test_solves_leave_the_bands_read_only_and_unchanged(reference_config, monkey
     disc = Discretization(32)
     built = [assemble(5.0, reference_config, disc)]
     forms = built[0]
-    start = float(spectrum.compliance_bound(forms.c_k, *compliances(forms.k, reference_config)))
+    start = spectrum.mode_compliance_bound(forms.k, reference_config)
     lam = fixed_point(forms, start).lam
     pencil.alpha_below(forms, lam, lam * lam)
     mode_alpha(forms, lam)
