@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time perfbench's three op shapes on two source trees in one process.
+"""Time perfbench's three workloads on two source trees in one process.
 
 Usage: python scripts/ab.py REV
 
@@ -10,27 +10,31 @@ a gain of a few percent shows; fresh-process timings on a shared machine
 swing by more than that. Each side has its own modules, its own caches and
 its own pencil.COUNTS.
 
-The op shapes are perfbench's (perfbench/workloads.py), built from each
-tree's own package:
+The configs, inputs, ops and gates are perfbench's: perfbench/workloads.py
+is loaded once per tree, its `rtgrowth` imports resolved to that tree's
+modules. Each workload runs at its own resolution, with inputs drawn by its
+inputs() from numpy.random.default_rng(0), and each op is its op(), so the
+time includes the record perfbench builds (to_json_dict()):
 
-- growth-ref: solve_lambda on the reference config at theta = f theta_c,
-  f = 0, 0.05, ..., 0.5, N = 32, each op sizing its own mode set (after the
-  first round, on a warm band cache, unlike perfbench's one cold op);
-- sweep-dense: solve_lambda on the viscous config (mu = 1/1), N = 128, at
-  100 theta fractions in [0, 0.99), one per stratum (seed 0), in increasing
-  order, on one mode set sized at theta = 0 before the first round;
+- growth-ref: solve_lambda on the reference config at N = 32, 11 ops at
+  seeded draws from its 11-point grid f = 0, 0.05, ..., 0.5, each op sizing
+  its own mode set (after the first round, on a warm band cache, unlike
+  perfbench's one cold op);
+- sweep-dense: solve_lambda on the viscous config at N = 128 at 100 theta
+  fractions in [0, 0.99), one per stratum, in increasing order, on one mode
+  set sized by prepare() before the first round;
 - oracle-modes: compare_modes on the reference config at N = 32, one mode
-  per op, over every lattice magnitude k <= 20.
+  per op, over a seeded permutation of the 145 lattice magnitudes k <= 20.
 
-Each shape runs ROUNDS rounds of all its ops on each side, interleaved
+Each workload runs ROUNDS rounds of all its ops on each side, interleaved
 ABBA: A first in even rounds, B first in odd ones. A round's time per op is
-the median of its ops' times, as perfbench's op_p50_ms is. Per shape the
+the median of its ops' times, as perfbench's op_p50_ms is. Per workload the
 script prints each side's median over rounds, the median of the per-round
 ratios B/A with a bootstrap 95 % interval (2000 resamples of the rounds,
-seed 0), the rounds in which B was faster, and whether every op's output
-(lambda; both rates of a comparison) and each round's pencil.COUNTS
-matched bit for bit. Count kinds that differ are listed with their totals
-over all rounds.
+seed 0), the rounds in which B was faster, whether every op's record and
+each round's pencil.COUNTS matched bit for bit, and how many of each side's
+last-round records failed the workload's gates(). Count kinds that differ
+are listed with their totals over all rounds.
 """
 
 from __future__ import annotations
@@ -38,34 +42,33 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import math
 import os
 import subprocess
 import sys
 import tempfile
 import time
-from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
 # one BLAS thread, set before numpy loads its BLAS
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+    os.environ[_var] = "1"
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 ROUNDS = 40
-REFERENCE = {
-    "rho_plus": 2.0, "rho_minus": 1.0, "mu_plus": 0.1, "mu_minus": 0.1, "g": 9.8,
-    "theta": 0.0, "L1": 1.0, "L2": 1.0, "h_plus": 1.0, "h_minus": 1.0,
-}
-VISCOUS = {**REFERENCE, "mu_plus": 1.0, "mu_minus": 1.0}
-TOL_FP = 1e-8
+
+
+def _package_modules(name: str) -> dict:
+    """The entries of sys.modules for package name and its submodules."""
+    return {key: module for key, module in sys.modules.items() if key == name or key.startswith(name + ".")}
 
 
 def load_tree(src: Path, name: str) -> SimpleNamespace:
-    """The rtgrowth package under src/, imported as the package name."""
+    """The rtgrowth package under src/, imported as the package name, and
+    perfbench/workloads.py loaded against it (the `workloads` field)."""
     package = src / "rtgrowth"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)]
@@ -73,71 +76,51 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return SimpleNamespace(
-        **{part: importlib.import_module(f"{name}.{part}") for part in ("fixedpoint", "model", "oracle", "pencil")}
+    # every submodule that perfbench/workloads.py imports, so that each
+    # resolves to this tree's
+    tree = SimpleNamespace(
+        **{part: importlib.import_module(f"{name}.{part}") for part in ("analysis", "fixedpoint", "oracle", "pencil")}
     )
+    saved = _package_modules("rtgrowth")
+    try:
+        for key, submodule in _package_modules(name).items():
+            sys.modules["rtgrowth" + key[len(name):]] = submodule
+        spec = importlib.util.spec_from_file_location(f"{name}_workloads", WORKLOADS)
+        tree.workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tree.workloads)
+    finally:
+        for key in _package_modules("rtgrowth"):
+            del sys.modules[key]
+        sys.modules.update(saved)
+    return tree
 
 
-# one op shape on one tree: prepare() once, then op(x) per input
-Shape = namedtuple("Shape", "name inputs prepare op")
-
-
-def shapes(tree: SimpleNamespace, resolutions=(32, 128, 32), ops=(11, 100, None)) -> list[Shape]:
-    """perfbench's three op shapes on tree, at resolutions (growth-ref,
-    sweep-dense, oracle-modes), with ops inputs each: the first ops of
-    growth-ref's grid, sweep points, magnitudes (None: all 145)."""
-    model, fixedpoint, oracle = tree.model, tree.fixedpoint, tree.oracle
-    disc = [tree.pencil.Discretization(n) for n in resolutions]
-    reference = model.validate_config(model.FluidConfig(**REFERENCE))
-    viscous = model.validate_config(model.FluidConfig(**VISCOUS))
-    theta_ref, theta_visc = model.theta_critical(reference), model.theta_critical(viscous)
-
-    def growth(f):
-        return fixedpoint.solve_lambda(reference.with_theta(f * theta_ref), disc[0], tol_fp=TOL_FP).lam
-
-    sweep_state = {}
-
-    def sweep_prepare():
-        sweep_state["frozen"] = fixedpoint.solve_lambda(viscous, disc[1], tol_fp=TOL_FP).mode_set
-
-    def sweep(f):
-        cfg = viscous.with_theta(f * theta_visc)
-        return fixedpoint.solve_lambda(cfg, disc[1], tol_fp=TOL_FP, frozen=sweep_state["frozen"]).lam
-
-    def compare(k):
-        (row,) = oracle.compare_modes(reference, [k], disc[2])
-        return row.lambda_variational, row.lambda_oracle
-
-    n_sweep = ops[1]
-    strata = 0.99 * (np.arange(n_sweep) + np.random.default_rng(0).random(n_sweep)) / n_sweep
-    squares = sorted({i * i + j * j for i in range(21) for j in range(21)} - {0})
-    magnitudes = [math.sqrt(q) for q in squares if q <= 400]
-    return [
-        Shape("growth-ref", [j / 20.0 for j in range(11)][: ops[0]], lambda: None, growth),
-        Shape("sweep-dense", strata.tolist(), sweep_prepare, sweep),
-        Shape("oracle-modes", magnitudes[: ops[2]], lambda: None, compare),
-    ]
-
-
-def run_round(tree: SimpleNamespace, shape: Shape) -> tuple[float, list, dict]:
-    """(median seconds per op, outputs, pencil.COUNTS) of one pass over shape's inputs."""
+def run_round(tree: SimpleNamespace, workload, inputs: list) -> tuple[float, list, dict]:
+    """(median seconds per op, records, pencil.COUNTS) of one pass of workload over inputs."""
     tree.pencil.COUNTS.clear()
-    times, outputs = [], []
-    for x in shape.inputs:
+    times, records = [], []
+    for x in inputs:
         start = time.perf_counter()
-        outputs.append(shape.op(x))
+        records.append(workload.op(x))
         times.append(time.perf_counter() - start)
-    return float(np.median(times)), outputs, dict(tree.pencil.COUNTS)
+    return float(np.median(times)), records, dict(tree.pencil.COUNTS)
 
 
-def compare(trees: tuple[SimpleNamespace, SimpleNamespace], rounds: int = ROUNDS, **sizes) -> list[dict]:
-    """One report per op shape of the two trees (A, B), each keyword of
-    shapes() applied to both."""
-    pairs = list(zip(*(shapes(tree, **sizes) for tree in trees)))
+def compare(
+    trees: tuple[SimpleNamespace, SimpleNamespace],
+    rounds: int = ROUNDS,
+    resolutions: tuple[int, int, int] = (32, 128, 32),
+    ops: tuple[int, int, int] = (11, 100, 145),
+) -> list[dict]:
+    """One report per perfbench workload of the two trees (A, B), at
+    resolutions and with ops inputs each (growth-ref, sweep-dense,
+    oracle-modes)."""
     reports = []
-    for pair in pairs:
-        for shape in pair:
-            shape.prepare()
+    for name, resolution, n_ops in zip(trees[0].workloads.WORKLOADS, resolutions, ops):
+        pair = [tree.workloads.WORKLOADS[name](resolution) for tree in trees]
+        inputs = pair[0].inputs(np.random.default_rng(0), n_ops)
+        for workload in pair:
+            workload.prepare()
         medians = ([], [])
         outputs_equal, counts_equal = True, True
         totals = ({}, {})
@@ -145,13 +128,14 @@ def compare(trees: tuple[SimpleNamespace, SimpleNamespace], rounds: int = ROUNDS
             order = (0, 1) if r % 2 == 0 else (1, 0)
             result = [None, None]
             for side in order:
-                result[side] = run_round(trees[side], pair[side])
+                result[side] = run_round(trees[side], pair[side], inputs)
             for side in (0, 1):
                 medians[side].append(result[side][0])
                 for kind, n in result[side][2].items():
                     totals[side][kind] = totals[side].get(kind, 0) + n
             outputs_equal &= result[0][1] == result[1][1]
             counts_equal &= result[0][2] == result[1][2]
+        failed = [sum(v is not None for v in pair[side].gates(result[side][1])) for side in (0, 1)]
         a, b = np.asarray(medians[0]), np.asarray(medians[1])
         ratios = b / a
         resampled = np.random.default_rng(0).choice(ratios, size=(2000, ratios.size))
@@ -162,8 +146,8 @@ def compare(trees: tuple[SimpleNamespace, SimpleNamespace], rounds: int = ROUNDS
             if totals[0].get(kind, 0) != totals[1].get(kind, 0)
         }
         reports.append({
-            "shape": pair[0].name,
-            "ops": len(pair[0].inputs),
+            "shape": name,
+            "ops": len(inputs),
             "rounds": rounds,
             "median_a_ms": 1e3 * float(np.median(a)),
             "median_b_ms": 1e3 * float(np.median(b)),
@@ -174,6 +158,8 @@ def compare(trees: tuple[SimpleNamespace, SimpleNamespace], rounds: int = ROUNDS
             "outputs_equal": bool(outputs_equal),
             "counts_equal": bool(counts_equal),
             "counts_differing": differing,
+            "gates_failed_a": failed[0],
+            "gates_failed_b": failed[1],
         })
     return reports
 
@@ -193,11 +179,12 @@ def main() -> None:
         trees = load_tree(archived_src(args.rev, Path(tmp)), "rtgrowth_a"), load_tree(ROOT / "src", "rtgrowth_b")
         reports = compare(trees)
     print(f"A = {args.rev}, B = working tree; {ROUNDS} ABBA rounds; ms per op, median over rounds")
-    print(f"{'shape':>13} {'ops':>4} {'A':>9} {'B':>9} {'B/A':>7} {'95 % interval':>17} {'B faster':>9}  bits")
+    print(f"{'workload':>13} {'ops':>4} {'A':>9} {'B':>9} {'B/A':>7} {'95 % interval':>17} {'B faster':>9}  bits")
     for rep in reports:
         bits = "outputs " + ("equal" if rep["outputs_equal"] else "DIFFER")
         bits += ", counts " + ("equal" if rep["counts_equal"] else "differ")
         bits += "".join(f"; {kind} {a} -> {b}" for kind, (a, b) in rep["counts_differing"].items())
+        bits += f"; failed gates A {rep['gates_failed_a']}, B {rep['gates_failed_b']}"
         print(
             f"{rep['shape']:>13} {rep['ops']:>4} {rep['median_a_ms']:9.4f} {rep['median_b_ms']:9.4f} "
             f"{rep['ratio']:7.4f} [{rep['ratio_low']:.4f}, {rep['ratio_high']:.4f}] "

@@ -194,10 +194,7 @@ def _cmd_compare(cfg, disc, args) -> int:
 
 
 def _cmd_sweep(cfg, disc, args) -> int:
-    fractions = _parse_grid(args.theta_grid, "--theta-grid")
-    if np.any(fractions < 0.0) or np.any(fractions >= 1.0):
-        raise ConfigError("--theta-grid fractions must lie in [0, 1)")
-    sweep = analysis.sweep_theta(cfg, fractions, disc)
+    sweep = analysis.sweep_theta(cfg, _parse_grid(args.theta_grid, "--theta-grid"), disc)
     columns = ("theta", "theta_over_theta_c", "lambda", "bound_m", "bound_compliance", "argmax_k", "residual")
     rows = [
         tuple(map(float, (r.theta, r.theta / sweep.theta_c, r.lam, r.bound_m, r.bound_compliance,

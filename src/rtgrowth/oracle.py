@@ -226,7 +226,13 @@ class ModeComparison:
     k: float
     lambda_variational: float | None
     lambda_oracle: float | None
-    rel_diff: float | None
+
+    @property
+    def rel_diff(self) -> float | None:
+        """|lambda_variational - lambda_oracle| / lambda_oracle; None unless both are set."""
+        if self.lambda_variational is None or self.lambda_oracle is None:
+            return None
+        return abs(self.lambda_variational - self.lambda_oracle) / self.lambda_oracle
 
 
 def compare_modes(
@@ -260,25 +266,19 @@ def compare_modes(
         forms = assemble(float(k), cfg, disc)
         bound = mode_compliance_bound(forms.k, cfg)
         if bound is None:
-            rows.append(_comparison(k, None, None))
+            rows.append(ModeComparison(float(k), None, None))
             continue
-        rows.append(_comparison(k, fixed_point(forms, bound).lam, _bracketed_root(k, cfg, scan_max, bound)))
+        lam_v = fixed_point(forms, bound).lam
+        rows.append(ModeComparison(float(k), lam_v, _bracketed_root(k, cfg, scan_max, bound)))
     return rows
 
 
 def compare_solved_mode(cfg: FluidConfig, k: float, lam_v: float | None) -> ModeComparison:
     """The compare_modes row of mode k, whose Galerkin Lambda_k^N (None if stable) is lam_v."""
-    return _comparison(k, lam_v, dispersion_root(k, cfg, _scan_max(cfg)))
+    return ModeComparison(float(k), lam_v, dispersion_root(k, cfg, _scan_max(cfg)))
 
 
 def _scan_max(cfg: FluidConfig) -> float:
     """1.05 m, above the bound m on every root: the scan_max of every
     comparison, compare_modes' and verify's."""
     return 1.05 * upper_bound_m(cfg)
-
-
-def _comparison(k: float, lam_v: float | None, root: float | None) -> ModeComparison:
-    rel = None
-    if lam_v is not None and root is not None:
-        rel = abs(lam_v - root) / root
-    return ModeComparison(k=float(k), lambda_variational=lam_v, lambda_oracle=root, rel_diff=rel)

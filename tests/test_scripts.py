@@ -1,8 +1,10 @@
 """Smoke tests: each script in scripts/ and each perfbench workload runs at a small resolution."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -297,13 +299,22 @@ def test_perfbench_workloads_keep_their_call_shapes(name):
 
 def test_ab_compares_two_trees_bit_for_bit():
     # an A/A run: the working tree loaded twice, under two package names,
-    # reports every op shape's fields, equal outputs and equal counts; a
-    # Galerkin side scaled on one tree shows as differing outputs
+    # reports every workload's fields, equal outputs, equal counts and no
+    # failed gate; a Galerkin side scaled on one tree shows as differing
+    # outputs. Oracle-modes runs at N = 16, where its gate passes (see
+    # test_perfbench_workloads_keep_their_call_shapes)
     ab = load_script("ab")
     src = SCRIPTS.parent / "src"
+    before = {key: module for key, module in sys.modules.items() if key.split(".")[0] == "rtgrowth"}
     trees = ab.load_tree(src, "rtgrowth_ab_a"), ab.load_tree(src, "rtgrowth_ab_b")
+    after = {key: module for key, module in sys.modules.items() if key.split(".")[0] == "rtgrowth"}
+    assert after.keys() == before.keys() and all(after[key] is before[key] for key in before)
     assert trees[0].pencil.COUNTS is not trees[1].pencil.COUNTS
-    sizes = {"resolutions": (8, 16, 8), "ops": (2, 6, 4)}
+    for tree in trees:
+        for workload in tree.workloads.WORKLOADS.values():
+            scope = workload(8).op.__globals__
+            assert scope["fixedpoint"] is tree.fixedpoint and scope["oracle"] is tree.oracle
+    sizes = {"resolutions": (8, 16, 16), "ops": (2, 6, 4)}
     reports = ab.compare(trees, rounds=4, **sizes)
     assert [(r["shape"], r["ops"], r["rounds"]) for r in reports] == [
         ("growth-ref", 2, 4), ("sweep-dense", 6, 4), ("oracle-modes", 4, 4),
@@ -313,6 +324,7 @@ def test_ab_compares_two_trees_bit_for_bit():
         assert r["median_a_ms"] > 0.0 and r["median_b_ms"] > 0.0
         assert r["ratio_low"] <= r["ratio"] <= r["ratio_high"]
         assert 0 <= r["b_faster"] <= 4
+        assert r["gates_failed_a"] == r["gates_failed_b"] == 0
 
     real = trees[1].oracle.fixed_point
     trees[1].oracle.fixed_point = lambda forms, start: dataclasses.replace(real(forms, start), lam=0.0)
@@ -321,3 +333,25 @@ def test_ab_compares_two_trees_bit_for_bit():
     finally:
         trees[1].oracle.fixed_point = real
     assert not off["outputs_equal"] and off["counts_equal"]
+
+
+def test_ab_forces_one_blas_thread(monkeypatch):
+    # an exported thread count does not win over the script's one thread
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "4")
+    load_script("ab")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1"
+
+
+def test_ab_defines_no_op_of_its_own():
+    # ab.py times perfbench/workloads.py's configs, inputs and ops; a config,
+    # a discretization or a solver call in the script would be a second copy
+    forbidden = {"FluidConfig", "Discretization", "solve_lambda", "compare_modes", "_sized_mode_set"}
+    tree = ast.parse((SCRIPTS / "ab.py").read_text())
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & forbidden
