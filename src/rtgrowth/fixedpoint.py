@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SolverError
 from .model import FluidConfig, upper_bound_m, validate_config
-from .modeforms import VerticalProfile
+from .modeforms import ExactMode, VerticalProfile
 from .pencil import COUNTS, Discretization, FixedPoint, assemble, fixed_point
 from .spectrum import FrozenModeSet, mode_compliance_bound, size_mode_set, smallest_magnitude
 
@@ -153,5 +153,5 @@ def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> Fixed
     validate_config(cfg)
     upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
     forms = assemble(float(k), cfg, disc)
-    start = mode_compliance_bound(forms.k, cfg)
+    start = mode_compliance_bound(ExactMode(forms.k, cfg))
     return None if start is None else fixed_point(forms, start)

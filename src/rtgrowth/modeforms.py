@@ -26,7 +26,7 @@ enters only c_k. H has two sides:
   H_k^N(s, a) = 1 / e0^T (s A + a B)^(-1) e0, A and B the bands of
   pencil.assemble, attained at x / x[e0], x = (s A + a B)^(-1) e0.
 - Exact: H_k(s, a) = s S_k(a / s) / k^2 for s > 0, S_k(n) = D00 - D01 D10 /
-  D11 of the two layers' interface maps (_condensed_traction). In each
+  D11 of the two layers' interface maps (ExactMode.traction). In each
   layer the Euler-Lagrange equation of D + n K is the normal-mode equation
   of oracle at rate n = a / s, and its solution with interface data (1, b)
   is the clamped profile with that data that minimizes D + n K. By parts,
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateExponents
+from .errors import DegenerateExponents, ZeroWaveNumber
 from .model import FluidConfig
 
 @dataclass(frozen=True, eq=False)
@@ -134,68 +134,87 @@ def uniform_layered_grid(h_minus: float, h_plus: float, n_per_layer: int) -> np.
     return grid
 
 
-def _layer_basis(k: float, n: float, rho: float, mu: float, h: float):
-    """(q, q - k, E, U, W, a0, a1, a2, a3, b0, b1, b2, b3) of one layer at rate n.
-
-    The clamped profiles are c1 v1 + c3 v3, with v1 = e^(-k z) - E e^(-k (h - z))
-    + 2 k E u(h - z) and v3 = u(z) - U e^(-k (h - z)) + W u(h - z), where
-    E = e^(-k h), U = u(h) and W = (q + k) U + E: both vanish with their slope
-    at z = h. a_j and b_j are the j-th z-derivatives of v1 and v3 at z = 0,
-    m_j that of u(h - z), q^j U + d_j E.
-    """
+def _layer_constants(k: float, rho: float, mu: float, h: float) -> tuple:
+    """What _layer reads of one layer at mode k besides the rate: k, k^2,
+    k^3, 3 k^2, rho, mu, h, E = e^(-k h), E h, 2 k E and the rate-free
+    terms of a_0 .. a_3."""
     k2 = k * k
-    q2 = k2 + n * rho / mu
-    q = math.sqrt(q2)
-    dq = n * rho / mu / (q + k)  # q - k, free of cancellation
-    x = dq * h
     E = math.exp(-k * h)
-    U = E * h * (math.expm1(-x) / x if x else -1.0)
-    W = (q + k) * U + E
-    m0, m1 = U, q * U + E
-    m2, m3 = q2 * U + (q + k) * E, q2 * q * U + (q2 + q * k + k2) * E
     one_minus_ee, one_plus_ee = -math.expm1(-2.0 * k * h), 1.0 + E * E
-    two_k_e, ue = 2.0 * k * E, U * E
-    a0, a1 = one_minus_ee + two_k_e * m0, -k * one_plus_ee + two_k_e * m1
-    a2, a3 = k2 * one_minus_ee + two_k_e * m2, -k2 * k * one_plus_ee + two_k_e * m3
-    b0, b1 = -ue + W * m0, -1.0 - k * ue + W * m1
-    b2, b3 = (q + k) - k2 * ue + W * m2, -(q2 + q * k + k2) - k2 * k * ue + W * m3
-    return q, dq, E, U, W, a0, a1, a2, a3, b0, b1, b2, b3
-
-
-def _interface_traction(k: float, n: float, rho: float, mu: float, h: float):
-    """(G00, G01, G10, G11): the map (psi(0), psi_z(0)) -> (N, T) of one layer,
-    on the basis of _layer_basis."""
-    k2 = k * k
-    a0, a1, a2, a3, b0, b1, b2, b3 = _layer_basis(k, n, rho, mu, h)[5:]
-    # traction rows on (c1, c3), times the inverse of [[a0, b0], [a1, b1]]
-    na = mu * (a3 - 3.0 * k2 * a1) - n * rho * a1
-    nb = mu * (b3 - 3.0 * k2 * b1) - n * rho * b1
-    ta, tb = mu * (a2 + k2 * a0), mu * (b2 + k2 * b0)
-    det = a0 * b1 - a1 * b0
     return (
-        (na * b1 - nb * a1) / det,
-        (nb * a0 - na * b0) / det,
-        (ta * b1 - tb * a1) / det,
-        (tb * a0 - ta * b0) / det,
+        k, k2, k2 * k, 3.0 * k2, rho, mu, h, E, E * h, 2.0 * k * E,
+        one_minus_ee, -k * one_plus_ee, k2 * one_minus_ee, -k2 * k * one_plus_ee,
     )
 
 
-def _interface_map(k: float, n: float, cfg: FluidConfig):
-    """(D00, D01, D10, D11): the jump of the two layers' maps (_interface_traction)
-    in y-derivatives, the lower layer's odd orders flipped (oracle module docstring)."""
-    up = _interface_traction(k, n, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
-    lo = _interface_traction(k, n, cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
-    return up[0] + lo[0], up[1] - lo[1], up[2] - lo[2], up[3] + lo[3]
+def _layer(n: float, constants: tuple) -> tuple:
+    """(G00, G01, G10, G11, q, q - k, E, h, U, W, a0, a1, b0, b1, det) of one
+    layer at rate n, from its _layer_constants, in one pass.
+
+    G is the map (psi(0), psi_z(0)) -> (N, T) of the layer's clamped profiles
+    (oracle module docstring). They are c1 v1 + c3 v3, with v1 = e^(-k z) -
+    E e^(-k (h - z)) + 2 k E u(h - z) and v3 = u(z) - U e^(-k (h - z)) +
+    W u(h - z), where U = u(h) and W = (q + k) U + E: both vanish with
+    their slope at z = h. a_j and b_j are the j-th z-derivatives of v1 and
+    v3 at z = 0, m_j that of u(h - z), q^j U + d_j E, and det that of the
+    block [[a0, b0], [a1, b1]], which G inverts.
+    """
+    k, k2, k3, k2x3, rho, mu, h, E, Eh, two_k_e, e0, e1, e2, e3 = constants
+    nr = n * rho
+    nrm = nr / mu
+    q2 = k2 + nrm
+    q = math.sqrt(q2)
+    qk = q + k
+    dq = nrm / qk  # q - k, free of cancellation
+    x = dq * h
+    U = Eh * (math.expm1(-x) / x if x else -1.0)
+    W = qk * U + E
+    s2 = q2 + q * k + k2
+    m1, m2, m3 = q * U + E, q2 * U + qk * E, q2 * q * U + s2 * E
+    ue = U * E
+    a0, a1, a2, a3 = e0 + two_k_e * U, e1 + two_k_e * m1, e2 + two_k_e * m2, e3 + two_k_e * m3
+    b0, b1 = -ue + W * U, -1.0 - k * ue + W * m1
+    b2, b3 = qk - k2 * ue + W * m2, -s2 - k3 * ue + W * m3
+    # traction rows on (c1, c3), times the inverse of the block
+    na, nb = mu * (a3 - k2x3 * a1) - nr * a1, mu * (b3 - k2x3 * b1) - nr * b1
+    ta, tb = mu * (a2 + k2 * a0), mu * (b2 + k2 * b0)
+    det = a0 * b1 - a1 * b0
+    return (
+        (na * b1 - nb * a1) / det, (nb * a0 - na * b0) / det, (ta * b1 - tb * a1) / det, (tb * a0 - ta * b0) / det,
+        q, dq, E, h, U, W, a0, a1, b0, b1, det,
+    )
 
 
-def _condensed_traction(k: float, n: float, cfg: FluidConfig) -> float:
-    """S_k(n) = D00 - D01 D10 / D11 (_interface_map), so H_k(s, a) = s S_k(a / s) / k^2."""
-    d00, d01, d10, d11 = _interface_map(k, n, cfg)
-    return d00 - d01 * d10 / d11
+class ExactMode:
+    """The exact side of mode k at cfg: S_k at any rate, with every factor
+    that reads only k and the config formed once, when it is built.
+
+    upper and lower are the layers' _layer_constants, c_k the surface
+    coefficient and k2c_k = k^2 c_k, so F_k(0+) = -k2c_k (oracle). Raises
+    ZeroWaveNumber unless k > 0.
+    """
+
+    __slots__ = ("k", "cfg", "c_k", "k2c_k", "upper", "lower")
+
+    def __init__(self, k: float, cfg: FluidConfig):
+        if k <= 0.0:
+            raise ZeroWaveNumber(f"the exact side needs k > 0, got {float(k)!r}")
+        self.k, self.cfg, self.c_k = k, cfg, surface_coefficient(k, cfg)
+        self.k2c_k = k * k * self.c_k
+        self.upper = _layer_constants(k, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
+        self.lower = _layer_constants(k, cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
+
+    def traction(self, n: float) -> float:
+        """S_k(n) = D00 - D01 D10 / D11, so H_k(s, a) = s S_k(a / s) / k^2.
+        D is the jump of the two layers' maps G in y-derivatives, the lower
+        layer's odd orders flipped (oracle module docstring):
+        (D00, D01, D10, D11) = (G+00 + G-00, G+01 - G-01, G+10 - G-10, G+11 + G-11)."""
+        up, lo = _layer(n, self.upper), _layer(n, self.lower)
+        return up[0] + lo[0] - (up[1] - lo[1]) * (up[2] - lo[2]) / (up[3] + lo[3])
 
 
-def compliances(k: float, cfg: FluidConfig) -> tuple[float, float]:
-    """The interface compliances (I_k, C_k) of mode k, in closed form:
+def compliances(mode: ExactMode) -> tuple[float, float]:
+    """The interface compliances (I_k, C_k) of mode k (mode.k), in closed form:
 
         I_k = k / (rho+ coth(k h+) + rho- coth(k h-)),   C_k = k^2 / S_k(0),
 
@@ -216,9 +235,10 @@ def compliances(k: float, cfg: FluidConfig) -> tuple[float, float]:
     Raises DegenerateExponents unless both values are finite and positive
     (depths of 1e-300 divide by zero; mu = 1e300 at k = 1000 gives a NaN C_k).
     """
+    k, cfg = mode.k, mode.cfg
     try:
         inviscid = k / (cfg.rho_plus / math.tanh(k * cfg.h_plus) + cfg.rho_minus / math.tanh(k * cfg.h_minus))
-        stokes = k * k / _condensed_traction(k, 0.0, cfg)
+        stokes = k * k / mode.traction(0.0)
     except ZeroDivisionError:
         inviscid = stokes = math.nan
     if not (0.0 < inviscid < math.inf and 0.0 < stokes < math.inf):

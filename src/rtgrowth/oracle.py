@@ -20,15 +20,21 @@ interface tractions
 
     N = mu (psi_zzz - 3 k^2 psi_z) - n rho psi_z,   T = mu (psi_zz + k^2 psi)
 
-at z = 0 are a 2x2 map G of (psi(0), psi_z(0)) (modeforms._interface_traction).
+at z = 0 are a 2x2 map G of (psi(0), psi_z(0)) (modeforms._layer).
 The upper layer has z = y; the lower has z = -y, which flips the odd orders,
 so in y-derivatives its map is [[-G00, G01], [G10, -G11]]. Continuity makes
-(a, b) = (psi(0), psi'(0)) common to both layers; with D = T+ - T-
-(modeforms._interface_map) the two stress rows read D10 a + D11 b = 0 and
-D00 a + D01 b = (k^2 / n) c_k a.
+(a, b) = (psi(0), psi'(0)) common to both layers; with D = T+ - T- the two
+stress rows read D10 a + D11 b = 0 and D00 a + D01 b = (k^2 / n) c_k a.
 Eliminating b leaves the 1x1 system F_k(n) a = 0 with the secular function
 
     F_k(n) = n S_k(n) - k^2 c_k,  S_k(n) = D00 - D01 D10 / D11   (determinant).
+
+One modeforms.ExactMode per mode holds everything of this that reads only
+k and the config: c_k, k^2 c_k, and per layer E = e^(-k h) and the
+rate-free parts of the basis below. Its traction(n) is S_k(n), each
+layer's G and basis formed in one pass (modeforms._layer), and every
+evaluation of a root search, r_k's S_k(0) included, reads the one
+evaluator its caller built for the mode.
 
 The layer basis is anchored at the interface: e^(-k z), e^(-k (h - z)),
 u(z) = (e^(-q z) - e^(-k z)) / (q - k) and its wall mirror u(h - z), with
@@ -73,33 +79,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateExponents, SolverError, ZeroWaveNumber
+from .errors import DegenerateExponents, SolverError
 from .model import FluidConfig, upper_bound_m, validate_config
-from .modeforms import VerticalProfile, _condensed_traction, _interface_map, _layer_basis, surface_coefficient
+from .modeforms import ExactMode, VerticalProfile, _layer
 from .pencil import COUNTS, Discretization, assemble, fixed_point
 from .spectrum import mode_compliance_bound
 
 _ROOT_RTOL = 1e-12
 
 
-def determinant(k: float, n: float, cfg: FluidConfig) -> float:
-    """F_k(n), the determinant of the condensed 1x1 system at one rate n > 0.
+def determinant(mode: ExactMode, n: float) -> float:
+    """F_k(n), the determinant of the condensed 1x1 system of mode.k at one rate n > 0.
 
     For c_k > 0 it has the sign of n - Lambda_k, for c_k <= 0 it is positive
     (module docstring); a non-finite value raises DegenerateExponents.
     """
     COUNTS["determinants"] += 1
-    if k <= 0.0:
-        raise ZeroWaveNumber(f"dispersion system needs k > 0, got {float(k)!r}")
     if not n > 0.0:
         raise ValueError(f"trial growth rates must be > 0, got {float(n)!r}")
-    f = n * _condensed_traction(k, n, cfg) - k * k * surface_coefficient(k, cfg)
+    f = n * mode.traction(n) - mode.k2c_k
     if not math.isfinite(f):
-        raise DegenerateExponents(f"non-finite dispersion function at k={float(k)!r}, n={float(n)!r}")
+        raise DegenerateExponents(f"non-finite dispersion function at k={float(mode.k)!r}, n={float(n)!r}")
     return f
 
 
-def _refine_root(k, cfg, lo, hi, f_lo, f_hi) -> float:
+def _refine_root(mode: ExactMode, lo, hi, f_lo, f_hi) -> float:
     """Root in the sign bracket [lo, hi] to 1e-12 relative, returned as its midpoint.
 
     Illinois steps: the regula falsi point replaces the bracket end of its
@@ -117,7 +121,7 @@ def _refine_root(k, cfg, lo, hi, f_lo, f_hi) -> float:
         if stalled < 3:
             gap = 0.5 * _ROOT_RTOL * hi
             x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + gap), hi - gap)
-        fx = determinant(k, x, cfg)
+        fx = determinant(mode, x)
         if fx == 0.0:
             return x
         if (fx > 0.0) == (f_lo > 0.0):
@@ -155,30 +159,29 @@ def dispersion_root(k: float, cfg: FluidConfig, scan_max: float) -> float | None
         raise ValueError(
             f"scan_max = {scan_max!r} below the growth-rate bound; roots could escape"
         )
-    if k <= 0.0:
-        raise ZeroWaveNumber(f"dispersion system needs k > 0, got {float(k)!r}")
-    bound = mode_compliance_bound(k, cfg)
-    return None if bound is None else _bracketed_root(k, cfg, scan_max, bound)
+    mode = ExactMode(k, cfg)
+    bound = mode_compliance_bound(mode)
+    return None if bound is None else _bracketed_root(mode, scan_max, bound)
 
 
-def _bracketed_root(k: float, cfg: FluidConfig, scan_max: float, bound: float) -> float:
+def _bracketed_root(mode: ExactMode, scan_max: float, bound: float) -> float:
     """dispersion_root past its checks, for c_k > 0 and r_k = bound."""
-    lo, f_lo = 0.0, -k * k * surface_coefficient(k, cfg)
+    lo, f_lo = 0.0, -mode.k2c_k
     hi = bound * (1.0 + 1e-9)
     if not 0.0 < hi < scan_max:
         hi = scan_max
-    f_hi = determinant(k, hi, cfg)
+    f_hi = determinant(mode, hi)
     if f_hi < 0.0 and hi < scan_max:
         lo, f_lo, hi = hi, f_hi, scan_max
-        f_hi = determinant(k, hi, cfg)
+        f_hi = determinant(mode, hi)
     if f_hi == 0.0:
         return hi
     if f_hi < 0.0:
         raise SolverError(
-            f"no root of the dispersion relation of mode k = {float(k)!r} in "
+            f"no root of the dispersion relation of mode k = {float(mode.k)!r} in "
             f"[0, {scan_max!r}]: F_k(scan_max) = {f_hi!r} <= 0"
         )
-    return _refine_root(k, cfg, lo, hi, f_lo, f_hi)
+    return _refine_root(mode, lo, hi, f_lo, f_hi)
 
 
 def dispersion_profile(k: float, lam: float, cfg: FluidConfig, grid) -> VerticalProfile:
@@ -190,15 +193,14 @@ def dispersion_profile(k: float, lam: float, cfg: FluidConfig, grid) -> Vertical
     its slopes flip sign. Like the basis, it loses about (k h)^-3 ulps in
     thin layers.
     """
-    _, _, d10, d11 = _interface_map(k, lam, cfg)
-    b = -d10 / d11
+    mode = ExactMode(k, cfg)
+    up, lo = _layer(lam, mode.upper), _layer(lam, mode.lower)
+    b = -(up[2] - lo[2]) / (up[3] + lo[3])
     grid = np.asarray(grid, dtype=float)
     psi, dpsi = [], []
-    layers = ((-1.0, cfg.rho_minus, cfg.mu_minus, cfg.h_minus), (1.0, cfg.rho_plus, cfg.mu_plus, cfg.h_plus))
-    for sign, rho, mu, h in layers:
+    for sign, layer in ((-1.0, lo), (1.0, up)):
         z = sign * grid[(grid >= 0.0) == (sign > 0.0)]  # the node at 0 is the upper layer's
-        q, dq, E, U, W, a0, a1, _, _, b0, b1, _, _ = _layer_basis(k, lam, rho, mu, h)
-        det = a0 * b1 - a1 * b0
+        q, dq, E, h, U, W, a0, a1, b0, b1, det = layer[4:]
         c1, c3 = (b1 - b0 * sign * b) / det, (a0 * sign * b - a1) / det
         near, far = np.exp(-k * z), np.exp(-k * (h - z))
         u_near, u_far = near * np.expm1(-dq * z) / dq, far * np.expm1(-dq * (h - z)) / dq
@@ -245,8 +247,9 @@ def compare_modes(
     Disagreement is reported, never resolved silently: callers decide what to
     flag against which tolerance. cfg is validated and scan_max formed
     (_scan_max) once per call; raises StableRegime at theta >= theta_c, from
-    the bound m. Each row forms r_k once (mode_compliance_bound), from the
-    config alone, and both sides read it. The Galerkin side is
+    the bound m. Each row builds one ExactMode, from the config alone, and
+    forms r_k once from it (mode_compliance_bound); both sides read r_k,
+    and the root search reads the same evaluator. The Galerkin side is
     solve_mode_lambda's fixed point, past its checks, started from r_k; only
     its Lambda_k is read, so its last solve never runs: no eigenvector, no
     profile, and a last factorization that would fail does not show
@@ -264,12 +267,13 @@ def compare_modes(
     rows = []
     for k in ks:
         forms = assemble(float(k), cfg, disc)
-        bound = mode_compliance_bound(forms.k, cfg)
+        mode = ExactMode(forms.k, cfg)
+        bound = mode_compliance_bound(mode)
         if bound is None:
-            rows.append(ModeComparison(float(k), None, None))
+            rows.append(ModeComparison(forms.k, None, None))
             continue
         lam_v = fixed_point(forms, bound).lam
-        rows.append(ModeComparison(float(k), lam_v, _bracketed_root(k, cfg, scan_max, bound)))
+        rows.append(ModeComparison(forms.k, lam_v, _bracketed_root(mode, scan_max, bound)))
     return rows
 
 

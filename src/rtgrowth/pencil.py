@@ -20,9 +20,10 @@ k-independent bands hold the lower triangle of the element scatter, each
 element table entry added by one stride-2 slice per layer (_tables). Every
 per-mode quantity reads the Galerkin interface impedance
 H^N(s, a) = 1 / e0^T (s A + a B)^(-1) e0 (modeforms module docstring) from
-banded Cholesky factorizations (dpbtrf): the inertia test alpha_below
-(whether H^N(s, a) > c_k), and the roots of H^N = c_k, by one safeguarded
-Newton loop (_secular_newton) on phi = c_k / H^N along two paths: Lambda_k
+banded Cholesky factorizations: dpbtrf for the inertia test alpha_below
+(whether H^N(s, a) > c_k), and dpbsv, which factors and solves for e0 in
+one call, for the roots of H^N = c_k, by one safeguarded Newton loop
+(_secular_newton) on phi = c_k / H^N along two paths: Lambda_k
 along (t, t^2) (fixed_point), whose last solve is the eigenprofile, and
 alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
 down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
@@ -43,9 +44,9 @@ eigenvector's error is read against the exact eigenprofile at its own nodes
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
 
-dpbtrf, dpbtrs and dsbmv are scipy's own f2py wrappers, loaded from their
-extension files without importing scipy.linalg, whose import would otherwise
-be half of every process's start-up (_load_wrappers).
+dpbtrf, dpbsv, dpbtrs and dsbmv are scipy's own f2py wrappers, loaded from
+their extension files without importing scipy.linalg, whose import would
+otherwise be half of every process's start-up (_load_wrappers).
 """
 
 from __future__ import annotations
@@ -87,10 +88,10 @@ def _load_wrappers():
 
     Importing scipy.linalg runs its __init__, which pulls in numpy.f2py and
     scipy's array-API layer: about half of every process's start-up, for
-    three routines (dpbtrf, dpbtrs, dsbmv). So the two extension modules are
-    loaded straight from their files under their own dotted names. Python
-    keeps one copy of a single-phase extension module per file and name, so
-    these are the function objects that scipy.linalg.blas and
+    four routines (dpbtrf, dpbsv, dpbtrs, dsbmv). So the two extension
+    modules are loaded straight from their files under their own dotted
+    names. Python keeps one copy of a single-phase extension module per file
+    and name, so these are the function objects that scipy.linalg.blas and
     scipy.linalg.lapack re-export, and every call, its bits and its cost are
     scipy's own. The file layout scipy/linalg/_flapack<suffix> is a detail
     of scipy's wheels, not an API: when a file is missing or fails to load,
@@ -107,14 +108,16 @@ def _load_wrappers():
 blas, lapack = _load_wrappers()
 
 # The solver work done in this process, by kind, each counted once in the
-# code that does it: factorizations (every dpbtrf), extended_residuals
-# (_refine), inertia_tests (alpha_below), alpha_solves (mode_alpha),
-# fixed_points (fixed_point), last_solves (_last_solve), determinants
-# (oracle.determinant), solves (GrowthResult.validate), assemblies
-# (assemble) and modes (the modes of every FrozenModeSet, as built and as
-# extended). Always on: an increment costs far less than the least work it
-# counts, and nothing in the package solves concurrently. Nothing in the
-# package reads it; scripts/bench.py and scripts/ab.py do.
+# code that does it: factorizations (every dpbtrf of alpha_below and dpbsv of
+# _factor_solve), extended_residuals (_refine), inertia_tests (alpha_below),
+# alpha_solves (mode_alpha), fixed_points (fixed_point), last_solves
+# (_last_solve), determinants (oracle.determinant: one per rate a root
+# search evaluates F_k at; the S_k(0) of modeforms.compliances is none),
+# solves (GrowthResult.validate), assemblies (assemble) and modes (the
+# modes of every FrozenModeSet, as built and as extended). Always on: an
+# increment costs far less than the least work it counts, and nothing in
+# the package solves concurrently. Nothing in the package reads it;
+# scripts/bench.py and scripts/ab.py do.
 COUNTS = Counter()
 
 
@@ -166,7 +169,10 @@ def _element_matrices(h: float) -> np.ndarray:
     return (_ELEMENT_TABLES * np.longdouble(h) ** _ELEMENT_POWERS / _ELEMENT_DENOMINATORS).astype(float)
 
 
-_TABLE_NAMES = ("M_rho", "D_rho", "M_mu", "D_mu", "H_mu", "X_mu")
+# the dissipation's gradient and cross bands are stored times 4 and 2, the
+# factors assemble weights them by: a power of two, so the same bits
+_TABLE_NAMES = ("M_rho", "D_rho", "M_mu", "4D_mu", "H_mu", "2X_mu")
+_TABLE_SCALES = np.array([1.0, 1.0, 1.0, 4.0, 1.0, 2.0])[:, None, None]
 
 
 @lru_cache(maxsize=32)
@@ -200,6 +206,7 @@ def _tables(lower: tuple, upper: tuple, n: int):
                 start = 2 * first + b - 2  # the layer's first element; -2 and -1 clip to 0 and 1
                 stop = min(start + 2 * n, dim - (a - b))
                 block[:, max(start, start % 2) : stop : 2, a - b] += tables[:, a, b, None]
+    block *= _TABLE_SCALES
     bands = block.transpose(0, 2, 1)
     bands.flags.writeable = False
     return {"grid": grid, "e0_index": 2 * n - 2, **dict(zip(_TABLE_NAMES, bands))}
@@ -293,7 +300,7 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     t = _tables(lower, upper, disc.elements_per_layer)
     # Fortran-ordered like the tables, and read-only: every solve reads them
     B = t["M_rho"] + t["D_rho"] / k**2
-    A = 4.0 * t["D_mu"] + k**2 * t["M_mu"] + 2.0 * t["X_mu"] + t["H_mu"] / k**2
+    A = t["4D_mu"] + k**2 * t["M_mu"] + t["2X_mu"] + t["H_mu"] / k**2
     B.flags.writeable = A.flags.writeable = False
     return PencilForms(
         k=k,
@@ -327,15 +334,16 @@ def _unit(forms: PencilForms) -> np.ndarray:
 def _factor_solve(forms: PencilForms, s: float, alpha: float):
     """(chol, x): the banded Cholesky factor of s A + alpha B and the float64
     solve x = (s A + alpha B)^(-1) e0 from it, for s, alpha >= 0 not both zero
-    (s A + alpha B is then positive definite). dpbtrf reports a non-positive
-    pivot as info > 0, which raises. The fresh energy band is factored in
-    place: f2py writes through a read-only flag, so only a band made for this
+    (s A + alpha B is then positive definite), by one dpbsv: the bits of
+    dpbtrf then dpbtrs, in one call. It reports a non-positive pivot as
+    info > 0, which raises. The fresh energy band is factored in place: f2py
+    writes through a read-only flag, so only a band made for this
     factorization may be handed over."""
     COUNTS["factorizations"] += 1
-    chol, info = lapack.dpbtrf(_energy(forms, s, alpha), lower=1, overwrite_ab=1)
+    chol, x, info = lapack.dpbsv(_energy(forms, s, alpha), _unit(forms), lower=1, overwrite_ab=1)
     if info != 0:
         raise _failure("factorization", alpha, info)
-    return chol, _spd_solve(chol, _unit(forms), alpha)
+    return chol, x
 
 
 def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.ndarray):

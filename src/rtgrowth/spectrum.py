@@ -63,7 +63,7 @@ from .pencil import (
     mode_alpha,
     transverse_min_eigenvalue,
 )
-from .modeforms import compliances, surface_coefficient
+from .modeforms import ExactMode, compliances, surface_coefficient
 
 _DEDUP_RTOL = 1e-12
 # the splits l of the bounds B_l (certified_cutoff) whose least value orders
@@ -211,7 +211,7 @@ class FrozenModeSet:
         on the modes beside it.
         """
         ks = self.modes.magnitudes
-        fresh = [compliances(k, self.cfg) for k in ks[len(self._compliance):].tolist()]
+        fresh = [compliances(ExactMode(k, self.cfg)) for k in ks[len(self._compliance):].tolist()]
         if fresh:
             self._compliance = np.concatenate([self._compliance, fresh])
         key, bounds = self._bounds
@@ -256,15 +256,14 @@ def compliance_bound(c, inviscid, stokes):
     return 2.0 * c / (1.0 / stokes + np.sqrt(1.0 / np.square(stokes) + 4.0 * c / inviscid))
 
 
-def mode_compliance_bound(k: float, cfg: FluidConfig) -> float | None:
-    """r_k of the one mode k at cfg, from cfg alone: the start of a single-mode
-    fixed point and the top of the oracle's bracket. None where c_k <= 0,
-    before compliances, which raises at extreme k where a stable mode needs
-    no bound; an r_k rounded to 0 is 0.0, for the caller to judge."""
-    c = surface_coefficient(k, cfg)
-    if c <= 0.0:
+def mode_compliance_bound(mode: ExactMode) -> float | None:
+    """r_k of the one mode mode.k, from its config alone: the start of a
+    single-mode fixed point and the top of the oracle's bracket. None where
+    c_k <= 0, before compliances, which raises at extreme k where a stable
+    mode needs no bound; an r_k rounded to 0 is 0.0, for the caller to judge."""
+    if mode.c_k <= 0.0:
         return None
-    return float(compliance_bound(c, *compliances(k, cfg)))
+    return float(compliance_bound(mode.c_k, *compliances(mode)))
 
 
 def split_bound(cfg: FluidConfig, s: float, split: float):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rtgrowth import cli, pencil, spectrum
+from rtgrowth import cli, oracle, pencil, spectrum
 from rtgrowth.errors import ZeroWaveNumber
 from rtgrowth.model import FluidConfig, theta_critical
-from rtgrowth.modeforms import VerticalProfile, _condensed_traction, uniform_layered_grid
+from rtgrowth.modeforms import ExactMode, VerticalProfile, uniform_layered_grid
 
 # 5-point Gauss-Legendre rule on [0, 1]: exact through polynomial degree 9,
 # which covers every integrand of the kinetic and dissipation forms (degree <= 6).
@@ -254,7 +254,12 @@ def galerkin_impedance(forms, s, a):
 def exact_impedance(k, cfg, s, a):
     """H_k(s, a) = s S_k(a / s) / k^2, s > 0, the exact side of the interface
     impedance (modeforms module docstring)."""
-    return s * _condensed_traction(k, a / s, cfg) / k**2
+    return s * ExactMode(k, cfg).traction(a / s) / k**2
+
+
+def dispersion_function(k, n, cfg):
+    """F_k(n) of mode k at cfg: oracle.determinant on a fresh ExactMode."""
+    return oracle.determinant(ExactMode(k, cfg), n)
 
 
 def all_refined_fixed_point(forms, start):
@@ -322,15 +327,20 @@ def count_solves(monkeypatch):
 
 def fail_last_factorization(monkeypatch):
     """Make every fixed point's last solve fresh (no refinement noise meets a
-    negative gate) and its banded factorization report a non-positive pivot
-    (LAPACK info 3). Every other factorization runs as before."""
+    negative gate) and its banded factorization, by dpbsv or dpbtrf, report
+    a non-positive pivot (LAPACK info 3). Every other factorization runs as
+    before."""
     monkeypatch.setattr(pencil, "_HELD_GATE", -1.0)
-    dpbtrf, last_solve = pencil.lapack.dpbtrf, pencil._last_solve
+    dpbtrf, dpbsv, last_solve = pencil.lapack.dpbtrf, pencil.lapack.dpbsv, pencil._last_solve
     running = []
 
     def factor(ab, lower=0, overwrite_ab=0):
         chol, info = dpbtrf(ab, lower=lower, overwrite_ab=overwrite_ab)
         return chol, 3 if running else info
+
+    def factor_solve(ab, b, lower=0, overwrite_ab=0):
+        chol, x, info = dpbsv(ab, b, lower=lower, overwrite_ab=overwrite_ab)
+        return chol, x, 3 if running else info
 
     def last(fp):
         running.append(fp)
@@ -340,12 +350,19 @@ def fail_last_factorization(monkeypatch):
             running.pop()
 
     monkeypatch.setattr(pencil.lapack, "dpbtrf", factor)
+    monkeypatch.setattr(pencil.lapack, "dpbsv", factor_solve)
     monkeypatch.setattr(pencil, "_last_solve", last)
+
+
+# pencil._tables holds the gradient and cross bands of mu times the factors
+# that assemble weights them by: a scattered table's name -> (band name, factor)
+SCALED_TABLES = {"D_mu": ("4D_mu", 4.0), "X_mu": ("2X_mu", 2.0)}
 
 
 def loop_tables(cfg, n):
     """The six k-independent bands by an element-by-element scatter, one band
-    entry of every element at a time: the reference for pencil._tables."""
+    entry of every element at a time: the reference for pencil._tables,
+    which holds two of them scaled (SCALED_TABLES)."""
     dim = 4 * n - 2
     per_layer = []
     for h, rho, mu in ((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)):

@@ -239,7 +239,7 @@ def test_verify_profile_check_reads_the_oracle_root(cheap_config, monkeypatch):
     roots, real_root = [], oracle._bracketed_root
 
     def spy_root(*args, **kwargs):
-        roots.append(args[0])
+        roots.append(args[0].k)
         return real_root(*args, **kwargs)
 
     # every root solve, compare_modes' and dispersion_root's, brackets here
@@ -265,7 +265,7 @@ def test_verify_profile_check_reads_the_oracle_root(cheap_config, monkeypatch):
     assert not check.passed and not report.all_pass
 
     # with no root there is nothing to compare with, and the check is left out
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: -1.0)
+    monkeypatch.setattr(oracle, "determinant", lambda mode, n: -1.0)
     names = [c.name for c in verify_all(cheap_config, disc).checks]
     assert "oracle_agreement" in names and "profile_agreement" not in names
 

@@ -240,7 +240,7 @@ def test_verify_reports_an_empty_oracle_bracket(config_path, tmp_path, monkeypat
     # a dispersion function still negative at the bracket's top end (no root
     # below the bound) fails the oracle check with the error's message:
     # exit 1, the other checks still run
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: -1.0)
+    monkeypatch.setattr(oracle, "determinant", lambda mode, n: -1.0)
     out = tmp_path / "verify.json"
     code = run_cli(["verify", "--config", config_path, "--resolution", "16",
                     "--out", str(out)])
@@ -470,10 +470,15 @@ def test_unexpected_exception_exit_4(config_path, capsys, monkeypatch, error):
 
 
 def test_failed_band_factorization_exit_4(config_path, capsys, monkeypatch):
-    # a non-positive pivot in the banded profile solve is a numerical failure
-    dpbtrf = pencil.lapack.dpbtrf
+    # a non-positive pivot in the banded factorizations, those of the
+    # inertia test (dpbtrf) and those that also solve (dpbsv), is a
+    # numerical failure
+    dpbtrf, dpbsv = pencil.lapack.dpbtrf, pencil.lapack.dpbsv
     monkeypatch.setattr(
         pencil.lapack, "dpbtrf", lambda ab, lower=0, overwrite_ab=0: (dpbtrf(ab, lower=lower)[0], 3)
+    )
+    monkeypatch.setattr(
+        pencil.lapack, "dpbsv", lambda ab, b, lower=0, overwrite_ab=0: (*dpbsv(ab, b, lower=lower)[:2], 3)
     )
     assert run_cli(["growth", "--config", config_path, "--resolution", "8"]) == 4
     err = capsys.readouterr().err

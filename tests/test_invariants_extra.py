@@ -83,3 +83,23 @@ def test_one_function_forms_a_single_modes_compliance_bound():
         and ("fixedpoint" in (node.module or "").split(".") or "fixedpoint" in [a.name for a in node.names])
     ]
     assert imports == []
+
+
+def test_root_and_compliances_evaluate_through_a_prebuilt_exact_mode():
+    # every rate the root search and the compliances evaluate goes through an
+    # ExactMode built once per mode by their caller: none of them takes the
+    # config, builds an evaluator or hands a config to a call
+    src = Path(rtgrowth.__file__).parent
+    functions = {
+        node.name: node
+        for path in ("oracle.py", "modeforms.py")
+        for node in ast.walk(ast.parse((src / path).read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("_bracketed_root", "_refine_root", "compliances"):
+        node = functions[name]
+        assert "cfg" not in [arg.arg for arg in node.args.args], name
+        for call in (c for c in ast.walk(node) if isinstance(c, ast.Call)):
+            assert getattr(call.func, "id", None) != "ExactMode", name
+            passed = [*call.args, *(keyword.value for keyword in call.keywords)]
+            assert not any(ast.unparse(arg).split(".")[-1] == "cfg" for arg in passed), (name, ast.unparse(call))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     TRACE_TOL,
+    dispersion_function,
     dissipation_form,
     galerkin_compliances,
     is_admissible,
@@ -18,13 +19,13 @@ from conftest import (
 )
 from rtgrowth.errors import DegenerateExponents, ZeroWaveNumber
 from rtgrowth.modeforms import (
+    ExactMode,
     VerticalProfile,
     compliances,
     surface_coefficient,
     uniform_layered_grid,
 )
 from rtgrowth.model import FluidConfig
-from rtgrowth.oracle import determinant
 from rtgrowth.pencil import Discretization, assemble
 
 
@@ -275,9 +276,9 @@ def test_stokes_compliance_is_the_limit_of_the_secular_function(
     # min D = 1 / C_k as n -> 0+: k^2 n / (F_k(n) + k^2 c_k) rises to C_k,
     # linearly in n (measured slope 2e-3 to 1.6 relative per unit rate here)
     for cfg in (reference_config, cheap_config, contrast_config):
-        stokes = compliances(k, cfg)[1]
+        stokes = compliances(ExactMode(k, cfg))[1]
         for n in (1e-4, 1e-5, 1e-6):
-            limit = k * k * n / (determinant(k, n, cfg) + k * k * surface_coefficient(k, cfg))
+            limit = k * k * n / (dispersion_function(k, n, cfg) + k * k * surface_coefficient(k, cfg))
             assert -2.0 * n * stokes <= limit - stokes < 0.0
 
 
@@ -287,7 +288,7 @@ def test_inviscid_galerkin_compliance_error_falls_like_one_over_n(reference_conf
     # Hermite space approaches I_k only through wall and interface layers of
     # one element: I_k^N / I_k - 1 reads -6.3e-3 and -1.6e-3 (k = 1) and
     # -1.6e-2 and -4.1e-3 (k = 5) at N = 32 and 128
-    inviscid = compliances(k, reference_config)[0]
+    inviscid = compliances(ExactMode(k, reference_config))[0]
     errors = [
         galerkin_compliances(assemble(k, reference_config, Discretization(n)))[0] / inviscid - 1.0
         for n in (32, 64, 128)
@@ -303,4 +304,4 @@ def test_degenerate_compliances_raise(reference_config, field, value, k):
     # gives a NaN C_k, which would otherwise fail later as a comparison with nan
     cfg = replace(reference_config, **{f"{field}_plus": value, f"{field}_minus": value})
     with pytest.raises(DegenerateExponents, match="not finite and positive"):
-        compliances(k, cfg)
+        compliances(ExactMode(k, cfg))

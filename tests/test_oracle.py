@@ -13,6 +13,7 @@ from conftest import (
     box_config,
     cli_output,
     config_json,
+    dispersion_function,
     exact_impedance,
     galerkin_compliances,
     galerkin_impedance,
@@ -20,11 +21,13 @@ from conftest import (
 )
 
 from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
-from rtgrowth.errors import DegenerateExponents, SolverError
+from rtgrowth.errors import DegenerateExponents, SolverError, ZeroWaveNumber
 from rtgrowth.fixedpoint import solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
 from rtgrowth.modeforms import (
-    _interface_traction,
+    ExactMode,
+    _layer,
+    _layer_constants,
     compliances,
     surface_coefficient,
     uniform_layered_grid,
@@ -65,7 +68,7 @@ def _lattice_magnitudes(k_max):
 def _bisection_root(k, cfg, scan_max):
     """Largest root by bisecting every sign change of a 240-point scan to 1e-12 relative."""
     grid = _scan_grid(scan_max)
-    values = [determinant(k, n, cfg) for n in grid]
+    values = [dispersion_function(k, n, cfg) for n in grid]
     roots = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if fa == 0.0:
@@ -74,7 +77,7 @@ def _bisection_root(k, cfg, scan_max):
             lo, hi, f_lo = a, b, fa
             while hi - lo > 1e-12 * hi:
                 mid = 0.5 * (lo + hi)
-                f_mid = determinant(k, mid, cfg)
+                f_mid = dispersion_function(k, mid, cfg)
                 if f_mid == 0.0:
                     lo = hi = mid
                 elif np.sign(f_mid) == np.sign(f_lo):
@@ -130,24 +133,152 @@ def _dense_condition_matrix(k, n, cfg):
     return M / np.abs(M).max(axis=0)
 
 
+def _nested_layer_basis(k, n, rho, mu, h):
+    """(q, q - k, E, U, W, a0, a1, a2, a3, b0, b1, b2, b3) of one layer: with
+    the _nested_ functions below, the exact side as a chain of calls that each
+    form every k-only factor afresh, the bit-for-bit reference for
+    modeforms.ExactMode and modeforms._layer."""
+    k2 = k * k
+    q2 = k2 + n * rho / mu
+    q = math.sqrt(q2)
+    dq = n * rho / mu / (q + k)
+    x = dq * h
+    E = math.exp(-k * h)
+    U = E * h * (math.expm1(-x) / x if x else -1.0)
+    W = (q + k) * U + E
+    m0, m1 = U, q * U + E
+    m2, m3 = q2 * U + (q + k) * E, q2 * q * U + (q2 + q * k + k2) * E
+    one_minus_ee, one_plus_ee = -math.expm1(-2.0 * k * h), 1.0 + E * E
+    two_k_e, ue = 2.0 * k * E, U * E
+    a0, a1 = one_minus_ee + two_k_e * m0, -k * one_plus_ee + two_k_e * m1
+    a2, a3 = k2 * one_minus_ee + two_k_e * m2, -k2 * k * one_plus_ee + two_k_e * m3
+    b0, b1 = -ue + W * m0, -1.0 - k * ue + W * m1
+    b2, b3 = (q + k) - k2 * ue + W * m2, -(q2 + q * k + k2) - k2 * k * ue + W * m3
+    return q, dq, E, U, W, a0, a1, a2, a3, b0, b1, b2, b3
+
+
+def _nested_traction(k, n, rho, mu, h):
+    k2 = k * k
+    a0, a1, a2, a3, b0, b1, b2, b3 = _nested_layer_basis(k, n, rho, mu, h)[5:]
+    na = mu * (a3 - 3.0 * k2 * a1) - n * rho * a1
+    nb = mu * (b3 - 3.0 * k2 * b1) - n * rho * b1
+    ta, tb = mu * (a2 + k2 * a0), mu * (b2 + k2 * b0)
+    det = a0 * b1 - a1 * b0
+    return (na * b1 - nb * a1) / det, (nb * a0 - na * b0) / det, (ta * b1 - tb * a1) / det, (tb * a0 - ta * b0) / det
+
+
+def _nested_interface_map(k, n, cfg):
+    up = _nested_traction(k, n, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)
+    lo = _nested_traction(k, n, cfg.rho_minus, cfg.mu_minus, cfg.h_minus)
+    return up[0] + lo[0], up[1] - lo[1], up[2] - lo[2], up[3] + lo[3]
+
+
+def _nested_layer(k, n, rho, mu, h):
+    """modeforms._layer on the nested chain."""
+    q, dq, E, U, W, a0, a1, _, _, b0, b1, _, _ = _nested_layer_basis(k, n, rho, mu, h)
+    return (*_nested_traction(k, n, rho, mu, h), q, dq, E, h, U, W, a0, a1, b0, b1, a0 * b1 - a1 * b0)
+
+
+def _nested_condensed_traction(k, n, cfg):
+    d00, d01, d10, d11 = _nested_interface_map(k, n, cfg)
+    return d00 - d01 * d10 / d11
+
+
+def _nested_profile(k, lam, cfg, grid):
+    """(psi, psi') of dispersion_profile on the nested chain."""
+    _, _, d10, d11 = _nested_interface_map(k, lam, cfg)
+    b = -d10 / d11
+    psi, dpsi = [], []
+    layers = ((-1.0, cfg.rho_minus, cfg.mu_minus, cfg.h_minus), (1.0, cfg.rho_plus, cfg.mu_plus, cfg.h_plus))
+    for sign, rho, mu, h in layers:
+        z = sign * grid[(grid >= 0.0) == (sign > 0.0)]
+        q, dq, E, U, W, a0, a1, _, _, b0, b1, _, _ = _nested_layer_basis(k, lam, rho, mu, h)
+        det = a0 * b1 - a1 * b0
+        c1, c3 = (b1 - b0 * sign * b) / det, (a0 * sign * b - a1) / det
+        near, far = np.exp(-k * z), np.exp(-k * (h - z))
+        u_near, u_far = near * np.expm1(-dq * z) / dq, far * np.expm1(-dq * (h - z)) / dq
+        du_far = q * u_far + far
+        psi.append(c1 * (near - E * far + 2.0 * k * E * u_far) + c3 * (u_near - U * far + W * u_far))
+        v1_z, v3_z = k * (2.0 * E * du_far - near - E * far), W * du_far - q * u_near - near - k * U * far
+        dpsi.append(sign * (c1 * v1_z + c3 * v3_z))
+    return np.concatenate(psi), np.concatenate(dpsi)
+
+
+def _bits(f, *args):
+    """The bytes of f(*args) as float64s, or the name of what it raised."""
+    try:
+        return np.asarray(f(*args), dtype=float).tobytes()
+    except (ArithmeticError, DegenerateExponents) as error:
+        return type(error).__name__
+
+
+# the config box at its corners and centre, the contrast config, and thin
+# and thick layers; k h = 0.05 on the unit layers, 0.015 on the contrast ones
+EXACT_CONFIGS = [
+    box_config(nu_plus, nu_minus, fraction)
+    for nu_plus in (-4.0, -1.0, 1.5) for nu_minus in (-4.0, -1.0, 1.5) for fraction in (0.0, 0.9)
+] + [CONTRAST, dataclasses.replace(CONTRAST, h_plus=20.0, h_minus=0.05)]
+# 0 takes the x == 0 branch, 5e-324 too (q - k underflows); past 1e200 the
+# rate overflows q^3 and the map is not finite
+EXACT_RATES = (0.0, 5e-324, 1e-12, 1e-3, 0.7, 2.4, 40.0, 1e6, 1e200, 1e250, 3e250)
+
+
+@pytest.mark.parametrize("k", [0.05, 1.0, math.sqrt(5.0), 20.0, 800.0])
+def test_exact_mode_keeps_the_bits_of_the_nested_chain(k):
+    # ExactMode forms the k-only factors once and each layer in one pass;
+    # every value it returns, finite or not, has the chain's bits, and what
+    # the chain raised it raises
+    for cfg in EXACT_CONFIGS:
+        mode = ExactMode(k, cfg)
+        for n in EXACT_RATES:
+            assert _bits(mode.traction, n) == _bits(_nested_condensed_traction, k, n, cfg), (cfg, n)
+            for constants, layer in ((mode.upper, (cfg.rho_plus, cfg.mu_plus, cfg.h_plus)),
+                                     (mode.lower, (cfg.rho_minus, cfg.mu_minus, cfg.h_minus))):
+                assert _bits(_layer, n, constants) == _bits(_nested_layer, k, n, *layer), (cfg, n)
+            if n > 0.0:
+                nested = n * _nested_condensed_traction(k, n, cfg) - k * k * surface_coefficient(k, cfg)
+                got = _bits(determinant, mode, n)
+                assert got == (_bits(lambda: nested) if math.isfinite(nested) else "DegenerateExponents")
+
+
+def test_exact_side_needs_a_positive_wavenumber(reference_config):
+    for k in (0.0, -1.0):
+        with pytest.raises(ZeroWaveNumber):
+            ExactMode(k, reference_config)
+        with pytest.raises(ZeroWaveNumber):
+            dispersion_root(k, reference_config, 1.05 * upper_bound_m(reference_config))
+
+
+def test_dispersion_profile_keeps_the_bits_of_the_nested_chain(reference_config):
+    for cfg, k in _root_cases(reference_config) + [(CONTRAST, 0.05 / 0.3), (EXACT_CONFIGS[0], 800.0)]:
+        scan_max = 1.05 * upper_bound_m(cfg)
+        for n_per_layer in (8, 64):
+            grid = uniform_layered_grid(cfg.h_minus, cfg.h_plus, n_per_layer)
+            for lam in (dispersion_root(k, cfg, scan_max), 0.5 * scan_max):
+                profile = dispersion_profile(k, lam, cfg, grid)
+                psi, dpsi = _nested_profile(k, lam, cfg, grid)
+                assert profile.psi_values.tobytes() == psi.tobytes()
+                assert profile.psi_derivs.tobytes() == dpsi.tobytes()
+
+
 def test_system_structure(reference_config):
     # each layer's traction map is the gradient of a positive quadratic form
     # (n / k^2) [[G00, G01], [-G10, -G11]] in the interface data
     for k, n, rho, mu, h in ((1.0, 0.7, 2.0, 0.1, 1.0), (5.0, 2.0, 1.0, 0.1, 1.0),
                              (0.5, 1e-6, 5.2, 0.1, 0.3), (40.0, 3.0, 0.2, 5.0, 0.3)):
-        g00, g01, g10, g11 = _interface_traction(k, n, rho, mu, h)
+        g00, g01, g10, g11 = _layer(n, _layer_constants(k, rho, mu, h))[:4]
         assert g01 == pytest.approx(-g10, rel=1e-12)
         assert g00 > 0.0 and g11 < 0.0 and -g00 * g11 > g01 * g10
     # theta enters only through the surface term -k^2 c_k
-    f0 = determinant(2.0, 1.3, reference_config)
-    f1 = determinant(2.0, 1.3, reference_config.with_theta(0.5))
+    f0 = dispersion_function(2.0, 1.3, reference_config)
+    f1 = dispersion_function(2.0, 1.3, reference_config.with_theta(0.5))
     assert isinstance(f0, float)
     assert f1 - f0 == pytest.approx(2.0**4 * 0.5, rel=1e-12)
 
 
 def test_regularized_basis_small_n(reference_config):
     # q -> k as n -> 0: the combination basis must stay finite and smooth
-    vals = [determinant(1.0, n, reference_config) for n in (1e-10, 1e-9, 1e-8)]
+    vals = [dispersion_function(1.0, n, reference_config) for n in (1e-10, 1e-9, 1e-8)]
     assert all(np.isfinite(v) for v in vals)
     assert np.sign(vals[0]) == np.sign(vals[1]) == np.sign(vals[2])
 
@@ -155,9 +286,9 @@ def test_regularized_basis_small_n(reference_config):
 def test_determinant_overflow_guard(reference_config):
     # the anchored basis stays finite at k h = 800; a rate whose q^3
     # overflows gives a non-finite F_k, which raises
-    assert math.isfinite(determinant(800.0, 1.0, reference_config))
+    assert math.isfinite(dispersion_function(800.0, 1.0, reference_config))
     with pytest.raises(DegenerateExponents):
-        determinant(1.0, 1e250, reference_config)
+        dispersion_function(1.0, 1e250, reference_config)
 
 
 def test_degenerate_messages_print_numpy_magnitudes_as_floats(reference_config):
@@ -179,7 +310,7 @@ def test_determinant_is_the_condensed_galerkin_form(reference_config):
         forms = pencil.assemble(k, cfg, disc)
         x = interface_solve(forms, n, n * n)
         expected = k * k * (1.0 / x[forms.e0_index] - forms.c_k)
-        assert determinant(k, n, cfg) == pytest.approx(expected, rel=1e-6)
+        assert dispersion_function(k, n, cfg) == pytest.approx(expected, rel=1e-6)
 
 
 def test_condensed_root_matches_dense_system(reference_config):
@@ -216,7 +347,7 @@ def test_determinant_cofactor_identity(reference_config, rng):
             M2[7] = u
             assert np.linalg.det(M2) / (u @ v) == pytest.approx(ratio, rel=1e-8)
         condensed = n * (M[7] @ v) / (M[4, :4] @ v[:4])
-        assert condensed == pytest.approx(determinant(k, n, cfg), rel=1e-8)
+        assert condensed == pytest.approx(dispersion_function(k, n, cfg), rel=1e-8)
 
 
 def test_root_matches_variational(reference_config):
@@ -269,7 +400,7 @@ def test_scan_parity_stable_under_density(reference_config):
     scan_max = 1.05 * upper_bound_m(reference_config)
 
     def sign_changes(n_points):
-        values = np.array([determinant(1.0, n, reference_config) for n in _scan_grid(scan_max, n_points)])
+        values = np.array([dispersion_function(1.0, n, reference_config) for n in _scan_grid(scan_max, n_points)])
         return int(np.count_nonzero(np.sign(values[:-1]) != np.sign(values[1:])))
 
     assert sign_changes(240) == sign_changes(480) == 1
@@ -286,7 +417,7 @@ def test_root_matches_reference_bisection(reference_config):
 def _bracket_top(k, cfg, scan_max):
     """The upper end dispersion_root evaluates first: r_k (1 + 1e-9), or scan_max
     where that is not below it."""
-    hi = spectrum.mode_compliance_bound(k, cfg) * (1.0 + 1e-9)
+    hi = spectrum.mode_compliance_bound(ExactMode(k, cfg)) * (1.0 + 1e-9)
     return hi if 0.0 < hi < scan_max else scan_max
 
 
@@ -295,9 +426,9 @@ def test_root_determinant_calls(reference_config, monkeypatch):
     # then the refinement
     calls = []
 
-    def counting(k, n, cfg):
+    def counting(mode, n):
         calls.append(n)
-        return determinant(k, n, cfg)
+        return determinant(mode, n)
 
     monkeypatch.setattr(oracle, "determinant", counting)
     for cfg, k in _root_cases(reference_config):
@@ -312,7 +443,7 @@ def test_root_determinant_calls(reference_config, monkeypatch):
 def test_seeded_root_matches_reference_bisection(reference_config, monkeypatch):
     # where r_k is not below scan_max the bracket is [0, scan_max], and its
     # roots match the reference bisection as those of the compliance end do
-    monkeypatch.setattr(oracle, "mode_compliance_bound", lambda k, cfg: math.inf)
+    monkeypatch.setattr(oracle, "mode_compliance_bound", lambda mode: math.inf)
     for cfg, k in _root_cases(reference_config):
         scan_max = 1.05 * upper_bound_m(cfg)
         expected = _bisection_root(k, cfg, scan_max)
@@ -329,7 +460,7 @@ def test_root_above_the_compliance_end_is_found_by_the_fallback(reference_config
     root = 0.5 * (top + scan_max)
     calls = []
 
-    def linear(k, n, cfg):
+    def linear(mode, n):
         calls.append(n)
         return n - root
 
@@ -374,7 +505,7 @@ def test_empty_bracket_raises(reference_config, monkeypatch):
     scan_max = 1.05 * upper_bound_m(reference_config)
     calls = []
 
-    def beyond(k, n, cfg):
+    def beyond(mode, n):
         calls.append(n)
         return n - 2.0 * scan_max
 
@@ -392,9 +523,9 @@ def test_seeded_root_determinant_calls(reference_config, monkeypatch):
     assert len(ks) == 145
     calls, counts = [], []
 
-    def counting(k, n, cfg):
+    def counting(mode, n):
         calls.append(n)
-        return determinant(k, n, cfg)
+        return determinant(mode, n)
 
     monkeypatch.setattr(oracle, "determinant", counting)
     for k in ks:
@@ -415,7 +546,7 @@ def test_scan_overflow_raises(reference_config, monkeypatch):
     # first, so the root is that of 1.05 m
     assert dispersion_root(1.0, reference_config, 1e250) == dispersion_root(1.0, reference_config, 1.05 * m)
     # without a compliance end the bracket reaches scan_max, which overflows
-    monkeypatch.setattr(oracle, "mode_compliance_bound", lambda k, cfg: 0.0)
+    monkeypatch.setattr(oracle, "mode_compliance_bound", lambda mode: 0.0)
     with pytest.raises(DegenerateExponents):
         dispersion_root(1.0, reference_config, 1e250)
 
@@ -427,7 +558,7 @@ def test_root_on_grid_node(reference_config, monkeypatch, node_index):
     # regula falsi step lands on an interior node such as 150
     scan_max = 1.05 * upper_bound_m(reference_config)
     node = _scan_grid(scan_max)[node_index]
-    monkeypatch.setattr(oracle, "determinant", lambda k, n, cfg: n - node)
+    monkeypatch.setattr(oracle, "determinant", lambda mode, n: n - node)
     assert dispersion_root(1.0, reference_config, scan_max) == node
 
 
@@ -485,17 +616,17 @@ def _check_box_case(nu_plus, nu_minus, fraction, i, j):
     k = math.hypot(i, j)
     m = upper_bound_m(cfg)
     scan_max = 1.05 * m
-    values = [determinant(k, n, cfg) for n in _scan_grid(scan_max, 50)]
+    values = [dispersion_function(k, n, cfg) for n in _scan_grid(scan_max, 50)]
     assert all(a < b for a, b in zip(values[:-1], values[1:]))
     limit = -k * k * surface_coefficient(k, cfg)
-    assert determinant(k, 1e-12 * scan_max, cfg) == pytest.approx(limit, rel=1e-6, abs=1e-9)
+    assert dispersion_function(k, 1e-12 * scan_max, cfg) == pytest.approx(limit, rel=1e-6, abs=1e-9)
     root = dispersion_root(k, cfg, scan_max)
     growth = solve_mode_lambda(cfg, k, Discretization(64))
     if surface_coefficient(k, cfg) <= 0.0:
         assert root is None and growth is None
         return
-    r_k = spectrum.mode_compliance_bound(k, cfg)
-    assert determinant(k, r_k * (1.0 + 1e-9), cfg) > 0.0
+    r_k = spectrum.mode_compliance_bound(ExactMode(k, cfg))
+    assert dispersion_function(k, r_k * (1.0 + 1e-9), cfg) > 0.0
     assert 0.0 < root <= m
     assert growth.lam <= root * (1.0 + 1e-9)
 
@@ -527,7 +658,7 @@ def test_fixed_point_matches_the_all_refined_loop_over_config_box(nu_plus, nu_mi
     cfg = box_config(nu_plus, nu_minus, fraction)
     forms = pencil.assemble(math.hypot(i, j), cfg, Discretization(n))
     assume(forms.c_k > 0.0)
-    start = spectrum.mode_compliance_bound(forms.k, cfg)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, cfg))
     fp = pencil.fixed_point(forms, start)
     assert fp.lam == pytest.approx(all_refined_fixed_point(forms, start), rel=1e-10)
     assert fp.residual <= 1e-9 * max(1.0, fp.lam**2)
@@ -549,7 +680,7 @@ def test_held_last_step_keeps_the_fresh_step_lambda_over_config_box(nu_plus, nu_
     cfg = box_config(nu_plus, nu_minus, fraction)
     forms = pencil.assemble(math.hypot(i, j), cfg, Discretization(n))
     assume(forms.c_k > 0.0)
-    start = spectrum.mode_compliance_bound(forms.k, cfg)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, cfg))
     held = pencil.fixed_point(forms, start)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pencil, "_HELD_GATE", -1.0)  # read by the last solve
@@ -617,14 +748,14 @@ def test_closed_form_compliances_bound_the_galerkin_ones_over_config_box(nu_plus
     # up to 2.1e-9 at N = 64 and 3.5e-8 at N = 128 (k = 1), never at N = 32
     cfg = box_config(nu_plus, nu_minus, fraction)
     k = math.hypot(i, j)
-    inviscid, stokes = compliances(k, cfg)
+    inviscid, stokes = compliances(ExactMode(k, cfg))
     for n in (32, 64, 128):
         inviscid_n, stokes_n = galerkin_compliances(pencil.assemble(k, cfg, Discretization(n)))
         assert inviscid_n <= inviscid
         assert stokes_n <= stokes * (1.0 + 1e-7)
     c = surface_coefficient(k, cfg)
     if c > 0.0:
-        assert determinant(k, float(spectrum.compliance_bound(c, inviscid, stokes)), cfg) >= 0.0
+        assert dispersion_function(k, float(spectrum.compliance_bound(c, inviscid, stokes)), cfg) >= 0.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -738,7 +869,7 @@ def test_both_roots_solve_impedance_equals_c_k_over_config_box(nu_plus, nu_minus
     c = surface_coefficient(k, cfg)
     assume(c > 0.0)
     forms = pencil.assemble(k, cfg, Discretization(n))
-    lam = pencil.fixed_point(forms, spectrum.mode_compliance_bound(k, cfg)).lam
+    lam = pencil.fixed_point(forms, spectrum.mode_compliance_bound(ExactMode(k, cfg))).lam
     assert abs(galerkin_impedance(forms, lam, lam * lam) - c) <= 1e-10 * c
     root = dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg))
     assert abs(exact_impedance(k, cfg, root, root * root) - c) <= 2e-12 * c
@@ -761,7 +892,7 @@ def test_galerkin_impedance_inequalities_over_config_box(nu_plus, nu_minus, frac
     # N = 32 rounding breaks the chain (the strict xfail above)
     cfg = box_config(nu_plus, nu_minus, fraction)
     k = math.hypot(i, j)
-    inviscid, stokes = compliances(k, cfg)
+    inviscid, stokes = compliances(ExactMode(k, cfg))
     forms = {n: pencil.assemble(k, cfg, Discretization(n)) for n in (8, 16, 32)}
     for s in (0.01, 1.0, 10.0):
         for a in (0.0, s * s, 1.0):

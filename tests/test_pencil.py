@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import (
+    SCALED_TABLES,
     count_solves,
     dense,
     dissipation_form,
@@ -26,6 +27,7 @@ from rtgrowth import pencil, spectrum
 from rtgrowth.errors import ConfigError, FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
 from rtgrowth.fixedpoint import solve_lambda
 from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.modeforms import ExactMode
 from rtgrowth.pencil import (
     Discretization,
     PencilForms,
@@ -414,7 +416,8 @@ def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config
         bands = pencil._tables((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus), n)
         assert bands["e0_index"] == 2 * n - 2
         for name, scatter in dense_tables(cfg, n).items():
-            view = dense(bands[name])
+            name, factor = SCALED_TABLES.get(name, (name, 1.0))
+            view, scatter = dense(bands[name]), factor * scatter
             assert bands[name].shape == (4, 4 * n - 2)
             assert np.array_equal(np.tril(view), np.tril(scatter)), name
             assert np.array_equal(view, view.T)
@@ -425,13 +428,15 @@ def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config
 def test_band_tables_match_the_loop_scatter_bit_for_bit(reference_config, n):
     # int64 views, so that a signed zero or a last-bit difference counts. At
     # mu = 1e-321 both contributions to some entries round to -0.0 at
-    # N = 128, and their sum reads +0.0 only when started from +0.0.
+    # N = 128, and their sum reads +0.0 only when started from +0.0. The
+    # scaled bands are the scatter's times their factor, subnormals too.
     tiny = replace(reference_config, mu_plus=1e-321, mu_minus=1e-321)
     anisotropic = replace(reference_config, L2=1.7, h_minus=0.5, mu_minus=0.2)
     for cfg in (reference_config, CONTRAST, tiny, anisotropic):
         bands = pencil._tables((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus), n)
         for name, band in loop_tables(cfg, n).items():
-            assert np.array_equal(bands[name].view(np.int64), band.view(np.int64)), name
+            name, factor = SCALED_TABLES.get(name, (name, 1.0))
+            assert np.array_equal(bands[name].view(np.int64), (factor * band).view(np.int64)), name
 
 
 def test_band_cache_is_keyed_by_the_two_layers_alone(reference_config):
@@ -447,6 +452,37 @@ def test_band_cache_is_keyed_by_the_two_layers_alone(reference_config):
     assert pencil._tables.cache_info().currsize == 1
     assemble(1.0, replace(reference_config, mu_minus=0.2), disc)
     assert pencil._tables.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+def test_factor_solve_keeps_the_bits_of_a_factorization_then_a_solve(reference_config, contrast_config, n):
+    # one dpbsv call returns the factor and the solution of dpbtrf then
+    # dpbtrs, bit for bit
+    disc = Discretization(n)
+    for cfg in (reference_config, contrast_config):
+        for k in (spectrum.smallest_magnitude(cfg), 5.0, 40.0):
+            forms = assemble(k, cfg, disc)
+            for s, alpha in ((0.1, 0.01), (1.3, 1.69), (2.0, 0.0), (0.0, 3.0)):
+                chol, info = pencil.lapack.dpbtrf(pencil._energy(forms, s, alpha), lower=1)
+                x, info_x = pencil.lapack.dpbtrs(chol, pencil._unit(forms), lower=1)
+                assert info == info_x == 0
+                got = pencil._factor_solve(forms, s, alpha)
+                assert [v.tobytes() for v in got] == [chol.tobytes(), x.tobytes()]
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_assembled_bands_keep_the_bits_of_the_inline_weighting(reference_config, contrast_config, n):
+    # the bands held times 4 and 2 give assemble the bits of weighting the
+    # scattered tables as it is written, k^2 and 1 / k^2 included
+    disc = Discretization(n)
+    tiny = replace(reference_config, mu_plus=1e-321, mu_minus=1e-321)
+    for cfg in (reference_config, contrast_config, tiny):
+        t = loop_tables(cfg, n)
+        for k in (spectrum.smallest_magnitude(cfg), 5.0, 800.0):
+            forms = assemble(k, cfg, disc)
+            B = t["M_rho"] + t["D_rho"] / k**2
+            A = 4.0 * t["D_mu"] + k**2 * t["M_mu"] + 2.0 * t["X_mu"] + t["H_mu"] / k**2
+            assert forms.B_band.tobytes() == B.tobytes() and forms.A_band.tobytes() == A.tobytes()
 
 
 def widened_refine(forms, chol, s, alpha, x):
@@ -549,13 +585,17 @@ def refined_secular_root(forms, s, lo, hi):
 
 
 def positive_alphas(*cfgs):
-    """(forms, s, alpha, dpbtrf calls of mode_alpha) for every alpha_k(s) > 0
-    at N = 128, k in {0.5, 1, 2, 3, 5, 7} and s in {0.1, 0.5, 1, 2.5}."""
-    real, calls = pencil.lapack.dpbtrf, []
+    """(forms, s, alpha, banded factorizations of mode_alpha) for every
+    alpha_k(s) > 0 at N = 128, k in {0.5, 1, 2, 3, 5, 7} and
+    s in {0.1, 0.5, 1, 2.5}: the calls of dpbtrf (inertia tests) and of
+    dpbsv (factor and solve)."""
+    real, calls = pencil.lapack, []
 
-    def spy(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def spied(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return getattr(real, name)(*args, **kwargs)
+        return spy
 
     cases = []
     for cfg in cfgs:
@@ -563,11 +603,11 @@ def positive_alphas(*cfgs):
             forms = assemble(k, cfg, Discretization(128))
             for s in (0.1, 0.5, 1.0, 2.5):
                 calls.clear()
-                pencil.lapack.dpbtrf = spy
+                pencil.lapack = SimpleNamespace(dpbtrf=spied("dpbtrf"), dpbsv=spied("dpbsv"), dpbtrs=real.dpbtrs)
                 try:
                     alpha = mode_alpha(forms, s)
                 finally:
-                    pencil.lapack.dpbtrf = real
+                    pencil.lapack = real
                 if alpha > 0.0:
                     cases.append((forms, s, alpha, len(calls)))
     return cases
@@ -632,7 +672,7 @@ def test_fixed_point_from_the_compliance_bound(reference_config, monkeypatch):
     # r_k is 1.11 Lambda_k at the reference maximizer (the trace bound that
     # started Newton before is 1.5 to 23 Lambda_k): at most five factorizations
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = spectrum.mode_compliance_bound(forms.k, reference_config)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, reference_config))
     calls, _ = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(calls) <= 5
@@ -645,7 +685,7 @@ def test_fixed_point_refines_only_its_last_float64_solve(reference_config, monke
     # extended-precision residual, and the last Newton step from it reuses
     # that factor and residual (the all-refined loop took 5 and 5 here)
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = spectrum.mode_compliance_bound(forms.k, reference_config)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, reference_config))
     factored, refined = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(factored) <= 3 and len(refined) == 1
@@ -658,7 +698,7 @@ def test_fixed_point_start_below_the_root_by_rounding(reference_config, monkeypa
     # below Lambda_k (phi(start) > 1) opens the bracket upward instead of raising
     cfg = reference_config.with_theta(0.9999 * theta_critical(reference_config))
     forms = assemble(1.0, cfg, Discretization(256))
-    start = spectrum.mode_compliance_bound(forms.k, cfg)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, cfg))
     factored, refined = count_solves(monkeypatch)
     lam = fixed_point(forms, start).lam
     first = refined[0]  # the float64 proposal from the start lands below Lambda_k
@@ -679,7 +719,7 @@ def test_fixed_point_at_large_resolution(reference_config, monkeypatch):
     # float64 phase hands over with a larger error and the refined phase
     # takes one more step; the fixed point still takes a handful of solves
     forms = assemble(5.0, reference_config, Discretization(1024))
-    start = spectrum.mode_compliance_bound(forms.k, reference_config)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, reference_config))
     factored, refined = count_solves(monkeypatch)
     fp = fixed_point(forms, start)
     assert len(factored) <= 5 and len(refined) <= 3
@@ -722,7 +762,7 @@ def test_float64_phase_ends_when_its_steps_stop_halving(reference_config, contra
     # reaches the root: the float64 phase only proposes points, for Lambda_k
     # (refit steps) and for every positive alpha_k(s) (Newton steps) alike
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = spectrum.mode_compliance_bound(forms.k, reference_config)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, reference_config))
     lam = fixed_point(forms, start).lam
     cases = positive_alphas(reference_config, contrast_config) if path == "mode_alpha" else []
     factored, refined = count_solves(monkeypatch)
@@ -745,7 +785,7 @@ def test_fixed_point_over_the_gate_takes_a_fresh_last_step(reference_config, mon
     # tau ~ 1e-6, whose noise kappa tau / (c_k xb) passes the held gate; the
     # last Newton step then factors and refines afresh at lam, as at large N
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = spectrum.mode_compliance_bound(forms.k, reference_config)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, reference_config))
     lam = fixed_point(forms, start).lam
     factored, refined = count_solves(monkeypatch)
     spied = pencil._factor_solve
@@ -762,9 +802,10 @@ def test_fixed_point_over_the_gate_takes_a_fresh_last_step(reference_config, mon
 
 
 def count_lapack(monkeypatch):
-    """A dict that counts the banded factorizations (dpbtrf), the solves on a
-    factor (dpbtrs) and the extended-precision residuals as they run."""
-    calls = {"dpbtrf": 0, "dpbtrs": 0, "extended": 0}
+    """A dict that counts the banded factorizations alone (dpbtrf) and with
+    their solve (dpbsv), the solves on a factor held (dpbtrs) and the
+    extended-precision residuals as they run."""
+    calls = {"dpbtrf": 0, "dpbsv": 0, "dpbtrs": 0, "extended": 0}
     lapack, extended = pencil.lapack, pencil._band_matvec_extended
 
     def counted(key, real):
@@ -774,7 +815,8 @@ def count_lapack(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(pencil, "lapack", SimpleNamespace(
-        dpbtrf=counted("dpbtrf", lapack.dpbtrf), dpbtrs=counted("dpbtrs", lapack.dpbtrs)
+        dpbtrf=counted("dpbtrf", lapack.dpbtrf), dpbsv=counted("dpbsv", lapack.dpbsv),
+        dpbtrs=counted("dpbtrs", lapack.dpbtrs),
     ))
     monkeypatch.setattr(pencil, "_band_matvec_extended", counted("extended", extended))
     return calls
@@ -784,18 +826,18 @@ def count_lapack(monkeypatch):
 def test_last_solve_runs_only_when_its_result_is_read(reference_config, monkeypatch, gate):
     # lam is fixed before the last solve, so reading it runs nothing more; the
     # first read of alpha runs the last step, once: on the held factor (one
-    # dpbtrs) or, past the gate, afresh (one dpbtrf, one extended residual,
-    # a dpbtrs for each). Reads in any order give the same bits, and
-    # pencil.COUNTS counts the same work as the spies
+    # dpbtrs) or, past the gate, afresh (one dpbsv, which factors and
+    # solves, then one extended residual and its dpbtrs). Reads in any order
+    # give the same bits, and pencil.COUNTS counts the same work as the spies
     forms = assemble(5.0, reference_config, Discretization(128))
-    start = spectrum.mode_compliance_bound(forms.k, reference_config)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, reference_config))
     monkeypatch.setattr(pencil, "_HELD_GATE", gate)  # read by the last solve
     fps = [fixed_point(forms, start) for _ in range(3)]
     calls, before = count_lapack(monkeypatch), pencil.COUNTS.copy()
     assert len({fp.lam for fp in fps}) == 1
-    assert calls == {"dpbtrf": 0, "dpbtrs": 0, "extended": 0}
+    assert calls == {"dpbtrf": 0, "dpbsv": 0, "dpbtrs": 0, "extended": 0}
     held = gate > 0.0
-    last_step = {"dpbtrf": 0, "dpbtrs": 1, "extended": 0} if held else {"dpbtrf": 1, "dpbtrs": 2, "extended": 1}
+    last_step = {"dpbtrf": 0, "dpbsv": 0 if held else 1, "dpbtrs": 1, "extended": 0 if held else 1}
     assert fps[0].alpha > 0.0 and calls == last_step
     fields = ("alpha", "vector", "noise", "residual", "profile")
     for name in fields:
@@ -810,7 +852,7 @@ def test_last_solve_runs_only_when_its_result_is_read(reference_config, monkeypa
             assert np.array_equal(a, b), name
     counted = pencil.COUNTS - before
     assert (counted["factorizations"], counted["extended_residuals"], counted["last_solves"]) == (
-        calls["dpbtrf"], calls["extended"], len(fps)
+        calls["dpbtrf"] + calls["dpbsv"], calls["extended"], len(fps)
     )
 
 
@@ -848,6 +890,7 @@ def test_band_wrappers_are_scipy_linalg_functions():
     # the directly loaded modules share scipy's function objects, so every
     # call and its bits are scipy.linalg's own
     assert pencil.lapack.dpbtrf is sla.lapack.dpbtrf
+    assert pencil.lapack.dpbsv is sla.lapack.dpbsv
     assert pencil.lapack.dpbtrs is sla.lapack.dpbtrs
     assert pencil.blas.dsbmv is sla.blas.dsbmv
 
@@ -869,7 +912,7 @@ def test_solves_leave_the_bands_read_only_and_unchanged(reference_config, monkey
     disc = Discretization(32)
     built = [assemble(5.0, reference_config, disc)]
     forms = built[0]
-    start = spectrum.mode_compliance_bound(forms.k, reference_config)
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, reference_config))
     lam = fixed_point(forms, start).lam
     pencil.alpha_below(forms, lam, lam * lam)
     mode_alpha(forms, lam)

@@ -179,7 +179,8 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
     for module in (spectrum, pencil):
         monkeypatch.setattr(module, "alpha_below", counting("inertia_tests", pencil.alpha_below))
         monkeypatch.setattr(module, "mode_alpha", counting("alpha_solves", pencil.mode_alpha))
-    monkeypatch.setattr(pencil.lapack, "dpbtrf", counting("factorizations", pencil.lapack.dpbtrf))
+    for name in ("dpbtrf", "dpbsv"):  # a factorization alone, and one with its solve
+        monkeypatch.setattr(pencil.lapack, name, counting("factorizations", getattr(pencil.lapack, name)))
     monkeypatch.setattr(
         pencil, "_band_matvec_extended", counting("extended_residuals", pencil._band_matvec_extended)
     )
