@@ -1,4 +1,12 @@
-"""Exception hierarchy for the growth-rate solver."""
+"""Exception hierarchy for the growth-rate solver.
+
+One class per way a run ends, read by cli.main: ConfigError (exit 2, bad
+input), StableRegime (exit 3, theta >= theta_c) and their base SolverError
+(exit 4, numerical failure). A subclass exists only where a handler catches
+it by name: MonotonicityViolation (analysis.verify_all) and
+DegenerateExponents (spectrum.size_mode_set). Every other error is raised as
+the base class of its exit code, its message saying what went wrong.
+"""
 
 
 class SolverError(Exception):
@@ -6,31 +14,7 @@ class SolverError(Exception):
 
 
 class ConfigError(SolverError):
-    """Invalid physical configuration."""
-
-
-class DensityOrderViolation(ConfigError):
-    """Upper density does not strictly exceed the lower density."""
-
-
-class NonPositiveParameter(ConfigError):
-    """A parameter that must be strictly positive is not."""
-
-    def __init__(self, field: str):
-        self.field = field
-        super().__init__(f"parameter {field!r} must be > 0")
-
-
-class NonFiniteParameter(ConfigError):
-    """A parameter is not a finite real number (bool, string, NaN or infinity)."""
-
-    def __init__(self, field: str, value):
-        self.field = field
-        super().__init__(f"parameter {field!r} must be a finite number, got {value!r}")
-
-
-class NegativeSurfaceTension(ConfigError):
-    """Surface tension coefficient is negative."""
+    """Invalid physical configuration or discretization."""
 
 
 class StableRegime(SolverError):
@@ -43,22 +27,6 @@ class StableRegime(SolverError):
             f"theta = {theta!r} >= theta_c = {theta_c!r}: configuration is "
             "linearly stable, no positive growth rate exists"
         )
-
-
-class ZeroWaveNumber(SolverError):
-    """Per-mode operation received k <= 0."""
-
-
-class ResolutionTooSmall(ConfigError):
-    """Fewer elements per layer than the discretization supports."""
-
-
-class FactorizationFailure(SolverError):
-    """Kinetic matrix is not numerically positive definite (assembly bug)."""
-
-
-class EmptyModeSet(SolverError):
-    """Cutoff below the smallest lattice wavenumber magnitude."""
 
 
 class MonotonicityViolation(SolverError):

@@ -127,7 +127,9 @@ def solve_lambda(
         raise ValueError(f"tol_fp must be > 0, got {tol_fp!r}")
     bound_m = upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
     if frozen is None:
-        # theta < theta_c: c_k > 0 at the smallest magnitude, which every set holds
+        # every set holds the smallest magnitude, whose c_k is > 0 at theta <
+        # theta_c in exact arithmetic; a theta an ulp or so below theta_c can
+        # round it to 0 or below, and size_mode_set then raises DegenerateExponents
         frozen = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
     frozen.check_serves(cfg, disc)
     result = GrowthResult(

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateExponents, ZeroWaveNumber
+from .errors import DegenerateExponents, SolverError
 from .model import FluidConfig
 
 @dataclass(frozen=True, eq=False)
@@ -191,14 +191,14 @@ class ExactMode:
 
     upper and lower are the layers' _layer_constants, c_k the surface
     coefficient and k2c_k = k^2 c_k, so F_k(0+) = -k2c_k (oracle). Raises
-    ZeroWaveNumber unless k > 0.
+    SolverError unless k > 0.
     """
 
     __slots__ = ("k", "cfg", "c_k", "k2c_k", "upper", "lower")
 
     def __init__(self, k: float, cfg: FluidConfig):
         if k <= 0.0:
-            raise ZeroWaveNumber(f"the exact side needs k > 0, got {float(k)!r}")
+            raise SolverError(f"the exact side needs k > 0, got {float(k)!r}")
         self.k, self.cfg, self.c_k = k, cfg, surface_coefficient(k, cfg)
         self.k2c_k = k * k * self.c_k
         self.upper = _layer_constants(k, cfg.rho_plus, cfg.mu_plus, cfg.h_plus)

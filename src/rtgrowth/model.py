@@ -12,14 +12,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .errors import (
-    ConfigError,
-    DensityOrderViolation,
-    NegativeSurfaceTension,
-    NonFiniteParameter,
-    NonPositiveParameter,
-    StableRegime,
-)
+from .errors import ConfigError, StableRegime
 
 _POSITIVE_FIELDS = (
     "rho_plus",
@@ -91,7 +84,7 @@ def _finite_number(name: str, value) -> float:
                 return float(value)
         except OverflowError:  # an integer beyond the float range
             pass
-    raise NonFiniteParameter(name, value)
+    raise ConfigError(f"parameter {name!r} must be a finite number, got {value!r}")
 
 
 def validate_config(cfg: FluidConfig) -> FluidConfig:
@@ -107,15 +100,15 @@ def validate_config(cfg: FluidConfig) -> FluidConfig:
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)
         if not value > 0:
-            raise NonPositiveParameter(name)
+            raise ConfigError(f"parameter {name!r} must be > 0")
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not math.isfinite(value):
-            raise NonFiniteParameter(f.name, value)
+            raise ConfigError(f"parameter {f.name!r} must be a finite number, got {value!r}")
     if cfg.theta < 0:
-        raise NegativeSurfaceTension(f"theta = {cfg.theta!r} < 0")
+        raise ConfigError(f"theta = {cfg.theta!r} < 0")
     if not cfg.rho_plus > cfg.rho_minus:
-        raise DensityOrderViolation(
+        raise ConfigError(
             f"rho_plus = {cfg.rho_plus!r} must exceed rho_minus = {cfg.rho_minus!r}"
         )
     theta_c = theta_critical(cfg)

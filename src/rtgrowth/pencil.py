@@ -62,7 +62,7 @@ from importlib.util import module_from_spec, spec_from_file_location
 import numpy as np
 import scipy
 
-from .errors import DegenerateExponents, FactorizationFailure, ResolutionTooSmall, ZeroWaveNumber
+from .errors import ConfigError, DegenerateExponents, SolverError
 from .model import FluidConfig
 from .modeforms import VerticalProfile, surface_coefficient, uniform_layered_grid
 
@@ -129,7 +129,7 @@ class Discretization:
 
     def __post_init__(self):
         if self.elements_per_layer < 8:
-            raise ResolutionTooSmall(
+            raise ConfigError(
                 f"need at least 8 elements per layer, got {self.elements_per_layer}"
             )
 
@@ -233,10 +233,10 @@ def _band_matvec_extended(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _failure(step: str, alpha: float, info: int) -> FactorizationFailure:
+def _failure(step: str, alpha: float, info: int) -> SolverError:
     """The error of a banded Cholesky step on the energy matrix s A + alpha B
     that reported info != 0. Formatted only when a step fails."""
-    return FactorizationFailure(
+    return SolverError(
         f"banded Cholesky {step} of the energy matrix at alpha {alpha!r} failed (LAPACK info {info})"
     )
 
@@ -294,7 +294,7 @@ class PencilForms:
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     """Assemble kinetic/dissipation bands and the surface coefficient."""
     if k <= 0.0:
-        raise ZeroWaveNumber(f"assembly needs k > 0, got {k!r}")
+        raise SolverError(f"assembly needs k > 0, got {k!r}")
     COUNTS["assemblies"] += 1
     lower, upper = (cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)
     t = _tables(lower, upper, disc.elements_per_layer)
@@ -390,7 +390,7 @@ def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
     m[0, forms.e0_index] -= forms.c_k
     info = lapack.dpbtrf(m, lower=1, overwrite_ab=1)[1]
     if info < 0:
-        raise FactorizationFailure(f"banded Cholesky rejected its arguments (LAPACK info {info})")
+        raise SolverError(f"banded Cholesky rejected its arguments (LAPACK info {info})")
     return info == 0
 
 
@@ -713,7 +713,7 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
             return nxt, t, chol, x, d, r, xb
         t = nxt
         chol, x = _factor_solve(forms, *path(t))
-    raise FactorizationFailure(f"no secular root of mode k = {forms.k!r} after 100 Newton steps")
+    raise SolverError(f"no secular root of mode k = {forms.k!r} after 100 Newton steps")
 
 
 def _b_cot_bh(b2: float, h: float) -> float:
@@ -742,7 +742,7 @@ def transverse_min_eigenvalue(k: float, cfg: FluidConfig) -> float:
     between, found by bisection, is the smallest eigenvalue.
     """
     if k <= 0.0:
-        raise ZeroWaveNumber(f"transverse solve needs k > 0, got {k!r}")
+        raise SolverError(f"transverse solve needs k > 0, got {k!r}")
     layers = ((cfg.rho_plus, cfg.mu_plus, cfg.h_plus), (cfg.rho_minus, cfg.mu_minus, cfg.h_minus))
     k2 = k * k
     lo = min(mu / rho * k2 for rho, mu, _ in layers)

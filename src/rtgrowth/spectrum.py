@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
+from .errors import DegenerateExponents, MonotonicityViolation, SolverError
 from .model import FluidConfig
 from .pencil import (
     COUNTS,
@@ -107,7 +107,7 @@ def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
     DegenerateExponents; so does an infinite or NaN one.
     """
     if k_max < smallest_magnitude(cfg):
-        raise EmptyModeSet(f"k_max = {k_max!r} below smallest lattice magnitude {smallest_magnitude(cfg)!r}")
+        raise SolverError(f"k_max = {k_max!r} below smallest lattice magnitude {smallest_magnitude(cfg)!r}")
     # min keeps LATTICE_POINTS unless k_max L is smaller, so inf and NaN stay out of ceil
     n1, n2 = (math.ceil(min(LATTICE_POINTS, k_max * scale)) for scale in (cfg.L1, cfg.L2))
     if (2 * n1 + 1) * (2 * n2 + 1) > LATTICE_POINTS:
@@ -545,9 +545,10 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     the loop ends, unless the extension needs more than LATTICE_POINTS
     lattice points (on the reference densities and depths, below about
     mu = 1e-4 at N = 128): that raises DegenerateExponents, naming the
-    cutoff. So does a growth scan that solved no mode, every r_k rounded to
-    0 (C_k underflows at mu = 1e300); at theta < theta_c, where callers ask,
-    the smallest magnitude has c_k > 0 and so r_k > 0. fm keeps the pencil
+    cutoff. So does a growth scan that solved no mode, every r_k 0: C_k
+    underflows at mu = 1e300, or theta lies an ulp or so below theta_c, where
+    c_k = g [rho] - theta k^2 at the smallest magnitude, positive in exact
+    arithmetic, can round to 0 or below. fm keeps the pencil
     of a growth scan's maximizer (FrozenModeSet.forms), which the next
     theta of a sweep most likely solves again.
     """

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from rtgrowth import cli, oracle, pencil, spectrum
-from rtgrowth.errors import ZeroWaveNumber
+from rtgrowth.errors import SolverError
 from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.modeforms import ExactMode, VerticalProfile, uniform_layered_grid
 
@@ -418,7 +418,7 @@ def kinetic_form(k, profile, cfg):
     """sum_layers rho * integral( psi'^2 / k^2 + psi^2 ) by Gauss quadrature of
     the profile: the reference that the assembled kinetic band is tested against."""
     if k <= 0.0:
-        raise ZeroWaveNumber(f"kinetic form needs k > 0, got {k!r}")
+        raise SolverError(f"kinetic form needs k > 0, got {k!r}")
     w, psi, dpsi, _ = quad_data(profile)
     rho = np.where(lower_layer(profile), cfg.rho_minus, cfg.rho_plus)
     return float((rho[:, None] * w * (dpsi**2 / k**2 + psi**2)).sum())
@@ -433,7 +433,7 @@ def dissipation_form(k, profile, cfg):
     the reconstructed velocity field.
     """
     if k <= 0.0:
-        raise ZeroWaveNumber(f"dissipation form needs k > 0, got {k!r}")
+        raise SolverError(f"dissipation form needs k > 0, got {k!r}")
     w, psi, dpsi, ddpsi = quad_data(profile)
     mu = np.where(lower_layer(profile), cfg.mu_minus, cfg.mu_plus)
     integrand = 4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2
@@ -503,7 +503,7 @@ def trace_ratios(ks, profile, cfg):
     rows = []
     for k in ks:
         if k <= 0.0:
-            raise ZeroWaveNumber(f"trace check needs k > 0, got {k!r}")
+            raise SolverError(f"trace check needs k > 0, got {k!r}")
         diss = w * (4.0 * dpsi**2 + (k * psi + ddpsi / k) ** 2)
         d_lower, d_upper = diss[lower].sum(), diss[~lower].sum()
         dens = (cfg.h_minus / 4.0 * d_lower, cfg.h_plus / 4.0 * d_upper, d_lower / 4.0, d_upper / 4.0)

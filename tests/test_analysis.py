@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from conftest import cli_output, config_json
 from rtgrowth import analysis, cli, oracle, pencil, spectrum
 from rtgrowth.errors import MonotonicityViolation, SolverError
-from rtgrowth.analysis import sweep_theta, verify_all, _sized_mode_set
+from rtgrowth.analysis import VerifyCheck, sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
-from rtgrowth.modeforms import VerticalProfile
-from rtgrowth.model import theta_critical, upper_bound_m, wang_tice_bound
+from rtgrowth.modeforms import VerticalProfile, surface_coefficient
+from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m, wang_tice_bound
 from rtgrowth.pencil import Discretization
 from rtgrowth.spectrum import smallest_magnitude
 
@@ -323,8 +324,44 @@ def test_verify_reports_a_failed_alpha_curve_and_fixed_point(cheap_config, tmp_p
 def test_verify_stable_configuration(cheap_config):
     theta_c = theta_critical(cheap_config)
     report = verify_all(cheap_config.with_theta(2.0 * theta_c), Discretization(16))
-    assert report.all_pass
-    assert any(c.name == "stable_regime" for c in report.checks)
+    assert report.checks == [
+        VerifyCheck(
+            "stable_regime", True, f"theta {2.0 * theta_c!r} >= theta_c {theta_c!r}: solver checks skipped"
+        )
+    ]
+
+
+def test_one_ulp_below_theta_c_no_mode_grows(tmp_path, capsys):
+    # theta one ulp below theta_c is unstable to upper_bound_m, but c_k =
+    # g [rho] - theta k^2 rounds to 0 at the smallest magnitude: growth is a
+    # numerical failure, and verify's oracle check, which has no rate pair to
+    # compare, says so instead of reading a difference of 0.0
+    cfg = FluidConfig(
+        rho_plus=1.633995681191814, rho_minus=0.779522174270958, mu_plus=0.1, mu_minus=0.1,
+        g=5.625305567436229, theta=0.0, L1=0.4166165803092431, L2=13.651939536141027,
+        h_plus=1.0, h_minus=1.0,
+    )
+    cfg = cfg.with_theta(math.nextafter(theta_critical(cfg), 0.0))
+    assert cfg.theta == 895.8461519445018
+    assert surface_coefficient(smallest_magnitude(cfg), cfg) == 0.0
+    config = tmp_path / "config.json"
+    config.write_text(config_json(cfg))
+    args = ["--config", str(config), "--resolution", "8"]
+    assert cli.main(["growth", *args]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: no mode grows at theta = 895.8461519445018: every bound r_k is 0\n"
+    )
+    assert cli.main(["verify", *args]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS alpha_strictly_decreasing", "PASS alpha_decreasing_in_theta", "FAIL fixed_point",
+        "PASS oracle_agreement", "PASS threshold_stability",
+    ]
+    assert lines[2:4] == [
+        "FAIL fixed_point: no mode grows at theta = 895.8461519445018: every bound r_k is 0",
+        "PASS oracle_agreement: no growing mode compared over k = [0.0732496651741448] "
+        "(tolerance 0.01 at N = 8)",
+    ]
 
 
 def test_locked_sweep_at_n128_solves_and_matches_the_oracle():

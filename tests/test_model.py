@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import config_json
 
-from rtgrowth.errors import (
-    DensityOrderViolation,
-    ConfigError,
-    NegativeSurfaceTension,
-    NonFiniteParameter,
-    NonPositiveParameter,
-    StableRegime,
-)
+from rtgrowth.errors import ConfigError, StableRegime
 from rtgrowth.model import (
     FluidConfig,
     theta_critical,
@@ -60,26 +53,25 @@ def test_reference_accepted(reference_config):
 
 def test_equal_densities_rejected(reference_config):
     cfg = dataclasses.replace(reference_config, rho_plus=1.0, rho_minus=1.0)
-    with pytest.raises(DensityOrderViolation):
+    with pytest.raises(ConfigError, match="rho_plus = 1.0 must exceed rho_minus = 1.0"):
         validate_config(cfg)
 
 
 def test_zero_viscosity_names_field(reference_config):
     cfg = dataclasses.replace(reference_config, mu_minus=0.0)
-    with pytest.raises(NonPositiveParameter) as err:
+    with pytest.raises(ConfigError, match="parameter 'mu_minus' must be > 0"):
         validate_config(cfg)
-    assert err.value.field == "mu_minus"
 
 
 def test_nan_parameter_rejected(reference_config):
     cfg = dataclasses.replace(reference_config, g=float("nan"))
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(ConfigError, match="parameter 'g' must be > 0"):
         validate_config(cfg)
 
 
 def test_negative_surface_tension(reference_config):
     cfg = dataclasses.replace(reference_config, theta=-0.1)
-    with pytest.raises(NegativeSurfaceTension):
+    with pytest.raises(ConfigError, match="theta = -0.1 < 0"):
         validate_config(cfg)
 
 
@@ -181,13 +173,12 @@ def test_json_accepts_only_finite_numbers(reference_config):
     text = config_json(reference_config)
     assert FluidConfig.from_json(text.replace("0.0", "0")).theta == 0.0
     for raw in ('"1.5"', "true", "null", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
-        with pytest.raises(NonFiniteParameter, match="theta"):
+        with pytest.raises(ConfigError, match="parameter 'theta' must be a finite number"):
             FluidConfig.from_json(text.replace('"theta": 0.0', f'"theta": {raw}'))
-    assert issubclass(NonFiniteParameter, ConfigError)
 
 
 def test_non_finite_parameter_rejected(reference_config):
     for name, value in (("rho_plus", math.inf), ("theta", math.nan), ("theta", math.inf)):
-        with pytest.raises(NonFiniteParameter, match=name):
+        with pytest.raises(ConfigError, match=f"parameter '{name}' must be a finite number"):
             validate_config(dataclasses.replace(reference_config, **{name: value}))
 

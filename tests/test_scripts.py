@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from rtgrowth import Discretization, FluidConfig, cli, fixedpoint, oracle, pencil, solve_lambda, spectrum
+from rtgrowth.analysis import verify_all
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -281,21 +283,36 @@ def test_loc_counts_total_and_code_lines(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "12 lines, 6 code lines\n"
 
 
+def load_perfbench_workloads():
+    path = SCRIPTS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 @pytest.mark.parametrize("name", ["growth-ref", "sweep-dense", "oracle-modes"])
 def test_perfbench_workloads_keep_their_call_shapes(name):
     # each workload of perfbench/workloads.py, as its worker calls it, at
     # N = 16: inputs from seed 0 (pass 0), prepare(), three ops, and every
     # gate passes. At N = 8 the oracle-modes gate fails at k = 15.30 and
     # 16.76, where the Galerkin side reads 1.7 % and 2.3 % low
-    path = SCRIPTS.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    workload = workloads.WORKLOADS[name](16)
+    workload = load_perfbench_workloads().WORKLOADS[name](16)
     inputs = workload.inputs(np.random.default_rng([0, 0]), 3)
     workload.prepare()
     records = [workload.op(x) for x in inputs]
     assert workload.gates(records) == [None, None, None]
+
+
+def test_perfbench_oracle_tolerance_is_verifys(cheap_config):
+    # perfbench's oracle-modes gate keeps its own copy of the tolerance that
+    # verify's oracle_agreement check applies; N = 8 and 32 read its cap,
+    # 64 its power law and 128 its floor
+    oracle_tolerance = load_perfbench_workloads().oracle_tolerance
+    for n in (8, 32, 64, 128):
+        (check,) = [c for c in verify_all(cheap_config, Discretization(n)).checks if c.name == "oracle_agreement"]
+        tol, at_n = re.search(r"\(tolerance (\S+) at N = (\d+)\)$", check.detail).groups()
+        assert (float(tol), int(at_n)) == (oracle_tolerance(n), n)
 
 
 def test_ab_compares_two_trees_bit_for_bit():

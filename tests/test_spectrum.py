@@ -11,7 +11,7 @@ from conftest import (
     largest_eigenpair, table_alpha,
 )
 from rtgrowth import pencil, spectrum
-from rtgrowth.errors import DegenerateExponents, EmptyModeSet, MonotonicityViolation
+from rtgrowth.errors import DegenerateExponents, MonotonicityViolation, SolverError
 from rtgrowth.analysis import sweep_theta
 from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical
@@ -92,7 +92,7 @@ def test_enumerate_rectangular():
 
 
 def test_enumerate_empty(reference_config):
-    with pytest.raises(EmptyModeSet):
+    with pytest.raises(SolverError, match="below smallest lattice magnitude"):
         enumerate_modes(reference_config, 0.4)
 
 
@@ -139,7 +139,7 @@ def test_quadrant_enumeration_has_the_bits_of_the_whole_lattice(reference_config
 
 
 def test_enumeration_ends_of_the_unit_box(reference_config):
-    with pytest.raises(EmptyModeSet):
+    with pytest.raises(SolverError, match="below smallest lattice magnitude"):
         enumerate_modes(reference_config, math.nextafter(1.0, 0.0))
     # (2 * 1023 + 1)^2 lattice points fit LATTICE_POINTS, (2 * 1024 + 1)^2 do not
     assert len(enumerate_modes(reference_config, 1023.0)) == 225_996
