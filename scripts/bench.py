@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end timings of the command-line tool, written as one BENCH json file.
 
-Usage: python scripts/bench.py --out BENCH_<n>.json
+Usage: python scripts/bench.py --out BENCH_<n>.json [--ab REV]
 
 Rows, each on a config of CONFIGS (reference: rho 2/1, mu 0.1/0.1, g 9.8,
 L = h = 1, theta 0; mu_0.01 and mu_0.001: mu+ = mu- = 0.01 and 1e-3 on it;
@@ -53,14 +53,24 @@ over its runs of the child's peak resident set (ru_maxrss), which shows
 what those held pencils cost in memory.
 
 Times compare only within one file: wall_s and main_s move with the machine's
-load from one hour to the next, and a file records no baseline taken beside
-it. lambda, argmax_k and the counts compare across files. To measure a
-change, run this script on both trees, one right after the other.
+load from one hour to the next. lambda, argmax_k and the counts compare
+across files. To measure a change, give --ab REV: after the command rows,
+each row's cli.main call runs on `git archive REV src` (A) and on the working
+tree's src/ (B), both loaded in this process by scripts/ab.py's load_tree,
+AB_ROUNDS rounds in ABBA order (A first in even rounds, B first in odd
+ones), and the row's "ab" field records each tree's median main_s, its runs,
+and whether every round's exit code, output files, stdout and stderr
+(outputs) and pencil.COUNTS (counts) matched between the trees. In one
+process both trees see the same machine state, so their ratio resolves what
+fresh processes cannot; the runs after the first are warm (band tables and
+lattice caches kept), and start-up and memory stay with the command rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import io
 import json
 import os
 import platform
@@ -70,13 +80,18 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import numpy as np
-import scipy
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab import archived_src, load_tree  # noqa: E402 (sets one BLAS thread before numpy loads)
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
+AB_ROUNDS = 4
 REFERENCE = {
     "rho_plus": 2.0, "rho_minus": 1.0, "mu_plus": 0.1, "mu_minus": 0.1, "g": 9.8,
     "theta": 0.0, "L1": 1.0, "L2": 1.0, "h_plus": 1.0, "h_minus": 1.0,
@@ -194,6 +209,91 @@ def oracle_answer(path: Path):
     return [float(r[1]) for r in rows], [float(r[0]) for r in rows]
 
 
+ANSWERS = {
+    "growth": growth_answer, "sweep-theta": sweep_answer, "verify": verify_answer, "oracle-compare": oracle_answer,
+}
+# the command rows: name, command, N, config, and the file name of the mode
+# table the row writes, if any
+ROWS = (
+    ("growth_64", "growth", 64, "reference", None),
+    ("growth_128", "growth", 128, "reference", None),
+    ("growth_128_mu_0.01", "growth", 128, "mu_0.01", None),
+    ("growth_128_mu_0.001", "growth", 128, "mu_0.001", None),
+    ("growth_128_mu_0.001_table", "growth", 128, "mu_0.001", "mode_table.csv"),
+    ("growth_128_contrast_table", "growth", 128, "contrast", "contrast_mode_table.csv"),
+    ("growth_128_water_air", "growth", 128, "water_air", None),
+    ("sweep_theta_128", "sweep-theta", 128, "reference", None),
+    ("verify_128", "verify", 128, "reference", None),
+    ("verify_128_mu_0.01", "verify", 128, "mu_0.01", None),
+    ("verify_128_mu_0.001", "verify", 128, "mu_0.001", None),
+    ("oracle_compare_32", "oracle-compare", 32, "reference", None),
+)
+
+
+def table_option(directory: Path, table: str | None) -> tuple[str, ...]:
+    return ("--mode-table", str(directory / table)) if table else ()
+
+
+def load_trees(src_a: Path, src_b: Path) -> tuple:
+    """(A, B): the rtgrowth packages under the two src/ directories, each
+    loaded by load_tree under its own name, with its cli module."""
+    trees = []
+    for src, name in ((src_a, "rtgrowth_bench_a"), (src_b, "rtgrowth_bench_b")):
+        tree = load_tree(src, name)
+        tree.cli = importlib.import_module(f"{name}.cli")
+        trees.append(tree)
+    return tuple(trees)
+
+
+def in_process(tree, row: tuple, work: Path, directory: Path) -> tuple[float, tuple, dict]:
+    """(main_s, outputs, counts) of one row of ROWS by tree's cli.main, its
+    files written in directory, emptied first, and its config read from
+    work. outputs are the exit code, what it wrote to stdout and stderr, and
+    every file in directory by name."""
+    name, command, n, config, table = row
+    directory.mkdir(parents=True, exist_ok=True)
+    for path in directory.iterdir():
+        path.unlink()  # a file truncated and written again can wait tens of ms for a flush
+    argv = [
+        command, "--config", str(work / f"{config}.json"), "--resolution", str(n),
+        "--out", str(directory / f"{name}.out"), *table_option(directory, table),
+    ]
+    tree.pencil.COUNTS.clear()
+    stream = io.StringIO()
+    with redirect_stdout(stream), redirect_stderr(stream):
+        start = time.perf_counter()
+        code = tree.cli.main(argv)
+        main_s = time.perf_counter() - start
+    files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    return main_s, (code, stream.getvalue(), files), {kind: tree.pencil.COUNTS[kind] for kind in COUNTED}
+
+
+def ab_row(trees: tuple, row: tuple, work: Path, rounds: int = AB_ROUNDS) -> dict:
+    """One row of ROWS on trees (A, B) in this process, rounds rounds in ABBA
+    order, each side in its own directory under work: each side's median
+    main_s and its runs, and whether outputs and counts matched in every
+    round."""
+    runs = ([], [])
+    outputs_equal = counts_equal = True
+    for r in range(rounds):
+        result = [None, None]
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            result[side] = in_process(trees[side], row, work, work / "ab" / row[0] / "ab"[side])
+        for side in (0, 1):
+            runs[side].append(result[side][0])
+        outputs_equal &= result[0][1] == result[1][1]
+        counts_equal &= result[0][2] == result[1][2]
+    return {
+        "rounds": rounds,
+        "main_s_a": statistics.median(runs[0]),
+        "main_s_b": statistics.median(runs[1]),
+        "main_runs_a": runs[0],
+        "main_runs_b": runs[1],
+        "outputs_equal": outputs_equal,
+        "counts_equal": counts_equal,
+    }
+
+
 def tier1_row() -> dict:
     wall, proc = timed(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -215,6 +315,9 @@ def tier1_row() -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the BENCH json file to write")
+    parser.add_argument(
+        "--ab", metavar="REV", help="also run each row's cli.main on REV's src/ and the working tree's, in this process"
+    )
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -222,36 +325,32 @@ def main() -> None:
         for name, fields in CONFIGS.items():
             (work / f"{name}.json").write_text(json.dumps(fields))
         rows = [
-            cli_row("growth_64", "growth", 64, work, growth_answer),
-            cli_row("growth_128", "growth", 128, work, growth_answer),
-            cli_row("growth_128_mu_0.01", "growth", 128, work, growth_answer, "mu_0.01"),
-            cli_row("growth_128_mu_0.001", "growth", 128, work, growth_answer, "mu_0.001"),
-            cli_row(
-                "growth_128_mu_0.001_table", "growth", 128, work, growth_answer, "mu_0.001",
-                ("--mode-table", str(work / "mode_table.csv")),
-            ),
-            cli_row(
-                "growth_128_contrast_table", "growth", 128, work, growth_answer, "contrast",
-                ("--mode-table", str(work / "contrast_mode_table.csv")),
-            ),
-            cli_row("growth_128_water_air", "growth", 128, work, growth_answer, "water_air"),
-            cli_row("sweep_theta_128", "sweep-theta", 128, work, sweep_answer),
-            cli_row("verify_128", "verify", 128, work, verify_answer),
-            cli_row("verify_128_mu_0.01", "verify", 128, work, verify_answer, "mu_0.01"),
-            cli_row("verify_128_mu_0.001", "verify", 128, work, verify_answer, "mu_0.001"),
-            cli_row("oracle_compare_32", "oracle-compare", 32, work, oracle_answer),
+            cli_row(name, command, n, work, ANSWERS[command], config, table_option(work, table))
+            for name, command, n, config, table in ROWS
         ]
+        if args.ab:
+            trees = load_trees(archived_src(args.ab, work), ROOT / "src")
+            for row, spec in zip(rows, ROWS):
+                row["ab"] = ab_row(trees, spec, work)
     rows.append(tier1_row())
     for row in rows:
         main = ""
         if "main_s" in row:
             main = f"  main {row['main_s']:.3f} s ({row['main_min_s']:.3f}-{row['main_max_s']:.3f})"
         print(f"{row['name']:>20}  {row['wall_s']:8.2f} s  " + " ".join(f"{r:.2f}" for r in row["runs_s"]) + main)
+        if "ab" in row:
+            ab = row["ab"]
+            print(
+                f"{'':>20}  A {ab['main_s_a']:.4f} s, B {ab['main_s_b']:.4f} s, "
+                f"B/A {ab['main_s_b'] / ab['main_s_a']:.3f}; outputs {'equal' if ab['outputs_equal'] else 'DIFFER'}, "
+                f"counts {'equal' if ab['counts_equal'] else 'DIFFER'}"
+            )
 
     payload = {
         "config": REFERENCE,
         "configs": CONFIGS,
         "repeats": REPEATS,
+        "ab": {"a": args.ab, "b": "working tree", "rounds": AB_ROUNDS} if args.ab else None,
         "environment": {
             "machine": platform.machine(),
             "processor_count": os.cpu_count(),

@@ -16,8 +16,10 @@ and nested under uniform refinement (modeforms: H^N >= H^2N >= H).
 Neighbouring nodes share an element, so every matrix is banded with half
 bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
 band form: a (4, dim) array whose row d holds the entries (j + d, j). The
-k-independent bands hold the lower triangle of the element scatter, each
-element table entry added by one stride-2 slice per layer (_tables). Every
+k-independent bands hold the lower triangle of the element scatter. Every
+element of a layer is the same, so a band holds 24 distinct values, one per
+band row, dof parity and node type (below, on or above the interface), and
+is one gather of them through a class map of N (_tables). Every
 per-mode quantity reads the Galerkin interface impedance
 H^N(s, a) = 1 / e0^T (s A + a B)^(-1) e0 (modeforms module docstring) from
 banded Cholesky factorizations: dpbtrf for the inertia test alpha_below
@@ -29,9 +31,9 @@ alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
 down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
 condition number ~4e8 at N = 128, so a solve whose value is read is refined
 once with a residual in extended precision (_factor_solve, then _refine),
-formed from long-double copies of the two bands that are made once per
-pencil, on its first refinement, and shared by its copies at other c_k
-(PencilForms.wide, with_surface).
+formed on the 25 long-double values of each band, made once per pencil, on
+its first refinement, and shared by its copies at other c_k
+(PencilForms.wide, with_surface), and gathered into coefficient rows.
 Both paths refine only near the answer: the loop's float64 phase proposes
 points, on unrefined solves, until a step falls below 1e-3 of the point it
 moves, and only then do refined steps finish the root. fixed_point's last
@@ -172,7 +174,53 @@ def _element_matrices(h: float) -> np.ndarray:
 # the dissipation's gradient and cross bands are stored times 4 and 2, the
 # factors assemble weights them by: a power of two, so the same bits
 _TABLE_NAMES = ("M_rho", "D_rho", "M_mu", "4D_mu", "H_mu", "2X_mu")
-_TABLE_SCALES = np.array([1.0, 1.0, 1.0, 4.0, 1.0, 2.0])[:, None, None]
+_TABLE_SCALES = np.array([1.0, 1.0, 1.0, 4.0, 1.0, 2.0])[:, None]
+
+# On the uniform mesh band entry (d, j) of a k-free table depends only on d,
+# the parity of j (value or slope dof) and the type of column j's node: 0
+# below the interface, 1 on it, 2 above it. Class 6 d + 2 type + parity
+# holds it, and class _ZERO the entries past the matrix. Node i is the right
+# end (local dofs 2, 3) of element i - 1 and the left end (0, 1) of element
+# i, so a class takes local entry (b + d, b) of each, b = 2 + parity and
+# b = parity, from rows padded with zeros past local dof 3.
+_ZERO = 24
+_D, _PARITY = np.array([c // 6 for c in range(_ZERO)]), np.array([c % 2 for c in range(_ZERO)])
+# each class's layer (0 lower, 1 upper) of its left and of its right element
+_LEFT = np.array([0, 0, 0, 0, 1, 1] * 4), slice(None), _D + 2 + _PARITY, 2 + _PARITY
+_RIGHT = np.array([0, 0, 1, 1, 1, 1] * 4), slice(None), _D + _PARITY, _PARITY
+# _refine's coefficient rows: row j of the matrix reads x[j + o] for o in
+# this order, the diagonal first, then -1, +1, -2, +2, -3, +3
+_OFFSETS = np.array([0, -1, 1, -2, 2, -3, 3])
+
+
+def _row_classes(classes: np.ndarray, zero: int) -> np.ndarray:
+    """(7, dim): the class of the coefficient of x[j + o] in row j of the
+    symmetric matrix whose (4, dim) lower band has the class map classes,
+    for o in _OFFSETS' order; zero past the matrix. Entry (j, j - d) is band
+    entry (d, j - d), and (j, j + d) is (d, j)."""
+    dim = classes.shape[1]
+    rows = np.full((7, dim), zero)
+    rows[0] = classes[0]
+    for d in range(1, 4):
+        inside = max(dim - d, 0)
+        rows[2 * d - 1, d:] = rows[2 * d, :inside] = classes[d, :inside]
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=32)
+def _classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(band, rows) at N = n: the (4, dim) class map of every k-free band,
+    transposed, and its coefficient rows (_row_classes)."""
+    dim = 4 * n - 2
+    node = np.zeros(dim, dtype=np.intp)  # 2 type + parity of column j
+    node[1::2] = 1  # slope dofs
+    node[2 * n - 2 :] += 2  # the interface node n and the nodes above it
+    node[2 * n :] += 2  # nodes n + 1 .. 2n - 1
+    band = node + np.arange(0, 24, 6)[:, None]
+    for d in range(1, 4):
+        band[d, dim - d :] = _ZERO
+    return band.T.copy(), _row_classes(band, _ZERO)
 
 
 @lru_cache(maxsize=32)
@@ -182,55 +230,45 @@ def _tables(lower: tuple, upper: tuple, n: int):
     lower and upper are each layer's (h, rho, mu), the only config numbers a
     band reads, and they key the cache: configs that differ only in g, theta
     or the periods share one entry, so a sweep keeps one. Element e carries
-    the full dofs 2e .. 2e+3; clamping drops value and slope at both walls,
-    so its local dof a is global dof 2e + a - 2 when that lies in [0, dim).
-    Local entry (a, b), a >= b, lands in band row a - b, column 2e + b - 2:
-    for one (a, b), a layer's elements fill every other column, one stride-2
-    slice, clipped to the matrix. So each layer's six tables go in by ten
-    slice additions into one zeroed (6, dim, 4) block, whose transpose lays
-    each band out in Fortran order, the order dpbtrf and dsbmv read without
-    a copy. A band entry receives at most two element contributions (only
-    the two dofs of a shared node lie in two elements), and 0 + u + v gives
-    the same bits in either order, so the band holds bit for bit the lower
-    triangle of a dense scatter, signed zeros included.
+    the full dofs 2e .. 2e+3; clamping drops value and slope at both walls.
+    Every element of a layer is the same, so each band holds 24 distinct
+    values and 0 past the matrix (the classes above): "values" keeps them,
+    25 per table, each 0.0 + its left element's part + its right element's
+    part, times the table's scale.
+    A band entry receives at most two element contributions (only the two
+    dofs of a shared node lie in two elements), and 0 + u + v gives the same
+    bits in either order, so each band, one gather of its values through the
+    class map of N (_classes), holds bit for bit the lower triangle of a
+    dense scatter, signed zeros included. The gather through the transposed
+    map lays each band out in Fortran order, the order dpbtrf and dsbmv read
+    without a copy. "rows" is the class map of _refine's coefficient rows.
     """
-    grid = uniform_layered_grid(lower[0], upper[0], n)
-    dim = 4 * n - 2
-    # four band rows: an element couples two nodes of two dofs each
-    block = np.zeros((len(_TABLE_NAMES), dim, 4))
-    for first, (h, rho, mu) in ((0, lower), (n, upper)):
+    padded = np.zeros((2, len(_TABLE_NAMES), 7, 4))
+    for layer, (h, rho, mu) in enumerate((lower, upper)):
         mass, grad, bend, cross = _element_matrices(h / n)
-        tables = np.array([rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * cross])
-        for a in range(4):
-            for b in range(a + 1):
-                start = 2 * first + b - 2  # the layer's first element; -2 and -1 clip to 0 and 1
-                stop = min(start + 2 * n, dim - (a - b))
-                block[:, max(start, start % 2) : stop : 2, a - b] += tables[:, a, b, None]
-    block *= _TABLE_SCALES
-    bands = block.transpose(0, 2, 1)
+        padded[layer, :, :4] = rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * cross
+    values = np.zeros((len(_TABLE_NAMES), _ZERO + 1))
+    values[:, :_ZERO] = (0.0 + padded[_LEFT] + padded[_RIGHT]).T
+    values *= _TABLE_SCALES
+    values.flags.writeable = False
+    band, rows = _classes(n)
+    bands = np.take(values, band, axis=1).transpose(0, 2, 1)
     bands.flags.writeable = False
-    return {"grid": grid, "e0_index": 2 * n - 2, **dict(zip(_TABLE_NAMES, bands))}
+    t = {"grid": uniform_layered_grid(lower[0], upper[0], n), "e0_index": 2 * n - 2, "rows": rows}
+    return {**t, "values": dict(zip(_TABLE_NAMES, values)), **dict(zip(_TABLE_NAMES, bands))}
+
+
+def _weigh(t: dict, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B), the dissipation and kinetic forms of wavenumber k from the six
+    k-free tables t: their bands, or their values (_tables)."""
+    B = t["M_rho"] + t["D_rho"] / k**2
+    A = t["4D_mu"] + k**2 * t["M_mu"] + t["2X_mu"] + t["H_mu"] / k**2
+    return A, B
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Product of the symmetric matrix held in lower band form with x."""
     return blas.dsbmv(band.shape[0] - 1, 1.0, band, x, lower=1)
-
-
-def _band_matvec_extended(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """band_matvec for a np.longdouble band (80-bit extended on x86-64).
-
-    Every off-diagonal product goes through one buffer, in the order of a
-    product per term, so the sums round as they would with a fresh array each.
-    """
-    x = x.astype(np.longdouble)
-    y = band[0] * x
-    buffer = np.empty_like(y)
-    for d in range(1, band.shape[0]):
-        term = np.multiply(band[d, :-d], x[:-d], out=buffer[d:])
-        y[d:] += term
-        y[:-d] += np.multiply(band[d, :-d], x[d:], out=term)
-    return y
 
 
 def _failure(step: str, alpha: float, info: int) -> SolverError:
@@ -256,9 +294,11 @@ class PencilForms:
     B_band and A_band hold the kinetic and dissipation matrices as (4, dim)
     LAPACK symmetric lower bands (row d, column j is entry (j + d, j)).
     assemble makes them read-only and Fortran-ordered, the order the banded
-    routines read in place; any order works. wide holds their long-double
-    copies for _refine, made once per pencil. theta enters only c_k, so a
-    pencil serves its mode at every theta through with_surface.
+    routines read in place; any order works. tables holds the k-free tables
+    they were weighted from (_tables), None in a pencil built by hand and in
+    a copy given other bands; wide holds the long-double values _refine
+    reads, made once per pencil. theta enters only c_k, so a pencil serves
+    its mode at every theta through with_surface.
     """
 
     k: float
@@ -268,24 +308,35 @@ class PencilForms:
     e0_index: int
     grid: np.ndarray
     elements_per_layer: int
+    tables: dict | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.B_band.shape[1]
 
     @cached_property
-    def wide(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A_band, B_band) in np.longdouble, read-only, for _refine: made on
-        the first refinement and kept. Widening a float64 is exact."""
-        pair = self.A_band.astype(np.longdouble), self.B_band.astype(np.longdouble)
-        for band in pair:
-            band.flags.writeable = False
-        return pair
+    def wide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, B, rows) for _refine, made on the first refinement and kept:
+        the values of A and B, one per class of equal band entries, in
+        np.longdouble, and rows, the class map of _refine's coefficient rows
+        (_row_classes), all read-only. An assembled pencil weights its
+        tables' 25 values by k, by the formula its bands were weighted by
+        (_weigh), so each value is its entries' bits, and widening a float64
+        is exact. A band built by hand takes one class per entry."""
+        if self.tables is None:
+            size = self.A_band.size
+            rows = _row_classes(np.arange(size).reshape(self.A_band.shape), size)
+            pair = (np.append(band.ravel(), 0.0) for band in (self.A_band, self.B_band))
+        else:
+            rows, pair = self.tables["rows"], _weigh(self.tables["values"], self.k)
+        A, B = (values.astype(np.longdouble) for values in pair)
+        A.flags.writeable = B.flags.writeable = False
+        return A, B, rows
 
     def with_surface(self, c_k: float) -> "PencilForms":
         """This pencil at another surface coefficient c_k. A field-by-field
         copy, as FluidConfig.with_theta is: it shares the bands and, once
-        made, their wide copies."""
+        made, their wide values."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, c_k=c_k)
         return new
@@ -299,8 +350,7 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     lower, upper = (cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)
     t = _tables(lower, upper, disc.elements_per_layer)
     # Fortran-ordered like the tables, and read-only: every solve reads them
-    B = t["M_rho"] + t["D_rho"] / k**2
-    A = t["4D_mu"] + k**2 * t["M_mu"] + t["2X_mu"] + t["H_mu"] / k**2
+    A, B = _weigh(t, k)
     B.flags.writeable = A.flags.writeable = False
     return PencilForms(
         k=k,
@@ -310,6 +360,7 @@ def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
         e0_index=t["e0_index"],
         grid=t["grid"],
         elements_per_layer=disc.elements_per_layer,
+        tables=t,
     )
 
 
@@ -346,20 +397,40 @@ def _factor_solve(forms: PencilForms, s: float, alpha: float):
     return chol, x
 
 
+@lru_cache(maxsize=32)
+def _shifted(dim: int) -> np.ndarray:
+    """(7, dim): the index j + o of x[j + o] in row j, for o in _OFFSETS'
+    order; past the matrix it leaves [0, dim)."""
+    index = np.add.outer(_OFFSETS, np.arange(dim))
+    index.flags.writeable = False
+    return index
+
+
 def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.ndarray):
     """(r, d) for one step of refinement of x: the residual
     r = e0 - (s A + alpha B) x, formed and applied in extended precision and
     rounded to float64, and the correction d = (s A + alpha B)^(-1) r, solved
     with chol, the factor of s A + alpha B held already. x + d is the refined
-    solve. The products take the pencil's long-double bands (forms.wide),
-    the exact widening of its float64 ones, so a pencil widens them once,
-    not once per refinement; a float s or alpha takes the array's
-    np.longdouble under NumPy 1's promotion rules and NumPy 2's alike."""
+    solve.
+
+    s A + alpha B is formed in np.longdouble on the pencil's wide values
+    (PencilForms.wide), 25 numbers each on the uniform mesh, not on its
+    4 dim band entries; a float s or alpha takes the array's np.longdouble
+    under NumPy 1's promotion rules and NumPy 2's alike. Its seven
+    coefficient rows, gathered through the class map, times x shifted by
+    each row's offset, are the seven terms of every entry of the product.
+    The sum over the outer axis adds them one row at a time (NumPy sums
+    pairwise only along the fast axis), in _OFFSETS' order, so each entry
+    rounds as the product of the widened bands by diagonals does
+    (tests/conftest.py). Past the matrix the zero class meets x clipped to
+    its ends: a term of +-0, which can change only the sign of a zero
+    entry, and no bit of r = e0 - y.
+    """
     COUNTS["extended_residuals"] += 1
-    wide_A, wide_B = forms.wide
-    exact = s * wide_A
-    exact += alpha * wide_B
-    y = _band_matvec_extended(exact, x)
+    wide_A, wide_B, rows = forms.wide
+    values = s * wide_A + alpha * wide_B
+    shifted = x.astype(np.longdouble).take(_shifted(forms.dim), mode="clip")
+    y = np.multiply(values[rows], shifted).sum(axis=0)
     r = np.subtract(_unit(forms), y, out=y).astype(float)
     return r, _spd_solve(chol, r, alpha)
 

@@ -185,6 +185,22 @@ def dense(band):
     return M
 
 
+def band_matvec_extended(band, x):
+    """The product of a np.longdouble lower band with x, by diagonals: the
+    reference that pencil._refine's gathered rows are tested against, bit for
+    bit. Every off-diagonal product goes through one buffer, in the order of
+    a product per term, so the sums round as they would with a fresh array
+    each: row j adds its terms in the order diagonal, -1, +1, -2, +2, -3, +3."""
+    x = x.astype(np.longdouble)
+    y = band[0] * x
+    buffer = np.empty_like(y)
+    for d in range(1, band.shape[0]):
+        term = np.multiply(band[d, :-d], x[:-d], out=buffer[d:])
+        y[d:] += term
+        y[:-d] += np.multiply(band[d, :-d], x[d:], out=term)
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSolution:
     """Largest eigenpair of one pencil, eigenvector normalized to x^T B x = 1,

@@ -12,6 +12,7 @@ import scipy.linalg as sla
 
 from conftest import (
     SCALED_TABLES,
+    band_matvec_extended,
     count_solves,
     dense,
     dissipation_form,
@@ -485,34 +486,56 @@ def test_assembled_bands_keep_the_bits_of_the_inline_weighting(reference_config,
 
 
 def widened_refine(forms, chol, s, alpha, x):
-    # _refine as it was before a pencil kept its long-double bands: each
-    # float64 band widened inside its product
+    # _refine as it was before a pencil kept its long-double values: each
+    # float64 band widened inside its product, and the product by diagonals
     exact = np.multiply(s, forms.A_band, dtype=np.longdouble)
     exact += np.multiply(alpha, forms.B_band, dtype=np.longdouble)
-    y = pencil._band_matvec_extended(exact, x)
+    y = band_matvec_extended(exact, x)
     r = np.subtract(pencil._unit(forms), y, out=y).astype(float)
     return r, pencil._spd_solve(chol, r, alpha)
 
 
-@pytest.mark.parametrize("n", [8, 32, 128, 256])
+def three_dof_pencil():
+    """A hand-built pencil whose bands fill every entry of a 3 x 3 matrix,
+    with nonzero entries past it, which the band form never reads."""
+    return PencilForms(
+        k=1.0, c_k=2.0,
+        B_band=np.array([[4.0, 5.0, 6.0], [1.0, -1.0, 9.0], [0.5, 7.0, 7.0], [8.0, 8.0, 8.0]]),
+        A_band=np.array([[2.0, 3.0, 1.0], [-0.5, 0.25, 9.0], [0.125, 7.0, 7.0], [8.0, 8.0, 8.0]]),
+        e0_index=1, grid=np.array([-1.0, 0.0, 1.0]), elements_per_layer=1,
+    )
+
+
+@pytest.mark.parametrize("n", [8, 32, 128, 256, 512])
 def test_refine_on_the_held_wide_bands_keeps_the_bits(reference_config, contrast_config, n):
-    # widening a float64 is exact, so the residual and correction from the
-    # held long-double bands are the inline widening's, bit for bit: on the
-    # first refinement, which makes them, on later ones and on a copy at
-    # another c_k, which shares them
+    # the residual and correction from the wide values, 25 per band gathered
+    # into coefficient rows, are those of the float64 bands widened inside
+    # the product by diagonals, bit for bit: on the first refinement, which
+    # makes the values, on later ones and on a copy at another c_k, which
+    # shares them. At mu = 1e-321 some class values are sums of two -0.0
+    # contributions (test_band_tables_match_the_loop_scatter_bit_for_bit)
     disc = Discretization(n)
-    for cfg in (reference_config, contrast_config):
-        for k in (spectrum.smallest_magnitude(cfg), 5.0):
-            forms = assemble(k, cfg, disc)
-            for pencil_at in (forms, forms, forms.with_surface(0.5 * forms.c_k)):
-                for s, alpha in ((0.1, 0.01), (1.3, 1.69), (2.0, 0.5)):
-                    chol, x = pencil._factor_solve(pencil_at, s, alpha)
-                    expected = widened_refine(pencil_at, chol, s, alpha, x)
-                    got = pencil._refine(pencil_at, chol, s, alpha, x)
-                    assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+    tiny = replace(reference_config, mu_plus=1e-321, mu_minus=1e-321)
+    anisotropic = replace(reference_config, L2=1.7, h_minus=0.5, mu_minus=0.2)
+    pencils = [
+        assemble(k, cfg, disc)
+        for cfg in (reference_config, contrast_config, tiny, anisotropic)
+        for k in (spectrum.smallest_magnitude(cfg), 5.0)
+    ]
+    if n == 8:  # bands built by hand take one class per entry
+        pencils += [hand_pencil(), three_dof_pencil()]
+    for forms in pencils:
+        for pencil_at in (forms, forms, forms.with_surface(0.5 * forms.c_k)):
+            for s, alpha in ((0.1, 0.01), (1.3, 1.69), (2.0, 0.5)):
+                chol, x = pencil._factor_solve(pencil_at, s, alpha)
+                expected = widened_refine(pencil_at, chol, s, alpha, x)
+                got = pencil._refine(pencil_at, chol, s, alpha, x)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
 
 
 def test_with_surface_shares_the_bands_and_the_wide_pair(reference_config):
+    # the wide values are the bands' 25 distinct entries, widened exactly:
+    # gathered through the class map they give back every band entry
     disc = Discretization(16)
     forms = assemble(5.0, reference_config, disc)
     wide = forms.wide
@@ -521,11 +544,14 @@ def test_with_surface_shares_the_bands_and_the_wide_pair(reference_config):
     assert other.A_band is forms.A_band and other.B_band is forms.B_band
     assert other.wide is wide and other.grid is forms.grid
     assert (other.k, other.e0_index, other.elements_per_layer) == (forms.k, forms.e0_index, 16)
-    for band, wide_band in zip((forms.A_band, forms.B_band), wide):
-        assert wide_band.dtype == np.longdouble and np.array_equal(wide_band, band)
-        assert not wide_band.flags.writeable
+    band_classes = pencil._classes(16)[0].T
+    for band, values in zip((forms.A_band, forms.B_band), wide[:2]):
+        assert values.dtype == np.longdouble and values.shape == (25,)
+        assert np.array_equal(values[band_classes], band) and values[-1] == 0.0
+        assert not values.flags.writeable
         with pytest.raises(ValueError):
-            wide_band[0, 0] = 1.0
+            values[0] = 1.0
+    assert wide[2] is forms.tables["rows"] and not wide[2].flags.writeable
 
 
 def test_band_matvec_matches_dense(reference_config, rng):
@@ -803,9 +829,9 @@ def test_fixed_point_over_the_gate_takes_a_fresh_last_step(reference_config, mon
 def count_lapack(monkeypatch):
     """A dict that counts the banded factorizations alone (dpbtrf) and with
     their solve (dpbsv), the solves on a factor held (dpbtrs) and the
-    extended-precision residuals as they run."""
+    extended-precision residuals (_refine) as they run."""
     calls = {"dpbtrf": 0, "dpbsv": 0, "dpbtrs": 0, "extended": 0}
-    lapack, extended = pencil.lapack, pencil._band_matvec_extended
+    lapack, refine = pencil.lapack, pencil._refine
 
     def counted(key, real):
         def wrapped(*args, **kwargs):
@@ -817,7 +843,7 @@ def count_lapack(monkeypatch):
         dpbtrf=counted("dpbtrf", lapack.dpbtrf), dpbsv=counted("dpbsv", lapack.dpbsv),
         dpbtrs=counted("dpbtrs", lapack.dpbtrs),
     ))
-    monkeypatch.setattr(pencil, "_band_matvec_extended", counted("extended", extended))
+    monkeypatch.setattr(pencil, "_refine", counted("extended", refine))
     return calls
 
 

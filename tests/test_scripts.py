@@ -183,9 +183,7 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "mode_alpha", counting("alpha_solves", pencil.mode_alpha))
     for name in ("dpbtrf", "dpbsv"):  # a factorization alone, and one with its solve
         monkeypatch.setattr(pencil.lapack, name, counting("factorizations", getattr(pencil.lapack, name)))
-    monkeypatch.setattr(
-        pencil, "_band_matvec_extended", counting("extended_residuals", pencil._band_matvec_extended)
-    )
+    monkeypatch.setattr(pencil, "_refine", counting("extended_residuals", pencil._refine))
 
     def in_process(command):
         for key in calls:
@@ -313,6 +311,60 @@ def test_perfbench_oracle_tolerance_is_verifys(cheap_config):
         (check,) = [c for c in verify_all(cheap_config, Discretization(n)).checks if c.name == "oracle_agreement"]
         tol, at_n = re.search(r"\(tolerance (\S+) at N = (\d+)\)$", check.detail).groups()
         assert (float(tol), int(at_n)) == (oracle_tolerance(n), n)
+
+
+def test_bench_ab_runs_each_row_on_two_trees_in_one_process(tmp_path, monkeypatch):
+    # an A/A run at N = 8: the working tree loaded twice runs one row of each
+    # command, a mode table included, in ABBA rounds with equal outputs and
+    # counts; a Galerkin side scaled on one tree shows as differing outputs
+    bench = load_script("bench")
+    (tmp_path / "reference.json").write_text(json.dumps(bench.REFERENCE))
+    src = SCRIPTS.parent / "src"
+    trees = bench.load_trees(src, src)
+    assert trees[0].cli is not trees[1].cli and trees[0].pencil.COUNTS is not trees[1].pencil.COUNTS
+    rows = [
+        ("growth_8", "growth", 8, "reference", None),
+        ("growth_8_table", "growth", 8, "reference", "mode_table.csv"),
+        ("sweep_theta_8", "sweep-theta", 8, "reference", None),
+        ("verify_8", "verify", 8, "reference", None),
+        ("oracle_compare_8", "oracle-compare", 8, "reference", None),
+    ]
+    for row in rows:
+        ab = bench.ab_row(trees, row, tmp_path, rounds=2)
+        assert ab["outputs_equal"] and ab["counts_equal"], row
+        assert ab["rounds"] == len(ab["main_runs_a"]) == len(ab["main_runs_b"]) == 2
+        assert ab["main_s_a"] > 0.0 and ab["main_s_b"] > 0.0
+        written = {path.name for path in (tmp_path / "ab" / row[0] / "a").iterdir()}
+        assert {f"{row[0]}.out", *filter(None, [row[4]])} <= written
+    real = trees[1].oracle.fixed_point
+    monkeypatch.setattr(
+        trees[1].oracle, "fixed_point", lambda forms, start: dataclasses.replace(real(forms, start), lam=0.0)
+    )
+    off = bench.ab_row(trees, rows[-1], tmp_path, rounds=2)
+    assert not off["outputs_equal"] and off["counts_equal"]
+
+
+def test_bench_ab_writes_each_rows_pair_beside_it(tmp_path, monkeypatch):
+    # --ab REV loads REV's src/ as A and the working tree's as B, and every
+    # command row gets its "ab" field; without it no row has one
+    bench = load_script("bench")
+    loaded = []
+    monkeypatch.setattr(bench, "cli_row", lambda name, *args: {"name": name, "wall_s": 1.0, "runs_s": [1.0]})
+    monkeypatch.setattr(bench, "tier1_row", lambda: {"name": "tier1", "exit_code": 0, "wall_s": 1.0, "runs_s": [1.0]})
+    monkeypatch.setattr(bench, "archived_src", lambda rev, into: Path(f"/{rev}/src"))
+    monkeypatch.setattr(bench, "load_trees", lambda a, b: loaded.append((a, b)) or ("A", "B"))
+    pair = {"rounds": 4, "main_s_a": 2.0, "main_s_b": 1.0, "outputs_equal": True, "counts_equal": True}
+    monkeypatch.setattr(bench, "ab_row", lambda trees, row, work: {**pair, "row": row[0], "trees": trees})
+    for argv, ab in ((["--ab", "abc123"], {"a": "abc123", "b": "working tree", "rounds": bench.AB_ROUNDS}), ([], None)):
+        out = tmp_path / "BENCH.json"
+        monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out), *argv])
+        bench.main()
+        payload = json.loads(out.read_text())
+        assert payload["ab"] == ab
+        for row, spec in zip(payload["rows"], bench.ROWS):
+            assert row["name"] == spec[0]
+            assert row.get("ab") == ({**pair, "row": spec[0], "trees": ["A", "B"]} if ab else None)
+    assert loaded == [(Path("/abc123/src"), bench.ROOT / "src")]
 
 
 def test_ab_compares_two_trees_bit_for_bit():
