@@ -35,6 +35,11 @@ seed 0), the rounds in which B was faster, whether every op's record and
 each round's pencil.COUNTS matched bit for bit, and how many of each side's
 last-round records failed the workload's gates(). Count kinds that differ
 are listed with their totals over all rounds.
+
+Read a B/A within about 0.3 % of 1 as no change, whatever its interval
+says: on a change whose timed path was untouched, two runs read B slower
+by 0.03 to 0.26 % on all three workloads, and two of the six intervals
+excluded 1.
 """
 
 from __future__ import annotations

@@ -150,14 +150,19 @@ def cli_row(
 ) -> dict:
     """Time one CLI command REPEATS times on CONFIGS[config], with the
     options extra after the common ones (their paths inside work);
-    answer(out_path) -> (lambda, argmax_k)."""
+    answer(out_path) -> (lambda, argmax_k). Each run starts with none of
+    the row's output files: its --out file, the report beside it and its
+    mode table."""
     out = work / f"{name}.out"
     argv = [
         sys.executable, "-c", CHILD_SCRIPT, command,
         "--config", str(work / f"{config}.json"), "--resolution", str(n), "--out", str(out), *extra,
     ]
+    tables = [Path(path) for option, path in zip(extra, extra[1:]) if option == "--mode-table"]
     runs, mains, rss = [], [], []
     for _ in range(REPEATS):
+        for path in (out, Path(f"{out}.report.json"), *tables):
+            path.unlink(missing_ok=True)  # a file truncated and written again can wait tens of ms for a flush
         wall, proc = timed(argv)
         if proc.returncode not in ((0, 1) if command == "verify" else (0,)):
             raise SystemExit(f"{name} exited {proc.returncode}: {proc.stderr.strip()}")

@@ -16,10 +16,12 @@ and nested under uniform refinement (modeforms: H^N >= H^2N >= H).
 Neighbouring nodes share an element, so every matrix is banded with half
 bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
 band form: a (4, dim) array whose row d holds the entries (j + d, j). The
-k-independent bands hold the lower triangle of the element scatter. Every
+k-independent forms hold the lower triangle of the element scatter. Every
 element of a layer is the same, so a band holds 24 distinct values, one per
 band row, dof parity and node type (below, on or above the interface), and
-is one gather of them through a class map of N (_tables). Every
+0 past the matrix: each k-free form is kept as those 25 values (_tables),
+assemble weighs them by k, and each of A and B is one gather of its 25
+weighted values through the class map of N (_mesh). Every
 per-mode quantity reads the Galerkin interface impedance
 H^N(s, a) = 1 / e0^T (s A + a B)^(-1) e0 (modeforms module docstring) from
 banded Cholesky factorizations: dpbtrf for the inertia test alpha_below
@@ -31,8 +33,8 @@ alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
 down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
 condition number ~4e8 at N = 128, so a solve whose value is read is refined
 once with a residual in extended precision (_factor_solve, then _refine),
-formed on the 25 long-double values of each band, made once per pencil, on
-its first refinement, and shared by its copies at other c_k
+formed on the 25 weighted values of each band, widened to long double once
+per pencil, on its first refinement, and shared by its copies at other c_k
 (PencilForms.wide, with_surface), and gathered into coefficient rows.
 Both paths refine only near the answer: the loop's float64 phase proposes
 points, on unrefined solves, until a step falls below 1e-3 of the point it
@@ -209,23 +211,34 @@ def _row_classes(classes: np.ndarray, zero: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _classes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(band, rows) at N = n: the (4, dim) class map of every k-free band,
-    transposed, and its coefficient rows (_row_classes)."""
-    dim = 4 * n - 2
+def _mesh(n: int) -> dict:
+    """The layout every pencil at N = n reads, all of it read-only: "band",
+    the (4, dim) class map of every k-free band, transposed; "rows", the
+    class map of _refine's coefficient rows (_row_classes); "shifted", the
+    (7, dim) index j + o of x[j + o] in row j, for o in _OFFSETS' order,
+    which past the matrix leaves [0, dim); "e0", the interface value dof as
+    a unit vector, and "e0_index", its index."""
+    dim, e0_index = 4 * n - 2, 2 * n - 2
     node = np.zeros(dim, dtype=np.intp)  # 2 type + parity of column j
     node[1::2] = 1  # slope dofs
-    node[2 * n - 2 :] += 2  # the interface node n and the nodes above it
+    node[e0_index:] += 2  # the interface node n and the nodes above it
     node[2 * n :] += 2  # nodes n + 1 .. 2n - 1
     band = node + np.arange(0, 24, 6)[:, None]
     for d in range(1, 4):
         band[d, dim - d :] = _ZERO
-    return band.T.copy(), _row_classes(band, _ZERO)
+    e0 = np.zeros(dim)
+    e0[e0_index] = 1.0
+    shifted = np.add.outer(_OFFSETS, np.arange(dim))
+    mesh = {"band": band.T.copy(), "rows": _row_classes(band, _ZERO), "shifted": shifted, "e0": e0}
+    for array in mesh.values():
+        array.flags.writeable = False
+    return {**mesh, "e0_index": e0_index}
 
 
 @lru_cache(maxsize=32)
 def _tables(lower: tuple, upper: tuple, n: int):
-    """k-independent global matrices of the two layers at N = n, as bands.
+    """k-independent global matrices of the two layers at N = n, as the
+    25 values of each band, with the grid and the mesh layout (_mesh).
 
     lower and upper are each layer's (h, rho, mu), the only config numbers a
     band reads, and they key the cache: configs that differ only in g, theta
@@ -234,14 +247,12 @@ def _tables(lower: tuple, upper: tuple, n: int):
     Every element of a layer is the same, so each band holds 24 distinct
     values and 0 past the matrix (the classes above): "values" keeps them,
     25 per table, each 0.0 + its left element's part + its right element's
-    part, times the table's scale.
+    part, times the table's scale, and no band is stored.
     A band entry receives at most two element contributions (only the two
     dofs of a shared node lie in two elements), and 0 + u + v gives the same
-    bits in either order, so each band, one gather of its values through the
-    class map of N (_classes), holds bit for bit the lower triangle of a
-    dense scatter, signed zeros included. The gather through the transposed
-    map lays each band out in Fortran order, the order dpbtrf and dsbmv read
-    without a copy. "rows" is the class map of _refine's coefficient rows.
+    bits in either order, so a table's values, gathered through the class
+    map of N, hold bit for bit the lower triangle of a dense scatter, signed
+    zeros included.
     """
     padded = np.zeros((2, len(_TABLE_NAMES), 7, 4))
     for layer, (h, rho, mu) in enumerate((lower, upper)):
@@ -251,18 +262,18 @@ def _tables(lower: tuple, upper: tuple, n: int):
     values[:, :_ZERO] = (0.0 + padded[_LEFT] + padded[_RIGHT]).T
     values *= _TABLE_SCALES
     values.flags.writeable = False
-    band, rows = _classes(n)
-    bands = np.take(values, band, axis=1).transpose(0, 2, 1)
-    bands.flags.writeable = False
-    t = {"grid": uniform_layered_grid(lower[0], upper[0], n), "e0_index": 2 * n - 2, "rows": rows}
-    return {**t, "values": dict(zip(_TABLE_NAMES, values)), **dict(zip(_TABLE_NAMES, bands))}
+    grid = uniform_layered_grid(lower[0], upper[0], n)
+    return {"grid": grid, "values": dict(zip(_TABLE_NAMES, values)), **_mesh(n)}
 
 
-def _weigh(t: dict, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B), the dissipation and kinetic forms of wavenumber k from the six
-    k-free tables t: their bands, or their values (_tables)."""
-    B = t["M_rho"] + t["D_rho"] / k**2
-    A = t["4D_mu"] + k**2 * t["M_mu"] + t["2X_mu"] + t["H_mu"] / k**2
+def _weigh(values: dict, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B), the 25 values of the dissipation and kinetic forms of
+    wavenumber k, one per class of equal band entries, from the six k-free
+    tables' values (_tables). Weighing is elementwise and a gather copies
+    exactly, so each band entry gathered from these has the bits of the
+    same formula applied to the gathered tables."""
+    B = values["M_rho"] + values["D_rho"] / k**2
+    A = values["4D_mu"] + k**2 * values["M_mu"] + values["2X_mu"] + values["H_mu"] / k**2
     return A, B
 
 
@@ -294,10 +305,11 @@ class PencilForms:
     B_band and A_band hold the kinetic and dissipation matrices as (4, dim)
     LAPACK symmetric lower bands (row d, column j is entry (j + d, j)).
     assemble makes them read-only and Fortran-ordered, the order the banded
-    routines read in place; any order works. tables holds the k-free tables
-    they were weighted from (_tables), None in a pencil built by hand and in
-    a copy given other bands; wide holds the long-double values _refine
-    reads, made once per pencil. theta enters only c_k, so a pencil serves
+    routines read in place; any order works. weighted holds (A, B) as the
+    values the bands are gathered from, one per class of equal band entries
+    (_weigh); tables holds the k-free tables they were weighted from and the
+    mesh layout (_tables, _mesh), where e0_index, grid and
+    elements_per_layer are read. theta enters only c_k, so a pencil serves
     its mode at every theta through with_surface.
     """
 
@@ -305,81 +317,64 @@ class PencilForms:
     c_k: float
     B_band: np.ndarray
     A_band: np.ndarray
-    e0_index: int
-    grid: np.ndarray
-    elements_per_layer: int
-    tables: dict | None = field(default=None, repr=False)
+    weighted: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    tables: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.B_band.shape[1]
 
+    @property
+    def e0_index(self) -> int:
+        return self.tables["e0_index"]
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.tables["grid"]
+
+    @property
+    def elements_per_layer(self) -> int:
+        return self.grid.size // 2  # 2 N + 1 nodes
+
     @cached_property
-    def wide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, B, rows) for _refine, made on the first refinement and kept:
-        the values of A and B, one per class of equal band entries, in
-        np.longdouble, and rows, the class map of _refine's coefficient rows
-        (_row_classes), all read-only. An assembled pencil weights its
-        tables' 25 values by k, by the formula its bands were weighted by
-        (_weigh), so each value is its entries' bits, and widening a float64
-        is exact. A band built by hand takes one class per entry."""
-        if self.tables is None:
-            size = self.A_band.size
-            rows = _row_classes(np.arange(size).reshape(self.A_band.shape), size)
-            pair = (np.append(band.ravel(), 0.0) for band in (self.A_band, self.B_band))
-        else:
-            rows, pair = self.tables["rows"], _weigh(self.tables["values"], self.k)
-        A, B = (values.astype(np.longdouble) for values in pair)
+    def wide(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) for _refine, made on the first refinement and kept: the
+        weighted values widened to np.longdouble, which is exact, so each
+        value is its band entries' bits; read-only."""
+        A, B = (values.astype(np.longdouble) for values in self.weighted)
         A.flags.writeable = B.flags.writeable = False
-        return A, B, rows
+        return A, B
 
     def with_surface(self, c_k: float) -> "PencilForms":
         """This pencil at another surface coefficient c_k. A field-by-field
-        copy, as FluidConfig.with_theta is: it shares the bands and, once
-        made, their wide values."""
+        copy, as FluidConfig.with_theta is: it shares the bands, their
+        weighted values and, once made, their wide values."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, c_k=c_k)
         return new
 
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
-    """Assemble kinetic/dissipation bands and the surface coefficient."""
+    """Assemble kinetic/dissipation bands and the surface coefficient: the
+    tables' values weighed by k (_weigh), then each gathered through the
+    transposed class map, which lays the band out in Fortran order, the
+    order dpbtrf and dsbmv read without a copy. All read-only: every solve
+    reads them."""
     if k <= 0.0:
         raise SolverError(f"assembly needs k > 0, got {k!r}")
     COUNTS["assemblies"] += 1
     lower, upper = (cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)
     t = _tables(lower, upper, disc.elements_per_layer)
-    # Fortran-ordered like the tables, and read-only: every solve reads them
-    A, B = _weigh(t, k)
-    B.flags.writeable = A.flags.writeable = False
-    return PencilForms(
-        k=k,
-        c_k=surface_coefficient(k, cfg),
-        B_band=B,
-        A_band=A,
-        e0_index=t["e0_index"],
-        grid=t["grid"],
-        elements_per_layer=disc.elements_per_layer,
-        tables=t,
-    )
+    weighted = _weigh(t["values"], k)
+    A, B = (values[t["band"]].T for values in weighted)
+    for array in (*weighted, A, B):
+        array.flags.writeable = False
+    return PencilForms(k=k, c_k=surface_coefficient(k, cfg), B_band=B, A_band=A, weighted=weighted, tables=t)
 
 
 def _energy(forms: PencilForms, s: float, alpha: float) -> np.ndarray:
     """s A_diss + alpha B, in band form."""
     return s * forms.A_band + alpha * forms.B_band
-
-
-@lru_cache(maxsize=32)
-def _unit_vector(dim: int, index: int) -> np.ndarray:
-    e0 = np.zeros(dim)
-    e0[index] = 1.0
-    e0.flags.writeable = False
-    return e0
-
-
-def _unit(forms: PencilForms) -> np.ndarray:
-    """e0, the interface value dof as a unit vector: one read-only array per mesh."""
-    return _unit_vector(forms.dim, forms.e0_index)
 
 
 def _factor_solve(forms: PencilForms, s: float, alpha: float):
@@ -391,19 +386,10 @@ def _factor_solve(forms: PencilForms, s: float, alpha: float):
     writes through a read-only flag, so only a band made for this
     factorization may be handed over."""
     COUNTS["factorizations"] += 1
-    chol, x, info = lapack.dpbsv(_energy(forms, s, alpha), _unit(forms), lower=1, overwrite_ab=1)
+    chol, x, info = lapack.dpbsv(_energy(forms, s, alpha), forms.tables["e0"], lower=1, overwrite_ab=1)
     if info != 0:
         raise _failure("factorization", alpha, info)
     return chol, x
-
-
-@lru_cache(maxsize=32)
-def _shifted(dim: int) -> np.ndarray:
-    """(7, dim): the index j + o of x[j + o] in row j, for o in _OFFSETS'
-    order; past the matrix it leaves [0, dim)."""
-    index = np.add.outer(_OFFSETS, np.arange(dim))
-    index.flags.writeable = False
-    return index
 
 
 def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.ndarray):
@@ -417,8 +403,9 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     (PencilForms.wide), 25 numbers each on the uniform mesh, not on its
     4 dim band entries; a float s or alpha takes the array's np.longdouble
     under NumPy 1's promotion rules and NumPy 2's alike. Its seven
-    coefficient rows, gathered through the class map, times x shifted by
-    each row's offset, are the seven terms of every entry of the product.
+    coefficient rows, gathered through the row class map, times x shifted by
+    each row's offset (both of the pencil's mesh layout, _mesh), are the
+    seven terms of every entry of the product.
     The sum over the outer axis adds them one row at a time (NumPy sums
     pairwise only along the fast axis), in _OFFSETS' order, so each entry
     rounds as the product of the widened bands by diagonals does
@@ -427,11 +414,12 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     entry, and no bit of r = e0 - y.
     """
     COUNTS["extended_residuals"] += 1
-    wide_A, wide_B, rows = forms.wide
+    wide_A, wide_B = forms.wide
+    t = forms.tables
     values = s * wide_A + alpha * wide_B
-    shifted = x.astype(np.longdouble).take(_shifted(forms.dim), mode="clip")
-    y = np.multiply(values[rows], shifted).sum(axis=0)
-    r = np.subtract(_unit(forms), y, out=y).astype(float)
+    shifted = x.astype(np.longdouble).take(t["shifted"], mode="clip")
+    y = np.multiply(values[t["rows"]], shifted).sum(axis=0)
+    r = np.subtract(t["e0"], y, out=y).astype(float)
     return r, _spd_solve(chol, r, alpha)
 
 

@@ -201,6 +201,28 @@ def band_matvec_extended(band, x):
     return y
 
 
+def hand_built_pencil(A_band, B_band, e0_index, c_k):
+    """A pencil at k = 1 of (4, dim) bands built by hand, on the grid of one
+    element per layer. Its tables take one class per band entry and class
+    A_band.size for the zeros past the matrix, so its weighted values are
+    the bands' entries and a 0, and _refine reads it as it reads an
+    assembled pencil; past the matrix the bands may hold anything."""
+    A_band, B_band = (np.asarray(band, dtype=float) for band in (A_band, B_band))
+    size, dim = A_band.size, A_band.shape[1]
+    classes = np.arange(size).reshape(A_band.shape)
+    e0 = np.zeros(dim)
+    e0[e0_index] = 1.0
+    layout = {
+        "band": classes.T.copy(), "rows": pencil._row_classes(classes, size),
+        "shifted": np.add.outer(pencil._OFFSETS, np.arange(dim)), "e0": e0,
+    }
+    for array in layout.values():
+        array.flags.writeable = False
+    weighted = tuple(np.append(band.ravel(), 0.0) for band in (A_band, B_band))
+    tables = {"grid": np.array([-1.0, 0.0, 1.0]), **layout, "e0_index": e0_index}
+    return pencil.PencilForms(k=1.0, c_k=c_k, B_band=B_band, A_band=A_band, weighted=weighted, tables=tables)
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSolution:
     """Largest eigenpair of one pencil, eigenvector normalized to x^T B x = 1,
@@ -315,7 +337,7 @@ def galerkin_compliances(forms):
     """
     chol, info = pencil.lapack.dpbtrf(forms.B_band, lower=1)
     assert info == 0, f"kinetic matrix not positive definite (LAPACK info {info})"
-    x, info = pencil.lapack.dpbtrs(chol, pencil._unit(forms), lower=1)
+    x, info = pencil.lapack.dpbtrs(chol, forms.tables["e0"], lower=1)
     assert info == 0, f"kinetic solve failed (LAPACK info {info})"
     y = interface_solve(forms, 1.0, 0.0)
     return float(x[forms.e0_index]), float(y[forms.e0_index])

@@ -9,14 +9,14 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_solves, curve_alphas, fail_last_factorization, growth_max
+from conftest import count_solves, curve_alphas, fail_last_factorization, growth_max, hand_built_pencil
 from rtgrowth import fixedpoint, oracle, pencil, spectrum
 from rtgrowth.analysis import _sized_mode_set, sweep_theta
 from rtgrowth.errors import DegenerateExponents, SolverError, StableRegime
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m
 from rtgrowth.oracle import compare_modes, dispersion_root, profile_error
-from rtgrowth.pencil import Discretization, PencilForms, fixed_point
+from rtgrowth.pencil import Discretization, fixed_point
 from rtgrowth.spectrum import FrozenModeSet, alpha_curve, size_mode_set, smallest_magnitude
 
 DISC = Discretization(8)
@@ -29,12 +29,7 @@ def one_row_fixed_point(lam, z2, c):
     Its one eigenvalue of (A, B) is lam with squared interface weight z2, so
     alpha(s) = c z2 - lam s.
     """
-    band = np.zeros((4, 1))
-    forms = PencilForms(
-        k=1.0, c_k=c, B_band=band + [[1.0 / z2], [0], [0], [0]],
-        A_band=band + [[lam / z2], [0], [0], [0]], e0_index=0,
-        grid=np.array([-1.0, 0.0, 1.0]), elements_per_layer=1,
-    )
+    forms = hand_built_pencil([[lam / z2], [0], [0], [0]], [[1.0 / z2], [0], [0], [0]], e0_index=0, c_k=c)
     return fixed_point(forms, 2.0 * math.sqrt(max(c, 0.0) * z2)).lam
 
 

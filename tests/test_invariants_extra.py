@@ -8,6 +8,7 @@ import pytest
 
 from conftest import curve_alphas, dissipation_form, kinetic_form, random_admissible_profile
 import rtgrowth
+from rtgrowth import pencil
 from rtgrowth.analysis import _sized_mode_set
 from rtgrowth.errors import StableRegime
 from rtgrowth.fixedpoint import solve_lambda
@@ -103,3 +104,18 @@ def test_root_and_compliances_evaluate_through_a_prebuilt_exact_mode():
             assert getattr(call.func, "id", None) != "ExactMode", name
             passed = [*call.args, *(keyword.value for keyword in call.keywords)]
             assert not any(ast.unparse(arg).split(".")[-1] == "cfg" for arg in passed), (name, ast.unparse(call))
+
+
+def test_pencils_are_assembled_in_one_place_from_values_alone():
+    # every pencil of the package comes from assemble, which weighs the
+    # k-free tables' 25 values per form and gathers them; the tables keep
+    # no band, so each form is held once
+    src = Path(rtgrowth.__file__).parent
+    sites = _CallSites("PencilForms")
+    for path in sorted(src.glob("*.py")):
+        sites.visit(ast.parse(path.read_text()))
+    assert sites.sites == ["assemble"]
+    for n in (8, 32):
+        t = pencil._tables((1.0, 1.0, 0.1), (1.0, 2.0, 0.1), n)
+        assert [values.shape for values in t["values"].values()] == [(25,)] * 6
+        assert not any(np.shape(value) == (4, 4 * n - 2) for value in t.values())

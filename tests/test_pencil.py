@@ -17,6 +17,7 @@ from conftest import (
     dense,
     dissipation_form,
     finish_eigenpair,
+    hand_built_pencil,
     interface_solve,
     kinetic_form,
     largest_eigenpair,
@@ -31,7 +32,6 @@ from rtgrowth.model import FluidConfig, theta_critical
 from rtgrowth.modeforms import ExactMode
 from rtgrowth.pencil import (
     Discretization,
-    PencilForms,
     assemble,
     band_matvec,
     coeffs_to_profile,
@@ -116,15 +116,7 @@ def unit_band(dim):
 
 def hand_pencil():
     """2x2 diagonal case: numerator diag(1, -1), B identity."""
-    return PencilForms(
-        k=1.0,
-        c_k=2.0,
-        B_band=unit_band(2),
-        A_band=unit_band(2),
-        e0_index=0,
-        grid=np.array([-1.0, 0.0, 1.0]),
-        elements_per_layer=1,
-    )
+    return hand_built_pencil(unit_band(2), unit_band(2), e0_index=0, c_k=2.0)
 
 
 def test_hand_pencil_largest():
@@ -231,10 +223,7 @@ def test_rank_one_deflation():
     i = np.arange(3)
     bands = [np.array([np.where(i + d < 3, M[np.minimum(i + d, 2), i], 0.0) for d in range(4)]) for M in (A, B)]
     for c in (4.0, -4.0):
-        forms = PencilForms(
-            k=1.0, c_k=c, B_band=bands[1], A_band=bands[0], e0_index=0,
-            grid=np.array([-1.0, 0.0, 1.0]), elements_per_layer=1,
-        )
+        forms = hand_built_pencil(bands[0], bands[1], e0_index=0, c_k=c)
         got = mode_alpha(forms, 1.0)
         expected = np.linalg.eigvalsh(np.diag(-lam) + c * np.outer(z, z)).max()
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -410,11 +399,18 @@ def dense_tables(cfg, n):
     return tables
 
 
+def table_bands(cfg, n):
+    """The six k-free bands of cfg at N = n: each table's 25 values
+    (pencil._tables) gathered through the class map of N (pencil._mesh)."""
+    t = pencil._tables((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus), n)
+    assert t["e0_index"] == 2 * n - 2
+    return {name: values[pencil._mesh(n)["band"].T] for name, values in t["values"].items()}
+
+
 @pytest.mark.parametrize("n", [8, 128])
 def test_band_tables_hold_the_lower_triangle_of_a_dense_scatter(reference_config, n):
     for cfg in (reference_config, CONTRAST):
-        bands = pencil._tables((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus), n)
-        assert bands["e0_index"] == 2 * n - 2
+        bands = table_bands(cfg, n)
         for name, scatter in dense_tables(cfg, n).items():
             name, factor = SCALED_TABLES.get(name, (name, 1.0))
             view, scatter = dense(bands[name]), factor * scatter
@@ -433,7 +429,7 @@ def test_band_tables_match_the_loop_scatter_bit_for_bit(reference_config, n):
     tiny = replace(reference_config, mu_plus=1e-321, mu_minus=1e-321)
     anisotropic = replace(reference_config, L2=1.7, h_minus=0.5, mu_minus=0.2)
     for cfg in (reference_config, CONTRAST, tiny, anisotropic):
-        bands = pencil._tables((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus), n)
+        bands = table_bands(cfg, n)
         for name, band in loop_tables(cfg, n).items():
             name, factor = SCALED_TABLES.get(name, (name, 1.0))
             assert np.array_equal(bands[name].view(np.int64), (factor * band).view(np.int64)), name
@@ -464,7 +460,7 @@ def test_factor_solve_keeps_the_bits_of_a_factorization_then_a_solve(reference_c
             forms = assemble(k, cfg, disc)
             for s, alpha in ((0.1, 0.01), (1.3, 1.69), (2.0, 0.0), (0.0, 3.0)):
                 chol, info = pencil.lapack.dpbtrf(pencil._energy(forms, s, alpha), lower=1)
-                x, info_x = pencil.lapack.dpbtrs(chol, pencil._unit(forms), lower=1)
+                x, info_x = pencil.lapack.dpbtrs(chol, forms.tables["e0"], lower=1)
                 assert info == info_x == 0
                 got = pencil._factor_solve(forms, s, alpha)
                 assert [v.tobytes() for v in got] == [chol.tobytes(), x.tobytes()]
@@ -491,18 +487,17 @@ def widened_refine(forms, chol, s, alpha, x):
     exact = np.multiply(s, forms.A_band, dtype=np.longdouble)
     exact += np.multiply(alpha, forms.B_band, dtype=np.longdouble)
     y = band_matvec_extended(exact, x)
-    r = np.subtract(pencil._unit(forms), y, out=y).astype(float)
+    r = np.subtract(forms.tables["e0"], y, out=y).astype(float)
     return r, pencil._spd_solve(chol, r, alpha)
 
 
 def three_dof_pencil():
     """A hand-built pencil whose bands fill every entry of a 3 x 3 matrix,
     with nonzero entries past it, which the band form never reads."""
-    return PencilForms(
-        k=1.0, c_k=2.0,
-        B_band=np.array([[4.0, 5.0, 6.0], [1.0, -1.0, 9.0], [0.5, 7.0, 7.0], [8.0, 8.0, 8.0]]),
-        A_band=np.array([[2.0, 3.0, 1.0], [-0.5, 0.25, 9.0], [0.125, 7.0, 7.0], [8.0, 8.0, 8.0]]),
-        e0_index=1, grid=np.array([-1.0, 0.0, 1.0]), elements_per_layer=1,
+    return hand_built_pencil(
+        np.array([[2.0, 3.0, 1.0], [-0.5, 0.25, 9.0], [0.125, 7.0, 7.0], [8.0, 8.0, 8.0]]),
+        np.array([[4.0, 5.0, 6.0], [1.0, -1.0, 9.0], [0.5, 7.0, 7.0], [8.0, 8.0, 8.0]]),
+        e0_index=1, c_k=2.0,
     )
 
 
@@ -534,24 +529,28 @@ def test_refine_on_the_held_wide_bands_keeps_the_bits(reference_config, contrast
 
 
 def test_with_surface_shares_the_bands_and_the_wide_pair(reference_config):
-    # the wide values are the bands' 25 distinct entries, widened exactly:
-    # gathered through the class map they give back every band entry
+    # the weighted values are the bands' 25 distinct entries, and the wide
+    # values the same, widened exactly: gathered through the class map they
+    # give back every band entry
     disc = Discretization(16)
     forms = assemble(5.0, reference_config, disc)
     wide = forms.wide
     other = forms.with_surface(-1.0)
     assert (other.c_k, forms.c_k) == (-1.0, assemble(5.0, reference_config, disc).c_k)
     assert other.A_band is forms.A_band and other.B_band is forms.B_band
-    assert other.wide is wide and other.grid is forms.grid
+    assert other.weighted is forms.weighted and other.wide is wide and other.tables is forms.tables
+    assert other.grid is forms.grid
     assert (other.k, other.e0_index, other.elements_per_layer) == (forms.k, forms.e0_index, 16)
-    band_classes = pencil._classes(16)[0].T
-    for band, values in zip((forms.A_band, forms.B_band), wide[:2]):
-        assert values.dtype == np.longdouble and values.shape == (25,)
+    band_classes = pencil._mesh(16)["band"].T
+    for band, weighted, values in zip((forms.A_band, forms.B_band), forms.weighted, wide):
+        assert weighted.dtype == float and values.dtype == np.longdouble
+        assert weighted.shape == values.shape == (25,) and np.array_equal(values, weighted)
         assert np.array_equal(values[band_classes], band) and values[-1] == 0.0
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0] = 1.0
-    assert wide[2] is forms.tables["rows"] and not wide[2].flags.writeable
+        for array in (weighted, values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    assert not forms.tables["rows"].flags.writeable and not forms.tables["shifted"].flags.writeable
 
 
 def test_band_matvec_matches_dense(reference_config, rng):
@@ -884,7 +883,7 @@ def test_last_solve_runs_only_when_its_result_is_read(reference_config, monkeypa
 def test_indefinite_band_raises_factorization_failure():
     # s A + alpha B = diag(2, -4) at s = alpha = 1: dpbtrf stops at the second
     # pivot, and no vector comes back
-    forms = replace(hand_pencil(), A_band=np.vstack([[1.0, -5.0], np.zeros((3, 2))]))
+    forms = hand_built_pencil(np.vstack([[1.0, -5.0], np.zeros((3, 2))]), unit_band(2), e0_index=0, c_k=2.0)
     with pytest.raises(SolverError, match="banded Cholesky factorization"):
         secular_eigenpair(forms, 1.0, 1.0)
 
@@ -956,4 +955,4 @@ def test_solves_leave_the_bands_read_only_and_unchanged(reference_config, monkey
         assert np.array_equal(forms.A_band, fresh.A_band) and np.array_equal(forms.B_band, fresh.B_band)
         assert not (forms.A_band.flags.writeable or forms.B_band.flags.writeable)
         assert forms.A_band.flags.f_contiguous and forms.B_band.flags.f_contiguous
-    assert not pencil._unit(forms).flags.writeable
+    assert not forms.tables["e0"].flags.writeable

@@ -258,6 +258,28 @@ def test_bench_accepts_exit_1_from_verify_alone(tmp_path, monkeypatch):
         bench.cli_row("growth_x", "growth", 8, tmp_path, bench.growth_answer)
 
 
+def test_bench_starts_each_run_with_no_output_file(tmp_path, monkeypatch):
+    # a run that rewrites the files the run before wrote times their flush
+    # into main_s, so each run finds none of the row's output files
+    bench = load_script("bench")
+    counts = dict.fromkeys(bench.COUNTED, 0)
+    out, table = tmp_path / "growth_x.out", tmp_path / "table.csv"
+    written = (out, Path(f"{out}.report.json"), table)
+    runs = []
+
+    def writing(argv):
+        runs.append([path.exists() for path in written])
+        for path in written:
+            path.write_text(json.dumps({"lambda": 2.5, "argmax_k": 5.0}))
+        child = json.dumps({**counts, "main_s": 0.1, "peak_rss_mb": 40.0})
+        return 1.0, subprocess.CompletedProcess(argv, 0, stdout="", stderr=child + "\n")
+
+    monkeypatch.setattr(bench, "timed", writing)
+    row = bench.cli_row("growth_x", "growth", 8, tmp_path, bench.growth_answer, extra=("--mode-table", str(table)))
+    assert runs == [[False] * 3] * bench.REPEATS
+    assert (row["lambda"], row["argmax_k"]) == (2.5, 5.0)
+
+
 def test_loc_counts_total_and_code_lines(tmp_path, capsys, monkeypatch):
     # blank lines, comments and docstrings are lines but not code; a string
     # that is part of a statement is code on every line it spans
