@@ -34,7 +34,11 @@ ratios B/A with a bootstrap 95 % interval (2000 resamples of the rounds,
 seed 0), the rounds in which B was faster, whether every op's record and
 each round's pencil.COUNTS matched bit for bit, and how many of each side's
 last-round records failed the workload's gates(). Count kinds that differ
-are listed with their totals over all rounds.
+are listed with their totals over all rounds. An op's record keeps only
+lambda of a growth solve, so after the timed rounds one untimed pass per
+side reruns the ops and compares every growth solve's full
+to_json_dict() and eigenvector bytes: the fixed point's last solve, whose
+alpha, residual and eigenvector no record holds (last_solves).
 
 Read a B/A within about 0.3 % of 1 as no change, whatever its interval
 says: on a change whose timed path was untouched, two runs read B slower
@@ -111,6 +115,25 @@ def run_round(tree: SimpleNamespace, workload, inputs: list) -> tuple[float, lis
     return float(np.median(times)), records, dict(tree.pencil.COUNTS)
 
 
+def last_solves(tree: SimpleNamespace, workload, inputs: list) -> list[tuple[dict, bytes]]:
+    """(to_json_dict(), eigenvector bytes) of every growth solve that one
+    untimed pass of workload over inputs makes, caught by wrapping the
+    tree's fixedpoint.solve_lambda, which the op looks up at each call."""
+    real, results = tree.fixedpoint.solve_lambda, []
+
+    def caught(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    tree.fixedpoint.solve_lambda = caught
+    try:
+        for x in inputs:
+            workload.op(x)
+    finally:
+        tree.fixedpoint.solve_lambda = real
+    return [(res.to_json_dict(), res.fixed_point.vector.tobytes()) for res in results]
+
+
 def compare(
     trees: tuple[SimpleNamespace, SimpleNamespace],
     rounds: int = ROUNDS,
@@ -141,6 +164,7 @@ def compare(
             outputs_equal &= result[0][1] == result[1][1]
             counts_equal &= result[0][2] == result[1][2]
         failed = [sum(v is not None for v in pair[side].gates(result[side][1])) for side in (0, 1)]
+        solves = [last_solves(trees[side], pair[side], inputs) for side in (0, 1)]
         a, b = np.asarray(medians[0]), np.asarray(medians[1])
         ratios = b / a
         resampled = np.random.default_rng(0).choice(ratios, size=(2000, ratios.size))
@@ -163,6 +187,8 @@ def compare(
             "outputs_equal": bool(outputs_equal),
             "counts_equal": bool(counts_equal),
             "counts_differing": differing,
+            "last_solves": len(solves[0]),
+            "last_solves_equal": solves[0] == solves[1],
             "gates_failed_a": failed[0],
             "gates_failed_b": failed[1],
         })
@@ -189,6 +215,8 @@ def main() -> None:
         bits = "outputs " + ("equal" if rep["outputs_equal"] else "DIFFER")
         bits += ", counts " + ("equal" if rep["counts_equal"] else "differ")
         bits += "".join(f"; {kind} {a} -> {b}" for kind, (a, b) in rep["counts_differing"].items())
+        if rep["last_solves"]:
+            bits += f"; {rep['last_solves']} last solves " + ("equal" if rep["last_solves_equal"] else "DIFFER")
         bits += f"; failed gates A {rep['gates_failed_a']}, B {rep['gates_failed_b']}"
         print(
             f"{rep['shape']:>13} {rep['ops']:>4} {rep['median_a_ms']:9.4f} {rep['median_b_ms']:9.4f} "

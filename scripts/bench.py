@@ -48,9 +48,9 @@ growth solve runs one, for its maximizer, and oracle-compare none), alpha_k(s)
 solves, inertia tests, banded Cholesky factorizations (inertia tests and
 solves alike), extended-precision residuals and pencil assemblies (a mode
 set keeps the pencil of each growth maximizer, so a sweep or verify
-re-assembles fewer). Each command row also records peak_rss_mb, the median
-over its runs of the child's peak resident set (ru_maxrss), which shows
-what those held pencils cost in memory.
+re-assembles fewer; a held pencil is its 50 long-double values, 0.8 KB).
+Each command row also records peak_rss_mb, the median over its runs of the
+child's peak resident set (ru_maxrss).
 
 Times compare only within one file: wall_s and main_s move with the machine's
 load from one hour to the next. lambda, argmax_k and the counts compare
@@ -62,7 +62,7 @@ ones), and the row's "ab" field records each tree's median main_s, its runs,
 and whether every round's exit code, output files, stdout and stderr
 (outputs) and pencil.COUNTS (counts) matched between the trees. In one
 process both trees see the same machine state, so their ratio resolves what
-fresh processes cannot; the runs after the first are warm (band tables and
+fresh processes cannot; the runs after the first are warm (k-free tables and
 lattice caches kept), and start-up and memory stay with the command rows.
 """
 

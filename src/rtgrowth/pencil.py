@@ -14,14 +14,16 @@ space is H^2-conforming, which the psi'' term of the dissipation requires,
 and nested under uniform refinement (modeforms: H^N >= H^2N >= H).
 
 Neighbouring nodes share an element, so every matrix is banded with half
-bandwidth 3 and is stored, assembled and solved in LAPACK symmetric lower
-band form: a (4, dim) array whose row d holds the entries (j + d, j). The
-k-independent forms hold the lower triangle of the element scatter. Every
-element of a layer is the same, so a band holds 24 distinct values, one per
-band row, dof parity and node type (below, on or above the interface), and
-0 past the matrix: each k-free form is kept as those 25 values (_tables),
-assemble weighs them by k, and each of A and B is one gather of its 25
-weighted values through the class map of N (_mesh). Every
+bandwidth 3 and is solved in LAPACK symmetric lower band form: a (4, dim)
+array whose row d holds the entries (j + d, j), the lower triangle of the
+element scatter. Every element of a layer is the same, so a band holds 24
+distinct values, one per band row, dof parity and node type (below, on or
+above the interface), and 0 past the matrix. Each k-free form is kept as
+those 25 values in np.longdouble, summed from the element integrals with no
+rounding to float64 (_tables), and assemble weighs them by k: a pencil holds
+each of A and B once, as 25 long-double values. Every band a solve reads is
+formed from them: s A + alpha B in long double, rounded once to float64 and
+gathered through the class map of N (_mesh, _energy). Every
 per-mode quantity reads the Galerkin interface impedance
 H^N(s, a) = 1 / e0^T (s A + a B)^(-1) e0 (modeforms module docstring) from
 banded Cholesky factorizations: dpbtrf for the inertia test alpha_below
@@ -33,9 +35,13 @@ alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
 down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
 condition number ~4e8 at N = 128, so a solve whose value is read is refined
 once with a residual in extended precision (_factor_solve, then _refine),
-formed on the 25 weighted values of each band, widened to long double once
-per pencil, on its first refinement, and shared by its copies at other c_k
-(PencilForms.wide, with_surface), and gathered into coefficient rows.
+formed on the same 25 long-double values of each form and gathered into
+coefficient rows. A refined solve is only as exact as the operator its
+residual is formed on (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 12): on values rounded to float64, x^T A x moves by
+about cond u, 4e-8 at N = 128, which lifted Lambda_k^N above the exact
+root. Where np.longdouble is float64 itself, values and residuals are
+float64, and that rounding stays.
 Both paths refine only near the answer: the loop's float64 phase proposes
 points, on unrefined solves, until a step falls below 1e-3 of the point it
 moves, and only then do refined steps finish the root. fixed_point's last
@@ -162,18 +168,17 @@ _ELEMENT_POWERS = np.add.outer([1, -1, -3, -1], np.add.outer([0, 1, 0, 1], [0, 1
 def _element_matrices(h: float) -> np.ndarray:
     """The 4x4 element integrals (mass, grad, bending, symmetrized
     mass-bending cross) in the physical coordinate, stacked, from the integer
-    tables above. Each entry takes one power, one product and one quotient in
-    np.longdouble, then one rounding to float64: the correctly rounded value,
-    or 1 ulp from it where the extended result falls within a few extended
-    units of a midpoint. Where np.longdouble is float64 itself, each entry is
+    tables above, in np.longdouble: each entry takes one power, one product
+    and one quotient, so it lies within a few extended units of the exact
+    integral at h. Where np.longdouble is float64 itself, each entry is
     within 2 ulp (tests/test_pencil.py). lambda at N = 128 reads the last bits
     of the tables: against the quadrature tables these replaced, a float64
     evaluation moved it by up to 1.4e-10 relative on a thin-layer config
-    (h = 0.3), this one by 8e-12."""
-    return (_ELEMENT_TABLES * np.longdouble(h) ** _ELEMENT_POWERS / _ELEMENT_DENOMINATORS).astype(float)
+    (h = 0.3)."""
+    return _ELEMENT_TABLES * np.longdouble(h) ** _ELEMENT_POWERS / _ELEMENT_DENOMINATORS
 
 
-# the dissipation's gradient and cross bands are stored times 4 and 2, the
+# the dissipation's gradient and cross tables are stored times 4 and 2, the
 # factors assemble weights them by: a power of two, so the same bits
 _TABLE_NAMES = ("M_rho", "D_rho", "M_mu", "4D_mu", "H_mu", "2X_mu")
 _TABLE_SCALES = np.array([1.0, 1.0, 1.0, 4.0, 1.0, 2.0])[:, None]
@@ -238,7 +243,8 @@ def _mesh(n: int) -> dict:
 @lru_cache(maxsize=32)
 def _tables(lower: tuple, upper: tuple, n: int):
     """k-independent global matrices of the two layers at N = n, as the
-    25 values of each band, with the grid and the mesh layout (_mesh).
+    25 np.longdouble values of each band, with the grid and the mesh layout
+    (_mesh).
 
     lower and upper are each layer's (h, rho, mu), the only config numbers a
     band reads, and they key the cache: configs that differ only in g, theta
@@ -247,18 +253,20 @@ def _tables(lower: tuple, upper: tuple, n: int):
     Every element of a layer is the same, so each band holds 24 distinct
     values and 0 past the matrix (the classes above): "values" keeps them,
     25 per table, each 0.0 + its left element's part + its right element's
-    part, times the table's scale, and no band is stored.
+    part, times the table's scale, all in long double from the unrounded
+    element integrals (_element_matrices), and no band and no float64 copy
+    is stored.
     A band entry receives at most two element contributions (only the two
     dofs of a shared node lie in two elements), and 0 + u + v gives the same
     bits in either order, so a table's values, gathered through the class
     map of N, hold bit for bit the lower triangle of a dense scatter, signed
     zeros included.
     """
-    padded = np.zeros((2, len(_TABLE_NAMES), 7, 4))
+    padded = np.zeros((2, len(_TABLE_NAMES), 7, 4), dtype=np.longdouble)
     for layer, (h, rho, mu) in enumerate((lower, upper)):
         mass, grad, bend, cross = _element_matrices(h / n)
         padded[layer, :, :4] = rho * mass, rho * grad, mu * mass, mu * grad, mu * bend, mu * cross
-    values = np.zeros((len(_TABLE_NAMES), _ZERO + 1))
+    values = np.zeros((len(_TABLE_NAMES), _ZERO + 1), dtype=np.longdouble)
     values[:, :_ZERO] = (0.0 + padded[_LEFT] + padded[_RIGHT]).T
     values *= _TABLE_SCALES
     values.flags.writeable = False
@@ -269,9 +277,9 @@ def _tables(lower: tuple, upper: tuple, n: int):
 def _weigh(values: dict, k: float) -> tuple[np.ndarray, np.ndarray]:
     """(A, B), the 25 values of the dissipation and kinetic forms of
     wavenumber k, one per class of equal band entries, from the six k-free
-    tables' values (_tables). Weighing is elementwise and a gather copies
-    exactly, so each band entry gathered from these has the bits of the
-    same formula applied to the gathered tables."""
+    tables' values (_tables), in their dtype. Weighing is elementwise and a
+    gather copies exactly, so each band entry gathered from these has the
+    bits of the same formula applied to the gathered tables."""
     B = values["M_rho"] + values["D_rho"] / k**2
     A = values["4D_mu"] + k**2 * values["M_mu"] + values["2X_mu"] + values["H_mu"] / k**2
     return A, B
@@ -300,29 +308,25 @@ def _spd_solve(chol: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PencilForms:
-    """Assembled matrices of one mode at one resolution, in lower band form.
+    """The kinetic and dissipation forms of one mode at one resolution.
 
-    B_band and A_band hold the kinetic and dissipation matrices as (4, dim)
-    LAPACK symmetric lower bands (row d, column j is entry (j + d, j)).
-    assemble makes them read-only and Fortran-ordered, the order the banded
-    routines read in place; any order works. weighted holds (A, B) as the
-    values the bands are gathered from, one per class of equal band entries
-    (_weigh); tables holds the k-free tables they were weighted from and the
-    mesh layout (_tables, _mesh), where e0_index, grid and
-    elements_per_layer are read. theta enters only c_k, so a pencil serves
-    its mode at every theta through with_surface.
+    weighted holds (A, B) once each, as the two rows of a read-only (2, 25)
+    np.longdouble array, one value per class of equal band entries (_weigh);
+    tables holds the k-free tables they were weighted from and the mesh
+    layout (_tables, _mesh), where dim, e0_index, grid and
+    elements_per_layer are read. No band is stored: every solve forms the
+    band it reads from the values (_energy). theta enters only c_k, so a
+    pencil serves its mode at every theta through with_surface.
     """
 
     k: float
     c_k: float
-    B_band: np.ndarray
-    A_band: np.ndarray
-    weighted: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    weighted: np.ndarray = field(repr=False)
     tables: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.B_band.shape[1]
+        return self.tables["e0"].size
 
     @property
     def e0_index(self) -> int:
@@ -336,45 +340,36 @@ class PencilForms:
     def elements_per_layer(self) -> int:
         return self.grid.size // 2  # 2 N + 1 nodes
 
-    @cached_property
-    def wide(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) for _refine, made on the first refinement and kept: the
-        weighted values widened to np.longdouble, which is exact, so each
-        value is its band entries' bits; read-only."""
-        A, B = (values.astype(np.longdouble) for values in self.weighted)
-        A.flags.writeable = B.flags.writeable = False
-        return A, B
-
     def with_surface(self, c_k: float) -> "PencilForms":
         """This pencil at another surface coefficient c_k. A field-by-field
-        copy, as FluidConfig.with_theta is: it shares the bands, their
-        weighted values and, once made, their wide values."""
+        copy, as FluidConfig.with_theta is: it shares the weighted values and
+        the tables."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, c_k=c_k)
         return new
 
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
-    """Assemble kinetic/dissipation bands and the surface coefficient: the
-    tables' values weighed by k (_weigh), then each gathered through the
-    transposed class map, which lays the band out in Fortran order, the
-    order dpbtrf and dsbmv read without a copy. All read-only: every solve
-    reads them."""
+    """The pencil of mode k: the tables' values weighed by k (_weigh), made
+    read-only, since every solve reads them, and the surface coefficient."""
     if k <= 0.0:
         raise SolverError(f"assembly needs k > 0, got {k!r}")
     COUNTS["assemblies"] += 1
     lower, upper = (cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)
     t = _tables(lower, upper, disc.elements_per_layer)
-    weighted = _weigh(t["values"], k)
-    A, B = (values[t["band"]].T for values in weighted)
-    for array in (*weighted, A, B):
-        array.flags.writeable = False
-    return PencilForms(k=k, c_k=surface_coefficient(k, cfg), B_band=B, A_band=A, weighted=weighted, tables=t)
+    weighted = np.array(_weigh(t["values"], k))
+    weighted.flags.writeable = False
+    return PencilForms(k=k, c_k=surface_coefficient(k, cfg), weighted=weighted, tables=t)
 
 
 def _energy(forms: PencilForms, s: float, alpha: float) -> np.ndarray:
-    """s A_diss + alpha B, in band form."""
-    return s * forms.A_band + alpha * forms.B_band
+    """s A_diss + alpha B as a fresh (4, dim) float64 band: formed on the
+    pencil's 25 long-double values of each form (np.dot sums the two
+    products in long double, as s A + alpha B does, in one call), rounded
+    once to float64 and gathered through the transposed class map, which
+    lays the band out in Fortran order, the order dpbtrf, dpbsv and dsbmv
+    read without a copy. _energy(forms, 0.0, 1.0) is B's band."""
+    return np.dot((s, alpha), forms.weighted).astype(float).take(forms.tables["band"]).T
 
 
 def _factor_solve(forms: PencilForms, s: float, alpha: float):
@@ -399,24 +394,24 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     with chol, the factor of s A + alpha B held already. x + d is the refined
     solve.
 
-    s A + alpha B is formed in np.longdouble on the pencil's wide values
-    (PencilForms.wide), 25 numbers each on the uniform mesh, not on its
-    4 dim band entries; a float s or alpha takes the array's np.longdouble
-    under NumPy 1's promotion rules and NumPy 2's alike. Its seven
+    s A + alpha B is formed in np.longdouble on the pencil's values
+    (PencilForms.weighted, as _energy forms it), 25 numbers each on the
+    uniform mesh, not on its 4 dim band entries, and is not rounded to
+    float64, so the refined solve is as exact as the long-double operator.
+    Its seven
     coefficient rows, gathered through the row class map, times x shifted by
     each row's offset (both of the pencil's mesh layout, _mesh), are the
     seven terms of every entry of the product.
     The sum over the outer axis adds them one row at a time (NumPy sums
     pairwise only along the fast axis), in _OFFSETS' order, so each entry
-    rounds as the product of the widened bands by diagonals does
+    rounds as the product of the long-double bands by diagonals does
     (tests/conftest.py). Past the matrix the zero class meets x clipped to
     its ends: a term of +-0, which can change only the sign of a zero
     entry, and no bit of r = e0 - y.
     """
     COUNTS["extended_residuals"] += 1
-    wide_A, wide_B = forms.wide
     t = forms.tables
-    values = s * wide_A + alpha * wide_B
+    values = np.dot((s, alpha), forms.weighted)
     shifted = x.astype(np.longdouble).take(t["shifted"], mode="clip")
     y = np.multiply(values[t["rows"]], shifted).sum(axis=0)
     r = np.subtract(t["e0"], y, out=y).astype(float)
@@ -591,7 +586,7 @@ def _last_solve(fp: FixedPoint) -> tuple[float, np.ndarray, float]:
     else:
         chol, x = _factor_solve(forms, t, t * t)
         xr, noise = x + _refine(forms, chol, t, t * t, x)[1], 0.0
-    return (*_eigenpair(forms, t, xr, float(xr @ band_matvec(forms.B_band, xr))), noise)
+    return (*_eigenpair(forms, t, xr, float(xr @ band_matvec(_energy(forms, 0.0, 1.0), xr))), noise)
 
 
 # _secular_newton's two phases, for fixed_point and mode_alpha alike: float64
@@ -739,7 +734,7 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
     xb = (x + d)^T B (x + d), which fixed_point's held last step reads.
     Where phi = 1 or the bracket closes, t_next = t and r is None.
     """
-    c, i0 = float(forms.c_k), forms.e0_index
+    c, i0, b_band = float(forms.c_k), forms.e0_index, _energy(forms, 0.0, 1.0)
 
     def newton(t, x0, xb):
         phi = c * x0
@@ -748,7 +743,7 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
     propose, size = propose or newton, math.inf
     chol, x = _factor_solve(forms, *path(t))
     for _ in range(100):
-        step = propose(t, float(x[i0]), float(x @ band_matvec(forms.B_band, x)))
+        step = propose(t, float(x[i0]), float(x @ band_matvec(b_band, x)))
         if abs(step) <= _LAST_STEP * t or not abs(step) <= 0.5 * size or t + step < 0.0:
             break  # also on a NaN step
         near, t, size = abs(step) <= _FLOAT_STEP * t, t + step, abs(step)
@@ -760,7 +755,7 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
         s, alpha = path(t)
         r, d = _refine(forms, chol, s, alpha, x)
         xr = x + d
-        x0, xb = float(xr[i0]), float(xr @ band_matvec(forms.B_band, xr))
+        x0, xb = float(xr[i0]), float(xr @ band_matvec(b_band, xr))
         phi = c * x0
         lo, hi = (t, hi) if phi > 1.0 else (lo, t)
         scale = max(t, s)

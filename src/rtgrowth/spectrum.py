@@ -155,10 +155,9 @@ class FrozenModeSet:
     of every mode, taken once the growth rate is asked for and re-read at
     every theta (alpha(s) alone never needs them), and the pencil of every
     mode that has maximized a growth scan (size_mode_set): one per distinct
-    maximizer, about 34 KB of arrays each at N = 128 (36 KB with their
-    Python objects): its two float64 bands, the 25 weighted values each of
-    A and B they were gathered from, and those widened to long double
-    (PencilForms.weighted, wide); the mesh layout is shared per N.
+    maximizer, 0.8 KB of arrays each (1.3 KB with their Python objects):
+    the 25 long-double values each of A and B (PencilForms.weighted); the
+    k-free tables and the mesh layout are shared per config and N.
     Every scan takes its pencils from forms. table solves its own
     transverse column. The coupled branch is solved on demand, so one set
     serves every (s, theta).

@@ -201,12 +201,27 @@ def band_matvec_extended(band, x):
     return y
 
 
+def bands(forms):
+    """(A, B) of a pencil as (4, dim) float64 lower bands, each its values
+    rounded to float64 and gathered, as every solve forms its band
+    (pencil._energy)."""
+    return pencil._energy(forms, 1.0, 0.0), pencil._energy(forms, 0.0, 1.0)
+
+
+def extended_bands(forms):
+    """(A, B) of a pencil as (4, dim) np.longdouble lower bands: its values
+    gathered, with no rounding, the operator pencil._refine forms its
+    residual on."""
+    return tuple(values[forms.tables["band"]].T for values in forms.weighted)
+
+
 def hand_built_pencil(A_band, B_band, e0_index, c_k):
     """A pencil at k = 1 of (4, dim) bands built by hand, on the grid of one
     element per layer. Its tables take one class per band entry and class
     A_band.size for the zeros past the matrix, so its weighted values are
-    the bands' entries and a 0, and _refine reads it as it reads an
-    assembled pencil; past the matrix the bands may hold anything."""
+    the bands' entries and a 0, in np.longdouble, and every solve reads it as
+    it reads an assembled pencil; past the matrix the bands may hold
+    anything."""
     A_band, B_band = (np.asarray(band, dtype=float) for band in (A_band, B_band))
     size, dim = A_band.size, A_band.shape[1]
     classes = np.arange(size).reshape(A_band.shape)
@@ -218,9 +233,10 @@ def hand_built_pencil(A_band, B_band, e0_index, c_k):
     }
     for array in layout.values():
         array.flags.writeable = False
-    weighted = tuple(np.append(band.ravel(), 0.0) for band in (A_band, B_band))
+    weighted = np.array([np.append(band.ravel(), 0.0) for band in (A_band, B_band)], dtype=np.longdouble)
+    weighted.flags.writeable = False
     tables = {"grid": np.array([-1.0, 0.0, 1.0]), **layout, "e0_index": e0_index}
-    return pencil.PencilForms(k=1.0, c_k=c_k, B_band=B_band, A_band=A_band, weighted=weighted, tables=tables)
+    return pencil.PencilForms(k=1.0, c_k=c_k, weighted=weighted, tables=tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +266,7 @@ def fix_sign(x, e0_index):
 def finish_eigenpair(forms, s, alpha, x):
     """Normalize and sign-fix x to the convention of pencil.fixed_point, and
     measure its residual."""
-    x = x / np.sqrt(x @ pencil.band_matvec(forms.B_band, x))
+    x = x / np.sqrt(x @ pencil.band_matvec(bands(forms)[1], x))
     x = fix_sign(x, forms.e0_index)
     # (c_k e0 e0^T - s A - alpha B) x
     r = -pencil.band_matvec(pencil._energy(forms, s, alpha), x)
@@ -264,9 +280,10 @@ def largest_eigenpair(forms, s):
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
     n = forms.dim
-    numerator = -s * dense(forms.A_band)
+    A, B = bands(forms)
+    numerator = -s * dense(A)
     numerator[forms.e0_index, forms.e0_index] += forms.c_k
-    w, v = sla.eigh(numerator, dense(forms.B_band), subset_by_index=[n - 1, n - 1])
+    w, v = sla.eigh(numerator, dense(B), subset_by_index=[n - 1, n - 1])
     return finish_eigenpair(forms, s, w[0], v[:, 0])
 
 
@@ -306,17 +323,18 @@ def all_refined_fixed_point(forms, start):
     1e-9 relative: the reference that pencil.fixed_point's float64 proposals
     and shorter refined phase are tested against."""
     c = float(forms.c_k)
+    A, B = bands(forms)
     lo, hi, s = 0.0, math.inf, float(start)
     last = False
     for _ in range(100):
         x = interface_solve(forms, s, s * s)
         phi = c * float(x[forms.e0_index])
-        xb = float(x @ pencil.band_matvec(forms.B_band, x))
+        xb = float(x @ pencil.band_matvec(B, x))
         if phi > 1.0:
             lo = s
         else:
             hi = s
-        xa = float(x @ pencil.band_matvec(forms.A_band, x))
+        xa = float(x @ pencil.band_matvec(A, x))
         step = phi * (1.0 - phi) / (-c * (xa + 2.0 * s * xb))
         if last or phi == 1.0 or hi - lo <= 1e-15 * s:
             return s
@@ -335,7 +353,7 @@ def galerkin_compliances(forms):
     and an unrefined solve is off by up to 7e-8 at N = 256, so C_k^N takes
     the refined solve of interface_solve.
     """
-    chol, info = pencil.lapack.dpbtrf(forms.B_band, lower=1)
+    chol, info = pencil.lapack.dpbtrf(bands(forms)[1], lower=1)
     assert info == 0, f"kinetic matrix not positive definite (LAPACK info {info})"
     x, info = pencil.lapack.dpbtrs(chol, forms.tables["e0"], lower=1)
     assert info == 0, f"kinetic solve failed (LAPACK info {info})"
@@ -399,8 +417,8 @@ SCALED_TABLES = {"D_mu": ("4D_mu", 4.0), "X_mu": ("2X_mu", 2.0)}
 
 def loop_tables(cfg, n):
     """The six k-independent bands by an element-by-element scatter, one band
-    entry of every element at a time: the reference for pencil._tables,
-    which holds two of them scaled (SCALED_TABLES)."""
+    entry of every element at a time, in np.longdouble: the reference for
+    pencil._tables, which holds two of them scaled (SCALED_TABLES)."""
     dim = 4 * n - 2
     per_layer = []
     for h, rho, mu in ((cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)):
@@ -415,17 +433,17 @@ def loop_tables(cfg, n):
         })
     below = np.arange(2 * n) < n
     first = 2 * np.arange(2 * n) - 2  # global dof of each element's local dof 0
-    bands = {}
+    tables = {}
     for name in per_layer[0]:
-        band = np.zeros((4, dim))
+        band = np.zeros((4, dim), dtype=np.longdouble)
         for a in range(4):
             for b in range(a + 1):
                 col = first + b
                 keep = (col >= 0) & (col + a - b < dim)
                 vals = np.where(below, per_layer[0][name][a, b], per_layer[1][name][a, b])
                 band[a - b, col[keep]] += vals[keep]
-        bands[name] = band
-    return bands
+        tables[name] = band
+    return tables
 
 
 def quad_data(profile):

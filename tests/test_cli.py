@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fail_last_factorization
+from conftest import config_json, fail_last_factorization
 from rtgrowth import oracle, pencil, spectrum
 from rtgrowth.cli import COMMANDS, main
 from rtgrowth.model import FluidConfig, theta_critical
@@ -532,3 +532,15 @@ def test_fuzzed_front_door_never_crashes(command, corrupt, flags):
             code = exit_code(args)
     assert code in (0, 2, 3, 4), (args, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_growth_near_theta_c_at_n256_stays_within_the_compliance_bound(tmp_path, contrast_config):
+    # contrast config at 0.99999 theta_c, N = 256: on pencil values rounded
+    # to float64, lambda read 3.4753794711676515e-07, above the compliance
+    # bound on the exact Lambda (3.475379379120479e-07), and growth exited 4
+    cfg = contrast_config.with_theta(0.99999 * theta_critical(contrast_config))
+    config, out = tmp_path / "config.json", tmp_path / "growth.json"
+    config.write_text(config_json(cfg))
+    assert run_cli(["growth", "--config", str(config), "--resolution", "256", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert 0.0 < payload["lambda"] <= payload["bound_compliance"]

@@ -62,16 +62,15 @@ def test_mode_lambda_increases_with_resolution(reference_config):
     assert lams[2] == pytest.approx(2.4381739516695293, rel=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="float64 bands round Lambda_N at N = 128 below its N = 64 value near theta_c (ROADMAP item 3)",
-)
-@pytest.mark.parametrize("fraction", [0.9, 0.99])
-def test_lambda_increases_with_resolution_near_theta_c(reference_config, fraction):
-    # nested Hermite spaces make Lambda_N nondecreasing in N; near theta_c the
-    # N = 128 value lies below the N = 64 one (0.24048990764 < 0.24048990807
-    # at 0.9 theta_c), by more than the refined solve's own rounding
-    cfg = reference_config.with_theta(fraction * theta_critical(reference_config))
+@pytest.mark.parametrize("mu", [0.1, 0.01])
+@pytest.mark.parametrize("fraction", [0.9, 0.99, 0.999])
+def test_lambda_increases_with_resolution_near_theta_c(reference_config, fraction, mu):
+    # nested Hermite spaces make Lambda_N nondecreasing in N. On values
+    # rounded to float64 the N = 128 value lay below the N = 64 one near
+    # theta_c (0.24048990764 < 0.24048990807 at 0.9 theta_c, mu = 0.1), by
+    # more than the refined solve's own rounding
+    base = replace(reference_config, mu_plus=mu, mu_minus=mu)
+    cfg = base.with_theta(fraction * theta_critical(base))
     lams = [solve_lambda(cfg, Discretization(n)).lam for n in (32, 64, 128)]
     assert lams[0] < lams[1] < lams[2]
 

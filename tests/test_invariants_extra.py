@@ -106,10 +106,10 @@ def test_root_and_compliances_evaluate_through_a_prebuilt_exact_mode():
             assert not any(ast.unparse(arg).split(".")[-1] == "cfg" for arg in passed), (name, ast.unparse(call))
 
 
-def test_pencils_are_assembled_in_one_place_from_values_alone():
+def test_pencils_are_assembled_in_one_place_from_values_alone(reference_config):
     # every pencil of the package comes from assemble, which weighs the
-    # k-free tables' 25 values per form and gathers them; the tables keep
-    # no band, so each form is held once
+    # k-free tables' 25 long-double values per form; neither the tables nor
+    # the pencil keep a band or a float64 copy, so each form is held once
     src = Path(rtgrowth.__file__).parent
     sites = _CallSites("PencilForms")
     for path in sorted(src.glob("*.py")):
@@ -117,5 +117,8 @@ def test_pencils_are_assembled_in_one_place_from_values_alone():
     assert sites.sites == ["assemble"]
     for n in (8, 32):
         t = pencil._tables((1.0, 1.0, 0.1), (1.0, 2.0, 0.1), n)
-        assert [values.shape for values in t["values"].values()] == [(25,)] * 6
+        assert [(values.shape, values.dtype) for values in t["values"].values()] == [((25,), np.longdouble)] * 6
         assert not any(np.shape(value) == (4, 4 * n - 2) for value in t.values())
+        forms = pencil.assemble(1.0, reference_config, Discretization(n)).with_surface(2.0)
+        assert set(vars(forms)) == {"k", "c_k", "weighted", "tables"}
+        assert [(values.shape, values.dtype) for values in forms.weighted] == [((25,), np.longdouble)] * 2

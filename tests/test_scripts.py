@@ -411,8 +411,10 @@ def test_ab_compares_two_trees_bit_for_bit():
     assert [(r["shape"], r["ops"], r["rounds"]) for r in reports] == [
         ("growth-ref", 2, 4), ("sweep-dense", 6, 4), ("oracle-modes", 4, 4),
     ]
+    assert [r["last_solves"] for r in reports] == [2, 6, 0]
     for r in reports:
         assert r["outputs_equal"] and r["counts_equal"] and r["counts_differing"] == {}
+        assert r["last_solves_equal"]
         assert r["median_a_ms"] > 0.0 and r["median_b_ms"] > 0.0
         assert r["ratio_low"] <= r["ratio"] <= r["ratio_high"]
         assert 0 <= r["b_faster"] <= 4
@@ -425,6 +427,22 @@ def test_ab_compares_two_trees_bit_for_bit():
     finally:
         trees[1].oracle.fixed_point = real
     assert not off["outputs_equal"] and off["counts_equal"]
+
+
+def test_ab_sees_a_fixed_point_last_solve():
+    # trees that differ only in the held last step's gate: every fixed point
+    # takes a fresh last solve on B, one more factorization and extended
+    # residual, which leave lambda and so every op's record as they were;
+    # the untimed pass over the growth solves' full records and eigenvectors
+    # flags it
+    ab = load_script("ab")
+    src = SCRIPTS.parent / "src"
+    trees = ab.load_tree(src, "rtgrowth_gate_a"), ab.load_tree(src, "rtgrowth_gate_b")
+    trees[1].pencil._HELD_GATE = -1.0
+    reports = ab.compare(trees, rounds=1, resolutions=(8, 16, 16), ops=(2, 3, 1))
+    for r in reports[:2]:
+        assert r["outputs_equal"] and r["last_solves"] > 0 and not r["last_solves_equal"], r["shape"]
+        assert {"factorizations", "extended_residuals"} <= r["counts_differing"].keys()
 
 
 def test_ab_forces_one_blas_thread(monkeypatch):
