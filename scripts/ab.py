@@ -37,8 +37,11 @@ last-round records failed the workload's gates(). Count kinds that differ
 are listed with their totals over all rounds. An op's record keeps only
 lambda of a growth solve, so after the timed rounds one untimed pass per
 side reruns the ops and compares every growth solve's full
-to_json_dict() and eigenvector bytes: the fixed point's last solve, whose
-alpha, residual and eigenvector no record holds (last_solves).
+to_json_dict(), alpha and eigenvector bytes: the fixed point's last solve,
+whose alpha, residual and eigenvector no record holds (last_solves). Where
+they differ, the script prints the largest relative change of alpha, of
+fixed_point_residual and of the eigenvector (against its largest entry)
+over the solves (last_solves_moved).
 
 Read a B/A within about 0.3 % of 1 as no change, whatever its interval
 says: on a change whose timed path was untouched, two runs read B slower
@@ -115,8 +118,8 @@ def run_round(tree: SimpleNamespace, workload, inputs: list) -> tuple[float, lis
     return float(np.median(times)), records, dict(tree.pencil.COUNTS)
 
 
-def last_solves(tree: SimpleNamespace, workload, inputs: list) -> list[tuple[dict, bytes]]:
-    """(to_json_dict(), eigenvector bytes) of every growth solve that one
+def last_solves(tree: SimpleNamespace, workload, inputs: list) -> list[tuple[dict, float, np.ndarray]]:
+    """(to_json_dict(), alpha, eigenvector) of every growth solve that one
     untimed pass of workload over inputs makes, caught by wrapping the
     tree's fixedpoint.solve_lambda, which the op looks up at each call."""
     real, results = tree.fixedpoint.solve_lambda, []
@@ -131,7 +134,26 @@ def last_solves(tree: SimpleNamespace, workload, inputs: list) -> list[tuple[dic
             workload.op(x)
     finally:
         tree.fixedpoint.solve_lambda = real
-    return [(res.to_json_dict(), res.fixed_point.vector.tobytes()) for res in results]
+    return [(res.to_json_dict(), res.fixed_point.alpha, res.fixed_point.vector) for res in results]
+
+
+def _relative(a: float, b: float) -> float:
+    """|b - a| / |a|: 0 where they are equal, inf where only a is 0."""
+    return 0.0 if a == b else abs(b - a) / abs(a)
+
+
+def last_solves_moved(a: list, b: list) -> dict:
+    """The largest relative change from solves a to solves b (last_solves)
+    of alpha, fixed_point_residual and the eigenvector, the last against
+    the largest entry of a's, over solves a and b of equal number."""
+    pairs = list(zip(a, b, strict=True))
+    return {
+        "alpha": max(_relative(x[1], y[1]) for x, y in pairs),
+        "fixed_point_residual": max(
+            _relative(x[0]["fixed_point_residual"], y[0]["fixed_point_residual"]) for x, y in pairs
+        ),
+        "vector": max(float(abs(y[2] - x[2]).max() / abs(x[2]).max()) for x, y in pairs),
+    }
 
 
 def compare(
@@ -165,6 +187,9 @@ def compare(
             counts_equal &= result[0][2] == result[1][2]
         failed = [sum(v is not None for v in pair[side].gates(result[side][1])) for side in (0, 1)]
         solves = [last_solves(trees[side], pair[side], inputs) for side in (0, 1)]
+        equal = [(d, alpha, v.tobytes()) for d, alpha, v in solves[0]] == [
+            (d, alpha, v.tobytes()) for d, alpha, v in solves[1]
+        ]
         a, b = np.asarray(medians[0]), np.asarray(medians[1])
         ratios = b / a
         resampled = np.random.default_rng(0).choice(ratios, size=(2000, ratios.size))
@@ -188,7 +213,8 @@ def compare(
             "counts_equal": bool(counts_equal),
             "counts_differing": differing,
             "last_solves": len(solves[0]),
-            "last_solves_equal": solves[0] == solves[1],
+            "last_solves_equal": equal,
+            "last_solves_moved": last_solves_moved(*solves) if not equal and len(solves[1]) == len(solves[0]) else None,
             "gates_failed_a": failed[0],
             "gates_failed_b": failed[1],
         })
@@ -202,14 +228,9 @@ def archived_src(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("rev", help="the git revision to compare the working tree against (side A)")
-    args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = load_tree(archived_src(args.rev, Path(tmp)), "rtgrowth_a"), load_tree(ROOT / "src", "rtgrowth_b")
-        reports = compare(trees)
-    print(f"A = {args.rev}, B = working tree; {ROUNDS} ABBA rounds; ms per op, median over rounds")
+def print_reports(rev: str, reports: list[dict]) -> None:
+    """One line per workload report of compare, side A at git revision rev."""
+    print(f"A = {rev}, B = working tree; {reports[0]['rounds']} ABBA rounds; ms per op, median over rounds")
     print(f"{'workload':>13} {'ops':>4} {'A':>9} {'B':>9} {'B/A':>7} {'95 % interval':>17} {'B faster':>9}  bits")
     for rep in reports:
         bits = "outputs " + ("equal" if rep["outputs_equal"] else "DIFFER")
@@ -217,12 +238,24 @@ def main() -> None:
         bits += "".join(f"; {kind} {a} -> {b}" for kind, (a, b) in rep["counts_differing"].items())
         if rep["last_solves"]:
             bits += f"; {rep['last_solves']} last solves " + ("equal" if rep["last_solves_equal"] else "DIFFER")
+        if rep["last_solves_moved"]:
+            bits += " by at most " + ", ".join(f"{key} {v:.2g}" for key, v in rep["last_solves_moved"].items())
         bits += f"; failed gates A {rep['gates_failed_a']}, B {rep['gates_failed_b']}"
         print(
             f"{rep['shape']:>13} {rep['ops']:>4} {rep['median_a_ms']:9.4f} {rep['median_b_ms']:9.4f} "
             f"{rep['ratio']:7.4f} [{rep['ratio_low']:.4f}, {rep['ratio_high']:.4f}] "
             f"{rep['b_faster']:>4}/{rep['rounds']:<4}  {bits}"
         )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the git revision to compare the working tree against (side A)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = load_tree(archived_src(args.rev, Path(tmp)), "rtgrowth_a"), load_tree(ROOT / "src", "rtgrowth_b")
+        reports = compare(trees)
+    print_reports(args.rev, reports)
 
 
 if __name__ == "__main__":

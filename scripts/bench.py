@@ -47,8 +47,8 @@ its last solve only when its alpha, eigenvector or residual is read, so a
 growth solve runs one, for its maximizer, and oracle-compare none), alpha_k(s)
 solves, inertia tests, banded Cholesky factorizations (inertia tests and
 solves alike), extended-precision residuals and pencil assemblies (a mode
-set keeps the pencil of each growth maximizer, so a sweep or verify
-re-assembles fewer; a held pencil is its 50 long-double values, 0.8 KB).
+set keeps no pencil, so every mode a scan visits is assembled, once per
+scan, from the k-free tables cached per config and N).
 Each command row also records peak_rss_mb, the median over its runs of the
 child's peak resident set (ru_maxrss).
 

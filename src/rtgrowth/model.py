@@ -55,8 +55,7 @@ class FluidConfig:
         """This config at another theta. A field-by-field copy (there is no
         __post_init__ to run), about 0.5 us against 2.7 us for
         dataclasses.replace. A sweep point calls it four times: its caller,
-        FrozenModeSet.check_serves, the growth scan's pair and growth_bounds.
-        pencil.PencilForms.with_surface is the same copy for a held pencil."""
+        FrozenModeSet.check_serves, the growth scan's pair and growth_bounds."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, theta=theta)
         return new

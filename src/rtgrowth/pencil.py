@@ -21,7 +21,8 @@ distinct values, one per band row, dof parity and node type (below, on or
 above the interface), and 0 past the matrix. Each k-free form is kept as
 those 25 values in np.longdouble, summed from the element integrals with no
 rounding to float64 (_tables), and assemble weighs them by k: a pencil holds
-each of A and B once, as 25 long-double values. Every band a solve reads is
+each of A and B once, as 25 long-double values, and no mode set keeps one (a
+scan assembles each mode it visits). Every band a solve reads is
 formed from them: s A + alpha B in long double, rounded once to float64 and
 gathered through the class map of N (_mesh, _energy). Every
 per-mode quantity reads the Galerkin interface impedance
@@ -315,8 +316,8 @@ class PencilForms:
     tables holds the k-free tables they were weighted from and the mesh
     layout (_tables, _mesh), where dim, e0_index, grid and
     elements_per_layer are read. No band is stored: every solve forms the
-    band it reads from the values (_energy). theta enters only c_k, so a
-    pencil serves its mode at every theta through with_surface.
+    band it reads from the values (_energy). No mode set holds a pencil: a
+    scan assembles each mode it visits, which weighs 50 values.
     """
 
     k: float
@@ -339,14 +340,6 @@ class PencilForms:
     @property
     def elements_per_layer(self) -> int:
         return self.grid.size // 2  # 2 N + 1 nodes
-
-    def with_surface(self, c_k: float) -> "PencilForms":
-        """This pencil at another surface coefficient c_k. A field-by-field
-        copy, as FluidConfig.with_theta is: it shares the weighted values and
-        the tables."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, c_k=c_k)
-        return new
 
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
@@ -387,12 +380,12 @@ def _factor_solve(forms: PencilForms, s: float, alpha: float):
     return chol, x
 
 
-def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.ndarray):
-    """(r, d) for one step of refinement of x: the residual
-    r = e0 - (s A + alpha B) x, formed and applied in extended precision and
-    rounded to float64, and the correction d = (s A + alpha B)^(-1) r, solved
-    with chol, the factor of s A + alpha B held already. x + d is the refined
-    solve.
+def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.ndarray) -> np.ndarray:
+    """The correction d for one step of refinement of x: d solves
+    (s A + alpha B) d = r with chol, the factor of s A + alpha B held
+    already, for the residual r = e0 - (s A + alpha B) x, formed and applied
+    in extended precision and rounded to float64. x + d is the refined solve,
+    and r stays here: no caller reads it.
 
     s A + alpha B is formed in np.longdouble on the pencil's values
     (PencilForms.weighted, as _energy forms it), 25 numbers each on the
@@ -414,8 +407,7 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     values = np.dot((s, alpha), forms.weighted)
     shifted = x.astype(np.longdouble).take(t["shifted"], mode="clip")
     y = np.multiply(values[t["rows"]], shifted).sum(axis=0)
-    r = np.subtract(t["e0"], y, out=y).astype(float)
-    return r, _spd_solve(chol, r, alpha)
+    return _spd_solve(chol, np.subtract(t["e0"], y, out=y).astype(float), alpha)
 
 
 def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:
@@ -510,17 +502,17 @@ class FixedPoint:
     oracle.compare_modes and the modes a growth scan does not keep as its
     maximum do, pays for no solve after lam is fixed. The fields hold what
     that solve needs: x and its correction d, the refined solve x + d at s
-    that fixed lam, with its extended-precision residual r, the factor chol
-    of s A + s^2 B and xb = (x + d)^T B (x + d). r is None where s is lam
-    and x + d is already the last solve. A last solve whose factorization
-    fails raises when it runs, on that first read.
+    that fixed lam, the factor chol of s A + s^2 B, B's float64 band b, as
+    the loop gathered it, and xb = (x + d)^T B (x + d). Where lam is s,
+    x + d is already the last solve. A last solve whose factorization fails
+    raises when it runs, on that first read.
 
     alpha is alpha_k(lam) to first order from the last solve. vector is the
     eigenvector, normalized to x^T B x = 1. Its interface value psi(0) is
     positive with no sign flip: it is a positive multiple of
     e0^T (s A + s^2 B)^(-1) e0 > 0, s A + s^2 B being positive definite.
     noise is the refinement noise that a last solve on the held factor
-    cannot show (fixed_point); 0 after a fresh last solve.
+    cannot show (fixed_point); 0 after a fresh last solve and where lam is s.
     """
 
     forms: PencilForms
@@ -529,7 +521,7 @@ class FixedPoint:
     chol: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
-    r: np.ndarray | None = field(repr=False)
+    b: np.ndarray = field(repr=False)
     xb: float = field(repr=False)
 
     @cached_property
@@ -570,23 +562,21 @@ def _last_solve(fp: FixedPoint) -> tuple[float, np.ndarray, float]:
     """(alpha, vector, noise) of fp from its last solve at t = fp.lam: the
     held step where the refinement's noise at s is within
     _HELD_GATE max(1, s^2), a fresh factorization and refined solve at t
-    elsewhere (fixed_point)."""
+    elsewhere (fixed_point). Either forms one band."""
     COUNTS["last_solves"] += 1
     forms, t, s, x, d = fp.forms, fp.lam, fp.s, fp.x, fp.d
     xr = x + d
-    if fp.r is None:
+    if t == s:
         return (*_eigenpair(forms, t, xr, fp.xb), 0.0)
     # kappa tau / (c_k xb), tau = |d| / |x + d|
     noise = _KAPPA * float(abs(d).max() / abs(xr).max()) / (float(forms.c_k) * fp.xb)
     if noise <= _HELD_GATE * max(1.0, s * s):
-        # the residual of x + d at t, from r at s; both products are small
         dm = _energy(forms, t - s, (t - s) * (t + s))  # M(t) - M(s), without cancellation
-        r = fp.r - band_matvec(dm, x) - band_matvec(_energy(forms, t, t * t), d)
-        xr = x + (d + _spd_solve(fp.chol, r, s * s))
+        x = x + (d - _spd_solve(fp.chol, band_matvec(dm, xr), s * s))
     else:
         chol, x = _factor_solve(forms, t, t * t)
-        xr, noise = x + _refine(forms, chol, t, t * t, x)[1], 0.0
-    return (*_eigenpair(forms, t, xr, float(xr @ band_matvec(_energy(forms, 0.0, 1.0), xr))), noise)
+        x, noise = x + _refine(forms, chol, t, t * t, x), 0.0
+    return (*_eigenpair(forms, t, x, float(x @ band_matvec(fp.b, x))), noise)
 
 
 # _secular_newton's two phases, for fixed_point and mode_alpha alike: float64
@@ -627,21 +617,23 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     eigenvector and the residual, runs the first time one of them is read
     (FixedPoint, _last_solve), held or fresh as the gate below decides.
 
-    Held last step. With x the float64 solve at s, r = e0 - M(s) x the
-    extended-precision residual already formed (M(s) = s A + s^2 B) and d
-    its correction, the residual of x + d at t is
+    Held last step. With M(s) = s A + s^2 B, x the float64 solve at s,
+    r = e0 - M(s) x its extended residual and d its correction, solved on
+    the factor of M(s), the residual of x + d at t is
 
-        e0 - M(t) (x + d) = r - (M(t) - M(s)) x - M(t) d.
+        e0 - M(t) (x + d) = (r - M(s) d) - (M(t) - M(s)) (x + d).
 
-    Both products are small, |t - s| <= _LAST_STEP * s and |d| = tau |x|, so
-    float64 forms them far below the size of r, and the factor of M(s)
-    already held solves for the next correction: one step of a stationary
-    iteration that contracts by |M(s)^(-1) (M(t) - M(s))| <= 2 |t - s| / s
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 12).
-    x and d stay apart until the end, since a residual of their float64 sum
-    rounds away what r holds (a prototype read 2.7e-15 where the true
-    residual was 7.5e-9). The step costs no factorization and no second
-    extended residual, and lam = t keeps the bits of a fresh step.
+    r - M(s) d is only the correction solve's backward error, about
+    u |M| |d| with |d| = tau |x + d|, so r carries nothing this step reads
+    and stays in _refine. The second term is small, |t - s| <= _LAST_STEP * s:
+    M(t) - M(s) is formed without cancellation, and x + d, formed in
+    float64, costs only u |M(t) - M(s)| |x| in it. So the factor of M(s)
+    already held solves M(s) d2 = -(M(t) - M(s)) (x + d), and
+    x + (d + d2) is the last solve: one step of a stationary iteration that
+    contracts by |M(s)^(-1) (M(t) - M(s))| <= 2 |t - s| / s (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 12). The step
+    costs no factorization and no extended residual, forms one band, and
+    lam = t keeps the bits of a fresh step.
     The held solve cannot show the noise of the one refinement at s: Newton
     chose t from that same phi, so |lam^2 - alpha| reads ~0. So the residual
     adds noise = kappa tau / (c_k xb), with xb = x^T B x and
@@ -729,10 +721,10 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
     bisecting the bracket [lo, hi], first [0, inf), when a step leaves it;
     phi > 1 makes t its lower end. Bracket and stop tests are relative to
     max(t, s(t)). A step of at most _LAST_STEP of that fixes t_next,
-    unsolved, and the loop returns (t_next, t, chol, x, d, r, xb): x the
-    float64 solve at t, d its correction, r its extended residual and
-    xb = (x + d)^T B (x + d), which fixed_point's held last step reads.
-    Where phi = 1 or the bracket closes, t_next = t and r is None.
+    unsolved, and the loop returns (t_next, t, chol, x, d, b, xb): x the
+    float64 solve at t, d its correction, b B's float64 band and
+    xb = (x + d)^T B (x + d), which fixed_point's last step reads. Where
+    phi = 1 or the bracket closes, t_next = t.
     """
     c, i0, b_band = float(forms.c_k), forms.e0_index, _energy(forms, 0.0, 1.0)
 
@@ -753,18 +745,18 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
     lo, hi = 0.0, math.inf
     for _ in range(100):
         s, alpha = path(t)
-        r, d = _refine(forms, chol, s, alpha, x)
+        d = _refine(forms, chol, s, alpha, x)
         xr = x + d
         x0, xb = float(xr[i0]), float(xr @ band_matvec(b_band, xr))
         phi = c * x0
         lo, hi = (t, hi) if phi > 1.0 else (lo, t)
         scale = max(t, s)
         if phi == 1.0 or hi - lo <= 1e-15 * scale:
-            return t, t, chol, x, d, None, xb
+            return t, t, chol, x, d, b_band, xb
         step = newton(t, x0, xb)
         nxt = t + step if lo <= t + step <= hi else 0.5 * (lo + hi)
         if abs(step) <= _LAST_STEP * scale:
-            return nxt, t, chol, x, d, r, xb
+            return nxt, t, chol, x, d, b_band, xb
         t = nxt
         chol, x = _factor_solve(forms, *path(t))
     raise SolverError(f"no secular root of mode k = {forms.k!r} after 100 Newton steps")

@@ -3,13 +3,12 @@
 The admissible wavenumbers are xi = (n1/L1, n2/L2) over nonzero integer
 pairs; every per-mode quantity depends on xi only through k = |xi|, so the
 search collapses to the sorted list of distinct magnitudes. A FrozenModeSet
-holds the magnitudes, their two interface compliances (closed forms, taken
-the first time the growth rate is asked for) and the pencil of every mode
-that has maximized a growth scan, all of which depend on neither s nor
-theta; every coupled-branch value is solved on the banded pencil when it is
-needed (pencil.alpha_below, mode_alpha, fixed_point). theta enters a pencil
-only through c_k, so a held pencil is rebound to each theta's c_k
-(FrozenModeSet.forms), and a sweep point re-forms only what theta changes.
+holds the magnitudes and their two interface compliances (closed forms,
+taken the first time the growth rate is asked for), which depend on neither
+s nor theta, and no pencil: every coupled-branch value is solved, when it is
+needed, on a pencil assembled for it (pencil.assemble, alpha_below,
+mode_alpha, fixed_point), from the k-free tables that every pencil of the
+config and N shares.
 
 Both suprema are one pruned scan (_scan) fed by one of two pairs of
 per-mode bound, test and solve: Lambda = max_k Lambda_k (_growth_pair:
@@ -56,7 +55,6 @@ from .model import FluidConfig
 from .pencil import (
     COUNTS,
     Discretization,
-    PencilForms,
     alpha_below,
     assemble,
     fixed_point,
@@ -153,14 +151,13 @@ class FrozenModeSet:
 
     It caches the interface compliances (I_k, C_k) of modeforms.compliances
     of every mode, taken once the growth rate is asked for and re-read at
-    every theta (alpha(s) alone never needs them), and the pencil of every
-    mode that has maximized a growth scan (size_mode_set): one per distinct
-    maximizer, 0.8 KB of arrays each (1.3 KB with their Python objects):
-    the 25 long-double values each of A and B (PencilForms.weighted); the
-    k-free tables and the mesh layout are shared per config and N.
-    Every scan takes its pencils from forms. table solves its own
-    transverse column. The coupled branch is solved on demand, so one set
-    serves every (s, theta).
+    every theta (alpha(s) alone never needs them), and the growth bounds of
+    the last theta. It holds no pencil: a scan and table assemble each mode
+    they solve or test (pencil.assemble weighs the 25 long-double values of
+    each form by k, from the k-free tables shared per config and N), so a
+    pencil lives as long as its solve. table solves its own transverse
+    column. The coupled branch is solved on demand, so one set serves every
+    (s, theta).
     """
 
     def __init__(self, cfg: FluidConfig, disc: Discretization, modes: ModeSet):
@@ -170,7 +167,6 @@ class FrozenModeSet:
         COUNTS["modes"] += len(modes)
         self._compliance = np.empty((0, 2))  # rows (I_k, C_k) of the first modes
         self._bounds = (None, None)  # ((theta, number of modes), r_k of every mode at theta)
-        self.pencils = {}  # k -> the pencil of a mode that maximized a growth scan
 
     @classmethod
     def freeze(cls, cfg: FluidConfig, disc: Discretization, k_max: float) -> "FrozenModeSet":
@@ -193,14 +189,6 @@ class FrozenModeSet:
                 f"the mode set was built for {self.cfg!r} at {self.disc!r}, "
                 f"not for {cfg!r} at {disc!r}"
             )
-
-    def forms(self, k: float, cfg: FluidConfig) -> PencilForms:
-        """The pencil of mode k at cfg, the set's config at some theta: a held
-        pencil rebound to cfg's c_k, else a fresh assembly. The bands read
-        neither theta nor anything but the layers and disc, so both have
-        the bits of assemble(k, cfg, disc)."""
-        held = self.pencils.get(k)
-        return assemble(k, cfg, self.disc) if held is None else held.with_surface(surface_coefficient(k, cfg))
 
     def growth_bounds(self, theta: float) -> np.ndarray:
         """compliance_bound of every mode at theta: Lambda_k <= r_k, read-only.
@@ -235,7 +223,7 @@ class FrozenModeSet:
         one transverse root each."""
         cfg = self.cfg.with_theta(theta)
         ks = self.modes.magnitudes
-        longitudinal = [mode_alpha(self.forms(k, cfg), s) for k in ks]
+        longitudinal = [mode_alpha(assemble(k, cfg, self.disc), s) for k in ks]
         lam_tau = np.asarray([transverse_min_eigenvalue(k, self.cfg) for k in ks])
         return ModeTable(ks, np.asarray(longitudinal), -s * lam_tau)
 
@@ -527,7 +515,7 @@ def _scan(fm: FrozenModeSet, pair: _Pair, start: int, best: tuple) -> tuple:
     for k, bound in zip(fm.modes.magnitudes[start:][order].tolist(), bounds[order]):
         if bound <= best[0]:
             break
-        forms = fm.forms(k, pair.cfg)
+        forms = assemble(k, pair.cfg, fm.disc)
         if best[2] is not None and pair.test(forms, best[0]):
             continue
         value, result = pair.solve(forms, bound)
@@ -550,9 +538,7 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     cutoff. So does a growth scan that solved no mode, every r_k 0: C_k
     underflows at mu = 1e300, or theta lies an ulp or so below theta_c, where
     c_k = g [rho] - theta k^2 at the smallest magnitude, positive in exact
-    arithmetic, can round to 0 or below. fm keeps the pencil
-    of a growth scan's maximizer (FrozenModeSet.forms), which the next
-    theta of a sweep most likely solves again.
+    arithmetic, can round to 0 or below.
     """
     pair = _growth_pair(fm, theta) if s is None else _alpha_pair(fm, theta, s)
     best, start = pair.floor, 0
@@ -562,8 +548,6 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
             raise DegenerateExponents(f"no mode grows at theta = {float(theta)!r}: every bound r_k is 0")
         cutoff = pair.cutoff(best[0])
         if cutoff <= fm.modes.k_max:
-            if s is None:
-                fm.pencils[best[1]] = best[2].forms
             return best[2]
         start = len(fm.modes)
         try:

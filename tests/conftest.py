@@ -296,7 +296,7 @@ def interface_solve(forms, s, alpha):
     off by up to 2e-9 at N = 128 (cond ~ 4e8); the refined vector is good to
     ~1e-12."""
     chol, x = pencil._factor_solve(forms, s, alpha)
-    return x + pencil._refine(forms, chol, s, alpha, x)[1]
+    return x + pencil._refine(forms, chol, s, alpha, x)
 
 
 def galerkin_impedance(forms, s, a):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_output, config_json
-from rtgrowth import analysis, cli, oracle, pencil, spectrum
+from rtgrowth import analysis, cli, oracle, spectrum
 from rtgrowth.errors import MonotonicityViolation, SolverError
 from rtgrowth.analysis import VerifyCheck, sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
@@ -50,29 +50,6 @@ def test_sweep_solves_only_its_grid_points(cheap_config, monkeypatch):
     for res, theta in zip(sweep.results, thetas):
         owned = solve_lambda(cheap_config.with_theta(theta), DISC)
         assert (res.lam, res.argmax_k) == (owned.lam, owned.argmax_k)
-
-
-@pytest.mark.parametrize("name", ["viscous", "contrast"])
-def test_sweep_on_held_pencils_keeps_every_bit(reference_config, contrast_config, monkeypatch, name):
-    # a sweep point takes the pencils its set holds, rebound to its c_k;
-    # every point's output and eigenvector equal those of a sweep that
-    # assembles every pencil, and the set holds exactly the maximizers'
-    cfg = dataclasses.replace(reference_config, mu_plus=1.0, mu_minus=1.0) if name == "viscous" else contrast_config
-    disc, fractions = Discretization(64), np.linspace(0.0, 0.99, 12)
-    pencil.COUNTS.clear()
-    held = sweep_theta(cfg, fractions, disc)
-    held_assemblies = pencil.COUNTS["assemblies"]
-    fm = held.results[0].mode_set
-    assert set(fm.pencils) == {r.argmax_k for r in held.results}
-    assert all(fm.pencils[k].k == k for k in fm.pencils)
-
-    monkeypatch.setattr(spectrum.FrozenModeSet, "forms", lambda self, k, cfg: pencil.assemble(k, cfg, self.disc))
-    pencil.COUNTS.clear()
-    fresh = sweep_theta(cfg, fractions, disc)
-    assert pencil.COUNTS["assemblies"] > held_assemblies
-    for a, b in zip(held.results, fresh.results, strict=True):
-        assert a.to_json_dict() == b.to_json_dict()
-        assert a.fixed_point.vector.tobytes() == b.fixed_point.vector.tobytes()
 
 
 def test_sweep_contract(cheap_config):

@@ -119,6 +119,9 @@ def test_pencils_are_assembled_in_one_place_from_values_alone(reference_config):
         t = pencil._tables((1.0, 1.0, 0.1), (1.0, 2.0, 0.1), n)
         assert [(values.shape, values.dtype) for values in t["values"].values()] == [((25,), np.longdouble)] * 6
         assert not any(np.shape(value) == (4, 4 * n - 2) for value in t.values())
-        forms = pencil.assemble(1.0, reference_config, Discretization(n)).with_surface(2.0)
+        forms = pencil.assemble(1.0, reference_config, Discretization(n))
         assert set(vars(forms)) == {"k", "c_k", "weighted", "tables"}
         assert [(values.shape, values.dtype) for values in forms.weighted] == [((25,), np.longdouble)] * 2
+    # and no mode set holds a pencil past the solve that assembled it
+    fm = solve_lambda(reference_config, Discretization(8)).mode_set
+    assert not any(isinstance(value, (pencil.PencilForms, dict)) for value in vars(fm).values())

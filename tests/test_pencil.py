@@ -502,8 +502,7 @@ def extended_refine(forms, chol, s, alpha, x):
     # its product by diagonals
     A, B = extended_bands(forms)
     y = band_matvec_extended(s * A + alpha * B, x)
-    r = np.subtract(forms.tables["e0"], y, out=y).astype(float)
-    return r, pencil._spd_solve(chol, r, alpha)
+    return pencil._spd_solve(chol, np.subtract(forms.tables["e0"], y, out=y).astype(float), alpha)
 
 
 def three_dof_pencil():
@@ -518,10 +517,9 @@ def three_dof_pencil():
 
 @pytest.mark.parametrize("n", [8, 32, 128, 256, 512])
 def test_refine_on_the_held_wide_bands_keeps_the_bits(reference_config, contrast_config, n):
-    # the residual and correction from the held long-double values, 25 per
-    # form gathered into coefficient rows, are those of the long-double
-    # bands' product by diagonals, bit for bit: on repeated refinements and
-    # on a copy at another c_k, which shares the values
+    # the correction from the held long-double values, 25 per form gathered
+    # into coefficient rows, is that of the long-double bands' product by
+    # diagonals, bit for bit, on repeated refinements
     disc = Discretization(n)
     tiny = replace(reference_config, mu_plus=1e-321, mu_minus=1e-321)
     anisotropic = replace(reference_config, L2=1.7, h_minus=0.5, mu_minus=0.2)
@@ -533,25 +531,22 @@ def test_refine_on_the_held_wide_bands_keeps_the_bits(reference_config, contrast
     if n == 8:  # bands built by hand take one class per entry
         pencils += [hand_pencil(), three_dof_pencil()]
     for forms in pencils:
-        for pencil_at in (forms, forms, forms.with_surface(0.5 * forms.c_k)):
+        for _ in range(2):
             for s, alpha in ((0.1, 0.01), (1.3, 1.69), (2.0, 0.5)):
-                chol, x = pencil._factor_solve(pencil_at, s, alpha)
-                expected = extended_refine(pencil_at, chol, s, alpha, x)
-                got = pencil._refine(pencil_at, chol, s, alpha, x)
-                assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+                chol, x = pencil._factor_solve(forms, s, alpha)
+                expected = extended_refine(forms, chol, s, alpha, x)
+                assert pencil._refine(forms, chol, s, alpha, x).tobytes() == expected.tobytes()
 
 
-def test_with_surface_shares_the_long_double_values(reference_config):
-    # a copy at another c_k shares the pencil's 25 long-double values of
-    # each form and its tables; rounded once and gathered through the class
-    # map, the values give every entry of the float64 bands the solves read
+def test_pencil_holds_each_form_as_25_long_double_values(reference_config):
+    # a pencil holds the 25 long-double values of each form, read-only, and
+    # shares its config's tables; rounded once and gathered through the
+    # class map, the values give every entry of the float64 bands the solves
+    # read
     disc = Discretization(16)
     forms = assemble(5.0, reference_config, disc)
-    other = forms.with_surface(-1.0)
-    assert (other.c_k, forms.c_k) == (-1.0, assemble(5.0, reference_config, disc).c_k)
-    assert other.weighted is forms.weighted and other.tables is forms.tables
-    assert other.grid is forms.grid
-    assert (other.k, other.e0_index, other.elements_per_layer) == (forms.k, forms.e0_index, 16)
+    assert assemble(5.0, reference_config.with_theta(1.0), disc).tables is forms.tables
+    assert (forms.k, forms.e0_index, forms.elements_per_layer) == (5.0, 30, 16)
     band_classes = pencil._mesh(16)["band"].T
     for band, values in zip(bands(forms), forms.weighted):
         assert values.dtype == np.longdouble and values.shape == (25,) and values[-1] == 0.0
@@ -899,6 +894,27 @@ def test_last_solve_runs_only_when_its_result_is_read(reference_config, monkeypa
     assert (counted["factorizations"], counted["extended_residuals"], counted["last_solves"]) == (
         calls["dpbtrf"] + calls["dpbsv"], calls["extended"], len(fps)
     )
+
+
+@pytest.mark.parametrize("gate", [pencil._HELD_GATE, -1.0])
+def test_last_step_forms_one_band(reference_config, monkeypatch, gate):
+    # the fixed point keeps B's band from its loop, so its last step forms
+    # one band: M(t) - M(s) for the held step, M(t) for a fresh one
+    forms = assemble(5.0, reference_config, Discretization(128))
+    start = spectrum.mode_compliance_bound(ExactMode(forms.k, reference_config))
+    monkeypatch.setattr(pencil, "_HELD_GATE", gate)  # read by the last solve
+    fp = fixed_point(forms, start)
+    t, s = fp.lam, fp.s
+    assert t != s
+    formed, energy = [], pencil._energy
+
+    def spy(forms, s, alpha):
+        formed.append((s, alpha))
+        return energy(forms, s, alpha)
+
+    monkeypatch.setattr(pencil, "_energy", spy)
+    assert fp.alpha > 0.0
+    assert formed == ([(t - s, (t - s) * (t + s))] if gate > 0.0 else [(t, t * t)])
 
 
 def test_indefinite_band_raises_factorization_failure():

@@ -429,7 +429,7 @@ def test_ab_compares_two_trees_bit_for_bit():
     assert not off["outputs_equal"] and off["counts_equal"]
 
 
-def test_ab_sees_a_fixed_point_last_solve():
+def test_ab_sees_a_fixed_point_last_solve(capsys):
     # trees that differ only in the held last step's gate: every fixed point
     # takes a fresh last solve on B, one more factorization and extended
     # residual, which leave lambda and so every op's record as they were;
@@ -443,6 +443,15 @@ def test_ab_sees_a_fixed_point_last_solve():
     for r in reports[:2]:
         assert r["outputs_equal"] and r["last_solves"] > 0 and not r["last_solves_equal"], r["shape"]
         assert {"factorizations", "extended_residuals"} <= r["counts_differing"].keys()
+        # how far they moved: the fresh step's noise is 0, so the residual
+        # moves most, and alpha and the vector only by a refined solve's
+        # rounding
+        moved = r["last_solves_moved"]
+        assert moved.keys() == {"alpha", "fixed_point_residual", "vector"}
+        assert 0.0 < moved["fixed_point_residual"] and max(moved["alpha"], moved["vector"]) < 1e-9, moved
+    assert reports[2]["last_solves"] == 0 and reports[2]["last_solves_moved"] is None
+    ab.print_reports("A", reports)
+    assert capsys.readouterr().out.count("last solves DIFFER by at most alpha ") == 2
 
 
 def test_ab_forces_one_blas_thread(monkeypatch):
