@@ -58,6 +58,16 @@ subspaces of the clamped profiles, so H^N >= H^2N >= H. Then:
   The discrete compliances are at most I_k and C_k, so r_k bounds
   Lambda_k^N too.
 
+Every growing normal mode grows without oscillating. A normal mode of
+rate lam solves (lam^2 B + lam A - c_k e0 e0^T) x = 0 (with D and K on the
+exact side). For such an x, x* of that product is 0: lam solves
+b lam^2 + a lam - c_k |x0|^2 = 0 with a = x* A x > 0 and b = x* B x > 0.
+So c_k >= 0 gives real roots, and c_k < 0 gives Re lam = -a / (2 b) < 0 or
+real roots, both at most 0. So Lambda_k, the one positive root where
+c_k > 0, is mode k's largest growth rate over all its normal modes,
+oscillatory ones included (tests/test_modeforms.py solves the Galerkin
+pencil densely).
+
 Profiles are piecewise-cubic Hermite interpolants of nodal (value, derivative)
 data; psi'' is the exact elementwise second derivative of that representation,
 so the algebraic identities among the dissipation forms hold exactly at the

@@ -36,12 +36,13 @@ alpha_k(s) > 0 along (s, t) (mode_alpha), which bisects the inertia test
 down from the proven bound 0 where alpha_k(s) <= 0. The energy matrix has
 condition number ~4e8 at N = 128, so a solve whose value is read is refined
 once with a residual in extended precision (_factor_solve, then _refine),
-formed on the same 25 long-double values of each form and gathered into
-coefficient rows. A refined solve is only as exact as the operator its
-residual is formed on (Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, ch. 12): on values rounded to float64, x^T A x moves by
-about cond u, 4e-8 at N = 128, which lifted Lambda_k^N above the exact
-root. Where np.longdouble is float64 itself, values and residuals are
+formed on the same 25 long-double values of each form, gathered into
+(dim, 7) coefficient rows whose seven terms one einsum adds left to right,
+each row in one pass (_product). A refined solve is only as exact as the
+operator its residual is formed on (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 12): on values rounded to float64, x^T A x
+moves by about cond u, 4e-8 at N = 128, which lifted Lambda_k^N above the
+exact root. Where np.longdouble is float64 itself, values and residuals are
 float64, and that rounding stays.
 Both paths refine only near the answer: the loop's float64 phase proposes
 points, on unrefined solves, until a step falls below 1e-3 of the point it
@@ -197,33 +198,49 @@ _D, _PARITY = np.array([c // 6 for c in range(_ZERO)]), np.array([c % 2 for c in
 _LEFT = np.array([0, 0, 0, 0, 1, 1] * 4), slice(None), _D + 2 + _PARITY, 2 + _PARITY
 _RIGHT = np.array([0, 0, 1, 1, 1, 1] * 4), slice(None), _D + _PARITY, _PARITY
 # _refine's coefficient rows: row j of the matrix reads x[j + o] for o in
-# this order, the diagonal first, then -1, +1, -2, +2, -3, +3
+# this order, the diagonal first, then -1, +1, -2, +2, -3, +3, and its
+# product adds the seven terms left to right in this order (_product)
 _OFFSETS = np.array([0, -1, 1, -2, 2, -3, 3])
 
 
 def _row_classes(classes: np.ndarray, zero: int) -> np.ndarray:
-    """(7, dim): the class of the coefficient of x[j + o] in row j of the
-    symmetric matrix whose (4, dim) lower band has the class map classes,
-    for o in _OFFSETS' order; zero past the matrix. Entry (j, j - d) is band
-    entry (d, j - d), and (j, j + d) is (d, j)."""
+    """(dim, 7): row j holds the class of the coefficient of x[j + o] in
+    row j of the symmetric matrix whose (4, dim) lower band has the class map
+    classes, for o in _OFFSETS' order; zero past the matrix. Entry
+    (j, j - d) is band entry (d, j - d), and (j, j + d) is (d, j)."""
     dim = classes.shape[1]
-    rows = np.full((7, dim), zero)
-    rows[0] = classes[0]
+    rows = np.full((dim, 7), zero)
+    rows[:, 0] = classes[0]
     for d in range(1, 4):
         inside = max(dim - d, 0)
-        rows[2 * d - 1, d:] = rows[2 * d, :inside] = classes[d, :inside]
-    rows.flags.writeable = False
+        rows[d:, 2 * d - 1] = rows[:inside, 2 * d] = classes[d, :inside]
     return rows
+
+
+def _layout(classes: np.ndarray, zero: int, e0_index: int) -> dict:
+    """The layout every solve of a pencil reads, all of it read-only, from
+    the (4, dim) class map classes of its lower bands, whose class zero holds
+    the entries past the matrix: "band", classes transposed, so that a
+    gather lays a band out in Fortran order; "rows", the C-contiguous
+    (dim, 7) class map of _refine's coefficient rows (_row_classes);
+    "shifted", the C-contiguous (dim, 7) index j + o of x[j + o] in row j,
+    for o in _OFFSETS' order, which past the matrix leaves [0, dim), so that
+    each row's seven terms lie next to each other for _product; "e0", the
+    interface value dof as a unit vector, and "e0_index", its index."""
+    dim = classes.shape[1]
+    e0 = np.zeros(dim)
+    e0[e0_index] = 1.0
+    shifted = np.add.outer(np.arange(dim), _OFFSETS)
+    layout = {"band": classes.T.copy(), "rows": _row_classes(classes, zero), "shifted": shifted, "e0": e0}
+    for array in layout.values():
+        array.flags.writeable = False
+    return {**layout, "e0_index": e0_index}
 
 
 @lru_cache(maxsize=32)
 def _mesh(n: int) -> dict:
-    """The layout every pencil at N = n reads, all of it read-only: "band",
-    the (4, dim) class map of every k-free band, transposed; "rows", the
-    class map of _refine's coefficient rows (_row_classes); "shifted", the
-    (7, dim) index j + o of x[j + o] in row j, for o in _OFFSETS' order,
-    which past the matrix leaves [0, dim); "e0", the interface value dof as
-    a unit vector, and "e0_index", its index."""
+    """The layout every pencil at N = n reads (_layout), from the class map
+    of every k-free band on the uniform mesh (the classes above)."""
     dim, e0_index = 4 * n - 2, 2 * n - 2
     node = np.zeros(dim, dtype=np.intp)  # 2 type + parity of column j
     node[1::2] = 1  # slope dofs
@@ -232,13 +249,7 @@ def _mesh(n: int) -> dict:
     band = node + np.arange(0, 24, 6)[:, None]
     for d in range(1, 4):
         band[d, dim - d :] = _ZERO
-    e0 = np.zeros(dim)
-    e0[e0_index] = 1.0
-    shifted = np.add.outer(_OFFSETS, np.arange(dim))
-    mesh = {"band": band.T.copy(), "rows": _row_classes(band, _ZERO), "shifted": shifted, "e0": e0}
-    for array in mesh.values():
-        array.flags.writeable = False
-    return {**mesh, "e0_index": e0_index}
+    return _layout(band, _ZERO, e0_index)
 
 
 @lru_cache(maxsize=32)
@@ -390,24 +401,34 @@ def _refine(forms: PencilForms, chol: np.ndarray, s: float, alpha: float, x: np.
     s A + alpha B is formed in np.longdouble on the pencil's values
     (PencilForms.weighted, as _energy forms it), 25 numbers each on the
     uniform mesh, not on its 4 dim band entries, and is not rounded to
-    float64, so the refined solve is as exact as the long-double operator.
-    Its seven
-    coefficient rows, gathered through the row class map, times x shifted by
-    each row's offset (both of the pencil's mesh layout, _mesh), are the
-    seven terms of every entry of the product.
-    The sum over the outer axis adds them one row at a time (NumPy sums
-    pairwise only along the fast axis), in _OFFSETS' order, so each entry
-    rounds as the product of the long-double bands by diagonals does
-    (tests/conftest.py). Past the matrix the zero class meets x clipped to
-    its ends: a term of +-0, which can change only the sign of a zero
-    entry, and no bit of r = e0 - y.
+    float64, so the refined solve is as exact as the long-double operator
+    (_product).
     """
     COUNTS["extended_residuals"] += 1
+    y = _product(forms, s, alpha, x)
+    return _spd_solve(chol, np.subtract(forms.tables["e0"], y, out=y).astype(float), alpha)
+
+
+def _product(forms: PencilForms, s: float, alpha: float, x: np.ndarray) -> np.ndarray:
+    """y = (s A + alpha B) x in np.longdouble, on the pencil's long-double
+    values, for _refine's residual.
+
+    Row j of the coefficient map (dim, 7), gathered from the values, times
+    row j of x shifted by each offset (both of the pencil's layout, _layout),
+    holds the seven terms of y[j] next to each other. One einsum contracts
+    each row in one pass: NumPy's long-double loop multiplies and adds a
+    row's seven terms left to right, in _OFFSETS' order, and makes no
+    (dim, 7) product array, so each entry rounds as the product of the
+    long-double bands by diagonals does (tests/conftest.py). That order is
+    NumPy's loop, not its contract, and tests/test_pencil.py pins it bit for
+    bit against the explicit left-to-right sum. Past the matrix the zero class meets x
+    clipped to its ends: a term of +-0, which can change only the sign of a
+    zero entry, and no bit of r = e0 - y.
+    """
     t = forms.tables
     values = np.dot((s, alpha), forms.weighted)
     shifted = x.astype(np.longdouble).take(t["shifted"], mode="clip")
-    y = np.multiply(values[t["rows"]], shifted).sum(axis=0)
-    return _spd_solve(chol, np.subtract(t["e0"], y, out=y).astype(float), alpha)
+    return np.einsum("ji,ji->j", values[t["rows"]], shifted)
 
 
 def alpha_below(forms: PencilForms, s: float, alpha: float) -> bool:

@@ -218,24 +218,16 @@ def extended_bands(forms):
 def hand_built_pencil(A_band, B_band, e0_index, c_k):
     """A pencil at k = 1 of (4, dim) bands built by hand, on the grid of one
     element per layer. Its tables take one class per band entry and class
-    A_band.size for the zeros past the matrix, so its weighted values are
-    the bands' entries and a 0, in np.longdouble, and every solve reads it as
-    it reads an assembled pencil; past the matrix the bands may hold
-    anything."""
+    A_band.size for the zeros past the matrix, laid out by pencil._layout as
+    an assembled pencil's are, so its weighted values are the bands' entries
+    and a 0, in np.longdouble, and every solve reads it as it reads an
+    assembled pencil; past the matrix the bands may hold anything."""
     A_band, B_band = (np.asarray(band, dtype=float) for band in (A_band, B_band))
-    size, dim = A_band.size, A_band.shape[1]
-    classes = np.arange(size).reshape(A_band.shape)
-    e0 = np.zeros(dim)
-    e0[e0_index] = 1.0
-    layout = {
-        "band": classes.T.copy(), "rows": pencil._row_classes(classes, size),
-        "shifted": np.add.outer(pencil._OFFSETS, np.arange(dim)), "e0": e0,
-    }
-    for array in layout.values():
-        array.flags.writeable = False
+    size = A_band.size
+    layout = pencil._layout(np.arange(size).reshape(A_band.shape), size, e0_index)
     weighted = np.array([np.append(band.ravel(), 0.0) for band in (A_band, B_band)], dtype=np.longdouble)
     weighted.flags.writeable = False
-    tables = {"grid": np.array([-1.0, 0.0, 1.0]), **layout, "e0_index": e0_index}
+    tables = {"grid": np.array([-1.0, 0.0, 1.0]), **layout}
     return pencil.PencilForms(k=1.0, c_k=c_k, weighted=weighted, tables=tables)
 
 

@@ -1,12 +1,17 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     TRACE_TOL,
+    bands,
+    box_config,
+    dense,
     dispersion_function,
     dissipation_form,
     galerkin_compliances,
@@ -26,7 +31,8 @@ from rtgrowth.modeforms import (
     uniform_layered_grid,
 )
 from rtgrowth.model import FluidConfig
-from rtgrowth.pencil import Discretization, assemble
+from rtgrowth.pencil import Discretization, assemble, fixed_point
+from rtgrowth.spectrum import mode_compliance_bound
 
 
 def hermite_eval(profile, y, elem=None):
@@ -305,3 +311,35 @@ def test_degenerate_compliances_raise(reference_config, field, value, k):
     cfg = replace(reference_config, **{f"{field}_plus": value, f"{field}_minus": value})
     with pytest.raises(DegenerateExponents, match="not finite and positive"):
         compliances(ExactMode(k, cfg))
+
+
+def test_every_growing_mode_of_the_quadratic_pencil_is_real():
+    # the energy argument of the module docstring, on the Galerkin side: over
+    # box draws at N = 16, lam^2 B + lam A - c_k e0 e0^T, solved densely
+    # through its companion linearization, has no eigenvalue with a positive
+    # real part but a real one; where c_k > 0 it has exactly one, the fixed
+    # point Lambda_k^N (at most 2.3e-11 relative apart over the 9 such
+    # draws), and where c_k <= 0 none, though most such draws carry an
+    # oscillatory pair, which decays.
+    # Q(0) = -c_k e0 e0^T has rank one, so 0 is an eigenvalue dim - 1 times;
+    # it may come back as rounding noise
+    rng = np.random.default_rng(5)
+    unstable = oscillatory = 0
+    for _ in range(40):
+        cfg = box_config(rng.uniform(-4.0, 0.0), rng.uniform(-4.0, 0.0), rng.uniform(0.0, 0.99))
+        forms = assemble(math.hypot(rng.integers(0, 4), rng.integers(1, 4)), cfg, Discretization(16))
+        A, B = (dense(band) for band in bands(forms))
+        zero, one = np.zeros_like(A), np.eye(forms.dim)
+        surface = zero.copy()
+        surface[forms.e0_index, forms.e0_index] = forms.c_k
+        lams = sla.eigvals(np.block([[zero, one], [surface, -A]]), np.block([[one, zero], [zero, B]]))
+        growing = lams[lams.real > 1e-12 * np.abs(lams).max()]
+        assert np.all(np.abs(growing.imag) <= 1e-9 * np.abs(growing))
+        oscillatory += np.count_nonzero(lams.imag)
+        if forms.c_k > 0.0:
+            unstable += 1
+            lam = fixed_point(forms, mode_compliance_bound(ExactMode(forms.k, cfg))).lam
+            assert growing.size == 1 and growing[0].real == pytest.approx(lam, rel=1e-7)
+        else:
+            assert growing.size == 0
+    assert unstable >= 5 and oscillatory >= 20

@@ -538,6 +538,36 @@ def test_refine_on_the_held_wide_bands_keeps_the_bits(reference_config, contrast
                 assert pencil._refine(forms, chol, s, alpha, x).tobytes() == expected.tobytes()
 
 
+def test_refined_product_adds_each_rows_seven_terms_left_to_right(rng):
+    # _product contracts each row of its (dim, 7) terms in one einsum, whose
+    # long-double loop adds them left to right in _OFFSETS' order: NumPy's
+    # loop, not its contract. Pinned bit for bit against that explicit sum
+    # on long-double data whose sums depend on the order, as the reversed
+    # order shows on the same data
+    dim, s, alpha = 600, 1.3, 1.69
+
+    def spread(*shape):
+        return rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+
+    forms = hand_built_pencil(spread(4, dim), spread(4, dim), e0_index=0, c_k=1.0)
+    x = spread(dim)
+    A, B = extended_bands(forms)
+    M, xe = dense(s * A + alpha * B), x.astype(np.longdouble)
+    terms = []
+    for o in pencil._OFFSETS:
+        j = np.arange(max(0, -o), min(dim, dim - o))
+        terms.append(np.zeros(dim, dtype=np.longdouble))
+        terms[-1][j] = M[j, j + o] * xe[j + o]
+    forward, backward = terms[0], terms[-1]
+    for term in terms[1:]:
+        forward = forward + term
+    for term in terms[-2::-1]:
+        backward = backward + term
+    y = pencil._product(forms, s, alpha, x)
+    assert y.dtype == np.longdouble and np.array_equal(y, forward)
+    assert np.count_nonzero(backward != forward) >= dim // 10
+
+
 def test_pencil_holds_each_form_as_25_long_double_values(reference_config):
     # a pencil holds the 25 long-double values of each form, read-only, and
     # shares its config's tables; rounded once and gathered through the
@@ -554,7 +584,9 @@ def test_pencil_holds_each_form_as_25_long_double_values(reference_config):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0] = 1.0
-    assert not forms.tables["rows"].flags.writeable and not forms.tables["shifted"].flags.writeable
+    for name in ("rows", "shifted"):
+        layout = forms.tables[name]
+        assert layout.shape == (forms.dim, 7) and layout.flags.c_contiguous and not layout.flags.writeable
 
 
 def test_band_matvec_matches_dense(reference_config, rng):
