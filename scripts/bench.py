@@ -50,7 +50,10 @@ solves alike), extended-precision residuals and pencil assemblies (a mode
 set keeps no pencil, so every mode a scan visits is assembled, once per
 scan, from the k-free tables cached per config and N).
 Each command row also records peak_rss_mb, the median over its runs of the
-child's peak resident set (ru_maxrss).
+child's peak resident set (ru_maxrss), and bytecode_cached: whether every
+run's child started with a cached .pyc, not older than its source, for every
+rtgrowth module. A child that compiles the package from source pays tens of
+ms of wall_s that no change to the program made.
 
 Times compare only within one file: wall_s and main_s move with the machine's
 load from one hour to the next. lambda, argmax_k and the counts compare
@@ -86,35 +89,23 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from ab import archived_src, load_tree  # noqa: E402 (sets one BLAS thread before numpy loads)
 
+from cli_outputs import CONFIGS as OUTPUT_CONFIGS  # noqa: E402
+from cli_outputs import ENV, REFERENCE, ROOT  # noqa: E402
+
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 AB_ROUNDS = 4
-REFERENCE = {
-    "rho_plus": 2.0, "rho_minus": 1.0, "mu_plus": 0.1, "mu_minus": 0.1, "g": 9.8,
-    "theta": 0.0, "L1": 1.0, "L2": 1.0, "h_plus": 1.0, "h_minus": 1.0,
-}
 CONFIGS = {
     "reference": REFERENCE,
     "mu_0.01": {**REFERENCE, "mu_plus": 0.01, "mu_minus": 0.01},
     "mu_0.001": {**REFERENCE, "mu_plus": 1e-3, "mu_minus": 1e-3},
-    "contrast": {
-        **REFERENCE, "rho_plus": 5.2, "rho_minus": 0.2, "mu_plus": 0.1, "mu_minus": 5.0,
-        "g": 20.0, "L1": 2.0, "L2": 2.0, "h_plus": 0.3, "h_minus": 0.3,
-    },
+    "contrast": OUTPUT_CONFIGS["contrast"],
     "water_air": {
         **REFERENCE, "rho_plus": 1000.0, "rho_minus": 1.2, "mu_plus": 1e-3, "mu_minus": 1.8e-5,
         "theta": 0.072,
     },
-}
-ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
-    "OPENBLAS_NUM_THREADS": "1",
-    "OMP_NUM_THREADS": "1",
-    "MKL_NUM_THREADS": "1",
 }
 
 # the kinds of work pencil.COUNTS holds, in the order of a row's fields
@@ -122,11 +113,21 @@ COUNTED = (
     "modes", "solves", "determinants", "fixed_points", "last_solves", "alpha_solves",
     "inertia_tests", "factorizations", "extended_residuals", "assemblies",
 )
-# Runs the CLI in the child and reports its counts, the time inside cli.main
-# and its peak resident set in MB (ru_maxrss is in KiB on Linux) on its last
+# Runs the CLI in the child and reports its counts, the time inside cli.main,
+# its peak resident set in MB (ru_maxrss is in KiB on Linux) and whether it
+# started on cached bytecode (every rtgrowth module with a .pyc not older
+# than its source, checked before the package is imported) on its last
 # stderr line.
 CHILD_SCRIPT = f"""
 import json, resource, sys, time
+from importlib.util import cache_from_source, find_spec
+from pathlib import Path
+
+def cached(source):
+    pyc = Path(cache_from_source(source))
+    return pyc.is_file() and pyc.stat().st_mtime >= source.stat().st_mtime
+
+bytecode_cached = all(map(cached, Path(find_spec("rtgrowth").origin).parent.glob("*.py")))
 from rtgrowth import cli, pencil
 
 start = time.perf_counter()
@@ -134,7 +135,8 @@ code = cli.main(sys.argv[1:])
 main_s = time.perf_counter() - start
 counts = {{kind: pencil.COUNTS[kind] for kind in {COUNTED!r}}}
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-sys.stderr.write(json.dumps({{**counts, "main_s": main_s, "peak_rss_mb": rss_mb}}) + "\\n")
+report = {{**counts, "main_s": main_s, "peak_rss_mb": rss_mb, "bytecode_cached": bytecode_cached}}
+sys.stderr.write(json.dumps(report) + "\\n")
 sys.exit(code)
 """
 
@@ -159,7 +161,7 @@ def cli_row(
         "--config", str(work / f"{config}.json"), "--resolution", str(n), "--out", str(out), *extra,
     ]
     tables = [Path(path) for option, path in zip(extra, extra[1:]) if option == "--mode-table"]
-    runs, mains, rss = [], [], []
+    runs, mains, rss, cached = [], [], [], []
     for _ in range(REPEATS):
         for path in (out, Path(f"{out}.report.json"), *tables):
             path.unlink(missing_ok=True)  # a file truncated and written again can wait tens of ms for a flush
@@ -170,6 +172,7 @@ def cli_row(
         runs.append(wall)
         mains.append(counts["main_s"])
         rss.append(counts["peak_rss_mb"])
+        cached.append(counts["bytecode_cached"])
     lam, argmax_k = answer(out)
     return {
         "name": name,
@@ -187,6 +190,7 @@ def cli_row(
         "main_max_s": max(mains),
         "main_runs_s": mains,
         "peak_rss_mb": statistics.median(rss),
+        "bytecode_cached": all(cached),
     }
 
 
@@ -342,6 +346,7 @@ def main() -> None:
         main = ""
         if "main_s" in row:
             main = f"  main {row['main_s']:.3f} s ({row['main_min_s']:.3f}-{row['main_max_s']:.3f})"
+            main += f"  bytecode {'cached' if row['bytecode_cached'] else 'not cached'}"
         print(f"{row['name']:>20}  {row['wall_s']:8.2f} s  " + " ".join(f"{r:.2f}" for r in row["runs_s"]) + main)
         if "ab" in row:
             ab = row["ab"]

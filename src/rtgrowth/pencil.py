@@ -56,8 +56,9 @@ eigenvector's error is read against the exact eigenprofile at its own nodes
 The transverse branch is not discretized: its minimum eigenvalue is the
 smallest root of the exact two-layer equation (transverse_min_eigenvalue).
 
-dpbtrf, dpbsv, dpbtrs and dsbmv are scipy's own f2py wrappers, loaded from
-their extension files without importing scipy.linalg, whose import would
+dpbtrf, dpbsv, dpbtrs and dsbmv are scipy's own f2py wrappers. The import
+system's finder locates their two extension modules in scipy's directory,
+and they load with no scipy package code run: importing scipy.linalg would
 otherwise be half of every process's start-up (_load_wrappers).
 """
 
@@ -68,28 +69,24 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, DegenerateExponents, SolverError
 from .model import FluidConfig
 from .modeforms import VerticalProfile, surface_coefficient, uniform_layered_grid
 
 
-def _extension_path(name: str) -> str:
-    """The compiled file of scipy's extension module name (dotted, under scipy)."""
-    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
-    for suffix in EXTENSION_SUFFIXES:
-        if os.path.isfile(stem + suffix):
-            return stem + suffix
-    raise ImportError(f"no extension file for {name}")
-
-
 def _load_extension(name: str):
-    spec = spec_from_file_location(name, _extension_path(name))
+    """scipy's extension module name (dotted, under scipy.linalg), found in
+    scipy's directories by the import system's finder and run, with no scipy
+    package code run first."""
+    linalg = [os.path.join(p, "linalg") for p in find_spec("scipy").submodule_search_locations]
+    spec = PathFinder.find_spec(name, linalg)
+    if spec is None:
+        raise ImportError(f"no extension module {name}")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -100,13 +97,15 @@ def _load_wrappers():
 
     Importing scipy.linalg runs its __init__, which pulls in numpy.f2py and
     scipy's array-API layer: about half of every process's start-up, for
-    four routines (dpbtrf, dpbsv, dpbtrs, dsbmv). So the two extension
-    modules are loaded straight from their files under their own dotted
-    names. Python keeps one copy of a single-phase extension module per file
-    and name, so these are the function objects that scipy.linalg.blas and
+    four routines (dpbtrf, dpbsv, dpbtrs, dsbmv). So the import system's
+    finder locates the two extension modules in scipy's directory, which
+    find_spec("scipy") reads without running scipy's __init__, and they are
+    loaded under their own dotted names: no scipy package code runs. Python
+    keeps one copy of a single-phase extension module per file and name, so
+    these are the function objects that scipy.linalg.blas and
     scipy.linalg.lapack re-export, and every call, its bits and its cost are
-    scipy's own. The file layout scipy/linalg/_flapack<suffix> is a detail
-    of scipy's wheels, not an API: when a file is missing or fails to load,
+    scipy's own. Where the two modules live is a detail of scipy's layout,
+    not an API: when the finder finds nothing or a module fails to load,
     the fallback imports scipy.linalg. The fallback is permanent.
     """
     try:
@@ -325,20 +324,16 @@ class PencilForms:
     weighted holds (A, B) once each, as the two rows of a read-only (2, 25)
     np.longdouble array, one value per class of equal band entries (_weigh);
     tables holds the k-free tables they were weighted from and the mesh
-    layout (_tables, _mesh), where dim, e0_index, grid and
-    elements_per_layer are read. No band is stored: every solve forms the
-    band it reads from the values (_energy). No mode set holds a pencil: a
-    scan assembles each mode it visits, which weighs 50 values.
+    layout (_tables, _mesh), where e0_index, grid and elements_per_layer
+    are read. No band is stored: every solve forms the band it reads from
+    the values (_energy). No mode set holds a pencil: a scan assembles each
+    mode it visits, which weighs 50 values.
     """
 
     k: float
     c_k: float
     weighted: np.ndarray = field(repr=False)
     tables: dict = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.tables["e0"].size
 
     @property
     def e0_index(self) -> int:
@@ -745,7 +740,8 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
     unsolved, and the loop returns (t_next, t, chol, x, d, b, xb): x the
     float64 solve at t, d its correction, b B's float64 band and
     xb = (x + d)^T B (x + d), which fixed_point's last step reads. Where
-    phi = 1 or the bracket closes, t_next = t.
+    the bracket closes, t_next = t; at phi = 1 the Newton step is -0.0, so
+    t_next = t too.
     """
     c, i0, b_band = float(forms.c_k), forms.e0_index, _energy(forms, 0.0, 1.0)
 
@@ -772,7 +768,7 @@ def _secular_newton(forms: PencilForms, path, slope, t: float, propose=None):
         phi = c * x0
         lo, hi = (t, hi) if phi > 1.0 else (lo, t)
         scale = max(t, s)
-        if phi == 1.0 or hi - lo <= 1e-15 * scale:
+        if hi - lo <= 1e-15 * scale:
             return t, t, chol, x, d, b_band, xb
         step = newton(t, x0, xb)
         nxt = t + step if lo <= t + step <= hi else 0.5 * (lo + hi)

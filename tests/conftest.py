@@ -271,7 +271,7 @@ def largest_eigenpair(forms, s):
     reference that the banded solves are tested against."""
     if s <= 0.0:
         raise ValueError(f"modification parameter must be > 0, got {s!r}")
-    n = forms.dim
+    n = forms.tables["e0"].size
     A, B = bands(forms)
     numerator = -s * dense(A)
     numerator[forms.e0_index, forms.e0_index] += forms.c_k

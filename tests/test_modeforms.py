@@ -329,7 +329,7 @@ def test_every_growing_mode_of_the_quadratic_pencil_is_real():
         cfg = box_config(rng.uniform(-4.0, 0.0), rng.uniform(-4.0, 0.0), rng.uniform(0.0, 0.99))
         forms = assemble(math.hypot(rng.integers(0, 4), rng.integers(1, 4)), cfg, Discretization(16))
         A, B = (dense(band) for band in bands(forms))
-        zero, one = np.zeros_like(A), np.eye(forms.dim)
+        zero, one = np.zeros_like(A), np.eye(forms.tables["e0"].size)
         surface = zero.copy()
         surface[forms.e0_index, forms.e0_index] = forms.c_k
         lams = sla.eigvals(np.block([[zero, one], [surface, -A]]), np.block([[one, zero], [zero, B]]))

@@ -71,7 +71,7 @@ def test_discretization_validation():
 def test_assembled_dimensions(reference_config):
     disc = Discretization(16)
     forms = assemble(1.0, reference_config, disc)
-    assert forms.dim == 4 * 16 - 2
+    assert forms.tables["e0"].size == 4 * 16 - 2
     assert forms.e0_index == 2 * 16 - 2
     with pytest.raises(SolverError, match="assembly needs k > 0"):
         assemble(0.0, reference_config, disc)
@@ -80,7 +80,7 @@ def test_assembled_dimensions(reference_config):
 def test_matrix_structure(reference_config):
     forms = assemble(1.3, reference_config, Discretization(8))
     A, B = bands(forms)
-    assert B.shape == A.shape == (4, forms.dim)
+    assert B.shape == A.shape == (4, forms.tables["e0"].size)
     sla.cho_factor(dense(B))  # raises unless B is positive definite
     eigs = np.linalg.eigvalsh(dense(A))
     assert eigs.min() >= -1e-12 * eigs.max()
@@ -91,7 +91,7 @@ def test_assembly_matches_modeforms(reference_config, rng):
     forms = assemble(k, reference_config, Discretization(8))
     A, B = bands(forms)
     for _ in range(20):
-        x = rng.standard_normal(forms.dim)
+        x = rng.standard_normal(forms.tables["e0"].size)
         profile = coeffs_to_profile(x, forms)
         kin = kinetic_form(k, profile, reference_config)
         dis = dissipation_form(k, profile, reference_config)
@@ -250,7 +250,7 @@ def test_dof_permutation_invariance(reference_config, rng):
     A, B = bands(forms)
     numerator = -s * dense(A)
     numerator[forms.e0_index, forms.e0_index] += forms.c_k
-    perm = rng.permutation(forms.dim)
+    perm = rng.permutation(forms.tables["e0"].size)
     ix = np.ix_(perm, perm)
     shuffled = sla.eigh(numerator[ix], dense(B)[ix], eigvals_only=True)[-1]
     assert shuffled == pytest.approx(base, rel=1e-12)
@@ -586,14 +586,14 @@ def test_pencil_holds_each_form_as_25_long_double_values(reference_config):
             values[0] = 1.0
     for name in ("rows", "shifted"):
         layout = forms.tables[name]
-        assert layout.shape == (forms.dim, 7) and layout.flags.c_contiguous and not layout.flags.writeable
+        assert layout.shape == (forms.tables["e0"].size, 7) and layout.flags.c_contiguous and not layout.flags.writeable
 
 
 def test_band_matvec_matches_dense(reference_config, rng):
     for n in (8, 32):
         forms = assemble(2.0, reference_config, Discretization(n))
         for _ in range(5):
-            x = rng.standard_normal(forms.dim)
+            x = rng.standard_normal(forms.tables["e0"].size)
             for band in bands(forms):
                 scale = np.abs(dense(band)).sum(axis=1).max() * np.abs(x).max()
                 assert np.abs(band_matvec(band, x) - dense(band) @ x).max() <= 1e-13 * scale
@@ -615,7 +615,7 @@ def test_secular_eigenpair_matches_dense_at_n128(reference_config):
         assert alpha > 0.0
         sec = secular_eigenpair(forms, s, alpha)
         assert np.abs(sec.vector - largest_eigenpair(forms, s).vector).max() <= 1e-9
-        e0 = np.zeros(forms.dim)
+        e0 = np.zeros(forms.tables["e0"].size)
         e0[forms.e0_index] = 1.0
         A, B = (dense(band) for band in extended_bands(forms))
         exact = ext(s) * A + ext(alpha) * B
@@ -969,14 +969,15 @@ def test_band_solve_error_never_returns_a_vector(reference_config, monkeypatch):
 
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg's __init__ takes about a quarter second to import, and
-    # every command would pay it at start-up; the wrappers load without it
+    # every command would pay it at start-up; the wrappers load without it,
+    # and without running scipy's own __init__ either
     code = (
         "import sys, rtgrowth.cli, rtgrowth.pencil as p; "
-        "print('scipy.linalg' in sys.modules, p.lapack.__name__, p.blas.__name__)"
+        "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules, p.lapack.__name__, p.blas.__name__)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "scipy.linalg._flapack", "scipy.linalg._fblas"]
+    assert proc.stdout.split() == ["False", "False", "scipy.linalg._flapack", "scipy.linalg._fblas"]
 
 
 def test_band_wrappers_are_scipy_linalg_functions():
@@ -990,10 +991,18 @@ def test_band_wrappers_are_scipy_linalg_functions():
 
 @pytest.mark.parametrize("error", [ImportError, OSError])
 def test_band_wrappers_fall_back_to_scipy_linalg(monkeypatch, error):
-    def missing(name):
-        raise error(f"no file for {name}")
+    def failing(name):
+        raise error(f"no module {name}")
 
-    monkeypatch.setattr(pencil, "_extension_path", missing)
+    monkeypatch.setattr(pencil, "_load_extension", failing)
+    blas, lapack = pencil._load_wrappers()
+    assert blas is sla.blas and lapack is sla.lapack
+
+
+def test_band_wrappers_fall_back_when_the_finder_finds_nothing(monkeypatch):
+    monkeypatch.setattr(pencil, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
+    with pytest.raises(ImportError, match="scipy.linalg._fblas"):
+        pencil._load_extension("scipy.linalg._fblas")
     blas, lapack = pencil._load_wrappers()
     assert blas is sla.blas and lapack is sla.lapack
 

@@ -19,12 +19,6 @@ from rtgrowth.analysis import verify_all
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def check_run_reference(out):
-    (line,) = [l for l in out.splitlines() if l.startswith("eigenprofile error")]
-    values, slopes = (float(w.rstrip(",")) for w in line.split()[-3::2])
-    assert 0.0 < values < 1e-3 and 0.0 < slopes < 1e-2
-
-
 def check_convergence_study(out):
     # the reference maximizer k = 5 at N = 16 and 32: fourth order in values and slopes
     (line,) = [l for l in out.splitlines() if "rate" in l]
@@ -36,13 +30,12 @@ def check_convergence_study(out):
 @pytest.mark.parametrize(
     "script,args,check",
     [
-        ("run_reference.py", ["--resolution", "8"], check_run_reference),
         ("convergence_study.py", ["--max-n", "32"], check_convergence_study),
     ],
-    ids=["run_reference", "convergence_study"],
+    ids=["convergence_study"],
 )
 def test_script_runs(script, args, check):
-    # both print the eigenprofile's error against the exact profile
+    # it prints the eigenprofile's error against the exact profile
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True,
@@ -160,6 +153,7 @@ def test_bench_child_counts_modes_and_solves(tmp_path, monkeypatch):
         counts = json.loads(proc.stderr.strip().splitlines()[-1])
         assert 0.0 < counts.pop("main_s") < wall_s
         assert 10.0 < counts.pop("peak_rss_mb") < 1000.0
+        assert isinstance(counts.pop("bytecode_cached"), bool)
         return counts
 
     calls = {
@@ -244,16 +238,18 @@ def test_bench_accepts_exit_1_from_verify_alone(tmp_path, monkeypatch):
          "inertia_tests", "factorizations", "extended_residuals", "assemblies"], 0,
     )
     mains = iter([0.3, 0.1, 0.2, 0.1])
+    cached = iter([True, False, True, True])
 
     def failed_check(argv):
         Path(argv[argv.index("--out") + 1]).write_text(json.dumps(report))
-        child = json.dumps({**counts, "main_s": next(mains), "peak_rss_mb": 40.0})
+        child = json.dumps({**counts, "main_s": next(mains), "peak_rss_mb": 40.0, "bytecode_cached": next(cached)})
         return 1.0, subprocess.CompletedProcess(argv, 1, stdout="", stderr=child + "\n")
 
     monkeypatch.setattr(bench, "timed", failed_check)
     row = bench.cli_row("verify_x", "verify", 8, tmp_path, bench.verify_answer)
     assert (row["exit_code"], row["lambda"], row["argmax_k"]) == (1, 2.5, 5.0)
     assert (row["main_min_s"], row["main_s"], row["main_max_s"]) == (0.1, 0.2, 0.3)
+    assert row["bytecode_cached"] is False  # one run of three compiled its bytecode
     with pytest.raises(SystemExit, match="growth_x exited 1"):
         bench.cli_row("growth_x", "growth", 8, tmp_path, bench.growth_answer)
 
@@ -271,7 +267,7 @@ def test_bench_starts_each_run_with_no_output_file(tmp_path, monkeypatch):
         runs.append([path.exists() for path in written])
         for path in written:
             path.write_text(json.dumps({"lambda": 2.5, "argmax_k": 5.0}))
-        child = json.dumps({**counts, "main_s": 0.1, "peak_rss_mb": 40.0})
+        child = json.dumps({**counts, "main_s": 0.1, "peak_rss_mb": 40.0, "bytecode_cached": True})
         return 1.0, subprocess.CompletedProcess(argv, 0, stdout="", stderr=child + "\n")
 
     monkeypatch.setattr(bench, "timed", writing)
