@@ -4,10 +4,14 @@
 Usage: python scripts/cli_outputs.py OUTDIR
        python scripts/cli_outputs.py --compare DIR_A DIR_B
 
-Runs the tool of the tree the script sits in (its src/) on four configs:
+Runs the tool of the tree the script sits in (its src/) on six configs:
 reference (rho 2/1, mu 0.1/0.1, g 9.8, L = h = 1, theta 0), viscous
-(mu 1/1), contrast (rho 5.2/0.2, mu 0.1/5, g 20, L = 2, h = 0.3) and
-anisotropic (L2 = 1.7, h- = 0.5, mu- = 0.2, theta = 3). On each it runs
+(mu 1/1), contrast (rho 5.2/0.2, mu 0.1/5, g 20, L = 2, h = 0.3),
+anisotropic (L2 = 1.7, h- = 0.5, mu- = 0.2, theta = 3), and two where no
+mode grows, so every command that solves exits 3 (stable regime) with its
+stderr line: stable (the reference at theta = 19.6 = 2 theta_c) and
+threshold_ulp (theta one ulp below theta_c, where the computed c_k at the
+smallest lattice magnitude is 0). On each it runs
 `growth --mode-table` at N = 32 and 128; `sweep-theta` at N = 64 as CSV with
 its report, as JSON, and on the grid 0.3,0.6,0.95; `verify` at N = 64 with
 its stdout and its JSON; `alpha-curve --s-grid 0.1,0.3,1,3` at N = 32 with
@@ -57,6 +61,11 @@ CONFIGS = {
         "g": 20.0, "L1": 2.0, "L2": 2.0, "h_plus": 0.3, "h_minus": 0.3,
     },
     "anisotropic": {**REFERENCE, "L2": 1.7, "h_minus": 0.5, "mu_minus": 0.2, "theta": 3.0},
+    "stable": {**REFERENCE, "theta": 19.6},
+    "threshold_ulp": {
+        **REFERENCE, "rho_plus": 1.633995681191814, "rho_minus": 0.779522174270958,
+        "g": 5.625305567436229, "theta": 895.8461519445018, "L1": 0.4166165803092431, "L2": 13.651939536141027,
+    },
 }
 
 # (name, command-line arguments, stdout file or None); {out} is the config's

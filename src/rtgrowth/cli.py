@@ -1,7 +1,7 @@
 """Batch front door: config ingestion, subcommands, deterministic emission.
 
 Exit codes: 0 success, 1 failed verification, 2 configuration or validation
-error, 3 stable regime (theta at or above the computed threshold), 4
+error, 3 stable regime (no mode grows: model.upper_bound_m), 4
 numerical failure, including any unexpected exception (reported in one line,
 never as a traceback). This module alone writes CSV and JSON, apart from
 GrowthResult.to_json_dict. Output files are byte-stable across runs: every
@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, oracle, spectrum
 from .errors import ConfigError, SolverError, StableRegime
 from .fixedpoint import solve_lambda
-from .model import FluidConfig, validate_config
+from .model import FluidConfig, smallest_magnitude, validate_config
 from .pencil import Discretization
 
 EXIT_VERIFY_FAILED = 1
@@ -109,7 +109,7 @@ def _load_config(path: str) -> FluidConfig:
 
 def _kmax(cfg, args) -> float | None:
     """--kmax, rejected when it lies below the smallest lattice magnitude."""
-    k0 = spectrum.smallest_magnitude(cfg)
+    k0 = smallest_magnitude(cfg)
     if args.kmax is not None and args.kmax < k0:
         raise ConfigError(f"--kmax {args.kmax!r} is below the smallest lattice magnitude {k0!r}")
     return args.kmax
@@ -178,7 +178,7 @@ def _comparison_ks(cfg, args) -> np.ndarray:
     if k_max is not None:
         return spectrum.enumerate_modes(cfg, k_max).magnitudes
     # default: the twelve smallest lattice magnitudes
-    k_try = 4.0 * spectrum.smallest_magnitude(cfg)
+    k_try = 4.0 * smallest_magnitude(cfg)
     while True:
         modes = spectrum.enumerate_modes(cfg, k_try)
         if len(modes) >= 12:

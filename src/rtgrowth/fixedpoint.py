@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .model import FluidConfig, upper_bound_m, validate_config
+from .model import FluidConfig, smallest_magnitude, upper_bound_m, validate_config
 from .modeforms import ExactMode, VerticalProfile
 from .pencil import COUNTS, Discretization, FixedPoint, assemble, fixed_point
-from .spectrum import FrozenModeSet, mode_compliance_bound, size_mode_set, smallest_magnitude
+from .spectrum import FrozenModeSet, mode_compliance_bound, size_mode_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,11 +125,8 @@ def solve_lambda(
     validate_config(cfg)
     if tol_fp <= 0.0:
         raise ValueError(f"tol_fp must be > 0, got {tol_fp!r}")
-    bound_m = upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
+    bound_m = upper_bound_m(cfg)  # raises StableRegime unless some mode grows
     if frozen is None:
-        # every set holds the smallest magnitude, whose c_k is > 0 at theta <
-        # theta_c in exact arithmetic; a theta an ulp or so below theta_c can
-        # round it to 0 or below, and size_mode_set then raises DegenerateExponents
         frozen = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
     frozen.check_serves(cfg, disc)
     result = GrowthResult(
@@ -149,11 +146,11 @@ def solve_mode_lambda(cfg: FluidConfig, k: float, disc: Discretization) -> Fixed
 
     Newton starts from the compliance bound r_k (mode_compliance_bound), as in
     the global scan. An r_k rounded to 0 (C_k near 3e-302 at mu = 1e300,
-    whose square underflows) raises DegenerateExponents (pencil.fixed_point),
+    whose square underflows) raises SolverError (pencil.fixed_point),
     as a global scan whose every r_k is 0 does.
     """
     validate_config(cfg)
-    upper_bound_m(cfg)  # raises StableRegime unless theta < theta_c
+    upper_bound_m(cfg)  # raises StableRegime unless some mode grows
     forms = assemble(float(k), cfg, disc)
     start = mode_compliance_bound(ExactMode(forms.k, cfg))
     return None if start is None else fixed_point(forms, start)

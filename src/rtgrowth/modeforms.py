@@ -12,7 +12,8 @@ mode into three quadratic forms:
     surface      (g [rho] - theta k^2) * psi(0)^2
 
 pencil assembles the first two exactly on the piecewise-cubic Hermite space
-from its closed-form element tables; surface_coefficient gives the third.
+from its closed-form element tables; model.surface_coefficient gives the
+third, c_k, whose sign at the smallest magnitude model.upper_bound_m reads.
 
 The interface impedance. Every per-mode quantity of the package is a
 statement about one function of s, a >= 0, not both 0:
@@ -85,8 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateExponents, SolverError
-from .model import FluidConfig
+from .errors import SolverError
+from .model import FluidConfig, surface_coefficient
 
 @dataclass(frozen=True, eq=False)
 class VerticalProfile:
@@ -128,11 +129,6 @@ class VerticalProfile:
     @property
     def interface_value(self) -> float:
         return float(self.psi_values[self.interface_index])
-
-
-def surface_coefficient(k: float, cfg: FluidConfig) -> float:
-    """c_k = g [rho] - theta k^2, the coefficient of psi(0)^2 in -E."""
-    return cfg.g * cfg.density_jump - cfg.theta * k * k
 
 
 def uniform_layered_grid(h_minus: float, h_plus: float, n_per_layer: int) -> np.ndarray:
@@ -242,7 +238,7 @@ def compliances(mode: ExactMode) -> tuple[float, float]:
     interface. The discrete compliances I_k^N = e0^T B^(-1) e0 and
     C_k^N = e0^T A^(-1) e0 are at most I_k and C_k, as H^N >= H.
 
-    Raises DegenerateExponents unless both values are finite and positive
+    Raises SolverError unless both values are finite and positive
     (depths of 1e-300 divide by zero; mu = 1e300 at k = 1000 gives a NaN C_k).
     """
     k, cfg = mode.k, mode.cfg
@@ -252,5 +248,5 @@ def compliances(mode: ExactMode) -> tuple[float, float]:
     except ZeroDivisionError:
         inviscid = stokes = math.nan
     if not (0.0 < inviscid < math.inf and 0.0 < stokes < math.inf):
-        raise DegenerateExponents(f"interface compliances of mode k = {k!r} are not finite and positive")
+        raise SolverError(f"interface compliances of mode k = {k!r} are not finite and positive")
     return inviscid, stokes

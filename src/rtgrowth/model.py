@@ -129,17 +129,45 @@ def wang_tice_bound(cfg: FluidConfig) -> float:
     return cfg.h_minus * cfg.g * cfg.density_jump / (4.0 * cfg.mu_minus)
 
 
+def smallest_magnitude(cfg: FluidConfig) -> float:
+    """The smallest lattice magnitude min(1/L1, 1/L2), where c_k is largest."""
+    return min(1.0 / cfg.L1, 1.0 / cfg.L2)
+
+
+def surface_coefficient(k: float, cfg: FluidConfig) -> float:
+    """c_k = g [rho] - theta k^2, the coefficient of psi(0)^2 in -E; k may
+    be an array. Rounded multiplication and subtraction are monotone, so the
+    computed c_k never rises with k, as the exact one falls."""
+    return cfg.g * cfg.density_jump - cfg.theta * k * k
+
+
 def upper_bound_m(cfg: FluidConfig) -> float:
-    """Upper bound m on the growth rate, valid for theta < theta_c.
+    """Upper bound m on the growth rate, valid where some mode grows.
 
     m = min( (theta_c - theta) / (4 max{L1^2, L2^2}) * min{h+/mu+, h-/mu-},
              (4 (g [rho] (theta_c - theta))^2
               / (theta_c^2 max{rho+ mu+, rho- mu-}))^(1/3) ).
     Both branches vanish as theta -> theta_c.
+
+    This is the one test of whether a mode grows. Mode k grows exactly when
+    c_k > 0 (modeforms module docstring), and c_k is largest at the smallest
+    lattice magnitude k0, as computed too. So it raises StableRegime unless
+    theta < theta_c and the computed c_k0 > 0; the two agree in exact
+    arithmetic, but a theta an ulp or so below theta_c can round c_k0 to 0
+    or below, and then every c_k the growth scan reads is at most 0.
     """
     theta_c = theta_critical(cfg)
     if cfg.theta >= theta_c:
-        raise StableRegime(cfg.theta, theta_c)
+        raise StableRegime(
+            f"theta {cfg.theta!r} >= theta_c {theta_c!r}", f"theta = {cfg.theta!r} >= theta_c = {theta_c!r}"
+        )
+    k0 = smallest_magnitude(cfg)
+    c0 = surface_coefficient(k0, cfg)
+    if not c0 > 0.0:
+        raise StableRegime(
+            f"c_k = {float(c0)!r} <= 0 at the smallest lattice magnitude k = {k0!r}, "
+            f"theta = {float(cfg.theta)!r} < theta_c = {theta_c!r}"
+        )
     gap = theta_c - cfg.theta
     visc = min(cfg.h_plus / cfg.mu_plus, cfg.h_minus / cfg.mu_minus)
     branch1 = gap / (4.0 * cfg.max_period_scale_sq) * visc

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateExponents, SolverError
+from .errors import SolverError
 from .model import FluidConfig, upper_bound_m, validate_config
 from .modeforms import ExactMode, VerticalProfile, _layer
 from .pencil import COUNTS, Discretization, assemble, fixed_point
@@ -92,14 +92,14 @@ def determinant(mode: ExactMode, n: float) -> float:
     """F_k(n), the determinant of the condensed 1x1 system of mode.k at one rate n > 0.
 
     For c_k > 0 it has the sign of n - Lambda_k, for c_k <= 0 it is positive
-    (module docstring); a non-finite value raises DegenerateExponents.
+    (module docstring); a non-finite value raises SolverError.
     """
     COUNTS["determinants"] += 1
     if not n > 0.0:
         raise ValueError(f"trial growth rates must be > 0, got {float(n)!r}")
     f = n * mode.traction(n) - mode.k2c_k
     if not math.isfinite(f):
-        raise DegenerateExponents(f"non-finite dispersion function at k={float(mode.k)!r}, n={float(n)!r}")
+        raise SolverError(f"non-finite dispersion function at k={float(mode.k)!r}, n={float(n)!r}")
     return f
 
 
@@ -246,15 +246,16 @@ def compare_modes(
 
     Disagreement is reported, never resolved silently: callers decide what to
     flag against which tolerance. cfg is validated and scan_max formed
-    (_scan_max) once per call; raises StableRegime at theta >= theta_c, from
-    the bound m. Each row builds one ExactMode, from the config alone, and
-    forms r_k once from it (mode_compliance_bound); both sides read r_k,
-    and the root search reads the same evaluator. The Galerkin side is
-    solve_mode_lambda's fixed point, past its checks, started from r_k; only
-    its Lambda_k is read, so its last solve never runs: no eigenvector, no
-    profile, and a last factorization that would fail does not show
-    (pencil.FixedPoint). The oracle's root is dispersion_root's, bracketed
-    by the same r_k, and does not depend on the Galerkin solve.
+    (_scan_max) once per call; raises StableRegime where no mode grows, from
+    the bound m (model.upper_bound_m). Each row builds one ExactMode, from
+    the config alone, and forms r_k once from it (mode_compliance_bound);
+    both sides read r_k, and the root search reads the same evaluator. The
+    Galerkin side is solve_mode_lambda's fixed point, past its checks,
+    started from r_k; only its Lambda_k is read, so its last solve never
+    runs: no eigenvector, no profile, and a last factorization that would
+    fail does not show (pencil.FixedPoint). The oracle's root is
+    dispersion_root's, bracketed by the same r_k, and does not depend on the
+    Galerkin solve.
 
     In exact arithmetic the gap is one-sided, Lambda_k^N <= Lambda_k, since
     H^N >= H (modeforms module docstring), which verify's oracle_agreement

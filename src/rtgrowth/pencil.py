@@ -74,9 +74,9 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateExponents, SolverError
-from .model import FluidConfig
-from .modeforms import VerticalProfile, surface_coefficient, uniform_layered_grid
+from .errors import ConfigError, SolverError
+from .model import FluidConfig, surface_coefficient
+from .modeforms import VerticalProfile, uniform_layered_grid
 
 
 def _load_extension(name: str):
@@ -617,8 +617,8 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     = -c_k (x[e0] / s + s x^T B x): one banded matvec per step, and two
     positive terms, so nothing cancels. start should bound Lambda_k from
     above, as the compliance bound r_k (spectrum.compliance_bound) does; the
-    closer it is, the fewer the steps. A start rounded to 0 raises
-    DegenerateExponents.
+    closer it is, the fewer the steps. A start rounded to 0 (a C_k whose
+    square underflows, as at mu = 1e300) raises SolverError.
 
     Lambda_k is the root of the secular loop (_secular_newton) along
     (t, t^2) from start, where t is s. Its float64 phase steps to the root
@@ -697,7 +697,7 @@ def fixed_point(forms: PencilForms, start: float) -> FixedPoint:
     if not c > 0.0:
         raise ValueError(f"a fixed point needs c_k > 0, got {c!r}")
     if not start > 0.0:
-        raise DegenerateExponents(f"mode k = {forms.k!r} has its bound r_k rounded to 0 at c_k = {c!r}")
+        raise SolverError(f"mode k = {forms.k!r} has its bound r_k rounded to 0 at c_k = {c!r}")
 
     def refit(s, x0, xb):
         y, q = 1.0 / (c * x0), s * s * xb / x0

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateExponents, MonotonicityViolation, SolverError
-from .model import FluidConfig
+from .errors import SolverError
+from .model import FluidConfig, smallest_magnitude, surface_coefficient
 from .pencil import (
     COUNTS,
     Discretization,
@@ -61,7 +61,7 @@ from .pencil import (
     mode_alpha,
     transverse_min_eigenvalue,
 )
-from .modeforms import ExactMode, compliances, surface_coefficient
+from .modeforms import ExactMode, compliances
 
 _DEDUP_RTOL = 1e-12
 # the splits l of the bounds B_l (certified_cutoff) whose least value orders
@@ -88,10 +88,6 @@ class ModeSet:
         return self.magnitudes.size
 
 
-def smallest_magnitude(cfg: FluidConfig) -> float:
-    return min(1.0 / cfg.L1, 1.0 / cfg.L2)
-
-
 def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
     """Exactly the distinct lattice magnitudes in (0, k_max].
 
@@ -100,16 +96,17 @@ def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
     of the whole lattice, where the lattice holds each two or four times. A
     repeat lies 0 above the float below it, so the dedup drops it, and the
     gaps between different floats are the quadrant's: the result has the
-    bits of the whole lattice's. A k_max whose lattice, (2 n1 + 1)(2 n2 + 1)
-    points with n_i = ceil(k_max L_i), exceeds LATTICE_POINTS raises
-    DegenerateExponents; so does an infinite or NaN one.
+    bits of the whole lattice's. The first magnitude is hypot(1/L, 0) = 1/L,
+    the bits of model.smallest_magnitude. A k_max whose lattice,
+    (2 n1 + 1)(2 n2 + 1) points with n_i = ceil(k_max L_i), exceeds
+    LATTICE_POINTS raises SolverError; so does an infinite or NaN one.
     """
     if k_max < smallest_magnitude(cfg):
         raise SolverError(f"k_max = {k_max!r} below smallest lattice magnitude {smallest_magnitude(cfg)!r}")
     # min keeps LATTICE_POINTS unless k_max L is smaller, so inf and NaN stay out of ceil
     n1, n2 = (math.ceil(min(LATTICE_POINTS, k_max * scale)) for scale in (cfg.L1, cfg.L2))
     if (2 * n1 + 1) * (2 * n2 + 1) > LATTICE_POINTS:
-        raise DegenerateExponents(f"k_max = {k_max!r} needs more than {LATTICE_POINTS} lattice points")
+        raise SolverError(f"k_max = {k_max!r} needs more than {LATTICE_POINTS} lattice points")
     kk = np.hypot.outer(np.arange(n1 + 1) / cfg.L1, np.arange(n2 + 1) / cfg.L2).ravel()
     kk.sort()
     kk = kk[1 : kk.searchsorted(k_max, side="right")]  # the origin sorts first
@@ -375,7 +372,7 @@ def _split_cutoff(cfg: FluidConfig, s: float, floor: float, split: float) -> flo
     certified as computed and not below the exact one. Square roots of
     squares go through hypot, which neither overflows (b ~ 1e300) nor
     underflows (b ~ 1e-300). A cutoff that is not positive and finite (a rate
-    or viscosity near the float range's end) raises DegenerateExponents.
+    or viscosity near the float range's end) raises SolverError.
     """
     bound, a, t, b, interior = _split_bound(cfg, s, split)
     den = b + math.hypot(b, math.sqrt(3.0 * a * t))
@@ -383,7 +380,7 @@ def _split_cutoff(cfg: FluidConfig, s: float, floor: float, split: float) -> flo
     if floor < 0.0:
         far = math.sqrt(-floor / interior) if interior > 0.0 else math.inf
     if not (0.0 < den < math.inf and far < math.inf):
-        raise DegenerateExponents(f"the cutoff of the bound B_l at s = {float(s)!r} is not finite")
+        raise SolverError(f"the cutoff of the bound B_l at s = {float(s)!r} is not finite")
     if bound(a / den) < floor:
         return 0.0
     k = 2.0 * a / (b + math.hypot(b, 2.0 * math.sqrt(a * t)))
@@ -401,7 +398,7 @@ def _split_cutoff(cfg: FluidConfig, s: float, floor: float, split: float) -> flo
         if 0.0 < k < math.inf and bound(k) < floor:
             return k
         k += k * 2.0 ** (j - 52)
-    raise DegenerateExponents(f"the cutoff of the bound B_l at s = {float(s)!r} is not finite")
+    raise SolverError(f"the cutoff of the bound B_l at s = {float(s)!r} is not finite")
 
 
 def growth_cutoff(cfg: FluidConfig, lam: float) -> float:
@@ -534,26 +531,26 @@ def size_mode_set(fm: FrozenModeSet, theta: float, s: float | None = None):
     most doubling k_max. The value only rises, so the cutoff only falls and
     the loop ends, unless the extension needs more than LATTICE_POINTS
     lattice points (on the reference densities and depths, below about
-    mu = 1e-4 at N = 128): that raises DegenerateExponents, naming the
-    cutoff. So does a growth scan that solved no mode, every r_k 0: C_k
-    underflows at mu = 1e300, or theta lies an ulp or so below theta_c, where
-    c_k = g [rho] - theta k^2 at the smallest magnitude, positive in exact
-    arithmetic, can round to 0 or below.
+    mu = 1e-4 at N = 128): that raises SolverError, naming the cutoff. So
+    does a growth scan that solved no mode. Its callers have checked that
+    c_k > 0 at the smallest magnitude (model.upper_bound_m), so modes grow
+    there, and no mode is solved only where every r_k rounds to 0: at
+    mu = 1e300 the square of C_k underflows.
     """
     pair = _growth_pair(fm, theta) if s is None else _alpha_pair(fm, theta, s)
     best, start = pair.floor, 0
     while True:
         best = _scan(fm, pair, start, best)
         if best[2] is None:
-            raise DegenerateExponents(f"no mode grows at theta = {float(theta)!r}: every bound r_k is 0")
+            raise SolverError(f"every bound r_k rounds to 0 at theta = {float(theta)!r}, though c_k > 0")
         cutoff = pair.cutoff(best[0])
         if cutoff <= fm.modes.k_max:
             return best[2]
         start = len(fm.modes)
         try:
             fm.extend_to(min(cutoff, 2.0 * fm.modes.k_max))
-        except DegenerateExponents as exc:  # the lattice up to there is too large
-            raise DegenerateExponents(
+        except SolverError as exc:  # the lattice up to there is too large
+            raise SolverError(
                 f"the cutoff k = {cutoff!r} lies past the lattice that can be enumerated: {exc}"
             ) from None
 
@@ -596,7 +593,7 @@ def alpha_curve(
 
     alphas = np.asarray([v.alpha for v in values])
     if not np.all(np.diff(alphas) < 0.0):
-        raise MonotonicityViolation(
+        raise SolverError(
             "sampled alpha(s) is not strictly decreasing; the mode set changed "
             "between samples or the discretization is inconsistent"
         )

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from rtgrowth import cli, oracle, pencil, spectrum
 from rtgrowth.errors import SolverError
-from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.model import FluidConfig, smallest_magnitude, theta_critical
 from rtgrowth.modeforms import ExactMode, VerticalProfile, uniform_layered_grid
 
 # 5-point Gauss-Legendre rule on [0, 1]: exact through polynomial degree 9,
@@ -88,7 +88,7 @@ def cli_output(tmp_path, cfg, command, *args):
 def global_alpha(cfg, s, disc):
     """alpha(s, cfg.theta) over a mode set sized at s by spectrum.size_mode_set,
     as alpha_curve samples it."""
-    fm = spectrum.FrozenModeSet.freeze(cfg, disc, spectrum.smallest_magnitude(cfg))
+    fm = spectrum.FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))
     return spectrum.size_mode_set(fm, cfg.theta, s)
 
 

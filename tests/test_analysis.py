@@ -7,13 +7,14 @@ import pytest
 
 from conftest import cli_output, config_json
 from rtgrowth import analysis, cli, oracle, spectrum
-from rtgrowth.errors import MonotonicityViolation, SolverError
+from rtgrowth.errors import SolverError, StableRegime
 from rtgrowth.analysis import VerifyCheck, sweep_theta, verify_all, _sized_mode_set
 from rtgrowth.fixedpoint import GrowthResult, solve_lambda
-from rtgrowth.modeforms import VerticalProfile, surface_coefficient
-from rtgrowth.model import FluidConfig, theta_critical, upper_bound_m, wang_tice_bound
+from rtgrowth.modeforms import VerticalProfile
+from rtgrowth.model import (
+    FluidConfig, smallest_magnitude, surface_coefficient, theta_critical, upper_bound_m, wang_tice_bound,
+)
 from rtgrowth.pencil import Discretization
-from rtgrowth.spectrum import smallest_magnitude
 
 DISC = Discretization(8)
 FRACTIONS = [0.0, 0.25, 0.5, 0.75, 0.9]
@@ -266,7 +267,7 @@ def test_verify_reports_a_failed_alpha_curve_and_fixed_point(cheap_config, tmp_p
     real_solve = analysis.solve_lambda
 
     def curve(*args, **kwargs):
-        raise MonotonicityViolation("alpha rose from 1.0 to 2.0")
+        raise SolverError("alpha rose from 1.0 to 2.0")
 
     def solve(cfg, disc, *args, **kwargs):
         # the theta = 0 sizing solve and the StableRegime probes pass through
@@ -309,10 +310,11 @@ def test_verify_stable_configuration(cheap_config):
 
 
 def test_one_ulp_below_theta_c_no_mode_grows(tmp_path, capsys):
-    # theta one ulp below theta_c is unstable to upper_bound_m, but c_k =
-    # g [rho] - theta k^2 rounds to 0 at the smallest magnitude: growth is a
-    # numerical failure, and verify's oracle check, which has no rate pair to
-    # compare, says so instead of reading a difference of 0.0
+    # theta one ulp below theta_c, where c_k = g [rho] - theta k^2 rounds to
+    # 0 at the smallest magnitude: upper_bound_m finds that no mode grows,
+    # so growth, oracle-compare and a sweep-theta point there exit 3 as at
+    # theta_c, and verify runs only its stable_regime check, which names the
+    # finding
     cfg = FluidConfig(
         rho_plus=1.633995681191814, rho_minus=0.779522174270958, mu_plus=0.1, mu_minus=0.1,
         g=5.625305567436229, theta=0.0, L1=0.4166165803092431, L2=13.651939536141027,
@@ -324,21 +326,50 @@ def test_one_ulp_below_theta_c_no_mode_grows(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(config_json(cfg))
     args = ["--config", str(config), "--resolution", "8"]
-    assert cli.main(["growth", *args]) == 4
-    assert capsys.readouterr().err == (
-        "numerical failure: no mode grows at theta = 895.8461519445018: every bound r_k is 0\n"
+    finding = (
+        "c_k = 0.0 <= 0 at the smallest lattice magnitude k = 0.0732496651741448, "
+        "theta = 895.8461519445018 < theta_c = 895.8461519445019"
     )
-    assert cli.main(["verify", *args]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == [
-        "PASS alpha_strictly_decreasing", "PASS alpha_decreasing_in_theta", "FAIL fixed_point",
-        "PASS oracle_agreement", "PASS threshold_stability",
-    ]
-    assert lines[2:4] == [
-        "FAIL fixed_point: no mode grows at theta = 895.8461519445018: every bound r_k is 0",
-        "PASS oracle_agreement: no growing mode compared over k = [0.0732496651741448] "
-        "(tolerance 0.01 at N = 8)",
-    ]
+    # a sweep point there has a numpy theta, which the message prints as a float
+    for command in (["growth"], ["oracle-compare"], ["sweep-theta", "--theta-grid", "0.9999999999999999"]):
+        assert cli.main([*command, *args]) == 3
+        assert capsys.readouterr().err == (
+            f"stable regime: {finding}: configuration is linearly stable, no positive growth rate exists\n"
+        )
+    assert cli.main(["verify", *args]) == 0
+    assert capsys.readouterr().out == f"PASS stable_regime: {finding}: solver checks skipped\n"
+
+
+def test_one_ulp_below_theta_c_is_stable_exactly_where_the_computed_c_k_is_not_positive():
+    # 400 seeded draws of the property-test box at theta = nextafter(theta_c,
+    # 0): StableRegime is raised exactly where c_k, as computed at the
+    # smallest magnitude, is <= 0 (115 draws at seed 0), and the growth scan
+    # never finds every r_k 0. Whether the other draws solve is not asserted:
+    # Lambda ~ 1e-16 there, and c_k's rounding is as large as c_k itself.
+    rng = np.random.default_rng(0)
+    disc = Discretization(8)
+    stable = 0
+    for _ in range(400):
+        rho_plus = rng.uniform(1.0, 3.0)
+        cfg = FluidConfig(
+            rho_plus=rho_plus, rho_minus=rho_plus * rng.uniform(0.1, 0.99),
+            mu_plus=10.0 ** rng.uniform(-2.0, 0.0), mu_minus=10.0 ** rng.uniform(-2.0, 0.0),
+            g=rng.uniform(1.0, 20.0), theta=0.0,
+            L1=10.0 ** rng.uniform(-0.5, 1.0), L2=10.0 ** rng.uniform(-0.5, 1.0),
+            h_plus=rng.uniform(0.3, 2.0), h_minus=rng.uniform(0.3, 2.0),
+        )
+        cfg = cfg.with_theta(math.nextafter(theta_critical(cfg), 0.0))
+        grows = surface_coefficient(smallest_magnitude(cfg), cfg) > 0.0
+        try:
+            solve_lambda(cfg, disc)
+        except StableRegime:
+            assert not grows, cfg
+            stable += 1
+        except SolverError as exc:
+            assert grows and "every bound r_k" not in str(exc), (cfg, exc)
+        else:
+            assert grows, cfg
+    assert 0 < stable < 400
 
 
 def test_locked_sweep_at_n128_solves_and_matches_the_oracle():

@@ -293,9 +293,10 @@ def test_numerical_failure_is_one_stderr_line(tmp_path):
 
 @pytest.mark.parametrize("command", ["growth", "sweep-theta"])
 def test_overflowing_compliance_bounds_exit_4(tmp_path, command):
-    # mu = 1e300 underflows the Stokes compliance C_k, so every bound r_k
-    # rounds to 0 and no mode is solved: a numerical failure, reported as one
-    # line, not an AttributeError on a missing fixed point
+    # mu = 1e300 underflows the square of the Stokes compliance C_k, so every
+    # bound r_k rounds to 0 though c_k > 0, and no mode is solved: a numerical
+    # failure, reported as one line, not an AttributeError on a missing fixed
+    # point
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps({**CHEAP, "mu_plus": 1e300, "mu_minus": 1e300}))
     proc = subprocess.run(
@@ -306,7 +307,7 @@ def test_overflowing_compliance_bounds_exit_4(tmp_path, command):
     )
     assert proc.returncode == 4, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("numerical failure: no mode grows at theta = 0.0")
+    assert proc.stderr.startswith("numerical failure: every bound r_k rounds to 0 at theta = 0.0, though c_k > 0")
     assert "AttributeError" not in proc.stderr
 
 

@@ -30,7 +30,7 @@ from conftest import (
 from rtgrowth import pencil, spectrum
 from rtgrowth.errors import ConfigError, SolverError
 from rtgrowth.fixedpoint import solve_lambda
-from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.model import FluidConfig, smallest_magnitude, theta_critical
 from rtgrowth.modeforms import ExactMode
 from rtgrowth.pencil import (
     Discretization,
@@ -312,7 +312,7 @@ def test_transverse_bound_and_large_k(reference_config, cheap_config):
             assert transverse_min_eigenvalue(k, cfg) >= ratio * k * k
         # lam strictly increases in k (the proof is in spectrum._alpha_pair),
         # so the transverse branch peaks at the smallest magnitude
-        ks = spectrum.enumerate_modes(cfg, 12.0 * spectrum.smallest_magnitude(cfg)).magnitudes
+        ks = spectrum.enumerate_modes(cfg, 12.0 * smallest_magnitude(cfg)).magnitudes
         assert np.all(np.diff([transverse_min_eigenvalue(k, cfg) for k in ks[:100]]) > 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -470,7 +470,7 @@ def test_factor_solve_keeps_the_bits_of_a_factorization_then_a_solve(reference_c
     # dpbtrs, bit for bit
     disc = Discretization(n)
     for cfg in (reference_config, contrast_config):
-        for k in (spectrum.smallest_magnitude(cfg), 5.0, 40.0):
+        for k in (smallest_magnitude(cfg), 5.0, 40.0):
             forms = assemble(k, cfg, disc)
             for s, alpha in ((0.1, 0.01), (1.3, 1.69), (2.0, 0.0), (0.0, 3.0)):
                 chol, info = pencil.lapack.dpbtrf(pencil._energy(forms, s, alpha), lower=1)
@@ -489,7 +489,7 @@ def test_assembled_bands_keep_the_bits_of_the_inline_weighting(reference_config,
     tiny = replace(reference_config, mu_plus=1e-321, mu_minus=1e-321)
     for cfg in (reference_config, contrast_config, tiny):
         t = loop_tables(cfg, n)
-        for k in (spectrum.smallest_magnitude(cfg), 5.0, 800.0):
+        for k in (smallest_magnitude(cfg), 5.0, 800.0):
             forms = assemble(k, cfg, disc)
             B = t["M_rho"] + t["D_rho"] / k**2
             A = 4.0 * t["D_mu"] + k**2 * t["M_mu"] + 2.0 * t["X_mu"] + t["H_mu"] / k**2
@@ -526,7 +526,7 @@ def test_refine_on_the_held_wide_bands_keeps_the_bits(reference_config, contrast
     pencils = [
         assemble(k, cfg, disc)
         for cfg in (reference_config, contrast_config, tiny, anisotropic)
-        for k in (spectrum.smallest_magnitude(cfg), 5.0)
+        for k in (smallest_magnitude(cfg), 5.0)
     ]
     if n == 8:  # bands built by hand take one class per entry
         pencils += [hand_pencil(), three_dof_pencil()]

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtgrowth import Discretization, FluidConfig, cli, fixedpoint, oracle, pencil, solve_lambda, spectrum
+from rtgrowth import (
+    Discretization, FluidConfig, cli, fixedpoint, oracle, pencil, solve_lambda, spectrum, theta_critical,
+)
 from rtgrowth.analysis import verify_all
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -54,8 +56,11 @@ def load_script(name):
 
 
 def test_cli_outputs_covers_every_command():
-    # checked without running the script: it runs every command on four configs
-    runs = load_script("cli_outputs").RUNS
+    # checked without running the script: it runs every command on its
+    # configs, one of them past theta_c, so the exit-3 path is compared too
+    script = load_script("cli_outputs")
+    runs = script.RUNS
+    assert any(c["theta"] >= theta_critical(FluidConfig(**c)) for c in script.CONFIGS.values())
     assert {argv[0] for _, argv, _ in runs} == set(cli.COMMANDS)
     assert len({name for name, _, _ in runs}) == len(runs)
     # and each command that reads --format in both formats

@@ -11,10 +11,10 @@ from conftest import (
     largest_eigenpair, table_alpha,
 )
 from rtgrowth import pencil, spectrum
-from rtgrowth.errors import DegenerateExponents, MonotonicityViolation, SolverError
+from rtgrowth.errors import SolverError
 from rtgrowth.analysis import sweep_theta
 from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
-from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.model import FluidConfig, smallest_magnitude, theta_critical
 from rtgrowth.oracle import compare_modes
 from rtgrowth.pencil import (
     Discretization,
@@ -32,7 +32,6 @@ from rtgrowth.spectrum import (
     enumerate_modes,
     growth_cutoff,
     size_mode_set,
-    smallest_magnitude,
     split_bound,
 )
 
@@ -69,7 +68,7 @@ def test_cutoff_bracket_at_an_overflowing_viscosity(cheap_config):
     interior = 0.1 * 1e300 / 2.0
     cutoff = spectrum.certified_cutoff(cfg, 0.1, -2.2e299)
     assert cutoff == pytest.approx(math.sqrt(2.2e299 / interior), rel=1e-11)
-    with pytest.raises(DegenerateExponents):
+    with pytest.raises(SolverError, match=r"the cutoff of the bound B_l at s = 10000000000\.0 is not finite"):
         spectrum.certified_cutoff(cfg, 1e10, -1.0)
 
 
@@ -144,7 +143,7 @@ def test_enumeration_ends_of_the_unit_box(reference_config):
     # (2 * 1023 + 1)^2 lattice points fit LATTICE_POINTS, (2 * 1024 + 1)^2 do not
     assert len(enumerate_modes(reference_config, 1023.0)) == 225_996
     for k_max in (1024.0, math.inf, math.nan):
-        with pytest.raises(DegenerateExponents, match="lattice points"):
+        with pytest.raises(SolverError, match="lattice points"):
             enumerate_modes(reference_config, k_max)
 
 
@@ -382,7 +381,7 @@ def test_alpha_curve_monotonicity_guard(cheap_config, monkeypatch):
         return value
 
     monkeypatch.setattr(fm, "alpha_value", doctored)
-    with pytest.raises(MonotonicityViolation):
+    with pytest.raises(SolverError, match=r"sampled alpha\(s\) is not strictly decreasing"):
         alpha_curve(cheap_config, [0.5, 1.5], DISC, frozen=fm)
 
 
@@ -745,7 +744,7 @@ def test_incremental_sizing_and_newton_cutoff_over_config_box(nu_plus, nu_minus,
         best = size_mode_set(fm, cfg.theta)
         assembled.append([])
         value = size_mode_set(sized, cfg.theta, best.lam)
-    except DegenerateExponents as exc:
+    except SolverError as exc:
         # near mu = 1e-4 at N = 8 the growth cutoff lies past the lattice
         # that can be enumerated
         assert "lies past the lattice" in str(exc)
@@ -788,8 +787,8 @@ def test_sizing_past_the_lattice_limit_names_the_cutoff(cheap_config, monkeypatc
     assert size_mode_set(fm, 0.0).lam > 0.0  # k_max 2.83: 49 lattice points
     cfg = replace(cheap_config, mu_plus=1e-3, mu_minus=1e-3)
     fm = FrozenModeSet.freeze(cfg, DISC, smallest_magnitude(cfg))
-    with pytest.raises(DegenerateExponents, match=r"the cutoff k = \S+ lies past the lattice"):
+    with pytest.raises(SolverError, match=r"the cutoff k = \S+ lies past the lattice"):
         size_mode_set(fm, 0.0)
     assert fm.modes.k_max <= 16.0
-    with pytest.raises(DegenerateExponents, match="lattice points"):
+    with pytest.raises(SolverError, match="lattice points"):
         enumerate_modes(cfg, 16.0)
