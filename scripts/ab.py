@@ -79,8 +79,9 @@ def _package_modules(name: str) -> dict:
 
 
 def load_tree(src: Path, name: str) -> SimpleNamespace:
-    """The rtgrowth package under src/, imported as the package name, and
-    perfbench/workloads.py loaded against it (the `workloads` field)."""
+    """The rtgrowth package under src/, imported as the package name, with
+    the submodules that perfbench/workloads.py and scripts/bench.py read as
+    fields, and perfbench/workloads.py loaded against it (`workloads`)."""
     package = src / "rtgrowth"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)]
@@ -89,10 +90,9 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     # every submodule that perfbench/workloads.py imports, so that each
-    # resolves to this tree's
-    tree = SimpleNamespace(
-        **{part: importlib.import_module(f"{name}.{part}") for part in ("analysis", "fixedpoint", "oracle", "pencil")}
-    )
+    # resolves to this tree's, and cli, whose main scripts/bench.py runs
+    parts = ("analysis", "cli", "fixedpoint", "oracle", "pencil")
+    tree = SimpleNamespace(**{part: importlib.import_module(f"{name}.{part}") for part in parts})
     saved = _package_modules("rtgrowth")
     try:
         for key, submodule in _package_modules(name).items():

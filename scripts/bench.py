@@ -72,7 +72,6 @@ lattice caches kept), and start-up and memory stay with the command rows.
 from __future__ import annotations
 
 import argparse
-import importlib
 import io
 import json
 import os
@@ -243,17 +242,6 @@ def table_option(directory: Path, table: str | None) -> tuple[str, ...]:
     return ("--mode-table", str(directory / table)) if table else ()
 
 
-def load_trees(src_a: Path, src_b: Path) -> tuple:
-    """(A, B): the rtgrowth packages under the two src/ directories, each
-    loaded by load_tree under its own name, with its cli module."""
-    trees = []
-    for src, name in ((src_a, "rtgrowth_bench_a"), (src_b, "rtgrowth_bench_b")):
-        tree = load_tree(src, name)
-        tree.cli = importlib.import_module(f"{name}.cli")
-        trees.append(tree)
-    return tuple(trees)
-
-
 def in_process(tree, row: tuple, work: Path, directory: Path) -> tuple[float, tuple, dict]:
     """(main_s, outputs, counts) of one row of ROWS by tree's cli.main, its
     files written in directory, emptied first, and its config read from
@@ -338,7 +326,8 @@ def main() -> None:
             for name, command, n, config, table in ROWS
         ]
         if args.ab:
-            trees = load_trees(archived_src(args.ab, work), ROOT / "src")
+            trees = (load_tree(archived_src(args.ab, work), "rtgrowth_bench_a"),
+                     load_tree(ROOT / "src", "rtgrowth_bench_b"))
             for row, spec in zip(rows, ROWS):
                 row["ab"] = ab_row(trees, spec, work)
     rows.append(tier1_row())

@@ -14,14 +14,12 @@ Usage: python scripts/convergence_study.py [--max-n 128]
 import argparse
 import math
 
+import cli_outputs
 from rtgrowth import Discretization, FluidConfig, solve_lambda, upper_bound_m
 from rtgrowth.oracle import dispersion_root, profile_error
 from rtgrowth.pencil import assemble, mode_alpha
 
-REFERENCE = FluidConfig(
-    rho_plus=2.0, rho_minus=1.0, mu_plus=0.1, mu_minus=0.1,
-    g=9.8, theta=0.0, L1=1.0, L2=1.0, h_plus=1.0, h_minus=1.0,
-)
+REFERENCE = FluidConfig(**cli_outputs.REFERENCE)
 
 
 def main() -> None:

@@ -7,8 +7,11 @@ never as a traceback). This module alone writes CSV and JSON, apart from
 GrowthResult.to_json_dict. Output files are byte-stable across runs: every
 CSV cell follows one rule (_cell: a float as its shortest round-trip repr, an
 empty cell for None, a label as it is), which json.dumps matches with null
-for None; field order is fixed, newlines are '\n'. Only alpha-curve and
-oracle-compare read --kmax; it must reach the smallest lattice magnitude.
+for None; field order is fixed, newlines are '\n'. This module only parses
+flags, dispatches and writes: each rule on an input is checked once, by the
+library function that reads it. --kmax, read only by alpha-curve and
+oracle-compare, is checked against the lattice by spectrum.enumerate_modes,
+and the grids by spectrum.alpha_curve and analysis.sweep_theta.
 """
 
 from __future__ import annotations
@@ -84,15 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_grid(text: str, name: str) -> np.ndarray:
+    """The comma-separated numbers of text, empty fields skipped. It only
+    parses: the function that reads the grid checks its values."""
     try:
-        values = np.asarray([float(x) for x in text.split(",") if x.strip() != ""])
+        return np.asarray([float(x) for x in text.split(",") if x.strip() != ""])
     except ValueError as exc:
         raise ConfigError(f"unparseable {name}: {exc}") from exc
-    if values.size == 0:
-        raise ConfigError(f"{name} is empty")
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{name} must hold finite numbers, got {text!r}")
-    return values
 
 
 def _load_config(path: str) -> FluidConfig:
@@ -105,14 +105,6 @@ def _load_config(path: str) -> FluidConfig:
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
     return validate_config(cfg)
-
-
-def _kmax(cfg, args) -> float | None:
-    """--kmax, rejected when it lies below the smallest lattice magnitude."""
-    k0 = smallest_magnitude(cfg)
-    if args.kmax is not None and args.kmax < k0:
-        raise ConfigError(f"--kmax {args.kmax!r} is below the smallest lattice magnitude {k0!r}")
-    return args.kmax
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -159,8 +151,7 @@ def _cmd_alpha_curve(cfg, disc, args) -> int:
     if args.s_grid is None:
         raise ConfigError("alpha-curve requires --s-grid")
     s_grid = _parse_grid(args.s_grid, "--s-grid")
-    k_max = _kmax(cfg, args)
-    frozen = None if k_max is None else spectrum.FrozenModeSet.freeze(cfg, disc, k_max)
+    frozen = None if args.kmax is None else spectrum.FrozenModeSet.freeze(cfg, disc, args.kmax)
     curve = spectrum.alpha_curve(cfg, s_grid, disc, frozen=frozen)
     columns = ("s", "alpha", "argmax_k", "branch")
     rows = [(float(s), v.alpha, v.argmax_k, v.branch) for s, v in zip(curve.s, curve.values)]
@@ -174,16 +165,11 @@ def _cmd_alpha_curve(cfg, disc, args) -> int:
 
 
 def _comparison_ks(cfg, args) -> np.ndarray:
-    k_max = _kmax(cfg, args)
-    if k_max is not None:
-        return spectrum.enumerate_modes(cfg, k_max).magnitudes
-    # default: the twelve smallest lattice magnitudes
-    k_try = 4.0 * smallest_magnitude(cfg)
-    while True:
-        modes = spectrum.enumerate_modes(cfg, k_try)
-        if len(modes) >= 12:
-            return modes.magnitudes[:12]
-        k_try *= 2.0
+    if args.kmax is not None:
+        return spectrum.enumerate_modes(cfg, args.kmax).magnitudes
+    # default: the twelve smallest lattice magnitudes, at or below 16 k0, as
+    # n / L for n = 1..16 on the longer period L are, and 16 k0 = 16 / L exactly
+    return spectrum.enumerate_modes(cfg, 16.0 * smallest_magnitude(cfg)).magnitudes[:12]
 
 
 def _cmd_compare(cfg, disc, args) -> int:

@@ -350,9 +350,10 @@ class PencilForms:
 
 def assemble(k: float, cfg: FluidConfig, disc: Discretization) -> PencilForms:
     """The pencil of mode k: the tables' values weighed by k (_weigh), made
-    read-only, since every solve reads them, and the surface coefficient."""
-    if k <= 0.0:
-        raise SolverError(f"assembly needs k > 0, got {k!r}")
+    read-only, since every solve reads them, and the surface coefficient.
+    Raises ConfigError unless 0 < k < inf."""
+    if not 0.0 < k < math.inf:
+        raise ConfigError(f"assembly needs k > 0 and finite, got {k!r}")
     COUNTS["assemblies"] += 1
     lower, upper = (cfg.h_minus, cfg.rho_minus, cfg.mu_minus), (cfg.h_plus, cfg.rho_plus, cfg.mu_plus)
     t = _tables(lower, upper, disc.elements_per_layer)
@@ -802,10 +803,11 @@ def transverse_min_eigenvalue(k: float, cfg: FluidConfig) -> float:
     (Chandrasekhar 1961, ch. X). F is positive at min (mu/rho) k^2, where
     every b^2 <= 0 and so every term is positive, strictly decreases in lam, and
     tends to -inf at the first pole min (mu/rho) (pi^2/h^2 + k^2); so the root
-    between, found by bisection, is the smallest eigenvalue.
+    between, found by bisection, is the smallest eigenvalue. Raises
+    ConfigError unless 0 < k < inf.
     """
-    if k <= 0.0:
-        raise SolverError(f"transverse solve needs k > 0, got {k!r}")
+    if not 0.0 < k < math.inf:
+        raise ConfigError(f"transverse solve needs k > 0 and finite, got {k!r}")
     layers = ((cfg.rho_plus, cfg.mu_plus, cfg.h_plus), (cfg.rho_minus, cfg.mu_minus, cfg.h_minus))
     k2 = k * k
     lo = min(mu / rho * k2 for rho, mu, _ in layers)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .model import FluidConfig, smallest_magnitude, surface_coefficient
 from .pencil import (
     COUNTS,
@@ -97,13 +97,18 @@ def enumerate_modes(cfg: FluidConfig, k_max: float) -> ModeSet:
     repeat lies 0 above the float below it, so the dedup drops it, and the
     gaps between different floats are the quadrant's: the result has the
     bits of the whole lattice's. The first magnitude is hypot(1/L, 0) = 1/L,
-    the bits of model.smallest_magnitude. A k_max whose lattice,
+    the bits of model.smallest_magnitude.
+
+    This function owns the rule on k_max: one below that magnitude, infinite
+    or NaN raises ConfigError. A finite k_max whose lattice,
     (2 n1 + 1)(2 n2 + 1) points with n_i = ceil(k_max L_i), exceeds
-    LATTICE_POINTS raises SolverError; so does an infinite or NaN one.
+    LATTICE_POINTS raises SolverError.
     """
-    if k_max < smallest_magnitude(cfg):
-        raise SolverError(f"k_max = {k_max!r} below smallest lattice magnitude {smallest_magnitude(cfg)!r}")
-    # min keeps LATTICE_POINTS unless k_max L is smaller, so inf and NaN stay out of ceil
+    k0 = smallest_magnitude(cfg)
+    if not k0 <= k_max < math.inf:
+        raise ConfigError(f"k_max = {k_max!r} below smallest lattice magnitude {k0!r} or not finite")
+    # min keeps LATTICE_POINTS unless k_max L is smaller, so a product that
+    # overflows to inf stays out of ceil
     n1, n2 = (math.ceil(min(LATTICE_POINTS, k_max * scale)) for scale in (cfg.L1, cfg.L2))
     if (2 * n1 + 1) * (2 * n2 + 1) > LATTICE_POINTS:
         raise SolverError(f"k_max = {k_max!r} needs more than {LATTICE_POINTS} lattice points")
@@ -577,12 +582,15 @@ def alpha_curve(
     set only grows, and every mode added after a sample lies above that
     sample's cutoff, so its alpha_k(s) is below the sample and never visited.
     A set handed in must serve cfg and disc (FrozenModeSet.check_serves).
+    An s_grid of fewer than two points, or not strictly increasing, positive
+    and finite, raises ValueError, the one check of the grid.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or s_grid.size < 2:
         raise ValueError("s_grid must be a 1-d grid with at least two points")
-    if not (np.all(s_grid > 0.0) and np.all(np.diff(s_grid) > 0.0)):
-        raise ValueError("s_grid must be strictly increasing and positive")
+    # increasing, so only the last point can be inf; NaN fails > 0
+    if not (np.all(s_grid > 0.0) and np.all(np.diff(s_grid) > 0.0) and s_grid[-1] < math.inf):
+        raise ValueError("s_grid must be strictly increasing, positive and finite")
 
     if frozen is None:
         fm = FrozenModeSet.freeze(cfg, disc, smallest_magnitude(cfg))

@@ -1,20 +1,24 @@
+import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import config_json, fail_last_factorization
-from rtgrowth import oracle, pencil, spectrum
+from rtgrowth import cli, oracle, pencil, spectrum
 from rtgrowth.cli import COMMANDS, main
-from rtgrowth.model import FluidConfig, theta_critical
+from rtgrowth.model import FluidConfig, smallest_magnitude, theta_critical
 
 CHEAP = {
     "rho_plus": 2.0, "rho_minus": 1.0, "mu_plus": 1.0, "mu_minus": 1.0,
@@ -395,7 +399,8 @@ def test_underflowing_threshold_exit_2(tmp_path, command):
 @pytest.mark.parametrize(
     "command,flags,fields,message",
     [
-        ("alpha-curve", ["--s-grid", ","], {}, "--s-grid is empty"),
+        # the command line only parses the grids (test_library_checks_exit_2_on_their_own_line)
+        ("alpha-curve", ["--s-grid", "1,a"], {}, "unparseable --s-grid"),
         ("growth", ["--out", "{missing}/growth.json"], {}, "cannot write output"),
         # L1 = L2 = 1e200 overflows max(L1^2, L2^2), and so theta_c, to inf
         ("growth", [], {"L1": 1e200, "L2": 1e200}, "theta_c = g (rho_plus - rho_minus) max(L1^2, L2^2) = inf "
@@ -410,6 +415,60 @@ def test_input_errors_exit_2_on_one_line(tmp_path, capsys, command, flags, field
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1, err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,flags,line",
+    [
+        ("alpha-curve", ["--s-grid", ","], "invalid argument: s_grid must be a 1-d grid with at least two points"),
+        ("alpha-curve", ["--s-grid", "1,inf"],
+         "invalid argument: s_grid must be strictly increasing, positive and finite"),
+        ("sweep-theta", ["--theta-grid", ","], "invalid argument: fractions must be a non-empty 1-d sequence"),
+        ("oracle-compare", ["--kmax", "0.5"],
+         "configuration error: k_max = 0.5 below smallest lattice magnitude 1.0 or not finite"),
+    ],
+)
+def test_library_checks_exit_2_on_their_own_line(tmp_path, capsys, command, flags, line):
+    # the command line only parses --kmax and the grids; the library function
+    # that reads each checks it, and its one error line is the stderr
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CHEAP))
+    assert run_cli([command, "--config", str(path), "--resolution", "8", *flags]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+def doubling_comparison_ks(cfg):
+    """oracle-compare's default modes as a doubling search finds them: the
+    twelve smallest magnitudes of the first lattice, from 4 k0 up, that
+    holds twelve."""
+    k_try = 4.0 * smallest_magnitude(cfg)
+    while True:
+        modes = spectrum.enumerate_modes(cfg, k_try)
+        if len(modes) >= 12:
+            return modes.magnitudes[:12]
+        k_try *= 2.0
+
+
+def test_default_comparison_modes_are_the_doubling_searchs():
+    # the default is one enumeration up to 16 k0; it must give the doubling
+    # search's modes bit for bit, on the configs of scripts/cli_outputs.py and
+    # on seeded boxes L1, L2 = 10^U(-3, 3), a fifth of them near-square
+    # (L2 = L1 (1 + j 1e-16), j in [-3, 3]), where magnitudes nearly repeat
+    spec = importlib.util.spec_from_file_location(
+        "cli_outputs", Path(__file__).resolve().parent.parent / "scripts" / "cli_outputs.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    configs = [FluidConfig(**fields) for fields in script.CONFIGS.values()]
+    rng = np.random.default_rng(60)
+    for i in range(20_000):
+        L1 = 10.0 ** rng.uniform(-3.0, 3.0)
+        L2 = L1 * (1.0 + int(rng.integers(-3, 4)) * 1e-16) if i % 5 == 0 else 10.0 ** rng.uniform(-3.0, 3.0)
+        configs.append(replace(configs[0], L1=L1, L2=L2))
+    args = argparse.Namespace(kmax=None)
+    for cfg in configs:
+        got, expected = cli._comparison_ks(cfg, args), doubling_comparison_ks(cfg)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (cfg.L1, cfg.L2)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -439,10 +498,13 @@ def exit_code(args):
         ("alpha-curve", "--s-grid", "0,1"),
         ("alpha-curve", "--s-grid", "2,1"),
         ("alpha-curve", "--s-grid", "nan,1"),
+        ("alpha-curve", "--s-grid", "1,inf"),
         ("sweep-theta", "--theta-grid", "0.5,0.2"),
         ("sweep-theta", "--theta-grid", "nan"),
+        ("sweep-theta", "--theta-grid", ","),
         ("oracle-compare", "--kmax", "nan"),
         ("oracle-compare", "--kmax", "-1"),
+        ("oracle-compare", "--kmax", "0"),
         ("alpha-curve", "--kmax", "nan"),
         ("alpha-curve", "--kmax", "0.5"),
         ("oracle-compare", "--kmax", "0.5"),

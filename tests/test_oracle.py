@@ -21,7 +21,7 @@ from conftest import (
 )
 
 from rtgrowth import cli, fixedpoint, oracle, pencil, spectrum
-from rtgrowth.errors import SolverError
+from rtgrowth.errors import ConfigError, SolverError
 from rtgrowth.fixedpoint import solve_mode_lambda
 from rtgrowth.model import FluidConfig, surface_coefficient, theta_critical, upper_bound_m
 from rtgrowth.modeforms import (
@@ -238,6 +238,26 @@ def test_exact_mode_keeps_the_bits_of_the_nested_chain(k):
                 nested = n * _nested_condensed_traction(k, n, cfg) - k * k * surface_coefficient(k, cfg)
                 got = _bits(determinant, mode, n)
                 assert got == (_bits(lambda: nested) if math.isfinite(nested) else "SolverError")
+
+
+PER_MODE_ENTRIES = {
+    "assemble": lambda k, cfg, disc: pencil.assemble(k, cfg, disc),
+    "ExactMode": lambda k, cfg, disc: ExactMode(k, cfg),
+    "transverse_min_eigenvalue": lambda k, cfg, disc: pencil.transverse_min_eigenvalue(k, cfg),
+    "solve_mode_lambda": lambda k, cfg, disc: solve_mode_lambda(cfg, k, disc),
+    "dispersion_root": lambda k, cfg, disc: dispersion_root(k, cfg, 1.05 * upper_bound_m(cfg)),
+    "compare_modes": lambda k, cfg, disc: oracle.compare_modes(cfg, [k], disc),
+}
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", PER_MODE_ENTRIES)
+def test_per_mode_entries_reject_k_outside_zero_to_inf(reference_config, entry, k):
+    # the three guards (assemble, ExactMode, transverse_min_eigenvalue) own
+    # the rule 0 < k < inf: a bad k is a bad argument (exit 2), never a NaN
+    # or inf result nor a numerical failure further in
+    with pytest.raises(ConfigError, match=r"needs k > 0 and finite, got"):
+        PER_MODE_ENTRIES[entry](k, reference_config, pencil.Discretization(8))
 
 
 def test_exact_side_needs_a_positive_wavenumber(reference_config):

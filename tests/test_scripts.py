@@ -343,7 +343,7 @@ def test_bench_ab_runs_each_row_on_two_trees_in_one_process(tmp_path, monkeypatc
     bench = load_script("bench")
     (tmp_path / "reference.json").write_text(json.dumps(bench.REFERENCE))
     src = SCRIPTS.parent / "src"
-    trees = bench.load_trees(src, src)
+    trees = bench.load_tree(src, "rtgrowth_bench_a"), bench.load_tree(src, "rtgrowth_bench_b")
     assert trees[0].cli is not trees[1].cli and trees[0].pencil.COUNTS is not trees[1].pencil.COUNTS
     rows = [
         ("growth_8", "growth", 8, "reference", None),
@@ -375,7 +375,7 @@ def test_bench_ab_writes_each_rows_pair_beside_it(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "cli_row", lambda name, *args: {"name": name, "wall_s": 1.0, "runs_s": [1.0]})
     monkeypatch.setattr(bench, "tier1_row", lambda: {"name": "tier1", "exit_code": 0, "wall_s": 1.0, "runs_s": [1.0]})
     monkeypatch.setattr(bench, "archived_src", lambda rev, into: Path(f"/{rev}/src"))
-    monkeypatch.setattr(bench, "load_trees", lambda a, b: loaded.append((a, b)) or ("A", "B"))
+    monkeypatch.setattr(bench, "load_tree", lambda src, name: loaded.append((src, name)) or name[-1].upper())
     pair = {"rounds": 4, "main_s_a": 2.0, "main_s_b": 1.0, "outputs_equal": True, "counts_equal": True}
     monkeypatch.setattr(bench, "ab_row", lambda trees, row, work: {**pair, "row": row[0], "trees": trees})
     for argv, ab in ((["--ab", "abc123"], {"a": "abc123", "b": "working tree", "rounds": bench.AB_ROUNDS}), ([], None)):
@@ -387,7 +387,7 @@ def test_bench_ab_writes_each_rows_pair_beside_it(tmp_path, monkeypatch):
         for row, spec in zip(payload["rows"], bench.ROWS):
             assert row["name"] == spec[0]
             assert row.get("ab") == ({**pair, "row": spec[0], "trees": ["A", "B"]} if ab else None)
-    assert loaded == [(Path("/abc123/src"), bench.ROOT / "src")]
+    assert loaded == [(Path("/abc123/src"), "rtgrowth_bench_a"), (bench.ROOT / "src", "rtgrowth_bench_b")]
 
 
 def test_ab_compares_two_trees_bit_for_bit():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import (
     largest_eigenpair, table_alpha,
 )
 from rtgrowth import pencil, spectrum
-from rtgrowth.errors import SolverError
+from rtgrowth.errors import ConfigError, SolverError
 from rtgrowth.analysis import sweep_theta
 from rtgrowth.fixedpoint import solve_lambda, solve_mode_lambda
 from rtgrowth.model import FluidConfig, smallest_magnitude, theta_critical
@@ -142,9 +143,19 @@ def test_enumeration_ends_of_the_unit_box(reference_config):
         enumerate_modes(reference_config, math.nextafter(1.0, 0.0))
     # (2 * 1023 + 1)^2 lattice points fit LATTICE_POINTS, (2 * 1024 + 1)^2 do not
     assert len(enumerate_modes(reference_config, 1023.0)) == 225_996
-    for k_max in (1024.0, math.inf, math.nan):
-        with pytest.raises(SolverError, match="lattice points"):
+    with pytest.raises(SolverError, match="lattice points"):
+        enumerate_modes(reference_config, 1024.0)
+    for k_max in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="below smallest lattice magnitude 1.0 or not finite"):
             enumerate_modes(reference_config, k_max)
+
+
+@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan, math.inf])
+def test_enumeration_rejects_k_max_outside_k0_to_inf(reference_config, k_max):
+    # enumerate_modes owns the rule on k_max: a bad argument (exit 2), not a
+    # numerical failure (exit 4) nor a lattice too large to enumerate
+    with pytest.raises(ConfigError, match=r"k_max = \S+ below smallest lattice magnitude 1\.0 or not finite"):
+        enumerate_modes(reference_config, k_max)
 
 
 def test_global_alpha_matches_brute_scan(cheap_config, monkeypatch):
@@ -347,6 +358,15 @@ def test_alpha_curve_rejects_bad_grid(cheap_config):
         alpha_curve(cheap_config, [2.0, 1.0], DISC)
     with pytest.raises(ValueError):
         alpha_curve(cheap_config, [-1.0, 1.0], DISC)
+
+
+def test_alpha_curve_rejects_an_infinite_point(reference_config):
+    # an increasing grid can end at inf; the grid check rejects it before any
+    # cutoff is taken at s = inf, with no floating-point warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="strictly increasing, positive and finite"):
+            alpha_curve(reference_config, [1.0, math.inf], DISC)
 
 
 def test_alpha_builds_no_profile(cheap_config, monkeypatch):
